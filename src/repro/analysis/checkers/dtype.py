@@ -4,7 +4,8 @@ PR 6 established the contract that the kernel layer, ranking tiles, and
 loss paths preserve the caller's floating dtype — a float32 model must
 never silently widen to float64 mid-pipeline.  Two rule ids enforce the
 static side of that contract inside the hot-path modules (``sparse/``,
-``nn/``, ``losses/``, ``evaluation/``, ``ranking.py``,
+``nn/``, ``losses/``, ``evaluation/``, ``ann/``, ``optim/`` — whose blocked
+updates allocate scratch next to fp32 tables — ``ranking.py``,
 ``data/synthetic.py``):
 
 * ``dtype-ctor`` — ``np.zeros/empty/ones/full/arange`` without an explicit
@@ -39,7 +40,7 @@ _CTOR_DTYPE_POS = {
 
 _NUMPY_NAMES = {"np", "numpy"}
 
-_SCOPES = ("sparse/", "nn/", "losses/", "evaluation/", "ann/")
+_SCOPES = ("sparse/", "nn/", "losses/", "evaluation/", "ann/", "optim/")
 _SCOPE_FILES = ("ranking.py", "data/synthetic.py")
 
 

@@ -9,8 +9,12 @@ Two concerns live here:
   bytes it streamed and how many *unique* parameter bytes it touched.  The
   cache-behaviour model (Table 7) is built on these numbers.
 
-Counters are intentionally global and cheap: a handful of integer additions
-per op, negligible next to the NumPy kernels they describe.
+The flop, streamed-byte and wall-time counters are global and cheap: a handful
+of integer additions per op, negligible next to the NumPy kernels they
+describe.  The *unique*-byte figure is not — for an SpMM it costs an
+``np.unique`` over the column indices — so ops that must compute it do so only
+inside a :func:`flop_counter` region (see :func:`counting_active`); outside
+one, the global counters record ``bytes_unique = 0`` for those ops.
 """
 
 from __future__ import annotations
@@ -95,6 +99,15 @@ def count_flops(op_name: str, flops: int, bytes_streamed: int = 0, bytes_unique:
     _state.global_counters.add(op_name, flops, bytes_streamed, bytes_unique, seconds)
     for counters in _state.active:
         counters.add(op_name, flops, bytes_streamed, bytes_unique, seconds)
+
+
+def counting_active() -> bool:
+    """Whether a :func:`flop_counter` region is open on this thread.
+
+    Ops whose ``bytes_unique`` figure is expensive to derive check this and
+    skip the derivation when nobody is collecting it.
+    """
+    return bool(_state.active)
 
 
 @contextlib.contextmanager

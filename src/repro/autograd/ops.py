@@ -294,7 +294,7 @@ def gather_rows(weight: Tensor, indices: np.ndarray,
         count_flops("scatter_add", grad.size,
                     bytes_streamed=grad.nbytes + full.nbytes,
                     bytes_unique=unique_rows * row_bytes + full.nbytes)
-        weight.accumulate_grad(full)
+        weight.accumulate_grad(full, owned=True)
 
     return Tensor._make(np.array(out_data, copy=True), (weight,), backward, "gather")
 
@@ -398,7 +398,7 @@ def lp_norm(x: Tensor, p: int = 2, axis: int = -1, eps: float = 1e-12) -> Tensor
         def backward(grad: np.ndarray) -> None:
             if x.requires_grad:
                 g = np.expand_dims(grad, axis=axis)
-                x.accumulate_grad(g * np.sign(x.data))
+                x.accumulate_grad(g * np.sign(x.data), owned=True)
 
         return Tensor._make(out_data, (x,), backward, "l1_norm")
     if p == 2:
@@ -409,7 +409,7 @@ def lp_norm(x: Tensor, p: int = 2, axis: int = -1, eps: float = 1e-12) -> Tensor
         def backward(grad: np.ndarray) -> None:
             if x.requires_grad:
                 g = np.expand_dims(grad / out_data, axis=axis)
-                x.accumulate_grad(g * x.data)
+                x.accumulate_grad(g * x.data, owned=True)
 
         return Tensor._make(out_data, (x,), backward, "l2_norm")
     raise ValueError(f"p must be 1 or 2, got {p}")

@@ -293,7 +293,7 @@ class Tensor:
         self._grad = None
         self._sparse_grad = None
 
-    def accumulate_grad(self, grad) -> None:
+    def accumulate_grad(self, grad, owned: bool = False) -> None:
         """Add ``grad`` into :attr:`grad`, allocating on first use.
 
         Accepts a dense ``ndarray`` or a row-sparse gradient (any object with
@@ -301,6 +301,14 @@ class Tensor:
         :class:`~repro.sparse.rowsparse.RowSparseGrad` contract).  Sparse
         contributions stay sparse until a dense contribution arrives, at which
         point the accumulation collapses to a dense array.
+
+        ``owned=True`` hands the array over: the caller computed it for this
+        call, holds no other use for it, and passes it to no other tensor.  A
+        first contribution is then adopted as the accumulator instead of being
+        copied — later contributions add into it in place.  Closures that
+        forward one upstream array to several parents (``add``, ``sub``,
+        ``reshape``) must leave it ``False``: the accumulator of one parent
+        would alias the other's.
         """
         if getattr(grad, "is_row_sparse", False):
             if tuple(grad.shape) != self.data.shape:
@@ -321,10 +329,13 @@ class Tensor:
             # Mixed accumulation: densify the pending sparse part first.
             self._grad = self._sparse_grad.to_dense(dtype=self.data.dtype)
             self._sparse_grad = None
-        if self._grad is None:
-            self._grad = np.array(grad, dtype=self.data.dtype, copy=True)
-        else:
+        if self._grad is not None:
             self._grad += grad
+        elif (owned and isinstance(grad, np.ndarray)
+              and grad.dtype == self.data.dtype and grad.flags.writeable):
+            self._grad = grad
+        else:
+            self._grad = np.array(grad, dtype=self.data.dtype, copy=True)
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Run reverse-mode differentiation from this tensor.
@@ -429,9 +440,11 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self.accumulate_grad(_unbroadcast(grad * other_t.data, self.data.shape))
+                self.accumulate_grad(
+                    _unbroadcast(grad * other_t.data, self.data.shape), owned=True)
             if other_t.requires_grad:
-                other_t.accumulate_grad(_unbroadcast(grad * self.data, other_t.data.shape))
+                other_t.accumulate_grad(
+                    _unbroadcast(grad * self.data, other_t.data.shape), owned=True)
 
         return Tensor._make(out_data, (self, other_t), backward, "mul")
 
@@ -579,7 +592,7 @@ class Tensor:
                 return
             full = np.zeros_like(self.data)
             np.add.at(full, index, grad)
-            self.accumulate_grad(full)
+            self.accumulate_grad(full, owned=True)
 
         return Tensor._make(np.array(out_data, copy=True), (self,), backward, "getitem")
 

@@ -61,9 +61,9 @@ def _fused_margin_loss(positive_scores: Tensor, negative_scores: Tensor,
             g = np.broadcast_to(g, pos.data.shape).astype(pos.data.dtype)
         local = g * mask
         if pos.requires_grad:
-            pos.accumulate_grad(local)
+            pos.accumulate_grad(local, owned=True)
         if neg.requires_grad:
-            neg.accumulate_grad(-local)
+            neg.accumulate_grad(-local, owned=True)
 
     return Tensor._make(out_data, (pos, neg), backward, "margin_loss[fused]")
 

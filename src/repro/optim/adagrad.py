@@ -7,7 +7,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.nn.parameter import Parameter
-from repro.optim.optimizer import Optimizer
+from repro.optim.optimizer import Optimizer, row_blocks
 
 
 class Adagrad(Optimizer):
@@ -41,13 +41,16 @@ class Adagrad(Optimizer):
         self.initial_accumulator = float(initial_accumulator)
 
     def _update(self, param: Parameter) -> None:
-        grad = param.grad
         state = self._param_state(param)
         if "sum_sq" not in state:
             state["sum_sq"] = np.full_like(param.data, self.initial_accumulator)
-        sum_sq = state["sum_sq"]
-        sum_sq += grad * grad
-        param.data -= self.lr * grad / (np.sqrt(sum_sq) + self.eps)
+        for a, b, data, grad, sum_sq in row_blocks(param, param.grad, state["sum_sq"]):
+            sum_sq += np.multiply(grad, grad, out=a)
+            # lr * grad / (sqrt(sum_sq) + eps)
+            np.multiply(grad, self.lr, out=a)
+            np.sqrt(sum_sq, out=b)
+            np.add(b, self.eps, out=b)
+            data -= np.divide(a, b, out=a)
         self._count_update_flops(param, 6)
 
     def _update_sparse(self, param: Parameter, grad) -> None:

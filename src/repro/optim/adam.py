@@ -7,7 +7,7 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from repro.nn.parameter import Parameter
-from repro.optim.optimizer import Optimizer
+from repro.optim.optimizer import Optimizer, row_blocks
 
 
 class Adam(Optimizer):
@@ -51,9 +51,6 @@ class Adam(Optimizer):
         self.weight_decay = float(weight_decay)
 
     def _update(self, param: Parameter) -> None:
-        grad = param.grad
-        if self.weight_decay:
-            grad = grad + self.weight_decay * param.data
         state = self._param_state(param)
         if "m" not in state:
             state["m"] = np.zeros_like(param.data)
@@ -61,7 +58,6 @@ class Adam(Optimizer):
         # The sparse path keeps "t" in sync on every step, so whenever
         # "row_t" exists "t" does too; a fresh parameter starts at 0.
         state.setdefault("t", 0)
-        m, v = state["m"], state["v"]
         state["t"] += 1
         t = state["t"]
         row_t = state.get("row_t")
@@ -70,13 +66,24 @@ class Adam(Optimizer):
             # step count; advance the per-row counters with it so a later
             # return to the sparse path does not undercount the decays.
             row_t.fill(t)
-        m *= self.beta1
-        m += (1 - self.beta1) * grad
-        v *= self.beta2
-        v += (1 - self.beta2) * (grad * grad)
-        m_hat = m / (1 - self.beta1 ** t)
-        v_hat = v / (1 - self.beta2 ** t)
-        param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        correction1 = 1 - self.beta1 ** t
+        correction2 = 1 - self.beta2 ** t
+        for a, b, data, grad, m, v in row_blocks(param, param.grad, state["m"], state["v"]):
+            if self.weight_decay:
+                np.multiply(data, self.weight_decay, out=a)
+                grad = np.add(grad, a, out=a)
+            m *= self.beta1
+            m += np.multiply(grad, 1 - self.beta1, out=b)
+            v *= self.beta2
+            np.multiply(grad, grad, out=b)
+            v += np.multiply(b, 1 - self.beta2, out=b)
+            # lr * m_hat / (sqrt(v_hat) + eps); grad (maybe in ``a``) is spent.
+            np.divide(m, correction1, out=a)
+            np.multiply(a, self.lr, out=a)
+            np.divide(v, correction2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, self.eps, out=b)
+            data -= np.divide(a, b, out=a)
         self._count_update_flops(param, 10)
 
     def _update_sparse(self, param: Parameter, grad) -> None:

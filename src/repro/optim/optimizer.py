@@ -2,12 +2,40 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+import math
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
 from repro.autograd.function import count_flops
 from repro.nn.parameter import Parameter
+from repro.sparse.kernels import block_rows
+
+
+def row_blocks(param: Parameter, *arrays: np.ndarray) -> Iterator[Tuple[np.ndarray, ...]]:
+    """Walk a dense update over ``param`` in cache-sized row blocks.
+
+    Yields ``(scratch_a, scratch_b, data, *arrays)`` per block: two scratch
+    buffers of the block's shape and the parameter's dtype, then aligned
+    writable views of ``param.data`` and of each same-shaped array (gradient,
+    optimiser state).  An update written as ``out=`` ufuncs over these views
+    performs the textbook expression's elementwise operations in the same
+    order — results are bit-identical — while its only temporaries are the two
+    block-sized scratch buffers instead of several table-sized arrays.
+    """
+    data = param.data
+    if data.ndim == 0:
+        data = data.reshape(1)
+        arrays = tuple(a.reshape(1) for a in arrays)
+    n_rows = data.shape[0]
+    step = block_rows(math.prod(data.shape[1:]), data.itemsize)
+    scratch_shape = (min(step, n_rows),) + data.shape[1:]
+    scratch_a = np.empty(scratch_shape, dtype=param.data.dtype)
+    scratch_b = np.empty(scratch_shape, dtype=param.data.dtype)
+    for start in range(0, n_rows, step):
+        rows = slice(start, min(n_rows, start + step))
+        n = rows.stop - rows.start
+        yield (scratch_a[:n], scratch_b[:n], data[rows], *(a[rows] for a in arrays))
 
 
 class Optimizer:

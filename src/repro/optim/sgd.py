@@ -7,7 +7,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.nn.parameter import Parameter
-from repro.optim.optimizer import Optimizer
+from repro.optim.optimizer import Optimizer, row_blocks
 
 
 class SGD(Optimizer):
@@ -42,19 +42,21 @@ class SGD(Optimizer):
         self.weight_decay = float(weight_decay)
 
     def _update(self, param: Parameter) -> None:
-        grad = param.grad
-        if self.weight_decay:
-            grad = grad + self.weight_decay * param.data
+        arrays = [param.grad]
         if self.momentum:
             state = self._param_state(param)
-            velocity = state.get("velocity")
-            if velocity is None:
-                velocity = np.zeros_like(param.data)
-                state["velocity"] = velocity
-            velocity *= self.momentum
-            velocity += grad
-            grad = velocity
-        param.data -= self.lr * grad
+            if state.get("velocity") is None:
+                state["velocity"] = np.zeros_like(param.data)
+            arrays.append(state["velocity"])
+        for a, b, data, grad, *velocity in row_blocks(param, *arrays):
+            if self.weight_decay:
+                np.multiply(data, self.weight_decay, out=a)
+                grad = np.add(grad, a, out=a)
+            if self.momentum:
+                velocity[0] *= self.momentum
+                velocity[0] += grad
+                grad = velocity[0]
+            data -= np.multiply(grad, self.lr, out=b)
         self._count_update_flops(param, 2 + (2 if self.momentum else 0))
 
     def _update_sparse(self, param: Parameter, grad) -> None:

@@ -30,7 +30,7 @@ from typing import Callable, Dict, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.autograd.function import count_flops
+from repro.autograd.function import count_flops, counting_active
 from repro.sparse import kernels
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
@@ -71,18 +71,24 @@ def _record(A: SparseLike, X: np.ndarray, out: np.ndarray, kernel: str,
 
     The unique-bytes figure counts the distinct embedding rows read plus the
     freshly written output (write-allocate traffic) — the compulsory-miss
-    volume the cache model compares against the total streamed bytes.
+    volume the cache model compares against the total streamed bytes.  Finding
+    the distinct rows is an ``np.unique`` over the column indices, a cost
+    comparable to the kernel itself on a training batch, so it is derived only
+    while a ``flop_counter()`` region is collecting it; the global counters
+    record flops, streamed bytes and seconds either way.
     """
-    coo_cols = None
-    if isinstance(A, COOMatrix):
-        coo_cols = A.cols
-    elif isinstance(A, CSRMatrix):
-        coo_cols = A.indices
-    elif sp.issparse(A):
-        coo_cols = A.tocoo().col
     row_bytes = X.itemsize * (X.shape[1] if X.ndim > 1 else 1)
-    unique_reads = len(np.unique(coo_cols)) * row_bytes if coo_cols is not None else 0
-    unique = unique_reads + out.nbytes
+    unique = 0
+    if counting_active():
+        coo_cols = None
+        if isinstance(A, COOMatrix):
+            coo_cols = A.cols
+        elif isinstance(A, CSRMatrix):
+            coo_cols = A.indices
+        elif sp.issparse(A):
+            coo_cols = A.tocoo().col
+        unique_reads = len(np.unique(coo_cols)) * row_bytes if coo_cols is not None else 0
+        unique = unique_reads + out.nbytes
     streamed = (A.nnz * row_bytes) + out.nbytes
     count_flops(kernel, spmm_flops(A, X), bytes_streamed=streamed,
                 bytes_unique=unique, seconds=seconds)
@@ -321,8 +327,12 @@ def register_backend(name: str, fn: Callable[[SparseLike, np.ndarray], np.ndarra
 
     The paper's framework lets users plug their preferred SpMM library; this is
     the equivalent hook.  Registered backends become selectable by name in
-    every model constructor.  ``rowsparse_backward`` optionally supplies a
-    fused ``(A, grad, n_rows) -> RowSparseGrad`` backward used in place of the
+    every model constructor.  ``fn`` must return a newly allocated array on
+    every call: the dense backward adopts the product ``A^T @ grad`` as the
+    parameter's gradient without copying it, so a buffer the backend reuses
+    across calls would be overwritten under the optimizer.
+    ``rowsparse_backward`` optionally supplies a fused
+    ``(A, grad, n_rows) -> RowSparseGrad`` backward used in place of the
     generic gather/scale/coalesce path.
     """
     if name in _REGISTRY and not overwrite:

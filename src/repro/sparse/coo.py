@@ -1,8 +1,10 @@
 """Coordinate-format (COO) sparse matrix.
 
-COO is the construction format: the incidence builders emit COO because the
-triplet list maps one-to-one onto ``(row, col, value)`` entries.  Kernels that
-prefer a row-compressed layout convert with :meth:`COOMatrix.tocsr`.
+COO is the construction format: a triplet list maps one-to-one onto
+``(row, col, value)`` entries.  Irregular matrices convert to the
+row-compressed layout with :meth:`COOMatrix.tocsr`; the incidence builders,
+whose rows all hold the same two or three entries, write CSR directly
+(:mod:`repro.sparse.incidence`) and skip the sort.
 """
 
 from __future__ import annotations
@@ -113,7 +115,11 @@ class COOMatrix:
         return out
 
     def tocsr(self) -> "CSRMatrix":
-        """Convert to :class:`~repro.sparse.csr.CSRMatrix`."""
+        """Convert to :class:`~repro.sparse.csr.CSRMatrix`.
+
+        Entries are ordered by row, then column, ties keeping their stored
+        order; duplicates are kept, not summed.
+        """
         from repro.sparse.csr import CSRMatrix
 
         order = np.lexsort((self.cols, self.rows))

@@ -17,7 +17,7 @@ matrices stay extremely sparse regardless of how dense the underlying graph is
 
 from __future__ import annotations
 
-from typing import Literal, Optional, Union
+from typing import Literal, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,12 +29,44 @@ Format = Literal["coo", "csr"]
 SparseMat = Union[COOMatrix, CSRMatrix]
 
 
-def _finalize(coo: COOMatrix, fmt: Format) -> SparseMat:
+def _build_incidence(heads: np.ndarray, tails: np.ndarray,
+                     relation_cols: Optional[np.ndarray],
+                     shape: Tuple[int, int], fmt: Format) -> SparseMat:
+    """Emit the ``k``-per-row incidence matrix (``k`` = 2, or 3 with relations).
+
+    COO lists each row's entries as ``(head, [relation,] tail)``.  CSR is
+    written directly rather than through :meth:`COOMatrix.tocsr`: every row
+    holds exactly ``k`` entries, so ``indptr`` is an arithmetic progression,
+    and ordering a row's columns is one compare-and-swap of head and tail —
+    the relation column ``N + r`` exceeds every entity column, so it is always
+    last, and ``head == tail`` keeps head first like the stable sort does.
+    The arrays equal ``tocsr()``'s element for element, which keeps the
+    kernels' accumulation order, and therefore training trajectories, intact.
+    """
+    if fmt not in ("coo", "csr"):
+        raise ValueError(f"format must be 'coo' or 'csr', got {fmt!r}")
+    m = heads.shape[0]
+    k = 2 if relation_cols is None else 3
+    cols = np.empty((m, k), dtype=np.int64)
+    vals = np.empty((m, k), dtype=np.float64)
     if fmt == "coo":
-        return coo
-    if fmt == "csr":
-        return coo.tocsr()
-    raise ValueError(f"format must be 'coo' or 'csr', got {fmt!r}")
+        cols[:, 0] = heads
+        cols[:, -1] = tails
+        vals[:, :-1] = 1.0
+        vals[:, -1] = -1.0
+        if relation_cols is not None:
+            cols[:, 1] = relation_cols
+        rows = np.repeat(np.arange(m, dtype=np.int64), k)
+        return COOMatrix(rows, cols.reshape(-1), vals.reshape(-1), shape)
+    np.minimum(heads, tails, out=cols[:, 0])
+    np.maximum(heads, tails, out=cols[:, 1])
+    vals[:, 0] = np.where(heads > tails, -1.0, 1.0)
+    np.negative(vals[:, 0], out=vals[:, 1])
+    if relation_cols is not None:
+        cols[:, 2] = relation_cols
+        vals[:, 2] = 1.0
+    indptr = np.arange(0, k * m + 1, k, dtype=np.int64)
+    return CSRMatrix(indptr, cols.reshape(-1), vals.reshape(-1), shape)
 
 
 def build_ht_incidence(
@@ -61,16 +93,8 @@ def build_ht_incidence(
     correct ``h − t = 0``).
     """
     triples = check_triples(triples, n_entities=n_entities)
-    m = triples.shape[0]
-    rows = np.repeat(np.arange(m, dtype=np.int64), 2)
-    cols = np.empty(2 * m, dtype=np.int64)
-    cols[0::2] = triples[:, 0]
-    cols[1::2] = triples[:, 2]
-    vals = np.empty(2 * m, dtype=np.float64)
-    vals[0::2] = 1.0
-    vals[1::2] = -1.0
-    coo = COOMatrix(rows, cols, vals, (m, int(n_entities)))
-    return _finalize(coo, fmt)
+    return _build_incidence(triples[:, 0], triples[:, 2], None,
+                            (triples.shape[0], int(n_entities)), fmt)
 
 
 def build_hrt_incidence(
@@ -91,18 +115,9 @@ def build_hrt_incidence(
     three non-zeros per row.
     """
     triples = check_triples(triples, n_entities=n_entities, n_relations=n_relations)
-    m = triples.shape[0]
-    rows = np.repeat(np.arange(m, dtype=np.int64), 3)
-    cols = np.empty(3 * m, dtype=np.int64)
-    cols[0::3] = triples[:, 0]
-    cols[1::3] = triples[:, 1] + int(n_entities)
-    cols[2::3] = triples[:, 2]
-    vals = np.empty(3 * m, dtype=np.float64)
-    vals[0::3] = 1.0
-    vals[1::3] = 1.0
-    vals[2::3] = -1.0
-    coo = COOMatrix(rows, cols, vals, (m, int(n_entities) + int(n_relations)))
-    return _finalize(coo, fmt)
+    return _build_incidence(
+        triples[:, 0], triples[:, 2], triples[:, 1] + int(n_entities),
+        (triples.shape[0], int(n_entities) + int(n_relations)), fmt)
 
 
 class IncidenceBuilder:

@@ -131,7 +131,9 @@ def spmm(
             return
         if transposed is None:
             transposed = _transpose(A)
-        X_t.accumulate_grad(kernel(transposed, grad))
+        # The product is a new array nothing else refers to: X adopts it as
+        # its gradient instead of copying a table-sized array.
+        X_t.accumulate_grad(kernel(transposed, grad), owned=True)
 
     return Tensor._make(out_data, (X_t,), backward, "spmm")
 

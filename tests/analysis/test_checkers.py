@@ -123,6 +123,19 @@ class TestDtypeChecker:
         })
         assert rules_of(run_checks(tmp_path)) == {"dtype-promotion"}
 
+    def test_optimizer_scratch_must_name_its_dtype(self, tmp_path):
+        make_project(tmp_path, {
+            "src/repro/optim/mod.py": (
+                "import numpy as np\n"
+                "def scratch(param):\n"
+                "    a = np.empty(param.data.shape)\n"
+                "    b = np.empty(param.data.shape, dtype=param.data.dtype)\n"
+                "    return a, b\n"
+            ),
+        })
+        findings = run_checks(tmp_path, rules=["dtype-ctor"])
+        assert [f.line for f in findings] == [3]
+
     def test_out_of_scope_module_ignored(self, tmp_path):
         make_project(tmp_path, {
             "src/repro/utils/mod.py": "import numpy as np\nx = np.empty(3)\n",

@@ -3,7 +3,12 @@
 import numpy as np
 
 from repro.autograd import Tensor, flop_counter, get_flops, ops, reset_flops
-from repro.autograd.function import OpCounters, count_flops, get_global_counters
+from repro.autograd.function import (
+    OpCounters,
+    count_flops,
+    counting_active,
+    get_global_counters,
+)
 
 
 class TestOpCounters:
@@ -66,6 +71,55 @@ class TestOperatorAccounting:
         with flop_counter() as counters:
             out.sum().backward()
         assert "scatter_add" in counters.per_op
+
+
+class TestUniqueBytesOnlyInsideARegion:
+    """Distinct-row accounting costs an ``np.unique`` per SpMM call; it is paid
+    only while a ``flop_counter()`` region is there to read it."""
+
+    @staticmethod
+    def _operands():
+        from repro.sparse import build_hrt_incidence
+
+        triples = np.array([[0, 0, 1], [1, 1, 0], [2, 0, 2]])
+        return build_hrt_incidence(triples, 4, 2), Tensor(np.ones((6, 8)), requires_grad=True)
+
+    def test_counting_active_tracks_regions(self):
+        assert not counting_active()
+        with flop_counter():
+            assert counting_active()
+            with flop_counter():
+                assert counting_active()
+            assert counting_active()
+        assert not counting_active()
+
+    def test_spmm_unique_bytes_inside_a_region(self):
+        from repro.sparse import spmm
+
+        A, X = self._operands()
+        with flop_counter() as counters:
+            out = spmm(A, X)
+        # Entities 0, 1, 2 and relation columns 4, 5 are read; the output is
+        # freshly written.
+        assert counters.bytes_unique == 5 * 8 * 8 + out.nbytes
+        assert counters.bytes_streamed == A.nnz * 8 * 8 + out.nbytes
+
+    def test_spmm_outside_a_region_never_reaches_np_unique(self, monkeypatch):
+        from repro.sparse import backends, spmm
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.unique called on the SpMM hot path")
+
+        A, X = self._operands()
+        reset_flops()
+        monkeypatch.setattr(backends.np, "unique", forbidden)
+        out = spmm(A, X)
+        out.backward(np.ones_like(out.data))
+        monkeypatch.undo()
+        totals = get_global_counters()
+        assert totals.per_op["spmm[scipy]"] == 2 * (2 * A.nnz * 8)
+        assert totals.bytes_streamed > 0 and totals.seconds > 0
+        assert totals.bytes_unique == 0
 
 
 class TestPerOpSeconds:

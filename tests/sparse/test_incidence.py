@@ -162,3 +162,59 @@ class TestIncidenceProperties:
         A = build_ht_incidence(triples, n_entities)
         np.testing.assert_allclose(A.matvec(np.ones(n_entities)), np.zeros(n_triples),
                                    atol=1e-12)
+
+
+def _assert_same_csr(got: CSRMatrix, want: CSRMatrix) -> None:
+    assert got.shape == want.shape
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, field
+        np.testing.assert_array_equal(a, b, err_msg=field)
+
+
+def _random_triples(rng, n, n_entities, n_relations):
+    triples = np.column_stack([
+        rng.integers(0, n_entities, n),
+        rng.integers(0, n_relations, n),
+        rng.integers(0, n_entities, n),
+    ]).astype(np.int64)
+    triples[::5, 2] = triples[::5, 0]  # head == tail rows keep head first
+    return triples
+
+
+class TestDirectCsr:
+    """The builders write CSR without sorting; the arrays must equal what the
+    sort-based ``COOMatrix.tocsr()`` produces, entry for entry, so kernels
+    accumulate in the same order as before."""
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 257])
+    def test_ht_equals_tocsr(self, n):
+        triples = _random_triples(np.random.default_rng(n), n, 40, 7)
+        _assert_same_csr(build_ht_incidence(triples, 40, fmt="csr"),
+                         build_ht_incidence(triples, 40, fmt="coo").tocsr())
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 257])
+    def test_hrt_equals_tocsr(self, n):
+        triples = _random_triples(np.random.default_rng(n), n, 40, 7)
+        _assert_same_csr(build_hrt_incidence(triples, 40, 7, fmt="csr"),
+                         build_hrt_incidence(triples, 40, 7, fmt="coo").tocsr())
+
+    def test_compact_sub_incidence_equals_tocsr(self):
+        """The partitioned path remaps a batch onto its unique ids first."""
+        triples = _random_triples(np.random.default_rng(9), 300, 5000, 40)
+        entity_ids = np.unique(triples[:, 0::2])
+        relation_ids = np.unique(triples[:, 1])
+        compact = np.column_stack([
+            np.searchsorted(entity_ids, triples[:, 0]),
+            np.searchsorted(relation_ids, triples[:, 1]),
+            np.searchsorted(entity_ids, triples[:, 2]),
+        ])
+        sizes = (int(entity_ids.size), int(relation_ids.size))
+        _assert_same_csr(build_hrt_incidence(compact, *sizes, fmt="csr"),
+                         build_hrt_incidence(compact, *sizes, fmt="coo").tocsr())
+
+    def test_coo_keeps_head_relation_tail_order(self, triples):
+        A = build_hrt_incidence(triples, N_ENT, N_REL, fmt="coo")
+        np.testing.assert_array_equal(A.rows, np.repeat(np.arange(4), 3))
+        np.testing.assert_array_equal(A.cols.reshape(4, 3)[:, 1], N_ENT + triples[:, 1])
+        np.testing.assert_array_equal(A.values.reshape(4, 3), [[1.0, 1.0, -1.0]] * 4)

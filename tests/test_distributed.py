@@ -100,9 +100,16 @@ class TestScalingSweep:
         )
         assert [r.n_workers for r in results] == [1, 2, 4]
 
-    def test_compute_time_shrinks_with_workers(self, kg):
-        """The Appendix-F shape: per-step compute falls as batches shard."""
-        cfg = TrainingConfig(epochs=1, batch_size=480, learning_rate=0.01, seed=0)
+    def test_compute_time_shrinks_with_workers(self):
+        """The Appendix-F shape: per-step compute falls as batches shard.
+
+        Batches of 4000 triples, so the time compared is work proportional to
+        the shard and not the fixed cost of a step: on the 480-triple fixture
+        one step is under a millisecond and an eighth of it is not reliably
+        faster (ratio ~0.9); here it is ~0.2.
+        """
+        kg = generate_synthetic_kg(200, 6, 16000, rng=0)
+        cfg = TrainingConfig(epochs=1, batch_size=4000, learning_rate=0.01, seed=0)
         results = scaling_sweep(
             lambda: SpTransE(kg.n_entities, kg.n_relations, 32, rng=0),
             kg, [1, 8], config=cfg,

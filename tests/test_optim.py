@@ -196,3 +196,171 @@ class TestSchedulers:
         sched = ExponentialLR(opt, gamma=0.9)
         sched.step()
         assert len(sched.history) == 2
+
+
+# --------------------------------------------------------------------------- #
+# Dense updates run blocked and in place; the textbook expressions below are
+# the reference they must reproduce bit for bit.
+# --------------------------------------------------------------------------- #
+def adam_reference(p, g, state, lr, beta1, beta2, eps, weight_decay):
+    if weight_decay:
+        g = g + weight_decay * p
+    state["t"] += 1
+    t = state["t"]
+    if "row_t" in state:
+        state["row_t"].fill(t)
+    m, v = state["m"], state["v"]
+    m *= beta1
+    m += (1 - beta1) * g
+    v *= beta2
+    v += (1 - beta2) * (g * g)
+    m_hat = m / (1 - beta1 ** t)
+    v_hat = v / (1 - beta2 ** t)
+    p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def adam_rowsparse_reference(p, rows, vals, state, lr, beta1, beta2, eps):
+    m, v, row_t = state["m"], state["v"], state["row_t"]
+    row_t[rows] += 1
+    t = row_t[rows]
+    state["t"] = max(state["t"], int(t.max()))
+    m[rows] = beta1 * m[rows] + (1 - beta1) * vals
+    v[rows] = beta2 * v[rows] + (1 - beta2) * (vals * vals)
+    m_hat = m[rows] / (1 - beta1 ** t)[:, None]
+    v_hat = v[rows] / (1 - beta2 ** t)[:, None]
+    p[rows] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def adagrad_reference(p, g, state, lr, eps):
+    state["sum_sq"] += g * g
+    p -= lr * g / (np.sqrt(state["sum_sq"]) + eps)
+
+
+def sgd_reference(p, g, state, lr, momentum, weight_decay):
+    if weight_decay:
+        g = g + weight_decay * p
+    if momentum:
+        state["velocity"] *= momentum
+        state["velocity"] += g
+        g = state["velocity"]
+    p -= lr * g
+
+
+def _typed_parameter(values: np.ndarray) -> Parameter:
+    param = Parameter(values)
+    param.data = values.copy()  # Parameter() widens to float64; keep the dtype
+    return param
+
+
+#: 0-D, 1-D and 2-D, one block and several, row counts off the block boundary
+#: (block_rows gives 65536 rows for 1-D float64, 512 for 128-wide float64).
+SHAPES = [(), (7,), (70001,), (1100, 128), (300, 3, 5)]
+
+
+#: name -> (optimizer factory, initial reference state, reference step).
+DENSE_CASES = {
+    "adam": (
+        lambda p: Adam([p], lr=1e-2),
+        lambda x: {"t": 0, "m": np.zeros_like(x), "v": np.zeros_like(x)},
+        lambda p, g, st: adam_reference(p, g, st, 1e-2, 0.9, 0.999, 1e-8, 0.0)),
+    "adam-decay": (
+        lambda p: Adam([p], lr=1e-2, weight_decay=0.01),
+        lambda x: {"t": 0, "m": np.zeros_like(x), "v": np.zeros_like(x)},
+        lambda p, g, st: adam_reference(p, g, st, 1e-2, 0.9, 0.999, 1e-8, 0.01)),
+    "adagrad": (
+        lambda p: Adagrad([p], lr=1e-2, initial_accumulator=0.1),
+        lambda x: {"sum_sq": np.full_like(x, 0.1)},
+        lambda p, g, st: adagrad_reference(p, g, st, 1e-2, 1e-10)),
+    "sgd": (
+        lambda p: SGD([p], lr=1e-2),
+        lambda x: {},
+        lambda p, g, st: sgd_reference(p, g, st, 1e-2, 0.0, 0.0)),
+    "sgd-decay": (
+        lambda p: SGD([p], lr=1e-2, weight_decay=0.01),
+        lambda x: {},
+        lambda p, g, st: sgd_reference(p, g, st, 1e-2, 0.0, 0.01)),
+    "sgd-momentum": (
+        lambda p: SGD([p], lr=1e-2, momentum=0.9),
+        lambda x: {"velocity": np.zeros_like(x)},
+        lambda p, g, st: sgd_reference(p, g, st, 1e-2, 0.9, 0.0)),
+    "sgd-momentum-decay": (
+        lambda p: SGD([p], lr=1e-2, momentum=0.9, weight_decay=0.01),
+        lambda x: {"velocity": np.zeros_like(x)},
+        lambda p, g, st: sgd_reference(p, g, st, 1e-2, 0.9, 0.01)),
+}
+
+
+class TestDenseUpdateMatchesReference:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", sorted(DENSE_CASES))
+    def test_25_steps_bit_identical(self, case, dtype, shape):
+        make, initial_state, reference_step = DENSE_CASES[case]
+        rng = np.random.default_rng(0)
+        expected = rng.standard_normal(shape).astype(dtype)
+        param = _typed_parameter(expected)
+        opt = make(param)
+        state = initial_state(expected)
+        for _ in range(25):
+            grad = rng.standard_normal(shape).astype(dtype)
+            param.grad = grad.copy()
+            opt.step()
+            reference_step(expected, grad, state)
+        assert param.data.dtype == dtype
+        assert np.array_equal(param.data, expected)
+        got = opt.state.get(id(param), {})
+        for name, value in state.items():
+            assert np.array_equal(got[name], value), name
+
+    @pytest.mark.parametrize("make", [
+        lambda p: Adam([p], weight_decay=0.01),
+        lambda p: Adagrad([p]),
+        lambda p: SGD([p], momentum=0.9, weight_decay=0.01),
+    ])
+    def test_gradient_is_left_untouched(self, make):
+        """The update reads the gradient block by block and never writes it."""
+        rng = np.random.default_rng(3)
+        param = Parameter(rng.standard_normal((1100, 128)))
+        grad = rng.standard_normal((1100, 128))
+        saved = grad.copy()
+        param.grad = grad
+        make(param).step()
+        assert param.grad is grad
+        assert np.array_equal(grad, saved)
+
+    def test_adam_dense_rowsparse_dense_handover(self):
+        """Dense steps advance ``row_t`` with ``t``, so switching paths mid-run
+        keeps every row's bias correction consistent."""
+        from repro.sparse.rowsparse import RowSparseGrad
+
+        rng = np.random.default_rng(4)
+        shape = (1100, 16)
+        expected = rng.standard_normal(shape)
+        param = Parameter(expected.copy())
+        opt = Adam([param], lr=1e-2)
+        state = {"t": 0, "m": np.zeros(shape), "v": np.zeros(shape)}
+        hyper = (1e-2, 0.9, 0.999, 1e-8)
+
+        def dense_step():
+            grad = rng.standard_normal(shape)
+            param.grad = grad.copy()
+            opt.step()
+            adam_reference(expected, grad, state, *hyper, 0.0)
+
+        for _ in range(3):
+            dense_step()
+        state["row_t"] = np.full(shape[0], state["t"], dtype=np.int64)
+        for _ in range(3):
+            rows = np.sort(rng.choice(shape[0], size=40, replace=False))
+            vals = rng.standard_normal((40, shape[1]))
+            param.grad = RowSparseGrad(rows, vals.copy(), shape)
+            opt.step()
+            adam_rowsparse_reference(expected, rows, vals, state, *hyper)
+        for _ in range(3):
+            dense_step()
+        got = opt._param_state(param)
+        assert got["t"] == state["t"]
+        assert np.array_equal(got["row_t"], np.full(shape[0], state["t"]))
+        assert np.array_equal(got["m"], state["m"])
+        assert np.array_equal(got["v"], state["v"])
+        assert np.array_equal(param.data, expected)
