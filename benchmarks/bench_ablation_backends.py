@@ -31,7 +31,7 @@ from repro.models import SpTransE
 from repro.sparse import available_backends, build_hrt_incidence, get_backend
 from repro.training import Trainer
 
-BACKENDS = ["scipy", "fused", "numpy"]
+BACKENDS = sorted(available_backends())
 FORMATS = ["csr", "coo"]
 
 

@@ -27,7 +27,7 @@ def main() -> None:
         n_relations=kg.n_relations,
         embedding_dim=64,
         dissimilarity="L2",
-        backend="scipy",          # any registered SpMM backend: scipy / fused / numpy
+        backend="scipy",          # production SpMM kernel; "numpy" is the oracle
         rng=0,
     )
     print(f"model: {model.config()}")

@@ -1,9 +1,8 @@
 """kernel-parity coverage checker.
 
-Every SpMM backend ships with a bit-identical "twin" test (the fused and
-compiled kernels are only trustworthy because ``tests/sparse/`` asserts
-exact equality against the reference), and every public kernel in
-``sparse/kernels.py`` is exercised by name.  This rule makes that
+Every SpMM backend ships with a parity test (a kernel is only trustworthy
+because ``tests/sparse/`` asserts equality against the reference), and every
+public kernel in ``sparse/kernels.py`` is exercised by name.  This rule makes that
 *coverage* machine-checked: adding ``register_backend("mynew", ...)``
 without a ``tests/sparse/`` test containing the string ``"mynew"`` — or a
 public kernel function no test imports — fails ``sptransx check`` before

@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "serve without ever materializing the full table)")
     run.add_argument("--backend", default=None,
                      help="override model.backend: SpMM backend for sparse "
-                          "models (scipy, numpy, fused, compiled)")
+                          f"models ({', '.join(available_backends())})")
     run.add_argument("--quantize", default=None, choices=["fp16", "int8"],
                      help="after training, also write quantized entity bucket "
                           "files into the artifact (partitioned models only); "

@@ -1,15 +1,13 @@
 """Margin ranking loss — the training objective used throughout the paper.
 
-Two implementations share one contract:
-
-* the **reference** path composes autograd primitives (``sub`` → ``add`` →
-  ``relu`` → ``mean``): four tape nodes and four batch-sized temporaries;
-* the **fused** path (default) evaluates the hinge and its backward mask in a
-  single pass over the batch (:mod:`repro.sparse.kernels`), recording one tape
-  node.  Its numpy forward and backward reproduce the reference
-  **bit-identically** (same elementwise operations in the same order — the
-  parity suite asserts exact equality); with numba installed the whole
-  forward collapses into one compiled loop (parity within 1e-6).
+The loss evaluates the hinge and its backward mask in a single pass over the
+batch (:mod:`repro.sparse.kernels`), recording one tape node.  Its numpy
+forward and backward reproduce :func:`_reference_margin_loss` — the same loss
+composed from autograd primitives (``sub`` → ``add`` → ``relu`` → ``mean``:
+four tape nodes and four batch-sized temporaries), kept as the test oracle —
+**bit-identically** (same elementwise operations in the same order — the
+parity suite asserts exact equality); with numba installed the whole forward
+collapses into one compiled loop (parity within 1e-6).
 """
 
 from __future__ import annotations
@@ -35,9 +33,30 @@ def _reference_margin_loss(positive_scores: Tensor, negative_scores: Tensor,
     return raw
 
 
-def _fused_margin_loss(positive_scores: Tensor, negative_scores: Tensor,
-                       margin: float, reduction: str) -> Tensor:
-    """One tape node: hinge forward + backward mask in a single batch pass."""
+def margin_ranking_loss(positive_scores: Tensor, negative_scores: Tensor,
+                        margin: float = 0.5, reduction: str = "mean") -> Tensor:
+    """``max(0, margin + score(pos) − score(neg))`` averaged over the batch.
+
+    Translational scores are *dissimilarities* (smaller is better), so the
+    loss pushes positive scores at least ``margin`` below negative ones —
+    identical to TorchKGE's ``MarginLoss`` convention used in the experiments.
+
+    Parameters
+    ----------
+    positive_scores, negative_scores:
+        Tensors of shape ``(B,)`` with matching lengths.
+    margin:
+        Separation margin (the paper uses 0.5).
+    reduction:
+        ``"mean"``, ``"sum"``, or ``"none"``.
+    """
+    if positive_scores.shape != negative_scores.shape:
+        raise ValueError(
+            f"positive and negative score shapes differ: "
+            f"{positive_scores.shape} vs {negative_scores.shape}"
+        )
+    if reduction not in ("mean", "sum", "none"):
+        raise ValueError(f"reduction must be 'mean', 'sum', or 'none', got {reduction!r}")
     pos, neg = positive_scores, negative_scores
     n = max(1, pos.data.size)
     t0 = time.perf_counter()
@@ -68,40 +87,6 @@ def _fused_margin_loss(positive_scores: Tensor, negative_scores: Tensor,
     return Tensor._make(out_data, (pos, neg), backward, "margin_loss[fused]")
 
 
-def margin_ranking_loss(positive_scores: Tensor, negative_scores: Tensor,
-                        margin: float = 0.5, reduction: str = "mean",
-                        fused: bool = True) -> Tensor:
-    """``max(0, margin + score(pos) − score(neg))`` averaged over the batch.
-
-    Translational scores are *dissimilarities* (smaller is better), so the
-    loss pushes positive scores at least ``margin`` below negative ones —
-    identical to TorchKGE's ``MarginLoss`` convention used in the experiments.
-
-    Parameters
-    ----------
-    positive_scores, negative_scores:
-        Tensors of shape ``(B,)`` with matching lengths.
-    margin:
-        Separation margin (the paper uses 0.5).
-    reduction:
-        ``"mean"``, ``"sum"``, or ``"none"``.
-    fused:
-        Evaluate forward and backward in one pass over the batch (default).
-        ``False`` runs the op-by-op reference path; both produce bit-identical
-        values and gradients on the pure-numpy build.
-    """
-    if positive_scores.shape != negative_scores.shape:
-        raise ValueError(
-            f"positive and negative score shapes differ: "
-            f"{positive_scores.shape} vs {negative_scores.shape}"
-        )
-    if reduction not in ("mean", "sum", "none"):
-        raise ValueError(f"reduction must be 'mean', 'sum', or 'none', got {reduction!r}")
-    if fused:
-        return _fused_margin_loss(positive_scores, negative_scores, margin, reduction)
-    return _reference_margin_loss(positive_scores, negative_scores, margin, reduction)
-
-
 class MarginRankingLoss(Module):
     """Module wrapper around :func:`margin_ranking_loss`.
 
@@ -111,12 +96,9 @@ class MarginRankingLoss(Module):
         Separation margin.
     reduction:
         Batch reduction mode.
-    fused:
-        Use the one-pass fused kernel (default) or the op-by-op reference.
     """
 
-    def __init__(self, margin: float = 0.5, reduction: str = "mean",
-                 fused: bool = True) -> None:
+    def __init__(self, margin: float = 0.5, reduction: str = "mean") -> None:
         super().__init__()
         if margin < 0:
             raise ValueError(f"margin must be non-negative, got {margin}")
@@ -124,9 +106,7 @@ class MarginRankingLoss(Module):
             raise ValueError(f"invalid reduction {reduction!r}")
         self.margin = float(margin)
         self.reduction = reduction
-        self.fused = bool(fused)
 
     def forward(self, positive_scores: Tensor, negative_scores: Tensor) -> Tensor:
         return margin_ranking_loss(positive_scores, negative_scores,
-                                   margin=self.margin, reduction=self.reduction,
-                                   fused=self.fused)
+                                   margin=self.margin, reduction=self.reduction)

@@ -53,7 +53,8 @@ class SpTransE(TranslationalModel):
     dissimilarity:
         ``"L1"`` or ``"L2"`` (the paper's experiments use L2).
     backend:
-        Registered SpMM backend name (``"scipy"``, ``"fused"``, ``"numpy"``).
+        Registered SpMM backend name (``"scipy"`` production kernel, ``"numpy"``
+        oracle, or one added with ``register_backend``).
     fmt:
         Incidence-matrix format handed to the backend (``"csr"`` or ``"coo"``).
     rng:
@@ -118,8 +119,8 @@ class SpTransE(TranslationalModel):
         if self.partitions > 1:
             return self._residuals_partitioned(triples)
         if self.sparse_grads:
-            # The row-sparse backward reads A's structure directly; building
-            # the transpose would be dead work on the hot path.
+            # The row-sparse backward takes A and transposes it itself;
+            # building A^T here would be dead work on the hot path.
             A, A_t = self.builder.hrt(triples), None
         else:
             A, A_t = self.builder.hrt(triples, with_transpose=True)
@@ -149,11 +150,11 @@ class SpTransE(TranslationalModel):
         out = get_backend(self.backend)(A, stacked)
         table = self.embeddings
         n_rows = stacked.shape[0]
-        rowsparse_bwd = rowsparse_backward_for(self.backend)
+        rowsparse_backward = rowsparse_backward_for(self.backend)
 
         def backward(grad: np.ndarray) -> None:
             table.scatter_stacked_grad(
-                entity_ids, relation_ids, rowsparse_bwd(A, grad, n_rows))
+                entity_ids, relation_ids, rowsparse_backward(A, grad, n_rows))
 
         return Tensor._make(out, parents, backward, "spmm[partitioned]")
 

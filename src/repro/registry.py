@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple, Type
 
+from repro.sparse.backends import get_backend
+
 #: The two computational formulations the paper compares.
 FORMULATIONS = ("sparse", "dense")
 
@@ -365,6 +367,12 @@ def build_model(spec: ModelSpec, rng=None):
                 f"model {spec.model!r} ({spec.formulation}) does not accept a "
                 f"backend, but the spec sets backend={spec.backend!r}"
             )
+        try:
+            get_backend(spec.backend)
+        except KeyError as exc:
+            # Fail while loading the spec or checkpoint, not inside the first
+            # training step that looks the name up.
+            raise ValueError(exc.args[0]) from None
         kwargs["backend"] = spec.backend
     if spec.dissimilarity is not None:
         if not caps.accepts_dissimilarity:

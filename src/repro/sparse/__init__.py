@@ -6,9 +6,9 @@ side:
 * :class:`COOMatrix` / :class:`CSRMatrix` — light-weight sparse containers
   mirroring the two formats the paper uses (COO for DGL g-SpMM, CSR for
   iSpLib).
-* :mod:`repro.sparse.backends` — pluggable SpMM kernels (SciPy compiled CSR
-  kernel, a pure-NumPy reference, and a fused gather kernel specialised for
-  incidence matrices with a fixed number of non-zeros per row).
+* :mod:`repro.sparse.backends` — pluggable SpMM kernels: the compiled SciPy
+  CSR kernel every production forward and backward runs on, and a pure-NumPy
+  reference used as the test oracle.
 * :func:`spmm` — the autograd-aware SpMM whose backward is another SpMM with
   the transposed operand (paper Appendix G); with ``sparse_grad=True`` the
   backward emits a :class:`RowSparseGrad` covering only the touched rows.

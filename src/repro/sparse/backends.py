@@ -1,20 +1,15 @@
 """Pluggable SpMM backends.
 
 The paper lets the user plug any high-performance SpMM under the framework
-(iSpLib on CPU, DGL g-SpMM on GPU).  We mirror that with a small registry:
+(iSpLib on CPU, DGL g-SpMM on GPU).  We mirror that with a small registry
+holding one production kernel and one oracle:
 
 * ``"scipy"`` — the compiled ``scipy.sparse`` CSR kernel; the production
-  default and the stand-in for iSpLib/cuSparse-class kernels.
+  default and the stand-in for iSpLib/cuSparse-class kernels.  Forward, dense
+  backward and row-sparse backward are all this one kernel, applied to ``A``,
+  to ``A^T``, and to ``A^T`` with its empty rows dropped.
 * ``"numpy"`` — a pure-NumPy gather/scatter reference; slow but dependency-free
   and easy to audit, used as the oracle in tests.
-* ``"fused"`` — a kernel specialised for incidence matrices with a fixed,
-  small number of non-zeros per row (2 for ``ht``, 3 for ``hrt``); it fuses the
-  gathers and the signed accumulation into a handful of vectorized adds and is
-  the closest analogue to the paper's FusedMM-style optimisation.
-* ``"compiled"`` — the fused forward **and** row-sparse backward as single
-  compiled loops (numba ``@njit(cache=True)`` when importable) with a
-  cache-blocked pure-numpy fallback that is always available and bit-identical
-  to ``"fused"``; see :mod:`repro.sparse.kernels`.
 
 Backends operate on :class:`~repro.sparse.coo.COOMatrix` /
 :class:`~repro.sparse.csr.CSRMatrix` (or SciPy matrices) and plain ndarrays;
@@ -31,9 +26,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.autograd.function import count_flops, counting_active
-from repro.sparse import kernels
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.rowsparse import RowSparseGrad
 
 SparseLike = Union[COOMatrix, CSRMatrix, sp.spmatrix]
 
@@ -107,10 +102,11 @@ class SpMMBackend:
     description:
         Human-readable summary shown by :func:`available_backends`.
     rowsparse_backward:
-        Optional fused backward ``(A, grad, n_rows) -> RowSparseGrad``.  When
-        set, the autograd wrapper (:func:`repro.sparse.spmm.spmm`) and the
+        Optional backward ``(A, grad, n_rows) -> RowSparseGrad``.  When set,
+        the autograd wrapper (:func:`repro.sparse.spmm.spmm`) and the
         partitioned scoring path route the row-sparse backward through it
-        instead of the generic gather/scale/coalesce reference.
+        instead of the production CSR one
+        (:func:`repro.sparse.spmm.rowsparse_backward_for`).
     """
 
     name: str
@@ -172,148 +168,40 @@ def _numpy_spmm(A: SparseLike, X: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Sentinel cached on a COOMatrix whose pattern probe came back irregular,
-#: distinguishing "checked, not regular" from "never checked" (``None``).
-_IRREGULAR = object()
+def _rowsparse_backward(A: SparseLike, grad: np.ndarray, n_rows: int) -> RowSparseGrad:
+    """Backward SpMM ``A^T @ grad`` emitted directly in row-sparse form.
 
-
-def _probe_regular_pattern(coo: COOMatrix):
-    """The actual pattern inspection behind :func:`_regular_pattern`.
-
-    Returns the constant per-row nnz ``k`` when the pattern is regular,
-    else ``None``.
+    The production forward kernel applied to ``A^T`` with its empty rows
+    dropped: SciPy's transpose is a counting pass that lists each column's
+    entries in row order, the rows of ``A^T`` that hold an entry are exactly
+    the rows of ``X`` the batch touched, and the CSR product accumulates each
+    of them in sequence.  The packed values are therefore bit-identical to the
+    touched rows of the dense backward ``scipy(A^T) @ grad``, at a cost of
+    ``(nnz + touched) * d`` elements moved — no ``(K, d)`` densification.
     """
-    m = coo.shape[0]
-    if m == 0 or coo.nnz % m != 0:
-        return None
-    k = coo.nnz // m
-    rows = coo.rows.reshape(m, k)
-    if not np.array_equal(rows[:, 0], np.arange(m, dtype=rows.dtype)):
-        return None
-    if k > 1 and not (rows == rows[:, :1]).all():
-        return None
-    return k
+    t0 = time.perf_counter()
+    transposed = _as_scipy_csr(A).T.tocsr()
+    touched = np.flatnonzero(np.diff(transposed.indptr))
+    compact = transposed[touched]
+    packed = _scipy_spmm(compact, grad)
+    _record(compact, grad, packed, "spmm_bwd[rowsparse]",
+            seconds=time.perf_counter() - t0)
+    return RowSparseGrad(touched, packed, (n_rows,) + grad.shape[1:])
 
 
-def _regular_pattern(coo: COOMatrix):
-    """Detect a sorted, constant-nnz-per-row COO pattern without a full sort.
+def _numpy_rowsparse_backward(A: SparseLike, grad: np.ndarray, n_rows: int) -> RowSparseGrad:
+    """Pure-NumPy reference for :func:`_rowsparse_backward`.
 
-    Matrices from :class:`~repro.sparse.incidence.IncidenceBuilder` always
-    store rows as ``repeat(arange(m), k)``, so one reshape plus two vectorized
-    comparisons replace the ``bincount`` + stable ``argsort`` that used to run
-    on every call.  Returns ``(cols, vals)`` reshaped to ``(m, k)`` when the
-    fast path applies, else ``None``.
-
-    The verdict is memoised on the matrix itself, and only the verdict: the
-    cache payload is the scalar ``k`` (or the ``_IRREGULAR`` sentinel), never
-    the reshaped arrays.  The memo is therefore O(1) bytes per matrix and —
-    because it lives in a ``__slots__`` attribute on the instance, not in any
-    module-level table — dies with the matrix: the per-episode sub-incidence
-    matrices the partitioned trainer remaps by the thousand leave nothing
-    behind.  The ``(m, k)`` views handed back are rebuilt from the instance's
-    *current* ``cols``/``values`` buffers on every call (a reshape is free),
-    so the memo can never pin or serve stale array storage either.
+    Each stored entry ``(r, c, v)`` of ``A`` contributes ``v * grad[r]`` to
+    output row ``c``: one gather, one scale, and one sort-and-reduce coalesce
+    over an ``(nnz, d)`` contribution matrix, with no transpose.
     """
-    cached = getattr(coo, "_regular_cache", None)
-    if cached is None:
-        cached = _probe_regular_pattern(coo)
-        if cached is None:
-            cached = _IRREGULAR
-        try:
-            coo._regular_cache = cached
-        except AttributeError:  # pragma: no cover - foreign COO-likes
-            pass
-    if cached is _IRREGULAR:
-        return None
-    m = coo.shape[0]
-    return coo.cols.reshape(m, cached), coo.values.reshape(m, cached)
-
-
-def _fused_spmm(A: SparseLike, X: np.ndarray) -> np.ndarray:
-    """Fused kernel for incidence matrices with a constant nnz-per-row.
-
-    When every row holds exactly ``k`` non-zeros (k=2 for ``ht``, k=3 for
-    ``hrt``) the product collapses to ``k`` strided gathers and ``k-1`` fused
-    adds — no scatter, no atomic accumulation.  Incidence matrices arrive with
-    rows already sorted, so the common case skips the sort entirely; only
-    irregular-but-constant patterns pay the ``bincount`` + stable ``argsort``,
-    and anything else falls back to the SciPy kernel.
-    """
-    coo = _as_coo(A)
-    dtype = _out_dtype(X)
-    if coo.nnz == 0:
-        return np.zeros((coo.shape[0],) + X.shape[1:], dtype=dtype)
-    regular = _regular_pattern(coo)
-    if regular is None:
-        counts = np.bincount(coo.rows, minlength=coo.shape[0])
-        k = counts.max(initial=0)
-        if k == 0 or not np.all(counts == k):
-            return _scipy_spmm(A, X)
-        order = np.argsort(coo.rows, kind="stable")
-        cols = coo.cols[order].reshape(coo.shape[0], k)
-        vals = coo.values[order].reshape(coo.shape[0], k)
-    else:
-        cols, vals = regular
-        k = cols.shape[1]
-    vals = vals.astype(dtype, copy=False)
-    if X.ndim == 1:
-        out = vals[:, 0] * X[cols[:, 0]]
-        for j in range(1, k):
-            out = out + vals[:, j] * X[cols[:, j]]
-        return out
-    out = vals[:, 0:1] * X[cols[:, 0]]
-    for j in range(1, k):
-        out += vals[:, j:j + 1] * X[cols[:, j]]
-    return out
-
-
-def _compiled_spmm(A: SparseLike, X: np.ndarray) -> np.ndarray:
-    """Compiled/fused kernel: numba ``@njit`` when importable, blocked numpy else.
-
-    The regular incidence pattern (constant nnz per sorted row — the shape
-    every :class:`~repro.sparse.incidence.IncidenceBuilder` matrix has)
-    dispatches to :func:`repro.sparse.kernels.fixed_spmm`: a single compiled
-    gather-scatter loop under numba, or the cache-blocked pure-numpy kernel
-    (bit-identical to the ``"fused"`` backend) otherwise.  Irregular matrices
-    fall back to the ``"fused"`` backend's sort-then-gather path.
-    """
-    coo = _as_coo(A)
-    dtype = _out_dtype(X)
-    if coo.nnz == 0:
-        return np.zeros((coo.shape[0],) + X.shape[1:], dtype=dtype)
-    regular = _regular_pattern(coo)
-    if regular is None:
-        return _fused_spmm(A, X)
-    cols, vals = regular
-    if X.dtype != dtype:
-        X = X.astype(dtype)
-    return kernels.fixed_spmm(cols, vals, X, dtype)
-
-
-def _compiled_rowsparse_backward(A: SparseLike, grad: np.ndarray, n_rows: int):
-    """Fused ``A^T @ grad`` in row-sparse form (the ``"compiled"`` backward).
-
-    Same contract and flop/byte accounting as
-    :func:`repro.sparse.spmm._rowsparse_backward`, but the gather, scale, and
-    coalesce run on the fused schedule of
-    :func:`repro.sparse.kernels.rowsparse_bwd` and the measured wall-time is
-    attributed to ``spmm_bwd[compiled]``.
-    """
-    from repro.sparse.rowsparse import RowSparseGrad
-
     coo = _as_coo(A)
     t0 = time.perf_counter()
-    unique, packed = kernels.rowsparse_bwd(coo.cols, coo.rows, coo.values, grad)
-    out = RowSparseGrad(unique, packed, (n_rows,) + grad.shape[1:])
-    d = grad.shape[1] if grad.ndim > 1 else 1
-    row_bytes = grad.itemsize * d
-    count_flops(
-        "spmm_bwd[compiled]",
-        2 * coo.nnz * d,
-        bytes_streamed=2 * coo.nnz * row_bytes + out.values.nbytes,
-        bytes_unique=out.n_rows * row_bytes + out.values.nbytes,
-        seconds=time.perf_counter() - t0,
-    )
+    vals = coo.values.astype(grad.dtype, copy=False)
+    contributions = vals[:, None] * grad[coo.rows]
+    out = RowSparseGrad.from_rows(coo.cols, contributions, (n_rows,) + grad.shape[1:])
+    _record(coo, grad, out.values, "spmm_bwd[numpy]", seconds=time.perf_counter() - t0)
     return out
 
 
@@ -331,9 +219,9 @@ def register_backend(name: str, fn: Callable[[SparseLike, np.ndarray], np.ndarra
     every call: the dense backward adopts the product ``A^T @ grad`` as the
     parameter's gradient without copying it, so a buffer the backend reuses
     across calls would be overwritten under the optimizer.
-    ``rowsparse_backward`` optionally supplies a fused
+    ``rowsparse_backward`` optionally supplies an
     ``(A, grad, n_rows) -> RowSparseGrad`` backward used in place of the
-    generic gather/scale/coalesce path.
+    production CSR one.
     """
     if name in _REGISTRY and not overwrite:
         raise ValueError(f"backend {name!r} already registered (pass overwrite=True to replace)")
@@ -361,13 +249,7 @@ def available_backends() -> Dict[str, str]:
 
 
 register_backend("scipy", _scipy_spmm, "Compiled SciPy CSR kernel (production default)")
-register_backend("numpy", _numpy_spmm, "Pure-NumPy gather/scatter reference kernel")
-register_backend("fused", _fused_spmm, "Fused gather kernel for fixed-nnz incidence rows")
-register_backend(
-    "compiled", _compiled_spmm,
-    "Fused forward+backward kernels: numba @njit when importable, "
-    "cache-blocked numpy fallback otherwise",
-    rowsparse_backward=_compiled_rowsparse_backward,
-)
+register_backend("numpy", _numpy_spmm, "Pure-NumPy gather/scatter reference kernel",
+                 rowsparse_backward=_numpy_rowsparse_backward)
 
 DEFAULT_BACKEND = "scipy"

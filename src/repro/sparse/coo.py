@@ -28,17 +28,9 @@ class COOMatrix:
         Matrix shape ``(n_rows, n_cols)``.
     """
 
-    __slots__ = ("rows", "cols", "values", "shape", "_regular_cache")
+    __slots__ = ("rows", "cols", "values", "shape")
 
     def __init__(self, rows, cols, values, shape: Tuple[int, int]) -> None:
-        # Memoised verdict of the fused kernels' constant-nnz pattern probe
-        # (see repro.sparse.backends._regular_pattern); the index arrays are
-        # immutable by convention, so the probe need only run once per matrix.
-        # The payload is O(1) — the scalar per-row nnz or an "irregular"
-        # sentinel, never array views — and, living in this slot, it is
-        # reclaimed with the matrix: transient sub-incidence matrices (one per
-        # partition episode) grow no global state.
-        self._regular_cache = None
         rows = np.ascontiguousarray(rows, dtype=np.int64)
         cols = np.ascontiguousarray(cols, dtype=np.int64)
         values = np.ascontiguousarray(values, dtype=np.float64)

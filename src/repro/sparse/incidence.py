@@ -132,9 +132,9 @@ class IncidenceBuilder:
     n_entities, n_relations:
         Vocabulary sizes of the knowledge graph.
     fmt:
-        Sparse format handed to the SpMM backend (``"csr"`` for the SciPy /
-        fused CPU kernels, ``"coo"`` for COO-oriented kernels, mirroring the
-        paper's iSpLib-CSR / DGL-COO split).
+        Sparse format handed to the SpMM backend (``"csr"`` for the SciPy CPU
+        kernel, ``"coo"`` for COO-oriented kernels, mirroring the paper's
+        iSpLib-CSR / DGL-COO split).
     """
 
     def __init__(self, n_entities: int, n_relations: int, fmt: Format = "csr") -> None:

@@ -1,21 +1,16 @@
-"""Compiled/fused hot-path kernels (numba when importable, blocked numpy always).
+"""Hot-path kernels outside the SpMM: cache-block sizing and the margin loss.
 
-The three inner loops that dominate a training step — the incidence SpMM
-forward, its row-sparse backward, and the margin-ranking loss — all stream a
-handful of arrays once.  The generic backends pay for that streaming several
-times over: every gather materialises an ``(nnz, d)`` temporary, the backward
-materialises the contribution matrix *and* a sorted copy of it, and the loss
-walks the batch four times (sub, add, relu, mean).  This module provides the
-fused alternatives the ``"compiled"`` backend is built from:
+SpMM itself has one production kernel (``scipy`` CSR, see
+:mod:`repro.sparse.backends`); what lives here is the rest of the step's
+streaming arithmetic:
 
-* with **numba** importable, ``@njit(cache=True)`` kernels run each loop in a
-  single compiled pass (one traversal, no temporaries);
-* without numba, **cache-blocked** pure-numpy versions process rows in blocks
-  small enough to stay in cache, so every temporary is block-sized instead of
-  batch-sized.  The numpy paths are bit-identical to the reference kernels
-  (same elementwise operations in the same order — blocking only changes
-  *where* the partial results live, not the floating-point schedule), which
-  is what the parity suite asserts.
+* :func:`block_rows` sizes the row blocks of the optimizers' in-place updates
+  so every scratch buffer stays in cache;
+* the margin-ranking loss evaluates the hinge and its backward mask in one pass
+  over the batch instead of four (sub, add, relu, mean).  The numpy form runs
+  the reference's elementwise operations in the same order and is
+  bit-identical to it, which the parity suite asserts; with **numba**
+  importable the reduced forward is a single ``@njit(cache=True)`` loop.
 
 numba is an optional dependency: nothing in this module imports it at call
 time when it is absent, and every consumer falls back to the numpy path.
@@ -23,7 +18,7 @@ time when it is absent, and every consumer falls back to the numpy path.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -36,9 +31,8 @@ except ImportError:  # pragma: no cover - the default CI environment
     HAVE_NUMBA = False
 
 
-#: Rows per block for the cache-blocked numpy kernels: sized so one block of
-#: gathered rows plus the output block (~512 KB at float64) sits inside a
-#: typical L2 cache.
+#: Bytes per block of the cache-blocked numpy updates (~512 KB): sized so one
+#: block and its scratch buffers sit inside a typical L2 cache.
 BLOCK_BYTES = 1 << 19
 
 
@@ -48,38 +42,9 @@ def block_rows(dim: int, itemsize: int = 8) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Fixed-nnz SpMM forward
+# Fused margin-ranking loss (forward + backward mask in one pass)
 # --------------------------------------------------------------------------- #
 if HAVE_NUMBA:  # pragma: no cover - compiled path, exercised by the numba CI job
-
-    @njit(cache=True)
-    def _numba_fixed_spmm(cols, vals, X, out):
-        m, k = cols.shape
-        d = X.shape[1]
-        for i in range(m):
-            for j in range(k):
-                v = vals[i, j]
-                c = cols[i, j]
-                for col in range(d):
-                    out[i, col] += v * X[c, col]
-
-    @njit(cache=True)
-    def _numba_rowsparse_bwd(sorted_cols, sorted_rows, sorted_vals, grad,
-                             unique, packed):
-        nnz = sorted_cols.shape[0]
-        d = grad.shape[1]
-        pos = -1
-        last = np.int64(-1)
-        for e in range(nnz):
-            c = sorted_cols[e]
-            if c != last:
-                pos += 1
-                unique[pos] = c
-                last = c
-            v = sorted_vals[e]
-            r = sorted_rows[e]
-            for j in range(d):
-                packed[pos, j] += v * grad[r, j]
 
     @njit(cache=True)
     def _numba_margin_fused(pos_scores, neg_scores, margin, mask):
@@ -95,87 +60,6 @@ if HAVE_NUMBA:  # pragma: no cover - compiled path, exercised by the numba CI jo
         return total
 
 
-def fixed_spmm(cols: np.ndarray, vals: np.ndarray, X: np.ndarray,
-               dtype: np.dtype) -> np.ndarray:
-    """``out[i] = Σ_j vals[i, j] · X[cols[i, j]]`` for a constant-nnz pattern.
-
-    Dispatches to the numba kernel when available, otherwise to the
-    cache-blocked numpy kernel.  ``X`` may be 1-D (treated as width-1).
-    """
-    squeeze = X.ndim == 1
-    X2 = X[:, None] if squeeze else X
-    if HAVE_NUMBA:
-        X2 = np.ascontiguousarray(X2, dtype=dtype)
-        out = np.zeros((cols.shape[0], X2.shape[1]), dtype=dtype)
-        _numba_fixed_spmm(cols, vals.astype(dtype, copy=False), X2, out)
-    else:
-        out = blocked_fixed_spmm(cols, vals, X2, dtype)
-    return out[:, 0] if squeeze else out
-
-
-def blocked_fixed_spmm(cols: np.ndarray, vals: np.ndarray, X: np.ndarray,
-                       dtype: np.dtype) -> np.ndarray:
-    """Cache-blocked numpy fallback for :func:`fixed_spmm` (2-D ``X`` only).
-
-    Performs the same ``k`` gathers and ``k − 1`` adds as the unblocked fused
-    kernel — bit-identical outputs — but every gathered temporary is
-    block-sized, so the working set of one block iteration stays in cache
-    instead of streaming ``k`` full ``(m, d)`` temporaries through memory.
-    """
-    m, k = cols.shape
-    d = X.shape[1]
-    vals = vals.astype(dtype, copy=False)
-    out = np.empty((m, d), dtype=dtype)
-    step = block_rows(d, np.dtype(dtype).itemsize)
-    for start in range(0, m, step):
-        stop = min(m, start + step)
-        sl = slice(start, stop)
-        np.multiply(vals[sl, 0:1], X[cols[sl, 0]], out=out[sl])
-        for j in range(1, k):
-            out[sl] += vals[sl, j:j + 1] * X[cols[sl, j]]
-    return out
-
-
-# --------------------------------------------------------------------------- #
-# Fused row-sparse backward (gather + scale + coalesce in one schedule)
-# --------------------------------------------------------------------------- #
-def rowsparse_bwd(cols: np.ndarray, rows: np.ndarray, vals: np.ndarray,
-                  grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused ``A^T @ grad`` in coalesced row-sparse form.
-
-    Returns ``(unique_cols, packed_rows)`` — the
-    :class:`~repro.sparse.rowsparse.RowSparseGrad` payload.  The reference
-    path materialises the full ``(nnz, d)`` contribution matrix and then a
-    *second* sorted copy of it inside ``coalesce_rows``; here the sort
-    permutation is applied to the index arrays first, so the contributions are
-    computed directly in coalescing order (one ``(nnz, d)`` temporary instead
-    of two) and — with numba — never materialised at all: the compiled kernel
-    fuses the gather, the scale, and the segment-sum into one pass.
-    """
-    order = np.argsort(cols, kind="stable")
-    sorted_cols = cols[order]
-    sorted_rows = rows[order]
-    sorted_vals = vals[order].astype(grad.dtype, copy=False)
-    if sorted_cols.size == 0:
-        return sorted_cols, np.empty((0, grad.shape[1]), dtype=grad.dtype)
-    if HAVE_NUMBA and grad.ndim == 2:
-        n_unique = 1 + int(np.count_nonzero(sorted_cols[1:] != sorted_cols[:-1]))
-        unique = np.empty(n_unique, dtype=np.int64)
-        packed = np.zeros((n_unique, grad.shape[1]), dtype=grad.dtype)
-        _numba_rowsparse_bwd(sorted_cols, sorted_rows, sorted_vals,
-                             np.ascontiguousarray(grad), unique, packed)
-        return unique, packed
-    contributions = sorted_vals[:, None] * grad[sorted_rows]
-    boundaries = np.flatnonzero(
-        np.concatenate(([True], sorted_cols[1:] != sorted_cols[:-1])))
-    unique = sorted_cols[boundaries]
-    packed = np.add.reduceat(contributions, boundaries, axis=0)
-    return unique, packed
-
-
-# --------------------------------------------------------------------------- #
-# Fused margin-ranking loss (forward + backward mask in one pass)
-# --------------------------------------------------------------------------- #
 def margin_loss_forward(pos: np.ndarray, neg: np.ndarray, margin: float
                         ) -> Tuple[np.ndarray, np.ndarray]:
     """``(relu(pos − neg + margin), mask)`` computed in one batch pass.

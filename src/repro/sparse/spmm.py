@@ -9,34 +9,32 @@ is the (learnable) embedding matrix.  Both the forward and backward pass are a
 single SpMM, so one optimized kernel replaces the per-triplet gathers of the
 forward pass and the per-triplet scatter-adds of the backward pass.
 
-With ``sparse_grad=True`` the backward pass goes one step further: instead of
-densifying ``A^T @ grad`` into a full ``(K, d)`` array, it reads the non-zero
-structure of ``A`` directly and emits a
+With ``sparse_grad=True`` the backward is still that one SpMM, applied to
+``A^T`` with its empty rows dropped: instead of densifying ``A^T @ grad`` into
+a full ``(K, d)`` array it emits a
 :class:`~repro.sparse.rowsparse.RowSparseGrad` holding only the rows of ``X``
-that the batch actually touched.  Per-step backward cost then scales with the
-batch (``O(nnz * d)``) instead of the vocabulary (``O(K * d)``).
+that the batch actually touched — bit-identical to those rows of the dense
+product.  Per-step backward cost then scales with the batch (``O(nnz * d)``)
+instead of the vocabulary (``O(K * d)``).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.autograd.function import count_flops
 from repro.autograd.tensor import Tensor
 from repro.sparse.backends import (
     DEFAULT_BACKEND,
     SparseLike,
     SpMMBackend,
-    _as_coo,
+    _rowsparse_backward,
     get_backend,
 )
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.rowsparse import RowSparseGrad
 
 
 def _transpose(A: SparseLike):
@@ -47,39 +45,14 @@ def _transpose(A: SparseLike):
     raise TypeError(f"expected a sparse matrix, got {type(A)!r}")
 
 
-def _rowsparse_backward(A: SparseLike, grad: np.ndarray, n_rows: int) -> RowSparseGrad:
-    """Backward SpMM ``A^T @ grad`` emitted directly in row-sparse form.
-
-    Each stored entry ``(r, c, v)`` of ``A`` contributes ``v * grad[r]`` to
-    output row ``c``, so the whole product is one gather, one scale, and one
-    coalesce over ``nnz`` rows — no ``(K, d)`` densification and no transpose.
-    """
-    coo = _as_coo(A)
-    t0 = time.perf_counter()
-    vals = coo.values.astype(grad.dtype, copy=False)
-    contributions = vals[:, None] * grad[coo.rows]
-    out = RowSparseGrad.from_rows(coo.cols, contributions, (n_rows,) + grad.shape[1:])
-    d = grad.shape[1] if grad.ndim > 1 else 1
-    row_bytes = grad.itemsize * d
-    count_flops(
-        "spmm_bwd[rowsparse]",
-        2 * coo.nnz * d,
-        bytes_streamed=2 * coo.nnz * row_bytes + out.values.nbytes,
-        bytes_unique=out.n_rows * row_bytes + out.values.nbytes,
-        seconds=time.perf_counter() - t0,
-    )
-    return out
-
-
 def rowsparse_backward_for(backend: Union[str, SpMMBackend]):
-    """The row-sparse backward a backend wants: its fused kernel or the reference.
+    """The row-sparse backward ``(A, grad, n_rows) -> RowSparseGrad`` of a backend.
 
-    Backends registered with a ``rowsparse_backward`` (the ``"compiled"``
-    backend's fused gather-scatter) get their own; everything else uses
-    :func:`_rowsparse_backward`.
+    The production CSR backward
+    (:func:`repro.sparse.backends._rowsparse_backward`) unless the backend was
+    registered with its own, as the ``"numpy"`` oracle is.
     """
-    fused = get_backend(backend).rowsparse_backward
-    return fused if fused is not None else _rowsparse_backward
+    return get_backend(backend).rowsparse_backward or _rowsparse_backward
 
 
 def spmm(
@@ -120,14 +93,13 @@ def spmm(
 
     transposed = A_t
     n_rows = X_t.shape[0]
-    rowsparse_bwd = kernel.rowsparse_backward or _rowsparse_backward
 
     def backward(grad: np.ndarray) -> None:
         nonlocal transposed
         if not X_t.requires_grad:
             return
         if sparse_grad and X_t.is_leaf and grad.ndim == 2:
-            X_t.accumulate_grad(rowsparse_bwd(A, grad, n_rows))
+            X_t.accumulate_grad(rowsparse_backward_for(kernel)(A, grad, n_rows))
             return
         if transposed is None:
             transposed = _transpose(A)

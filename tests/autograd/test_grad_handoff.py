@@ -12,7 +12,7 @@ import pytest
 
 from repro.autograd import Tensor, ops, sanitize
 from repro.nn.parameter import Parameter
-from repro.sparse import build_ht_incidence, spmm
+from repro.sparse import available_backends, build_ht_incidence, spmm
 
 
 @pytest.fixture(autouse=True)
@@ -112,7 +112,7 @@ class TestSpmmIntoOneParameter:
         second = build_ht_incidence(np.array([[4, 0, 0], [1, 0, 2], [3, 0, 3]]), 6)
         return rng, weight, first, second
 
-    @pytest.mark.parametrize("backend", ["scipy", "numpy", "fused", "compiled"])
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
     def test_two_products_accumulate(self, backend):
         """TransR/TransH multiply two incidence matrices into one table."""
         rng, weight, first, second = self._setup()

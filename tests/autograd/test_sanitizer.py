@@ -92,7 +92,7 @@ class TestKernelInjection:
         neg = Tensor(np.array([0.3, 0.4]), requires_grad=True, name="neg")
         with sanitize(True):
             with pytest.raises(SanitizerError) as excinfo:
-                margin_ranking_loss(pos, neg, margin=0.5, fused=True)
+                margin_ranking_loss(pos, neg, margin=0.5)
         message = str(excinfo.value)
         assert "margin_loss[fused]" in message
         assert "pos" in message and "neg" in message
@@ -101,7 +101,7 @@ class TestKernelInjection:
         pos = Tensor(np.array([0.1, 0.9]), requires_grad=True)
         neg = Tensor(np.array([0.3, 0.4]), requires_grad=True)
         with sanitize(True):
-            loss = margin_ranking_loss(pos, neg, margin=0.5, fused=True)
+            loss = margin_ranking_loss(pos, neg, margin=0.5)
             loss.backward()
         assert pos.grad is not None and neg.grad is not None
 

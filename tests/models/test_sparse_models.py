@@ -16,6 +16,7 @@ from repro.models import (
     SpTransH,
     SpTransR,
 )
+from repro.sparse import available_backends
 
 DIM = 16
 
@@ -161,7 +162,7 @@ class TestSpTransE:
         scores = model.score_triples(random_triples)
         assert np.all(scores >= 0)
 
-    @pytest.mark.parametrize("backend", ["scipy", "numpy", "fused"])
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
     def test_backends_agree(self, backend, small_kg, random_triples):
         reference = SpTransE(small_kg.n_entities, small_kg.n_relations, DIM,
                              backend="scipy", rng=0)

@@ -16,6 +16,8 @@ from repro.sparse import (
 )
 from repro.sparse.backends import spmm_flops
 
+BACKENDS = sorted(available_backends())
+
 
 @pytest.fixture
 def sparse_and_dense():
@@ -29,7 +31,7 @@ def sparse_and_dense():
 class TestBackendRegistry:
     def test_builtin_backends_present(self):
         names = available_backends()
-        assert {"scipy", "numpy", "fused"} <= set(names)
+        assert {"scipy", "numpy"} <= set(names)
 
     def test_get_backend_passthrough(self):
         backend = get_backend("scipy")
@@ -55,20 +57,20 @@ class TestBackendRegistry:
 
 
 class TestBackendCorrectness:
-    @pytest.mark.parametrize("name", ["scipy", "numpy", "fused"])
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_matches_dense_product(self, name, sparse_and_dense):
         A, dense, X = sparse_and_dense
         backend = get_backend(name)
         np.testing.assert_allclose(backend(A, X), dense @ X, rtol=1e-10)
 
-    @pytest.mark.parametrize("name", ["scipy", "numpy", "fused"])
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_accepts_csr_and_scipy_inputs(self, name, sparse_and_dense):
         A, dense, X = sparse_and_dense
         backend = get_backend(name)
         np.testing.assert_allclose(backend(A.tocsr(), X), dense @ X, rtol=1e-10)
         np.testing.assert_allclose(backend(sp.csr_matrix(dense), X), dense @ X, rtol=1e-10)
 
-    @pytest.mark.parametrize("name", ["scipy", "numpy"])
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_vector_rhs(self, name, sparse_and_dense):
         A, dense, X = sparse_and_dense
         backend = get_backend(name)
@@ -78,41 +80,6 @@ class TestBackendCorrectness:
         A, _, _ = sparse_and_dense
         with pytest.raises(ValueError):
             get_backend("scipy")(A, np.ones((3, 2)))
-
-    def test_fused_backend_on_fixed_nnz_rows(self):
-        # Build an incidence-like matrix: exactly two entries per row.
-        rows = np.repeat(np.arange(5), 2)
-        cols = np.array([0, 1, 2, 3, 1, 4, 0, 2, 3, 4])
-        vals = np.tile([1.0, -1.0], 5)
-        A = COOMatrix(rows, cols, vals, (5, 6))
-        X = np.random.default_rng(0).standard_normal((6, 3))
-        np.testing.assert_allclose(get_backend("fused")(A, X), A.to_dense() @ X, rtol=1e-10)
-
-    def test_fused_backend_falls_back_on_irregular_rows(self, sparse_and_dense):
-        A, dense, X = sparse_and_dense
-        np.testing.assert_allclose(get_backend("fused")(A, X), dense @ X, rtol=1e-10)
-
-    def test_fused_backend_empty_matrix(self):
-        A = COOMatrix([], [], [], (3, 4))
-        X = np.ones((4, 2))
-        np.testing.assert_allclose(get_backend("fused")(A, X), np.zeros((3, 2)))
-
-    def test_fused_sorted_fast_path_matches_sorted_input(self):
-        """Incidence-style matrices (rows pre-sorted) must skip the sort and
-        still produce the same result as a shuffled copy of the same matrix."""
-        rng = np.random.default_rng(1)
-        rows = np.repeat(np.arange(6), 3)
-        cols = rng.integers(0, 9, rows.size)
-        vals = rng.standard_normal(rows.size)
-        sorted_A = COOMatrix(rows, cols, vals, (6, 9))
-        perm = rng.permutation(rows.size)
-        shuffled_A = COOMatrix(rows[perm], cols[perm], vals[perm], (6, 9))
-        X = rng.standard_normal((9, 4))
-        fused = get_backend("fused")
-        np.testing.assert_allclose(fused(sorted_A, X), fused(shuffled_A, X),
-                                   rtol=1e-12)
-        np.testing.assert_allclose(fused(sorted_A, X), sorted_A.to_dense() @ X,
-                                   rtol=1e-10)
 
 
 class TestBackendDtypePreservation:
@@ -125,26 +92,19 @@ class TestBackendDtypePreservation:
         vals = np.tile([1.0, 1.0, -1.0], 4)
         return COOMatrix(rows, cols, vals, (4, 6))
 
-    @pytest.mark.parametrize("name", ["scipy", "numpy", "fused"])
+    @pytest.mark.parametrize("name", BACKENDS)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_output_preserves_float_dtype(self, name, dtype, incidence):
         X = np.random.default_rng(0).standard_normal((6, 3)).astype(dtype)
         out = get_backend(name)(incidence, X)
         assert out.dtype == dtype
 
-    @pytest.mark.parametrize("name", ["numpy", "fused"])
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_vector_rhs_preserves_dtype(self, name, incidence):
         x = np.ones(6, dtype=np.float32)
         assert get_backend(name)(incidence, x).dtype == np.float32
 
-    def test_fused_empty_matrix_preserves_dtype(self):
-        A = COOMatrix([], [], [], (3, 4))
-        X = np.ones((4, 2), dtype=np.float32)
-        out = get_backend("fused")(A, X)
-        assert out.dtype == np.float32
-        np.testing.assert_allclose(out, 0.0)
-
-    @pytest.mark.parametrize("name", ["scipy", "numpy", "fused"])
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_float16_computes_at_float32_everywhere(self, name, incidence):
         """SciPy has no float16 sparse kernels, so the shared contract
         promotes half precision to float32 on every backend alike."""
@@ -152,15 +112,14 @@ class TestBackendDtypePreservation:
         out = get_backend(name)(incidence, X)
         assert out.dtype == np.float32
 
-    @pytest.mark.parametrize("name", ["scipy", "numpy", "fused"])
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_integer_rhs_promotes_to_float64(self, name, incidence):
         X = np.ones((6, 2), dtype=np.int64)
         assert get_backend(name)(incidence, X).dtype == np.float64
 
     def test_float32_parity_across_backends(self, incidence):
         X = np.random.default_rng(2).standard_normal((6, 5)).astype(np.float32)
-        results = {name: get_backend(name)(incidence, X)
-                   for name in ("scipy", "numpy", "fused")}
+        results = {name: get_backend(name)(incidence, X) for name in BACKENDS}
         reference = incidence.to_dense().astype(np.float32) @ X
         for name, out in results.items():
             np.testing.assert_allclose(out, reference, rtol=1e-5,
@@ -168,7 +127,7 @@ class TestBackendDtypePreservation:
 
 
 class TestSpmmAutograd:
-    @pytest.mark.parametrize("backend", ["scipy", "numpy", "fused"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_forward_matches_dense(self, backend, sparse_and_dense):
         A, dense, X = sparse_and_dense
         out = spmm(A, Tensor(X), backend=backend)

@@ -1,114 +1,20 @@
 """Parity tests closing the kernel-coverage gaps ``sptransx check`` found.
 
 The ``kernel-parity`` rule requires every public ``kernels.py`` function to
-be named by a tests/sparse/ test.  ``blocked_fixed_spmm`` and the margin
-kernels already were; this module covers the rest with real parity
-assertions, not just name-drops: ``fixed_spmm`` against the dense
-reference and its own blocked twin, ``rowsparse_bwd`` against the
-materialise-then-coalesce reference, ``block_rows`` invariants, and
-``margin_loss_flops`` against the op count of the fused loss.
+be named by a tests/sparse/ test.  The margin kernels are covered in
+``test_kernels.py``; this module covers the rest with real assertions, not
+just name-drops: ``block_rows`` invariants and ``margin_loss_flops`` against
+the op count of the fused loss.
 """
 
 import numpy as np
-import pytest
 
 from repro.sparse.kernels import (
     BLOCK_BYTES,
     block_rows,
-    blocked_fixed_spmm,
-    fixed_spmm,
     margin_loss_flops,
     margin_loss_forward,
-    rowsparse_bwd,
 )
-
-
-def _fixed_pattern(rng, m=37, k=3, n=29, d=11):
-    cols = rng.integers(0, n, size=(m, k)).astype(np.int64)
-    vals = rng.standard_normal((m, k))
-    X = rng.standard_normal((n, d))
-    return cols, vals, X
-
-
-def _dense_reference(cols, vals, X):
-    m, k = cols.shape
-    out = np.zeros((m, X.shape[1]), dtype=X.dtype)
-    for i in range(m):
-        for j in range(k):
-            out[i] += vals[i, j] * X[cols[i, j]]
-    return out
-
-
-class TestFixedSpmm:
-    def test_matches_dense_reference(self):
-        rng = np.random.default_rng(7)
-        cols, vals, X = _fixed_pattern(rng)
-        out = fixed_spmm(cols, vals, X, np.float64)
-        np.testing.assert_allclose(out, _dense_reference(cols, vals, X),
-                                   rtol=1e-12, atol=1e-12)
-
-    def test_bit_identical_to_blocked_twin(self):
-        rng = np.random.default_rng(8)
-        cols, vals, X = _fixed_pattern(rng, m=211, d=17)
-        fused = fixed_spmm(cols, vals, X, np.float64)
-        blocked = blocked_fixed_spmm(cols, vals, X, np.float64)
-        if not __import__("repro.sparse.kernels", fromlist=["HAVE_NUMBA"]).HAVE_NUMBA:
-            assert np.array_equal(fused, blocked)
-        else:
-            np.testing.assert_allclose(fused, blocked, rtol=1e-12, atol=1e-12)
-
-    def test_one_dimensional_x(self):
-        rng = np.random.default_rng(9)
-        cols, vals, X = _fixed_pattern(rng, d=1)
-        flat = fixed_spmm(cols, vals, X[:, 0], np.float64)
-        assert flat.shape == (cols.shape[0],)
-        np.testing.assert_allclose(flat, _dense_reference(cols, vals, X)[:, 0],
-                                   rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_preserves_requested_dtype(self, dtype):
-        rng = np.random.default_rng(10)
-        cols, vals, X = _fixed_pattern(rng)
-        assert fixed_spmm(cols, vals, X.astype(dtype), dtype).dtype == dtype
-
-
-class TestRowsparseBwd:
-    def _reference(self, cols, rows, vals, grad):
-        contributions = vals[:, None] * grad[rows]
-        unique = np.unique(cols)
-        packed = np.zeros((unique.size, grad.shape[1]), dtype=grad.dtype)
-        for u, c in enumerate(unique):
-            packed[u] = contributions[cols == c].sum(axis=0)
-        return unique, packed
-
-    def test_matches_materialised_reference(self):
-        rng = np.random.default_rng(11)
-        nnz, n_rows, d = 97, 13, 5
-        cols = rng.integers(0, 41, size=nnz).astype(np.int64)
-        rows = rng.integers(0, n_rows, size=nnz).astype(np.int64)
-        vals = rng.standard_normal(nnz)
-        grad = rng.standard_normal((n_rows, d))
-        unique, packed = rowsparse_bwd(cols, rows, vals, grad)
-        ref_unique, ref_packed = self._reference(cols, rows, vals, grad)
-        np.testing.assert_array_equal(unique, ref_unique)
-        np.testing.assert_allclose(packed, ref_packed, rtol=1e-12, atol=1e-12)
-
-    def test_empty_pattern(self):
-        empty = np.empty(0, dtype=np.int64)
-        grad = np.ones((3, 4), dtype=np.float64)
-        unique, packed = rowsparse_bwd(empty, empty,
-                                       np.empty(0, dtype=np.float64), grad)
-        assert unique.size == 0
-        assert packed.shape == (0, 4)
-
-    def test_preserves_grad_dtype(self):
-        rng = np.random.default_rng(12)
-        cols = rng.integers(0, 5, size=20).astype(np.int64)
-        rows = rng.integers(0, 4, size=20).astype(np.int64)
-        vals = rng.standard_normal(20)
-        grad = rng.standard_normal((4, 3)).astype(np.float32)
-        _, packed = rowsparse_bwd(cols, rows, vals, grad)
-        assert packed.dtype == np.float32
 
 
 class TestBlockRows:

@@ -1,136 +1,111 @@
-"""Parity tests for the compiled/fused hot-path kernel layer.
+"""Exactness tests for the one SpMM kernel and parity tests for the margin loss.
 
-The contract (PR acceptance criterion): the numpy-fused kernels reproduce the
-reference path **bit-identically**; the numba kernels (exercised only when
-numba is importable) match within 1e-6 and preserve evaluation ranks.
+The contract: the production (``scipy`` CSR) row-sparse backward is the
+forward kernel applied to ``A^T`` with its empty rows dropped, so its packed
+rows are **bit-identical** to the touched rows of the dense backward and agree
+with the ``numpy`` oracle to rounding; the one-pass margin kernels reproduce
+the reference hinge.
 """
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.sparse import COOMatrix, available_backends, get_backend, spmm
-from repro.sparse import backends as backends_mod
+from repro.sparse import SpMMBackend, available_backends, get_backend, spmm
 from repro.sparse import kernels
-from repro.sparse.backends import _fused_spmm, _regular_pattern
-from repro.sparse.spmm import _rowsparse_backward, rowsparse_backward_for
-from repro.sparse.incidence import build_hrt_incidence
+from repro.sparse.incidence import build_hrt_incidence, build_ht_incidence
+from repro.sparse.spmm import rowsparse_backward_for
+
+N_ENTITIES, N_RELATIONS, DIM = 40, 6, 12
 
 
-def _hrt_fixture(n_triples=64, n_entities=40, n_relations=6, d=12, seed=0):
+def _triples(batch, seed=0):
+    """``mixed``: random triples salted with ``head == tail`` rows and repeats."""
+    if batch == "empty":
+        return np.empty((0, 3), dtype=np.int64)
     rng = np.random.default_rng(seed)
     triples = np.column_stack([
-        rng.integers(0, n_entities, n_triples),
-        rng.integers(0, n_relations, n_triples),
-        rng.integers(0, n_entities, n_triples),
+        rng.integers(0, N_ENTITIES, 64),
+        rng.integers(0, N_RELATIONS, 64),
+        rng.integers(0, N_ENTITIES, 64),
     ])
-    A = build_hrt_incidence(triples, n_entities, n_relations, fmt="coo")
-    X = rng.standard_normal((n_entities + n_relations, d))
-    return A, X
+    triples[::7, 2] = triples[::7, 0]
+    triples[1::9] = triples[0]
+    return triples
 
 
-class TestCompiledBackend:
-    def test_registered(self):
-        assert "compiled" in available_backends()
-        assert get_backend("compiled").rowsparse_backward is not None
-
-    def test_forward_bit_identical_to_fused(self):
-        A, X = _hrt_fixture()
-        out = get_backend("compiled")(A, X)
-        ref = _fused_spmm(A, X)
-        np.testing.assert_array_equal(out, ref)
-
-    def test_forward_matches_scipy(self):
-        A, X = _hrt_fixture(seed=3)
-        np.testing.assert_allclose(get_backend("compiled")(A, X),
-                                   get_backend("scipy")(A, X), rtol=1e-12)
-
-    def test_irregular_pattern_falls_back(self):
-        rng = np.random.default_rng(1)
-        dense = rng.standard_normal((9, 7))
-        dense[rng.random((9, 7)) < 0.6] = 0.0
-        A = COOMatrix.from_dense(dense)
-        X = rng.standard_normal((7, 4))
-        assert _regular_pattern(A) is None
-        np.testing.assert_allclose(get_backend("compiled")(A, X), dense @ X,
-                                   rtol=1e-12)
-
-    def test_blocked_kernel_bit_identical_across_block_sizes(self, monkeypatch):
-        A, X = _hrt_fixture(n_triples=300, seed=5)
-        coo = A if isinstance(A, COOMatrix) else A.tocoo()
-        pattern = _regular_pattern(coo)
-        assert pattern is not None
-        cols, vals = pattern
-        ref = kernels.blocked_fixed_spmm(cols, vals, X, X.dtype)
-        monkeypatch.setattr(kernels, "BLOCK_BYTES", 1 << 8)  # force many tiny blocks
-        tiled = kernels.blocked_fixed_spmm(cols, vals, X, X.dtype)
-        np.testing.assert_array_equal(tiled, ref)
+def _incidence(kind, triples, fmt, compact):
+    """``(A, touched columns)``; ``compact`` remaps ids like the partitioned path."""
+    n_entities, n_relations = N_ENTITIES, N_RELATIONS
+    if compact:
+        entity_ids = np.unique(triples[:, 0::2])
+        relation_ids = np.unique(triples[:, 1])
+        triples = np.column_stack([
+            np.searchsorted(entity_ids, triples[:, 0]),
+            np.searchsorted(relation_ids, triples[:, 1]),
+            np.searchsorted(entity_ids, triples[:, 2]),
+        ])
+        n_entities, n_relations = entity_ids.size, relation_ids.size
+    if kind == "ht":
+        A = build_ht_incidence(triples, n_entities, fmt=fmt)
+        return A, np.unique(triples[:, 0::2])
+    A = build_hrt_incidence(triples, n_entities, n_relations, fmt=fmt)
+    return A, np.unique(np.concatenate(
+        [triples[:, 0], triples[:, 2], triples[:, 1] + n_entities]))
 
 
-class TestRowSparseBackwardKernel:
-    def test_bit_identical_to_reference(self):
-        A, X = _hrt_fixture(seed=7)
-        rng = np.random.default_rng(11)
-        grad = rng.standard_normal((A.shape[0], X.shape[1]))
-        fused_bwd = rowsparse_backward_for("compiled")
-        ref = _rowsparse_backward(A, grad, X.shape[0])
-        out = fused_bwd(A, grad, X.shape[0])
-        np.testing.assert_array_equal(out.indices, ref.indices)
-        np.testing.assert_array_equal(out.values, ref.values)
-        assert out.shape == ref.shape
+class TestBackendMenu:
+    def test_one_production_kernel_and_one_oracle(self):
+        # Other test modules register throwaway "unit-test-*" backends.
+        builtin = {name for name in available_backends()
+                   if not name.startswith("unit-test-")}
+        assert builtin == {"numpy", "scipy"}
 
-    def test_reference_backend_keeps_reference_backward(self):
-        assert rowsparse_backward_for("scipy") is _rowsparse_backward
-
-    def test_empty_matrix(self):
-        A = COOMatrix(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                      np.empty(0), (4, 6))
-        grad = np.ones((4, 3))
-        out = rowsparse_backward_for("compiled")(A, grad, 6)
-        assert out.indices.size == 0
-        assert out.values.shape == (0, 3)
-
-    def test_spmm_autograd_end_to_end(self):
-        A, X = _hrt_fixture(seed=13)
-        X_ref = Tensor(X.copy(), requires_grad=True)
-        X_cmp = Tensor(X.copy(), requires_grad=True)
-        spmm(A, X_ref, backend="fused", sparse_grad=True).sum().backward()
-        spmm(A, X_cmp, backend="compiled", sparse_grad=True).sum().backward()
-        np.testing.assert_array_equal(X_cmp.grad, X_ref.grad)
+    def test_backend_without_its_own_backward_gets_production(self):
+        plain = SpMMBackend(name="plain", fn=get_backend("numpy").fn)
+        assert rowsparse_backward_for(plain) is rowsparse_backward_for("scipy")
+        assert rowsparse_backward_for("numpy") is not rowsparse_backward_for("scipy")
 
 
-class TestPatternCache:
-    def test_probe_runs_once_per_matrix(self, monkeypatch):
-        A, X = _hrt_fixture(seed=17)
-        coo = A if isinstance(A, COOMatrix) else A.tocoo()
-        calls = []
-        real_probe = backends_mod._probe_regular_pattern
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("fmt", ["csr", "coo"])
+@pytest.mark.parametrize("kind", ["hrt", "ht"])
+class TestRowSparseBackwardExactness:
+    @pytest.mark.parametrize("batch,compact", [
+        ("mixed", False), ("mixed", True), ("empty", False)])
+    def test_packed_rows_are_the_dense_backward_rows(self, kind, fmt, dtype,
+                                                     batch, compact):
+        A, touched = _incidence(kind, _triples(batch, seed=3), fmt, compact)
+        n_rows = A.shape[1]
+        grad = np.random.default_rng(11).standard_normal(
+            (A.shape[0], DIM)).astype(dtype)
 
-        def counting_probe(matrix):
-            calls.append(matrix)
-            return real_probe(matrix)
+        out = rowsparse_backward_for("scipy")(A, grad, n_rows)
+        dense = get_backend("scipy")(A.T, grad)
 
-        monkeypatch.setattr(backends_mod, "_probe_regular_pattern", counting_probe)
-        for _ in range(5):
-            get_backend("compiled")(coo, X)
-        assert len(calls) == 1
+        np.testing.assert_array_equal(out.indices, touched)
+        assert out.shape == dense.shape == (n_rows, DIM)
+        assert out.values.dtype == dense.dtype == dtype
+        assert np.array_equal(out.values, dense[out.indices])
+        assert not np.delete(dense, out.indices, axis=0).any()
+        if compact:
+            assert out.n_rows == n_rows  # every compact column is touched
 
-    def test_irregular_result_also_cached(self, monkeypatch):
-        rng = np.random.default_rng(2)
-        dense = rng.standard_normal((6, 5))
-        dense[rng.random((6, 5)) < 0.7] = 0.0
-        coo = COOMatrix.from_dense(dense)
-        calls = []
-        real_probe = backends_mod._probe_regular_pattern
+        oracle = rowsparse_backward_for("numpy")(A, grad, n_rows)
+        np.testing.assert_array_equal(oracle.indices, out.indices)
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        np.testing.assert_allclose(out.values, oracle.values, rtol=tol, atol=tol)
 
-        def counting_probe(matrix):
-            calls.append(matrix)
-            return real_probe(matrix)
-
-        monkeypatch.setattr(backends_mod, "_probe_regular_pattern", counting_probe)
-        assert _regular_pattern(coo) is None
-        assert _regular_pattern(coo) is None
-        assert len(calls) == 1
+    def test_sparse_grad_equals_dense_grad_through_autograd(self, kind, fmt, dtype):
+        A, _ = _incidence(kind, _triples("mixed", seed=13), fmt, compact=False)
+        X = np.random.default_rng(13).standard_normal((A.shape[1], DIM)).astype(dtype)
+        weights = np.random.default_rng(17).standard_normal((A.shape[0], DIM)).astype(dtype)
+        X_dense = Tensor(X.copy(), requires_grad=True)
+        X_sparse = Tensor(X.copy(), requires_grad=True)
+        (spmm(A, X_dense) * Tensor(weights)).sum().backward()
+        (spmm(A, X_sparse, sparse_grad=True) * Tensor(weights)).sum().backward()
+        assert X_sparse.sparse_grad is not None
+        assert np.array_equal(X_sparse.grad, X_dense.grad)
 
 
 class TestMarginKernels:
@@ -149,32 +124,3 @@ class TestMarginKernels:
         total, mask_s = kernels.margin_loss_sum(pos, neg, 0.3)
         np.testing.assert_array_equal(mask_f, mask_s)
         assert total == pytest.approx(raw.sum(), rel=1e-12)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-class TestNumbaKernels:
-    def test_spmm_forward_within_tolerance(self):
-        A, X = _hrt_fixture(seed=21)
-        out = get_backend("compiled")(A, X)
-        ref = get_backend("scipy")(A, X)
-        np.testing.assert_allclose(out, ref, atol=1e-6, rtol=1e-6)
-
-    def test_backward_within_tolerance(self):
-        A, X = _hrt_fixture(seed=23)
-        rng = np.random.default_rng(23)
-        grad = rng.standard_normal((A.shape[0], X.shape[1]))
-        out = rowsparse_backward_for("compiled")(A, grad, X.shape[0])
-        ref = _rowsparse_backward(A, grad, X.shape[0])
-        np.testing.assert_array_equal(out.indices, ref.indices)
-        np.testing.assert_allclose(out.values, ref.values, atol=1e-6, rtol=1e-6)
-
-    def test_eval_ranks_identical(self):
-        from repro.models.transe import SpTransE
-
-        ref = SpTransE(60, 4, 8, rng=0, backend="fused")
-        cmp = SpTransE(60, 4, 8, rng=0, backend="compiled")
-        heads = np.arange(10, dtype=np.int64)
-        rels = np.zeros(10, dtype=np.int64)
-        ranks_ref = np.argsort(ref.score_all_tails(heads, rels), axis=1)
-        ranks_cmp = np.argsort(cmp.score_all_tails(heads, rels), axis=1)
-        np.testing.assert_array_equal(ranks_ref, ranks_cmp)

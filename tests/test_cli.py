@@ -167,15 +167,27 @@ class TestRunCommand:
 
         artifacts = str(tmp_path / "artifacts")
         code, out = run_cli(capsys, "run", spec_path, "--artifacts", artifacts,
-                            "--backend", "compiled", "--quiet")
+                            "--backend", "numpy", "--quiet")
         assert code == 0
-        assert json.loads(out)["model"]["backend"] == "compiled"
+        assert json.loads(out)["model"]["backend"] == "numpy"
 
         # The backend round-trips through the artifact's checkpointed spec.
         from repro.training.checkpoint import load_model
 
         restored = load_model(artifacts)
-        assert restored.backend == "compiled"
+        assert restored.backend == "numpy"
+
+    def test_run_rejects_unknown_backend(self, capsys, tmp_path):
+        spec_path = str(tmp_path / "exp.json")
+        run_cli(capsys, "export-spec", "--dataset", "WN18RR", "--scale", "0.003",
+                "--model", "transe", "--epochs", "1", "--batch-size", "256",
+                "--dim", "8", "--output", spec_path)
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(capsys, "run", spec_path, "--artifacts",
+                    str(tmp_path / "artifacts"), "--backend", "fused", "--quiet")
+        message = str(excinfo.value.code)
+        assert "unknown SpMM backend 'fused'" in message
+        assert "numpy" in message and "scipy" in message
 
     def test_run_quantize_writes_quantized_artifact(self, capsys, tmp_path):
         spec_path = str(tmp_path / "exp.json")

@@ -14,6 +14,7 @@ from repro.losses import (
     margin_ranking_loss,
     self_adversarial_loss,
 )
+from repro.losses.margin import _reference_margin_loss
 
 
 def scores(values, grad=True):
@@ -133,7 +134,7 @@ class TestSelfAdversarialLoss:
 
 
 class TestFusedMarginLoss:
-    """The fused one-pass path must reproduce the reference bit-identically."""
+    """The one-pass loss must reproduce the op-by-op reference bit-identically."""
 
     def _pair(self, seed=0, n=513):
         rng = np.random.default_rng(seed)
@@ -145,9 +146,8 @@ class TestFusedMarginLoss:
     def test_forward_bit_identical_to_reference(self, reduction):
         pos, neg = self._pair()
         fused = margin_ranking_loss(scores(pos), scores(neg), margin=0.5,
-                                    reduction=reduction, fused=True)
-        ref = margin_ranking_loss(scores(pos), scores(neg), margin=0.5,
-                                  reduction=reduction, fused=False)
+                                    reduction=reduction)
+        ref = _reference_margin_loss(scores(pos), scores(neg), 0.5, reduction)
         np.testing.assert_array_equal(fused.data, ref.data)
 
     @pytest.mark.parametrize("reduction", ["mean", "sum"])
@@ -155,8 +155,8 @@ class TestFusedMarginLoss:
         pos_vals, neg_vals = self._pair(seed=3)
         p_f, n_f = scores(pos_vals), scores(neg_vals)
         p_r, n_r = scores(pos_vals), scores(neg_vals)
-        margin_ranking_loss(p_f, n_f, 0.5, reduction, fused=True).backward()
-        margin_ranking_loss(p_r, n_r, 0.5, reduction, fused=False).backward()
+        margin_ranking_loss(p_f, n_f, 0.5, reduction).backward()
+        _reference_margin_loss(p_r, n_r, 0.5, reduction).backward()
         np.testing.assert_array_equal(p_f.grad, p_r.grad)
         np.testing.assert_array_equal(n_f.grad, n_r.grad)
 
@@ -165,27 +165,27 @@ class TestFusedMarginLoss:
         p_f, n_f = scores(pos_vals), scores(neg_vals)
         p_r, n_r = scores(pos_vals), scores(neg_vals)
         upstream = np.random.default_rng(5).standard_normal(64)
-        margin_ranking_loss(p_f, n_f, 0.5, "none", fused=True).backward(upstream)
-        margin_ranking_loss(p_r, n_r, 0.5, "none", fused=False).backward(upstream)
+        margin_ranking_loss(p_f, n_f, 0.5, "none").backward(upstream)
+        _reference_margin_loss(p_r, n_r, 0.5, "none").backward(upstream)
         np.testing.assert_array_equal(p_f.grad, p_r.grad)
         np.testing.assert_array_equal(n_f.grad, n_r.grad)
 
-    def test_module_exposes_fused_switch(self):
-        fused = MarginRankingLoss(margin=0.5, fused=True)
-        ref = MarginRankingLoss(margin=0.5, fused=False)
+    def test_module_matches_reference(self):
+        module = MarginRankingLoss(margin=0.5)
         pos, neg = self._pair(seed=7, n=32)
-        np.testing.assert_array_equal(fused(scores(pos), scores(neg)).data,
-                                      ref(scores(pos), scores(neg)).data)
+        ref = _reference_margin_loss(scores(pos), scores(neg), 0.5, "mean")
+        np.testing.assert_array_equal(module(scores(pos), scores(neg)).data,
+                                      ref.data)
 
     def test_fused_records_one_tape_node(self):
         pos, neg = scores([2.0, 0.0]), scores([1.0, 4.0])
-        out = margin_ranking_loss(pos, neg, 0.5, "mean", fused=True)
+        out = margin_ranking_loss(pos, neg, 0.5, "mean")
         assert out._op == "margin_loss[fused]"
         assert set(out._parents) == {pos, neg}
 
     def test_fused_float32_keeps_dtype_in_grads(self):
         pos = Tensor(np.array([2.0, 2.0], dtype=np.float32), requires_grad=True)
         neg = Tensor(np.array([1.0, 4.0], dtype=np.float32), requires_grad=True)
-        margin_ranking_loss(pos, neg, 0.5, "sum", fused=True).backward()
+        margin_ranking_loss(pos, neg, 0.5, "sum").backward()
         assert pos.grad.dtype == np.float32
         assert neg.grad.dtype == np.float32

@@ -174,6 +174,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="backend"):
             build_model(spec)
 
+    @pytest.mark.parametrize("backend", ["fused", "compiled", "scpiy"])
+    def test_build_rejects_unknown_backend_listing_registered(self, backend):
+        # A typo, or a backend removed since the spec/checkpoint was written,
+        # fails while building, not inside the first train_step.
+        spec = ModelSpec(model="transe", formulation="sparse", n_entities=5,
+                         n_relations=2, embedding_dim=4, backend=backend)
+        with pytest.raises(ValueError, match=r"unknown SpMM backend.*numpy.*scipy"):
+            build_model(spec)
+
     def test_build_rejects_unsupported_dissimilarity(self):
         spec = ModelSpec(model="distmult", formulation="sparse", n_entities=5,
                          n_relations=2, embedding_dim=4, dissimilarity="L1")
