@@ -8,6 +8,7 @@ consumes :class:`KGDataset` and the ``(M, 3)`` integer triple convention
 """
 
 from repro.data.vocab import Vocabulary
+from repro.data.known import KnownTriples
 from repro.data.dataset import KGDataset, TripleSplit
 from repro.data.loaders import load_csv, load_tsv, load_ttl, load_triples_file
 from repro.data.sqlite_store import SQLiteKGStore
@@ -34,6 +35,7 @@ from repro.data.partition_schedule import PartitionedStreamingIterator
 
 __all__ = [
     "Vocabulary",
+    "KnownTriples",
     "KGDataset",
     "TripleSplit",
     "load_csv",

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.data.known import KnownTriples
 from repro.data.vocab import Vocabulary
 from repro.utils.seeding import new_rng
 from repro.utils.validation import check_triples
@@ -186,25 +187,13 @@ class KGDataset:
     # ------------------------------------------------------------------ #
     # Derived structures
     # ------------------------------------------------------------------ #
-    def known_triples(self) -> Set[Tuple[int, int, int]]:
-        """Set of every (h, r, t) across all splits — the filtered-ranking set."""
-        return {tuple(row) for row in self.split.all_triples().tolist()}
+    def known_triples(self) -> KnownTriples:
+        """Every (h, r, t) across all splits — the filtered-ranking set.
 
-    def tails_by_head_relation(self) -> Dict[Tuple[int, int], np.ndarray]:
-        """Map ``(head, relation) -> array of known tails`` over all splits."""
-        mapping: Dict[Tuple[int, int], List[int]] = {}
-        for h, r, t in self.split.all_triples().tolist():
-            mapping.setdefault((h, r), []).append(t)
-        return {key: np.asarray(sorted(set(vals)), dtype=np.int64)
-                for key, vals in mapping.items()}
-
-    def heads_by_relation_tail(self) -> Dict[Tuple[int, int], np.ndarray]:
-        """Map ``(relation, tail) -> array of known heads`` over all splits."""
-        mapping: Dict[Tuple[int, int], List[int]] = {}
-        for h, r, t in self.split.all_triples().tolist():
-            mapping.setdefault((r, t), []).append(h)
-        return {key: np.asarray(sorted(set(vals)), dtype=np.int64)
-                for key, vals in mapping.items()}
+        Built on each call (the splits are mutable): hold on to the returned
+        index and hand it to the evaluator, the sampler and the engine.
+        """
+        return KnownTriples(self.split.all_triples())
 
     def relation_frequencies(self) -> np.ndarray:
         """Training-split frequency of each relation (length ``n_relations``)."""

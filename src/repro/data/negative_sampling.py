@@ -13,6 +13,7 @@ from typing import Optional, Set, Tuple
 import numpy as np
 
 from repro.data.dataset import KGDataset
+from repro.data.known import KnownTriples
 from repro.utils.seeding import new_rng
 from repro.utils.validation import check_triples
 
@@ -31,7 +32,9 @@ class NegativeSampler:
         re-sampled (best effort, bounded retries) so "negatives" are true
         negatives — the protocol used for filtered evaluation setups.
     known_triples:
-        Set of known ``(h, r, t)`` tuples used by the filter.
+        Known ``(h, r, t)`` positives used by the filter: the
+        :class:`KnownTriples` from ``dataset.known_triples()``, or any set of
+        tuples (indexed once here).
     """
 
     #: Upper bound on re-sampling rounds in filtered mode.
@@ -44,7 +47,8 @@ class NegativeSampler:
         self.n_entities = int(n_entities)
         self.rng = new_rng(rng)
         self.filtered = bool(filtered)
-        self.known_triples = known_triples if known_triples is not None else set()
+        self.known_triples = KnownTriples.coerce(
+            known_triples if known_triples is not None else ())
         if self.filtered and not self.known_triples:
             raise ValueError("filtered sampling requires known_triples")
 
@@ -93,9 +97,7 @@ class NegativeSampler:
     def _filter_known(self, corrupted: np.ndarray, corrupt_head: np.ndarray) -> None:
         """Re-sample corrupted triples that are actually known positives."""
         for _ in range(self.MAX_RETRIES):
-            collisions = np.array(
-                [tuple(row) in self.known_triples for row in corrupted.tolist()], dtype=bool
-            )
+            collisions = self.known_triples.contains(corrupted)
             if not collisions.any():
                 return
             rows = np.flatnonzero(collisions)

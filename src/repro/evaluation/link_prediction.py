@@ -8,10 +8,11 @@ averages, the standard protocol of Bordes et al. (2013).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.data.known import KnownTriples
 from repro.evaluation.ranks import (
     RankingProtocol,
     compute_ranks,
@@ -54,29 +55,10 @@ class LinkPredictionResult:
         return out
 
 
-def _build_filters(
-    triples: np.ndarray,
-    known_triples: Set[Tuple[int, int, int]],
-    mode: str,
-) -> list:
-    """Per-query arrays of entity indices that must be excluded from ranking."""
-    by_query: Dict[Tuple[int, int], list] = {}
-    for h, r, t in known_triples:
-        if mode == "tail":
-            by_query.setdefault((h, r), []).append(t)
-        else:
-            by_query.setdefault((t, r), []).append(h)
-    filters = []
-    for h, r, t in triples.tolist():
-        key = (h, r) if mode == "tail" else (t, r)
-        filters.append(np.asarray(by_query.get(key, []), dtype=np.int64))
-    return filters
-
-
 def evaluate_link_prediction(
     model: KGEModel,
     triples: np.ndarray,
-    known_triples: Optional[Set[Tuple[int, int, int]]] = None,
+    known_triples: Optional[Iterable[Tuple[int, int, int]]] = None,
     ks: Sequence[int] = (1, 3, 10),
     protocol: RankingProtocol = RankingProtocol.FILTERED,
     batch_size: int = 64,
@@ -91,7 +73,9 @@ def evaluate_link_prediction(
         Evaluation triples ``(B, 3)``.
     known_triples:
         Full set of known positives (train+valid+test) used by the filtered
-        protocol; required when ``protocol`` is FILTERED.
+        protocol; required when ``protocol`` is FILTERED.  Pass the
+        :class:`~repro.data.KnownTriples` from ``dataset.known_triples()``
+        (reuse one across calls); a plain set of tuples is indexed on entry.
     ks:
         Hits@k cutoffs.
     protocol:
@@ -102,8 +86,11 @@ def evaluate_link_prediction(
     triples = check_triples(triples, n_entities=model.n_entities,
                             n_relations=model.n_relations)
     protocol = RankingProtocol(protocol)
-    if protocol is RankingProtocol.FILTERED and known_triples is None:
-        raise ValueError("filtered evaluation requires known_triples")
+    known = None
+    if protocol is RankingProtocol.FILTERED:
+        if known_triples is None:
+            raise ValueError("filtered evaluation requires known_triples")
+        known = KnownTriples.coerce(known_triples)
 
     head_rank_chunks = []
     tail_rank_chunks = []
@@ -112,13 +99,11 @@ def evaluate_link_prediction(
         heads, rels, tails = chunk[:, 0], chunk[:, 1], chunk[:, 2]
 
         tail_scores = model.score_all_tails(heads, rels)
-        tail_filters = (_build_filters(chunk, known_triples, "tail")
-                        if protocol is RankingProtocol.FILTERED else None)
+        tail_filters = known.exclusions("tail", heads, rels) if known is not None else None
         tail_rank_chunks.append(compute_ranks(tail_scores, tails, tail_filters))
 
         head_scores = model.score_all_heads(rels, tails)
-        head_filters = (_build_filters(chunk, known_triples, "head")
-                        if protocol is RankingProtocol.FILTERED else None)
+        head_filters = known.exclusions("head", tails, rels) if known is not None else None
         head_rank_chunks.append(compute_ranks(head_scores, heads, head_filters))
 
     tail_ranks = (np.concatenate(tail_rank_chunks) if tail_rank_chunks

@@ -26,6 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro import ranking
+from repro.data.known import KnownTriples
 from repro.models.base import KGEModel
 from repro.registry import ModelSpec, spec_from_model
 from repro.serving.cache import LRUCache
@@ -146,8 +147,7 @@ class InferenceEngine:
         self.ann_queries = 0
         self.fallback_queries = 0
         self.ann_candidates = 0
-        self._known_tails: Dict[Tuple[int, int], np.ndarray] = {}
-        self._known_heads: Dict[Tuple[int, int], np.ndarray] = {}
+        self._known: Optional[KnownTriples] = None
         self._entity_snapshot: Optional[np.ndarray] = None
         if known_triples is not None:
             self.set_known_triples(known_triples)
@@ -245,17 +245,14 @@ class InferenceEngine:
         )
 
     def set_known_triples(self, triples: Iterable[Tuple[int, int, int]]) -> None:
-        """Install the positive set backing filtered queries (replaces any prior)."""
-        tails: Dict[Tuple[int, int], List[int]] = {}
-        heads: Dict[Tuple[int, int], List[int]] = {}
-        for h, r, t in triples:
-            tails.setdefault((int(h), int(r)), []).append(int(t))
-            heads.setdefault((int(r), int(t)), []).append(int(h))
+        """Install the positive set backing filtered queries (replaces any prior).
+
+        A :class:`~repro.data.KnownTriples` (``dataset.known_triples()``) is
+        held as is; any other iterable of triples is indexed here.
+        """
+        known = KnownTriples.coerce(triples)
         with self._score_lock:
-            self._known_tails = {k: np.asarray(v, dtype=np.int64)
-                                 for k, v in tails.items()}
-            self._known_heads = {k: np.asarray(v, dtype=np.int64)
-                                 for k, v in heads.items()}
+            self._known = known
             self.cache.clear()
 
     def reload(self, path: str) -> None:
@@ -624,9 +621,9 @@ class InferenceEngine:
                 q.nprobe)
 
     def _exclusions(self, direction: str, q: TopKQuery) -> Optional[np.ndarray]:
-        if direction == "tail":
-            return self._known_tails.get((q.anchor, q.relation))
-        return self._known_heads.get((q.relation, q.anchor))
+        if self._known is None:
+            return None
+        return self._known.values(direction, q.anchor, q.relation)
 
     def stats(self) -> Dict[str, object]:
         """Counters for the ``/v1/stats`` endpoint and the benchmarks.

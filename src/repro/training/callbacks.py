@@ -129,6 +129,7 @@ class EvaluationCallback(Callback):
         if split not in ("valid", "test"):
             raise ValueError(f"split must be 'valid' or 'test', got {split!r}")
         self.dataset = dataset
+        self.known_triples = dataset.known_triples()
         self.every = int(every)
         self.split = split
         self.ks = tuple(ks)
@@ -144,7 +145,7 @@ class EvaluationCallback(Callback):
         if triples.shape[0] == 0:
             return
         result = evaluate_link_prediction(trainer.model, triples,
-                                          known_triples=self.dataset.known_triples(),
+                                          known_triples=self.known_triples,
                                           ks=self.ks)
         record = {"epoch": float(epoch), "mrr": result.mrr, "mr": result.mean_rank}
         record.update({f"hits@{k}": v for k, v in result.hits.items()})

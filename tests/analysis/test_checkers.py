@@ -136,6 +136,24 @@ class TestDtypeChecker:
         findings = run_checks(tmp_path, rules=["dtype-ctor"])
         assert [f.line for f in findings] == [3]
 
+    def test_known_triples_index_must_name_its_dtype(self, tmp_path):
+        make_project(tmp_path, {
+            "src/repro/data/known.py": (
+                "import numpy as np\n"
+                "def rows(counts):\n"
+                "    a = np.arange(counts.shape[0])\n"
+                "    b = np.arange(counts.shape[0], dtype=np.int64)\n"
+                "    return a, b, counts.astype(int)\n"
+            ),
+            # The rest of data/ stays outside the rule.
+            "src/repro/data/loaders.py": "import numpy as np\nx = np.empty(3)\n",
+        })
+        findings = run_checks(tmp_path, rules=["dtype-ctor", "dtype-promotion"])
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("dtype-ctor", "src/repro/data/known.py", 3),
+            ("dtype-promotion", "src/repro/data/known.py", 5),
+        ]
+
     def test_out_of_scope_module_ignored(self, tmp_path):
         make_project(tmp_path, {
             "src/repro/utils/mod.py": "import numpy as np\nx = np.empty(3)\n",

@@ -117,11 +117,10 @@ class TestKGDataset:
     def test_known_triples_and_maps(self):
         triples = np.array([[0, 0, 1], [0, 0, 2], [2, 1, 0]])
         kg = KGDataset(triples=triples)
-        assert kg.known_triples() == {(0, 0, 1), (0, 0, 2), (2, 1, 0)}
-        tails = kg.tails_by_head_relation()
-        np.testing.assert_array_equal(tails[(0, 0)], [1, 2])
-        heads = kg.heads_by_relation_tail()
-        np.testing.assert_array_equal(heads[(1, 0)], [2])
+        known = kg.known_triples()
+        assert known == {(0, 0, 1), (0, 0, 2), (2, 1, 0)}
+        np.testing.assert_array_equal(known.values("tail", 0, 0), [1, 2])
+        np.testing.assert_array_equal(known.values("head", 0, 1), [2])
 
     def test_statistics(self):
         triples = np.array([[0, 0, 1], [1, 0, 2], [2, 1, 0]])

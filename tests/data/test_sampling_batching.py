@@ -105,6 +105,50 @@ class TestBernoulliSampler:
         assert head_fraction > 0.8
 
 
+class TestFilteredSamplingUsesTheIndex:
+    """``_filter_known`` asks ``KnownTriples.contains``; the draws must not move."""
+
+    @staticmethod
+    def _set_form(sampler_cls, plain):
+        """The sampler as it filtered before: a tuple-in-set test per row."""
+
+        class SetFiltered(sampler_cls):
+            def _filter_known(self, corrupted, corrupt_head):
+                for _ in range(self.MAX_RETRIES):
+                    collisions = np.array(
+                        [tuple(row) in plain for row in corrupted.tolist()], dtype=bool)
+                    if not collisions.any():
+                        return
+                    rows = np.flatnonzero(collisions)
+                    redraw = self.rng.integers(0, self.n_entities, size=rows.size)
+                    heads = corrupt_head[rows]
+                    corrupted[rows[heads], 0] = redraw[heads]
+                    corrupted[rows[~heads], 2] = redraw[~heads]
+
+        return SetFiltered
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("strategy", ["uniform", "bernoulli"])
+    def test_seeded_output_equals_the_set_form(self, strategy, seed):
+        # 90 of the 264 possible triples are known: a third of all draws collide.
+        kg = generate_synthetic_kg(12, 2, 90, rng=seed)
+        known = kg.known_triples()
+        plain = set(known)
+        cls = UniformNegativeSampler if strategy == "uniform" else BernoulliNegativeSampler
+        first = kg.n_entities if strategy == "uniform" else kg
+        # A plain set is indexed once by the sampler; the index passes through.
+        for known_triples in (known, plain):
+            sampler = cls(first, rng=seed, filtered=True, known_triples=known_triples)
+            reference = self._set_form(cls, plain)(first, rng=seed, filtered=True,
+                                                    known_triples=plain)
+            for _ in range(3):
+                np.testing.assert_array_equal(sampler.corrupt(kg.split.train),
+                                              reference.corrupt(kg.split.train))
+            # Same number of draws taken from the generator on both sides.
+            assert sampler.rng.integers(0, 2**62) == reference.rng.integers(0, 2**62)
+        assert cls(first, rng=0, filtered=True, known_triples=known).known_triples is known
+
+
 class TestBatchIterator:
     def test_covers_every_triple_once(self, kg):
         iterator = BatchIterator(kg, batch_size=64, rng=0)

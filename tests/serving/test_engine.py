@@ -1,11 +1,16 @@
 """Tests for the inference engine: correctness vs brute force, filters, cache."""
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.ann import load_index
+from repro.data import KnownTriples, generate_synthetic_kg
+from repro.models.transe import SpTransE
 from repro.registry import ModelSpec, build_model
 from repro.serving import InferenceEngine, TopKQuery
-from repro.training.checkpoint import save_checkpoint
+from repro.training.checkpoint import load_model, save_checkpoint, save_weight_files
 
 
 def make_model(name="transe", formulation="sparse", n_entities=40, n_relations=6,
@@ -77,6 +82,103 @@ class TestFilteredMasks:
         raw = engine.top_k_tails(4, 1, k=6)
         filtered = engine.top_k_tails(4, 1, k=6, filtered=True)
         assert raw.entities == filtered.entities
+
+
+class TestFilteredAnswersUseTheIndex:
+    """One ``KnownTriples`` behind every filtered path; answers as before it."""
+
+    N_ENTITIES, N_RELATIONS = 120, 5
+
+    @pytest.fixture(scope="class")
+    def artifact(self, tmp_path_factory):
+        """Partitioned weights with int8 twins and an IVF index beside them."""
+        path = str(tmp_path_factory.mktemp("filtered-artifact"))
+        model = SpTransE(self.N_ENTITIES, self.N_RELATIONS, 12, partitions=3, rng=7,
+                         max_resident=2)
+        save_checkpoint(os.path.join(path, "checkpoint.npz"), model)
+        save_weight_files(path, model, quantize="int8", ann="ivf")
+        return path
+
+    @pytest.fixture(scope="class")
+    def kg(self):
+        # 120 entities, 1500 triples: a (head, relation) pair has ~2.5 tails.
+        return generate_synthetic_kg(self.N_ENTITIES, self.N_RELATIONS, 1500, rng=5,
+                                     test_fraction=0.1)
+
+    def _engine(self, path, route, known):
+        ckpt = os.path.join(path, "checkpoint.npz")
+        if route == "quantized":
+            return InferenceEngine(load_model(ckpt, mmap=True, quantized="int8"),
+                                   known_triples=known, cache_size=0)
+        index = load_index(os.path.join(path, "index")) if route == "ann" else None
+        return InferenceEngine(load_model(ckpt, mmap=True), known_triples=known,
+                               cache_size=0, ann_index=index)
+
+    @staticmethod
+    def _two_dicts(engine, triples):
+        """Swap in the lookup the engine used to build: one dict per direction."""
+        tails, heads = {}, {}
+        for h, r, t in triples:
+            tails.setdefault((int(h), int(r)), []).append(int(t))
+            heads.setdefault((int(r), int(t)), []).append(int(h))
+        tails = {k: np.asarray(v, dtype=np.int64) for k, v in tails.items()}
+        heads = {k: np.asarray(v, dtype=np.int64) for k, v in heads.items()}
+        engine._exclusions = lambda direction, q: (
+            tails.get((q.anchor, q.relation)) if direction == "tail"
+            else heads.get((q.relation, q.anchor)))
+        return engine
+
+    @pytest.mark.parametrize("route", ["exact", "ann", "quantized"])
+    def test_filtered_top_k_identical_to_the_dict_lookup(self, artifact, kg, route):
+        known = kg.known_triples()
+        engine = self._engine(artifact, route, known)
+        assert engine._known is known  # held as is, not re-indexed
+        from_set = self._engine(artifact, route, set(known))
+        reference = self._two_dicts(self._engine(artifact, route, None), set(known))
+        queries = [(int(h), int(r), int(t)) for h, r, t in kg.split.test[:25]]
+        queries += [(0, 0, 0), (self.N_ENTITIES - 1, self.N_RELATIONS - 1, 3)]
+        excluded = 0
+        for h, r, t in queries:
+            for k in (1, 10, self.N_ENTITIES):
+                want = reference.top_k_tails(h, r, k=k, filtered=True)
+                for candidate in (engine, from_set):
+                    assert candidate.top_k_tails(h, r, k=k, filtered=True) == want
+                want = reference.top_k_heads(r, t, k=k, filtered=True)
+                for candidate in (engine, from_set):
+                    assert candidate.top_k_heads(r, t, k=k, filtered=True) == want
+            full = engine.top_k_tails(h, r, k=self.N_ENTITIES, filtered=True, ann=False)
+            assert not any((h, r, e) in known for e in full.entities)
+            excluded += self.N_ENTITIES - len(full.entities)
+        assert excluded > 25  # the filter really removed candidates
+        stats = engine.stats()
+        if route == "ann":
+            assert stats["ann_queries"] > 0
+        if route == "quantized":
+            assert stats["rescored_queries"] > 0
+
+    def test_replacing_the_set_invalidates_the_cache(self, kg):
+        model = make_model(n_entities=self.N_ENTITIES, n_relations=self.N_RELATIONS)
+        known = kg.known_triples()
+        engine = InferenceEngine(model, known_triples=known, cache_size=64)
+        h, r, _ = map(int, kg.split.train[0])
+        first = engine.top_k_tails(h, r, k=5, filtered=True)
+        engine.top_k_heads(r, h, k=5, filtered=True)
+        assert len(engine.cache) == 2
+        assert engine.top_k_tails(h, r, k=5, filtered=True) is first  # served from cache
+        engine.set_known_triples(KnownTriples([(h, r, first.entities[0])]))
+        assert len(engine.cache) == 0
+        assert engine.top_k_tails(h, r, k=5, filtered=True).entities[0] != first.entities[0]
+        engine.set_known_triples([])  # an empty set filters nothing
+        assert len(engine.cache) == 0
+        assert (engine.top_k_tails(h, r, k=5, filtered=True).entities
+                == engine.top_k_tails(h, r, k=5).entities)
+
+    def test_known_entity_outside_the_vocabulary_raises_on_query(self):
+        model = make_model()
+        engine = InferenceEngine(model, known_triples=[(0, 1, model.n_entities + 5)])
+        with pytest.raises(IndexError):
+            engine.top_k_tails(0, 1, k=3, filtered=True)
+        assert len(engine.top_k_tails(1, 1, k=3, filtered=True).entities) == 3
 
 
 class TestBatching:

@@ -1,5 +1,7 @@
 """Tests for ranking utilities, link prediction, and triple classification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,68 @@ from repro.evaluation import (
 )
 from repro.evaluation.ranks import hits_at_k, mean_rank, mean_reciprocal_rank
 from repro.models import SpTransE
+
+
+# --------------------------------------------------------------------------- #
+# The oracle: the evaluator as it stood before the known-triples index — a
+# dict over every known triple per chunk, then a +inf mask over a copy of the
+# score block, one row at a time.
+# --------------------------------------------------------------------------- #
+def _build_filters(triples, known_triples, mode):
+    by_query = {}
+    for h, r, t in known_triples:
+        if mode == "tail":
+            by_query.setdefault((h, r), []).append(t)
+        else:
+            by_query.setdefault((t, r), []).append(h)
+    filters = []
+    for h, r, t in triples.tolist():
+        key = (h, r) if mode == "tail" else (t, r)
+        filters.append(np.asarray(by_query.get(key, []), dtype=np.int64))
+    return filters
+
+
+def _masked_ranks(candidate_scores, true_indices, filter_indices=None):
+    working = np.asarray(candidate_scores, dtype=np.float64).copy()
+    b = working.shape[0]
+    if filter_indices is not None:
+        for row, exclude in enumerate(filter_indices):
+            exclude = np.asarray(exclude, dtype=np.int64)
+            working[row, exclude[exclude != true_indices[row]]] = np.inf
+    target = working[np.arange(b), true_indices]
+    better = (working < target[:, None]).sum(axis=1)
+    ties = (working == target[:, None]).sum(axis=1) - 1
+    return (better + ties / 2.0 + 1).astype(np.float64)
+
+
+def _oracle_ranks(model, triples, known_triples, batch_size):
+    """``(tail_ranks, head_ranks)`` by the oracle; raw when ``known_triples`` is None."""
+    tail_ranks, head_ranks = [], []
+    for start in range(0, triples.shape[0], batch_size):
+        chunk = triples[start:start + batch_size]
+        heads, rels, tails = chunk[:, 0], chunk[:, 1], chunk[:, 2]
+        tail_filters = head_filters = None
+        if known_triples is not None:
+            tail_filters = _build_filters(chunk, known_triples, "tail")
+            head_filters = _build_filters(chunk, known_triples, "head")
+        tail_ranks.append(_masked_ranks(model.score_all_tails(heads, rels),
+                                        tails, tail_filters))
+        head_ranks.append(_masked_ranks(model.score_all_heads(rels, tails),
+                                        heads, head_filters))
+    return np.concatenate(tail_ranks), np.concatenate(head_ranks)
+
+
+class _ConstantScorer:
+    """Every candidate ties: the ranks are decided by the tie and filter counts."""
+
+    def __init__(self, n_entities, n_relations):
+        self.n_entities, self.n_relations = n_entities, n_relations
+
+    def score_all_tails(self, heads, relations):
+        return np.full((heads.shape[0], self.n_entities), 0.25, dtype=np.float64)
+
+    def score_all_heads(self, relations, tails):
+        return np.full((tails.shape[0], self.n_entities), 0.25, dtype=np.float64)
 
 
 class TestComputeRanks:
@@ -63,6 +127,76 @@ class TestComputeRanks:
         assert hits_at_k(ranks, 10) == 1.0
         with pytest.raises(ValueError):
             hits_at_k(ranks, 0)
+
+    @pytest.mark.parametrize("bad", [-1, 3, -4, 10**12])
+    def test_out_of_range_filter_index_raises(self, bad):
+        # -1 used to wrap around and silently mask the *last* candidate.
+        scores = np.array([[0.3, 0.2, 0.1], [0.1, 0.2, 0.3]])
+        true = np.array([0, 2])
+        with pytest.raises(IndexError):
+            compute_ranks(scores, true, [np.array([1, bad]), np.array([], dtype=np.int64)])
+        with pytest.raises(IndexError):
+            compute_ranks(scores, true, (np.array([0, 0]), np.array([1, bad])))
+        with pytest.raises(IndexError):  # flat row index outside the block
+            compute_ranks(scores, true, (np.array([0, 2]), np.array([1, 1])))
+        assert compute_ranks(scores, true, [np.array([1, 2]), None]).tolist() == [1, 3]
+
+    def test_flat_form_validation(self):
+        scores, true = np.zeros((2, 3)), np.array([0, 1])
+        with pytest.raises(ValueError):
+            compute_ranks(scores, true, (np.array([0]), np.array([1, 2])))
+        with pytest.raises(ValueError):
+            compute_ranks(scores, true, (np.array([0]),))
+
+    @given(st.integers(1, 6), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_masking_oracle(self, b, n, seed):
+        """Flat and per-row forms, duplicate and unsorted entries, many ties."""
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, 4, size=(b, n)).astype(np.float64)
+        true = rng.integers(0, n, size=b)
+        per_row = [rng.integers(0, n, size=rng.integers(0, 2 * n)) for _ in range(b)]
+        want = _masked_ranks(scores, true, per_row)
+        before = scores.copy()
+        np.testing.assert_array_equal(compute_ranks(scores, true, per_row), want)
+        rows = np.repeat(np.arange(b), [len(e) for e in per_row])
+        cols = np.concatenate(per_row)
+        shuffle = rng.permutation(rows.size)
+        np.testing.assert_array_equal(
+            compute_ranks(scores, true, (rows[shuffle], cols[shuffle])), want)
+        np.testing.assert_array_equal(scores, before)
+        np.testing.assert_array_equal(compute_ranks(scores, true),
+                                      _masked_ranks(scores, true))
+
+    def test_input_is_neither_copied_nor_written(self):
+        rng = np.random.default_rng(0)
+        scores = rng.standard_normal((64, 20_000))
+        scores.setflags(write=False)
+        true = rng.integers(0, 20_000, 64)
+        rows = np.repeat(np.arange(64), 5)
+        cols = rng.integers(0, 20_000, rows.size)
+        compute_ranks(scores[:2], true[:2])  # warm numpy's own lazy allocations
+        tracemalloc.start()
+        try:
+            compute_ranks(scores, true, (rows, cols))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * scores.nbytes
+
+    def test_fp32_block_ranks_as_its_fp64_widening(self):
+        rng = np.random.default_rng(1)
+        scores32 = rng.integers(0, 50, size=(8, 300)).astype(np.float32) / np.float32(7)
+        true = rng.integers(0, 300, 8)
+        filters = [rng.integers(0, 300, 20) for _ in range(8)]
+        got = compute_ranks(scores32, true, filters)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(
+            got, compute_ranks(scores32.astype(np.float64), true, filters))
+        np.testing.assert_array_equal(got, _masked_ranks(scores32, true, filters))
+        # Non-float blocks still rank (as float64).
+        np.testing.assert_array_equal(
+            compute_ranks(np.array([[3, 1, 2]]), np.array([0])), [3.0])
 
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=1000))
     @settings(max_examples=30, deadline=None)
@@ -141,6 +275,41 @@ class TestLinkPrediction:
                                      batch_size=100)
         np.testing.assert_allclose(a.tail_ranks, b.tail_ranks)
         np.testing.assert_allclose(a.head_ranks, b.head_ranks)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    @pytest.mark.parametrize("scorer", ["transe", "constant"])
+    def test_ranks_equal_the_oracle(self, batch_size, scorer):
+        # Few entities, many triples: most queries have several known answers.
+        kg = generate_synthetic_kg(25, 3, 500, rng=3, valid_fraction=0.1,
+                                   test_fraction=0.2)
+        model = (SpTransE(kg.n_entities, kg.n_relations, 8, rng=0) if scorer == "transe"
+                 else _ConstantScorer(kg.n_entities, kg.n_relations))
+        test = kg.split.test
+        known = kg.known_triples()
+        plain = set(known)
+        # Drop a few test triples from the set: their true entity is then
+        # absent from ``known`` and must still be ranked, not excluded.
+        absent = plain - {tuple(row) for row in test[:5].tolist()}
+        assert len(absent) < len(plain)
+        for known_triples in (known, plain, absent, frozenset(absent)):
+            got = evaluate_link_prediction(model, test, known_triples,
+                                           batch_size=batch_size)
+            want_tail, want_head = _oracle_ranks(model, test, set(known_triples),
+                                                 batch_size)
+            np.testing.assert_array_equal(got.tail_ranks, want_tail)
+            np.testing.assert_array_equal(got.head_ranks, want_head)
+        raw = evaluate_link_prediction(model, test, protocol=RankingProtocol.RAW,
+                                       batch_size=batch_size)
+        want_tail, want_head = _oracle_ranks(model, test, None, batch_size)
+        np.testing.assert_array_equal(raw.tail_ranks, want_tail)
+        np.testing.assert_array_equal(raw.head_ranks, want_head)
+
+    def test_known_triple_outside_the_model_vocabulary_raises(self, trained_setup):
+        kg, model = trained_setup
+        h, r, _ = kg.split.test[0].tolist()
+        known = set(kg.known_triples()) | {(h, r, model.n_entities + 3)}
+        with pytest.raises(IndexError):
+            evaluate_link_prediction(model, kg.split.test[:1], known)
 
     def test_training_improves_hits(self):
         """End-to-end sanity: a trained model ranks better than an untrained one."""

@@ -170,6 +170,19 @@ class TestCallbacks:
         assert len(evaluator.history) == 2
         assert "hits@10" in evaluator.history[0]
 
+    def test_evaluation_callback_indexes_known_triples_once(self, monkeypatch):
+        kg = generate_synthetic_kg(40, 4, 300, rng=1, valid_fraction=0.1)
+        builds = []
+        build = kg.known_triples
+        monkeypatch.setattr(kg, "known_triples",
+                            lambda: builds.append(1) or build())
+        evaluator = EvaluationCallback(kg, every=1, split="valid")
+        model = SpTransE(kg.n_entities, kg.n_relations, 8, rng=0)
+        Trainer(model, kg, TrainingConfig(epochs=3, batch_size=128, seed=0),
+                callbacks=[evaluator]).train()
+        assert len(evaluator.history) == 3
+        assert len(builds) == 1
+
     def test_evaluation_callback_validation(self, kg):
         with pytest.raises(ValueError):
             EvaluationCallback(kg, every=0)
