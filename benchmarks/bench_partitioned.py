@@ -8,13 +8,17 @@ schedule's bound) and reports, per run:
   partitioning exists for;
 * mean step time and the table's fault/write-back counters;
 * **measured vs α–β-modeled bucket-exchange cost**: every fault/write-back
-  moves one bucket slab between disk and the resident set, so the paging
+  moves one bucket slab *and the optimiser-state slabs that page with it*
+  (one accumulator for Adagrad, two moments and a step counter for Adam —
+  most of the bytes) between disk and the resident set, so the paging
   traffic is modeled with the same
   :class:`~repro.training.distributed.CommunicationModel` the distributed
-  trainer uses — ``latency × transfers + bytes / bandwidth`` — and printed
-  next to the measured paging wall-clock (``fault_seconds +
-  writeback_seconds``).  The default bandwidth is NVLink/IB-class; pass
-  ``--bandwidth-gb`` ≈ your disk (or page-cache) throughput to calibrate.
+  trainer uses — ``latency × transfers + (slab + state bytes) / bandwidth`` —
+  and printed next to the measured paging wall-clock (the slab's
+  ``fault_seconds + writeback_seconds`` plus the state's
+  ``state_fault_seconds + state_writeback_seconds``).  The default bandwidth
+  is NVLink/IB-class; pass ``--bandwidth-gb`` ≈ your disk (or page-cache)
+  throughput to calibrate.
 
 Run directly for a sweep, or through pytest-benchmark for the quick entry
 point::
@@ -62,7 +66,8 @@ print(json.dumps({
     "train_s": elapsed,
     "step_ms": 1000.0 * elapsed / steps,
     "final_loss": result.final_loss,
-    "stats": {k: float(v) for k, v in stats.items()},
+    "stats": {k: float(v) for k, v in stats.items()
+              if isinstance(v, (int, float))},  # "quantized" is a mode name or None
 }))
 """
 
@@ -91,26 +96,33 @@ def run(partitions: Optional[List[int]] = None, dataset: str = "FB15K",
                               latency_s=latency_ms / 1e3)
     rows = []
     header = (f"{'P':>3} {'peak RSS MB':>12} {'step ms':>9} {'faults':>7} "
-              f"{'writebacks':>10} {'paged GB':>9} {'measured s':>11} "
-              f"{'modeled s':>10}")
+              f"{'writebacks':>10} {'slab GB':>8} {'state GB':>9} "
+              f"{'measured s':>11} {'modeled s':>10}")
     print(header)
     print("-" * len(header))
     for p in partitions:
         record = _run_case(p, dataset, scale, dim, epochs, batch_size)
         stats = record["stats"]
         transfers = stats.get("faults", 0.0) + stats.get("writebacks", 0.0)
-        paged_bytes = stats.get("bytes_loaded", 0.0) + stats.get("bytes_written", 0.0)
-        measured = stats.get("fault_seconds", 0.0) + stats.get("writeback_seconds", 0.0)
-        # α–β view of the paging traffic: one latency per bucket transfer plus
-        # the byte volume over the modeled bandwidth.
-        modeled = transfers * comm.latency_s + paged_bytes / comm.bandwidth_bytes_per_s
-        record["paging"] = {"transfers": transfers, "bytes": paged_bytes,
+        slab_bytes = stats.get("bytes_loaded", 0.0) + stats.get("bytes_written", 0.0)
+        state_bytes = (stats.get("state_bytes_loaded", 0.0)
+                       + stats.get("state_bytes_written", 0.0))
+        measured = sum(stats.get(key, 0.0) for key in (
+            "fault_seconds", "writeback_seconds",
+            "state_fault_seconds", "state_writeback_seconds"))
+        # α–β view of the paging traffic: one latency per bucket transfer (its
+        # state rides along) plus the slab + state volume over the bandwidth.
+        modeled = (transfers * comm.latency_s
+                   + (slab_bytes + state_bytes) / comm.bandwidth_bytes_per_s)
+        record["paging"] = {"transfers": transfers, "bytes": slab_bytes + state_bytes,
+                            "slab_bytes": slab_bytes, "state_bytes": state_bytes,
                             "measured_s": measured, "modeled_s": modeled}
         rows.append(record)
         print(f"{p:>3} {record['peak_rss_mb']:>12.1f} {record['step_ms']:>9.2f} "
               f"{int(stats.get('faults', 0)):>7} "
               f"{int(stats.get('writebacks', 0)):>10} "
-              f"{paged_bytes / 1e9:>9.3f} {measured:>11.3f} {modeled:>10.3f}")
+              f"{slab_bytes / 1e9:>8.3f} {state_bytes / 1e9:>9.3f} "
+              f"{measured:>11.3f} {modeled:>10.3f}")
     if len(rows) > 1 and rows[0]["partitions"] == 1:
         dense = rows[0]["peak_rss_mb"]
         best = min(r["peak_rss_mb"] for r in rows[1:])

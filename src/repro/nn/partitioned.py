@@ -7,9 +7,10 @@ by range-partitioning the entity rows into ``P`` buckets, each backed by its
 own ``entities.bucket<k>.npy`` file:
 
 * a bucket is **faulted in** (one ``np.load``) the first time anything touches
-  its rows and **evicted** (one ``np.save`` write-back when dirty) once the
-  LRU-bounded resident set overflows ``max_resident`` buckets — peak RAM is
-  ``max_resident`` bucket slabs, never the full table;
+  its rows and **evicted** (written back over its own file when dirty, see
+  :func:`save_in_place`) once the LRU-bounded resident set overflows
+  ``max_resident`` buckets — peak RAM is ``max_resident`` bucket slabs, never
+  the full table;
 * each bucket is its own :class:`BucketParameter`, so row-sparse gradients,
   optimiser state (Adam/Adagrad moment slabs), and the multiprocess trainer's
   gradient exchange are all naturally bucket-granular: optimiser state pages
@@ -37,6 +38,7 @@ from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from repro.nn import init
 from repro.nn import quantize as quantize_lib
@@ -62,6 +64,45 @@ PARTITION_MANIFEST_VERSION = 1
 def bucket_filename(bucket: int) -> str:
     """On-disk name of entity bucket ``bucket`` (``entities.bucket<k>.npy``)."""
     return f"entities.bucket{int(bucket)}.npy"
+
+
+def _holds_payload_of(handle, array: np.ndarray) -> bool:
+    """Whether the open ``.npy`` ``handle`` is a C-ordered file of ``array``'s
+    shape, dtype and exact length; leaves the position at the payload."""
+    try:
+        version = npy_format.read_magic(handle)
+        if version == (1, 0):
+            shape, fortran_order, dtype = npy_format.read_array_header_1_0(handle)
+        elif version == (2, 0):
+            shape, fortran_order, dtype = npy_format.read_array_header_2_0(handle)
+        else:
+            return False
+    except ValueError:  # not an .npy file, or a header numpy cannot parse
+        return False
+    return (shape == array.shape and dtype == array.dtype and not fortran_order
+            and os.fstat(handle.fileno()).st_size == handle.tell() + array.nbytes)
+
+
+def save_in_place(path: str, array: np.ndarray) -> None:
+    """``np.save(path, array)`` that overwrites a matching file's payload.
+
+    Buckets and their optimiser-state slabs are rewritten at the same shape
+    and dtype on every eviction.  When ``path`` already is such a file only
+    the payload bytes are written over it: the bytes on disk are the ones
+    ``np.save`` produces, but the file is never truncated — a concurrent
+    ``np.load(mmap_mode="r")`` reader keeps a whole mapping — and no
+    page-cache page or disk block is freed and reallocated.  A missing file or
+    one of another shape, dtype, order or length takes plain ``np.save``.
+    """
+    if array.flags.c_contiguous and not array.dtype.hasobject:
+        try:
+            with open(path, "r+b") as handle:
+                if _holds_payload_of(handle, array):
+                    handle.write(array.data)
+                    return
+        except FileNotFoundError:
+            pass
+    np.save(path, array)
 
 
 class BucketParameter(Parameter):
@@ -196,6 +237,10 @@ class PartitionedEmbedding(Module, EmbeddingTable):
             "faults": 0, "evictions": 0, "writebacks": 0,
             "bytes_loaded": 0, "bytes_written": 0,
             "fault_seconds": 0.0, "writeback_seconds": 0.0,
+            # Optimiser-state slabs page with their bucket, counted apart:
+            # the four keys above cover the bucket slab only.
+            "state_bytes_loaded": 0, "state_bytes_written": 0,
+            "state_fault_seconds": 0.0, "state_writeback_seconds": 0.0,
             "peak_resident": 0, "peak_resident_bytes": 0,
             "exact_row_reads": 0,
         }
@@ -242,6 +287,13 @@ class PartitionedEmbedding(Module, EmbeddingTable):
             np.save(self._bucket_path(k), slab)
         self.relations.data[...] = rng.uniform(
             -bound, bound, size=(self.n_relations, self._embedding_dim))
+        # Fresh weights start from fresh optimiser state: a reused directory
+        # must not hand an earlier run's paged-out moments to this one.
+        stale = tuple(bucket_filename(k) + ".state."
+                      for k in range(self.partition.n_partitions))
+        for name in os.listdir(self._directory):
+            if name.startswith(stale):
+                os.remove(os.path.join(self._directory, name))
 
     def _bucket_path(self, bucket: int) -> str:
         if self._directory is None:
@@ -454,17 +506,25 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         self.counters["peak_resident_bytes"] = max(
             self.counters["peak_resident_bytes"], self._resident_bytes)
 
+    def _write_back(self, bucket: int) -> None:
+        """Write ``bucket``'s resident slab over its file if it is dirty."""
+        if bucket not in self._dirty:
+            return
+        self._dirty.discard(bucket)
+        if self.read_only:
+            return
+        slab = self._buckets[bucket]._slab
+        t0 = time.perf_counter()
+        save_in_place(self._bucket_path(bucket), slab)
+        self.counters["writebacks"] += 1
+        self.counters["bytes_written"] += slab.nbytes
+        self.counters["writeback_seconds"] += time.perf_counter() - t0
+
     def _evict(self, bucket: int) -> None:
         param = self._buckets[bucket]
         if not param.resident:
             return
-        if not self.read_only and bucket in self._dirty:
-            t0 = time.perf_counter()
-            np.save(self._bucket_path(bucket), param._slab)
-            self.counters["writebacks"] += 1
-            self.counters["bytes_written"] += param._slab.nbytes
-            self.counters["writeback_seconds"] += time.perf_counter() - t0
-        self._dirty.discard(bucket)
+        self._write_back(bucket)
         self._page_out_optimizer_state(bucket)
         self._resident_bytes -= param._slab.nbytes
         param._slab = None
@@ -480,14 +540,7 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         if self.read_only:
             return
         for bucket in list(self._resident):
-            param = self._buckets[bucket]
-            if bucket in self._dirty:
-                t0 = time.perf_counter()
-                np.save(self._bucket_path(bucket), param._slab)
-                self.counters["writebacks"] += 1
-                self.counters["bytes_written"] += param._slab.nbytes
-                self.counters["writeback_seconds"] += time.perf_counter() - t0
-                self._dirty.discard(bucket)
+            self._write_back(bucket)
             self._save_optimizer_state(bucket, pop=False)
 
     # ------------------------------------------------------------------ #
@@ -517,14 +570,21 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         state = self._optimizer.state.get(id(param))
         if not state:
             return
+        t0 = time.perf_counter()
         scalars: Dict[str, object] = {}
+        buffers: List[str] = []
         for buffer, value in state.items():
             if isinstance(value, np.ndarray):
-                np.save(self._state_path(bucket, buffer), value)
+                save_in_place(self._state_path(bucket, buffer), value)
+                buffers.append(buffer)
+                self.counters["state_bytes_written"] += value.nbytes
             else:
                 scalars[buffer] = value
+        # The names are recorded so a restore loads exactly what this
+        # optimiser wrote, whatever else sits in the directory.
         with open(self._state_meta_path(bucket), "w", encoding="utf-8") as handle:
-            json.dump(scalars, handle)
+            json.dump({"scalars": scalars, "buffers": buffers}, handle)
+        self.counters["state_writeback_seconds"] += time.perf_counter() - t0
         if pop:
             self._optimizer.state.pop(id(param), None)
 
@@ -532,13 +592,14 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         meta_path = self._state_meta_path(bucket)
         if not os.path.exists(meta_path):
             return  # never paged out: genuinely fresh state
+        t0 = time.perf_counter()
         with open(meta_path, "r", encoding="utf-8") as handle:
-            state.update(json.load(handle))
-        prefix = bucket_filename(bucket) + ".state."
-        for name in os.listdir(self._directory):
-            if name.startswith(prefix) and name.endswith(".npy"):
-                buffer = name[len(prefix):-len(".npy")]
-                state[buffer] = np.load(os.path.join(self._directory, name))
+            meta = json.load(handle)
+        state.update(meta["scalars"])
+        for buffer in meta["buffers"]:
+            state[buffer] = np.load(self._state_path(bucket, buffer))
+            self.counters["state_bytes_loaded"] += state[buffer].nbytes
+        self.counters["state_fault_seconds"] += time.perf_counter() - t0
 
     # ------------------------------------------------------------------ #
     # EmbeddingTable interface (entity rows)

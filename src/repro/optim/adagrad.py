@@ -41,25 +41,22 @@ class Adagrad(Optimizer):
         self.initial_accumulator = float(initial_accumulator)
 
     def _update(self, param: Parameter) -> None:
+        self._apply(param, param.grad)
+        self._count_update_flops(param, 6)
+
+    def _update_sparse(self, param: Parameter, grad) -> None:
+        self._apply(param, grad.values, rows=grad.indices)
+        self._count_sparse_update_flops(param, grad.values.size, 6)
+
+    def _apply(self, param: Parameter, grad: np.ndarray, rows=None) -> None:
         state = self._param_state(param)
         if "sum_sq" not in state:
             state["sum_sq"] = np.full_like(param.data, self.initial_accumulator)
-        for a, b, data, grad, sum_sq in row_blocks(param, param.grad, state["sum_sq"]):
+        for a, b, data, grad, sum_sq in row_blocks(param, grad, state["sum_sq"],
+                                                   rows=rows):
             sum_sq += np.multiply(grad, grad, out=a)
             # lr * grad / (sqrt(sum_sq) + eps)
             np.multiply(grad, self.lr, out=a)
             np.sqrt(sum_sq, out=b)
             np.add(b, self.eps, out=b)
             data -= np.divide(a, b, out=a)
-        self._count_update_flops(param, 6)
-
-    def _update_sparse(self, param: Parameter, grad) -> None:
-        state = self._param_state(param)
-        if "sum_sq" not in state:
-            state["sum_sq"] = np.full_like(param.data, self.initial_accumulator)
-        sum_sq = state["sum_sq"]
-        rows, vals = grad.indices, grad.values
-        touched = sum_sq[rows] + vals * vals
-        sum_sq[rows] = touched
-        param.data[rows] -= self.lr * vals / (np.sqrt(touched) + self.eps)
-        self._count_sparse_update_flops(param, vals.size, 6)

@@ -50,11 +50,15 @@ class Adam(Optimizer):
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
 
-    def _update(self, param: Parameter) -> None:
+    def _moments(self, param: Parameter) -> dict:
         state = self._param_state(param)
         if "m" not in state:
             state["m"] = np.zeros_like(param.data)
             state["v"] = np.zeros_like(param.data)
+        return state
+
+    def _update(self, param: Parameter) -> None:
+        state = self._moments(param)
         # The sparse path keeps "t" in sync on every step, so whenever
         # "row_t" exists "t" does too; a fresh parameter starts at 0.
         state.setdefault("t", 0)
@@ -66,9 +70,42 @@ class Adam(Optimizer):
             # step count; advance the per-row counters with it so a later
             # return to the sparse path does not undercount the decays.
             row_t.fill(t)
-        correction1 = 1 - self.beta1 ** t
-        correction2 = 1 - self.beta2 ** t
-        for a, b, data, grad, m, v in row_blocks(param, param.grad, state["m"], state["v"]):
+        self._apply(row_blocks(param, param.grad, state["m"], state["v"]),
+                    1 - self.beta1 ** t, 1 - self.beta2 ** t)
+        self._count_update_flops(param, 10)
+
+    def _update_sparse(self, param: Parameter, grad) -> None:
+        if self.weight_decay:
+            # Decay applies to every row every step; densify for correctness.
+            super()._update_sparse(param, grad)
+            return
+        state = self._moments(param)
+        if "row_t" not in state:
+            # Taking over from the dense path: every row has seen ``t`` steps.
+            state["row_t"] = np.full(param.data.shape[0], int(state.get("t", 0)),
+                                     dtype=np.int64)
+        row_t = state["row_t"]
+        rows, vals = grad.indices, grad.values
+        row_t[rows] += 1
+        t = row_t[rows]
+        # Keep the dense step counter in sync (cheap: max over touched rows
+        # only) so a later switch back to the dense path resumes with a bias
+        # correction consistent with how far the moments have decayed.
+        state["t"] = max(int(state.get("t", 0)), int(t.max(initial=0)))
+        # Per-row bias corrections, shaped to broadcast over the value rows.
+        expand = (-1,) + (1,) * (vals.ndim - 1)
+        dtype = state["m"].dtype
+        corrections = [(1 - beta ** t).astype(dtype, copy=False).reshape(expand)
+                       for beta in (self.beta1, self.beta2)]
+        self._apply(row_blocks(param, vals, state["m"], state["v"], rows=rows,
+                               per_row=corrections))
+        self._count_sparse_update_flops(param, vals.size, 10)
+
+    def _apply(self, blocks, *corrections: float) -> None:
+        """The Adam update over ``row_blocks``: the two scalar bias corrections
+        on the dense path, the blocks' own per-row ones on the lazy path."""
+        for a, b, data, grad, m, v, *per_row in blocks:
+            correction1, correction2 = per_row or corrections
             if self.weight_decay:
                 np.multiply(data, self.weight_decay, out=a)
                 grad = np.add(grad, a, out=a)
@@ -84,36 +121,3 @@ class Adam(Optimizer):
             np.sqrt(b, out=b)
             np.add(b, self.eps, out=b)
             data -= np.divide(a, b, out=a)
-        self._count_update_flops(param, 10)
-
-    def _update_sparse(self, param: Parameter, grad) -> None:
-        if self.weight_decay:
-            # Decay applies to every row every step; densify for correctness.
-            super()._update_sparse(param, grad)
-            return
-        state = self._param_state(param)
-        if "m" not in state:
-            state["m"] = np.zeros_like(param.data)
-            state["v"] = np.zeros_like(param.data)
-        if "row_t" not in state:
-            # Taking over from the dense path: every row has seen ``t`` steps.
-            state["row_t"] = np.full(param.data.shape[0], int(state.get("t", 0)),
-                                     dtype=np.int64)
-        m, v, row_t = state["m"], state["v"], state["row_t"]
-        rows, vals = grad.indices, grad.values
-        row_t[rows] += 1
-        t = row_t[rows]
-        # Keep the dense step counter in sync (cheap: max over touched rows
-        # only) so a later switch back to the dense path resumes with a bias
-        # correction consistent with how far the moments have decayed.
-        state["t"] = max(int(state.get("t", 0)), int(t.max(initial=0)))
-        # Broadcast the per-row bias corrections over the value shape.
-        expand = (slice(None),) + (None,) * (vals.ndim - 1)
-        m_rows = self.beta1 * m[rows] + (1 - self.beta1) * vals
-        v_rows = self.beta2 * v[rows] + (1 - self.beta2) * (vals * vals)
-        m[rows] = m_rows
-        v[rows] = v_rows
-        m_hat = m_rows / (1 - self.beta1 ** t)[expand]
-        v_hat = v_rows / (1 - self.beta2 ** t)[expand]
-        param.data[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        self._count_sparse_update_flops(param, vals.size, 10)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -12,30 +12,56 @@ from repro.nn.parameter import Parameter
 from repro.sparse.kernels import block_rows
 
 
-def row_blocks(param: Parameter, *arrays: np.ndarray) -> Iterator[Tuple[np.ndarray, ...]]:
-    """Walk a dense update over ``param`` in cache-sized row blocks.
+def row_blocks(param: Parameter, grad: np.ndarray, *state: np.ndarray,
+               rows: Optional[np.ndarray] = None,
+               per_row: Sequence[np.ndarray] = ()) -> Iterator[Tuple[np.ndarray, ...]]:
+    """Walk an update over ``param`` in cache-sized row blocks.
 
-    Yields ``(scratch_a, scratch_b, data, *arrays)`` per block: two scratch
-    buffers of the block's shape and the parameter's dtype, then aligned
-    writable views of ``param.data`` and of each same-shaped array (gradient,
-    optimiser state).  An update written as ``out=`` ufuncs over these views
-    performs the textbook expression's elementwise operations in the same
-    order — results are bit-identical — while its only temporaries are the two
-    block-sized scratch buffers instead of several table-sized arrays.
+    Yields ``(scratch_a, scratch_b, data, grad, *state, *per_row)`` per block:
+    two scratch buffers of the block's shape and the parameter's dtype, then
+    aligned blocks of ``param.data``, the gradient, each optimiser-state array
+    and each ``per_row`` factor.  An update written as ``out=`` ufuncs over
+    these blocks performs the textbook expression's elementwise operations in
+    the same order — results are bit-identical — while its only temporaries
+    are block-sized instead of several table- or gradient-sized arrays.
+
+    ``grad`` and the ``per_row`` arrays are aligned with the walk and come as
+    views.  Dense (``rows`` is ``None``): the walk is over every row, ``grad``
+    has the parameter's shape, and the ``data``/``state`` blocks are writable
+    views too.  Row-sparse: ``rows`` holds the gradient's sorted unique row
+    indices (in range — :class:`~repro.sparse.rowsparse.RowSparseGrad` checks)
+    and ``grad`` its packed values, one entry per touched row; the touched rows
+    of ``param.data`` and of each ``state`` array are gathered into block-sized
+    scratch and scattered back once the loop body has run.
     """
     data = param.data
     if data.ndim == 0:
         data = data.reshape(1)
-        arrays = tuple(a.reshape(1) for a in arrays)
-    n_rows = data.shape[0]
+        grad = grad.reshape(1)
+        state = tuple(a.reshape(1) for a in state)
+    n_rows = data.shape[0] if rows is None else rows.size
     step = block_rows(math.prod(data.shape[1:]), data.itemsize)
     scratch_shape = (min(step, n_rows),) + data.shape[1:]
     scratch_a = np.empty(scratch_shape, dtype=param.data.dtype)
     scratch_b = np.empty(scratch_shape, dtype=param.data.dtype)
+    tables = (data,) + state
+    if rows is not None:
+        gathered = [np.empty(scratch_shape, dtype=table.dtype) for table in tables]
     for start in range(0, n_rows, step):
-        rows = slice(start, min(n_rows, start + step))
-        n = rows.stop - rows.start
-        yield (scratch_a[:n], scratch_b[:n], data[rows], *(a[rows] for a in arrays))
+        block = slice(start, min(n_rows, start + step))
+        n = block.stop - block.start
+        if rows is None:
+            blocks = [table[block] for table in tables]
+        else:
+            touched = rows[block]
+            # mode="clip": the default checks bounds through a copy of ``out``.
+            blocks = [np.take(table, touched, axis=0, out=buffer[:n], mode="clip")
+                      for table, buffer in zip(tables, gathered)]
+        yield (scratch_a[:n], scratch_b[:n], blocks[0], grad[block], *blocks[1:],
+               *(factor[block] for factor in per_row))
+        if rows is not None:
+            for table, updated in zip(tables, blocks):
+                table[touched] = updated
 
 
 class Optimizer:
@@ -97,10 +123,11 @@ class Optimizer:
     def _update_sparse(self, param: Parameter, grad) -> None:
         """Row-sparse update; the default densifies and reuses :meth:`_update`.
 
-        Subclasses override this with a scatter update over ``grad.indices`` /
-        ``grad.values`` when they can do better.  Reading ``param.grad`` here
-        triggers the transparent densification, so unmodified third-party
-        optimizers keep working with sparse-gradient models.
+        Subclasses that can do better run their :meth:`_update` body over
+        ``row_blocks(param, grad.values, ..., rows=grad.indices)``.  Reading
+        ``param.grad`` here triggers the transparent densification, so
+        unmodified third-party optimizers keep working with sparse-gradient
+        models.
         """
         self._update(param)
 

@@ -42,13 +42,25 @@ class SGD(Optimizer):
         self.weight_decay = float(weight_decay)
 
     def _update(self, param: Parameter) -> None:
-        arrays = [param.grad]
+        self._apply(param, param.grad)
+        self._count_update_flops(param, 2 + (2 if self.momentum else 0))
+
+    def _update_sparse(self, param: Parameter, grad) -> None:
+        if self.momentum or self.weight_decay:
+            # Both touch every row every step; densify for exactness.
+            super()._update_sparse(param, grad)
+            return
+        self._apply(param, grad.values, rows=grad.indices)
+        self._count_sparse_update_flops(param, grad.values.size, 2)
+
+    def _apply(self, param: Parameter, grad: np.ndarray, rows=None) -> None:
+        state = []
         if self.momentum:
-            state = self._param_state(param)
-            if state.get("velocity") is None:
-                state["velocity"] = np.zeros_like(param.data)
-            arrays.append(state["velocity"])
-        for a, b, data, grad, *velocity in row_blocks(param, *arrays):
+            buffers = self._param_state(param)
+            if buffers.get("velocity") is None:
+                buffers["velocity"] = np.zeros_like(param.data)
+            state.append(buffers["velocity"])
+        for a, b, data, grad, *velocity in row_blocks(param, grad, *state, rows=rows):
             if self.weight_decay:
                 np.multiply(data, self.weight_decay, out=a)
                 grad = np.add(grad, a, out=a)
@@ -57,12 +69,3 @@ class SGD(Optimizer):
                 velocity[0] += grad
                 grad = velocity[0]
             data -= np.multiply(grad, self.lr, out=b)
-        self._count_update_flops(param, 2 + (2 if self.momentum else 0))
-
-    def _update_sparse(self, param: Parameter, grad) -> None:
-        if self.momentum or self.weight_decay:
-            # Both touch every row every step; densify for exactness.
-            super()._update_sparse(param, grad)
-            return
-        param.data[grad.indices] -= self.lr * grad.values
-        self._count_sparse_update_flops(param, grad.values.size, 2)

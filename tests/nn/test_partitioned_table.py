@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import json
 import os
 
 import numpy as np
@@ -15,8 +17,8 @@ from repro.nn import (
     StackedEmbedding,
     partitioned_tables,
 )
-from repro.nn.partitioned import PARTITION_MANIFEST, bucket_filename
-from repro.optim import Adam
+from repro.nn.partitioned import PARTITION_MANIFEST, bucket_filename, save_in_place
+from repro.optim import Adagrad, Adam
 from repro.partition import EntityPartition
 from repro.sparse.rowsparse import RowSparseGrad
 
@@ -168,6 +170,44 @@ class TestStorageLifecycle:
         original = np.load(os.path.join(original_dir, bucket_filename(0)))
         assert not np.array_equal(original[0], np.full(D, 9.0))
 
+    def test_rehome_isolates_in_place_evictions(self, table, tmp_path):
+        """Write-backs overwrite files in place; after ``rehome`` the files
+        they overwrite are the private copies, never the originals."""
+        original_dir = table.directory
+        before = {k: _file_bytes(os.path.join(original_dir, bucket_filename(k)))
+                  for k in range(4)}
+        table.rehome(str(tmp_path / "rehomed"))
+        for k in range(4):  # max_resident=2: every bucket is evicted dirty
+            table.bucket_parameters()[k].data[...] = float(k)
+        table.flush()
+        assert table.stats()["writebacks"] >= 4
+        for k in range(4):
+            assert _file_bytes(os.path.join(original_dir, bucket_filename(k))) == before[k]
+            assert np.all(np.load(os.path.join(table.directory, bucket_filename(k))) == k)
+
+    def test_forked_replica_write_backs_stay_private(self, table):
+        """What ``training.multiprocess`` does in each worker: fork, rehome,
+        train.  The child's in-place write-backs must not reach the parent's
+        bucket files."""
+        table._fault(0)
+        paths = [os.path.join(table.directory, bucket_filename(k)) for k in range(4)]
+        before = [_file_bytes(path) for path in paths]
+        pid = os.fork()
+        if pid == 0:  # child: never return into pytest
+            status = 1
+            try:
+                table.rehome()
+                for k in range(4):
+                    table.bucket_parameters()[k].data[...] = -1.0
+                table.flush()
+                table.close()  # removes the child's private directory only
+                status = 0
+            finally:
+                os._exit(status)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert [_file_bytes(path) for path in paths] == before
+
     def test_renormalize_matches_stacked(self, table):
         stacked = StackedEmbedding(N, R, D, rng=42)
         stacked.renormalize_entities(max_norm=0.25, p=2)
@@ -175,7 +215,205 @@ class TestStorageLifecycle:
         assert np.array_equal(table.to_matrix(), stacked.entity_embeddings())
 
 
+def _file_bytes(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _np_save_bytes(array: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+class TestSaveInPlace:
+    def test_overwrites_a_matching_file_without_rewriting_it(self, tmp_path,
+                                                             monkeypatch):
+        path = str(tmp_path / "slab.npy")
+        first = np.arange(60, dtype=np.float64).reshape(5, 12)
+        save_in_place(path, first)  # missing file: plain np.save
+        assert _file_bytes(path) == _np_save_bytes(first)
+        reader = np.load(path, mmap_mode="r")  # a concurrent reader's mapping
+        second = first * -2.0
+        with monkeypatch.context() as patch:
+            patch.delattr(np, "save")  # np.save would truncate under the mapping
+            save_in_place(path, second)
+        assert _file_bytes(path) == _np_save_bytes(second)
+        assert np.array_equal(np.load(path), second)
+        assert np.array_equal(reader, second)
+
+    @pytest.mark.parametrize("replacement", [
+        np.zeros((6, 12), dtype=np.float64),                 # resized bucket
+        np.zeros((5, 12), dtype=np.float32),                 # another dtype
+        np.zeros((12, 5), dtype=np.float64).T,               # not C-ordered
+        np.zeros(60, dtype=np.float64),                      # same bytes, other shape
+        np.arange(5, dtype=np.int64),                        # row_t-like
+        np.zeros((0, 12), dtype=np.float64),                 # empty
+    ])
+    def test_falls_back_to_np_save_on_any_mismatch(self, tmp_path, replacement):
+        path = str(tmp_path / "slab.npy")
+        np.save(path, np.ones((5, 12), dtype=np.float64))
+        save_in_place(path, replacement)
+        assert _file_bytes(path) == _np_save_bytes(replacement)
+        loaded = np.load(path)
+        assert loaded.dtype == replacement.dtype
+        assert np.array_equal(loaded, replacement)
+
+    @pytest.mark.parametrize("damage", ["truncated", "padded", "garbage", "empty"])
+    def test_never_leaves_a_short_or_foreign_file(self, tmp_path, damage):
+        path = str(tmp_path / "slab.npy")
+        array = np.arange(60, dtype=np.float64).reshape(5, 12)
+        whole = _np_save_bytes(array)
+        content = {"truncated": whole[:-8], "padded": whole + b"\0" * 8,
+                   "garbage": b"not an npy file", "empty": b""}[damage]
+        with open(path, "wb") as handle:
+            handle.write(content)
+        save_in_place(path, array)
+        assert _file_bytes(path) == whole
+
+    def test_fortran_ordered_file_is_rewritten(self, tmp_path):
+        path = str(tmp_path / "slab.npy")
+        np.save(path, np.asfortranarray(np.ones((5, 12))))
+        array = np.arange(60, dtype=np.float64).reshape(5, 12)
+        save_in_place(path, array)
+        assert _file_bytes(path) == _np_save_bytes(array)
+
+
+class TestInPlacePageOut:
+    def _train_bucket(self, table, optimizer, bucket, value=1.0):
+        param = table.bucket_parameters()[bucket]
+        rows = np.arange(min(3, param.shape[0]))
+        param.accumulate_grad(RowSparseGrad(rows, np.full((rows.size, D), value),
+                                            param.shape))
+        optimizer.step()
+        optimizer.zero_grad()
+
+    def test_evicted_and_flushed_files_are_what_np_save_writes(self, table):
+        optimizer = Adam(list(table.parameters()), lr=0.1)
+        table.attach_optimizer(optimizer)
+        for round_ in range(2):  # second round overwrites in place
+            for bucket in range(4):
+                self._train_bucket(table, optimizer, bucket, 1.0 + round_)
+        resident = table.resident_buckets()
+        assert len(resident) == 2
+        slabs = {k: table.bucket_parameters()[k]._slab.copy() for k in resident}
+        states = {k: {name: np.copy(value) for name, value in
+                      optimizer.state[id(table.bucket_parameters()[k])].items()}
+                  for k in resident}
+        table.flush()
+        evicted = [k for k in range(4) if k not in resident]
+        for k in range(4):
+            path = os.path.join(table.directory, bucket_filename(k))
+            if k in resident:
+                assert _file_bytes(path) == _np_save_bytes(slabs[k])
+            for name in ("m", "v", "row_t"):
+                state_path = f"{path}.state.{name}.npy"
+                loaded = np.load(state_path)
+                assert _file_bytes(state_path) == _np_save_bytes(loaded)
+                if k in resident:
+                    assert np.array_equal(loaded, states[k][name])
+        # evicted buckets: the file holds the updated slab and round-trips
+        for k in evicted:
+            path = os.path.join(table.directory, bucket_filename(k))
+            loaded = np.load(path)
+            assert _file_bytes(path) == _np_save_bytes(loaded)
+            assert np.array_equal(loaded, table.bucket_parameters()[k].data)
+
+    def test_steady_state_page_out_never_calls_np_save(self, table, monkeypatch):
+        """Once every bucket and state file exists, evictions and ``flush``
+        only overwrite payloads: nothing is truncated and rewritten."""
+        optimizer = Adam(list(table.parameters()), lr=0.1)
+        table.attach_optimizer(optimizer)
+        for bucket in range(4):
+            self._train_bucket(table, optimizer, bucket)
+        table.flush()  # every state file has been written once
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.save called in steady state")
+        monkeypatch.setattr(np, "save", forbidden)
+        before = table.stats()
+        for bucket in range(4):
+            self._train_bucket(table, optimizer, bucket, 2.0)
+        table.flush()
+        after = table.stats()
+        assert after["writebacks"] - before["writebacks"] == 4
+        assert after["state_bytes_written"] > before["state_bytes_written"]
+
+
 class TestOptimizerStatePaging:
+    def test_reused_directory_starts_from_fresh_state(self, tmp_path):
+        """A new table + new optimizer in a directory an earlier run paged
+        state into takes the same steps as in an empty directory."""
+        def five_steps(directory):
+            table = PartitionedEmbedding(N, R, D, partitions=4, rng=42,
+                                         directory=directory, max_resident=1)
+            optimizer = Adam(list(table.parameters()), lr=0.1)
+            table.attach_optimizer(optimizer)
+            for step in range(5):
+                for bucket in (0, 1):
+                    param = table.bucket_parameters()[bucket]
+                    param.accumulate_grad(RowSparseGrad(
+                        np.array([0, 2]), np.full((2, D), 1.0 + step), param.shape))
+                    optimizer.step()
+                    optimizer.zero_grad()
+            table.flush()
+            weights = table.to_matrix()
+            names = sorted(os.listdir(directory))
+            table.close()
+            return weights, names
+
+        used, fresh = str(tmp_path / "used"), str(tmp_path / "fresh")
+        five_steps(used)
+        assert any(".state." in name for name in os.listdir(used))
+        second, names_used = five_steps(used)
+        reference, names_fresh = five_steps(fresh)
+        assert np.array_equal(second, reference)
+        assert names_used == names_fresh
+
+    def test_restore_loads_exactly_the_recorded_buffers(self, table):
+        """``.state.json`` names the buffers it was written with: a foreign
+        slab next to them (an Adam run's ``m`` beside an Adagrad's ``sum_sq``)
+        is not handed to the optimizer."""
+        param = table.bucket_parameters()[0]
+        optimizer = Adagrad([param, table.relations], lr=0.1)
+        table.attach_optimizer(optimizer)
+        param.accumulate_grad(RowSparseGrad(np.array([0, 1]), np.ones((2, D)),
+                                            param.shape))
+        optimizer.step()
+        sum_sq = optimizer.state[id(param)]["sum_sq"].copy()
+        path = os.path.join(table.directory, bucket_filename(0))
+        np.save(f"{path}.state.m.npy", np.ones(param.shape))
+        for k in (1, 2, 3):
+            table._fault(k)
+        with open(f"{path}.state.json", encoding="utf-8") as handle:
+            assert json.load(handle) == {"scalars": {}, "buffers": ["sum_sq"]}
+        restored = optimizer._param_state(param)
+        assert sorted(restored) == ["sum_sq"]
+        assert np.array_equal(restored["sum_sq"], sum_sq)
+
+    def test_state_paging_is_counted_apart_from_the_slab(self, table):
+        param = table.bucket_parameters()[0]
+        optimizer = Adam([param, table.relations], lr=0.1)
+        table.attach_optimizer(optimizer)
+        param.accumulate_grad(RowSparseGrad(np.array([0, 1]), np.ones((2, D)),
+                                            param.shape))
+        optimizer.step()
+        before = table.stats()
+        for k in (1, 2, 3):
+            table._fault(k)
+        optimizer._param_state(param)
+        after = table.stats()
+        rows = param.shape[0]
+        state_bytes = 2 * rows * D * 8 + rows * 8  # m, v, row_t
+        assert after["state_bytes_written"] - before["state_bytes_written"] == state_bytes
+        assert after["state_bytes_loaded"] - before["state_bytes_loaded"] == state_bytes
+        assert after["state_writeback_seconds"] > before["state_writeback_seconds"]
+        assert after["state_fault_seconds"] > before["state_fault_seconds"]
+        # the slab's own counters keep their definition
+        assert after["bytes_written"] - before["bytes_written"] == rows * D * 8
+        assert after["bytes_loaded"] - before["bytes_loaded"] == sum(
+            table.bucket_parameters()[k].nbytes for k in (1, 2, 3))
+
     def test_adam_state_pages_with_bucket(self, table):
         param = table.bucket_parameters()[0]
         optimizer = Adam([param, table.relations], lr=0.1)

@@ -1,7 +1,11 @@
 """Tests for optimizers and learning-rate schedulers."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.autograd import Tensor
 from repro.nn.parameter import Parameter
@@ -14,6 +18,8 @@ from repro.optim import (
     ReduceLROnPlateau,
     StepLR,
 )
+from repro.sparse.kernels import block_rows
+from repro.sparse.rowsparse import RowSparseGrad
 
 
 def quadratic_loss(param: Parameter) -> Tensor:
@@ -219,16 +225,32 @@ def adam_reference(p, g, state, lr, beta1, beta2, eps, weight_decay):
     p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+# The row-sparse oracles are the expression-form ``_update_sparse`` bodies the
+# blocked updates replaced.  Adam's per-row bias corrections are taken at the
+# table's dtype, as the dense update takes its scalar ones.
 def adam_rowsparse_reference(p, rows, vals, state, lr, beta1, beta2, eps):
     m, v, row_t = state["m"], state["v"], state["row_t"]
     row_t[rows] += 1
     t = row_t[rows]
-    state["t"] = max(state["t"], int(t.max()))
-    m[rows] = beta1 * m[rows] + (1 - beta1) * vals
-    v[rows] = beta2 * v[rows] + (1 - beta2) * (vals * vals)
-    m_hat = m[rows] / (1 - beta1 ** t)[:, None]
-    v_hat = v[rows] / (1 - beta2 ** t)[:, None]
+    state["t"] = max(state["t"], int(t.max(initial=0)))
+    expand = (slice(None),) + (None,) * (vals.ndim - 1)
+    m_rows = beta1 * m[rows] + (1 - beta1) * vals
+    v_rows = beta2 * v[rows] + (1 - beta2) * (vals * vals)
+    m[rows] = m_rows
+    v[rows] = v_rows
+    m_hat = m_rows / (1 - beta1 ** t).astype(p.dtype)[expand]
+    v_hat = v_rows / (1 - beta2 ** t).astype(p.dtype)[expand]
     p[rows] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def adagrad_rowsparse_reference(p, rows, vals, state, lr, eps):
+    touched = state["sum_sq"][rows] + vals * vals
+    state["sum_sq"][rows] = touched
+    p[rows] -= lr * vals / (np.sqrt(touched) + eps)
+
+
+def sgd_rowsparse_reference(p, rows, vals, lr):
+    p[rows] -= lr * vals
 
 
 def adagrad_reference(p, g, state, lr, eps):
@@ -331,8 +353,6 @@ class TestDenseUpdateMatchesReference:
     def test_adam_dense_rowsparse_dense_handover(self):
         """Dense steps advance ``row_t`` with ``t``, so switching paths mid-run
         keeps every row's bias correction consistent."""
-        from repro.sparse.rowsparse import RowSparseGrad
-
         rng = np.random.default_rng(4)
         shape = (1100, 16)
         expected = rng.standard_normal(shape)
@@ -364,3 +384,112 @@ class TestDenseUpdateMatchesReference:
         assert np.array_equal(got["m"], state["m"])
         assert np.array_equal(got["v"], state["v"])
         assert np.array_equal(param.data, expected)
+
+
+# --------------------------------------------------------------------------- #
+# Row-sparse updates run through the same blocked bodies; the expression-form
+# scatter updates above are the reference they must reproduce bit for bit.
+# --------------------------------------------------------------------------- #
+def _adam_sparse_oracle(p, rows, vals, state):
+    if "row_t" not in state:  # taking over from dense steps
+        state["row_t"] = np.full(p.shape[0], state["t"], dtype=np.int64)
+    adam_rowsparse_reference(p, rows, vals, state, 1e-2, 0.9, 0.999, 1e-8)
+
+
+#: ``DENSE_CASES[name]`` plus the reference row-sparse step.
+SPARSE_CASES = {
+    "adam": DENSE_CASES["adam"] + (_adam_sparse_oracle,),
+    "adagrad": DENSE_CASES["adagrad"] + (
+        lambda p, rows, vals, st: adagrad_rowsparse_reference(
+            p, rows, vals, st, 1e-2, 1e-10),),
+    "sgd": DENSE_CASES["sgd"] + (
+        lambda p, rows, vals, st: sgd_rowsparse_reference(p, rows, vals, 1e-2),),
+}
+
+#: Trailing shapes of 1-D, 2-D and 3-D parameters; the row count is chosen per
+#: dtype so that ``block + 1`` touched rows fit.
+TRAILING = [(), (128,), (8, 16)]
+
+#: Touched-row counts relative to the block size, or a dense step.
+STEP_KINDS = ["dense", "none", "one", "block-1", "block", "block+1", "all"]
+
+
+def _touched_count(kind: str, block: int, n_rows: int) -> int:
+    return {"none": 0, "one": 1, "block-1": block - 1, "block": block,
+            "block+1": block + 1, "all": n_rows}[kind]
+
+
+class TestRowSparseUpdateMatchesReference:
+    @pytest.mark.parametrize("trailing", TRAILING)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+    @given(plan=st.lists(st.sampled_from(STEP_KINDS), min_size=3, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    @example(plan=["block-1", "dense", "block+1", "none", "all", "one", "block"],
+             seed=0)
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_steps_bit_identical(self, case, dtype, trailing, plan, seed):
+        make, initial_state, dense_step, sparse_step = SPARSE_CASES[case]
+        block = block_rows(math.prod(trailing), np.dtype(dtype).itemsize)
+        shape = (block + block // 8,) + trailing
+        rng = np.random.default_rng(seed)
+        expected = rng.standard_normal(shape).astype(dtype)
+        param = _typed_parameter(expected)
+        opt = make(param)
+        state = initial_state(expected)
+        for kind in plan:
+            if kind == "dense":
+                grad = rng.standard_normal(shape).astype(dtype)
+                param.grad = grad.copy()
+                opt.step()
+                dense_step(expected, grad, state)
+                continue
+            count = _touched_count(kind, block, shape[0])
+            rows = np.sort(rng.choice(shape[0], size=count, replace=False))
+            vals = rng.standard_normal((count,) + trailing).astype(dtype)
+            param.grad = RowSparseGrad(rows, vals.copy(), shape)
+            opt.step()
+            assert param.sparse_grad is not None  # took the row-sparse path
+            assert np.array_equal(param.sparse_grad.values, vals)
+            sparse_step(expected, rows, vals, state)
+        assert param.data.dtype == dtype
+        assert np.array_equal(param.data, expected)
+        got = opt.state.get(id(param), {})
+        for name, value in state.items():
+            assert np.array_equal(got[name], value), name
+            if isinstance(value, np.ndarray):
+                assert got[name].dtype == value.dtype, name
+
+    @pytest.mark.parametrize("case", ["adam", "adagrad"])
+    def test_bucket_parameter_whose_state_pages_between_steps(self, case, tmp_path):
+        """``max_resident=1``: every step on the other bucket evicts this one,
+        slab and optimiser state, and the next step restores both from disk."""
+        from repro.nn import PartitionedEmbedding
+
+        make, initial_state, _, sparse_step = SPARSE_CASES[case]
+        rows_per_bucket, dim = 700, 128  # two blocks of 512 rows per bucket
+        table = PartitionedEmbedding(2 * rows_per_bucket, 3, dim, partitions=2, rng=1,
+                                     directory=str(tmp_path), max_resident=1)
+        params = table.bucket_parameters()
+        opt = make(params[0])
+        opt.params.append(params[1])
+        table.attach_optimizer(opt)
+        expected = [param.data.copy() for param in params]
+        states = [initial_state(e) for e in expected]
+        rng = np.random.default_rng(2)
+        for step in range(6):
+            k = step % 2
+            count = (1, 511, 513, 700, 0, 512)[step]
+            rows = np.sort(rng.choice(rows_per_bucket, size=count, replace=False))
+            vals = rng.standard_normal((count, dim))
+            params[k].grad = RowSparseGrad(rows, vals.copy(), params[k].shape)
+            opt.step()
+            opt.zero_grad()
+            sparse_step(expected[k], rows, vals, states[k])
+        assert table.stats()["state_bytes_loaded"] > 0
+        for k in (0, 1):
+            assert np.array_equal(params[k].data, expected[k])
+            got = opt._param_state(params[k])
+            for name, value in states[k].items():
+                assert np.array_equal(got[name], value), name
+        table.close()
