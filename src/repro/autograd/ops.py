@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.autograd.function import count_flops
+from repro.autograd.function import count_flops, counting_active
 from repro.autograd.tensor import Tensor, _unbroadcast
 
 ArrayLike = Union[np.ndarray, Sequence, float, int]
@@ -269,7 +269,9 @@ def gather_rows(weight: Tensor, indices: np.ndarray,
         )
     out_data = weight.data[idx]
     row_bytes = weight.data.itemsize * int(np.prod(weight.data.shape[1:]))
-    unique_rows = len(np.unique(idx)) if idx.size else 0
+    # Distinct rows only feed ``bytes_unique``; the sort is skipped when no
+    # ``flop_counter()`` region is collecting it (as in the SpMM kernels).
+    unique_rows = len(np.unique(idx)) if idx.size and counting_active() else 0
     # The gathered copy is freshly written memory (write-allocate traffic), so it
     # counts towards the compulsory-miss volume alongside the rows read.
     count_flops("gather", 0, bytes_streamed=out_data.nbytes,
@@ -296,7 +298,7 @@ def gather_rows(weight: Tensor, indices: np.ndarray,
                     bytes_unique=unique_rows * row_bytes + full.nbytes)
         weight.accumulate_grad(full, owned=True)
 
-    return Tensor._make(np.array(out_data, copy=True), (weight,), backward, "gather")
+    return Tensor._make(out_data, (weight,), backward, "gather")
 
 
 def bmm_vec(mats: Tensor, vecs: Tensor) -> Tensor:

@@ -3,10 +3,10 @@
 :class:`Trainer` runs the paper's training protocol (margin-ranking loss over
 pre-generated negatives, per-phase wall-clock timing of forward / backward /
 optimiser step) for any :class:`~repro.models.base.KGEModel`;
-:class:`DataParallelTrainer` simulates the Appendix-F multi-worker scaling
-study with an α–β communication model, and :class:`MultiprocessTrainer`
-executes it for real — worker processes exchanging row-sparse gradients in
-lockstep with the single-worker trajectory.
+:class:`MultiprocessTrainer` runs the Appendix-F multi-worker study for real —
+worker processes exchanging row-sparse gradients in lockstep with the
+single-worker trajectory — and reports the measured exchange next to the α–β
+:class:`CommunicationModel`'s prediction.
 """
 
 from repro.training.config import TrainingConfig
@@ -18,8 +18,11 @@ from repro.training.callbacks import (
     LRSchedulerCallback,
     EvaluationCallback,
 )
-from repro.training.distributed import DataParallelTrainer, CommunicationModel, ScalingResult
-from repro.training.multiprocess import MultiprocessTrainer, MultiprocessResult
+from repro.training.multiprocess import (
+    CommunicationModel,
+    MultiprocessResult,
+    MultiprocessTrainer,
+)
 from repro.training.checkpoint import (
     Checkpoint,
     save_checkpoint,
@@ -45,9 +48,7 @@ __all__ = [
     "EarlyStopping",
     "LRSchedulerCallback",
     "EvaluationCallback",
-    "DataParallelTrainer",
     "CommunicationModel",
-    "ScalingResult",
     "MultiprocessTrainer",
     "MultiprocessResult",
 ]

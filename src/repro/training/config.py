@@ -96,7 +96,7 @@ class TrainingConfig:
             raise ValueError(f"num_workers must be >= 1, got {self.num_workers}")
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form for logging and EXPERIMENTS.md records."""
+        """Plain-dict form for logging and experiment records."""
         return asdict(self)
 
     @classmethod

@@ -1,24 +1,23 @@
 """True multiprocess data-parallel training with row-sparse all-reduce.
 
 The paper's Appendix F wraps sparse TransE in PyTorch DDP across 64 GPUs.
-:class:`~repro.training.distributed.DataParallelTrainer` *simulates* that run
-(sequential shard execution, α–β-modeled communication); this module executes
-it: ``N`` OS processes each hold a full model replica, every global batch is
-sharded across them, and the shard gradients — kept row-sparse so the
-exchanged volume is proportional to the rows the batch touched, not the
-vocabulary — are reduced at rank 0 and broadcast back.  Every replica then
-applies the identical optimiser step, so the replicas stay bit-for-bit in
-sync without ever exchanging parameters, exactly the DDP invariant.
+This module executes that run on CPU processes: ``N`` OS processes each hold
+a full model replica, every global batch is sharded across them, and the
+shard gradients — kept row-sparse so the exchanged volume is proportional to
+the rows the batch touched, not the vocabulary — are reduced at rank 0 and
+broadcast back.  Every replica then applies the identical optimiser step, so
+the replicas stay bit-for-bit in sync without ever exchanging parameters,
+exactly the DDP invariant.
 
 Batch lockstep needs no coordination: each replica builds its own batch
 pipeline from the same picklable description (seeded shuffles, seeded
 samplers), so all of them materialise the same global batch at every step and
 deterministically take their own ``np.array_split`` shard of it.
 
-The α–β :class:`~repro.training.distributed.CommunicationModel` is retained
-as the *modeled* baseline: results report measured exchange wall-clock next
-to what the cost model predicts for the same byte volume
-(``benchmarks/bench_distributed.py`` prints the comparison).
+The α–β :class:`CommunicationModel` is the *modeled* baseline: results report
+measured exchange wall-clock next to what the cost model predicts for the
+same byte volume (the ``table9`` case of ``benchmarks/reproduce.py`` prints
+the comparison and extrapolates the model to 64 workers).
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from repro.losses.margin import MarginRankingLoss
 from repro.models.base import KGEModel
 from repro.sparse.rowsparse import RowSparseGrad
 from repro.training.config import TrainingConfig
-from repro.training.distributed import CommunicationModel
 from repro.training.trainer import (
     EpochStats,
     TrainingResult,
@@ -53,6 +51,29 @@ logger = get_logger("training.multiprocess")
 #: Called once per process, after fork, so SQLite connections and other
 #: unshareable handles are never inherited across processes.
 BatchFactory = Callable[[], object]
+
+
+@dataclass(frozen=True)
+class CommunicationModel:
+    """α–β cost model of a ring all-reduce across ``W`` workers.
+
+    Attributes
+    ----------
+    bandwidth_bytes_per_s:
+        Per-link bandwidth (defaults to a NVLink/IB-class 25 GB/s).
+    latency_s:
+        Per-message latency.
+    """
+
+    bandwidth_bytes_per_s: float = 25e9
+    latency_s: float = 15e-6
+
+    def allreduce_time(self, n_workers: int, nbytes: int) -> float:
+        """Estimated seconds to all-reduce ``nbytes`` across ``n_workers``."""
+        if n_workers <= 1:
+            return 0.0
+        volume = 2.0 * (n_workers - 1) / n_workers * nbytes
+        return volume / self.bandwidth_bytes_per_s + 2.0 * (n_workers - 1) * self.latency_s
 
 
 @dataclass
@@ -73,8 +94,7 @@ class MultiprocessResult(TrainingResult):
     modeled_comm_time: float = 0.0
     #: Total bytes of merged gradient broadcast per run.
     allreduce_nbytes: int = 0
-    #: Sum over steps of the slowest replica's compute time (the quantity
-    #: comparable to ``ScalingResult.measured_compute_time``).
+    #: Sum over steps of the slowest replica's compute time.
     slowest_compute_time: float = 0.0
 
     def to_dict(self) -> Dict[str, float]:
@@ -287,8 +307,8 @@ class MultiprocessTrainer:
             self._mp = multiprocessing.get_context("fork")
         except ValueError as exc:  # pragma: no cover - non-POSIX platforms
             raise RuntimeError(
-                "MultiprocessTrainer requires the 'fork' start method; "
-                "on this platform use DataParallelTrainer (simulated) instead"
+                "MultiprocessTrainer requires the 'fork' start method, which "
+                "this platform does not provide; train with Trainer instead"
             ) from exc
 
     # ------------------------------------------------------------------ #

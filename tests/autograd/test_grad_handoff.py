@@ -135,3 +135,18 @@ class TestSpmmIntoOneParameter:
         assert weight.grad is not held
         assert not np.shares_memory(weight.grad, held)
         np.testing.assert_array_equal(held, snapshot)
+
+
+class TestGatherRowsOutput:
+    @pytest.mark.parametrize("indices", [[4, 0, 4, 2], [0, 1, 2, 3, 4, 5], []])
+    def test_gathered_block_is_its_own_single_copy(self, indices):
+        """``gather_rows`` returns the one array fancy indexing made: it shares
+        no memory with the table and keeps its values when the table is
+        updated in place (the optimizers write ``weight.data`` with ``out=``)."""
+        weight = Parameter(np.arange(24.0).reshape(6, 4))
+        out = ops.gather_rows(weight, np.array(indices, dtype=np.int64))
+        expected = np.arange(24.0).reshape(6, 4)[indices]
+        assert out.data.flags.owndata and out.data.flags.writeable
+        assert not np.shares_memory(out.data, weight.data)
+        weight.data *= -1.0
+        np.testing.assert_array_equal(out.data, expected)

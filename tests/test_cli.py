@@ -14,6 +14,20 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
+def test_declared_console_script_resolves_to_the_cli_entry_point():
+    """``pyproject.toml`` is what makes ``sptransx`` a command after install."""
+    import importlib
+    import os
+
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    module_name, _, attribute = project["scripts"]["sptransx"].partition(":")
+    assert getattr(importlib.import_module(module_name), attribute) is main
+    assert {"numpy", "scipy"} <= set(project["dependencies"])
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

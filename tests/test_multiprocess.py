@@ -12,7 +12,14 @@ from repro.data import (
     generate_synthetic_kg,
 )
 from repro.models import SpTransE
-from repro.training import MultiprocessResult, MultiprocessTrainer, Trainer, TrainingConfig
+from repro.training import (
+    CommunicationModel,
+    MultiprocessResult,
+    MultiprocessTrainer,
+    Trainer,
+    TrainingConfig,
+)
+from repro.training import multiprocess
 from repro.utils.seeding import new_rng
 
 
@@ -37,6 +44,26 @@ def memory_factory(kg, cfg):
                              regenerate_negatives=cfg.regenerate_negatives,
                              rng=rng)
     return build
+
+
+class TestCommunicationModel:
+    def test_single_worker_is_free(self):
+        assert CommunicationModel().allreduce_time(1, 10**9) == 0.0
+
+    def test_cost_increases_with_volume(self):
+        comm = CommunicationModel()
+        assert comm.allreduce_time(8, 10**9) > comm.allreduce_time(8, 10**6)
+
+    def test_cost_increases_with_workers_for_fixed_volume(self):
+        comm = CommunicationModel(latency_s=1e-3)
+        assert comm.allreduce_time(64, 10**6) > comm.allreduce_time(4, 10**6)
+
+    def test_ring_volume_term_saturates(self):
+        comm = CommunicationModel(latency_s=0.0)
+        t4 = comm.allreduce_time(4, 10**9)
+        t64 = comm.allreduce_time(64, 10**9)
+        # 2(W-1)/W approaches 2, so the bandwidth term grows by < 35% from 4 to 64.
+        assert t64 < 1.35 * t4
 
 
 class TestMultiprocessTrainer:
@@ -90,6 +117,51 @@ class TestMultiprocessTrainer:
         dense_nbytes = sum(p.nbytes for p in model.parameters())
         result = MultiprocessTrainer(model, memory_factory(kg, cfg), 2, cfg).train()
         assert result.allreduce_nbytes / result.steps < dense_nbytes
+
+    def test_dense_and_sparse_exchange_follow_the_same_trajectory(self, kg):
+        """The dense wire format (full gradients summed at rank 0) and the
+        row-sparse one average the shards to the same update."""
+        results = []
+        for sparse in (False, True):
+            cfg = config(optimizer="adagrad", sparse_grads=sparse)
+            model = SpTransE(kg.n_entities, kg.n_relations, 6, rng=0)
+            result = MultiprocessTrainer(model, memory_factory(kg, cfg), 2, cfg).train()
+            results.append((result.losses, model.embeddings.weight.data.copy()))
+        np.testing.assert_allclose(results[1][0], results[0][0], rtol=1e-9)
+        np.testing.assert_allclose(results[1][1], results[0][1], atol=1e-10)
+
+    def test_merged_gradient_is_installed_row_sparse(self, kg, monkeypatch):
+        """When every shard sends a row-sparse gradient, what the optimiser
+        steps on is row-sparse too (so the update stays lazy)."""
+        cfg = config(epochs=1, optimizer="sgd")
+        model = SpTransE(kg.n_entities, kg.n_relations, 6, rng=0)
+        installed = []
+        build_optimizer = multiprocess.build_optimizer
+
+        def recording_optimizer(name, built_for, lr):
+            optimizer = build_optimizer(name, built_for, lr)
+            step = optimizer.step
+
+            def recording_step():
+                installed.append(model.embeddings.weight.sparse_grad is not None)
+                step()
+
+            optimizer.step = recording_step
+            return optimizer
+
+        monkeypatch.setattr(multiprocess, "build_optimizer", recording_optimizer)
+        result = MultiprocessTrainer(model, memory_factory(kg, cfg), 2, cfg).train()
+        assert installed == [True] * result.steps
+
+    def test_more_workers_than_batch_rows(self, kg):
+        """A replica whose shard of a batch is empty contributes nothing and
+        stays in lockstep."""
+        cfg = config(epochs=1, batch_size=2)
+        small = kg.subsample(6, rng=0)
+        model = SpTransE(small.n_entities, small.n_relations, 8, rng=0)
+        result = MultiprocessTrainer(model, memory_factory(small, cfg), 3, cfg).train()
+        assert result.steps == 3
+        assert np.isfinite(result.losses[0])
 
     def test_single_worker_degenerates_to_plain_training(self, kg):
         cfg = config(epochs=2)

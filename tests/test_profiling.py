@@ -62,8 +62,8 @@ class TestFlops:
         The paper's measured FLOP reduction (Table 6) includes framework
         overhead eliminated by the unified kernel; a pure-arithmetic counter
         shows the two paths performing a similar number of operations (the
-        speedup comes from memory behaviour, not arithmetic).  EXPERIMENTS.md
-        discusses this deviation.
+        speedup comes from memory behaviour, not arithmetic).  The ``table6``
+        row of REPRODUCTION.md records this deviation.
         """
         sparse = count_training_flops(SpTransE(kg.n_entities, kg.n_relations, DIM, rng=0), batch)
         dense = count_training_flops(DenseTransE(kg.n_entities, kg.n_relations, DIM, rng=0), batch)

@@ -399,41 +399,6 @@ class TestTrainingEquivalence:
         Trainer(model, kg, TrainingConfig(epochs=1, batch_size=8))
         assert model.sparse_grads is False
 
-    def test_distributed_trainer_averages_sparse_grads_exactly(self):
-        from repro.training.distributed import DataParallelTrainer
-
-        kg = tiny_dataset(n_entities=20, n_relations=3, n_triples=80, seed=5)
-        results = []
-        for sparse in (False, True):
-            model = SpTransE(kg.n_entities, kg.n_relations, 6, rng=0)
-            config = TrainingConfig(epochs=2, batch_size=32, optimizer="adagrad",
-                                    seed=0, sparse_grads=sparse)
-            result = DataParallelTrainer(model, kg, 4, config).train()
-            results.append((result.losses, model.embeddings.weight.data.copy()))
-        np.testing.assert_allclose(results[1][0], results[0][0], rtol=1e-9)
-        np.testing.assert_allclose(results[1][1], results[0][1], atol=1e-10)
-
-    def test_distributed_allreduce_stays_sparse(self):
-        """The averaged gradient installed before the step must be row-sparse
-        when every shard produced a row-sparse gradient."""
-        from repro.training.distributed import DataParallelTrainer
-
-        kg = tiny_dataset(n_entities=20, n_relations=3, n_triples=40, seed=6)
-        model = SpTransE(kg.n_entities, kg.n_relations, 6, rng=0)
-        config = TrainingConfig(epochs=1, batch_size=16, optimizer="sgd",
-                                seed=0, sparse_grads=True)
-        trainer = DataParallelTrainer(model, kg, 2, config)
-        installed = []
-        original_step = trainer.optimizer.step
-
-        def recording_step():
-            installed.append(model.embeddings.weight.sparse_grad is not None)
-            original_step()
-
-        trainer.optimizer.step = recording_step
-        trainer.train_step(next(iter(trainer.batches)))
-        assert installed == [True]
-
     def test_accumulate_grad_rejects_wrong_dense_shape(self):
         t = Tensor(np.zeros((10, 3)), requires_grad=True)
         with pytest.raises(ValueError):
