@@ -20,7 +20,8 @@ lock-state          no lock-free call path from a thread entry point to a
                     write of Lock-guarded state (interprocedural)
 resource-lifecycle  acquired handles (open/sqlite/mmap) close on every
                     path, or escape to an owner (interprocedural)
-kernel-parity       every backend/kernel has a tests/sparse/ parity test
+kernel-parity       every backend/kernel has a tests/sparse/ parity test,
+                    every ranking.py kernel a tests/test_ranking.py one
 registry-model      every concrete model carries @register_model
 registry-roundtrip  spec dataclass fields survive to_dict/from_dict
 suppression-unused  every ``# repro: ignore`` still suppresses something

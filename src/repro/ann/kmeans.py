@@ -9,8 +9,7 @@ is the trainer.  Design constraints, in order:
   and every tie-break below is a stable sort.
 * **Bounded memory** — assignment never materialises the full
   ``(rows, clusters)`` distance matrix; rows are processed in tiles bounded
-  by :data:`repro.ranking.RANK_TILE_ELEMENTS`, the same budget the exact
-  ranking kernel uses.
+  by :data:`ASSIGN_TILE_ELEMENTS`.
 * **No empty clusters** — Lloyd's update can starve a centroid; starved
   clusters are re-seeded from the rows currently farthest from their own
   centroid (one donor per empty cluster, farthest first), so every cluster
@@ -25,7 +24,14 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.ranking import RANK_TILE_ELEMENTS, l2_distance_matrix
+from repro.ranking import l2_distance_matrix
+
+#: Elements per ``(block, n_clusters)`` distance tile of the assignment sweep
+#: (~16 MB at float64).  Each tile is one tall-and-narrow call of the distance
+#: kernel, which never splits a call narrower than it is tall, so the GEMM
+#: shapes — and with them the centroids an index build writes — do not depend
+#: on the kernel's own scratch budget.
+ASSIGN_TILE_ELEMENTS = 1 << 21
 
 
 def default_n_clusters(n_rows: int) -> int:
@@ -40,7 +46,7 @@ def assign_clusters(rows: np.ndarray, centroids: np.ndarray
     Returns ``(assign, dist)``: per-row cluster id (int32) and the distance
     to that centroid (the inputs' promoted floating dtype).  Tile size keeps
     each ``(block, n_clusters)`` distance tile within
-    :data:`~repro.ranking.RANK_TILE_ELEMENTS` elements.
+    :data:`ASSIGN_TILE_ELEMENTS` elements.
     """
     n = rows.shape[0]
     c = centroids.shape[0]
@@ -49,7 +55,7 @@ def assign_clusters(rows: np.ndarray, centroids: np.ndarray
         dist_dtype = np.dtype(np.float64)
     assign = np.empty(n, dtype=np.int32)
     dist = np.empty(n, dtype=dist_dtype)
-    block = max(1, RANK_TILE_ELEMENTS // max(1, c))
+    block = max(1, ASSIGN_TILE_ELEMENTS // max(1, c))
     for start in range(0, n, block):
         stop = min(n, start + block)
         tile = l2_distance_matrix(rows[start:stop], centroids)

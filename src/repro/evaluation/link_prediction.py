@@ -68,7 +68,8 @@ def evaluate_link_prediction(
     Parameters
     ----------
     model:
-        Trained model exposing ``score_all_tails`` / ``score_all_heads``.
+        Trained model exposing ``score_all_tails`` / ``score_all_heads`` and
+        :meth:`~repro.models.base.KGEModel.entity_sq_norms`.
     triples:
         Evaluation triples ``(B, 3)``.
     known_triples:
@@ -81,8 +82,12 @@ def evaluate_link_prediction(
     protocol:
         RAW or FILTERED ranking.
     batch_size:
-        Queries ranked per chunk (bounds the ``(B, n_entities)`` score block).
+        Queries ranked per chunk (bounds the ``(B, n_entities)`` score block,
+        of which one is alive at a time); must be positive.
     """
+    batch_size = int(batch_size)
+    if batch_size <= 0:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
     triples = check_triples(triples, n_entities=model.n_entities,
                             n_relations=model.n_relations)
     protocol = RankingProtocol(protocol)
@@ -92,19 +97,27 @@ def evaluate_link_prediction(
             raise ValueError("filtered evaluation requires known_triples")
         known = KnownTriples.coerce(known_triples)
 
+    # The weights do not change inside this call, so the ``‖t‖²`` term of the
+    # L2 closed form is computed once here for every chunk and both
+    # directions.  Models without that term are called without the keyword.
+    entity_sq = model.entity_sq_norms()
+    norms = {} if entity_sq is None else {"entity_sq": entity_sq}
+
     head_rank_chunks = []
     tail_rank_chunks = []
     for start in range(0, triples.shape[0], batch_size):
         chunk = triples[start:start + batch_size]
         heads, rels, tails = chunk[:, 0], chunk[:, 1], chunk[:, 2]
 
-        tail_scores = model.score_all_tails(heads, rels)
+        # Each score block is an argument expression, not a local: it is
+        # released when compute_ranks returns, before the next is allocated.
         tail_filters = known.exclusions("tail", heads, rels) if known is not None else None
-        tail_rank_chunks.append(compute_ranks(tail_scores, tails, tail_filters))
+        tail_rank_chunks.append(compute_ranks(
+            model.score_all_tails(heads, rels, **norms), tails, tail_filters))
 
-        head_scores = model.score_all_heads(rels, tails)
         head_filters = known.exclusions("head", tails, rels) if known is not None else None
-        head_rank_chunks.append(compute_ranks(head_scores, heads, head_filters))
+        head_rank_chunks.append(compute_ranks(
+            model.score_all_heads(rels, tails, **norms), heads, head_filters))
 
     tail_ranks = (np.concatenate(tail_rank_chunks) if tail_rank_chunks
                   else np.empty(0, dtype=np.float64))

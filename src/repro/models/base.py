@@ -136,6 +136,22 @@ class KGEModel(Module):
         return self._score_all_generic(relations, tails, position="head",
                                        chunk_size=chunk_size)
 
+    def entity_sq_norms(self) -> Optional[np.ndarray]:
+        """``‖e‖²`` per entity for models whose ranking is an L2 GEMM, else ``None``.
+
+        A caller that ranks many batches against weights it knows are not
+        being written (one ``evaluate_link_prediction`` call) asks once and
+        passes the array back as ``score_all_tails(..., entity_sq=)`` /
+        ``score_all_heads(..., entity_sq=)``; a model that returns an array
+        here accepts that keyword.  The model itself never remembers the
+        answer: optimizers update ``weight.data`` in place and there is no
+        write path to invalidate a cache from, so every call recomputes
+        (:func:`repro.ranking.squared_norms`).  The default — no closed form
+        with a ``‖t‖²`` term — is ``None``, and such models are called
+        without the keyword.
+        """
+        return None
+
     def _score_all_generic(self, first: np.ndarray, second: np.ndarray,
                            position: str, chunk_size: int) -> np.ndarray:
         """Candidate-expansion ranking shared by the two ``score_all_*`` fallbacks.

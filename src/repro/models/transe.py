@@ -30,7 +30,7 @@ from repro.models.base import TranslationalModel
 from repro.nn.embedding import StackedEmbedding
 from repro.nn.partitioned import PartitionedEmbedding
 from repro.nn.table import block_rows_for
-from repro.ranking import l2_distance_matrix
+from repro.ranking import l2_distance_matrix, squared_norms
 from repro.registry import register_model
 from repro.sparse.backends import DEFAULT_BACKEND, get_backend
 from repro.sparse.incidence import IncidenceBuilder, build_hrt_incidence
@@ -175,23 +175,39 @@ class SpTransE(TranslationalModel):
             return self.embeddings.relation_rows(relation_ids)
         return self.embeddings.relation_embeddings()[relation_ids]
 
+    def entity_sq_norms(self) -> Optional[np.ndarray]:
+        """``‖e‖²`` of the dense entity table when ranking is the L2 GEMM.
+
+        ``None`` for L1 / overridden reductions (no ``‖t‖²`` term) and for
+        partitioned tables (buckets stream through the kernel one at a time,
+        each computing its own).  Computed on every call and never kept: see
+        :meth:`KGEModel.entity_sq_norms <repro.models.base.KGEModel.entity_sq_norms>`.
+        """
+        if self.partitions > 1 or not self._l2_gemm_applies():
+            return None
+        return squared_norms(self.embeddings.entity_embeddings())
+
     def score_all_tails(self, heads: np.ndarray, relations: np.ndarray,
-                        chunk_size: int = 65536) -> np.ndarray:
+                        chunk_size: int = 65536,
+                        entity_sq: Optional[np.ndarray] = None) -> np.ndarray:
         """Closed-form ranking: ``||(h + r) − t'||`` against every entity.
 
         The ``(B, N, d)`` diff tensor is never materialised whole — at
         B=128, N=100k, d=100 that would be ~10 GB — the candidate entities
         are processed in blocks bounded by :attr:`RANK_BLOCK_ELEMENTS` (and,
         for partitioned tables, streamed one resident bucket at a time).
+        ``entity_sq`` is this model's :meth:`entity_sq_norms`, taken by a
+        caller that ranks many batches against unchanged weights.
         """
         heads = np.asarray(heads, dtype=np.int64).reshape(-1)
         relations = np.asarray(relations, dtype=np.int64).reshape(-1)
         translated = self._entity_rows(heads) + self._relation_rows(relations)
         return self._rank_blocked(translated, reverse=False,
-                                  chunk_size=chunk_size)
+                                  chunk_size=chunk_size, entity_sq=entity_sq)
 
     def score_all_heads(self, relations: np.ndarray, tails: np.ndarray,
-                        chunk_size: int = 65536) -> np.ndarray:
+                        chunk_size: int = 65536,
+                        entity_sq: Optional[np.ndarray] = None) -> np.ndarray:
         """Closed-form ranking: ``||h' − (t − r)||`` against every entity.
 
         Blocked over candidate entities like :meth:`score_all_tails`.
@@ -199,10 +215,12 @@ class SpTransE(TranslationalModel):
         relations = np.asarray(relations, dtype=np.int64).reshape(-1)
         tails = np.asarray(tails, dtype=np.int64).reshape(-1)
         target = self._entity_rows(tails) - self._relation_rows(relations)
-        return self._rank_blocked(target, reverse=True, chunk_size=chunk_size)
+        return self._rank_blocked(target, reverse=True, chunk_size=chunk_size,
+                                  entity_sq=entity_sq)
 
     def _rank_blocked(self, queries: np.ndarray, reverse: bool,
-                      chunk_size: int = 65536) -> np.ndarray:
+                      chunk_size: int = 65536,
+                      entity_sq: Optional[np.ndarray] = None) -> np.ndarray:
         """Reduce ``queries`` against every entity in memory-bounded blocks.
 
         ``chunk_size`` caps the entities per block; :attr:`RANK_BLOCK_ELEMENTS`
@@ -216,8 +234,10 @@ class SpTransE(TranslationalModel):
         """
         use_gemm = self._l2_gemm_applies()
         if use_gemm and self.partitions == 1:
-            # Dense fast path: one GEMM over the whole entity matrix.
-            return self._rank_l2_gemm(queries, self.embeddings.entity_embeddings())
+            # Dense fast path: the GEMM kernel over the whole entity matrix
+            # (the norm is symmetric, so ``reverse`` needs no special case).
+            return l2_distance_matrix(
+                queries, self.embeddings.entity_embeddings(), target_sq=entity_sq)
         b, d = queries.shape
         n = self.n_entities
         block = max(1, min(int(chunk_size),
@@ -232,7 +252,7 @@ class SpTransE(TranslationalModel):
         for start, ent_block in self.iter_entity_embedding_blocks(block_rows):
             stop = start + ent_block.shape[0]
             if use_gemm:
-                out[:, start:stop] = self._rank_l2_gemm(queries, ent_block)
+                l2_distance_matrix(queries, ent_block, out=out[:, start:stop])
             else:
                 diff = queries[:, None, :] - ent_block[None, :, :]
                 if reverse:
@@ -249,16 +269,6 @@ class SpTransE(TranslationalModel):
         """
         reduce_impl = getattr(self._reduce, "__func__", self._reduce)
         return reduce_impl is SpTransE._reduce and self.dissimilarity_name == "L2"
-
-    def _rank_l2_gemm(self, queries: np.ndarray, ent: np.ndarray) -> np.ndarray:
-        """Batched L2 ranking through one GEMM, no ``(B, N, d)`` temporary.
-
-        The single-matmul expansion is the serving-path win that makes
-        coalesced multi-query ranking cheaper than one query at a time.  The
-        norm is symmetric, so the ``reverse`` orientation needs no special
-        case.
-        """
-        return l2_distance_matrix(queries, ent)
 
     def _reduce(self, diff: np.ndarray) -> np.ndarray:
         if self.dissimilarity_name == "L1":

@@ -1,20 +1,29 @@
 """Blocked ranking and top-k selection shared by models and serving.
 
-Three pieces of logic used to live twice — once as static helpers on
-:class:`~repro.models.base.KGEModel` and once re-implemented inside
-:mod:`repro.serving.engine`:
+The pieces of ranking logic that models, evaluation, serving and the ANN
+index all need live here, once; :class:`~repro.models.base.KGEModel` keeps
+thin delegating wrappers for API compatibility and the serving engine
+imports these directly:
 
 * :func:`top_k` — O(N) ``argpartition`` selection of the ``k`` smallest
   scores, ordered ascending;
-* :func:`l2_distance_matrix` — pairwise L2 distances through one GEMM;
+* :func:`l2_distance_matrix` — pairwise L2 distances, one GEMM per column
+  tile; beyond its ``(B, N)`` result it allocates one tile-sized scratch
+  buffer (:data:`RANK_TILE_ELEMENTS`), never a table-sized or a second
+  result-sized array;
+* :func:`squared_norms` — the ``‖t‖²`` term of that kernel, blocked the same
+  way.  The norms of a table are **owned by whoever knows the table is not
+  being written**: ``evaluate_link_prediction`` computes them once per call
+  and passes them in as ``target_sq=`` for every chunk and both directions;
+  every other caller lets the kernel compute them in-call.  Models and
+  tables never cache them: optimizers update ``weight.data`` in place
+  through ``out=`` and there is no write path a cache could be invalidated
+  from;
 * :func:`candidate_expansion_scores` — the generic "expand every entity as a
-  candidate and score the grid in chunks" ranking fallback.
-
-They now live here, once; :class:`KGEModel` keeps thin delegating wrappers
-for API compatibility and the serving engine imports these directly.  The
-module additionally provides :func:`nearest_rows`, the blocked
-embedding-space kNN used to serve ``nearest_entities`` against tables that
-are never densified (partitioned models).
+  candidate and score the grid in chunks" ranking fallback;
+* :func:`nearest_rows` — the blocked embedding-space kNN used to serve
+  ``nearest_entities`` against tables that are never densified (partitioned
+  models).
 """
 
 from __future__ import annotations
@@ -26,11 +35,26 @@ import numpy as np
 
 from repro.autograd.function import count_flops
 
-#: Elements per ``(B, tile)`` distance tile of the cache-tiled L2 kernel
-#: (~16 MB at float64) — every temporary the kernel touches is tile-sized,
-#: so a ranking sweep over a large vocabulary never materialises a second
-#: full ``(B, N)`` array beyond the output itself.
-RANK_TILE_ELEMENTS = 1 << 21
+#: Elements in the ``(B, tile)`` scratch buffer of :func:`l2_distance_matrix`
+#: (2 MB at float64; 4096 target columns at B = 64).  The kernel allocates
+#: its result, that one buffer for the GEMM, and — when it has to compute
+#: ``‖t‖²`` itself — one more inside :func:`squared_norms` before it, so a
+#: call peaks at the result plus a tile (and the ``(N,)`` norms) however large
+#: the table is; ``tests/test_ranking.py`` holds it to result + 2 tiles with
+#: ``tracemalloc``.  The value was chosen by measurement, not from a cache
+#: size: at the benchmark shape (B = 64, N = 28 951, d = 128, one BLAS thread)
+#: 4096-column tiles beat 1024 and 2048, and every width from 512 up gives
+#: the bits of the one-GEMM product while 256 does not (OpenBLAS switches
+#: GEMM path) — the same test file pins that shape.
+RANK_TILE_ELEMENTS = 1 << 18
+
+#: Target columns per BLAS call of a single-query (B = 1) call — what one
+#: query has always been given.  The engine's ``nearest_entities``,
+#: :func:`nearest_rows` and the IVF rescore are B = 1 calls whose distances
+#: go to clients, so they keep the call shape (and with it the rounding) they
+#: had before the batched tile above was narrowed; the scratch this costs is
+#: one ``(n,)`` row beside an ``(n, d)`` table.
+SINGLE_QUERY_COLUMNS = 1 << 21
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -53,21 +77,83 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return selected[order].astype(np.int64)
 
 
-def l2_distance_matrix(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Pairwise L2 distances ``(B, N)`` through a cache-tiled GEMM kernel.
+def _floating(dtype) -> np.dtype:
+    """``dtype`` itself when floating, ``float64`` otherwise (integer inputs)."""
+    dtype = np.dtype(dtype)
+    return dtype if np.issubdtype(dtype, np.floating) else np.dtype(np.float64)
 
-    ``||q − t||² = ||q||² − 2 q·Tᵀ + ||t||²`` avoids materialising the
-    ``(B, N, d)`` diff tensor; shared by the closed-form ranking path
-    (``SpTransE``), the serving engine's embedding-space kNN, and the
-    per-bucket sweeps over partitioned tables.
 
-    The target rows are processed in tiles bounded by
-    :data:`RANK_TILE_ELEMENTS`: each tile's GEMM, norm broadcast, clamp, and
-    square root run in place on the output slice, so beyond the ``(B, N)``
-    result itself every temporary is tile-sized (cache-resident) — the old
-    implementation streamed two extra full ``(B, N)`` arrays through memory.
-    The floating-point schedule per element is unchanged, so results are
-    bit-identical to the untiled expansion.
+def squared_norms(rows: np.ndarray, dtype=None) -> np.ndarray:
+    """``‖row‖²`` of every row of ``rows``, accumulated in ``dtype``.
+
+    The one producer of the ``‖t‖²`` term of :func:`l2_distance_matrix`: the
+    kernel calls it when no ``target_sq`` is passed, and whoever holds an
+    unchanging view of a table (one ``evaluate_link_prediction`` call) calls
+    it once and passes the result in — the same function, so the same bits
+    either way.  ``dtype`` defaults to the rows' own floating dtype
+    (``float64`` for integer rows); pass the distance dtype when it is wider
+    (fp16 rows scored by fp64 queries are squared in fp64, as the kernel
+    does).  Rows are squared a block at a time into one
+    :data:`RANK_TILE_ELEMENTS` scratch buffer, never into an ``(N, d)`` copy
+    of the table.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 2:
+        raise ValueError(f"rows must be 2-D, got shape {rows.shape}")
+    dtype = _floating(rows.dtype if dtype is None else dtype)
+    n, d = rows.shape
+    out = np.empty(n, dtype=dtype)
+    block = max(1, RANK_TILE_ELEMENTS // max(1, d))
+    squares = np.empty((min(n, block), d), dtype=dtype)
+    for start in range(0, n, block):
+        stop = min(n, start + block)
+        sq = squares[:stop - start]
+        np.square(rows[start:stop], out=sq, dtype=dtype)
+        np.add.reduce(sq, axis=1, out=out[start:stop])
+    return out
+
+
+def l2_distance_matrix(queries: np.ndarray, targets: np.ndarray,
+                       target_sq: Optional[np.ndarray] = None,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Pairwise L2 distances ``(B, N)``, one GEMM per column tile.
+
+    Beyond the result the call allocates one tile-sized scratch buffer —
+    never a table-sized array, nor (for B > 1) a second result-sized one.
+    ``‖q − t‖² = ‖q‖² − 2 q·Tᵀ + ‖t‖²`` avoids the ``(B, N, d)`` diff tensor;
+    shared by the closed-form ranking path (``SpTransE``), the serving
+    engine's embedding-space kNN, the IVF probe and rescore, k-means
+    assignment and the per-bucket sweeps over partitioned tables.
+
+    The target rows are taken ``tile = max(RANK_TILE_ELEMENTS // B, B)``
+    columns at a time.  Each tile's ``q·Tᵀ`` and its doubling go through one
+    ``(B, tile)`` scratch buffer allocated once per call; ``‖q‖² + ‖t‖²``,
+    the subtraction, clamp, ``+1e-12`` and ``sqrt`` run in place on the
+    result's own tile, which the tile width keeps cache-sized while they do —
+    the textbook expansion's elementwise operations in the textbook order, so
+    the scores are the bits ``sqrt(max(q_sq + t_sq − 2·(q @ T.T), 0) + 1e-12)``
+    gives (the form kept as the oracle in ``tests/test_ranking.py``) wherever
+    BLAS rounds a column inside a tile as it does inside the one-GEMM
+    product.  That is the only thing tiling can change, and it holds **with
+    one BLAS thread** (how the benchmark pins its workers; the benchmark
+    shape is pinned by a test run that way).  A multi-threaded BLAS splits
+    the one-GEMM product differently from a tile and rounds its trailing
+    ``N % 8`` columns differently, so there a multi-tile call can differ from
+    the one-GEMM expression in the last bit of some scores; the ranks they
+    give are held equal in-process, whatever the thread count.  A tile is
+    never narrower than the batch is tall, so a tall-and-narrow call (k-means
+    assignment: thousands of rows against ``√N`` centroids) stays one GEMM,
+    and a single query (B = 1) takes :data:`SINGLE_QUERY_COLUMNS` targets per
+    BLAS call, as it always has.
+
+    ``target_sq`` is :func:`squared_norms` of ``targets`` in the result dtype,
+    for callers that score many batches against a table that does not change
+    in between; omitted, the kernel computes it.  Nothing caches it on a model
+    or table: optimizers write ``weight.data`` in place and there is no write
+    path to invalidate from, so the norms live exactly as long as the
+    caller's claim that the table is fixed.  ``out`` receives the result in
+    place (a ``(B, N)`` view of the result dtype, e.g. a column slice of a
+    larger score block) and is returned.
 
     Dtype follows the inputs (``float32`` queries never silently upcast to
     ``float64``).  Mixed precision promotes: quantized ``float16`` target
@@ -76,26 +162,48 @@ def l2_distance_matrix(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """
     queries = np.asarray(queries)
     targets = np.asarray(targets)
+    if (queries.ndim != 2 or targets.ndim != 2
+            or queries.shape[1] != targets.shape[1]):
+        raise ValueError(
+            f"queries {queries.shape} and targets {targets.shape} must be "
+            "2-D with the same embedding width")
     b, d = queries.shape
     n = targets.shape[0]
-    dtype = np.result_type(queries.dtype, targets.dtype)
-    if not np.issubdtype(dtype, np.floating):
-        dtype = np.dtype(np.float64)
+    dtype = _floating(np.result_type(queries.dtype, targets.dtype))
+    if out is None:
+        out = np.empty((b, n), dtype=dtype)
+    elif out.shape != (b, n) or out.dtype != dtype:
+        raise ValueError(
+            f"out must be a {(b, n)} {dtype} array, got {out.shape} {out.dtype}")
     t0 = time.perf_counter()
+    if target_sq is None:
+        target_sq = squared_norms(targets, dtype)
+    else:
+        target_sq = np.asarray(target_sq)
+        if target_sq.shape != (n,):
+            raise ValueError(
+                f"target_sq must have shape {(n,)} (one squared norm per "
+                f"target row), got {target_sq.shape}")
+        target_sq = target_sq.astype(dtype, copy=False)
     q = queries.astype(dtype, copy=False)
     q_sq = (q ** 2).sum(axis=1)[:, None]
-    out = np.empty((b, n), dtype=dtype)
-    tile = max(1, RANK_TILE_ELEMENTS // max(1, b))
+    width = (SINGLE_QUERY_COLUMNS if b == 1
+             else max(RANK_TILE_ELEMENTS // max(1, b), b))
+    tile = max(1, min(n, width))
+    dot_buf = np.empty(b * tile, dtype=dtype)
     for start in range(0, n, tile):
         stop = min(n, start + tile)
+        acc = out[:, start:stop]
+        dot = dot_buf[:b * (stop - start)].reshape(b, stop - start)
         blk = targets[start:stop].astype(dtype, copy=False)
-        tile_out = out[:, start:stop]
-        tile_out[...] = q_sq + (blk ** 2).sum(axis=1)[None, :]
-        tile_out -= 2.0 * (q @ blk.T)
+        np.add(q_sq, target_sq[start:stop], out=acc)
+        np.matmul(q, blk.T, out=dot)
+        np.multiply(dot, 2.0, out=dot)
+        np.subtract(acc, dot, out=acc)
         # Cancellation can leave tiny negatives where q ≈ t.
-        np.maximum(tile_out, 0.0, out=tile_out)
-        tile_out += 1e-12
-        np.sqrt(tile_out, out=tile_out)
+        np.maximum(acc, 0.0, out=acc)
+        np.add(acc, 1e-12, out=acc)
+        np.sqrt(acc, out=acc)
     count_flops(
         "rank_l2[tiled]",
         2 * b * n * d + 5 * b * n,

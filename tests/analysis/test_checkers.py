@@ -367,6 +367,45 @@ class TestKernelParityChecker:
         assert "orphan_kernel" in findings[0].message
 
 
+    RANKING_FILES = {
+        "src/repro/ranking.py": (
+            "def l2_distance_matrix(q, t):\n"
+            "    return q\n"
+            "def squared_norms(rows):\n"
+            "    return rows\n"
+            "def _floating(dtype):\n"
+            "    return dtype\n"
+        ),
+        "tests/test_ranking.py": (
+            "def test_kernel():\n"
+            "    assert l2_distance_matrix\n"
+        ),
+        # Naming the kernel anywhere else does not count: the oracle lives in
+        # tests/test_ranking.py and so must the test.
+        "tests/sparse/test_elsewhere.py": (
+            "def test_other():\n"
+            "    assert squared_norms\n"
+        ),
+    }
+
+    def test_public_ranking_function_without_a_test_is_flagged(self, tmp_path):
+        make_project(tmp_path, dict(self.RANKING_FILES))
+        findings = run_checks(tmp_path, rules=["kernel-parity"])
+        assert len(findings) == 1
+        assert "squared_norms" in findings[0].message
+        assert "tests/test_ranking.py" in findings[0].message
+        assert findings[0].path.endswith("ranking.py")
+
+    def test_ranking_functions_named_by_their_test_file_pass(self, tmp_path):
+        files = dict(self.RANKING_FILES)
+        files["tests/test_ranking.py"] += (
+            "def test_norms():\n"
+            "    assert squared_norms\n"
+        )
+        make_project(tmp_path, files)
+        assert run_checks(tmp_path, rules=["kernel-parity"]) == []
+
+
 class TestAnnRecallChecker:
     FILES = {
         "src/repro/ann/ivf.py": (

@@ -23,6 +23,32 @@ class TestKMeansDeterminism:
         assert not np.array_equal(a1, a2)
 
 
+class TestAssignmentKeepsItsBits:
+    def test_equal_to_the_expression_kernel_on_the_same_row_blocks(self):
+        # Index builds are diffed bit for bit, so the assignment sweep must
+        # hand the distance kernel the calls it always has — (2**21 // c)-row
+        # blocks, each one GEMM — and get the textbook expression's bits back
+        # however the kernel tiles wide calls internally.
+        rng = np.random.default_rng(8)
+        rows = rng.standard_normal((7000, 16))
+        centroids = rows[rng.permutation(7000)[:316]].copy()
+        assign, dist = assign_clusters(rows, centroids)
+        block = (1 << 21) // 316
+        assert block < 7000  # more than one block
+        c_sq = (centroids ** 2).sum(axis=1)[None, :]
+        for start in range(0, 7000, block):
+            blk = rows[start:start + block]
+            tile = (blk ** 2).sum(axis=1)[:, None] + c_sq
+            tile -= 2.0 * (blk @ centroids.T)
+            np.maximum(tile, 0.0, out=tile)
+            tile += 1e-12
+            np.sqrt(tile, out=tile)
+            nearest = np.argmin(tile, axis=1)
+            assert np.array_equal(assign[start:start + block], nearest)
+            assert np.array_equal(dist[start:start + block],
+                                  tile[np.arange(blk.shape[0]), nearest])
+
+
 class TestKMeansInvariants:
     def test_no_empty_clusters(self, rng):
         rows = rng.standard_normal((200, 6))

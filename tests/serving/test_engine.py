@@ -260,6 +260,22 @@ class TestCacheBehaviour:
         engine.reload(path)
         assert not np.array_equal(snap1, engine.entity_snapshot())
 
+    def test_reloaded_engine_answers_like_a_fresh_one(self, tmp_path):
+        # Nothing derived from the old weights — cached results, the entity
+        # snapshot — may survive a reload and leak into served distances.
+        path = str(tmp_path / "d.npz")
+        save_checkpoint(path, make_model(rng=7))
+        engine = InferenceEngine(make_model(rng=0), cache_size=16)
+        engine.nearest_entities(3, k=5)  # builds the snapshot
+        engine.top_k_tails(3, 1, k=5)
+        engine.reload(path)
+        assert engine._entity_snapshot is None
+        fresh = InferenceEngine(load_model(path), cache_size=0)
+        for entity in (3, 11, 39):
+            assert engine.nearest_entities(entity, k=6) == fresh.nearest_entities(entity, k=6)
+            assert engine.top_k_tails(entity, 2, k=6) == fresh.top_k_tails(entity, 2, k=6)
+            assert engine.top_k_heads(2, entity, k=6) == fresh.top_k_heads(2, entity, k=6)
+
 
 class TestNearestEntities:
     def test_matches_brute_force_and_excludes_self(self):

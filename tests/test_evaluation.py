@@ -72,6 +72,9 @@ class _ConstantScorer:
     def __init__(self, n_entities, n_relations):
         self.n_entities, self.n_relations = n_entities, n_relations
 
+    def entity_sq_norms(self):
+        return None
+
     def score_all_tails(self, heads, relations):
         return np.full((heads.shape[0], self.n_entities), 0.25, dtype=np.float64)
 
@@ -303,6 +306,15 @@ class TestLinkPrediction:
         want_tail, want_head = _oracle_ranks(model, test, None, batch_size)
         np.testing.assert_array_equal(raw.tail_ranks, want_tail)
         np.testing.assert_array_equal(raw.head_ranks, want_head)
+
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_non_positive_batch_size_is_rejected(self, trained_setup, batch_size):
+        # -4 used to return a result whose MRR and Hits@k were all NaN (no
+        # chunk ever ran) and 0 died inside range().
+        kg, model = trained_setup
+        with pytest.raises(ValueError, match="batch_size"):
+            evaluate_link_prediction(model, kg.split.test[:5], kg.known_triples(),
+                                     batch_size=batch_size)
 
     def test_known_triple_outside_the_model_vocabulary_raises(self, trained_setup):
         kg, model = trained_setup

@@ -43,6 +43,17 @@ class TestBuildEvaluator:
         assert evaluator.ks == (5,) and evaluator.filtered is False
 
 
+class TestBatchSizeIsValidated:
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    @pytest.mark.parametrize("protocol", ["link_prediction", "relation_categories"])
+    def test_forwarded_batch_size_raises_instead_of_nan_metrics(self, setup, protocol,
+                                                                batch_size):
+        kg, model = setup
+        evaluator = build_evaluator(protocol, batch_size=batch_size)
+        with pytest.raises(ValueError, match="batch_size"):
+            evaluator.run(model, kg)
+
+
 class TestReports:
     def test_reports_are_uniform_and_json_ready(self, setup):
         kg, model = setup

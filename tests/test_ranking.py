@@ -2,11 +2,58 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import ranking
+from repro.evaluation import compute_ranks
 from repro.models.base import KGEModel
+
+
+def _oracle_l2(queries, targets):
+    """The textbook expansion as one expression over the whole table.
+
+    What ``l2_distance_matrix`` computed before it was tiled into scratch
+    buffers, kept here as the reference: one GEMM, a table-sized square and
+    result-sized temporaries.  The kernel must return these bits.
+    """
+    dtype = np.result_type(queries.dtype, targets.dtype)
+    if not np.issubdtype(dtype, np.floating):
+        dtype = np.dtype(np.float64)
+    q = queries.astype(dtype, copy=False)
+    t = targets.astype(dtype, copy=False)
+    dist = (q ** 2).sum(axis=1)[:, None] + (t ** 2).sum(axis=1)[None, :]
+    dist -= 2.0 * (q @ t.T)
+    np.maximum(dist, 0.0, out=dist)
+    dist += 1e-12
+    return np.sqrt(dist)
+
+
+def _spy_on_matmul(monkeypatch):
+    """Record the ``(left, right)`` shapes of every GEMM the kernel issues."""
+    shapes = []
+    real_matmul = np.matmul
+
+    def spy(a, b, out=None):
+        shapes.append((a.shape, b.shape))
+        return real_matmul(a, b, out=out)
+
+    monkeypatch.setattr(ranking.np, "matmul", spy)
+    return shapes
+
+
+def _dyadic(rng, shape, dtype):
+    """Multiples of 1/8 in [-2, 2]: exact in fp16, and every product and sum
+    the kernel forms from them is exact in fp32, so the result does not depend
+    on the order BLAS accumulates in (which changes with the GEMM's shape)."""
+    return (rng.integers(-16, 17, size=shape) / 8.0).astype(dtype)
 
 
 class TestTopK:
@@ -137,9 +184,14 @@ class TestL2DistanceDtype:
         q = rng.standard_normal((3, 16))
         t = rng.standard_normal((500, 16))
         whole = ranking.l2_distance_matrix(q, t)
-        monkeypatch.setattr(ranking, "RANK_TILE_ELEMENTS", 64)
+        monkeypatch.setattr(ranking, "RANK_TILE_ELEMENTS", 64 * 3)
+        gemms = _spy_on_matmul(monkeypatch)
         tiled = ranking.l2_distance_matrix(q, t)
+        monkeypatch.undo()
+        # The patch reached the kernel: eight tiles, not one.
+        assert [right[1] for _, right in gemms] == [64] * 7 + [52]
         np.testing.assert_array_equal(tiled, whole)
+        np.testing.assert_array_equal(whole, _oracle_l2(q, t))
 
 
 class TestCandidateExpansionDtype:
@@ -152,3 +204,387 @@ class TestCandidateExpansionDtype:
             n_entities=6, score_triples=score_triples, chunk_size=8)
         assert out.dtype == np.float32
         assert out.shape == (2, 6)
+
+
+class TestL2Kernel:
+    """The tiled kernel against the textbook expression it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(b=st.integers(1, 70), d=st.integers(1, 130),
+           tile_cols=st.integers(1, 24), tiles=st.integers(0, 3),
+           remainder=st.integers(0, 23),
+           target_dtype=st.sampled_from([np.float64, np.float32, np.float16]),
+           pass_norms=st.booleans(), pass_out=st.booleans(),
+           one_tile_floats=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_matches_the_textbook_expression(self, b, d, tile_cols, tiles,
+                                             remainder, target_dtype,
+                                             pass_norms, pass_out,
+                                             one_tile_floats, seed):
+        rng = np.random.default_rng(seed)
+        tile = max(tile_cols, b)  # the kernel's rule: never narrower than tall
+        if one_tile_floats:
+            # Arbitrary floats: same GEMM shape on both sides, so any change
+            # in the order of the elementwise operations shows in the bits.
+            n = min(remainder, tile)
+            q = rng.standard_normal((b, d))
+            t = rng.standard_normal((n, d)).astype(target_dtype)
+            q[:n] = t[:b]  # q == t: cancellation leaves ±1e-16, so the clamp acts
+        else:
+            n = tiles * tile + min(remainder, tile - 1)
+            q = _dyadic(rng, (b, d), np.float64)
+            t = _dyadic(rng, (n, d), target_dtype)
+        kwargs = {}
+        if pass_norms:
+            kwargs["target_sq"] = ranking.squared_norms(t, np.float64)
+        frame = np.full((b + 2, 2 * n + 3), np.nan)
+        if pass_out:
+            kwargs["out"] = frame[1:-1, 1:2 * n + 1:2]  # strided both ways
+        with mock.patch.object(ranking, "RANK_TILE_ELEMENTS", tile_cols * b):
+            got = ranking.l2_distance_matrix(q, t, **kwargs)
+        assert got.shape == (b, n) and got.dtype == np.float64
+        np.testing.assert_array_equal(got, _oracle_l2(q, t))
+        if pass_out:
+            assert got is kwargs["out"]
+            frame[1:-1, 1:2 * n + 1:2] = np.nan
+            assert np.isnan(frame).all()  # nothing written outside the slice
+
+    def test_benchmark_shape_is_bit_identical_under_one_blas_thread(self):
+        # Tile width is what can change GEMM rounding, so the one shape the
+        # benchmark runs is pinned — in a child pinned to one BLAS thread, as
+        # the benchmark pins its workers: with two, OpenBLAS splits the
+        # one-GEMM oracle differently from a tile and the trailing N % 8
+        # columns round differently on either side.
+        code = (
+            "import numpy as np\n"
+            "from repro import ranking\n"
+            "from tests.test_ranking import _oracle_l2\n"
+            "rng = np.random.default_rng(24)\n"
+            "q = rng.standard_normal((64, 128))\n"
+            "t = rng.standard_normal((28951, 128))\n"
+            "assert ranking.RANK_TILE_ELEMENTS // 64 < 28951\n"
+            "assert np.array_equal(ranking.l2_distance_matrix(q, t), _oracle_l2(q, t))\n"
+            "sq = ranking.squared_norms(t)\n"
+            "assert np.array_equal(ranking.l2_distance_matrix(q, t, target_sq=sq),"
+            " _oracle_l2(q, t))\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [os.path.join(root, "src"), root,
+                        os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_benchmark_shape_gives_the_oracles_ranks_on_any_blas(self, rng):
+        # What holds whatever the BLAS thread count (the bits above need one):
+        # last-bit GEMM rounding differences never reorder the candidates.
+        q = rng.standard_normal((64, 128))
+        t = rng.standard_normal((28951, 128))
+        true = rng.integers(0, 28951, size=64)
+        got = ranking.l2_distance_matrix(q, t)
+        want = _oracle_l2(q, t)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(compute_ranks(got, true),
+                                      compute_ranks(want, true))
+
+    def test_single_query_is_one_blas_call_beyond_the_batched_tile(
+            self, rng, monkeypatch):
+        # Served and IVF-rescored distances are B = 1 calls: they keep the
+        # call shape they always had (2**21 targets per BLAS call), so what a
+        # client is sent did not change when the batched tile was narrowed.
+        assert ranking.SINGLE_QUERY_COLUMNS == 1 << 21
+        n = ranking.RANK_TILE_ELEMENTS + 1234
+        q = rng.standard_normal((1, 4))
+        t = rng.standard_normal((n, 4))
+        gemms = _spy_on_matmul(monkeypatch)
+        got = ranking.l2_distance_matrix(q, t)
+        monkeypatch.undo()
+        assert gemms == [((1, 4), (4, n))]
+        np.testing.assert_array_equal(got, _oracle_l2(q, t))
+        monkeypatch.setattr(ranking, "SINGLE_QUERY_COLUMNS", 100_000)
+        gemms = _spy_on_matmul(monkeypatch)
+        ranking.l2_distance_matrix(q, t)
+        monkeypatch.undo()
+        assert [right[1] for _, right in gemms] == [100_000, 100_000, n - 200_000]
+
+    def test_tall_and_narrow_call_is_one_gemm(self, rng, monkeypatch):
+        # k-means assignment: thousands of rows against a few hundred
+        # centroids.  A tile is never narrower than the batch is tall.
+        rows = rng.standard_normal((6636, 8))
+        centroids = rng.standard_normal((316, 8))
+        gemms = _spy_on_matmul(monkeypatch)
+        ranking.l2_distance_matrix(rows, centroids)
+        monkeypatch.undo()
+        assert gemms == [((6636, 8), (8, 316))]
+
+    def test_peak_allocation_is_the_result_plus_two_tiles(self, rng):
+        b, n, d = 64, 20_000, 64
+        q = rng.standard_normal((b, d))
+        t = rng.standard_normal((n, d))
+        ranking.l2_distance_matrix(q[:2], t[:64])  # imports, first-call state
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            result = ranking.l2_distance_matrix(q, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tile_bytes = ranking.RANK_TILE_ELEMENTS * 8
+        assert result.nbytes > 4 * tile_bytes  # several tiles ran
+        # The expression form peaks at the result + three result-sized + one
+        # table-sized block (here ~51 MB against this bound of ~14.4 MB).
+        assert peak - before <= result.nbytes + 2 * tile_bytes
+
+    def test_squared_norms_matches_the_in_kernel_expression(self, rng):
+        for dtype in (np.float64, np.float32, np.float16):
+            t = rng.standard_normal((700, 33)).astype(dtype)
+            got = ranking.squared_norms(t)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, (t ** 2).sum(axis=1))
+            wide = ranking.squared_norms(t, np.float64)
+            np.testing.assert_array_equal(
+                wide, (t.astype(np.float64) ** 2).sum(axis=1))
+        ints = np.arange(12).reshape(4, 3)
+        assert ranking.squared_norms(ints).dtype == np.float64
+        with pytest.raises(ValueError, match="2-D"):
+            ranking.squared_norms(np.zeros(5))
+
+    def test_squared_norms_is_blocked(self, rng, monkeypatch):
+        t = rng.standard_normal((1000, 16))
+        whole = ranking.squared_norms(t)
+        monkeypatch.setattr(ranking, "RANK_TILE_ELEMENTS", 16 * 7)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            blocked = ranking.squared_norms(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(blocked, whole)
+        assert peak - before < t.nbytes // 4  # never an (N, d) square
+
+
+class TestL2KernelArguments:
+    """A wrong ``target_sq`` would broadcast silently into wrong distances."""
+
+    @pytest.fixture
+    def qt(self, rng):
+        return rng.standard_normal((4, 6)), rng.standard_normal((9, 6))
+
+    @pytest.mark.parametrize("shape", [(1,), (9, 1), (1, 9), (8,), (10,), ()])
+    def test_target_sq_must_be_one_norm_per_target(self, qt, shape):
+        q, t = qt
+        with pytest.raises(ValueError, match="target_sq"):
+            ranking.l2_distance_matrix(q, t, target_sq=np.ones(shape))
+
+    def test_target_sq_is_cast_to_the_result_dtype_not_the_reverse(self, rng):
+        q = rng.standard_normal((3, 5)).astype(np.float32)
+        t = rng.standard_normal((11, 5)).astype(np.float32)
+        wide = ranking.squared_norms(t).astype(np.float64)
+        got = ranking.l2_distance_matrix(q, t, target_sq=wide)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, ranking.l2_distance_matrix(q, t))
+
+    @pytest.mark.parametrize("bad", [np.empty((4, 8)), np.empty((3, 9)),
+                                     np.empty((4, 9), dtype=np.float32),
+                                     np.empty(36)])
+    def test_out_must_match_shape_and_dtype(self, qt, bad):
+        q, t = qt
+        with pytest.raises(ValueError, match="out must be"):
+            ranking.l2_distance_matrix(q, t, out=bad)
+
+    def test_width_mismatch_names_both_shapes(self, rng):
+        q, t = rng.standard_normal((4, 6)), rng.standard_normal((9, 7))
+        with pytest.raises(ValueError, match=r"\(4, 6\).*\(9, 7\)"):
+            ranking.l2_distance_matrix(q, t)
+        with pytest.raises(ValueError, match="2-D"):
+            ranking.l2_distance_matrix(q[0], t)
+
+    def test_empty_table_and_empty_batch(self, rng):
+        q = rng.standard_normal((3, 5))
+        assert ranking.l2_distance_matrix(q, np.empty((0, 5))).shape == (3, 0)
+        assert ranking.l2_distance_matrix(
+            q, np.empty((0, 5)), target_sq=np.empty(0)).shape == (3, 0)
+        assert ranking.l2_distance_matrix(q[:0], q).shape == (0, 3)
+
+
+# --------------------------------------------------------------------------- #
+# Who owns ``‖t‖²``: the evaluator, once per call — never the model.
+# --------------------------------------------------------------------------- #
+def _spy_on_squared_norms(monkeypatch):
+    from repro.models import transe
+
+    shapes = []
+    real = ranking.squared_norms
+
+    def spy(rows, dtype=None):
+        shapes.append(np.asarray(rows).shape)
+        return real(rows, dtype)
+
+    monkeypatch.setattr(ranking, "squared_norms", spy)
+    monkeypatch.setattr(transe, "squared_norms", spy)
+    return shapes
+
+
+def _oracle_chunk_ranks(model, triples, known, batch_size):
+    """Per-chunk recompute: textbook scores, then the rank counter."""
+    ent = model.entity_embedding_matrix()
+    rel = model.relation_embedding_matrix()
+    tail_ranks, head_ranks = [], []
+    for start in range(0, triples.shape[0], batch_size):
+        h, r, t = triples[start:start + batch_size].T
+        tail_ranks.append(compute_ranks(_oracle_l2(ent[h] + rel[r], ent), t,
+                                        known.exclusions("tail", h, r)))
+        head_ranks.append(compute_ranks(_oracle_l2(ent[t] - rel[r], ent), h,
+                                        known.exclusions("head", t, r)))
+    return np.concatenate(tail_ranks), np.concatenate(head_ranks)
+
+
+class TestNormsAreOwnedByTheCaller:
+    @pytest.fixture
+    def kg(self):
+        from repro.data import generate_synthetic_kg
+
+        return generate_synthetic_kg(40, 4, 400, rng=0, valid_fraction=0.0,
+                                     test_fraction=0.1)
+
+    def test_one_norm_pass_per_evaluation_of_a_dense_l2_model(self, kg, monkeypatch):
+        from repro.evaluation import evaluate_link_prediction
+        from repro.models import SpTransE
+
+        model = SpTransE(kg.n_entities, kg.n_relations, 16, rng=0)
+        known = kg.known_triples()
+        test = kg.split.test
+        assert test.shape[0] >= 3 * 7
+        shapes = _spy_on_squared_norms(monkeypatch)
+        got = evaluate_link_prediction(model, test, known, batch_size=7)
+        assert shapes == [(kg.n_entities, 16)]  # once: not per chunk, not per direction
+        want_tail, want_head = _oracle_chunk_ranks(model, test, known, 7)
+        np.testing.assert_array_equal(got.tail_ranks, want_tail)
+        np.testing.assert_array_equal(got.head_ranks, want_head)
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("SpTorusE", {}), ("SpTransE", {"dissimilarity": "L1"}), ("SpTransR", {})])
+    def test_models_without_the_l2_closed_form_are_called_as_before(
+            self, kg, monkeypatch, name, kwargs):
+        from repro import models
+        from repro.evaluation import evaluate_link_prediction
+
+        model = getattr(models, name)(kg.n_entities, kg.n_relations, 8, rng=0,
+                                      **kwargs)
+        assert model.entity_sq_norms() is None
+        shapes = _spy_on_squared_norms(monkeypatch)
+        result = evaluate_link_prediction(model, kg.split.test[:9],
+                                          kg.known_triples(), batch_size=3)
+        assert shapes == [] and np.isfinite(result.mrr)
+
+    def test_partitioned_table_has_no_whole_table_norms(self, kg, monkeypatch):
+        from repro.evaluation import evaluate_link_prediction
+        from repro.models import SpTransE
+
+        part = SpTransE(kg.n_entities, kg.n_relations, 8, rng=2, partitions=3)
+        try:
+            assert part.entity_sq_norms() is None
+            known = kg.known_triples()
+            shapes = _spy_on_squared_norms(monkeypatch)
+            got = evaluate_link_prediction(part, kg.split.test, known, batch_size=7)
+            # Each bucket block computes its own inside the kernel; nothing
+            # table-sized is ever squared.
+            assert shapes and max(rows for rows, _ in shapes) < kg.n_entities
+            want_tail, want_head = _oracle_chunk_ranks(part, kg.split.test, known, 7)
+            np.testing.assert_array_equal(got.tail_ranks, want_tail)
+            np.testing.assert_array_equal(got.head_ranks, want_head)
+        finally:
+            part.embeddings.close()
+
+    def test_nothing_is_remembered_across_an_in_place_weight_update(self, kg):
+        from repro.evaluation import evaluate_link_prediction
+        from repro.models import SpTransE
+
+        model = SpTransE(kg.n_entities, kg.n_relations, 16, rng=0)
+        known = kg.known_triples()
+        before = evaluate_link_prediction(model, kg.split.test, known, batch_size=7)
+        # What an optimizer step does: write the table through ``out=``.
+        weights = model.embeddings.weight.data
+        np.multiply(weights, np.linspace(0.2, 3.0, weights.shape[0])[:, None],
+                    out=weights)
+        after = evaluate_link_prediction(model, kg.split.test, known, batch_size=7)
+        fresh = SpTransE(kg.n_entities, kg.n_relations, 16, rng=99)
+        fresh.embeddings.weight.data[...] = weights
+        want = evaluate_link_prediction(fresh, kg.split.test, known, batch_size=7)
+        np.testing.assert_array_equal(after.tail_ranks, want.tail_ranks)
+        np.testing.assert_array_equal(after.head_ranks, want.head_ranks)
+        assert not np.array_equal(before.tail_ranks, after.tail_ranks)
+        assert not [name for name in vars(model) if "sq" in name]
+
+
+class TestAdversarialTables:
+    """ROADMAP 10c's tables, ranked raw under the realistic tie rule
+    (``better + ties / 2 + 1``) against plain ``np.linalg.norm``."""
+
+    N, R, D = 37, 3, 8
+
+    def _ranks(self, ent, rel, triples):
+        from repro.evaluation import RankingProtocol, evaluate_link_prediction
+        from repro.models import SpTransE
+
+        model = SpTransE(self.N, self.R, self.D, rng=0)
+        model.embeddings.weight.data[:self.N] = ent
+        model.embeddings.weight.data[self.N:] = rel
+        got = evaluate_link_prediction(model, triples, protocol=RankingProtocol.RAW,
+                                       batch_size=4)
+        want_tail, want_head = [], []
+        for h, r, t in triples.tolist():
+            for scores, true, sink in (
+                    (np.linalg.norm(ent[h] + rel[r] - ent, axis=1), t, want_tail),
+                    (np.linalg.norm(ent - (ent[t] - rel[r]), axis=1), h, want_head)):
+                better = int((scores < scores[true]).sum())
+                ties = int((scores == scores[true]).sum()) - 1
+                sink.append(better + ties / 2.0 + 1)
+        return got, np.array(want_tail), np.array(want_head)
+
+    def _triples(self, rng, exclude=()):
+        allowed = np.setdiff1d(np.arange(self.N), np.asarray(exclude, dtype=np.int64))
+        return np.column_stack([rng.choice(allowed, 11), rng.integers(0, self.R, 11),
+                                rng.choice(allowed, 11)])
+
+    def test_all_rows_equal_every_score_ties(self, rng):
+        ent = np.tile(rng.standard_normal(self.D), (self.N, 1))
+        got, want_tail, want_head = self._ranks(
+            ent, rng.standard_normal((self.R, self.D)), self._triples(rng))
+        assert np.all(want_tail == (self.N + 1) / 2)
+        np.testing.assert_array_equal(got.tail_ranks, want_tail)
+        np.testing.assert_array_equal(got.head_ranks, want_head)
+
+    def test_all_zero_table(self, rng):
+        got, want_tail, want_head = self._ranks(
+            np.zeros((self.N, self.D)), rng.standard_normal((self.R, self.D)),
+            self._triples(rng))
+        assert np.all(want_head == (self.N + 1) / 2)
+        np.testing.assert_array_equal(got.tail_ranks, want_tail)
+        np.testing.assert_array_equal(got.head_ranks, want_head)
+
+    def test_near_duplicate_rows_one_ulp_apart(self, rng):
+        ent = rng.standard_normal((self.N, self.D))
+        ent[5] = np.nextafter(ent[4], np.inf)
+        ent[21] = np.nextafter(ent[20], -np.inf)
+        # The twins are candidates for every query but never the true entity:
+        # which of two rows 1 ulp apart is "closer" is below what either the
+        # expansion or the norm resolves, and no rank here depends on it.
+        got, want_tail, want_head = self._ranks(
+            ent, rng.standard_normal((self.R, self.D)),
+            self._triples(rng, exclude=(4, 5, 20, 21)))
+        np.testing.assert_array_equal(got.tail_ranks, want_tail)
+        np.testing.assert_array_equal(got.head_ranks, want_head)
+
+    def test_true_entity_equal_to_the_query(self, rng):
+        ent = rng.standard_normal((self.N, self.D))
+        rel = np.zeros((self.R, self.D))  # h + r == h: the answer is the query
+        triples = np.column_stack([np.arange(9), np.arange(9) % self.R, np.arange(9)])
+        got, want_tail, want_head = self._ranks(ent, rel, triples)
+        assert np.all(want_tail == 1) and np.all(want_head == 1)
+        np.testing.assert_array_equal(got.tail_ranks, want_tail)
+        np.testing.assert_array_equal(got.head_ranks, want_head)

@@ -82,6 +82,12 @@ class TestEvaluateByCategory:
         with pytest.raises(ValueError):
             evaluate_by_relation_category(model, kg, triples=np.empty((0, 3), dtype=np.int64))
 
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_non_positive_batch_size_is_rejected(self, setup, batch_size):
+        kg, model = setup
+        with pytest.raises(ValueError, match="batch_size"):
+            evaluate_by_relation_category(model, kg, batch_size=batch_size)
+
     def test_explicit_triples_and_filter(self, setup):
         kg, model = setup
         triples = kg.split.test[:20]
