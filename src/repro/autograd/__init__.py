@@ -19,7 +19,7 @@ Public surface
 """
 
 from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled, enable_grad
-from repro.autograd.function import flop_counter, reset_flops, get_flops, count_flops
+from repro.autograd.function import flop_counter, count_flops
 from repro.autograd.sanitizer import SanitizerError, sanitize, sanitize_enabled
 from repro.autograd import ops
 from repro.autograd.grad_check import gradcheck, numerical_gradient
@@ -33,8 +33,6 @@ __all__ = [
     "gradcheck",
     "numerical_gradient",
     "flop_counter",
-    "reset_flops",
-    "get_flops",
     "count_flops",
     "SanitizerError",
     "sanitize",

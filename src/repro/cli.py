@@ -37,7 +37,7 @@ import json
 import sys
 import urllib.error
 import urllib.request
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.baselines import DENSE_MODELS
 from repro.data.catalog import PAPER_DATASETS
@@ -59,6 +59,9 @@ from repro.sparse import available_backends
 from repro.training import TrainingConfig
 from repro.training.checkpoint import load_checkpoint, model_from_checkpoint
 from repro.utils.logging import enable_console_logging
+
+if TYPE_CHECKING:
+    from repro.serving import InferenceEngine
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,50 +510,66 @@ def _command_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_serve(args: argparse.Namespace) -> int:
+def _engine_factory(args: argparse.Namespace) -> Callable[[], InferenceEngine]:
+    """Check the ``serve`` flags and return the builder of the served engine.
+
+    Both tiers serve through this one factory: the threaded tier calls it
+    once, the pool tier once inside each forked worker.  Everything that can
+    refuse the flags — an ``--ann`` kind without an artifact, an unreadable
+    checkpoint, a dataset whose vocabulary does not match it — is checked
+    here, in the calling process, so both tiers refuse with one message before
+    any worker forks.  An artifact directory is loaded by the returned
+    callable (each pool worker memory-maps the same weight and index files;
+    its stored spec's own data section backs the filtered protocol, so the
+    CLI data flags cannot install the wrong filter set); a checkpoint file is
+    restored, and the dataset materialised, once, here.
+    """
     import os
 
-    from repro.serving import InferenceEngine, make_server
+    from repro.serving import InferenceEngine
+
+    checkpoint, cache_size = args.checkpoint, args.cache_size
+    if os.path.isdir(checkpoint):
+        def build_artifact() -> InferenceEngine:
+            return InferenceEngine.from_artifact(
+                checkpoint, filtered=args.filtered, cache_size=cache_size,
+                ann=args.ann, nprobe=args.nprobe)
+        return build_artifact
+    if args.ann not in ("auto", "off"):
+        raise SystemExit(
+            f"--ann {args.ann} needs an artifact directory (indexes live "
+            f"next to the weight files), got checkpoint {checkpoint}")
+    model = _restore_model(checkpoint)
+    known = None
+    if args.filtered:
+        kg = _data_spec_from_args(args).materialize()
+        if (kg.n_entities, kg.n_relations) != (model.n_entities, model.n_relations):
+            raise SystemExit(
+                f"dataset vocabulary ({kg.n_entities} entities, {kg.n_relations} "
+                f"relations) does not match the checkpoint ({model.n_entities}, "
+                f"{model.n_relations}); filtered serving needs the training data"
+            )
+        known = kg.known_triples()
+    return lambda: InferenceEngine(model, known_triples=known, cache_size=cache_size)
+
+
+def _command_serve(args: argparse.Namespace) -> int:
+    from repro.serving import make_server
 
     if args.workers < 0:
         raise SystemExit(f"--workers must be >= 0, got {args.workers}")
+    engine_factory = _engine_factory(args)
     if args.workers > 0:
-        return _serve_pool(args)
-    if os.path.isdir(args.checkpoint):
-        # Artifact directories are self-contained: the stored spec's own data
-        # section backs the filtered protocol, so the CLI data flags (which
-        # default to a different generator) cannot silently install the wrong
-        # filter set.
-        try:
-            engine = InferenceEngine.from_artifact(args.checkpoint,
-                                                   filtered=args.filtered,
-                                                   cache_size=args.cache_size,
-                                                   ann=args.ann,
-                                                   nprobe=args.nprobe)
-        except (FileNotFoundError, ValueError) as exc:
-            raise SystemExit(f"cannot serve artifact {args.checkpoint}: {exc}") from exc
-        model = engine.model
-    else:
-        if args.ann not in ("auto", "off"):
-            raise SystemExit(
-                f"--ann {args.ann} needs an artifact directory (indexes live "
-                f"next to the weight files), got checkpoint {args.checkpoint}")
-        model = _restore_model(args.checkpoint)
-        engine = InferenceEngine(model, cache_size=args.cache_size)
-        if args.filtered:
-            kg = _data_spec_from_args(args).materialize()
-            if (kg.n_entities, kg.n_relations) != (model.n_entities, model.n_relations):
-                raise SystemExit(
-                    f"dataset vocabulary ({kg.n_entities} entities, {kg.n_relations} "
-                    f"relations) does not match the checkpoint ({model.n_entities}, "
-                    f"{model.n_relations}); filtered serving needs the training data"
-                )
-            engine.set_known_triples(kg.known_triples())
+        return _serve_pool(args, engine_factory)
+    try:
+        engine = engine_factory()
+    except (FileNotFoundError, ValueError) as exc:
+        raise SystemExit(f"cannot serve artifact {args.checkpoint}: {exc}") from exc
     server = make_server(engine, host=args.host, port=args.port,
                          coalesce=not args.no_coalesce, max_batch=args.max_batch,
                          max_wait_ms=args.max_wait_ms, verbose=args.verbose)
     print(json.dumps({"serving": server.url,
-                      "model": type(model).__name__,
+                      "model": type(engine.model).__name__,
                       "spec": engine.spec().to_dict(),
                       "coalesce": not args.no_coalesce,
                       "filtered": args.filtered,
@@ -564,38 +583,10 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_pool(args: argparse.Namespace) -> int:
-    """``sptransx serve --workers N``: the asyncio + forked-pool tier.
-
-    The engine factory runs *inside* each forked worker, so every worker
-    memory-maps the same artifact weight/index files (one page-cache copy)
-    instead of inheriting or pickling a parent-side model.
-    """
-    import os
-
-    from repro.serving import AsyncInferenceServer, InferenceEngine
-
-    checkpoint, filtered = args.checkpoint, args.filtered
-    cache_size, ann, nprobe = args.cache_size, args.ann, args.nprobe
-    if os.path.isdir(checkpoint):
-        def engine_factory() -> InferenceEngine:
-            return InferenceEngine.from_artifact(
-                checkpoint, filtered=filtered, cache_size=cache_size,
-                mmap="auto", ann=ann, nprobe=nprobe)
-    else:
-        if ann not in ("auto", "off"):
-            raise SystemExit(
-                f"--ann {ann} needs an artifact directory (indexes live "
-                f"next to the weight files), got checkpoint {checkpoint}")
-        data_spec = _data_spec_from_args(args) if filtered else None
-
-        def engine_factory() -> InferenceEngine:
-            engine = InferenceEngine(_restore_model(checkpoint),
-                                     cache_size=cache_size)
-            if data_spec is not None:
-                engine.set_known_triples(
-                    data_spec.materialize().known_triples())
-            return engine
+def _serve_pool(args: argparse.Namespace,
+                engine_factory: Callable[[], InferenceEngine]) -> int:
+    """``sptransx serve --workers N``: the asyncio + forked-pool tier."""
+    from repro.serving import AsyncInferenceServer
 
     try:
         server = AsyncInferenceServer(
@@ -614,7 +605,7 @@ def _serve_pool(args: argparse.Namespace) -> int:
                           "admission": not args.no_admission,
                           "model": server.meta.get("model"),
                           "spec": server.meta.get("spec"),
-                          "filtered": filtered}), flush=True)
+                          "filtered": args.filtered}), flush=True)
 
     try:
         server.serve_forever(on_started=on_started)

@@ -12,8 +12,6 @@ collapses into one compiled loop (parity within 1e-6).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.autograd import ops
@@ -59,7 +57,6 @@ def margin_ranking_loss(positive_scores: Tensor, negative_scores: Tensor,
         raise ValueError(f"reduction must be 'mean', 'sum', or 'none', got {reduction!r}")
     pos, neg = positive_scores, negative_scores
     n = max(1, pos.data.size)
-    t0 = time.perf_counter()
     if reduction == "none":
         out_data, mask = kernels.margin_loss_forward(pos.data, neg.data, margin)
     else:
@@ -67,8 +64,7 @@ def margin_ranking_loss(positive_scores: Tensor, negative_scores: Tensor,
         out_data = np.asarray(total if reduction == "sum" else total * (1.0 / n))
     count_flops("margin_loss[fused]", kernels.margin_loss_flops(n),
                 bytes_streamed=pos.data.nbytes + neg.data.nbytes,
-                bytes_unique=pos.data.nbytes + neg.data.nbytes,
-                seconds=time.perf_counter() - t0)
+                bytes_unique=pos.data.nbytes + neg.data.nbytes)
 
     def backward(grad: np.ndarray) -> None:
         g = np.asarray(grad)

@@ -1,4 +1,4 @@
-"""Profiling substrate: FLOP counting, device-memory model, cache model, timers.
+"""Profiling substrate: FLOP counting, device-memory model, cache model.
 
 These modules stand in for the measurement tools the paper uses on its
 hardware testbed:
@@ -11,7 +11,6 @@ hardware testbed:
 * :mod:`repro.profiling.cache` — a cache-behaviour model built from the
   byte-traffic counters of each kernel (replaces ``perf``'s cache-miss rate;
   Table 7).
-* :mod:`repro.profiling.timers` — wall-clock phase timers.
 * :mod:`repro.profiling.report` — function-level CPU profile of a training
   step (Figure 2).
 """
@@ -23,7 +22,6 @@ from repro.profiling.memory import (
     estimate_training_memory,
 )
 from repro.profiling.cache import CacheModel, CacheReport, measure_cache_behaviour
-from repro.profiling.timers import PhaseTimer
 from repro.profiling.report import profile_training_step, FunctionProfile
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "CacheModel",
     "CacheReport",
     "measure_cache_behaviour",
-    "PhaseTimer",
     "profile_training_step",
     "FunctionProfile",
 ]

@@ -8,6 +8,8 @@ The serving stack is layered so each piece is usable on its own:
   LRU result cache.
 * :class:`~repro.serving.request_batcher.RequestBatcher` — coalesces
   concurrent single queries into batched engine calls.
+* :mod:`~repro.serving.validation` — the request protocol both HTTP tiers
+  share: one parser, one executor and one error mapping for every route.
 * :class:`~repro.serving.server.InferenceServer` — a stdlib-only threaded
   JSON/HTTP front-end (``sptransx serve`` wraps it).
 * :class:`~repro.serving.pool.WorkerPool` +
@@ -27,7 +29,7 @@ The serving stack is layered so each piece is usable on its own:
 """
 
 from repro.serving.admission import AdmissionController
-from repro.serving.async_server import AsyncInferenceServer, make_async_server
+from repro.serving.async_server import AsyncInferenceServer
 from repro.serving.cache import LRUCache
 from repro.serving.deadline import DeadlineBatcher, ServiceTimeEstimator
 from repro.serving.engine import InferenceEngine, TopKQuery, TopKResult
@@ -54,6 +56,5 @@ __all__ = [
     "ServingError",
     "WorkerError",
     "WorkerPool",
-    "make_async_server",
     "make_server",
 ]

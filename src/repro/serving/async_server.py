@@ -18,11 +18,12 @@ are no locks here at all; the only cross-thread entry points are
 :meth:`AsyncInferenceServer.close` and the test/CLI bootstrap helpers, which
 hand control to the loop via ``call_soon_threadsafe``.
 
-The JSON dialect is identical to the threaded tier (same routes, same
-payloads, same error strings — see :mod:`repro.serving.validation`), plus:
+Every POST is parsed by :func:`repro.serving.validation.parse_request`, the
+request protocol the threaded tier uses too, so both tiers accept and reject
+the same bodies with the same status and error body.  What this tier adds:
 
-* every POST accepts an optional ``"deadline_ms"`` field overriding the
-  server default deadline for that request;
+* a POST's optional ``"deadline_ms"`` overrides the server default deadline
+  for that request;
 * responses past the admission gate may be ``503 {"error": "shed", ...}``
   with a ``Retry-After`` header, or ``504`` when a worker blows through the
   deadline by more than the grace factor;
@@ -37,29 +38,25 @@ import asyncio
 import json
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.serving.admission import AdmissionController, retry_after_header
 from repro.serving.engine import InferenceEngine
 from repro.serving.metrics import MetricsRegistry, merge_batch_distributions
-from repro.serving.pool import BATCHED_OPS, WorkerPool
+from repro.serving.pool import WorkerPool
 from repro.serving.validation import (
+    ROUTES,
+    TOP_K_OPS,
+    Request,
     ServingError,
-    ann_overrides,
-    check_ids,
-    deadline_ms_override,
-    get_triples,
-    require_int,
+    error_reply,
+    parse_request,
 )
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
             500: "Internal Server Error", 503: "Service Unavailable",
             504: "Gateway Timeout"}
-
-#: Worker error types mapped to HTTP 400 (request-derived failures).
-_CLIENT_ERRORS = frozenset({"ServingError", "ValueError", "TypeError",
-                            "IndexError", "KeyError"})
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 _KEEPALIVE_IDLE_S = 75.0
@@ -135,7 +132,8 @@ class AsyncInferenceServer:
         self._inflight: Dict[int, _Inflight] = {}
         self._worker_load: List[int] = [0] * workers
         self._worker_alive: List[bool] = [True] * workers
-        self._singleflight: Dict[Tuple, "asyncio.Future"] = {}
+        self._singleflight: Dict[Tuple[str, Any], "asyncio.Future"] = {}
+        self._clients: Set["asyncio.Task"] = set()
         self._thread: Optional[threading.Thread] = None
         self._port: Optional[int] = None
 
@@ -168,6 +166,10 @@ class AsyncInferenceServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        # Idle keep-alive handlers would otherwise outlive the loop.
+        for task in self._clients:
+            task.cancel()
+        await asyncio.gather(*self._clients, return_exceptions=True)
         if self._loop is not None:
             for idx in range(self.pool.workers):
                 try:
@@ -319,15 +321,15 @@ class AsyncInferenceServer:
             return max(packable, key=lambda idx: self._worker_load[idx])
         return min(alive, key=lambda idx: self._worker_load[idx])
 
-    def _dispatch(self, op: str, payload: Dict[str, Any], deadline: float,
-                  route: str, admitted: bool) -> "asyncio.Future":
+    def _dispatch(self, request: Request, deadline: float, route: str,
+                  admitted: bool) -> "asyncio.Future":
         worker = self._pick_worker()
         req_id = self.pool.next_request_id()
         future = self._loop.create_future()
         self._inflight[req_id] = _Inflight(future, worker, route, admitted)
         self._worker_load[worker] += 1
         try:
-            self.pool.submit(worker, req_id, op, payload, deadline)
+            self.pool.submit(worker, req_id, request, deadline)
         except (BrokenPipeError, OSError):
             self._on_worker_eof(worker)
         return future
@@ -337,13 +339,19 @@ class AsyncInferenceServer:
     # ------------------------------------------------------------------ #
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._clients.add(task)
         try:
             while True:
                 request = await self._read_request(reader)
                 if request is None:
                     break
                 method, path, body, keep_alive = request
-                status, payload, extra = await self._route(method, path, body)
+                try:
+                    status, payload, extra = await self._route(method, path, body)
+                except Exception as exc:  # noqa: BLE001 — last-resort reply
+                    # Never close a keep-alive connection without an answer.
+                    (status, payload), extra = error_reply(exc), None
                 if self.verbose:
                     print(f"{method} {path} -> {status}", flush=True)
                 await self._write_response(writer, status, payload,
@@ -355,6 +363,7 @@ class AsyncInferenceServer:
                 ValueError, asyncio.TimeoutError):
             pass  # torn/idle/oversized connection: just drop it
         finally:
+            self._clients.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -422,70 +431,28 @@ class AsyncInferenceServer:
             return 404, {"error": f"unknown path {path!r}"}, None
         if method != "POST":
             return 405, {"error": f"method {method} not allowed"}, None
-        if path not in ("/v1/top_k_tails", "/v1/top_k_heads", "/v1/nearest",
-                        "/v1/score", "/v1/classify"):
+        if path not in ROUTES:
             return 404, {"error": f"unknown path {path!r}"}, None
         try:
-            payload = json.loads(body.decode("utf-8")) if body else None
-            if not isinstance(payload, dict):
-                raise ServingError("request body must be a JSON object")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return 400, {"error": f"request body is not valid JSON: {exc}"}, None
-        try:
-            op, op_payload = self._parse(path, payload)
+            request = parse_request(path, body, self.meta["n_entities"],
+                                    self.meta["n_relations"])
         except ServingError as exc:
             self.metrics.route(path).error += 1
-            return 400, {"error": str(exc)}, None
-        try:
-            budget_ms = deadline_ms_override(payload, self.deadline_ms)
-        except ServingError as exc:
-            self.metrics.route(path).error += 1
-            return 400, {"error": str(exc)}, None
-        return await self._serve_op(path, op, op_payload, budget_ms)
-
-    def _parse(self, path: str, payload: Dict) -> Tuple[str, Dict[str, Any]]:
-        """Validate one POST body into a worker op (raises ServingError)."""
-        n_entities = int(self.meta.get("n_entities", 0))
-        n_relations = int(self.meta.get("n_relations", 0))
-        if path in ("/v1/top_k_tails", "/v1/top_k_heads"):
-            direction = "tail" if path.endswith("tails") else "head"
-            anchor_key = "head" if direction == "tail" else "tail"
-            anchor = require_int(payload, anchor_key)
-            relation = require_int(payload, "relation")
-            check_ids(n_entities, n_relations, relation=relation,
-                      **{anchor_key: anchor})
-            ann, nprobe = ann_overrides(payload)
-            return direction, {"anchor": anchor, "relation": relation,
-                               "k": int(payload.get("k", 10)),
-                               "filtered": bool(payload.get("filtered", False)),
-                               "ann": ann, "nprobe": nprobe}
-        if path == "/v1/nearest":
-            entity = require_int(payload, "entity")
-            check_ids(n_entities, n_relations, head=entity)
-            return "nearest", {"entity": entity, "k": int(payload.get("k", 10))}
-        triples = get_triples(payload)
-        if path == "/v1/score":
-            return "score", {"triples": triples}
-        if "threshold" not in payload:
-            raise ServingError('missing required field "threshold"')
-        return "classify", {"triples": triples,
-                            "threshold": float(payload["threshold"])}
+            status, payload = error_reply(exc)
+            return status, payload, None
+        budget_ms = (request.deadline_ms if request.deadline_ms is not None
+                     else self.deadline_ms)
+        return await self._serve_op(path, request, budget_ms)
 
     # ------------------------------------------------------------------ #
-    # Serving one op end to end
+    # Serving one request end to end
     # ------------------------------------------------------------------ #
-    def _singleflight_key(self, op: str, payload: Dict[str, Any]) -> Tuple:
-        return (op,) + tuple(sorted(
-            (key, tuple(map(tuple, value)) if isinstance(value, list) else value)
-            for key, value in payload.items()))
-
-    async def _serve_op(self, route: str, op: str, payload: Dict[str, Any],
-                        budget_ms: float
+    async def _serve_op(self, route: str, request: Request, budget_ms: float
                         ) -> Tuple[int, Dict, Optional[Dict[str, str]]]:
         metrics = self.metrics.route(route)
         arrival = time.monotonic()
         deadline = arrival + budget_ms / 1e3
-        key = self._singleflight_key(op, payload)
+        key = (request.op, request.query)
         future = self._singleflight.get(key)
         rider = future is not None and not future.done()
         if rider:
@@ -503,12 +470,12 @@ class AsyncInferenceServer:
                         "retry_after_s": round(retry_after_s, 4),
                     }, {"Retry-After": retry_after_header(retry_after_s)}
             try:
-                future = self._dispatch(op, payload, deadline, route,
+                future = self._dispatch(request, deadline, route,
                                         admitted=self.admission is not None)
             except ConnectionError as exc:
                 metrics.error += 1
                 return 503, {"error": str(exc)}, None
-            if op in BATCHED_OPS:
+            if request.op in TOP_K_OPS:
                 self._singleflight[key] = future
                 future.add_done_callback(
                     lambda fut, key=key: self._singleflight.pop(key, None)
@@ -527,10 +494,7 @@ class AsyncInferenceServer:
         now = time.monotonic()
         if not ok:
             metrics.error += 1
-            error_type = value.get("error_type", "RuntimeError")
-            status = 400 if error_type in _CLIENT_ERRORS else 500
-            message = value.get("message") or error_type
-            return status, {"error": message}, None
+            return value["status"], {"error": value["error"]}, None
         metrics.observe_ok((now - arrival) * 1e3, within_deadline=now <= deadline)
         return 200, value, None
 
@@ -545,7 +509,7 @@ class AsyncInferenceServer:
                 continue
             try:
                 futures[idx] = self._dispatch(
-                    "stats", {}, time.monotonic() + 5.0,
+                    Request("stats"), time.monotonic() + 5.0,
                     route="/v1/stats", admitted=False)
             except ConnectionError:
                 continue
@@ -571,8 +535,3 @@ class AsyncInferenceServer:
             "worker_stats": worker_stats,
         }
 
-
-def make_async_server(engine_factory: Callable[[], InferenceEngine],
-                      **kwargs) -> AsyncInferenceServer:
-    """Construct (but do not start) an :class:`AsyncInferenceServer`."""
-    return AsyncInferenceServer(engine_factory, **kwargs)

@@ -24,18 +24,23 @@ factory — is ever serialised):
 ===============================================  ================================
 parent → worker                                  worker → parent
 ===============================================  ================================
-``("req", id, op, payload, deadline)``           ``("res", id, ok, value, meta)``
+``("req", id, request, deadline)``               ``("res", id, ok, value, meta)``
 ``None`` (shutdown; drains pending first)        ``("ready", meta)`` once at start
 ===============================================  ================================
 
-Deadlines are absolute ``time.monotonic()`` instants: on the platforms this
-repo targets ``CLOCK_MONOTONIC`` is system-wide, so a deadline stamped in the
-parent is directly comparable in the forked child.
+``request`` is the :class:`~repro.serving.validation.Request` the front end
+parsed — the worker never re-reads a payload.  Deadlines are absolute
+``time.monotonic()`` instants: on the platforms this repo targets
+``CLOCK_MONOTONIC`` is system-wide, so a deadline stamped in the parent is
+directly comparable in the forked child.
 
-Ops: ``"tail"``/``"head"`` are deadline-batched top-k queries; ``"nearest"``,
-``"score"``, ``"classify"`` execute immediately (they are not coalescable);
-``"stats"`` and ``"meta"`` are control ops answered out of band so a stats
-poll never waits behind a scoring batch.
+Top-k requests (``"tail"``/``"head"``) are deadline-batched and executed by
+:func:`~repro.serving.validation.top_k_groups`; ``"nearest"``, ``"score"``
+and ``"classify"`` go straight to :func:`~repro.serving.validation.answer`
+(they are not coalescable); the control ops ``"stats"`` and ``"meta"`` are
+answered out of band so a stats poll never waits behind a scoring batch.  A
+failed request comes back as ``ok=False`` with the status and body of
+:func:`~repro.serving.validation.error_reply` plus the exception's type name.
 """
 
 from __future__ import annotations
@@ -43,16 +48,18 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.serving.deadline import DeadlineBatcher, ServiceTimeEstimator
-from repro.serving.engine import InferenceEngine, TopKQuery
+from repro.serving.engine import InferenceEngine
 from repro.serving.metrics import batch_size_distribution
-
-#: Ops the worker coalesces into deadline-aware batches.
-BATCHED_OPS = frozenset({"tail", "head"})
-#: Ops answered immediately, even while a batch is pending.
-IMMEDIATE_OPS = frozenset({"nearest", "score", "classify", "stats", "meta"})
+from repro.serving.validation import (
+    TOP_K_OPS,
+    Request,
+    answer,
+    error_reply,
+    top_k_groups,
+)
 
 #: Max quiet time (seconds) a pending batch lingers for more riders.  The
 #: deadline bound (ship at ``deadline - estimate - slack``) alone would hold
@@ -78,15 +85,6 @@ class PoolClosed(RuntimeError):
 # --------------------------------------------------------------------------- #
 # Worker process
 # --------------------------------------------------------------------------- #
-def _query_from_payload(payload: Dict[str, Any]) -> TopKQuery:
-    return TopKQuery(anchor=int(payload["anchor"]),
-                     relation=int(payload["relation"]),
-                     k=int(payload.get("k", 10)),
-                     filtered=bool(payload.get("filtered", False)),
-                     ann=payload.get("ann"),
-                     nprobe=payload.get("nprobe"))
-
-
 class _WorkerLoop:
     """The single-threaded request loop owned by one worker process."""
 
@@ -126,33 +124,21 @@ class _WorkerLoop:
         self.conn.send(("res", req_id, ok, value, meta or {}))
 
     def _fail(self, req_id: int, exc: BaseException) -> None:
-        self._respond(req_id, False,
-                      {"error_type": type(exc).__name__, "message": str(exc)})
+        status, body = error_reply(exc)
+        self._respond(req_id, False, {"status": status,
+                                      "error_type": type(exc).__name__, **body})
 
-    def _execute_immediate(self, req_id: int, op: str,
-                           payload: Dict[str, Any]) -> None:
+    def _execute_immediate(self, req_id: int, request: Request) -> None:
         try:
-            if op == "meta":
+            if request.op == "meta":
                 self._respond(req_id, True, self.meta())
                 return
-            if op == "stats":
+            if request.op == "stats":
                 self._respond(req_id, True, self.stats())
                 return
             self.requests += 1
             start = time.perf_counter()
-            if op == "nearest":
-                value = self.engine.nearest_entities(
-                    int(payload["entity"]), k=int(payload.get("k", 10))).to_dict()
-            elif op == "score":
-                value = {"scores": [float(s) for s in
-                                    self.engine.score_triples(payload["triples"])]}
-            elif op == "classify":
-                threshold = float(payload["threshold"])
-                value = {"labels": self.engine.classify(payload["triples"],
-                                                        threshold),
-                         "threshold": threshold}
-            else:
-                raise ValueError(f"unknown op {op!r}")
+            value = answer(self.engine, request)
             service_ms = (time.perf_counter() - start) * 1e3
             self._respond(req_id, True, value,
                           {"batch_size": 1, "service_ms": service_ms})
@@ -170,31 +156,18 @@ class _WorkerLoop:
             self.shipped_full += 1
         else:
             self.shipped_deadline += 1
-        by_op: Dict[str, List[Tuple[int, TopKQuery]]] = {}
-        for (req_id, op, payload), _deadline in batch:
-            try:
-                by_op.setdefault(op, []).append(
-                    (req_id, _query_from_payload(payload)))
-            except (KeyError, TypeError, ValueError) as exc:
-                self._fail(req_id, exc)
-        for op, items in by_op.items():
-            queries = [query for _, query in items]
-            start = time.perf_counter()
-            try:
-                if op == "tail":
-                    results = self.engine.top_k_tails_batch(queries)
-                else:
-                    results = self.engine.top_k_heads_batch(queries)
-            except BaseException as exc:  # noqa: BLE001 — per-group failure
-                for req_id, _ in items:
-                    self._fail(req_id, exc)
+        ids = [req_id for (req_id, _), _deadline in batch]
+        groups = top_k_groups(self.engine,
+                              [request for (_, request), _deadline in batch])
+        for positions, outcome, seconds in groups:
+            if isinstance(outcome, BaseException):
+                for position in positions:
+                    self._fail(ids[position], outcome)
                 continue
-            elapsed = time.perf_counter() - start
-            self.estimator.observe(len(items), elapsed)
-            service_ms = elapsed * 1e3
-            for (req_id, _), result in zip(items, results):
-                self._respond(req_id, True, result.to_dict(),
-                              {"batch_size": size, "service_ms": service_ms})
+            self.estimator.observe(len(positions), seconds)
+            meta = {"batch_size": size, "service_ms": seconds * 1e3}
+            for position, result in zip(positions, outcome):
+                self._respond(ids[position], True, result.to_dict(), meta)
 
     def run(self) -> None:
         while True:
@@ -213,11 +186,11 @@ class _WorkerLoop:
                     while len(self.batcher):
                         self._execute_batch()
                     return
-                _tag, req_id, op, payload, deadline = message
-                if op in BATCHED_OPS:
-                    self.batcher.add((req_id, op, payload), deadline)
+                _tag, req_id, request, deadline = message
+                if request.op in TOP_K_OPS:
+                    self.batcher.add((req_id, request), deadline)
                 else:
-                    self._execute_immediate(req_id, op, payload)
+                    self._execute_immediate(req_id, request)
                 got_traffic = True
                 has_message = self.conn.poll(0)
             if not len(self.batcher):
@@ -340,15 +313,15 @@ class WorkerPool:
         self._next_id += 1
         return self._next_id
 
-    def submit(self, worker: int, req_id: int, op: str,
-               payload: Dict[str, Any], deadline: float) -> None:
+    def submit(self, worker: int, req_id: int, request: Request,
+               deadline: float) -> None:
         """Send one request to ``worker`` (non-blocking; pipe-buffered)."""
         if self._closed:
             raise PoolClosed("worker pool is closed")
-        self._conns[worker].send(("req", req_id, op, payload, float(deadline)))
+        self._conns[worker].send(("req", req_id, request, float(deadline)))
 
-    def call(self, worker: int, op: str, payload: Optional[Dict[str, Any]] = None,
-             deadline_ms: float = 1000.0, timeout_s: float = 30.0) -> Any:
+    def call(self, worker: int, request: Request, deadline_ms: float = 1000.0,
+             timeout_s: float = 30.0) -> Any:
         """Synchronous round-trip to one worker (tests and CLI startup).
 
         Must not be interleaved with event-loop dispatch on the same worker:
@@ -358,21 +331,20 @@ class WorkerPool:
             raise PoolClosed("worker pool is closed")
         req_id = self.next_request_id()
         deadline = time.monotonic() + deadline_ms / 1e3
-        self.submit(worker, req_id, op, payload or {}, deadline)
+        self.submit(worker, req_id, request, deadline)
         conn = self._conns[worker]
         end = time.monotonic() + timeout_s
         while True:
             remaining = end - time.monotonic()
             if remaining <= 0 or not conn.poll(remaining):
                 raise TimeoutError(
-                    f"worker {worker} gave no answer to {op!r} "
+                    f"worker {worker} gave no answer to {request.op!r} "
                     f"within {timeout_s:g}s")
             tag, res_id, ok, value, _meta = conn.recv()
             if tag != "res" or res_id != req_id:
                 continue  # stale response from an abandoned earlier call
             if not ok:
-                raise WorkerError(value.get("error_type", "RuntimeError"),
-                                  value.get("message", "worker error"))
+                raise WorkerError(value["error_type"], value["error"])
             return value
 
     def alive(self) -> List[bool]:

@@ -12,9 +12,10 @@ Mechanics: callers block in :meth:`RequestBatcher.top_k_tails` /
 ``top_k_heads`` while a single worker thread drains the shared queue.  The
 worker takes the first pending request, then keeps gathering until either
 ``max_batch`` requests are in hand or ``max_wait_ms`` has elapsed since the
-batch opened, groups them by direction, and dispatches one engine call per
-direction.  Per-request exceptions are propagated back to their caller
-without poisoning the rest of the batch.
+batch opened, and answers it through
+:func:`~repro.serving.validation.top_k_groups` — one engine call per
+direction, the same execution the pool workers use.  Per-request exceptions
+are propagated back to their caller without poisoning the rest of the batch.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.serving.engine import InferenceEngine, TopKQuery, TopKResult
+from repro.serving.validation import Request, top_k_groups
 
 
 class EngineClosed(RuntimeError):
@@ -42,8 +44,7 @@ class EngineClosed(RuntimeError):
 class _PendingRequest:
     """One caller-visible request waiting for its batch to execute."""
 
-    direction: str
-    query: TopKQuery
+    request: Request
     done: threading.Event = field(default_factory=threading.Event)
     result: Optional[TopKResult] = None
     error: Optional[BaseException] = None
@@ -89,14 +90,14 @@ class RequestBatcher:
     def top_k_tails(self, head: int, relation: int, k: int = 10,
                     filtered: bool = False) -> TopKResult:
         """Blocking tail query; executed inside the next coalesced batch."""
-        return self._submit("tail", TopKQuery(int(head), int(relation),
-                                              int(k), bool(filtered)))
+        return self.submit(Request("tail", TopKQuery(int(head), int(relation),
+                                                     int(k), bool(filtered))))
 
     def top_k_heads(self, relation: int, tail: int, k: int = 10,
                     filtered: bool = False) -> TopKResult:
         """Blocking head query; executed inside the next coalesced batch."""
-        return self._submit("head", TopKQuery(int(tail), int(relation),
-                                              int(k), bool(filtered)))
+        return self.submit(Request("head", TopKQuery(int(tail), int(relation),
+                                                     int(k), bool(filtered))))
 
     def close(self, timeout: float = 30.0) -> None:
         """Stop the worker; further submits raise :class:`EngineClosed`.
@@ -152,11 +153,9 @@ class RequestBatcher:
                 "mean_batch_size": self.requests / self.batches if self.batches else 0.0,
             }
 
-    # ------------------------------------------------------------------ #
-    # Worker internals
-    # ------------------------------------------------------------------ #
-    def _submit(self, direction: str, query: TopKQuery) -> TopKResult:
-        pending = _PendingRequest(direction=direction, query=query)
+    def submit(self, request: Request) -> TopKResult:
+        """Blocking top-k ``request``; executed inside the next coalesced batch."""
+        pending = _PendingRequest(request)
         with self._submit_lock:
             if self._closed:
                 raise EngineClosed("batcher is closed")
@@ -173,6 +172,9 @@ class RequestBatcher:
         assert pending.result is not None
         return pending.result
 
+    # ------------------------------------------------------------------ #
+    # Worker internals
+    # ------------------------------------------------------------------ #
     def _collect_batch(self, first: _PendingRequest) -> List[_PendingRequest]:
         batch = [first]
         deadline = time.monotonic() + self.max_wait_s
@@ -193,24 +195,15 @@ class RequestBatcher:
         return batch
 
     def _execute(self, batch: List[_PendingRequest]) -> None:
-        by_direction: Dict[str, List[_PendingRequest]] = {}
-        for item in batch:
-            by_direction.setdefault(item.direction, []).append(item)
-        for direction, items in by_direction.items():
-            queries = [item.query for item in items]
-            try:
-                if direction == "tail":
-                    results = self.engine.top_k_tails_batch(queries)
+        groups = top_k_groups(self.engine, [item.request for item in batch])
+        for positions, outcome, _seconds in groups:
+            for i, position in enumerate(positions):
+                item = batch[position]
+                if isinstance(outcome, BaseException):
+                    item.error = outcome
                 else:
-                    results = self.engine.top_k_heads_batch(queries)
-                for item, result in zip(items, results):
-                    item.result = result
-            except BaseException as exc:  # noqa: BLE001 — handed to the caller
-                for item in items:
-                    item.error = exc
-            finally:
-                for item in items:
-                    item.done.set()
+                    item.result = outcome[i]
+                item.done.set()
         with self._stats_lock:
             self.requests += len(batch)
             self.batches += 1

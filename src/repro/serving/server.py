@@ -6,23 +6,13 @@ micro-batching effective: concurrent requests block in their own handler
 threads, their queries meet inside the :class:`RequestBatcher`, and one
 vectorised engine call answers them all.
 
-Endpoints (all JSON):
-
-====================  ======  =====================================================
-``/v1/health``        GET     liveness + served model class
-``/v1/spec``          GET     the served model's :class:`ModelSpec`
-``/v1/stats``         GET     engine, cache, and batcher counters
-``/v1/top_k_tails``   POST    ``{"head": 3, "relation": 1, "k": 10, "filtered": true}``
-``/v1/top_k_heads``   POST    ``{"tail": 3, "relation": 1, "k": 10, "filtered": true}``
-``/v1/nearest``       POST    ``{"entity": 3, "k": 10}`` (embedding-space kNN)
-``/v1/score``         POST    ``{"triples": [[h, r, t], ...]}``
-``/v1/classify``      POST    ``{"triples": [...], "threshold": 7.5}``
-====================  ======  =====================================================
-
-Top-k requests additionally accept optional ``"ann"`` (boolean; ``false``
-forces the exact path for this request) and ``"nprobe"`` (positive integer)
-fields when the engine was loaded with an ANN index; requests carrying either
-override bypass the batcher so the override cannot leak onto batch-mates.
+GET ``/v1/health`` (liveness + served model class), ``/v1/spec`` (the served
+model's :class:`ModelSpec`) and ``/v1/stats`` (engine, cache and batcher
+counters) are answered here; every POST route is parsed and answered by
+:mod:`repro.serving.validation`, the request protocol this tier shares with
+the pool tier.  Plain top-k requests go through the :class:`RequestBatcher`;
+requests carrying an ``"ann"`` / ``"nprobe"`` override are answered on their
+own so the override cannot leak onto batch-mates.
 """
 
 from __future__ import annotations
@@ -34,10 +24,12 @@ from typing import Dict, Optional
 from repro.serving.engine import InferenceEngine
 from repro.serving.request_batcher import RequestBatcher
 from repro.serving.validation import (
+    ROUTES,
+    TOP_K_OPS,
     ServingError,
-    ann_overrides as _ann_overrides,
-    get_triples as _get_triples,
-    require_int as _require_int,
+    answer,
+    error_reply,
+    parse_request,
 )
 
 __all__ = ["InferenceServer", "ServingError", "ServingHandler", "make_server"]
@@ -64,18 +56,6 @@ class ServingHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> Dict:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
-            raise ServingError("request body is empty")
-        try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ServingError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ServingError("request body must be a JSON object")
-        return payload
-
     # ------------------------------------------------------------------ #
     # Routes
     # ------------------------------------------------------------------ #
@@ -96,81 +76,29 @@ class ServingHandler(BaseHTTPRequestHandler):
         else:
             self._send_json({"error": f"unknown path {self.path!r}"}, status=404)
 
-    #: POST routes _dispatch understands; anything else is a 404, matching GET.
-    POST_ROUTES = frozenset({"/v1/top_k_tails", "/v1/top_k_heads", "/v1/nearest",
-                             "/v1/score", "/v1/classify"})
-
     def do_POST(self) -> None:  # noqa: N802 — http.server API
-        if self.path not in self.POST_ROUTES:
-            # Drain the body so a keep-alive connection stays parseable.
-            length = int(self.headers.get("Content-Length", 0))
-            if length > 0:
-                self.rfile.read(length)
-            self._send_json({"error": f"unknown path {self.path!r}"}, status=404)
-            return
         try:
-            payload = self._read_json()
-            self._send_json(self._dispatch(self.path, payload))
-        except ServingError as exc:
-            self._send_json({"error": str(exc)}, status=400)
-        except IndexError as exc:
-            self._send_json({"error": str(exc) or "entity or relation id out of range"},
-                            status=400)
-        except (ValueError, TypeError) as exc:
-            # Everything reaching the scoring kernels is request-derived, so
-            # validation failures there (check_triples, bad casts) are client
-            # errors, same as the explicit checks above.
-            self._send_json({"error": str(exc)}, status=400)
-        except Exception as exc:  # noqa: BLE001 — last-resort 500 with context
-            self._send_json({"error": f"{type(exc).__name__}: {exc}"}, status=500)
-
-    def _dispatch(self, path: str, payload: Dict) -> Dict:
-        engine = self.server.engine
-        batcher = self.server.batcher
-        if path == "/v1/top_k_tails":
-            head = _require_int(payload, "head")
-            relation = _require_int(payload, "relation")
-            k = int(payload.get("k", 10))
-            filtered = bool(payload.get("filtered", False))
-            ann, nprobe = _ann_overrides(payload)
-            self.server.check_ids(head=head, relation=relation)
-            # Per-request ANN overrides bypass the batcher: the coalesced
-            # path answers all riders from one engine call, which would
-            # silently apply one request's override to its batch-mates.
-            if batcher is not None and ann is None and nprobe is None:
-                result = batcher.top_k_tails(head, relation, k=k, filtered=filtered)
+            # Read the body even for an unknown path, so a keep-alive
+            # connection stays parseable.
+            length = int(self.headers.get("Content-Length", 0))
+            body = self.rfile.read(length) if length > 0 else b""
+            if self.path not in ROUTES:
+                self._send_json({"error": f"unknown path {self.path!r}"}, status=404)
+                return
+            model = self.server.engine.model
+            request = parse_request(self.path, body, model.n_entities,
+                                    model.n_relations)
+            batcher, query = self.server.batcher, request.query
+            # Per-request ANN overrides bypass the batcher, which counts
+            # only plain top-k queries.
+            if (batcher is not None and request.op in TOP_K_OPS
+                    and query.ann is None and query.nprobe is None):
+                self._send_json(batcher.submit(request).to_dict())
             else:
-                result = engine.top_k_tails(head, relation, k=k, filtered=filtered,
-                                            ann=ann, nprobe=nprobe)
-            return result.to_dict()
-        if path == "/v1/top_k_heads":
-            tail = _require_int(payload, "tail")
-            relation = _require_int(payload, "relation")
-            k = int(payload.get("k", 10))
-            filtered = bool(payload.get("filtered", False))
-            ann, nprobe = _ann_overrides(payload)
-            self.server.check_ids(tail=tail, relation=relation)
-            if batcher is not None and ann is None and nprobe is None:
-                result = batcher.top_k_heads(relation, tail, k=k, filtered=filtered)
-            else:
-                result = engine.top_k_heads(relation, tail, k=k, filtered=filtered,
-                                            ann=ann, nprobe=nprobe)
-            return result.to_dict()
-        if path == "/v1/nearest":
-            entity = _require_int(payload, "entity")
-            k = int(payload.get("k", 10))
-            return engine.nearest_entities(entity, k=k).to_dict()
-        if path == "/v1/score":
-            triples = _get_triples(payload)
-            return {"scores": [float(s) for s in engine.score_triples(triples)]}
-        if path == "/v1/classify":
-            triples = _get_triples(payload)
-            if "threshold" not in payload:
-                raise ServingError('missing required field "threshold"')
-            threshold = float(payload["threshold"])
-            return {"labels": engine.classify(triples, threshold),
-                    "threshold": threshold}
-        raise ServingError(f"unknown path {path!r}")
+                self._send_json(answer(self.server.engine, request))
+        except Exception as exc:  # noqa: BLE001 — 400 for client errors, else 500
+            status, payload = error_reply(exc)
+            self._send_json(payload, status=status)
 
 
 class InferenceServer(ThreadingHTTPServer):
@@ -212,15 +140,6 @@ class InferenceServer(ThreadingHTTPServer):
     @property
     def url(self) -> str:
         return f"http://{self.server_address[0]}:{self.port}"
-
-    def check_ids(self, head: Optional[int] = None, tail: Optional[int] = None,
-                  relation: Optional[int] = None) -> None:
-        """Reject out-of-vocabulary ids before they reach the scoring kernels."""
-        from repro.serving.validation import check_ids
-
-        model = self.engine.model
-        check_ids(model.n_entities, model.n_relations,
-                  head=head, tail=tail, relation=relation)
 
     def close(self) -> None:
         """Stop the batcher and release the socket (idempotent)."""

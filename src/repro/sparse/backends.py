@@ -18,7 +18,6 @@ the autograd wrapper lives in :mod:`repro.sparse.spmm`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Union
 
@@ -60,33 +59,30 @@ def spmm_flops(A: SparseLike, X: np.ndarray) -> int:
     return int(2 * nnz * n_cols)
 
 
-def _record(A: SparseLike, X: np.ndarray, out: np.ndarray, kernel: str,
-            seconds: float = 0.0) -> None:
-    """Register FLOPs, byte traffic, and wall-time for one SpMM call.
+def _record(A: SparseLike, X: np.ndarray, out: np.ndarray, kernel: str) -> None:
+    """Register FLOPs and byte traffic for one SpMM call.
 
     The unique-bytes figure counts the distinct embedding rows read plus the
     freshly written output (write-allocate traffic) — the compulsory-miss
     volume the cache model compares against the total streamed bytes.  Finding
     the distinct rows is an ``np.unique`` over the column indices, a cost
-    comparable to the kernel itself on a training batch, so it is derived only
-    while a ``flop_counter()`` region is collecting it; the global counters
-    record flops, streamed bytes and seconds either way.
+    comparable to the kernel itself on a training batch, so nothing is derived
+    unless a ``flop_counter()`` region is collecting it.
     """
+    if not counting_active():
+        return
     row_bytes = X.itemsize * (X.shape[1] if X.ndim > 1 else 1)
-    unique = 0
-    if counting_active():
-        coo_cols = None
-        if isinstance(A, COOMatrix):
-            coo_cols = A.cols
-        elif isinstance(A, CSRMatrix):
-            coo_cols = A.indices
-        elif sp.issparse(A):
-            coo_cols = A.tocoo().col
-        unique_reads = len(np.unique(coo_cols)) * row_bytes if coo_cols is not None else 0
-        unique = unique_reads + out.nbytes
+    coo_cols = None
+    if isinstance(A, COOMatrix):
+        coo_cols = A.cols
+    elif isinstance(A, CSRMatrix):
+        coo_cols = A.indices
+    elif sp.issparse(A):
+        coo_cols = A.tocoo().col
+    unique_reads = len(np.unique(coo_cols)) * row_bytes if coo_cols is not None else 0
     streamed = (A.nnz * row_bytes) + out.nbytes
     count_flops(kernel, spmm_flops(A, X), bytes_streamed=streamed,
-                bytes_unique=unique, seconds=seconds)
+                bytes_unique=unique_reads + out.nbytes)
 
 
 @dataclass(frozen=True)
@@ -118,9 +114,8 @@ class SpMMBackend:
         X = np.asarray(X)
         if A.shape[1] != X.shape[0]:
             raise ValueError(f"dimension mismatch: {A.shape} @ {X.shape}")
-        t0 = time.perf_counter()
         out = self.fn(A, X)
-        _record(A, X, out, f"spmm[{self.name}]", seconds=time.perf_counter() - t0)
+        _record(A, X, out, f"spmm[{self.name}]")
         return out
 
 
@@ -179,13 +174,11 @@ def _rowsparse_backward(A: SparseLike, grad: np.ndarray, n_rows: int) -> RowSpar
     touched rows of the dense backward ``scipy(A^T) @ grad``, at a cost of
     ``(nnz + touched) * d`` elements moved — no ``(K, d)`` densification.
     """
-    t0 = time.perf_counter()
     transposed = _as_scipy_csr(A).T.tocsr()
     touched = np.flatnonzero(np.diff(transposed.indptr))
     compact = transposed[touched]
     packed = _scipy_spmm(compact, grad)
-    _record(compact, grad, packed, "spmm_bwd[rowsparse]",
-            seconds=time.perf_counter() - t0)
+    _record(compact, grad, packed, "spmm_bwd[rowsparse]")
     return RowSparseGrad(touched, packed, (n_rows,) + grad.shape[1:])
 
 
@@ -197,11 +190,10 @@ def _numpy_rowsparse_backward(A: SparseLike, grad: np.ndarray, n_rows: int) -> R
     over an ``(nnz, d)`` contribution matrix, with no transpose.
     """
     coo = _as_coo(A)
-    t0 = time.perf_counter()
     vals = coo.values.astype(grad.dtype, copy=False)
     contributions = vals[:, None] * grad[coo.rows]
     out = RowSparseGrad.from_rows(coo.cols, contributions, (n_rows,) + grad.shape[1:])
-    _record(coo, grad, out.values, "spmm_bwd[numpy]", seconds=time.perf_counter() - t0)
+    _record(coo, grad, out.values, "spmm_bwd[numpy]")
     return out
 
 

@@ -9,7 +9,8 @@ import time
 import pytest
 
 from repro.registry import ModelSpec, build_model
-from repro.serving import InferenceEngine, PoolClosed, WorkerError, WorkerPool
+from repro.serving import InferenceEngine, PoolClosed, TopKQuery, WorkerError, WorkerPool
+from repro.serving.validation import Nearest, Request, Triples
 
 SPEC = ModelSpec(model="transe", formulation="sparse",
                  n_entities=40, n_relations=5, embedding_dim=8)
@@ -29,35 +30,35 @@ def pool():
 
 class TestRoundTrips:
     def test_tail_matches_direct_engine(self, pool):
-        out = pool.call(0, "tail", {"anchor": 3, "relation": 1, "k": 5})
+        out = pool.call(0, Request("tail", TopKQuery(3, 1, k=5)))
         expected = make_engine().top_k_tails(3, 1, k=5)
         assert out["entities"] == list(expected.entities)
         assert out["scores"] == pytest.approx(list(expected.scores))
 
     def test_head_matches_direct_engine(self, pool):
-        out = pool.call(1, "head", {"anchor": 7, "relation": 2, "k": 4})
+        out = pool.call(1, Request("head", TopKQuery(7, 2, k=4)))
         expected = make_engine().top_k_heads(relation=2, tail=7, k=4)
         assert out["entities"] == list(expected.entities)
 
     def test_filtered_flag_respected(self, pool):
-        plain = pool.call(0, "tail", {"anchor": 0, "relation": 1, "k": 40})
-        filtered = pool.call(0, "tail", {"anchor": 0, "relation": 1, "k": 40,
-                                         "filtered": True})
+        plain = pool.call(0, Request("tail", TopKQuery(0, 1, k=40)))
+        filtered = pool.call(0, Request("tail", TopKQuery(0, 1, k=40,
+                                                             filtered=True)))
         assert 2 in plain["entities"]
         assert 2 not in filtered["entities"]
 
     def test_immediate_ops(self, pool):
-        nearest = pool.call(0, "nearest", {"entity": 4, "k": 3})
+        nearest = pool.call(0, Request("nearest", Nearest(4, k=3)))
         assert len(nearest["entities"]) == 3
-        scores = pool.call(0, "score", {"triples": [[0, 1, 2], [3, 0, 4]]})
+        scores = pool.call(0, Request("score", Triples(((0, 1, 2), (3, 0, 4)))))
         assert len(scores["scores"]) == 2
-        labels = pool.call(0, "classify",
-                           {"triples": [[0, 1, 2]], "threshold": 5.0})
+        labels = pool.call(0, Request("classify",
+                                    Triples(((0, 1, 2),), threshold=5.0)))
         assert labels["labels"] == [True] or labels["labels"] == [False]
 
     def test_worker_error_propagates(self, pool):
         with pytest.raises(WorkerError) as excinfo:
-            pool.call(0, "tail", {"anchor": 10_000, "relation": 1, "k": 5})
+            pool.call(0, Request("tail", TopKQuery(10_000, 1, k=5)))
         assert excinfo.value.error_type in {"ValueError", "IndexError"}
         # The worker survives a failed request.
         assert pool.alive() == [True, True]
@@ -66,12 +67,12 @@ class TestRoundTrips:
 class TestControlOps:
     def test_meta_handshake_and_op(self, pool):
         assert pool.meta["n_entities"] == 40
-        meta = pool.call(1, "meta")
+        meta = pool.call(1, Request("meta"))
         assert meta["model"] == "SpTransE"
         assert meta["spec"]["n_relations"] == 5
 
     def test_stats_reports_batching(self, pool):
-        stats = pool.call(0, "stats")
+        stats = pool.call(0, Request("stats"))
         assert stats["requests"] >= 1
         assert stats["service_per_row_ms"] > 0
         dist = stats["batch_distribution"]
@@ -89,8 +90,8 @@ class TestControlOps:
             ids = []
             for anchor in range(10):
                 req_id = pool.next_request_id()
-                pool.submit(0, req_id, "tail",
-                            {"anchor": anchor, "relation": 0, "k": 3}, deadline)
+                pool.submit(0, req_id, Request("tail", TopKQuery(anchor, 0, k=3)),
+                            deadline)
                 ids.append(req_id)
             conn = pool.connection(0)
             got = set()
@@ -102,7 +103,7 @@ class TestControlOps:
                     got.add(res_id)
                     assert meta["batch_size"] >= 1
             assert got == set(ids)
-            dist = pool.call(0, "stats")["batch_distribution"]
+            dist = pool.call(0, Request("stats"))["batch_distribution"]
             assert dist["multi_query_batches"] >= 1
             assert dist["largest_batch"] > 1
 
@@ -115,17 +116,16 @@ class TestLifecycle:
         pool.close()
         assert pool.alive() == [False, False]
         with pytest.raises(PoolClosed):
-            pool.call(0, "meta")
+            pool.call(0, Request("meta"))
         with pytest.raises(PoolClosed):
-            pool.submit(0, 1, "tail", {}, 0.0)
+            pool.submit(0, 1, Request("tail", TopKQuery(0, 0)), 0.0)
 
     def test_close_drains_pending_batch(self):
         pool = WorkerPool(make_engine, workers=1, max_batch=32,
                           default_service_ms=1.0)
         deadline = time.monotonic() + 30.0  # far future: batch sits pending
         req_id = pool.next_request_id()
-        pool.submit(0, req_id, "tail", {"anchor": 1, "relation": 0, "k": 3},
-                    deadline)
+        pool.submit(0, req_id, Request("tail", TopKQuery(1, 0, k=3)), deadline)
         conn = pool.connection(0)
         pool_closed = False
         try:

@@ -279,3 +279,32 @@ class TestEvaluateCommand:
         with pytest.raises(SystemExit):
             main(["evaluate", "--checkpoint", ckpt, "--dataset", "WN18RR",
                   "--scale", "0.003", "--test-fraction", "0", "--split", "valid"])
+
+
+class TestServeCommand:
+    """Both tiers build their engine through one factory, so a filtered
+    ``serve`` over a dataset whose vocabulary is not the checkpoint's is
+    refused by both, with one message, before a port is bound or a worker
+    forked."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        from repro.registry import ModelSpec, build_model
+        from repro.training.checkpoint import save_checkpoint
+
+        path = str(tmp_path_factory.mktemp("serve") / "m.npz")
+        save_checkpoint(path, build_model(
+            ModelSpec(model="transe", formulation="sparse", n_entities=30,
+                      n_relations=4, embedding_dim=8), rng=0))
+        return path
+
+    @pytest.mark.parametrize("workers", ["0", "2"], ids=["threaded", "pool"])
+    def test_filtered_serve_refuses_a_mismatched_dataset(self, checkpoint, workers):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--checkpoint", checkpoint, "--filtered",
+                  "--dataset", "WN18RR", "--scale", "0.003", "--port", "0",
+                  "--workers", workers])
+        assert str(excinfo.value).startswith("dataset vocabulary (")
+        assert str(excinfo.value).endswith(
+            "does not match the checkpoint (30, 4); filtered serving needs "
+            "the training data")

@@ -1,6 +1,4 @@
-"""Tests for the profiling substrate: FLOPs, memory model, cache model, timers, report."""
-
-import time
+"""Tests for the profiling substrate: FLOPs, memory model, cache model, report."""
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from repro.models import SpTransE, SpTransH
 from repro.optim import Adam
 from repro.profiling import (
     CacheModel,
-    PhaseTimer,
     count_training_flops,
     estimate_training_memory,
     measure_cache_behaviour,
@@ -152,34 +149,6 @@ class TestCacheModel:
         assert report.bytes_streamed > 0
         assert 0.0 <= report.miss_rate <= 1.0
         assert report.to_dict()["bytes_streamed"] == report.bytes_streamed
-
-
-class TestPhaseTimer:
-    def test_accumulates_phases(self):
-        timer = PhaseTimer()
-        with timer.phase("a"):
-            time.sleep(0.01)
-        with timer.phase("a"):
-            pass
-        with timer.phase("b"):
-            pass
-        assert timer.total("a") >= 0.01
-        assert timer.count("a") == 2
-        assert timer.count("b") == 1
-        assert set(timer.totals()) == {"a", "b"}
-        assert timer.grand_total() >= timer.total("a")
-
-    def test_manual_add_and_reset(self):
-        timer = PhaseTimer()
-        timer.add("x", 1.5)
-        assert timer.total("x") == 1.5
-        with pytest.raises(ValueError):
-            timer.add("x", -1.0)
-        timer.reset()
-        assert timer.grand_total() == 0.0
-
-    def test_unknown_phase_is_zero(self):
-        assert PhaseTimer().total("never") == 0.0
 
 
 class TestFunctionProfile:
