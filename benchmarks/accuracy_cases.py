@@ -24,6 +24,7 @@ from benchmarks.common import (
     make_batch,
     paired_models,
     scaled,
+    semiring_pairs,
 )
 from repro.baselines import DenseComplEx, DenseDistMult
 from repro.data import generate_learnable_kg
@@ -171,22 +172,9 @@ def _run_appendix_d(scale: float, seeds: Sequence[int]) -> Rows:
     dim = 64
 
     # Score equivalence under shared parameters.
-    sparse_dm = SpDistMult(kg.n_entities, kg.n_relations, dim, rng=seed + 1)
-    dense_dm = DenseDistMult(kg.n_entities, kg.n_relations, dim, rng=seed + 2)
-    sparse_dm.embeddings.load_pretrained(dense_dm.entity_embeddings.weight.data,
-                                         dense_dm.relation_embeddings.weight.data)
-    sparse_cx = SpComplEx(kg.n_entities, kg.n_relations, dim, rng=seed + 1)
-    dense_cx = DenseComplEx(kg.n_entities, kg.n_relations, dim, rng=seed + 2)
-    sparse_cx.real.load_pretrained(dense_cx.entity_real.weight.data,
-                                   dense_cx.relation_real.weight.data)
-    sparse_cx.imag.load_pretrained(dense_cx.entity_imag.weight.data,
-                                   dense_cx.relation_imag.weight.data)
-    gaps = {
-        "SpDistMult": float(np.max(np.abs(sparse_dm.score_triples(probe)
-                                          - dense_dm.score_triples(probe)))),
-        "SpComplEx": float(np.max(np.abs(sparse_cx.score_triples(probe)
-                                         - dense_cx.score_triples(probe)))),
-    }
+    gaps = {type(sparse).__name__: float(np.max(np.abs(sparse.score_triples(probe)
+                                                       - dense.score_triples(probe))))
+            for sparse, dense in semiring_pairs(kg, seed + 2, dim).values()}
 
     rows = []
     for cls in (SpDistMult, DenseDistMult, SpComplEx, DenseComplEx, SpRotatE):

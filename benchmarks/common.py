@@ -21,7 +21,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines import DenseTorusE, DenseTransE, DenseTransH, DenseTransR
+from repro.baselines import (
+    DenseComplEx,
+    DenseDistMult,
+    DenseTorusE,
+    DenseTransE,
+    DenseTransH,
+    DenseTransR,
+)
 from repro.data import (
     KGDataset,
     TripletBatch,
@@ -29,7 +36,7 @@ from repro.data import (
     make_dataset_like,
 )
 from repro.data.catalog import BENCHMARK_DATASETS
-from repro.models import SpTorusE, SpTransE, SpTransH, SpTransR
+from repro.models import SpComplEx, SpDistMult, SpTorusE, SpTransE, SpTransH, SpTransR
 from repro.training import TrainingConfig
 
 #: Fraction of the paper's dataset sizes used at ``scale == 1.0``.
@@ -105,6 +112,25 @@ def paired_models(model_name: str, kg: KGDataset, seed: int = 0, dim: int = DEFA
         sparse.relation_embeddings.weight.data[...] = dense.relation_embeddings.weight.data
         sparse.projections.data[...] = dense.projections.data
     return sparse, dense
+
+
+def semiring_pairs(kg: KGDataset, seed: int = 0, dim: int = DEFAULT_DIM):
+    """Appendix D's ``{name: (sparse, dense)}`` DistMult and ComplEx pairs.
+
+    As in :func:`paired_models`, the dense model's tables are copied into the
+    semiring model's stacked ones, so both start from identical parameters.
+    """
+    dense_dm = DenseDistMult(kg.n_entities, kg.n_relations, dim, rng=seed)
+    sparse_dm = SpDistMult(kg.n_entities, kg.n_relations, dim, rng=seed)
+    sparse_dm.embeddings.load_pretrained(dense_dm.entity_embeddings.weight.data,
+                                         dense_dm.relation_embeddings.weight.data)
+    dense_cx = DenseComplEx(kg.n_entities, kg.n_relations, dim, rng=seed)
+    sparse_cx = SpComplEx(kg.n_entities, kg.n_relations, dim, rng=seed)
+    sparse_cx.real.load_pretrained(dense_cx.entity_real.weight.data,
+                                   dense_cx.relation_real.weight.data)
+    sparse_cx.imag.load_pretrained(dense_cx.entity_imag.weight.data,
+                                   dense_cx.relation_imag.weight.data)
+    return {"DistMult": (sparse_dm, dense_dm), "ComplEx": (sparse_cx, dense_cx)}
 
 
 def make_batch(kg: KGDataset, batch_size: int, seed: int = 0) -> TripletBatch:

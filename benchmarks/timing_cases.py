@@ -1,4 +1,5 @@
-"""Wall-clock cases: Table 1, Figures 2, 6, 7, 8, Table 9 and ``rowsparse_scaling``.
+"""Wall-clock cases: Table 1, Figures 2, 6, 7, 8, Table 9, ``appendixD_speed`` and
+``rowsparse_scaling``.
 
 Every time compared here comes out of :func:`benchmarks.common.interleave`:
 one untimed warm-up per configuration, then alternating timed rounds, so a
@@ -30,6 +31,7 @@ from benchmarks.common import (
     paired_models,
     paper_training_config,
     scaled,
+    semiring_pairs,
 )
 from repro.baselines import DENSE_MODELS
 from repro.data import (
@@ -378,6 +380,38 @@ def _holds_table9(rows: Rows) -> Tuple[bool, str]:
 
 
 # --------------------------------------------------------------------- #
+# appendixD_speed: the semiring models against their dense twins
+# --------------------------------------------------------------------- #
+def _train_step(model, optimizer, batch: TripletBatch) -> None:
+    model.zero_grad()
+    model.loss(batch).backward()
+    optimizer.step()
+
+
+def _run_appendix_d_speed(scale: float, seeds: Sequence[int]) -> Rows:
+    seed = seeds[0]
+    kg = load_scaled_dataset("FB15K237", scale, seed)
+    batch = make_batch(kg, min(4096, kg.n_triples), seed)
+    rows = []
+    for name, pair in semiring_pairs(kg, seed).items():
+        steps = [functools.partial(_train_step, model, Adam(model.parameters(), lr=4e-4), batch)
+                 for model in pair]
+        timing = interleaved_ratio(*steps, warmup=1, rounds=scaled(10, scale, floor=3))
+        rows.append({"model": name,
+                     "sparse_ms": 1e3 * timing["a_s"], "sparse_iqr_ms": 1e3 * timing["a_iqr_s"],
+                     "dense_ms": 1e3 * timing["b_s"], "dense_iqr_ms": 1e3 * timing["b_iqr_s"],
+                     "dense/sparse": 1.0 / timing["ratio"]})
+    return rows
+
+
+def _holds_appendix_d_speed(rows: Rows) -> Tuple[bool, str]:
+    detail = "median training step, semiring SpMM vs dense gather (IQR): " + ", ".join(
+        f"{r['model']} {r['sparse_ms']:.2f} ({r['sparse_iqr_ms']:.2f}) vs {r['dense_ms']:.2f} "
+        f"({r['dense_iqr_ms']:.2f}) ms, {r['dense/sparse']:.2f}x" for r in rows)
+    return all(r["sparse_ms"] <= r["dense_ms"] for r in rows), detail
+
+
+# --------------------------------------------------------------------- #
 # rowsparse_scaling: the repo's own PR 1 claim
 # --------------------------------------------------------------------- #
 ROWSPARSE_ENTITIES = (5_000, 10_000, 20_000, 50_000)
@@ -481,6 +515,15 @@ CASES: List[Case] = [
         columns=("workers", "shard_rows", "compute_ms", "update_ms", "comm_ms", "modeled_ms",
                  "allreduce_mb", "measured_ms", "measured_comm_ms"),
         run=_run_table9, holds=_holds_table9,
+    ),
+    Case(
+        name="appendixD_speed", paper_ref="Appendix D",
+        claim="The semiring extension keeps the sparse formulation's speed: a training step "
+              "(forward, backward, Adam) of the semiring-SpMM model is no slower than its dense "
+              "gather twin's — sparse <= dense median step time for DistMult and ComplEx.",
+        columns=("model", "sparse_ms", "sparse_iqr_ms", "dense_ms", "dense_iqr_ms",
+                 "dense/sparse"),
+        run=_run_appendix_d_speed, holds=_holds_appendix_d_speed,
     ),
     Case(
         name="rowsparse_scaling", repo_ref="CHANGES.md PR 1 (row-sparse gradient pipeline)",

@@ -1,14 +1,13 @@
 """Non-translational models via the semiring SpMM extension (paper Appendix D).
 
-The incidence-matrix structure (three non-zeros per row over the stacked
-``[entities; relations]`` embedding) is reused with different semiring
-operators:
+Each model scores a batch with one :func:`~repro.sparse.semiring.semiring_spmm`
+over the stacked ``[entities; relations]`` embedding, under the registered
+semiring that ``config()["semiring"]`` names:
 
-* :class:`SpDistMult` — ``times_times`` semiring: per-row ``h ⊙ r ⊙ t``.
-* :class:`SpComplEx` — the complex ``times_times`` semiring over paired
-  (real, imaginary) stacked matrices.
-* :class:`SpRotatE` — the ``rotate`` semiring for the element-wise rotation
-  ``h ⊙ r − t`` with unit-modulus relations parameterised by a phase.
+* :class:`SpDistMult` — ``times_times``: per-row ``h ⊙ r ⊙ t``.
+* :class:`SpComplEx` — ``complex`` over (real, imaginary) stacked tables.
+* :class:`SpRotatE` — ``rotate``: the element-wise modulus of ``h ⊙ r − t``
+  with unit-modulus relations parameterised by a phase.
 
 To keep every model compatible with the margin-ranking trainer and the
 ranking evaluator, ``scores`` returns a dissimilarity: bilinear models return
@@ -28,12 +27,13 @@ from repro.nn.embedding import StackedEmbedding
 from repro.nn.parameter import Parameter
 from repro.nn import init
 from repro.registry import register_model
-from repro.sparse.semiring import complex_semiring_spmm, semiring_spmm
+from repro.sparse.semiring import semiring_spmm
 from repro.utils.seeding import new_rng
 from repro.utils.validation import check_triples
 
 
-@register_model("distmult", "sparse", formulation_tag="semiring-times-times")
+@register_model("distmult", "sparse", supports_sparse_grads=True,
+                formulation_tag="semiring-times-times")
 class SpDistMult(KGEModel):
     """DistMult through the ``times_times`` semiring SpMM.
 
@@ -53,8 +53,8 @@ class SpDistMult(KGEModel):
         """DistMult score ``sum_j h_j r_j t_j`` (larger = more plausible)."""
         triples = check_triples(triples, n_entities=self.n_entities,
                                 n_relations=self.n_relations)
-        combined = semiring_spmm(triples, self.embeddings.weight,
-                                 self.n_entities, "times_times")
+        combined = semiring_spmm(triples, self.embeddings.weight, self.n_entities,
+                                 "times_times", sparse_grad=self.sparse_grads)
         return combined.sum(axis=-1)
 
     def scores(self, triples: np.ndarray) -> Tensor:
@@ -73,9 +73,10 @@ class SpDistMult(KGEModel):
         return cfg
 
 
-@register_model("complex", "sparse", formulation_tag="semiring-complex-times-times")
+@register_model("complex", "sparse", supports_sparse_grads=True,
+                formulation_tag="semiring-complex")
 class SpComplEx(KGEModel):
-    """ComplEx through the complex ``times_times`` semiring SpMM.
+    """ComplEx through the ``complex`` semiring SpMM.
 
     Embeddings are complex vectors stored as a (real, imaginary) pair of
     stacked matrices; the score is ``Re(<h, r, conj(t)>)``.
@@ -91,8 +92,8 @@ class SpComplEx(KGEModel):
         """ComplEx score ``Re(sum_j h_j r_j conj(t_j))``."""
         triples = check_triples(triples, n_entities=self.n_entities,
                                 n_relations=self.n_relations)
-        real_part = complex_semiring_spmm(triples, self.real.weight, self.imag.weight,
-                                          self.n_entities)
+        real_part = semiring_spmm(triples, (self.real.weight, self.imag.weight),
+                                  self.n_entities, "complex", sparse_grad=self.sparse_grads)
         return real_part.sum(axis=-1)
 
     def scores(self, triples: np.ndarray) -> Tensor:
@@ -111,7 +112,7 @@ class SpComplEx(KGEModel):
 
     def config(self) -> Dict[str, object]:
         cfg = super().config()
-        cfg["semiring"] = "complex_times_times"
+        cfg["semiring"] = "complex"
         return cfg
 
 
@@ -149,28 +150,12 @@ class SpRotatE(KGEModel):
         stacked_im = ops.concatenate([self.entity_imag, sin_theta], axis=0)
         return stacked_re, stacked_im
 
-    def residual_components(self, triples: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Real and imaginary parts of ``h ⊙ r − t`` per triplet."""
-        triples = check_triples(triples, n_entities=self.n_entities,
-                                n_relations=self.n_relations)
-        stacked_re, stacked_im = self._stacked()
-        h = triples[:, 0]
-        r = triples[:, 1] + self.n_entities
-        t = triples[:, 2]
-        h_re = ops.gather_rows(stacked_re, h)
-        h_im = ops.gather_rows(stacked_im, h)
-        r_re = ops.gather_rows(stacked_re, r)
-        r_im = ops.gather_rows(stacked_im, r)
-        t_re = ops.gather_rows(stacked_re, t)
-        t_im = ops.gather_rows(stacked_im, t)
-        res_re = h_re * r_re - h_im * r_im - t_re
-        res_im = h_re * r_im + h_im * r_re - t_im
-        return res_re, res_im
-
     def scores(self, triples: np.ndarray) -> Tensor:
         """Summed complex modulus of the rotation residual (smaller = better)."""
-        res_re, res_im = self.residual_components(triples)
-        modulus = ops.sqrt(res_re * res_re + res_im * res_im, eps=1e-12)
+        triples = check_triples(triples, n_entities=self.n_entities,
+                                n_relations=self.n_relations)
+        # The stack is computed, not a leaf, so its SpMM backward stays dense.
+        modulus = semiring_spmm(triples, self._stacked(), self.n_entities, "rotate")
         return modulus.sum(axis=-1)
 
     def entity_embedding_matrix(self) -> np.ndarray:

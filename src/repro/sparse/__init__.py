@@ -16,8 +16,9 @@ side:
   optimizers' scatter-update paths (see ``repro.sparse.rowsparse``).
 * :mod:`repro.sparse.incidence` — builders for the ``ht`` (head − tail) and
   ``hrt`` (head + relation − tail) incidence matrices of Section 4.2.
-* :mod:`repro.sparse.semiring` — semiring SpMM generalisation used to express
-  DistMult / ComplEx / RotatE (paper Appendix D).
+* :mod:`repro.sparse.semiring` — the semiring SpMM of paper Appendix D: the
+  same :func:`spmm` gathers head, relation and tail rows, and a registered
+  semiring combines them into DistMult / ComplEx / RotatE scores.
 """
 
 from repro.sparse.coo import COOMatrix

@@ -1,6 +1,7 @@
 """Tests for the FLOP / byte-traffic counter plumbing."""
 
 import numpy as np
+import pytest
 
 from repro.autograd import Tensor, flop_counter, ops
 from repro.autograd.function import OpCounters, count_flops, counting_active
@@ -91,14 +92,23 @@ class TestUniqueBytesOnlyInsideARegion:
         assert counters.bytes_unique == 5 * 8 * 8 + out.nbytes
         assert counters.bytes_streamed == A.nnz * 8 * 8 + out.nbytes
 
-    def test_spmm_outside_a_region_never_reaches_np_unique(self, monkeypatch):
+    @pytest.mark.parametrize("model", [None, "SpDistMult", "SpComplEx", "SpRotatE"])
+    @pytest.mark.parametrize("sparse_grad", [False, True])
+    def test_spmm_outside_a_region_never_reaches_np_unique(self, monkeypatch, model,
+                                                           sparse_grad):
+        from repro import models
         from repro.sparse import backends, spmm
 
         def forbidden(*args, **kwargs):
             raise AssertionError("np.unique called on the SpMM hot path")
 
         A, X = self._operands()
+        if model is not None:
+            model = getattr(models, model)(4, 2, 8, rng=0).set_sparse_grads(sparse_grad)
         monkeypatch.setattr(backends.np, "unique", forbidden)
-        out = spmm(A, X)
+        if model is None:
+            out = spmm(A, X, sparse_grad=sparse_grad)
+        else:
+            out = model.scores(np.array([[0, 0, 1], [1, 1, 0], [2, 0, 2]]))
         out.backward(np.ones_like(out.data))
 
