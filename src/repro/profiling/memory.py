@@ -1,160 +1,64 @@
-"""Analytic device-memory model (Table 5 and Figure 6).
+"""Measured step memory (Table 5 and Figure 6).
 
-The paper measures ``torch.cuda.max_memory_allocated`` on an A100.  Without a
-GPU we charge a simulated allocator with everything that is simultaneously
-live during one training step:
-
-* the model parameters;
-* one gradient buffer per parameter;
-* optimiser state (0, 1, or 2 extra buffers per parameter depending on the
-  optimiser);
-* every intermediate tensor recorded on the autograd tape of the step's loss
-  (these must be retained for the backward pass, exactly like PyTorch's saved
-  activations).
-
-The sparse path materialises far fewer and smaller intermediates than the
-gather-based path (one ``(B, d)`` SpMM output versus three gathered operand
-copies plus their combinations), so the *relative* footprint — which is what
-Table 5 and Figure 6 demonstrate — is reproduced faithfully.
+The paper reads ``torch.cuda.max_memory_allocated`` after a training step on
+an A100.  numpy reports every buffer it allocates to :mod:`tracemalloc`, so
+the same reading here is the peak traced bytes of one real step: parameters,
+gradients (dense or row-sparse, whichever the step produced), optimizer
+state and the tape's saved intermediates are all counted as the step
+actually holds them, not as a model says it should.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Set
+import tracemalloc
+from typing import Callable
 
-from repro.autograd.tensor import Tensor
 from repro.data.batching import TripletBatch
-from repro.losses.margin import MarginRankingLoss
 from repro.models.base import KGEModel
-
-#: Extra per-parameter state buffers kept by each optimiser family.
-OPTIMIZER_STATE_BUFFERS = {
-    "sgd": 0,
-    "sgd_momentum": 1,
-    "adagrad": 1,
-    "adam": 2,
-}
+from repro.optim import Adam
 
 
-@dataclass
-class MemoryReport:
-    """Byte-level breakdown of one training step's simulated device memory."""
+def peak_traced_bytes(fn: Callable[[], object]) -> int:
+    """Peak traced bytes while ``fn()`` runs, above the traced level at entry.
 
-    parameter_bytes: int
-    gradient_bytes: int
-    optimizer_state_bytes: int
-    intermediate_bytes: int
-    n_intermediates: int
-
-    @property
-    def total_bytes(self) -> int:
-        return (self.parameter_bytes + self.gradient_bytes
-                + self.optimizer_state_bytes + self.intermediate_bytes)
-
-    @property
-    def total_gb(self) -> float:
-        """Total in GiB (the unit Table 5 reports)."""
-        return self.total_bytes / (1024 ** 3)
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "parameter_bytes": float(self.parameter_bytes),
-            "gradient_bytes": float(self.gradient_bytes),
-            "optimizer_state_bytes": float(self.optimizer_state_bytes),
-            "intermediate_bytes": float(self.intermediate_bytes),
-            "n_intermediates": float(self.n_intermediates),
-            "total_bytes": float(self.total_bytes),
-            "total_gb": self.total_gb,
-        }
-
-
-def _walk_intermediates(loss: Tensor) -> tuple[Set[int], Dict[int, Tensor]]:
-    """Collect every non-leaf tensor reachable from ``loss`` (the saved tape)."""
-    seen: Dict[int, Tensor] = {}
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen[id(node)] = node
-        stack.extend(node._parents)
-    intermediates = {key for key, node in seen.items() if not node.is_leaf}
-    return intermediates, seen
-
-
-def measure_training_memory(
-    model: KGEModel,
-    batch: TripletBatch,
-    optimizer: str = "adam",
-    criterion=None,
-) -> MemoryReport:
-    """Measure the simulated peak memory of one training step on ``batch``.
-
-    The loss is actually computed so the tape reflects the real operator
-    sequence of the model being profiled; the graph is then walked and every
-    retained intermediate charged to the report.
+    Starts :mod:`tracemalloc` if it is off and stops it again afterwards,
+    also when ``fn`` raises; a session that was already tracing keeps
+    tracing.  The peak is reset at entry, so an enclosing call reads its own
+    peak from this call's start onwards.
     """
-    if optimizer not in OPTIMIZER_STATE_BUFFERS:
-        raise ValueError(
-            f"unknown optimizer {optimizer!r}; expected one of {sorted(OPTIMIZER_STATE_BUFFERS)}"
-        )
-    criterion = criterion if criterion is not None else MarginRankingLoss()
-    loss = model.loss(batch, criterion)
-
-    intermediate_ids, seen = _walk_intermediates(loss)
-    intermediate_bytes = sum(seen[key].nbytes for key in intermediate_ids)
-
-    parameter_bytes = sum(p.nbytes for p in model.parameters())
-    gradient_bytes = parameter_bytes
-    optimizer_state_bytes = OPTIMIZER_STATE_BUFFERS[optimizer] * parameter_bytes
-
-    return MemoryReport(
-        parameter_bytes=parameter_bytes,
-        gradient_bytes=gradient_bytes,
-        optimizer_state_bytes=optimizer_state_bytes,
-        intermediate_bytes=intermediate_bytes,
-        n_intermediates=len(intermediate_ids),
-    )
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return peak - entry
 
 
-def estimate_training_memory(
-    n_entities: int,
-    n_relations: int,
-    embedding_dim: int,
-    batch_size: int,
-    formulation: str = "sparse",
-    optimizer: str = "adam",
-    dtype_bytes: int = 8,
-) -> MemoryReport:
-    """Closed-form estimate without building a model (used for large sweeps).
+def training_step_peak(build: Callable[[], KGEModel], batch: TripletBatch) -> int:
+    """Peak traced bytes of one warm Adam step of the model ``build()`` returns.
 
-    ``formulation`` is ``"sparse"`` (one (B, d) SpMM output + score vector) or
-    ``"dense"`` (three gathered (B, d) blocks, two partial sums, and the score
-    vector) — the intermediate counts that drive the Figure-6 curves.
+    The model and its optimizer are built inside the traced region, so what
+    they keep resident counts; two warm steps allocate the optimizer state
+    and first-call caches, and the reading is the peak of the third step
+    above the level before the model existed.
     """
-    if formulation not in ("sparse", "dense"):
-        raise ValueError(f"formulation must be 'sparse' or 'dense', got {formulation!r}")
-    if optimizer not in OPTIMIZER_STATE_BUFFERS:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
-    table_rows = n_entities + n_relations
-    parameter_bytes = table_rows * embedding_dim * dtype_bytes
-    gradient_bytes = parameter_bytes
-    optimizer_state_bytes = OPTIMIZER_STATE_BUFFERS[optimizer] * parameter_bytes
-    # Scores are computed over positives and negatives together (2B rows).
-    rows = 2 * batch_size
-    block = rows * embedding_dim * dtype_bytes
-    score = rows * dtype_bytes
-    if formulation == "sparse":
-        intermediates = block + score          # SpMM output + per-row score
-        n_intermediates = 2
-    else:
-        intermediates = 5 * block + score      # h, r, t gathers + (h+r) + (h+r-t) + score
-        n_intermediates = 6
-    return MemoryReport(
-        parameter_bytes=parameter_bytes,
-        gradient_bytes=gradient_bytes,
-        optimizer_state_bytes=optimizer_state_bytes,
-        intermediate_bytes=intermediates,
-        n_intermediates=n_intermediates,
-    )
+    def build_warm_and_step() -> None:
+        model = build()
+        optimizer = Adam(model.parameters())
+
+        def step() -> None:
+            model.zero_grad()
+            model.loss(batch).backward()
+            optimizer.step()
+
+        step()
+        step()
+        peak_traced_bytes(step)  # resets the peak: the enclosing call reads this step's
+
+    return peak_traced_bytes(build_warm_and_step)

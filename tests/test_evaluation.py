@@ -1,7 +1,5 @@
 """Tests for ranking utilities, link prediction, and triple classification."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +13,7 @@ from repro.evaluation import (
 )
 from repro.evaluation.ranks import hits_at_k, mean_rank, mean_reciprocal_rank
 from repro.models import SpTransE
+from repro.profiling import peak_traced_bytes
 
 
 # --------------------------------------------------------------------------- #
@@ -179,13 +178,8 @@ class TestComputeRanks:
         rows = np.repeat(np.arange(64), 5)
         cols = rng.integers(0, 20_000, rows.size)
         compute_ranks(scores[:2], true[:2])  # warm numpy's own lazy allocations
-        tracemalloc.start()
-        try:
-            compute_ranks(scores, true, (rows, cols))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.5 * scores.nbytes
+        assert peak_traced_bytes(lambda: compute_ranks(scores, true, (rows, cols))) < (
+            0.5 * scores.nbytes)
 
     def test_fp32_block_ranks_as_its_fp64_widening(self):
         rng = np.random.default_rng(1)

@@ -1,4 +1,7 @@
-"""Tests for the profiling substrate: FLOPs, memory model, cache model, report."""
+"""Tests for the profiling substrate: FLOPs, measured memory, cache model, report."""
+
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +13,10 @@ from repro.optim import Adam
 from repro.profiling import (
     CacheModel,
     count_training_flops,
-    estimate_training_memory,
     measure_cache_behaviour,
-    measure_training_memory,
+    peak_traced_bytes,
     profile_training_step,
+    training_step_peak,
 )
 
 DIM = 32
@@ -68,57 +71,60 @@ class TestFlops:
         assert dense.total < 2.5 * sparse.total
 
 
-class TestMemoryModel:
-    def test_report_structure(self, kg, batch):
-        model = SpTransE(kg.n_entities, kg.n_relations, DIM, rng=0)
-        report = measure_training_memory(model, batch, optimizer="adam")
-        assert report.parameter_bytes == sum(p.nbytes for p in model.parameters())
-        assert report.gradient_bytes == report.parameter_bytes
-        assert report.optimizer_state_bytes == 2 * report.parameter_bytes
-        assert report.intermediate_bytes > 0
-        assert report.total_bytes == (report.parameter_bytes + report.gradient_bytes
-                                      + report.optimizer_state_bytes
-                                      + report.intermediate_bytes)
-        assert report.total_gb == pytest.approx(report.total_bytes / 1024 ** 3)
-        assert report.to_dict()["n_intermediates"] == report.n_intermediates
+class TestPeakTracedBytes:
+    SLACK = 4096
 
-    def test_unknown_optimizer(self, kg, batch):
-        model = SpTransE(kg.n_entities, kg.n_relations, DIM, rng=0)
-        with pytest.raises(ValueError):
-            measure_training_memory(model, batch, optimizer="rmsprop")
+    def test_reads_a_known_allocation(self):
+        n = 1 << 20
+        peak = peak_traced_bytes(lambda: np.ones(n, dtype=np.uint8))
+        assert n <= peak <= n + self.SLACK
 
-    def test_sparse_intermediates_smaller_than_dense(self, kg, batch):
-        """Table-5 direction: sparse TransE keeps fewer live intermediates."""
-        sparse = measure_training_memory(SpTransE(kg.n_entities, kg.n_relations, DIM, rng=0),
-                                         batch)
-        dense = measure_training_memory(DenseTransE(kg.n_entities, kg.n_relations, DIM, rng=0),
-                                        batch)
-        assert sparse.intermediate_bytes < dense.intermediate_bytes
-        assert sparse.n_intermediates < dense.n_intermediates
+    def test_peak_is_measured_above_the_level_at_entry(self):
+        tracemalloc.start()
+        try:
+            held = np.ones(1 << 22, dtype=np.uint8)
+            np.ones(1 << 23, dtype=np.uint8)  # an earlier peak, freed before entry
+            peak = peak_traced_bytes(lambda: np.ones(1 << 20, dtype=np.uint8))
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 << 20) + self.SLACK < held.nbytes
 
-    def test_sparse_transh_much_smaller_than_dense(self, kg, batch):
-        """The paper reports TransH as the most memory-efficient sparse model."""
-        sparse = measure_training_memory(SpTransH(kg.n_entities, kg.n_relations, DIM, rng=0),
-                                         batch)
-        dense = measure_training_memory(DenseTransH(kg.n_entities, kg.n_relations, DIM, rng=0),
-                                        batch)
-        assert sparse.intermediate_bytes < dense.intermediate_bytes
+    def test_outer_tracing_session_survives_a_nested_call(self):
+        tracemalloc.start()
+        try:
+            peak_traced_bytes(lambda: np.ones(1 << 10))
+            assert tracemalloc.is_tracing()
+            held = np.ones(1 << 20, dtype=np.uint8)
+            current, _ = tracemalloc.get_traced_memory()
+            assert current >= held.nbytes
+        finally:
+            tracemalloc.stop()
 
-    def test_estimate_scales_with_batch_size(self):
-        small = estimate_training_memory(1000, 10, 64, batch_size=1024, formulation="dense")
-        large = estimate_training_memory(1000, 10, 64, batch_size=4096, formulation="dense")
-        assert large.intermediate_bytes == 4 * small.intermediate_bytes
+    def test_tracing_is_stopped_after_fn_raises(self):
+        def fail():
+            raise RuntimeError("boom")
 
-    def test_estimate_sparse_below_dense(self):
-        sparse = estimate_training_memory(1000, 10, 64, 4096, formulation="sparse")
-        dense = estimate_training_memory(1000, 10, 64, 4096, formulation="dense")
-        assert sparse.total_bytes < dense.total_bytes
+        with pytest.raises(RuntimeError, match="boom"):
+            peak_traced_bytes(fail)
+        assert not tracemalloc.is_tracing()
 
-    def test_estimate_validation(self):
-        with pytest.raises(ValueError):
-            estimate_training_memory(10, 2, 8, 16, formulation="hybrid")
-        with pytest.raises(ValueError):
-            estimate_training_memory(10, 2, 8, 16, optimizer="rmsprop")
+
+class TestTrainingStepPeak:
+    """Table-5 direction, measured: the sparse step peaks below its dense twin."""
+
+    @pytest.mark.parametrize("sparse_cls,dense_cls", [(SpTransE, DenseTransE),
+                                                      (SpTransH, DenseTransH)])
+    def test_sparse_peaks_below_dense(self, kg, batch, sparse_cls, dense_cls):
+        sparse, dense = (training_step_peak(
+            functools.partial(cls, kg.n_entities, kg.n_relations, DIM, rng=0), batch)
+            for cls in (sparse_cls, dense_cls))
+        assert sparse < dense
+
+    def test_counts_the_parameters_and_adam_state(self, kg, batch):
+        build = functools.partial(SpTransE, kg.n_entities, kg.n_relations, DIM, rng=0)
+        parameter_bytes = sum(p.nbytes for p in build().parameters())
+        # The model is built inside the traced region: weights and Adam's two moments.
+        assert training_step_peak(build, batch) >= 3 * parameter_bytes
 
 
 class TestCacheModel:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro import ranking
 from repro.evaluation import compute_ranks
 from repro.models.base import KGEModel
+from repro.profiling import peak_traced_bytes
 
 
 def _oracle_l2(queries, targets):
@@ -323,19 +323,13 @@ class TestL2Kernel:
         q = rng.standard_normal((b, d))
         t = rng.standard_normal((n, d))
         ranking.l2_distance_matrix(q[:2], t[:64])  # imports, first-call state
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            result = ranking.l2_distance_matrix(q, t)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = peak_traced_bytes(lambda: ranking.l2_distance_matrix(q, t))
+        result_bytes = b * n * 8
         tile_bytes = ranking.RANK_TILE_ELEMENTS * 8
-        assert result.nbytes > 4 * tile_bytes  # several tiles ran
+        assert result_bytes > 4 * tile_bytes  # several tiles ran
         # The expression form peaks at the result + three result-sized + one
         # table-sized block (here ~51 MB against this bound of ~14.4 MB).
-        assert peak - before <= result.nbytes + 2 * tile_bytes
+        assert peak <= result_bytes + 2 * tile_bytes
 
     def test_squared_norms_matches_the_in_kernel_expression(self, rng):
         for dtype in (np.float64, np.float32, np.float16):
@@ -355,16 +349,9 @@ class TestL2Kernel:
         t = rng.standard_normal((1000, 16))
         whole = ranking.squared_norms(t)
         monkeypatch.setattr(ranking, "RANK_TILE_ELEMENTS", 16 * 7)
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            blocked = ranking.squared_norms(t)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        np.testing.assert_array_equal(blocked, whole)
-        assert peak - before < t.nbytes // 4  # never an (N, d) square
+        np.testing.assert_array_equal(ranking.squared_norms(t), whole)
+        peak = peak_traced_bytes(lambda: ranking.squared_norms(t))
+        assert peak < t.nbytes // 4  # never an (N, d) square
 
 
 class TestL2KernelArguments:

@@ -13,8 +13,6 @@ Covers the contract promised by the ``sparse_grads`` switch:
 * the chunked closed-form ranking bounds peak memory without changing scores.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -24,6 +22,7 @@ from repro.data.dataset import KGDataset
 from repro.models import SpTorusE, SpTransE, SpTransH, SpTransR
 from repro.nn.parameter import Parameter
 from repro.optim import SGD, Adagrad, Adam
+from repro.profiling import peak_traced_bytes
 from repro.sparse import IncidenceBuilder, RowSparseGrad, spmm
 from repro.training import Trainer, TrainingConfig
 
@@ -477,10 +476,7 @@ class TestChunkedRanking:
         heads = np.zeros(b, dtype=np.int64)
         relations = np.zeros(b, dtype=np.int64)
         full_diff_bytes = b * n * d * 8
-        tracemalloc.start()
-        model.score_all_tails(heads, relations)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        peak = peak_traced_bytes(lambda: model.score_all_tails(heads, relations))
         # The unblocked path allocates the (B, N, d) diff (plus temporaries of
         # the same size inside the reduction); blocked peak must stay well
         # under one full diff tensor.  The (B, N) output itself is unavoidable.

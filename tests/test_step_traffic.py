@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.data.synthetic import make_dataset_like
 from repro.models.transe import SpTransE
+from repro.profiling import peak_traced_bytes
 from repro.training.config import TrainingConfig
 from repro.training.trainer import Trainer
 
@@ -82,16 +82,13 @@ def test_steady_state_step_allocates_about_one_table():
     for _ in range(3):
         trainer.train_step(next(batches))
     table_bytes = model.embeddings.weight.nbytes
-    tracemalloc.start()
-    try:
-        baseline, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
+
+    def three_steps():
         for _ in range(3):
             trainer.train_step(next(batches))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (peak - baseline) <= 2.0 * table_bytes, (peak - baseline) / table_bytes
+
+    peak = peak_traced_bytes(three_steps)
+    assert peak <= 2.0 * table_bytes, peak / table_bytes
 
 
 def test_steady_state_rowsparse_step_allocates_a_few_packed_gradients():
@@ -107,16 +104,12 @@ def test_steady_state_rowsparse_step_allocates_a_few_packed_gradients():
     batches = _endless(trainer.batches)
     for _ in range(3):
         trainer.train_step(next(batches))
-    packed_bytes = 0
-    tracemalloc.start()
-    try:
-        baseline, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
+    packed = []
+
+    def three_steps():
         for _ in range(3):
             trainer.train_step(next(batches))
-            packed_bytes = max(packed_bytes,
-                               model.embeddings.weight.sparse_grad.values.nbytes)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (peak - baseline) <= 4.0 * packed_bytes, (peak - baseline) / packed_bytes
+            packed.append(model.embeddings.weight.sparse_grad.values.nbytes)
+
+    peak = peak_traced_bytes(three_steps)
+    assert peak <= 4.0 * max(packed), peak / max(packed)
