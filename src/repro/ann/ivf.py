@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.ann.kmeans import default_n_clusters, kmeans
 from repro.nn.partitioned import PARTITION_MANIFEST, bucket_filename
-from repro.ranking import l2_distance_matrix, nearest_rows, top_k
+from repro.ranking import l2_distance_matrix, top_k
 
 #: Manifest filename written next to the index files.
 INDEX_MANIFEST = "index.json"
@@ -437,8 +437,30 @@ class IVFIndex:
     # Recall measurement / probe auto-tuning
     # ------------------------------------------------------------------ #
     def _exact_topk(self, queries: np.ndarray, k: int) -> List[np.ndarray]:
-        return [nearest_rows(q, self._iter_exact_blocks(), k)[0]
-                for q in np.asarray(queries, dtype=np.float64)]
+        """Exact top-``k`` ids per query, ascending by distance.
+
+        One pass over the table: each block is scored against every query in
+        one :func:`l2_distance_matrix` call, and each query's running top-k
+        is re-selected from its previous best plus the block.
+        """
+        queries = np.asarray(queries, dtype=np.float64)
+        n_q = queries.shape[0]
+        best_ids = np.empty((n_q, 0), dtype=np.int64)
+        best_dist = np.empty((n_q, 0), dtype=np.float64)
+        for start, block in self._iter_exact_blocks():
+            block_ids = np.arange(start, start + block.shape[0], dtype=np.int64)
+            ids = np.concatenate(
+                (best_ids, np.broadcast_to(block_ids, (n_q, block_ids.size))),
+                axis=1)
+            dist = np.concatenate(
+                (best_dist, l2_distance_matrix(queries, block)), axis=1)
+            if dist.shape[1] > k:
+                keep = np.argpartition(dist, k - 1, axis=1)[:, :k]
+                ids = np.take_along_axis(ids, keep, axis=1)
+                dist = np.take_along_axis(dist, keep, axis=1)
+            best_ids, best_dist = ids, dist
+        order = np.lexsort((best_ids, best_dist), axis=1)
+        return list(np.take_along_axis(best_ids, order, axis=1))
 
     def recall_probe(self, queries: np.ndarray, k: int = 10,
                      nprobe: Optional[int] = None) -> float:

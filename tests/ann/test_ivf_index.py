@@ -12,6 +12,7 @@ from repro import ranking
 from repro.ann import (
     INDEX_MANIFEST,
     INDEX_MANIFEST_VERSION,
+    IVFIndex,
     build_index_files,
     get_index_class,
     index_kinds,
@@ -130,6 +131,31 @@ class TestFullProbeParity:
         q = full_table[12]
         ids, _ = index.search(q, 5, nprobe=index.n_clusters, exclude=12)
         assert 12 not in ids.tolist()
+
+
+class TestExactTruth:
+    @pytest.mark.parametrize("n_queries", [1, 5, 32])
+    @pytest.mark.parametrize("k", [1, 10])
+    @pytest.mark.parametrize("block_rows", [16384, 37])
+    def test_batched_truth_equals_per_query_nearest_rows(
+            self, index, full_table, monkeypatch, n_queries, k, block_rows):
+        # block_rows=37 splits every 100-row bucket into several blocks,
+        # the last one partial.
+        monkeypatch.setattr(
+            index, "_iter_exact_blocks",
+            lambda: IVFIndex._iter_exact_blocks(index, block_rows=block_rows))
+        queries = full_table[::7][:n_queries] + 0.01
+        truth = index._exact_topk(queries, k)
+        assert len(truth) == n_queries
+        for q, ids in zip(queries, truth):
+            expected, _ = ranking.nearest_rows(q, index._iter_exact_blocks(), k)
+            assert ids.dtype == np.int64
+            assert np.array_equal(ids, expected)
+
+    def test_full_probe_recall_is_one_on_a_batch(self, index):
+        queries = index._sample_queries(32, seed=5)
+        assert index.recall_probe(queries, k=10,
+                                  nprobe=index.n_clusters) == pytest.approx(1.0)
 
 
 class TestRecall:
