@@ -1,15 +1,16 @@
 """fork-safety checker.
 
-``MultiprocessTrainer`` uses ``fork``-start workers: everything importable
-from ``training/multiprocess.py`` is duplicated into child processes with
-whatever process-global state the parent had.  Three classes of state are
-known to corrupt silently across ``os.fork`` and are banned inside the
-trainer's import closure:
+``MultiprocessTrainer`` and the serving ``WorkerPool`` use ``fork``-start
+workers: everything importable from ``training/multiprocess.py`` or
+``serving/pool.py`` is duplicated into child processes with whatever
+process-global state the parent had.  Three classes of state are known to
+corrupt silently across ``os.fork`` and are banned inside either entry
+point's import closure:
 
 * ``fork-module-lock`` — a module-level ``threading.Lock``/``RLock``:
   if any parent thread holds it at fork time, every child inherits it
   locked forever (the classic logging-deadlock).
-* ``fork-sqlite`` — ``sqlite3.connect`` reachable from the trainer module:
+* ``fork-sqlite`` — ``sqlite3.connect`` reachable from an entry module:
   SQLite connections must never cross a fork (the docs forbid sharing a
   connection between processes); batch factories open their own handle
   post-fork instead.
@@ -17,9 +18,9 @@ trainer's import closure:
   registered pre-fork re-run in every worker at child exit, typically
   re-flushing or deleting parent-owned resources.
 
-Scope: ``training/multiprocess.py`` plus the first-party ``repro.*``
-modules it directly imports (one level — the modules whose globals the
-fork demonstrably duplicates into the hot path).
+Scope: each entry point plus the first-party ``repro.*`` modules it
+directly imports (one level — the modules whose globals the fork
+demonstrably duplicates into the hot path).
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from typing import Iterable, List, Optional, Set
 
 from repro.analysis.core import Checker, Finding, Project, SourceFile, register_checker
 
-_ENTRY = "training/multiprocess.py"
+#: The modules that call ``os.fork()`` (through ``multiprocessing``'s
+#: ``fork`` context): the data-parallel trainer and the serving pool.
+_ENTRIES = ("training/multiprocess.py", "serving/pool.py")
 
 
 def _module_to_relpath(project: Project, module: str) -> Optional[str]:
@@ -64,6 +67,16 @@ def _direct_imports(project: Project, source: SourceFile) -> List[str]:
                     if rel:
                         out.add(rel)
     return sorted(out)
+
+
+def _direct_scope(project: Project) -> List[str]:
+    """The entry points present and the ``repro`` modules each imports directly."""
+    scope: Set[str] = set()
+    for entry in _ENTRIES:
+        source = project.file(entry)
+        if source is not None:
+            scope.update([entry, *_direct_imports(project, source)])
+    return sorted(scope)
 
 
 def _threading_lock_call(node: ast.expr, lock_aliases: Set[str]) -> bool:
@@ -152,20 +165,16 @@ class ForkSafetyChecker(Checker):
     name = "fork-safety"
     rule_ids = ("fork-module-lock", "fork-sqlite", "fork-atexit")
     description = (
-        "training/multiprocess.py and its direct repro imports must stay "
-        "fork-safe: no module-level locks, sqlite connections, or atexit "
-        "handlers in the closure fork duplicates into workers"
+        "training/multiprocess.py, serving/pool.py and their direct repro "
+        "imports must stay fork-safe: no module-level locks, sqlite "
+        "connections, or atexit handlers in the closure fork duplicates into "
+        "workers"
     )
-    trigger_prefixes = ("training/", "data/", "losses/", "models/", "sparse/", "utils/")
+    trigger_prefixes = ("training/", "serving/", "data/", "losses/", "models/",
+                        "sparse/", "utils/")
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        entry = project.file(_ENTRY)
-        if entry is None:
-            return []
         findings: List[Finding] = []
-        scope = [_ENTRY] + _direct_imports(project, entry)
-        for relpath in scope:
-            src = project.file(relpath)
-            if src is not None:
-                findings.extend(_check_one(src))
+        for relpath in _direct_scope(project):
+            findings.extend(_check_one(project.file(relpath)))
         return findings

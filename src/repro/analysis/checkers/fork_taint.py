@@ -1,14 +1,15 @@
 """fork-taint checker: transitive fork-closure hazard detection.
 
-The PR 7 ``fork-safety`` rules stop one import level away from
-``training/multiprocess.py`` — a module-level lock or an import-time
+The PR 7 ``fork-safety`` rules stop one import level away from the fork
+entry points (``training/multiprocess.py``, ``serving/pool.py``) — a
+module-level lock or an import-time
 ``sqlite3.connect`` two hops down the import graph forks into every
 worker just as surely, but invisibly to a file-local rule.  This rule
 walks the *transitive* module-level import closure over the call graph
 and reports each hazard with the full chain that carries it into the
 fork:
 
-* **closure** — BFS from ``training/multiprocess.py`` over module-level
+* **closure** — BFS from both entry points over module-level
   imports (what actually executes before ``os.fork()`` can run; lazy
   function-level imports execute in whichever process calls them and are
   out of scope).
@@ -19,9 +20,8 @@ fork:
   ``_X = _make()`` runs ``_make`` at import time, wherever it is
   defined).
 * **dedup with fork-safety** — hazards that the file-local rules already
-  flag (anything lexically inside ``training/multiprocess.py`` or its
-  direct imports) are skipped; this rule only reports what the old scope
-  could not see.
+  flag (anything lexically inside an entry point or its direct imports)
+  are skipped; this rule only reports what the old scope could not see.
 
 Findings carry the evidence chain, e.g.::
 
@@ -42,8 +42,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph, MODULE_BODY, walk_shallow
 from repro.analysis.checkers.fork_safety import (
-    _ENTRY,
-    _direct_imports,
+    _ENTRIES,
+    _direct_scope,
     _lock_aliases,
     _threading_lock_call,
 )
@@ -78,20 +78,19 @@ class ForkTaintChecker(Checker):
     name = "fork-taint"
     rule_ids = ("fork-taint",)
     description = (
-        "the transitive import closure of training/multiprocess.py must "
-        "stay fork-safe: no locks, sqlite connections, or atexit handlers "
-        "created at import time anywhere os.fork() duplicates (call "
-        "chains from module level included)"
+        "the transitive import closures of training/multiprocess.py and "
+        "serving/pool.py must stay fork-safe: no locks, sqlite connections, "
+        "or atexit handlers created at import time anywhere os.fork() "
+        "duplicates (call chains from module level included)"
     )
     # The import closure can grow from any package file.
     trigger_prefixes = ("",)
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        entry = project.file(_ENTRY)
-        if entry is None:
+        local_scope = set(_direct_scope(project))
+        if not local_scope:
             return []
         graph = CallGraph.for_project(project)
-        local_scope = {_ENTRY, *_direct_imports(project, entry)}
         closure = self._import_closure(graph)
 
         findings: List[Finding] = []
@@ -120,9 +119,9 @@ class ForkTaintChecker(Checker):
 
     # ------------------------------------------------------------------ #
     def _import_closure(self, graph: CallGraph) -> Dict[str, Tuple[str, ...]]:
-        """relpath -> shortest import chain from the trainer module."""
-        chains: Dict[str, Tuple[str, ...]] = {_ENTRY: (_ENTRY,)}
-        queue = [_ENTRY]
+        """relpath -> shortest import chain from a fork entry point."""
+        chains: Dict[str, Tuple[str, ...]] = {entry: (entry,) for entry in _ENTRIES}
+        queue = list(chains)
         while queue:
             relpath = queue.pop(0)
             module = graph.modules.get(relpath)

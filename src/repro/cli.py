@@ -1,24 +1,22 @@
-"""Command-line interface for running, training, evaluating, and serving KGE models.
+"""Command-line interface for running, evaluating, and serving KGE models.
 
 The paper's artifact ships one training script per (framework, model) pair;
 this CLI folds them into one entry point around the declarative experiment
-API (:mod:`repro.experiment`):
+API (:mod:`repro.experiment`).  A trained model is an artifact directory:
+``run`` writes it, and ``evaluate`` and ``serve`` read the data its own
+``spec.json`` names.
 
 .. code-block:: bash
 
-    # one reproducible end-to-end run from a single JSON artifact
-    sptransx run experiment.json --artifacts runs/transe-fb15k
-
-    # write the spec an equivalent `train` invocation would execute
+    # write a spec from flags, then run it end to end into an artifact
     sptransx export-spec --model transe --dataset FB15K --scale 0.01 \
         --epochs 20 --dim 64 --output experiment.json
+    sptransx run experiment.json --artifacts runs/transe-fb15k
 
-    # classic imperative surface (thin shims over the same API)
-    sptransx train --model transe --dataset FB15K --scale 0.01 \
-        --epochs 20 --batch-size 2048 --dim 64 --checkpoint /tmp/transe.npz
-    sptransx evaluate --checkpoint /tmp/transe.npz --dataset FB15K --scale 0.01
+    # re-rank the artifact's own test split
+    sptransx evaluate --checkpoint runs/transe-fb15k --ks 1 10
 
-    # serve a checkpoint *or* an artifact directory over JSON/HTTP
+    # serve an artifact directory (or a bare .npz, unfiltered) over JSON/HTTP
     sptransx serve --checkpoint runs/transe-fb15k --port 8080
     sptransx query --url http://127.0.0.1:8080 --head 12 --relation 3 -k 10
 
@@ -33,7 +31,9 @@ API (:mod:`repro.experiment`):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import signal
 import sys
 import urllib.error
 import urllib.request
@@ -45,9 +45,9 @@ from repro.data.negative_sampling import SAMPLER_STRATEGIES
 from repro.experiment import (
     DATA_GENERATORS,
     DataSpec,
-    EvalSpec,
     Experiment,
     ExperimentSpec,
+    load_artifact,
 )
 from repro.models import SPARSE_MODELS
 from repro.registry import (
@@ -57,7 +57,7 @@ from repro.registry import (
 )
 from repro.sparse import available_backends
 from repro.training import TrainingConfig
-from repro.training.checkpoint import load_checkpoint, model_from_checkpoint
+from repro.training.checkpoint import load_model
 from repro.utils.logging import enable_console_logging
 
 if TYPE_CHECKING:
@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     export = sub.add_parser(
         "export-spec",
-        help="write the ExperimentSpec an equivalent `train` invocation would run")
+        help="write the ExperimentSpec the flags describe (execute it with `run`)")
     _add_experiment_arguments(export)
     export.add_argument("--name", default=None,
                         help="experiment name (default: <model>-<dataset>)")
@@ -124,22 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--output", default=None,
                         help="file to write (default: stdout)")
 
-    train = sub.add_parser("train", help="train a KGE model")
-    _add_experiment_arguments(train)
-    train.add_argument("--checkpoint", default=None, help="where to save the trained model")
-    train.add_argument("--resume", default=None, help="checkpoint to resume from")
-    train.add_argument("--eval", action="store_true",
-                       help="run filtered link prediction on the test split after training")
-    train.add_argument("--quiet", action="store_true")
-
-    evaluate = sub.add_parser("evaluate", help="evaluate a saved checkpoint")
-    _add_data_arguments(evaluate)
-    evaluate.add_argument("--checkpoint", required=True)
-    evaluate.add_argument("--ks", type=int, nargs="+", default=[1, 3, 10])
-    evaluate.add_argument("--split", default="test", choices=["test", "valid", "train"])
+    evaluate = sub.add_parser(
+        "evaluate",
+        help="re-run link prediction on an artifact, against the data its spec names")
+    evaluate.add_argument("--checkpoint", required=True,
+                          help="`sptransx run` artifact directory")
+    evaluate.add_argument("--ks", type=int, nargs="+", default=None,
+                          help="Hits@k cutoffs (default: the artifact's eval.ks)")
+    evaluate.add_argument("--split", default=None, choices=["test", "valid", "train"],
+                          help="split to rank (default: the artifact's eval.split)")
 
     serve = sub.add_parser("serve", help="serve a checkpoint over JSON/HTTP")
-    _add_data_arguments(serve)
     serve.add_argument("--checkpoint", required=True,
                        help="checkpoint file or `sptransx run` artifact directory")
     serve.add_argument("--host", default="127.0.0.1")
@@ -162,9 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the index's default probe width "
                             "(more clusters probed = higher recall, slower)")
     serve.add_argument("--filtered", action="store_true",
-                       help="load the dataset named by the data arguments and "
-                            "install its triples as known positives, enabling "
-                            "filtered=true queries")
+                       help="install the triples of the data the artifact's "
+                            "spec.json names as known positives, enabling "
+                            "filtered=true queries (artifact directories only)")
     serve.add_argument("--workers", type=int, default=0,
                        help="fork this many engine worker processes behind an "
                             "asyncio front-end with deadline-aware batching "
@@ -231,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
+    """Data + model + training arguments of ``export-spec``."""
     parser.add_argument("--dataset", default="FB15K",
                         help="catalog dataset name to synthesise (ignored with --triples-file)")
     parser.add_argument("--scale", type=float, default=0.01,
@@ -252,11 +248,6 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
                         help="SQLite database file for --storage sqlite "
                              "(default: data.sqlite in the artifact directory, "
                              "or a temporary file)")
-
-
-def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
-    """Data + model + training arguments shared by ``train`` and ``export-spec``."""
-    _add_data_arguments(parser)
     parser.add_argument("--model", default="transe",
                         choices=sorted(set(SPARSE_MODELS) | set(DENSE_MODELS)))
     parser.add_argument("--formulation", default="sparse", choices=["sparse", "dense"])
@@ -303,45 +294,33 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
 # --------------------------------------------------------------------- #
 # args -> spec translation (the one place CLI flags meet the experiment API)
 # --------------------------------------------------------------------- #
-def _data_spec_from_args(args: argparse.Namespace) -> DataSpec:
+def _experiment_spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+    """Build the :class:`ExperimentSpec` the ``export-spec`` flags describe.
+
+    File-backed data is loaded here once, to pin the vocabulary sizes its
+    labels define into the model section.
+    """
+    partitions = args.partitions
+    if partitions < 1:
+        raise SystemExit(f"--partitions must be >= 1, got {partitions}")
     try:
-        return DataSpec(
+        data = DataSpec(
             dataset=args.dataset,
             scale=args.scale,
             triples_file=args.triples_file,
-            generator=getattr(args, "generator", "zipf"),
+            generator=args.generator,
             valid_fraction=args.valid_fraction,
             test_fraction=args.test_fraction,
             seed=args.data_seed,
-            negative_sampler=getattr(args, "negative_sampler", "uniform"),
-            num_negatives=getattr(args, "num_negatives", 1),
-            storage=getattr(args, "storage", "memory"),
-            storage_path=getattr(args, "storage_path", None),
+            negative_sampler=args.negative_sampler,
+            num_negatives=args.num_negatives,
+            storage=args.storage,
+            storage_path=args.storage_path,
         )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
-
-
-def _experiment_spec_from_args(args: argparse.Namespace,
-                               eval_spec: Optional[EvalSpec] = None,
-                               name: Optional[str] = None):
-    """Build the :class:`ExperimentSpec` a ``train``-shaped invocation describes.
-
-    Returns ``(spec, dataset_or_None)``: file-backed data must be loaded here
-    to pin the vocabulary sizes into the spec, and that already-materialised
-    dataset is handed back so the runner does not load the file twice.
-    """
-    data = _data_spec_from_args(args)
-    kg = None
-    sizes = data.vocab_sizes()
-    if sizes is None:
-        kg = data.materialize()
-        sizes = (kg.n_entities, kg.n_relations)
-    try:
-        partitions = getattr(args, "partitions", 1)
-        partitions = 1 if partitions is None else int(partitions)
-        if partitions < 1:
-            raise SystemExit(f"--partitions must be >= 1, got {partitions}")
+        sizes = data.vocab_sizes()
+        if sizes is None:
+            kg = data.materialize()
+            sizes = (kg.n_entities, kg.n_relations)
         model = ModelSpec(
             model=args.model,
             formulation=args.formulation,
@@ -357,22 +336,19 @@ def _experiment_spec_from_args(args: argparse.Namespace,
         training = TrainingConfig(
             epochs=args.epochs, batch_size=args.batch_size,
             learning_rate=args.learning_rate, margin=args.margin,
-            optimizer=args.optimizer, seed=args.seed,
-            log_every=0 if getattr(args, "quiet", True) else max(1, args.epochs // 10),
-            sparse_grads=args.sparse_grads,
-            num_workers=getattr(args, "workers", 1),
-            sanitize=getattr(args, "sanitize", False),
+            optimizer=args.optimizer, seed=args.seed, log_every=0,
+            sparse_grads=args.sparse_grads, num_workers=args.workers,
+            sanitize=args.sanitize,
         )
-        spec = ExperimentSpec(
-            name=name if name is not None else f"{args.model}-{args.dataset.lower()}",
+        return ExperimentSpec(
+            name=(args.name if args.name is not None
+                  else f"{args.model}-{args.dataset.lower()}"),
             data=data,
             model=model,
             training=training,
-            eval=eval_spec if eval_spec is not None else EvalSpec(protocols=()),
             seed=args.seed,
-            tags=tuple(getattr(args, "tags", ())),
+            tags=tuple(args.tags),
         )
-        return spec, kg
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
 
@@ -380,8 +356,6 @@ def _experiment_spec_from_args(args: argparse.Namespace,
 def _apply_run_overrides(spec: ExperimentSpec,
                          args: argparse.Namespace) -> ExperimentSpec:
     """Apply ``run``'s --storage/--storage-path/--workers flags over the spec."""
-    import dataclasses
-
     data_overrides = {}
     if args.storage is not None:
         data_overrides["storage"] = args.storage
@@ -447,8 +421,7 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_export_spec(args: argparse.Namespace) -> int:
-    spec, _ = _experiment_spec_from_args(args, eval_spec=EvalSpec(),
-                                         name=args.name)
+    spec = _experiment_spec_from_args(args)
     if args.output:
         spec.to_file(args.output)
         print(f"spec written to {args.output}")
@@ -457,55 +430,23 @@ def _command_export_spec(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_train(args: argparse.Namespace) -> int:
-    if not args.quiet:
-        enable_console_logging()
-    want_eval = args.eval and (args.test_fraction > 0)
-    eval_spec = EvalSpec(protocols=("link_prediction",) if want_eval else ())
-    spec, dataset = _experiment_spec_from_args(args, eval_spec=eval_spec)
-    try:
-        result = Experiment(spec, checkpoint_path=args.checkpoint,
-                            resume=args.resume, dataset=dataset).run()
-    except (UnknownModelError, ValueError, FileNotFoundError) as exc:
-        raise SystemExit(str(exc)) from exc
-
-    summary = {
-        "dataset": result.dataset_name,
-        "model": result.model.config(),
-        "final_loss": result.training.final_loss,
-        "breakdown_s": result.training.breakdown(),
-    }
-    print(json.dumps(summary, indent=2, default=float))
-    if args.checkpoint:
-        print(f"checkpoint written to {args.checkpoint}")
-    if want_eval:
-        report = result.report("link_prediction")
-        print(json.dumps({"link_prediction": report.metrics}, indent=2))
-    return 0
-
-
-def _restore_model(checkpoint_path: str):
-    """Rebuild a checkpointed model through its stored spec, with CLI-grade errors."""
-    try:
-        checkpoint = load_checkpoint(checkpoint_path)
-    except FileNotFoundError as exc:
-        raise SystemExit(str(exc)) from exc
-    try:
-        return model_from_checkpoint(checkpoint)
-    except (UnknownModelError, ValueError) as exc:
-        raise SystemExit(f"cannot reconstruct model from {checkpoint_path}: {exc}") from exc
-
-
 def _command_evaluate(args: argparse.Namespace) -> int:
-    kg = _data_spec_from_args(args).materialize()
-    model = _restore_model(args.checkpoint)
+    """Rank the artifact's split under its own eval settings, on its own data.
+
+    Without ``--ks`` and ``--split`` this prints exactly the link-prediction
+    numbers ``run`` recorded in the artifact's ``metrics.json``.
+    """
+    overrides = {"ks": args.ks, "split": args.split}
+    overrides = {name: value for name, value in overrides.items() if value is not None}
     try:
-        eval_spec = EvalSpec(protocols=("link_prediction",), ks=tuple(args.ks),
-                             split=args.split)
+        artifact = load_artifact(args.checkpoint)
+        eval_spec = dataclasses.replace(
+            artifact.spec.eval, protocols=("link_prediction",), **overrides)
         [evaluator] = eval_spec.build_evaluators()
-        report = evaluator.run(model, kg)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+        report = evaluator.run(artifact.load_model(),
+                               artifact.spec.data.materialize())
+    except (OSError, UnknownModelError, ValueError) as exc:
+        raise SystemExit(f"cannot evaluate {args.checkpoint}: {exc}") from exc
     print(json.dumps(report.metrics, indent=2))
     return 0
 
@@ -515,14 +456,13 @@ def _engine_factory(args: argparse.Namespace) -> Callable[[], InferenceEngine]:
 
     Both tiers serve through this one factory: the threaded tier calls it
     once, the pool tier once inside each forked worker.  Everything that can
-    refuse the flags — an ``--ann`` kind without an artifact, an unreadable
-    checkpoint, a dataset whose vocabulary does not match it — is checked
-    here, in the calling process, so both tiers refuse with one message before
-    any worker forks.  An artifact directory is loaded by the returned
-    callable (each pool worker memory-maps the same weight and index files;
-    its stored spec's own data section backs the filtered protocol, so the
-    CLI data flags cannot install the wrong filter set); a checkpoint file is
-    restored, and the dataset materialised, once, here.
+    refuse the flags — ``--filtered`` or an ``--ann`` kind without an
+    artifact, an unreadable checkpoint — is checked here, in the calling
+    process, so both tiers refuse with one message before any worker forks.
+    An artifact directory is loaded by the returned callable (each pool
+    worker memory-maps the same weight and index files, and its stored
+    spec's own data section backs the filtered protocol); a bare checkpoint
+    file is restored once, here, and served unfiltered.
     """
     import os
 
@@ -535,22 +475,19 @@ def _engine_factory(args: argparse.Namespace) -> Callable[[], InferenceEngine]:
                 checkpoint, filtered=args.filtered, cache_size=cache_size,
                 ann=args.ann, nprobe=args.nprobe)
         return build_artifact
+    if args.filtered:
+        raise SystemExit(
+            f"--filtered needs an artifact directory (its spec.json names the "
+            f"triples to filter by), got checkpoint {checkpoint}")
     if args.ann not in ("auto", "off"):
         raise SystemExit(
             f"--ann {args.ann} needs an artifact directory (indexes live "
             f"next to the weight files), got checkpoint {checkpoint}")
-    model = _restore_model(checkpoint)
-    known = None
-    if args.filtered:
-        kg = _data_spec_from_args(args).materialize()
-        if (kg.n_entities, kg.n_relations) != (model.n_entities, model.n_relations):
-            raise SystemExit(
-                f"dataset vocabulary ({kg.n_entities} entities, {kg.n_relations} "
-                f"relations) does not match the checkpoint ({model.n_entities}, "
-                f"{model.n_relations}); filtered serving needs the training data"
-            )
-        known = kg.known_triples()
-    return lambda: InferenceEngine(model, known_triples=known, cache_size=cache_size)
+    try:
+        model = load_model(checkpoint)
+    except (FileNotFoundError, UnknownModelError, ValueError) as exc:
+        raise SystemExit(f"cannot load checkpoint {checkpoint}: {exc}") from exc
+    return lambda: InferenceEngine(model, cache_size=cache_size)
 
 
 def _command_serve(args: argparse.Namespace) -> int:
@@ -559,6 +496,9 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.workers < 0:
         raise SystemExit(f"--workers must be >= 0, got {args.workers}")
     engine_factory = _engine_factory(args)
+    # SIGTERM unwinds like Ctrl-C, so both tiers close what they started:
+    # the threaded server, or the pool and its forked workers.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     if args.workers > 0:
         return _serve_pool(args, engine_factory)
     try:
@@ -790,7 +730,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     commands = {
         "run": _command_run,
         "export-spec": _command_export_spec,
-        "train": _command_train,
         "evaluate": _command_evaluate,
         "serve": _command_serve,
         "query": _command_query,

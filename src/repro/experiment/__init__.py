@@ -5,8 +5,9 @@ sampling (:class:`DataSpec`), model (:class:`~repro.registry.ModelSpec`),
 hyperparameters (:class:`~repro.training.TrainingConfig`), and evaluation
 protocols (:class:`EvalSpec`) — and :class:`Experiment` executes it, writing a
 self-contained artifact directory that checkpoint loading and the serving
-engine consume directly.  ``sptransx run <spec.json>`` is the CLI face of this
-package; ``sptransx train``/``evaluate`` are thin shims over it.
+engine consume directly.  ``sptransx export-spec`` writes a spec from flags and
+``sptransx run <spec.json>`` executes it; ``sptransx evaluate`` and ``serve``
+read the artifact it writes, data spec included.
 
 >>> from repro.experiment import DataSpec, ExperimentSpec, run_experiment
 >>> from repro.registry import ModelSpec

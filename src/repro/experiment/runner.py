@@ -17,8 +17,10 @@ One call composes every layer of the library behind an
          history.json       # per-epoch loss / timing curves
          environment.json   # python/numpy/platform/seed provenance record
 
-   ``load_model(artifact_dir)`` and ``InferenceEngine.from_artifact`` warm-load
-   it directly; ``Experiment(spec, resume=artifact_dir)`` resumes it.
+   It is the one trained-model format: ``load_model(artifact_dir)`` and
+   ``InferenceEngine.from_artifact`` warm-load it directly, ``sptransx
+   evaluate`` and ``serve --filtered`` re-materialise the data ``spec.json``
+   names, and ``Experiment(spec, resume=artifact_dir)`` resumes it.
 """
 
 from __future__ import annotations
@@ -129,9 +131,6 @@ class Experiment:
     artifact_dir:
         Where to write the self-contained artifact directory; ``None`` keeps
         the run in memory only.
-    checkpoint_path:
-        Optional extra single-file checkpoint destination (what the
-        ``sptransx train --checkpoint`` shim uses).
     resume:
         Checkpoint file or artifact directory to resume training from; the
         stored epoch counter reduces the remaining epoch budget and any stored
@@ -147,14 +146,12 @@ class Experiment:
 
     def __init__(self, spec: Union[ExperimentSpec, str],
                  artifact_dir: Optional[str] = None,
-                 checkpoint_path: Optional[str] = None,
                  resume: Optional[str] = None,
                  dataset: Optional[KGDataset] = None) -> None:
         if isinstance(spec, str):
             spec = ExperimentSpec.from_file(spec)
         self.spec = spec
         self.artifact_dir = artifact_dir
-        self.checkpoint_path = checkpoint_path
         self.resume = resume
         self._dataset = dataset
 
@@ -238,13 +235,9 @@ class Experiment:
                                   training=training, reports=reports,
                                   artifact_dir=self.artifact_dir,
                                   dataset_name=dataset_name)
-        epoch = start_epoch + len(training.epochs)
         if self.artifact_dir is not None:
-            self._write_artifacts(result, optimizer, epoch)
-        if self.checkpoint_path is not None:
-            save_checkpoint(self.checkpoint_path, model, optimizer, epoch=epoch,
-                            losses=training.losses,
-                            extra_metadata=self._checkpoint_metadata())
+            self._write_artifacts(result, optimizer,
+                                  start_epoch + len(training.epochs))
         return result
 
     # ------------------------------------------------------------------ #
@@ -441,12 +434,6 @@ class Experiment:
         logger.info("resumed from %s at epoch %d", self.resume, checkpoint.epoch)
         return checkpoint.epoch
 
-    def _checkpoint_metadata(self) -> Dict[str, object]:
-        return {
-            "experiment": self.spec.name,
-            "training_config": self.spec.training.to_dict(),
-        }
-
     def _write_artifacts(self, result: ExperimentResult, optimizer: Optimizer,
                          epoch: int) -> None:
         directory = self.artifact_dir
@@ -456,7 +443,10 @@ class Experiment:
         save_checkpoint(os.path.join(directory, ARTIFACT_CHECKPOINT),
                         result.model, optimizer, epoch=epoch,
                         losses=result.training.losses,
-                        extra_metadata=self._checkpoint_metadata())
+                        extra_metadata={
+                            "experiment": self.spec.name,
+                            "training_config": self.spec.training.to_dict(),
+                        })
         # Mirror the parameters as numpy.lib.format files so the artifact can
         # be served memory-mapped (npz members cannot be mapped).  Partitioned
         # models already wrote their bucket files + manifest as part of
@@ -512,10 +502,6 @@ class ExperimentArtifact:
     metrics: Dict[str, object]
     history: Dict[str, object]
 
-    @property
-    def checkpoint_path(self) -> str:
-        return os.path.join(self.path, ARTIFACT_CHECKPOINT)
-
     def load_model(self, mmap: bool = False, quantized=None) -> KGEModel:
         """Rebuild the trained model from the artifact's checkpoint.
 
@@ -525,7 +511,7 @@ class ExperimentArtifact:
         bucket files instead — see
         :func:`repro.training.checkpoint.load_model`.
         """
-        return load_model(self.checkpoint_path, mmap=mmap, quantized=quantized)
+        return load_model(self.path, mmap=mmap, quantized=quantized)
 
 
 def load_artifact(path: str) -> ExperimentArtifact:

@@ -121,8 +121,8 @@ def l2_distance_matrix(queries: np.ndarray, targets: np.ndarray,
     never a table-sized array, nor (for B > 1) a second result-sized one.
     ``‖q − t‖² = ‖q‖² − 2 q·Tᵀ + ‖t‖²`` avoids the ``(B, N, d)`` diff tensor;
     shared by the closed-form ranking path (``SpTransE``), the serving
-    engine's embedding-space kNN, the IVF probe and rescore, k-means
-    assignment and the per-bucket sweeps over partitioned tables.
+    engine's embedding-space kNN, the IVF probe, rescore and recall tuner,
+    and the per-bucket sweeps over partitioned tables.
 
     The target rows are taken ``tile = max(RANK_TILE_ELEMENTS // B, B)``
     columns at a time.  Each tile's ``q·Tᵀ`` and its doubling go through one
@@ -140,8 +140,8 @@ def l2_distance_matrix(queries: np.ndarray, targets: np.ndarray,
     ``N % 8`` columns differently, so there a multi-tile call can differ from
     the one-GEMM expression in the last bit of some scores; the ranks they
     give are held equal in-process, whatever the thread count.  A tile is
-    never narrower than the batch is tall, so a tall-and-narrow call (k-means
-    assignment: thousands of rows against ``√N`` centroids) stays one GEMM,
+    never narrower than the batch is tall, so a tall-and-narrow call
+    (thousands of query rows against a few hundred targets) stays one GEMM,
     and a single query (B = 1) takes :data:`SINGLE_QUERY_COLUMNS` targets per
     BLAS call, as it always has.
 

@@ -22,8 +22,10 @@ The serving stack is layered so each piece is usable on its own:
 .. code-block:: python
 
     from repro.serving import InferenceEngine
+    from repro.training import load_model
 
-    engine = InferenceEngine.from_checkpoint("model.npz")
+    engine = InferenceEngine.from_artifact("runs/transe-fb15k", filtered=True)
+    bare = InferenceEngine(load_model("model.npz"))  # a bare .npz: unfiltered
     result = engine.top_k_tails(head=12, relation=3, k=10)
     print(result.entities, result.scores)
 """

@@ -83,8 +83,8 @@ class InferenceEngine:
     Parameters
     ----------
     model:
-        Any :class:`~repro.models.base.KGEModel` (typically from
-        :meth:`from_checkpoint`).
+        Any :class:`~repro.models.base.KGEModel` (typically
+        ``load_model(path)``; artifact directories use :meth:`from_artifact`).
     known_triples:
         Optional iterable of ``(h, r, t)`` positives backing the filtered
         protocol; without it, ``filtered=True`` queries behave like raw ones.
@@ -155,16 +155,6 @@ class InferenceEngine:
     # ------------------------------------------------------------------ #
     # Construction / lifecycle
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_checkpoint(cls, path: str,
-                        known_triples: Optional[Iterable[Tuple[int, int, int]]] = None,
-                        cache_size: int = 4096) -> "InferenceEngine":
-        """Build an engine from a checkpoint via its stored :class:`ModelSpec`."""
-        from repro.training.checkpoint import load_model
-
-        return cls(load_model(path), known_triples=known_triples,
-                   cache_size=cache_size)
-
     @classmethod
     def from_artifact(cls, path: str, filtered: bool = False,
                       cache_size: int = 4096, mmap="auto",

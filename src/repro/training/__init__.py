@@ -28,7 +28,6 @@ from repro.training.checkpoint import (
     save_checkpoint,
     load_checkpoint,
     load_model,
-    model_from_checkpoint,
     restore_into,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "load_model",
-    "model_from_checkpoint",
     "restore_into",
     "TrainingConfig",
     "Trainer",

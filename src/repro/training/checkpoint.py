@@ -12,12 +12,14 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.models.base import KGEModel
+from repro.nn.init import skip_init
 from repro.nn.partitioned import (
     PARTITION_MANIFEST,
     PartitionedEmbedding,
@@ -56,47 +58,18 @@ class Checkpoint:
     def spec(self) -> ModelSpec:
         """The :class:`~repro.registry.ModelSpec` this checkpoint was written with.
 
-        Checkpoints written before the spec-driven registry carry only the
-        ``model_config`` summary; for those the spec is derived from the
-        registered class name so old checkpoints stay loadable.  Raises
-        ``ValueError`` when neither form identifies a registered model.
+        Raises ``ValueError`` when it carries none, which is how
+        :func:`save_checkpoint` records a model class that was not registered.
         """
         payload = self.metadata.get("model_spec")
-        if payload is not None:
-            return ModelSpec.from_dict(payload)  # type: ignore[arg-type]
-        return self._spec_from_legacy_config()
-
-    def _spec_from_legacy_config(self) -> ModelSpec:
-        from repro.registry import iter_entries
-
-        saved = self.metadata.get("model_config")
-        if not isinstance(saved, dict) or "model" not in saved:
+        if payload is None:
+            class_name = self.metadata.get("model_config", {}).get("model")
             raise ValueError(
-                "checkpoint carries no model spec and no legacy model_config; "
-                "cannot reconstruct the model"
+                f"checkpoint was written by unregistered model class "
+                f"{class_name!r}; register it with @register_model and save "
+                "it again to make it loadable"
             )
-        class_name = str(saved["model"])
-        entry = next((e for e in iter_entries() if e.cls.__name__ == class_name), None)
-        if entry is None:
-            raise ValueError(
-                f"checkpoint was written by unregistered model class {class_name!r}; "
-                "register it with @register_model to make it loadable"
-            )
-        relation_dim = saved.get("relation_dim")
-        return ModelSpec(
-            model=entry.name,
-            formulation=entry.formulation,
-            n_entities=int(saved["n_entities"]),
-            n_relations=int(saved["n_relations"]),
-            embedding_dim=int(saved["embedding_dim"]),
-            relation_dim=int(relation_dim) if relation_dim is not None else None,
-            backend=(str(saved["backend"])
-                     if entry.capabilities.accepts_backend and "backend" in saved
-                     else None),
-            dissimilarity=(str(saved["dissimilarity"])
-                           if entry.capabilities.accepts_dissimilarity
-                           and "dissimilarity" in saved else None),
-        )
+        return ModelSpec.from_dict(payload)  # type: ignore[arg-type]
 
 
 def _partitioned_table(model: KGEModel) -> Tuple[Optional[PartitionedEmbedding], Set[str]]:
@@ -176,7 +149,7 @@ def save_checkpoint(path: str, model: KGEModel, optimizer: Optional[Optimizer] =
         spec_payload: Optional[Dict[str, object]] = spec_from_model(model).to_dict()
     except UnknownModelError:
         # Unregistered (e.g. ad-hoc experimental) models still checkpoint;
-        # they just cannot be auto-reconstructed by ``model_from_checkpoint``.
+        # they just cannot be auto-reconstructed by ``load_model``.
         spec_payload = None
     metadata = dict(extra_metadata) if extra_metadata else {}
     if table is not None:
@@ -291,7 +264,7 @@ def save_weight_files(directory: str, model: KGEModel,
     return written
 
 
-def resolve_checkpoint_path(path: str) -> str:
+def resolve_checkpoint_file(path: str) -> str:
     """Resolve an artifact directory / bare path to the actual ``.npz`` file."""
     if os.path.isdir(path):
         candidate = os.path.join(path, ARTIFACT_CHECKPOINT)
@@ -315,7 +288,7 @@ def read_checkpoint_metadata(path: str) -> Dict[str, object]:
     the memory-mapped serving path uses this to learn the model spec without
     pulling any parameter array into RAM.
     """
-    with np.load(resolve_checkpoint_path(path), allow_pickle=False) as data:
+    with np.load(resolve_checkpoint_file(path), allow_pickle=False) as data:
         return json.loads(bytes(data["metadata"]).decode("utf-8"))
 
 
@@ -327,7 +300,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     what lets :func:`load_model` and the serving engine warm-load an artifact
     without knowing its internal layout.
     """
-    path = resolve_checkpoint_path(path)
+    path = resolve_checkpoint_file(path)
     with np.load(path, allow_pickle=False) as data:
         metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
         model_state = {key[len("model::"):]: data[key] for key in data.files
@@ -344,34 +317,16 @@ def load_checkpoint(path: str) -> Checkpoint:
     )
 
 
-def model_from_checkpoint(checkpoint: Checkpoint, rng=0) -> KGEModel:
-    """Rebuild the exact model a checkpoint was written with and load its weights.
+def load_model(path: str, rng=0, mmap: bool = False,
+               quantized: Optional[object] = None) -> KGEModel:
+    """One-call ``path → ready model`` (what the serving engine and CLI use).
 
     Construction goes solely through :meth:`Checkpoint.spec` →
     :func:`repro.registry.build_model`, so every recorded hyperparameter —
     SpMM backend, dissimilarity, relation dimension — is restored faithfully
-    rather than falling back to constructor defaults.
-
-    Partitioned checkpoints are rebuilt under
-    :func:`repro.nn.init.skip_init` (nothing to initialise — the entity
-    buckets attach to the ``weights/`` files next to the checkpoint and fault
-    in lazily; the remaining parameters load from the npz as usual).
-    """
-    spec = checkpoint.spec()
-    if checkpoint.partition_manifest is not None:
-        from repro.nn.init import skip_init
-
-        with skip_init():
-            model = build_model(spec, rng=rng)
-    else:
-        model = build_model(spec, rng=rng)
-    restore_into(checkpoint, model)
-    return model
-
-
-def load_model(path: str, rng=0, mmap: bool = False,
-               quantized: Optional[object] = None) -> KGEModel:
-    """One-call ``path → ready model`` (what the serving engine and CLI use).
+    rather than falling back to constructor defaults.  A partitioned
+    checkpoint's entity buckets attach to the ``weights/`` files next to it
+    and fault in lazily.
 
     With ``mmap=True`` and an artifact directory carrying a ``weights/``
     directory, the model is constructed without initialising its parameters
@@ -394,7 +349,7 @@ def load_model(path: str, rng=0, mmap: bool = False,
             "mmap=True (or drop quantized=)"
         )
     if mmap:
-        checkpoint_file = resolve_checkpoint_path(path)
+        checkpoint_file = resolve_checkpoint_file(path)
         weights_dir = os.path.join(os.path.dirname(checkpoint_file),
                                    ARTIFACT_WEIGHTS)
         if not os.path.isdir(weights_dir):
@@ -405,7 +360,12 @@ def load_model(path: str, rng=0, mmap: bool = False,
             )
         return _model_from_weight_files(checkpoint_file, weights_dir, rng=rng,
                                         quantized=quantized)
-    return model_from_checkpoint(load_checkpoint(path), rng=rng)
+    checkpoint = load_checkpoint(path)
+    # A partitioned model's buckets come from files: nothing to initialise.
+    with skip_init() if checkpoint.partition_manifest is not None else nullcontext():
+        model = build_model(checkpoint.spec(), rng=rng)
+    restore_into(checkpoint, model)
+    return model
 
 
 def _model_from_weight_files(checkpoint_file: str, weights_dir: str,
@@ -420,8 +380,6 @@ def _model_from_weight_files(checkpoint_file: str, weights_dir: str,
     Without a manifest the directory is the legacy single-bucket dense
     layout and every parameter is mapped.
     """
-    from repro.nn.init import skip_init
-
     metadata = read_checkpoint_metadata(checkpoint_file)
     spec = Checkpoint(model_state={}, metadata=metadata).spec()
     with skip_init():
@@ -504,7 +462,7 @@ def _restore_partitioned(checkpoint: Checkpoint, model: KGEModel,
         raise ValueError(
             "checkpoint was written by a partitioned model but the target "
             "model has no partitioned table; rebuild it with the checkpoint's "
-            "spec (model_from_checkpoint does this automatically)"
+            "spec (load_model does this automatically)"
         )
     own = {name: param for name, param in model.named_parameters()
            if name not in bucket_names}

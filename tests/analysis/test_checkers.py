@@ -229,6 +229,20 @@ class TestForkSafetyChecker:
         })
         assert run_checks(tmp_path, rules=["fork-module-lock"]) == []
 
+    def test_serving_pool_is_an_entry_point(self, tmp_path):
+        # `serve --workers N` forks from serving/pool.py: a module-level lock
+        # in a module the pool imports is inherited by every worker.
+        make_project(tmp_path, {
+            "src/repro/serving/pool.py": "from repro.serving import deadline\n",
+            "src/repro/serving/deadline.py": (
+                "import threading\n"
+                "_LOCK = threading.Lock()\n"
+            ),
+        })
+        findings = run_checks(tmp_path, rules=["fork-module-lock"])
+        assert [(f.rule, f.path) for f in findings] == [
+            ("fork-module-lock", "src/repro/serving/deadline.py")]
+
 
 _LOCKED_CLASS = """\
 import threading
@@ -835,6 +849,20 @@ class TestForkTaintChecker:
         findings = run_checks(tmp_path, rules=["fork-taint"])
         assert len(findings) == 1
         assert "call chain <module> -> make()" in findings[0].message
+
+    def test_lock_two_hops_below_the_serving_pool_reported(self, tmp_path):
+        make_project(tmp_path, {
+            "src/repro/serving/pool.py": "from repro.serving import engine\n",
+            "src/repro/serving/engine.py": "from repro.data import known\n",
+            "src/repro/data/known.py": (
+                "import threading\n"
+                "_LOCK = threading.Lock()\n"
+            ),
+        })
+        findings = run_checks(tmp_path, rules=["fork-taint"])
+        assert len(findings) == 1
+        assert ("serving/pool.py -> serving/engine.py -> data/known.py"
+                in findings[0].message)
 
     def test_post_fork_function_body_not_flagged(self, tmp_path):
         # A connect inside a function that nothing calls at import time

@@ -188,11 +188,11 @@ class TestTrainingWiring:
 
 
 class TestCliWiring:
-    def test_train_flag_parses(self):
+    def test_export_spec_flag_parses(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["train", "--epochs", "1", "--sanitize"])
+            ["export-spec", "--epochs", "1", "--sanitize"])
         assert args.sanitize is True
 
     def test_run_override_sets_spec(self):

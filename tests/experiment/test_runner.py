@@ -199,9 +199,9 @@ class TestRunnerBehaviour:
         result = Experiment(spec, dataset=dataset).run()
         assert result.dataset is dataset
 
-    def test_checkpoint_path_without_artifact_dir(self, tmp_path):
-        ckpt = str(tmp_path / "model.npz")
+    def test_artifact_dir_reloads_without_eval(self, tmp_path):
+        artifact = str(tmp_path / "run")
         spec = tiny_spec(eval=EvalSpec(protocols=()))
-        Experiment(spec, checkpoint_path=ckpt).run()
-        reloaded = load_model(ckpt)
+        Experiment(spec, artifact_dir=artifact).run()
+        reloaded = load_model(artifact)
         assert reloaded.n_entities == spec.model.n_entities

@@ -165,8 +165,8 @@ class TestSparseResumeRegression:
         uninterrupted = Experiment(spec).run()
 
         half = spec.replace(training=spec.training.replace(epochs=3))
-        checkpoint = str(tmp_path / "half.npz")
-        Experiment(half, checkpoint_path=checkpoint).run()
+        checkpoint = str(tmp_path / "half")
+        Experiment(half, artifact_dir=checkpoint).run()
         resumed = Experiment(spec, resume=checkpoint).run()
 
         assert len(resumed.training.losses) == 3
@@ -179,8 +179,8 @@ class TestSparseResumeRegression:
 
     def test_resume_restores_optimizer_step_count(self, tmp_path):
         spec = make_spec(epochs=2)
-        checkpoint = str(tmp_path / "ck.npz")
-        Experiment(spec, checkpoint_path=checkpoint).run()
+        checkpoint = str(tmp_path / "ck")
+        Experiment(spec, artifact_dir=checkpoint).run()
         from repro.training import load_checkpoint
 
         metadata = load_checkpoint(checkpoint).metadata
@@ -188,9 +188,9 @@ class TestSparseResumeRegression:
 
     def test_resume_with_workers_is_rejected(self, tmp_path):
         spec = make_spec(epochs=4)
-        checkpoint = str(tmp_path / "ck.npz")
+        checkpoint = str(tmp_path / "ck")
         Experiment(spec.replace(training=spec.training.replace(epochs=2)),
-                   checkpoint_path=checkpoint).run()
+                   artifact_dir=checkpoint).run()
         multi = spec.replace(training=spec.training.replace(num_workers=2))
         with pytest.raises(ValueError, match="num_workers"):
             Experiment(multi, resume=checkpoint).run()

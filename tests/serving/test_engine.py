@@ -317,11 +317,11 @@ class TestScoringAPI:
         labels = engine.classify([(0, 0, 1), (2, 1, 3)], threshold)
         assert labels == [bool(s <= threshold) for s in scores]
 
-    def test_from_checkpoint_round_trip(self, tmp_path):
+    def test_checkpoint_round_trip(self, tmp_path):
         model = make_model(rng=7)
         path = str(tmp_path / "m.npz")
         save_checkpoint(path, model)
-        engine = InferenceEngine.from_checkpoint(path)
+        engine = InferenceEngine(load_model(path))
         assert engine.spec().model == "transe"
         direct = model.predict_tails(2, 1, k=4)
         assert list(engine.top_k_tails(2, 1, k=4).entities) == [int(i) for i in direct]

@@ -1,6 +1,13 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -14,10 +21,36 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
+def export_and_run(capsys, tmp_path, *export_argv):
+    """``export-spec`` then ``run``: returns the artifact directory and the
+    run's printed summary."""
+    spec_path = str(tmp_path / "exp.json")
+    run_cli(capsys, "export-spec", *export_argv, "--output", spec_path)
+    artifacts = str(tmp_path / "artifacts")
+    code, out = run_cli(capsys, "run", spec_path, "--artifacts", artifacts,
+                        "--quiet")
+    assert code == 0
+    return artifacts, json.loads(out)
+
+
+def recorded_link_prediction(artifacts):
+    """The link-prediction numbers ``run`` wrote into ``metrics.json``."""
+    with open(os.path.join(artifacts, "metrics.json"), encoding="utf-8") as handle:
+        return json.load(handle)["evaluations"]["link_prediction"]["metrics"]
+
+
+def save_bare_checkpoint(path):
+    from repro.registry import ModelSpec, build_model
+    from repro.training.checkpoint import save_checkpoint
+
+    return save_checkpoint(path, build_model(
+        ModelSpec(model="transe", formulation="sparse", n_entities=30,
+                  n_relations=4, embedding_dim=8), rng=0))
+
+
 def test_declared_console_script_resolves_to_the_cli_entry_point():
     """``pyproject.toml`` is what makes ``sptransx`` a command after install."""
     import importlib
-    import os
 
     tomllib = pytest.importorskip("tomllib")
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -33,15 +66,33 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_train_defaults(self):
-        args = build_parser().parse_args(["train"])
+    def test_export_spec_defaults(self):
+        args = build_parser().parse_args(["export-spec"])
         assert args.model == "transe"
         assert args.formulation == "sparse"
         assert args.dataset == "FB15K"
 
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "--model", "kg2e"])
+            build_parser().parse_args(["export-spec", "--model", "kg2e"])
+
+    def test_train_command_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train"])
+
+    def test_evaluate_and_serve_take_no_data_flags(self):
+        """The artifact's spec.json names its data; nothing is typed twice."""
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+
+        def options(command):
+            return {opt for action in sub.choices[command]._actions
+                    for opt in action.option_strings if opt not in ("-h", "--help")}
+
+        assert options("evaluate") == {"--checkpoint", "--ks", "--split"}
+        assert len(options("serve")) == 14
+        assert not options("serve") & {"--dataset", "--scale", "--triples-file",
+                                       "--data-seed", "--storage"}
 
 
 class TestInfoCommand:
@@ -55,45 +106,50 @@ class TestInfoCommand:
         assert "scipy" in payload["spmm_backends"]
 
 
-class TestTrainCommand:
-    def test_train_synthetic_and_checkpoint(self, capsys, tmp_path):
-        ckpt = str(tmp_path / "model.npz")
-        code, out = run_cli(
-            capsys, "train", "--dataset", "WN18RR", "--scale", "0.003",
+class TestExportThenRun:
+    def test_synthetic_run_writes_a_checkpointed_artifact(self, capsys, tmp_path):
+        _, summary = export_and_run(
+            capsys, tmp_path, "--dataset", "WN18RR", "--scale", "0.003",
             "--model", "transe", "--epochs", "2", "--batch-size", "256",
-            "--dim", "16", "--learning-rate", "0.01", "--checkpoint", ckpt,
-            "--quiet",
-        )
-        assert code == 0
-        assert "final_loss" in out
-        assert (tmp_path / "model.npz").exists()
+            "--dim", "16", "--learning-rate", "0.01")
+        assert np.isfinite(summary["metrics"]["final_loss"])
+        assert (tmp_path / "artifacts" / "checkpoint.npz").exists()
 
-    def test_train_dense_formulation(self, capsys):
-        code, out = run_cli(
-            capsys, "train", "--dataset", "WN18RR", "--scale", "0.003",
+    def test_dense_formulation(self, capsys, tmp_path):
+        _, summary = export_and_run(
+            capsys, tmp_path, "--dataset", "WN18RR", "--scale", "0.003",
             "--model", "transh", "--formulation", "dense", "--epochs", "1",
-            "--batch-size", "256", "--dim", "8", "--quiet",
-        )
-        assert code == 0
-        assert "DenseTransH" in out
+            "--batch-size", "256", "--dim", "8")
+        assert summary["model"]["model"] == "DenseTransH"
 
-    def test_train_from_triples_file_with_eval(self, capsys, tmp_path):
+    def test_triples_file_run_then_evaluate(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         rows = {(int(h), int(t)) for h, t in rng.integers(0, 20, size=(300, 2)) if h != t}
         path = tmp_path / "kg.csv"
         path.write_text("\n".join(f"e{h},r0,e{t}" for h, t in rows) + "\n")
-        code, out = run_cli(
-            capsys, "train", "--triples-file", str(path), "--test-fraction", "0.1",
-            "--epochs", "2", "--batch-size", "64", "--dim", "8",
-            "--learning-rate", "0.05", "--eval", "--quiet",
-        )
+        artifacts, summary = export_and_run(
+            capsys, tmp_path, "--triples-file", str(path), "--test-fraction",
+            "0.1", "--epochs", "2", "--batch-size", "64", "--dim", "8",
+            "--learning-rate", "0.05")
+        assert "link_prediction" in summary["metrics"]["evaluations"]
+        code, out = run_cli(capsys, "evaluate", "--checkpoint", artifacts)
         assert code == 0
-        assert "link_prediction" in out
+        assert json.loads(out) == recorded_link_prediction(artifacts)
 
-    def test_dense_only_model_with_sparse_formulation_fails(self, capsys):
+    def test_dense_only_model_with_sparse_formulation_fails(self, capsys, tmp_path):
         with pytest.raises(SystemExit):
-            main(["train", "--model", "transd", "--formulation", "sparse",
-                  "--scale", "0.003", "--epochs", "1", "--quiet"])
+            export_and_run(capsys, tmp_path, "--model", "transd",
+                           "--formulation", "sparse", "--scale", "0.003",
+                           "--epochs", "1")
+
+    def test_export_storage_and_workers_flags_reach_the_run(self, capsys, tmp_path):
+        _, summary = export_and_run(
+            capsys, tmp_path, "--dataset", "WN18RR", "--scale", "0.003",
+            "--model", "transe", "--epochs", "1", "--batch-size", "256",
+            "--dim", "8", "--storage", "sqlite", "--storage-path",
+            str(tmp_path / "kg.sqlite"), "--workers", "2", "--sparse-grads")
+        assert (tmp_path / "kg.sqlite").exists()
+        assert np.isfinite(summary["metrics"]["final_loss"])
 
 
 class TestExportSpecCommand:
@@ -145,12 +201,9 @@ class TestRunCommand:
         assert (tmp_path / "artifacts" / "metrics.json").exists()
         assert (tmp_path / "artifacts" / "checkpoint.npz").exists()
 
-        # the artifact directory doubles as an evaluate/serve checkpoint
-        code, out = run_cli(
-            capsys, "evaluate", "--checkpoint", artifacts, "--dataset", "WN18RR",
-            "--scale", "0.003", "--generator", "learnable",
-            "--test-fraction", "0.1", "--ks", "10",
-        )
+        # the artifact directory is what evaluate and serve read
+        code, out = run_cli(capsys, "evaluate", "--checkpoint", artifacts,
+                            "--ks", "10")
         assert code == 0
         assert "hits@10" in json.loads(out)
 
@@ -228,19 +281,6 @@ class TestRunCommand:
             main(["run", spec_path, "--artifacts", str(tmp_path / "a"),
                   "--quantize", "fp16", "--quiet"])
 
-    def test_train_accepts_storage_and_workers_flags(self, capsys, tmp_path):
-        checkpoint = str(tmp_path / "model.npz")
-        code, out = run_cli(capsys, "train", "--dataset", "WN18RR", "--scale",
-                            "0.003", "--model", "transe", "--epochs", "1",
-                            "--batch-size", "256", "--dim", "8",
-                            "--storage", "sqlite", "--storage-path",
-                            str(tmp_path / "kg.sqlite"), "--workers", "2",
-                            "--sparse-grads", "--checkpoint", checkpoint)
-        assert code == 0
-        assert (tmp_path / "kg.sqlite").exists()
-        summary = json.loads(out[:out.rindex("}") + 1])
-        assert np.isfinite(summary["final_loss"])
-
     def test_run_missing_spec_fails(self, capsys, tmp_path):
         with pytest.raises(SystemExit, match="cannot load"):
             main(["run", str(tmp_path / "nope.json")])
@@ -254,57 +294,131 @@ class TestRunCommand:
 
 
 class TestEvaluateCommand:
-    def test_train_then_evaluate_checkpoint(self, capsys, tmp_path):
-        ckpt = str(tmp_path / "m.npz")
-        code, _ = run_cli(
-            capsys, "train", "--dataset", "WN18RR", "--scale", "0.003",
-            "--model", "transe", "--epochs", "2", "--batch-size", "256",
-            "--dim", "16", "--checkpoint", ckpt, "--quiet",
-        )
-        assert code == 0
-        code, out = run_cli(
-            capsys, "evaluate", "--checkpoint", ckpt, "--dataset", "WN18RR",
-            "--scale", "0.003", "--test-fraction", "0.1", "--ks", "1", "10",
-        )
+    @pytest.fixture(scope="class")
+    def artifact(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("evaluate")
+        spec_path = str(directory / "exp.json")
+        main(["export-spec", "--dataset", "WN18RR", "--scale", "0.003",
+              "--generator", "learnable", "--test-fraction", "0.1",
+              "--model", "transe", "--epochs", "2", "--batch-size", "256",
+              "--dim", "16", "--learning-rate", "0.01", "--output", spec_path])
+        with open(spec_path, encoding="utf-8") as handle:
+            spec = json.load(handle)
+        spec["eval"]["ks"] = [2, 5]  # not evaluate's own cutoffs
+        with open(spec_path, "w", encoding="utf-8") as handle:
+            json.dump(spec, handle)
+        artifacts = str(directory / "artifacts")
+        main(["run", spec_path, "--artifacts", artifacts, "--quiet"])
+        return artifacts
+
+    def test_prints_the_recorded_metrics_with_no_flags(self, capsys, artifact):
+        capsys.readouterr()
+        code, out = run_cli(capsys, "evaluate", "--checkpoint", artifact)
         assert code == 0
         payload = json.loads(out)
-        assert "hits@10" in payload
-        assert 0.0 <= payload["hits@10"] <= 1.0
+        assert payload == recorded_link_prediction(artifact)
+        assert {"hits@2", "hits@5"} <= set(payload)
 
-    def test_evaluate_empty_split_fails(self, capsys, tmp_path):
-        ckpt = str(tmp_path / "m.npz")
-        run_cli(capsys, "train", "--dataset", "WN18RR", "--scale", "0.003",
-                "--model", "transe", "--epochs", "1", "--batch-size", "256",
-                "--dim", "8", "--checkpoint", ckpt, "--quiet")
-        with pytest.raises(SystemExit):
-            main(["evaluate", "--checkpoint", ckpt, "--dataset", "WN18RR",
-                  "--scale", "0.003", "--test-fraction", "0", "--split", "valid"])
+    def test_ks_and_split_select_what_is_ranked(self, capsys, artifact):
+        capsys.readouterr()
+        code, out = run_cli(capsys, "evaluate", "--checkpoint", artifact,
+                            "--ks", "1", "10", "--split", "train")
+        assert code == 0
+        payload = json.loads(out)
+        assert {"hits@1", "hits@10"} <= set(payload)
+        assert "hits@5" not in payload
+
+    def test_empty_split_fails(self, artifact):
+        with pytest.raises(SystemExit, match="valid"):
+            main(["evaluate", "--checkpoint", artifact, "--split", "valid"])
+
+    def test_bare_checkpoint_is_refused(self, tmp_path):
+        path = save_bare_checkpoint(str(tmp_path / "m.npz"))
+        with pytest.raises(SystemExit, match="not an artifact directory"):
+            main(["evaluate", "--checkpoint", path])
 
 
 class TestServeCommand:
-    """Both tiers build their engine through one factory, so a filtered
-    ``serve`` over a dataset whose vocabulary is not the checkpoint's is
-    refused by both, with one message, before a port is bound or a worker
-    forked."""
+    """``--filtered`` needs the triples an artifact's spec.json names, so on a
+    bare checkpoint both tiers refuse it with one message, in the calling
+    process, before a port is bound or a worker forked."""
 
     @pytest.fixture(scope="class")
     def checkpoint(self, tmp_path_factory):
-        from repro.registry import ModelSpec, build_model
-        from repro.training.checkpoint import save_checkpoint
-
-        path = str(tmp_path_factory.mktemp("serve") / "m.npz")
-        save_checkpoint(path, build_model(
-            ModelSpec(model="transe", formulation="sparse", n_entities=30,
-                      n_relations=4, embedding_dim=8), rng=0))
-        return path
+        return save_bare_checkpoint(str(tmp_path_factory.mktemp("serve") / "m.npz"))
 
     @pytest.mark.parametrize("workers", ["0", "2"], ids=["threaded", "pool"])
-    def test_filtered_serve_refuses_a_mismatched_dataset(self, checkpoint, workers):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--checkpoint", checkpoint, "--filtered",
-                  "--dataset", "WN18RR", "--scale", "0.003", "--port", "0",
-                  "--workers", workers])
-        assert str(excinfo.value).startswith("dataset vocabulary (")
-        assert str(excinfo.value).endswith(
-            "does not match the checkpoint (30, 4); filtered serving needs "
-            "the training data")
+    def test_filtered_serve_refuses_a_bare_checkpoint(self, checkpoint, workers):
+        # Hold the port: a refusal that came after binding would say so.
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = str(held.getsockname()[1])
+            with pytest.raises(SystemExit) as excinfo:
+                main(["serve", "--checkpoint", checkpoint, "--filtered",
+                      "--port", port, "--workers", workers])
+        assert str(excinfo.value) == (
+            "--filtered needs an artifact directory (its spec.json names the "
+            f"triples to filter by), got checkpoint {checkpoint}")
+
+
+def _alive(pid):
+    """Whether ``pid`` is a running process (not exited, not a zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads child pids from /proc")
+class TestServeShutdown:
+    """SIGTERM stops ``serve`` the way Ctrl-C does: the parent exits and no
+    pool worker outlives it."""
+
+    @pytest.fixture(scope="class")
+    def artifact(self, tmp_path_factory):
+        from repro.experiment import DataSpec, EvalSpec, ExperimentSpec, run_experiment
+        from repro.registry import ModelSpec
+        from repro.training import TrainingConfig
+
+        data = DataSpec(dataset="WN18RR", scale=0.001)
+        n_entities, n_relations = data.vocab_sizes()
+        directory = str(tmp_path_factory.mktemp("sigterm") / "artifact")
+        run_experiment(ExperimentSpec(
+            name="sigterm", data=data,
+            model=ModelSpec(model="transe", formulation="sparse",
+                            n_entities=n_entities, n_relations=n_relations,
+                            embedding_dim=8),
+            training=TrainingConfig(epochs=1, batch_size=64),
+            eval=EvalSpec(protocols=())), artifact_dir=directory)
+        return directory
+
+    @pytest.mark.parametrize("workers", [2, 0], ids=["pool", "threaded"])
+    def test_sigterm_leaves_no_process_behind(self, artifact, workers):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--checkpoint", artifact,
+             "--port", "0", "--workers", str(workers)],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, text=True)
+        children = []
+        try:
+            assert json.loads(proc.stdout.readline())["serving"]
+            with open(f"/proc/{proc.pid}/task/{proc.pid}/children",
+                      encoding="ascii") as handle:
+                children = [int(pid) for pid in handle.read().split()]
+            assert len(children) == workers
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            deadline = time.monotonic() + 10.0
+            while any(map(_alive, children)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_alive, children))
+        finally:
+            for pid in [proc.pid, *children]:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.wait()
+            proc.stdout.close()

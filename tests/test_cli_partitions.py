@@ -1,4 +1,4 @@
-"""CLI surface of partitioned tables: --partitions on export-spec/train/run."""
+"""CLI surface of partitioned tables: --partitions on export-spec/run."""
 
 from __future__ import annotations
 
@@ -52,8 +52,7 @@ class TestRunOverride:
 
     def test_parser_exposes_partitions_everywhere(self):
         parser = build_parser()
-        for argv in (["train", "--partitions", "2"],
-                     ["export-spec", "--partitions", "2"],
+        for argv in (["export-spec", "--partitions", "2"],
                      ["run", "spec.json", "--partitions", "2"]):
             args = parser.parse_args(argv)
             assert args.partitions == 2

@@ -17,7 +17,6 @@ from repro.serving import InferenceEngine
 from repro.training.checkpoint import (
     load_checkpoint,
     load_model,
-    model_from_checkpoint,
     save_checkpoint,
 )
 from repro.training.config import TrainingConfig
@@ -96,7 +95,7 @@ class TestPartitionedCheckpointLayout:
 
     def test_reload_reproduces_scores(self, trained, kg):
         model, path, _ = trained
-        reloaded = model_from_checkpoint(load_checkpoint(path))
+        reloaded = load_model(path)
         triples = kg.split.train[:64]
         assert np.array_equal(model.score_triples(triples),
                               reloaded.score_triples(triples))

@@ -208,7 +208,7 @@ class TestSpecValidation:
 
 class TestCheckpointIntegration:
     def test_checkpoint_preserves_backend_and_dissimilarity(self, tmp_path):
-        from repro.training.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
+        from repro.training.checkpoint import load_model, save_checkpoint
 
         spec = ModelSpec(model="transr", formulation="sparse", n_entities=30,
                          n_relations=5, embedding_dim=8, relation_dim=6,
@@ -217,7 +217,7 @@ class TestCheckpointIntegration:
         path = str(tmp_path / "ck.npz")
         save_checkpoint(path, model, epoch=1)
 
-        restored = model_from_checkpoint(load_checkpoint(path))
+        restored = load_model(path)
         assert type(restored).__name__ == "SpTransR"
         assert restored.backend == "numpy"
         assert restored.dissimilarity_name == "L1"
@@ -225,32 +225,12 @@ class TestCheckpointIntegration:
         np.testing.assert_allclose(restored.entity_embeddings.data,
                                    model.entity_embeddings.data)
 
-    def test_legacy_checkpoint_without_spec_still_loads(self, tmp_path):
-        """Pre-registry checkpoints (model_config only) reconstruct via the class name."""
+    def test_checkpoint_without_a_spec_names_the_class(self, tmp_path):
+        """An unregistered model saves ``model_spec: null``; loading it says
+        which class to register."""
         import json
 
-        from repro.training.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
-
-        model = build_model(ModelSpec(model="transe", formulation="sparse",
-                                      n_entities=20, n_relations=3,
-                                      embedding_dim=8), rng=0)
-        path = str(tmp_path / "legacy.npz")
-        save_checkpoint(path, model)
-
-        data = dict(np.load(path, allow_pickle=False))
-        metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
-        del metadata["model_spec"]
-        data["metadata"] = np.frombuffer(json.dumps(metadata).encode("utf-8"),
-                                         dtype=np.uint8)
-        np.savez(path, **data)
-
-        restored = model_from_checkpoint(load_checkpoint(path))
-        assert type(restored).__name__ == "SpTransE"
-
-    def test_unreconstructable_checkpoint_errors_clearly(self, tmp_path):
-        import json
-
-        from repro.training.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
+        from repro.training.checkpoint import load_model, save_checkpoint
 
         model = build_model(ModelSpec(model="transe", formulation="sparse",
                                       n_entities=20, n_relations=3,
@@ -260,11 +240,11 @@ class TestCheckpointIntegration:
 
         data = dict(np.load(path, allow_pickle=False))
         metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
-        del metadata["model_spec"]
+        metadata["model_spec"] = None
         metadata["model_config"]["model"] = "MysteryNet"
         data["metadata"] = np.frombuffer(json.dumps(metadata).encode("utf-8"),
                                          dtype=np.uint8)
         np.savez(path, **data)
 
-        with pytest.raises(ValueError, match="MysteryNet"):
-            model_from_checkpoint(load_checkpoint(path))
+        with pytest.raises(ValueError, match="'MysteryNet'.*@register_model"):
+            load_model(path)

@@ -411,9 +411,9 @@ class TestTrainingEquivalence:
     def test_cli_exposes_switch(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["train", "--sparse-grads"])
+        args = build_parser().parse_args(["export-spec", "--sparse-grads"])
         assert args.sparse_grads is True
-        args = build_parser().parse_args(["train"])
+        args = build_parser().parse_args(["export-spec"])
         assert args.sparse_grads is False
 
 
