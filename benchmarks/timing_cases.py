@@ -33,7 +33,6 @@ from benchmarks.common import (
     scaled,
     semiring_pairs,
 )
-from repro.baselines import DENSE_MODELS
 from repro.data import (
     BatchIterator,
     KGDataset,
@@ -45,6 +44,7 @@ from repro.losses import MarginRankingLoss
 from repro.models import SpTransE
 from repro.optim import Adam
 from repro.profiling import profile_training_step, training_step_peak
+from repro.registry import models_by_formulation
 from repro.training import (
     CommunicationModel,
     MultiprocessTrainer,
@@ -208,8 +208,8 @@ def _run_fig2(scale: float, seeds: Sequence[int]) -> Rows:
         kg = load_scaled_dataset(dataset, scale, seeds[0])
         batch = make_batch(kg, 4096, seeds[0])
         for model_name in FIG2_MODELS:
-            model = DENSE_MODELS[model_name](kg.n_entities, kg.n_relations,
-                                             DEFAULT_DIM, rng=seeds[0])
+            model = models_by_formulation("dense")[model_name](
+                kg.n_entities, kg.n_relations, DEFAULT_DIM, rng=seeds[0])
             optimizer = Adam(model.parameters(), lr=4e-4)
             profile = profile_training_step(model, batch, optimizer=optimizer,
                                             steps=3, top=5)

@@ -14,6 +14,7 @@ uses as its headline measurement.
 from repro.data import make_dataset_like
 from repro.evaluation import evaluate_link_prediction
 from repro.models import SpTransE
+from repro.registry import spec_from_model
 from repro.training import Trainer, TrainingConfig
 
 
@@ -30,7 +31,7 @@ def main() -> None:
         backend="scipy",          # production SpMM kernel; "numpy" is the oracle
         rng=0,
     )
-    print(f"model: {model.config()}")
+    print(f"model: {spec_from_model(model).to_dict()}")
 
     config = TrainingConfig(
         epochs=20,

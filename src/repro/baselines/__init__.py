@@ -15,13 +15,6 @@ from repro.baselines.transh import DenseTransH
 from repro.baselines.toruse import DenseTorusE
 from repro.baselines.transd import DenseTransD
 from repro.baselines.semiring_models import DenseDistMult, DenseComplEx
-from repro.registry import models_by_formulation
-
-#: Legacy name → class mapping, snapshotted from ``repro.registry`` at import
-#: time (each baseline class registers itself via ``@register_model``).  Models
-#: registered later appear in the registry but not here — new code should use
-#: ``repro.registry.get_entry``/``models_by_formulation`` directly.
-DENSE_MODELS = models_by_formulation("dense")
 
 __all__ = [
     "DenseTransE",
@@ -31,5 +24,4 @@ __all__ = [
     "DenseTransD",
     "DenseDistMult",
     "DenseComplEx",
-    "DENSE_MODELS",
 ]

@@ -9,8 +9,6 @@ score functions.
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.autograd.tensor import Tensor
@@ -21,8 +19,7 @@ from repro.utils.seeding import new_rng
 from repro.utils.validation import check_triples
 
 
-@register_model("distmult", "dense", supports_sparse_grads=True,
-                formulation_tag="dense-gather-bilinear")
+@register_model("distmult", "dense")
 class DenseDistMult(KGEModel):
     """DistMult scored from three gathered blocks: ``sum_j h_j r_j t_j``."""
 
@@ -50,14 +47,8 @@ class DenseDistMult(KGEModel):
     def relation_embedding_matrix(self) -> np.ndarray:
         return self.relation_embeddings.weight.data.copy()
 
-    def config(self) -> Dict[str, object]:
-        cfg = super().config()
-        cfg["formulation"] = "dense-gather-bilinear"
-        return cfg
 
-
-@register_model("complex", "dense", supports_sparse_grads=True,
-                formulation_tag="dense-gather-complex")
+@register_model("complex", "dense")
 class DenseComplEx(KGEModel):
     """ComplEx scored from gathered real/imaginary blocks."""
 
@@ -96,8 +87,3 @@ class DenseComplEx(KGEModel):
         return np.concatenate(
             [self.relation_real.weight.data, self.relation_imag.weight.data], axis=1
         )
-
-    def config(self) -> Dict[str, object]:
-        cfg = super().config()
-        cfg["formulation"] = "dense-gather-complex"
-        return cfg

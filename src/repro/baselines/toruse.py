@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.baselines.transe import DenseTransE
 from repro.registry import register_model
 
 
-@register_model("toruse", "dense", accepts_dissimilarity=True,
-                supports_sparse_grads=True, formulation_tag="dense-gather-torus",
-                default_dissimilarity="torus_L2")
+@register_model("toruse", "dense")
 class DenseTorusE(DenseTransE):
     """TorusE scored with separate gathers and the toroidal dissimilarity."""
 
@@ -38,8 +34,3 @@ class DenseTorusE(DenseTransE):
                out=self.entity_embeddings.weight.data)
         np.mod(self.relation_embeddings.weight.data, 1.0,
                out=self.relation_embeddings.weight.data)
-
-    def config(self) -> Dict[str, object]:
-        cfg = super().config()
-        cfg["formulation"] = "dense-gather-torus"
-        return cfg

@@ -10,8 +10,6 @@ exists in the dense family.
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.autograd.ops import row_dot
@@ -23,10 +21,7 @@ from repro.utils.seeding import new_rng
 from repro.utils.validation import check_triples
 
 
-@register_model("transd", "dense", accepts_dissimilarity=True,
-                supports_sparse_grads=True,
-                formulation_tag="dense-gather+dynamic-mapping",
-                default_dissimilarity="L2")
+@register_model("transd", "dense")
 class DenseTransD(TranslationalModel):
     """TransD with dynamic mapping vectors for entities and relations.
 
@@ -81,8 +76,3 @@ class DenseTransD(TranslationalModel):
         """Constrain entity and relation embeddings to the unit L2 ball."""
         self.entity_embeddings.renormalize(max_norm=1.0, p=2)
         self.relation_embeddings.renormalize(max_norm=1.0, p=2)
-
-    def config(self) -> Dict[str, object]:
-        cfg = super().config()
-        cfg["formulation"] = "dense-gather+dynamic-mapping"
-        return cfg

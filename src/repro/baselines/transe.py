@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.autograd.tensor import Tensor
@@ -14,9 +12,7 @@ from repro.utils.seeding import new_rng
 from repro.utils.validation import check_triples
 
 
-@register_model("transe", "dense", accepts_dissimilarity=True,
-                supports_sparse_grads=True, formulation_tag="dense-gather",
-                default_dissimilarity="L2")
+@register_model("transe", "dense")
 class DenseTransE(TranslationalModel):
     """TransE scored with three separate embedding gathers per batch.
 
@@ -88,8 +84,3 @@ class DenseTransE(TranslationalModel):
     def normalize_parameters(self) -> None:
         """Project entity embeddings onto the unit L2 ball (TransE's constraint)."""
         self.entity_embeddings.renormalize(max_norm=1.0, p=2)
-
-    def config(self) -> Dict[str, object]:
-        cfg = super().config()
-        cfg["formulation"] = "dense-gather"
-        return cfg

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.autograd.ops import normalize_rows, row_dot
@@ -15,10 +13,7 @@ from repro.utils.seeding import new_rng
 from repro.utils.validation import check_triples
 
 
-@register_model("transh", "dense", accepts_dissimilarity=True,
-                supports_sparse_grads=True,
-                formulation_tag="dense-gather+double-hyperplane",
-                default_dissimilarity="L2")
+@register_model("transh", "dense")
 class DenseTransH(TranslationalModel):
     """TransH with per-operand hyperplane projections.
 
@@ -76,8 +71,3 @@ class DenseTransH(TranslationalModel):
         self.entity_embeddings.renormalize(max_norm=1.0, p=2)
         w = self.normals.weight.data
         w /= np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)
-
-    def config(self) -> Dict[str, object]:
-        cfg = super().config()
-        cfg["formulation"] = "dense-gather+double-hyperplane"
-        return cfg

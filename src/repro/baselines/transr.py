@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.autograd.ops import bmm_vec, gather_rows
@@ -17,10 +15,7 @@ from repro.utils.seeding import new_rng
 from repro.utils.validation import check_triples
 
 
-@register_model("transr", "dense", accepts_relation_dim=True, accepts_dissimilarity=True,
-                supports_sparse_grads=True,
-                formulation_tag="dense-gather+double-projection",
-                default_dissimilarity="L2")
+@register_model("transr", "dense")
 class DenseTransR(TranslationalModel):
     """TransR with per-operand gathers: head and tail are projected separately.
 
@@ -87,9 +82,3 @@ class DenseTransR(TranslationalModel):
         """Constrain entity and relation embeddings to the unit L2 ball."""
         self.entity_embeddings.renormalize(max_norm=1.0, p=2)
         self.relation_embeddings.renormalize(max_norm=1.0, p=2)
-
-    def config(self) -> Dict[str, object]:
-        cfg = super().config()
-        cfg["relation_dim"] = self.relation_dim
-        cfg["formulation"] = "dense-gather+double-projection"
-        return cfg

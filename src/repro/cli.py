@@ -20,7 +20,7 @@ API (:mod:`repro.experiment`).  A trained model is an artifact directory:
     sptransx serve --checkpoint runs/transe-fb15k --port 8080
     sptransx query --url http://127.0.0.1:8080 --head 12 --relation 3 -k 10
 
-    # list datasets / models / SpMM backends / registry capabilities
+    # list datasets / models / SpMM backends / each model's constructor keywords
     sptransx info
 
     # enforce the repo's cross-cutting invariants statically (CI gate)
@@ -39,7 +39,6 @@ import urllib.error
 import urllib.request
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from repro.baselines import DENSE_MODELS
 from repro.data.catalog import PAPER_DATASETS
 from repro.data.negative_sampling import SAMPLER_STRATEGIES
 from repro.experiment import (
@@ -49,11 +48,12 @@ from repro.experiment import (
     ExperimentSpec,
     load_artifact,
 )
-from repro.models import SPARSE_MODELS
 from repro.registry import (
     ModelSpec,
     UnknownModelError,
+    models_by_formulation,
     registry_summary,
+    spec_from_model,
 )
 from repro.sparse import available_backends
 from repro.training import TrainingConfig
@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--partitions", type=int, default=None,
                      help="override model.partitions: shard the entity table "
                           "into P LRU-paged buckets (train, checkpoint, and "
-                          "serve without ever materializing the full table)")
+                          "serve without ever materializing the full table); "
+                          "P > 1 also sets training.sparse_grads")
     run.add_argument("--backend", default=None,
                      help="override model.backend: SpMM backend for sparse "
                           f"models ({', '.join(available_backends())})")
@@ -249,7 +250,8 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default: data.sqlite in the artifact directory, "
                              "or a temporary file)")
     parser.add_argument("--model", default="transe",
-                        choices=sorted(set(SPARSE_MODELS) | set(DENSE_MODELS)))
+                        choices=sorted(set(models_by_formulation("sparse"))
+                                       | set(models_by_formulation("dense"))))
     parser.add_argument("--formulation", default="sparse", choices=["sparse", "dense"])
     parser.add_argument("--dim", type=int, default=64, help="embedding dimension")
     parser.add_argument("--relation-dim", type=int, default=None,
@@ -330,14 +332,14 @@ def _experiment_spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             relation_dim=args.relation_dim,
             backend=args.backend,
             dissimilarity=args.dissimilarity,
-            sparse_grads=bool(args.sparse_grads) or partitions > 1,
             partitions=partitions if partitions > 1 else None,
         )
         training = TrainingConfig(
             epochs=args.epochs, batch_size=args.batch_size,
             learning_rate=args.learning_rate, margin=args.margin,
             optimizer=args.optimizer, seed=args.seed, log_every=0,
-            sparse_grads=args.sparse_grads, num_workers=args.workers,
+            sparse_grads=bool(args.sparse_grads) or partitions > 1,
+            num_workers=args.workers,
             sanitize=args.sanitize,
         )
         return ExperimentSpec(
@@ -369,9 +371,11 @@ def _apply_run_overrides(spec: ExperimentSpec,
         partitions = int(args.partitions)
         if partitions < 1:
             raise ValueError(f"--partitions must be >= 1, got {partitions}")
-        spec = spec.replace(model=spec.model.replace(
-            partitions=partitions if partitions > 1 else None,
-            sparse_grads=spec.model.sparse_grads or partitions > 1))
+        spec = spec.replace(
+            model=spec.model.replace(
+                partitions=partitions if partitions > 1 else None),
+            training=spec.training.replace(
+                sparse_grads=spec.training.sparse_grads or partitions > 1))
     if getattr(args, "backend", None) is not None:
         spec = spec.replace(model=spec.model.replace(backend=args.backend))
     if getattr(args, "sanitize", False):
@@ -413,7 +417,7 @@ def _command_run(args: argparse.Namespace) -> int:
     print(json.dumps({"experiment": spec.name,
                       "artifacts": artifact_dir,
                       "dataset": result.dataset_name,
-                      "model": result.model.config(),
+                      "model": spec_from_model(result.model).to_dict(),
                       "quantized": getattr(args, "quantize", None),
                       "metrics": result.metrics},
                      indent=2, default=float))
@@ -659,8 +663,8 @@ def _command_info(_: argparse.Namespace) -> int:
         "datasets": {name: {"entities": spec.n_entities, "relations": spec.n_relations,
                             "triples": spec.n_training_triples}
                      for name, spec in PAPER_DATASETS.items()},
-        "sparse_models": sorted(SPARSE_MODELS),
-        "dense_models": sorted(DENSE_MODELS),
+        "sparse_models": sorted(models_by_formulation("sparse")),
+        "dense_models": sorted(models_by_formulation("dense")),
         "spmm_backends": available_backends(),
         "registry": registry_summary(),
     }

@@ -440,7 +440,8 @@ class ExperimentSpec:
 
         model_payload = dict(_require_mapping(payload["model"], "model"))
         # ModelSpec.from_dict deliberately ignores unknown keys (checkpoint
-        # forward-compat); hand-edited experiment specs get the strict check.
+        # forward-compat, and the legacy ``sparse_grads`` folded below);
+        # hand-edited experiment specs get the strict check.
         _reject_unknown_keys(
             model_payload,
             ("spec_version", "model", "formulation", "n_entities", "n_relations",
@@ -459,9 +460,14 @@ class ExperimentSpec:
             model_payload.setdefault("n_relations", sizes[1])
         model = ModelSpec.from_dict(model_payload)
 
-        training_payload = payload.get("training", {})
-        training = TrainingConfig.from_dict(
-            _require_mapping(training_payload, "training"))
+        training_payload = dict(_require_mapping(payload.get("training", {}),
+                                                 "training"))
+        # Older specs also set the gradient switch in the model section; it
+        # is a training choice, so a legacy ``model.sparse_grads: true``
+        # moves here.
+        if model_payload.get("sparse_grads"):
+            training_payload["sparse_grads"] = True
+        training = TrainingConfig.from_dict(training_payload)
         eval_spec = EvalSpec.from_dict(payload.get("eval", {}))  # type: ignore[arg-type]
         return cls(
             model=model,

@@ -23,13 +23,6 @@ from repro.models.transh import SpTransH
 from repro.models.toruse import SpTorusE
 from repro.models.semiring_models import SpDistMult, SpComplEx, SpRotatE
 from repro.models.extensions import SpTransA, SpTransC, SpTransM
-from repro.registry import models_by_formulation
-
-#: Legacy name → class mapping, snapshotted from ``repro.registry`` at import
-#: time (each model class registers itself via ``@register_model``).  Models
-#: registered later appear in the registry but not here — new code should use
-#: ``repro.registry.get_entry``/``models_by_formulation`` directly.
-SPARSE_MODELS = models_by_formulation("sparse")
 
 __all__ = [
     "KGEModel",
@@ -44,5 +37,4 @@ __all__ = [
     "SpDistMult",
     "SpComplEx",
     "SpRotatE",
-    "SPARSE_MODELS",
 ]

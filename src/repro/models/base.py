@@ -9,7 +9,7 @@ code work unchanged across families.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -53,13 +53,16 @@ class KGEModel(Module):
     n_partitions = 1
 
     def set_sparse_grads(self, enabled: bool = True) -> "KGEModel":
-        """Toggle the row-sparse gradient path (where the model supports it).
+        """Toggle the row-sparse gradient path.
 
-        Sparse models route the flag into their SpMM and embedding-gather
-        backwards so gradients — and the optimizer updates they drive — cost
-        ``O(batch)`` instead of ``O(vocabulary)`` per step.  Models without a
-        sparse path (the dense bilinear family) simply ignore the flag, so
-        flipping it is always safe.  Returns ``self`` for chaining.
+        Models route the flag into their SpMM and embedding-gather backwards
+        so gradients — and the optimizer updates they drive — cost
+        ``O(batch)`` instead of ``O(vocabulary)`` per step.  It is a training
+        choice, not part of the :class:`~repro.registry.ModelSpec`: the
+        :class:`~repro.training.Trainer` calls this with
+        ``TrainingConfig.sparse_grads``.  A model with no row-sparse path
+        (:class:`~repro.models.SpRotatE`) raises ``ValueError`` when asked to
+        enable it.  Returns ``self`` for chaining.
         """
         self.sparse_grads = bool(enabled)
         from repro.nn.embedding import Embedding, StackedEmbedding
@@ -252,16 +255,6 @@ class KGEModel(Module):
         Default is a no-op; models that constrain embedding norms override it.
         """
 
-    def config(self) -> Dict[str, object]:
-        """Serializable hyperparameter summary (used by reports)."""
-        return {
-            "model": type(self).__name__,
-            "n_entities": self.n_entities,
-            "n_relations": self.n_relations,
-            "embedding_dim": self.embedding_dim,
-            "n_parameters": self.num_parameters(),
-        }
-
 
 class TranslationalModel(KGEModel):
     """Base for models scoring with a distance over a translation residual.
@@ -279,8 +272,3 @@ class TranslationalModel(KGEModel):
 
         self.dissimilarity_name = dissimilarity
         self.dissimilarity = get_dissimilarity(dissimilarity)
-
-    def config(self) -> Dict[str, object]:
-        cfg = super().config()
-        cfg["dissimilarity"] = self.dissimilarity_name
-        return cfg

@@ -20,8 +20,6 @@ distance applied to the residual.
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.autograd import ops
@@ -35,9 +33,7 @@ from repro.utils.seeding import new_rng
 from repro.utils.validation import check_triples
 
 
-@register_model("transm", "sparse", accepts_backend=True, accepts_dissimilarity=True,
-                supports_sparse_grads=True, formulation_tag="hrt-spmm+relation-weight",
-                default_dissimilarity="L2")
+@register_model("transm", "sparse")
 class SpTransM(SpTransE):
     """TransM through the ``hrt`` SpMM: ``w_r · ||h + r − t||``.
 
@@ -68,15 +64,8 @@ class SpTransM(SpTransE):
         ))
         return distances * weights.reshape(-1)
 
-    def config(self) -> Dict[str, object]:
-        cfg = super().config()
-        cfg["formulation"] = "hrt-spmm+relation-weight"
-        return cfg
 
-
-@register_model("transc", "sparse", accepts_backend=True, supports_sparse_grads=True,
-                formulation_tag="hrt-spmm+squared-distance",
-                default_dissimilarity="squared_L2")
+@register_model("transc", "sparse")
 class SpTransC(SpTransE):
     """TransC's score form through the ``hrt`` SpMM: ``||h + r − t||²₂``.
 
@@ -92,14 +81,8 @@ class SpTransC(SpTransE):
     def _reduce(self, diff: np.ndarray) -> np.ndarray:
         return (diff ** 2).sum(axis=-1)
 
-    def config(self) -> Dict[str, object]:
-        cfg = super().config()
-        cfg["formulation"] = "hrt-spmm+squared-distance"
-        return cfg
 
-
-@register_model("transa", "sparse", accepts_backend=True, supports_sparse_grads=True,
-                formulation_tag="hrt-spmm+adaptive-metric", default_dissimilarity="L2")
+@register_model("transa", "sparse")
 class SpTransA(SpTransE):
     """TransA through the ``hrt`` SpMM: ``|h + r − t|ᵀ W_r |h + r − t|``.
 
@@ -133,8 +116,3 @@ class SpTransA(SpTransE):
         # as stored, so the factor stack holds M^T directly (identity init makes
         # the distinction moot at start).
         return ops.squared_l2(projected)
-
-    def config(self) -> Dict[str, object]:
-        cfg = super().config()
-        cfg["formulation"] = "hrt-spmm+adaptive-metric"
-        return cfg

@@ -1,8 +1,8 @@
 """Non-translational models via the semiring SpMM extension (paper Appendix D).
 
 Each model scores a batch with one :func:`~repro.sparse.semiring.semiring_spmm`
-over the stacked ``[entities; relations]`` embedding, under the registered
-semiring that ``config()["semiring"]`` names:
+over the stacked ``[entities; relations]`` embedding, under a registered
+semiring:
 
 * :class:`SpDistMult` — ``times_times``: per-row ``h ⊙ r ⊙ t``.
 * :class:`SpComplEx` — ``complex`` over (real, imaginary) stacked tables.
@@ -15,8 +15,6 @@ the *negated* plausibility, RotatE returns its modulus distance.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 import numpy as np
 
@@ -32,8 +30,7 @@ from repro.utils.seeding import new_rng
 from repro.utils.validation import check_triples
 
 
-@register_model("distmult", "sparse", supports_sparse_grads=True,
-                formulation_tag="semiring-times-times")
+@register_model("distmult", "sparse")
 class SpDistMult(KGEModel):
     """DistMult through the ``times_times`` semiring SpMM.
 
@@ -67,14 +64,8 @@ class SpDistMult(KGEModel):
     def relation_embedding_matrix(self) -> np.ndarray:
         return self.embeddings.relation_embeddings().copy()
 
-    def config(self) -> Dict[str, object]:
-        cfg = super().config()
-        cfg["semiring"] = "times_times"
-        return cfg
 
-
-@register_model("complex", "sparse", supports_sparse_grads=True,
-                formulation_tag="semiring-complex")
+@register_model("complex", "sparse")
 class SpComplEx(KGEModel):
     """ComplEx through the ``complex`` semiring SpMM.
 
@@ -110,13 +101,8 @@ class SpComplEx(KGEModel):
             [self.real.relation_embeddings(), self.imag.relation_embeddings()], axis=1
         )
 
-    def config(self) -> Dict[str, object]:
-        cfg = super().config()
-        cfg["semiring"] = "complex"
-        return cfg
 
-
-@register_model("rotate", "sparse", formulation_tag="semiring-rotate")
+@register_model("rotate", "sparse")
 class SpRotatE(KGEModel):
     """RotatE through the ``rotate`` semiring over paired stacked matrices.
 
@@ -158,13 +144,18 @@ class SpRotatE(KGEModel):
         modulus = semiring_spmm(triples, self._stacked(), self.n_entities, "rotate")
         return modulus.sum(axis=-1)
 
+    def set_sparse_grads(self, enabled: bool = True) -> "SpRotatE":
+        """Refuse the row-sparse path: the SpMM's relation block is computed."""
+        if enabled:
+            raise ValueError(
+                "SpRotatE has no row-sparse gradient path: its relation block "
+                "is computed from the phases, so its SpMM backward is always "
+                "dense; train it with sparse_grads=False"
+            )
+        return super().set_sparse_grads(False)
+
     def entity_embedding_matrix(self) -> np.ndarray:
         return np.concatenate([self.entity_real.data, self.entity_imag.data], axis=1)
 
     def relation_embedding_matrix(self) -> np.ndarray:
         return self.relation_phase.data.copy()
-
-    def config(self) -> Dict[str, object]:
-        cfg = super().config()
-        cfg["semiring"] = "rotate"
-        return cfg

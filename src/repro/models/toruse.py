@@ -9,8 +9,6 @@ profiling (Figure 2) shows is itself a significant cost for this model.
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.models.transe import SpTransE
@@ -18,9 +16,7 @@ from repro.registry import register_model
 from repro.sparse.backends import DEFAULT_BACKEND
 
 
-@register_model("toruse", "sparse", accepts_backend=True, accepts_dissimilarity=True,
-                supports_sparse_grads=True, formulation_tag="hrt-spmm-torus",
-                default_dissimilarity="torus_L2")
+@register_model("toruse", "sparse")
 class SpTorusE(SpTransE):
     """TorusE trained through SpMM over the ``hrt`` incidence matrix.
 
@@ -49,8 +45,3 @@ class SpTorusE(SpTransE):
         """TorusE works on the fractional part; wrap embeddings into [0, 1)."""
         w = self.embeddings.weight.data
         np.mod(w, 1.0, out=w)
-
-    def config(self) -> Dict[str, object]:
-        cfg = super().config()
-        cfg["formulation"] = "hrt-spmm-torus"
-        return cfg

@@ -21,7 +21,7 @@ exactly while never holding more than ``max_resident`` buckets in memory.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -38,9 +38,7 @@ from repro.sparse.spmm import rowsparse_backward_for, spmm
 from repro.utils.validation import check_triples
 
 
-@register_model("transe", "sparse", accepts_backend=True, accepts_dissimilarity=True,
-                supports_sparse_grads=True, accepts_partitions=True,
-                formulation_tag="hrt-spmm", default_dissimilarity="L2")
+@register_model("transe", "sparse")
 class SpTransE(TranslationalModel):
     """TransE trained through SpMM over the ``hrt`` incidence matrix.
 
@@ -375,11 +373,3 @@ class SpTransE(TranslationalModel):
             self.embeddings.renormalize_(max_norm=1.0, p=2)
         else:
             self.embeddings.renormalize_entities(max_norm=1.0, p=2)
-
-    def config(self) -> Dict[str, object]:
-        cfg = super().config()
-        cfg["backend"] = self.backend
-        cfg["formulation"] = "hrt-spmm"
-        if self.partitions > 1:
-            cfg["partitions"] = self.partitions
-        return cfg

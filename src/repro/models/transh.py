@@ -13,8 +13,6 @@ TransH its small memory footprint (paper Section 6.2.2).
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.autograd.ops import normalize_rows, row_dot
@@ -31,9 +29,7 @@ from repro.utils.seeding import new_rng
 from repro.utils.validation import check_triples
 
 
-@register_model("transh", "sparse", accepts_backend=True, accepts_dissimilarity=True,
-                supports_sparse_grads=True, formulation_tag="ht-spmm+hyperplane",
-                default_dissimilarity="L2")
+@register_model("transh", "sparse")
 class SpTransH(TranslationalModel):
     """TransH trained through SpMM over the ``ht`` incidence matrix.
 
@@ -106,9 +102,3 @@ class SpTransH(TranslationalModel):
         ent *= np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-12), 1.0)
         w = self.normals.weight.data
         w /= np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)
-
-    def config(self) -> Dict[str, object]:
-        cfg = super().config()
-        cfg["backend"] = self.backend
-        cfg["formulation"] = "ht-spmm+hyperplane"
-        return cfg

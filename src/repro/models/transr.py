@@ -12,8 +12,6 @@ TransR scores ``||M_r h + r − M_r t||`` with a per-relation projection matrix
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.autograd.ops import bmm_vec, gather_rows
@@ -30,9 +28,7 @@ from repro.utils.seeding import new_rng
 from repro.utils.validation import check_triples
 
 
-@register_model("transr", "sparse", accepts_relation_dim=True, accepts_backend=True,
-                accepts_dissimilarity=True, supports_sparse_grads=True,
-                formulation_tag="ht-spmm+projection", default_dissimilarity="L2")
+@register_model("transr", "sparse")
 class SpTransR(TranslationalModel):
     """TransR trained through SpMM over the ``ht`` incidence matrix.
 
@@ -114,10 +110,3 @@ class SpTransR(TranslationalModel):
             norms = np.linalg.norm(matrix, axis=1, keepdims=True)
             scale = np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-12), 1.0)
             matrix *= scale
-
-    def config(self) -> Dict[str, object]:
-        cfg = super().config()
-        cfg["relation_dim"] = self.relation_dim
-        cfg["backend"] = self.backend
-        cfg["formulation"] = "ht-spmm+projection"
-        return cfg

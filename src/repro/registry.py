@@ -1,35 +1,29 @@
 """Spec-driven model registry: one source of truth for model construction.
 
-Historically the library kept two module-level dicts (``SPARSE_MODELS`` in
-:mod:`repro.models` and ``DENSE_MODELS`` in :mod:`repro.baselines`) and every
-consumer — the CLI, the checkpoint restorer, the benchmarks — reimplemented
-its own kwargs plumbing on top of them.  Checkpoint reconstruction even went
-through a name-mangled ``{"sp" + name} / {"dense" + name}`` lookup that
-silently dropped hyperparameters such as the SpMM backend and the
-dissimilarity.
+A model is described twice, and only twice:
 
-This module replaces all of that with three pieces:
-
-* :func:`register_model` — a class decorator applied at model definition
-  sites.  Each registration carries **capability metadata**
-  (:class:`ModelCapabilities`): which optional constructor keywords the model
-  accepts (``relation_dim``, ``backend``, ``dissimilarity``), whether it
-  supports the row-sparse gradient pipeline, and its formulation tag.
-* :class:`ModelSpec` — a plain dataclass naming a registered model plus its
+* its **constructor**, which is the capability list: a model accepts a
+  :class:`ModelSpec` field (``relation_dim``, ``backend``, ``dissimilarity``,
+  ``partitions``) exactly when its ``__init__`` names a keyword of that name;
+* a :class:`ModelSpec`, a plain dataclass naming a registered model plus its
   hyperparameters.  ``to_dict()``/``from_dict()`` round-trip losslessly
   through JSON, so a spec can live inside checkpoint metadata or travel over
   the serving API.
-* :func:`build_model` — constructs a model from a spec, passing exactly the
-  keywords the capability metadata declares.  :func:`spec_from_model` is the
-  inverse: it recovers the spec from a live model instance.
 
-The legacy ``SPARSE_MODELS``/``DENSE_MODELS`` dicts are now *views* derived
-from this registry (see :func:`models_by_formulation`), kept for callers that
-only need a name → class mapping.
+:func:`register_model` is a class decorator applied at model definition
+sites; it records only the registry key ``(name, formulation)``.
+:func:`build_model` constructs a model from a spec, passing exactly the spec
+fields the constructor names and refusing any other one that is set;
+:func:`spec_from_model` is the inverse and records fields by the same rule.
+Whether a run uses row-sparse gradients is a training choice, not part of
+what a model is: it lives in ``TrainingConfig.sparse_grads``.
+:func:`models_by_formulation` is the ``name -> class`` view for callers that
+only need a mapping.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple, Type
 
@@ -37,6 +31,20 @@ from repro.sparse.backends import get_backend
 
 #: The two computational formulations the paper compares.
 FORMULATIONS = ("sparse", "dense")
+
+#: The optional :class:`ModelSpec` fields that are constructor keywords: how
+#: :func:`build_model` words its refusal when a constructor does not name
+#: one, and how :func:`spec_from_model` reads the value off a live model
+#: (``ModelSpec`` normalises one partition to ``None``).
+KEYWORD_FIELDS: Dict[str, Tuple[str, Callable[[object], object]]] = {
+    "relation_dim": ("does not accept relation_dim",
+                     lambda model: int(model.relation_dim)),
+    "backend": ("does not accept a backend", lambda model: str(model.backend)),
+    "dissimilarity": ("does not accept a dissimilarity",
+                      lambda model: str(model.dissimilarity_name)),
+    "partitions": ("does not support partitioned entity tables",
+                   lambda model: int(model.n_partitions)),
+}
 
 
 class UnknownModelError(LookupError):
@@ -49,56 +57,16 @@ class UnknownModelError(LookupError):
 
 
 @dataclass(frozen=True)
-class ModelCapabilities:
-    """What a registered model class can be configured with.
-
-    Attributes
-    ----------
-    accepts_relation_dim:
-        Constructor takes ``relation_dim`` (projection models: TransR).
-    accepts_backend:
-        Constructor takes a ``backend`` keyword selecting the SpMM backend.
-    accepts_dissimilarity:
-        Constructor takes a ``dissimilarity`` keyword.
-    supports_sparse_grads:
-        The model routes ``set_sparse_grads(True)`` into row-sparse SpMM /
-        gather backwards (rather than silently ignoring the flag).
-    formulation_tag:
-        Free-form computational-formulation label (``"hrt-spmm"``,
-        ``"dense-gather"``, ...) surfaced by ``sptransx info``.
-    default_dissimilarity:
-        The dissimilarity the constructor uses when none is specified
-        (``None`` for non-translational models).
-    """
-
-    accepts_relation_dim: bool = False
-    accepts_backend: bool = False
-    accepts_dissimilarity: bool = False
-    supports_sparse_grads: bool = False
-    accepts_partitions: bool = False
-    formulation_tag: str = ""
-    default_dissimilarity: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "accepts_relation_dim": self.accepts_relation_dim,
-            "accepts_backend": self.accepts_backend,
-            "accepts_dissimilarity": self.accepts_dissimilarity,
-            "supports_sparse_grads": self.supports_sparse_grads,
-            "accepts_partitions": self.accepts_partitions,
-            "formulation_tag": self.formulation_tag,
-            "default_dissimilarity": self.default_dissimilarity,
-        }
-
-
-@dataclass(frozen=True)
 class RegistryEntry:
     """One registered (name, formulation) → class binding."""
 
     name: str
     formulation: str
     cls: Type
-    capabilities: ModelCapabilities
+
+    def keywords(self) -> Tuple[str, ...]:
+        """The class's constructor parameters, in signature order."""
+        return tuple(inspect.signature(self.cls).parameters)
 
 
 #: ``(name, formulation) -> RegistryEntry``; populated by :func:`register_model`
@@ -108,42 +76,26 @@ _REGISTRY: Dict[Tuple[str, str], RegistryEntry] = {}
 _ENTRY_BY_CLASS: Dict[Type, RegistryEntry] = {}
 
 
-def register_model(name: str, formulation: str, *,
-                   accepts_relation_dim: bool = False,
-                   accepts_backend: bool = False,
-                   accepts_dissimilarity: bool = False,
-                   supports_sparse_grads: bool = False,
-                   accepts_partitions: bool = False,
-                   formulation_tag: str = "",
-                   default_dissimilarity: Optional[str] = None) -> Callable[[Type], Type]:
+def register_model(name: str, formulation: str) -> Callable[[Type], Type]:
     """Class decorator registering a KGE model under ``(name, formulation)``.
 
     .. code-block:: python
 
-        @register_model("transe", "sparse", accepts_backend=True,
-                        accepts_dissimilarity=True, supports_sparse_grads=True,
-                        formulation_tag="hrt-spmm", default_dissimilarity="L2")
+        @register_model("transe", "sparse")
         class SpTransE(TranslationalModel):
-            ...
+            def __init__(self, n_entities, n_relations, embedding_dim,
+                         dissimilarity="L2", backend="scipy", ...): ...
 
-    Re-registering the same key raises — duplicate names would make
-    checkpoint reconstruction ambiguous.
+    The key is all a registration records: which spec fields the model
+    accepts is read from its constructor's signature.  Re-registering the
+    same key raises — duplicate names would make checkpoint reconstruction
+    ambiguous.
     """
     if formulation not in FORMULATIONS:
         raise ValueError(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
     # Lookups (get_entry, ModelSpec) lowercase the name; normalise at
     # registration too so no spelling can create an unreachable entry.
     name = str(name).lower()
-
-    capabilities = ModelCapabilities(
-        accepts_relation_dim=accepts_relation_dim,
-        accepts_backend=accepts_backend,
-        accepts_dissimilarity=accepts_dissimilarity,
-        supports_sparse_grads=supports_sparse_grads,
-        accepts_partitions=accepts_partitions,
-        formulation_tag=formulation_tag,
-        default_dissimilarity=default_dissimilarity,
-    )
 
     def decorator(cls: Type) -> Type:
         key = (name, formulation)
@@ -153,8 +105,7 @@ def register_model(name: str, formulation: str, *,
                 f"model {name!r} ({formulation}) already registered to "
                 f"{existing.cls.__name__}; cannot rebind to {cls.__name__}"
             )
-        entry = RegistryEntry(name=name, formulation=formulation, cls=cls,
-                              capabilities=capabilities)
+        entry = RegistryEntry(name=name, formulation=formulation, cls=cls)
         _REGISTRY[key] = entry
         _ENTRY_BY_CLASS[cls] = entry
         return cls
@@ -194,18 +145,18 @@ def iter_entries() -> Iterator[RegistryEntry]:
 
 
 def models_by_formulation(formulation: str) -> Dict[str, Type]:
-    """Plain ``name -> class`` view (the legacy SPARSE_MODELS/DENSE_MODELS shape)."""
+    """Plain ``name -> class`` view of one formulation's registrations."""
     _ensure_models_imported()
     return {name: entry.cls for (name, f), entry in sorted(_REGISTRY.items())
             if f == formulation}
 
 
 def registry_summary() -> Dict[str, Dict[str, object]]:
-    """JSON-friendly capability table keyed ``"name/formulation"`` (for ``info``)."""
+    """Class and constructor keywords keyed ``"name/formulation"`` (for ``info``)."""
     return {
         f"{entry.name}/{entry.formulation}": {
             "class": entry.cls.__name__,
-            **entry.capabilities.to_dict(),
+            "keywords": list(entry.keywords()),
         }
         for entry in iter_entries()
     }
@@ -215,10 +166,13 @@ def registry_summary() -> Dict[str, Dict[str, object]]:
 class ModelSpec:
     """A complete, serialisable recipe for constructing a model.
 
-    ``relation_dim``, ``backend``, and ``dissimilarity`` are optional: ``None``
-    means "use the constructor default".  ``to_dict`` omits ``None`` fields so
-    round-tripped specs stay minimal; ``from_dict`` ignores unknown keys so
-    future spec versions remain loadable.
+    ``relation_dim``, ``backend``, ``dissimilarity`` and ``partitions`` are
+    the optional constructor keywords (:data:`KEYWORD_FIELDS`): ``None`` means
+    "use the constructor default", and setting one the model's constructor
+    does not name is refused by :func:`build_model`.  ``to_dict`` omits
+    ``None`` fields so round-tripped specs stay minimal; ``from_dict`` ignores
+    unknown keys so future spec versions (and the ``sparse_grads`` key older
+    ones wrote) remain loadable.
     """
 
     model: str
@@ -229,7 +183,6 @@ class ModelSpec:
     relation_dim: Optional[int] = None
     backend: Optional[str] = None
     dissimilarity: Optional[str] = None
-    sparse_grads: bool = False
     partitions: Optional[int] = None
     #: Serving-time ANN index kind (``"ivf"``) built at artifact-export time;
     #: not a constructor argument — :func:`build_model` ignores it and the
@@ -271,10 +224,6 @@ class ModelSpec:
         if self.nprobe is not None and self.ann is None:
             raise ValueError("nprobe requires an ann index kind (set ann='ivf')")
 
-    def capabilities(self) -> ModelCapabilities:
-        """Capability metadata of the registered class this spec names."""
-        return get_entry(self.model, self.formulation).capabilities
-
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
             "spec_version": self.version,
@@ -290,8 +239,6 @@ class ModelSpec:
             out["backend"] = self.backend
         if self.dissimilarity is not None:
             out["dissimilarity"] = self.dissimilarity
-        if self.sparse_grads:
-            out["sparse_grads"] = True
         if self.partitions is not None:
             out["partitions"] = self.partitions
         if self.ann is not None:
@@ -333,7 +280,6 @@ class ModelSpec:
             backend=str(payload["backend"]) if payload.get("backend") is not None else None,
             dissimilarity=(str(payload["dissimilarity"])
                            if payload.get("dissimilarity") is not None else None),
-            sparse_grads=bool(payload.get("sparse_grads", False)),
             partitions=int(partitions) if partitions is not None else None,  # type: ignore[arg-type]
             ann=str(payload["ann"]) if payload.get("ann") is not None else None,
             nprobe=int(nprobe) if nprobe is not None else None,  # type: ignore[arg-type]
@@ -344,64 +290,34 @@ class ModelSpec:
 def build_model(spec: ModelSpec, rng=None):
     """Construct the model a spec describes.
 
-    Only keywords the registered capabilities declare are passed through; a
-    spec field that the model cannot honour (e.g. ``relation_dim`` for
-    TransE, or a non-default ``dissimilarity`` for a semiring model) raises a
-    ``ValueError`` instead of being silently dropped — that silent drop is
-    exactly the checkpoint bug this registry replaces.
+    Each optional spec field in :data:`KEYWORD_FIELDS` is passed only when
+    the registered constructor names it; a set field that the constructor
+    does not name (e.g. ``relation_dim`` for TransE, or a ``dissimilarity``
+    for a semiring model) raises a ``ValueError`` instead of being silently
+    dropped.
     """
     entry = get_entry(spec.model, spec.formulation)
-    caps = entry.capabilities
-
+    keywords = entry.keywords()
     kwargs: Dict[str, object] = {}
-    if spec.relation_dim is not None:
-        if not caps.accepts_relation_dim:
+    for name, (refusal, _) in KEYWORD_FIELDS.items():
+        value = getattr(spec, name)
+        if value is None:
+            continue
+        if name not in keywords:
             raise ValueError(
-                f"model {spec.model!r} ({spec.formulation}) does not accept "
-                f"relation_dim, but the spec sets relation_dim={spec.relation_dim}"
+                f"model {spec.model!r} ({spec.formulation}) {refusal}, "
+                f"but the spec sets {name}={value!r}"
             )
-        kwargs["relation_dim"] = spec.relation_dim
+        kwargs[name] = value
     if spec.backend is not None:
-        if not caps.accepts_backend:
-            raise ValueError(
-                f"model {spec.model!r} ({spec.formulation}) does not accept a "
-                f"backend, but the spec sets backend={spec.backend!r}"
-            )
         try:
             get_backend(spec.backend)
         except KeyError as exc:
             # Fail while loading the spec or checkpoint, not inside the first
             # training step that looks the name up.
             raise ValueError(exc.args[0]) from None
-        kwargs["backend"] = spec.backend
-    if spec.dissimilarity is not None:
-        if not caps.accepts_dissimilarity:
-            raise ValueError(
-                f"model {spec.model!r} ({spec.formulation}) does not accept a "
-                f"dissimilarity, but the spec sets dissimilarity={spec.dissimilarity!r}"
-            )
-        kwargs["dissimilarity"] = spec.dissimilarity
-
-    if spec.partitions is not None:
-        if not caps.accepts_partitions:
-            raise ValueError(
-                f"model {spec.model!r} ({spec.formulation}) does not support "
-                f"partitioned entity tables, but the spec sets "
-                f"partitions={spec.partitions}"
-            )
-        kwargs["partitions"] = spec.partitions
-
-    if spec.sparse_grads and not caps.supports_sparse_grads:
-        raise ValueError(
-            f"model {spec.model!r} ({spec.formulation}) does not support "
-            "row-sparse gradients, but the spec sets sparse_grads=True"
-        )
-
-    model = entry.cls(spec.n_entities, spec.n_relations, spec.embedding_dim,
-                      rng=rng, **kwargs)
-    if spec.sparse_grads:
-        model.set_sparse_grads(True)
-    return model
+    return entry.cls(spec.n_entities, spec.n_relations, spec.embedding_dim,
+                     rng=rng, **kwargs)
 
 
 def spec_from_model(model) -> ModelSpec:
@@ -409,7 +325,8 @@ def spec_from_model(model) -> ModelSpec:
 
     The inverse of :func:`build_model`: ``build_model(spec_from_model(m))``
     reconstructs a model with identical architecture and hyperparameters
-    (fresh weights — pair with ``restore_into`` for the parameters).
+    (fresh weights — pair with ``restore_into`` for the parameters).  A field
+    is recorded exactly when the model's constructor names it.
     """
     _ensure_models_imported()
     entry = _ENTRY_BY_CLASS.get(type(model))
@@ -418,20 +335,13 @@ def spec_from_model(model) -> ModelSpec:
             f"{type(model).__name__} is not a registered model class; "
             "decorate it with @register_model to make it checkpointable"
         )
-    caps = entry.capabilities
+    keywords = entry.keywords()
     return ModelSpec(
         model=entry.name,
         formulation=entry.formulation,
         n_entities=model.n_entities,
         n_relations=model.n_relations,
         embedding_dim=model.embedding_dim,
-        relation_dim=(int(model.relation_dim) if caps.accepts_relation_dim else None),
-        backend=(str(model.backend) if caps.accepts_backend else None),
-        dissimilarity=(str(model.dissimilarity_name)
-                       if caps.accepts_dissimilarity else None),
-        sparse_grads=bool(getattr(model, "sparse_grads", False)
-                          and caps.supports_sparse_grads),
-        partitions=(int(model.n_partitions)
-                    if caps.accepts_partitions and model.n_partitions > 1
-                    else None),
+        **{name: read(model) for name, (_, read) in KEYWORD_FIELDS.items()
+           if name in keywords},
     )

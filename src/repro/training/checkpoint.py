@@ -3,12 +3,14 @@
 Long KGE runs (the paper trains 200-1000 epochs) need resumable state.  A
 checkpoint is a single ``.npz`` file holding the model's parameter arrays, the
 optimiser's per-parameter state, the epoch counter, and the loss history, plus
-a JSON-encoded metadata blob (model class, hyperparameters) used to sanity-
-check that a checkpoint is being restored into a compatible model.
+a JSON-encoded metadata blob (the model's :class:`~repro.registry.ModelSpec`
+and class name) used to rebuild the model and to check that a checkpoint is
+being restored into a compatible one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -55,6 +57,16 @@ class Checkpoint:
         manifest = self.metadata.get("partitioned")
         return manifest if isinstance(manifest, dict) else None
 
+    @property
+    def model_class(self) -> Optional[str]:
+        """Name of the model class that wrote this checkpoint."""
+        name = self.metadata.get("model_class")
+        if name is None:
+            # Checkpoints written before ``model_class`` name it inside their
+            # hyperparameter summary.
+            name = self.metadata.get("model_config", {}).get("model")
+        return name
+
     def spec(self) -> ModelSpec:
         """The :class:`~repro.registry.ModelSpec` this checkpoint was written with.
 
@@ -63,11 +75,10 @@ class Checkpoint:
         """
         payload = self.metadata.get("model_spec")
         if payload is None:
-            class_name = self.metadata.get("model_config", {}).get("model")
             raise ValueError(
                 f"checkpoint was written by unregistered model class "
-                f"{class_name!r}; register it with @register_model and save "
-                "it again to make it loadable"
+                f"{self.model_class!r}; register it with @register_model and "
+                "save it again to make it loadable"
             )
         return ModelSpec.from_dict(payload)  # type: ignore[arg-type]
 
@@ -156,7 +167,7 @@ def save_checkpoint(path: str, model: KGEModel, optimizer: Optional[Optimizer] =
         metadata["partitioned"] = table.manifest()
     metadata.update({
         "model_spec": spec_payload,
-        "model_config": model.config(),
+        "model_class": type(model).__name__,
         "epoch": int(epoch),
         "losses": list(losses) if losses is not None else [],
         "optimizer": type(optimizer).__name__ if optimizer is not None else None,
@@ -420,18 +431,13 @@ def restore_into(checkpoint: Checkpoint, model: KGEModel,
                  optimizer: Optional[Optimizer] = None, strict: bool = True) -> None:
     """Load a checkpoint's state into an existing model (and optimiser).
 
-    ``strict`` additionally verifies that the checkpoint was written by the
-    same model class with the same vocabulary sizes and embedding dimension.
+    ``strict`` additionally verifies that the checkpoint describes the model:
+    its :class:`~repro.registry.ModelSpec` must equal
+    ``spec_from_model(model)`` field by field, or — for a checkpoint or a
+    model with no spec — the class names must match.
     """
     if strict:
-        saved = checkpoint.metadata.get("model_config", {})
-        current = model.config()
-        for key in ("model", "n_entities", "n_relations", "embedding_dim"):
-            if key in saved and saved[key] != current.get(key):
-                raise ValueError(
-                    f"checkpoint/model mismatch for {key!r}: "
-                    f"checkpoint has {saved[key]!r}, model has {current.get(key)!r}"
-                )
+        _check_same_model(checkpoint, model)
     if checkpoint.partition_manifest is not None:
         _restore_partitioned(checkpoint, model, strict=strict)
     else:
@@ -446,6 +452,33 @@ def restore_into(checkpoint: Checkpoint, model: KGEModel,
         # from step zero.
         optimizer._step_count = int(checkpoint.metadata.get(
             "optimizer_step_count", optimizer._step_count))
+
+
+def _check_same_model(checkpoint: Checkpoint, model: KGEModel) -> None:
+    """Raise ``ValueError`` naming the first way ``checkpoint`` is not ``model``."""
+    payload = checkpoint.metadata.get("model_spec")
+    try:
+        current = spec_from_model(model)
+    except UnknownModelError:
+        current = None
+    if payload is None or current is None:
+        saved, actual = checkpoint.model_class, type(model).__name__
+        if saved is not None and saved != actual:
+            raise ValueError(
+                f"checkpoint/model mismatch for 'model': "
+                f"checkpoint has {saved!r}, model has {actual!r}"
+            )
+        return
+    saved_spec = ModelSpec.from_dict(payload)  # type: ignore[arg-type]
+    for spec_field in dataclasses.fields(ModelSpec):
+        if not spec_field.compare:
+            continue
+        key = spec_field.name
+        if getattr(saved_spec, key) != getattr(current, key):
+            raise ValueError(
+                f"checkpoint/model mismatch for {key!r}: checkpoint has "
+                f"{getattr(saved_spec, key)!r}, model has {getattr(current, key)!r}"
+            )
 
 
 def _restore_partitioned(checkpoint: Checkpoint, model: KGEModel,

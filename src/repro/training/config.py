@@ -45,10 +45,12 @@ class TrainingConfig:
         embedding rows the batch touched and the optimizer scatter-updates
         just those rows, so step cost scales with the batch instead of the
         vocabulary.  Exact for SGD/Adagrad; lazy (SparseAdam-style) for Adam.
-        Off by default — models without a sparse path ignore it.  The
-        :class:`~repro.training.trainer.Trainer` applies this flag to the
-        model in both directions, overriding any earlier
-        ``set_sparse_grads`` call.
+        Off by default.  This is the one switch for the gradient path (a
+        ``ModelSpec`` does not carry it): the
+        :class:`~repro.training.trainer.Trainer` applies it to the model in
+        both directions, overriding any earlier ``set_sparse_grads`` call.
+        RotatE, which has no row-sparse path, refuses it before any step; a
+        partitioned TransE is row-sparse whatever it says.
     num_workers:
         Data-parallel worker processes.  ``1`` (default) trains in-process
         with :class:`~repro.training.trainer.Trainer`; ``N > 1`` shards every

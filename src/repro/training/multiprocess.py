@@ -292,12 +292,12 @@ class MultiprocessTrainer:
         self.batch_factory = batch_factory
         self.n_workers = int(n_workers)
         self.config = config if config is not None else TrainingConfig()
+        if hasattr(model, "set_sparse_grads"):
+            model.set_sparse_grads(self.config.sparse_grads)
         if self.config.sanitize:
             # The parent applies merged gradients itself, so it runs under
             # the sanitizer too; workers re-arm it in _worker_main.
             sanitize(True)
-        if hasattr(model, "set_sparse_grads"):
-            model.set_sparse_grads(self.config.sparse_grads)
         self.comm_model = comm_model if comm_model is not None else CommunicationModel()
         self.verify_sync = bool(verify_sync)
         #: Rank 0's optimiser, exposed after :meth:`train` so callers can

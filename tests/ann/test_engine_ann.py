@@ -30,8 +30,7 @@ def ann_artifact(kg, tmp_path_factory):
         data=DataSpec(dataset="FB15K", scale=0.003, seed=1, test_fraction=0.05),
         model=ModelSpec(model="transe", formulation="sparse",
                         n_entities=kg.n_entities, n_relations=kg.n_relations,
-                        embedding_dim=12, sparse_grads=True, partitions=3,
-                        ann="ivf"),
+                        embedding_dim=12, partitions=3, ann="ivf"),
         training=TrainingConfig(epochs=2, batch_size=256, sparse_grads=True),
         eval=EvalSpec(protocols=()),
     )
@@ -48,7 +47,7 @@ def plain_artifact(kg, tmp_path_factory):
         data=DataSpec(dataset="FB15K", scale=0.003, seed=1, test_fraction=0.05),
         model=ModelSpec(model="transe", formulation="sparse",
                         n_entities=kg.n_entities, n_relations=kg.n_relations,
-                        embedding_dim=12, sparse_grads=True, partitions=3),
+                        embedding_dim=12, partitions=3),
         training=TrainingConfig(epochs=1, batch_size=256, sparse_grads=True),
         eval=EvalSpec(protocols=()),
     )

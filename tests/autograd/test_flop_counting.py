@@ -92,8 +92,12 @@ class TestUniqueBytesOnlyInsideARegion:
         assert counters.bytes_unique == 5 * 8 * 8 + out.nbytes
         assert counters.bytes_streamed == A.nnz * 8 * 8 + out.nbytes
 
-    @pytest.mark.parametrize("model", [None, "SpDistMult", "SpComplEx", "SpRotatE"])
-    @pytest.mark.parametrize("sparse_grad", [False, True])
+    # RotatE refuses the row-sparse path, so it runs dense only.
+    @pytest.mark.parametrize("sparse_grad,model", [
+        (sparse_grad, model)
+        for sparse_grad in (False, True)
+        for model in (None, "SpDistMult", "SpComplEx", "SpRotatE")
+        if not (sparse_grad and model == "SpRotatE")])
     def test_spmm_outside_a_region_never_reaches_np_unique(self, monkeypatch, model,
                                                            sparse_grad):
         from repro import models

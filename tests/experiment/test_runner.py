@@ -14,10 +14,14 @@ from repro.experiment import (
     load_artifact,
     run_experiment,
 )
+from repro.models import SpRotatE
 from repro.registry import ModelSpec
 from repro.serving import InferenceEngine
-from repro.training import TrainingConfig, load_model
+from repro.training import Trainer, TrainingConfig, load_model
 from repro.training.checkpoint import load_checkpoint
+
+#: What RotatE answers when asked for the row-sparse path it does not have.
+ROTATE_REFUSAL = "SpRotatE has no row-sparse gradient path"
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -205,3 +209,101 @@ class TestRunnerBehaviour:
         Experiment(spec, artifact_dir=artifact).run()
         reloaded = load_model(artifact)
         assert reloaded.n_entities == spec.model.n_entities
+
+
+def rewrite_as_older_release(artifact_dir: str) -> None:
+    """Give an artifact the layout releases before ``model_class`` wrote.
+
+    Those releases set the gradient switch in the model section of
+    ``spec.json`` and of the checkpoint's ``model_spec`` as well as under
+    ``training``, and named the class inside a ``model_config`` summary.
+    """
+    spec_path = os.path.join(artifact_dir, "spec.json")
+    with open(spec_path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["model"]["sparse_grads"] = True
+    with open(spec_path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+
+    checkpoint_path = os.path.join(artifact_dir, "checkpoint.npz")
+    data = dict(np.load(checkpoint_path, allow_pickle=False))
+    metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
+    spec = metadata["model_spec"]
+    metadata["model_config"] = {
+        "model": metadata.pop("model_class"), "n_entities": spec["n_entities"],
+        "n_relations": spec["n_relations"], "embedding_dim": spec["embedding_dim"],
+        "dissimilarity": spec["dissimilarity"], "backend": spec["backend"],
+        "formulation": "hrt-spmm"}
+    spec["sparse_grads"] = True
+    data["metadata"] = np.frombuffer(json.dumps(metadata).encode("utf-8"),
+                                     dtype=np.uint8)
+    np.savez(checkpoint_path, **data)
+
+
+class TestOneGradientSwitch:
+    def test_legacy_model_flag_trains_row_sparse(self, tmp_path):
+        """A spec with ``model.sparse_grads: true`` and ``training.sparse_grads:
+        false`` trains exactly as the training switch alone would, and its
+        artifact carries the flag only under ``training``."""
+        spec = tiny_spec(eval=EvalSpec(protocols=()),
+                         training=TrainingConfig(epochs=2, batch_size=16,
+                                                 learning_rate=0.01))
+        payload = spec.to_dict()
+        payload["model"]["sparse_grads"] = True
+        payload["training"]["sparse_grads"] = False
+        artifact = str(tmp_path / "run")
+        legacy = run_experiment(ExperimentSpec.from_dict(payload),
+                                artifact_dir=artifact)
+
+        sparse = run_experiment(spec.replace(
+            training=spec.training.replace(sparse_grads=True)))
+        dense = run_experiment(spec)
+        # Lazy Adam (row-sparse) and dense Adam part ways from the second step.
+        weights = [run.model.embeddings.weight.data
+                   for run in (legacy, sparse, dense)]
+        np.testing.assert_array_equal(weights[0], weights[1])
+        assert not np.array_equal(weights[0], weights[2])
+        with open(os.path.join(artifact, "spec.json"), encoding="utf-8") as fh:
+            written = json.load(fh)
+        assert "sparse_grads" not in written["model"]
+        assert written["training"]["sparse_grads"] is True
+
+    def test_rotate_refuses_the_row_sparse_path_before_any_step(self, tmp_path):
+        base = tiny_spec()
+        spec = base.replace(
+            model=base.model.replace(model="rotate"),
+            training=TrainingConfig(epochs=1, batch_size=64, sparse_grads=True),
+            eval=EvalSpec(protocols=()))
+        artifact = tmp_path / "run"
+        with pytest.raises(ValueError, match=ROTATE_REFUSAL):
+            Experiment(spec, artifact_dir=str(artifact)).run()
+        assert not (artifact / "checkpoint.npz").exists()
+
+        kg = spec.data.materialize()
+        model = SpRotatE(kg.n_entities, kg.n_relations, 8, rng=0)
+        with pytest.raises(ValueError, match=ROTATE_REFUSAL):
+            Trainer(model, kg, TrainingConfig(epochs=1, sparse_grads=True))
+        assert model.sparse_grads is False
+        dense = Trainer(model, kg, TrainingConfig(epochs=1, batch_size=64)).train()
+        assert np.isfinite(dense.final_loss)
+
+
+class TestOlderReleaseArtifact:
+    def test_restores_and_resumes(self, tmp_path):
+        artifact = str(tmp_path / "old")
+        spec = tiny_spec(eval=EvalSpec(protocols=()),
+                         training=TrainingConfig(epochs=2, batch_size=64,
+                                                 learning_rate=0.01,
+                                                 sparse_grads=True))
+        first = run_experiment(spec, artifact_dir=artifact)
+        rewrite_as_older_release(artifact)
+        assert "model_class" not in load_checkpoint(artifact).metadata
+
+        restored = load_model(artifact)
+        np.testing.assert_array_equal(restored.embeddings.weight.data,
+                                      first.model.embeddings.weight.data)
+        stored = ExperimentSpec.from_file(os.path.join(artifact, "spec.json"))
+        assert stored == spec
+        resumed = Experiment(stored.replace(
+            training=stored.training.replace(epochs=3)), resume=artifact).run()
+        assert len(resumed.training.epochs) == 1

@@ -175,6 +175,17 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="did you mean 'sparse_grads'"):
             ExperimentSpec.from_dict(payload)
 
+    def test_legacy_model_sparse_grads_moves_to_training(self):
+        """Older specs also set the gradient switch in the model section; it
+        loads as the training switch and is written back only there."""
+        payload = tiny_spec().to_dict()
+        payload["model"]["sparse_grads"] = True
+        payload["training"]["sparse_grads"] = False
+        spec = ExperimentSpec.from_dict(payload)
+        assert spec.training.sparse_grads is True
+        assert "sparse_grads" not in spec.to_dict()["model"]
+        assert spec.to_dict()["training"]["sparse_grads"] is True
+
     def test_string_protocols_rejected_with_clear_error(self):
         payload = tiny_spec().to_dict()
         payload["eval"]["protocols"] = "link_prediction"

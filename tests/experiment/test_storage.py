@@ -30,7 +30,7 @@ def make_spec(storage="memory", num_workers=1, epochs=2, **data_overrides):
         data=data,
         model=ModelSpec(model="transe", formulation="sparse",
                         n_entities=n_entities, n_relations=n_relations,
-                        embedding_dim=16, sparse_grads=True),
+                        embedding_dim=16),
         training=TrainingConfig(epochs=epochs, batch_size=256,
                                 learning_rate=0.01, sparse_grads=True,
                                 num_workers=num_workers),

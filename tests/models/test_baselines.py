@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    DENSE_MODELS,
     DenseComplEx,
     DenseDistMult,
     DenseTorusE,
@@ -13,6 +12,7 @@ from repro.baselines import (
     DenseTransH,
     DenseTransR,
 )
+from repro.registry import models_by_formulation, spec_from_model
 
 DIM = 12
 
@@ -41,12 +41,11 @@ class TestCommonBehaviour:
         assert any(p.grad is not None and np.any(p.grad != 0) for p in named.values())
 
     @pytest.mark.parametrize("cls", ALL_DENSE)
-    def test_config_formulation_is_dense(self, cls, small_kg):
-        cfg = make(cls, small_kg).config()
-        assert "dense" in cfg["formulation"]
+    def test_spec_formulation_is_dense(self, cls, small_kg):
+        assert spec_from_model(make(cls, small_kg)).formulation == "dense"
 
     def test_registry(self):
-        assert set(DENSE_MODELS) == {
+        assert set(models_by_formulation("dense")) == {
             "transe", "transr", "transh", "toruse", "transd", "distmult", "complex"
         }
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.models import SPARSE_MODELS, SpTransA, SpTransC, SpTransE, SpTransM
+from repro.models import SpTransA, SpTransC, SpTransE, SpTransM
 from repro.optim import SGD
+from repro.registry import models_by_formulation
 
 DIM = 12
 
@@ -39,7 +40,7 @@ class TestCommon:
 
     @pytest.mark.parametrize("cls", EXTENSIONS)
     def test_registered_in_sparse_models(self, cls, small_kg):
-        assert cls in SPARSE_MODELS.values()
+        assert cls in models_by_formulation("sparse").values()
 
     @pytest.mark.parametrize("cls", EXTENSIONS)
     def test_trainable_end_to_end(self, cls, small_kg):

@@ -1,5 +1,7 @@
 """Tests for the SpTransX model family."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from repro.autograd import no_grad
 from repro.data import TripletBatch, UniformNegativeSampler
 from repro.losses import MarginRankingLoss
 from repro.models import (
-    SPARSE_MODELS,
     SpComplEx,
     SpDistMult,
     SpRotatE,
@@ -16,6 +17,7 @@ from repro.models import (
     SpTransH,
     SpTransR,
 )
+from repro.registry import ModelSpec, models_by_formulation, spec_from_model
 from repro.sparse import available_backends
 
 DIM = 16
@@ -70,11 +72,11 @@ class TestCommonBehaviour:
         )
 
     @pytest.mark.parametrize("cls", ALL_SPARSE)
-    def test_config_is_serializable(self, cls, small_kg):
-        cfg = make(cls, small_kg).config()
-        assert cfg["n_entities"] == small_kg.n_entities
-        assert cfg["model"] == cls.__name__
-        assert cfg["n_parameters"] > 0
+    def test_spec_is_serializable(self, cls, small_kg):
+        spec = spec_from_model(make(cls, small_kg))
+        assert spec.n_entities == small_kg.n_entities
+        assert spec.formulation == "sparse"
+        assert ModelSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
     @pytest.mark.parametrize("cls", ALL_SPARSE)
     def test_rejects_out_of_range_triples(self, cls, small_kg):
@@ -98,7 +100,7 @@ class TestCommonBehaviour:
             SpTransE(3, 3, 0)
 
     def test_registry_contains_all_models(self):
-        assert set(SPARSE_MODELS) == {
+        assert set(models_by_formulation("sparse")) == {
             "transe", "transr", "transh", "toruse",
             "transm", "transc", "transa",
             "distmult", "complex", "rotate",

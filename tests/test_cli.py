@@ -120,7 +120,9 @@ class TestExportThenRun:
             capsys, tmp_path, "--dataset", "WN18RR", "--scale", "0.003",
             "--model", "transh", "--formulation", "dense", "--epochs", "1",
             "--batch-size", "256", "--dim", "8")
-        assert summary["model"]["model"] == "DenseTransH"
+        assert summary["model"]["model"] == "transh"
+        assert summary["model"]["formulation"] == "dense"
+        assert summary["model"]["embedding_dim"] == 8
 
     def test_triples_file_run_then_evaluate(self, capsys, tmp_path):
         rng = np.random.default_rng(0)

@@ -19,8 +19,10 @@ class TestExportSpecPartitions:
         assert code == 0
         spec = ExperimentSpec.from_file(str(out))
         assert spec.model.partitions == 4
-        # partitioned tables only have a row-sparse path; the spec records it
-        assert spec.model.sparse_grads is True
+        # partitioned tables only have a row-sparse path; the training
+        # section, the one gradient switch, records it
+        assert spec.training.sparse_grads is True
+        assert "sparse_grads" not in spec.to_dict()["model"]
 
     def test_partitions_default_omitted(self, tmp_path):
         out = tmp_path / "spec.json"
@@ -47,6 +49,9 @@ class TestRunOverride:
         assert payload["model"]["partitions"] == 2
         stored = ExperimentSpec.from_file(str(artifacts / "spec.json"))
         assert stored.model.partitions == 2
+        assert stored.training.sparse_grads is True
+        written = json.loads((artifacts / "spec.json").read_text())
+        assert "sparse_grads" not in written["model"]
         assert (artifacts / "weights" / "entities.bucket0.npy").exists()
         assert (artifacts / "weights" / "partition.json").exists()
 
@@ -78,7 +83,7 @@ class TestScheduleConfigGuards:
             name="guard", data=data,
             model=ModelSpec(model="transe", formulation="sparse",
                             n_entities=n_e, n_relations=n_r, embedding_dim=8,
-                            sparse_grads=True, partitions=2),
+                            partitions=2),
             training=TrainingConfig(epochs=1, batch_size=128, sparse_grads=True),
             eval=EvalSpec(protocols=()),
         )
@@ -102,7 +107,7 @@ class TestScheduleConfigGuards:
             name="shared-store", data=data,
             model=ModelSpec(model="transe", formulation="sparse",
                             n_entities=n_e, n_relations=n_r, embedding_dim=8,
-                            sparse_grads=True, partitions=2),
+                            partitions=2),
             training=TrainingConfig(epochs=1, batch_size=128, sparse_grads=True),
             eval=EvalSpec(protocols=()),
         )

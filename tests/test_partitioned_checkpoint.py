@@ -123,7 +123,7 @@ class TestPartitionedExperimentArtifact:
             name="part-artifact", data=data,
             model=ModelSpec(model="transe", formulation="sparse",
                             n_entities=kg.n_entities, n_relations=kg.n_relations,
-                            embedding_dim=12, sparse_grads=True, partitions=4),
+                            embedding_dim=12, partitions=4),
             training=TrainingConfig(epochs=2, batch_size=256, sparse_grads=True),
             eval=EvalSpec(protocols=()),
         )
@@ -189,7 +189,7 @@ class TestMultiprocessPartitioned:
                 model=ModelSpec(model="transe", formulation="sparse",
                                 n_entities=kg.n_entities,
                                 n_relations=kg.n_relations, embedding_dim=8,
-                                sparse_grads=True, partitions=3),
+                                partitions=3),
                 training=TrainingConfig(epochs=1, batch_size=256,
                                         sparse_grads=True, num_workers=workers),
                 eval=EvalSpec(protocols=()),

@@ -1,11 +1,12 @@
 """Tests for the spec-driven model registry."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from repro.baselines import DENSE_MODELS
-from repro.models import SPARSE_MODELS
 from repro.registry import (
+    KEYWORD_FIELDS,
     ModelSpec,
     UnknownModelError,
     build_model,
@@ -17,32 +18,60 @@ from repro.registry import (
     spec_from_model,
 )
 
+ENTRIES = list(iter_entries())
 
-def spec_for_entry(entry, n_entities=25, n_relations=4, embedding_dim=8):
-    """A minimal valid spec exercising every capability the entry declares."""
-    caps = entry.capabilities
-    return ModelSpec(
-        model=entry.name,
-        formulation=entry.formulation,
-        n_entities=n_entities,
-        n_relations=n_relations,
-        embedding_dim=embedding_dim,
-        relation_dim=6 if caps.accepts_relation_dim else None,
-        backend="numpy" if caps.accepts_backend else None,
-        dissimilarity=caps.default_dissimilarity if caps.accepts_dissimilarity else None,
-        sparse_grads=caps.supports_sparse_grads,
-    )
+#: A non-default value for every optional spec field a constructor can name.
+FIELD_VALUES = {"relation_dim": 6, "backend": "numpy", "dissimilarity": "L1",
+                "partitions": 3}
+
+#: The refusal ``build_model`` gives for each field a constructor does not name.
+REFUSALS = {
+    "relation_dim": "does not accept relation_dim, but the spec sets relation_dim=6",
+    "backend": "does not accept a backend, but the spec sets backend='numpy'",
+    "dissimilarity": ("does not accept a dissimilarity, but the spec sets "
+                      "dissimilarity='L1'"),
+    "partitions": ("does not support partitioned entity tables, but the spec "
+                   "sets partitions=3"),
+}
+
+
+def field_values(entry):
+    """:data:`FIELD_VALUES`, with a toroidal distance for TorusE."""
+    values = dict(FIELD_VALUES)
+    if entry.name == "toruse":
+        values["dissimilarity"] = "torus_L1"
+    return values
+
+
+def constructor_fields(entry):
+    """The optional spec fields the registered constructor names."""
+    parameters = inspect.signature(entry.cls).parameters
+    return [name for name in FIELD_VALUES if name in parameters]
+
+
+def spec_for_entry(entry, **fields):
+    return ModelSpec(model=entry.name, formulation=entry.formulation,
+                     n_entities=25, n_relations=4, embedding_dim=8, **fields)
+
+
+def full_spec(entry):
+    """A spec setting every optional field the constructor names."""
+    values = field_values(entry)
+    return spec_for_entry(entry, **{name: values[name]
+                                    for name in constructor_fields(entry)})
+
+
+def close(model):
+    if model.n_partitions > 1:
+        model.embeddings.close()
 
 
 class TestRegistryContents:
-    def test_legacy_views_match_registry(self):
-        assert SPARSE_MODELS == models_by_formulation("sparse")
-        assert DENSE_MODELS == models_by_formulation("dense")
-
     def test_every_paper_model_registered(self):
-        assert set(SPARSE_MODELS) >= {"transe", "transr", "transh", "toruse",
-                                      "distmult", "complex", "rotate"}
-        assert set(DENSE_MODELS) >= {"transe", "transr", "transh", "toruse", "transd"}
+        assert set(models_by_formulation("sparse")) >= {
+            "transe", "transr", "transh", "toruse", "distmult", "complex", "rotate"}
+        assert set(models_by_formulation("dense")) >= {
+            "transe", "transr", "transh", "toruse", "transd"}
 
     def test_unknown_model_raises_with_alternatives(self):
         with pytest.raises(UnknownModelError, match="transe"):
@@ -62,58 +91,64 @@ class TestRegistryContents:
             class Impostor:  # noqa: F811 — intentionally clashing
                 pass
 
-    def test_summary_is_json_friendly(self):
+    def test_summary_lists_constructor_keywords(self):
         import json
 
         summary = registry_summary()
-        assert "transe/sparse" in summary
-        assert summary["transe/sparse"]["accepts_backend"] is True
-        assert summary["transe/dense"]["accepts_backend"] is False
+        assert summary["transe/sparse"]["class"] == "SpTransE"
+        assert "backend" in summary["transe/sparse"]["keywords"]
+        assert "backend" not in summary["transe/dense"]["keywords"]
         json.dumps(summary)  # must serialise without a custom encoder
 
 
-class TestSpecRoundTrip:
-    @pytest.mark.parametrize("entry", list(iter_entries()),
+class TestConstructorIsTheCapabilityList:
+    @pytest.mark.parametrize("entry", ENTRIES,
                              ids=lambda e: f"{e.name}-{e.formulation}")
-    def test_every_model_builds_from_round_tripped_spec(self, entry):
-        spec = spec_for_entry(entry)
-        rebuilt_spec = ModelSpec.from_dict(spec.to_dict())
-        assert rebuilt_spec == spec
+    def test_named_fields_round_trip_and_others_are_refused(self, entry):
+        spec = full_spec(entry)
+        assert ModelSpec.from_dict(spec.to_dict()) == spec
+        model = build_model(spec, rng=0)
+        try:
+            assert isinstance(model, entry.cls)
+            assert spec_from_model(model) == spec
+        finally:
+            close(model)
 
-        model = build_model(rebuilt_spec, rng=0)
-        assert isinstance(model, entry.cls)
-        assert model.n_entities == spec.n_entities
-        assert model.n_relations == spec.n_relations
-        assert model.embedding_dim == spec.embedding_dim
+        for name in set(FIELD_VALUES) - set(constructor_fields(entry)):
+            refused = spec_for_entry(entry, **{name: FIELD_VALUES[name]})
+            message = (f"model {entry.name!r} ({entry.formulation}) "
+                       f"{REFUSALS[name]}")
+            with pytest.raises(ValueError) as excinfo:
+                build_model(refused)
+            assert str(excinfo.value) == message
 
-        recovered = spec_from_model(model)
-        assert recovered == rebuilt_spec
+    def test_every_field_is_named_by_one_constructor_and_refused_by_another(self):
+        assert set(FIELD_VALUES) == set(KEYWORD_FIELDS)
+        for name in FIELD_VALUES:
+            naming = [e for e in ENTRIES if name in constructor_fields(e)]
+            assert 0 < len(naming) < len(ENTRIES), name
 
-    @pytest.mark.parametrize("entry", list(iter_entries()),
+
+class TestSpecRoundTrip:
+    @pytest.mark.parametrize("entry", ENTRIES,
                              ids=lambda e: f"{e.name}-{e.formulation}")
     def test_built_model_scores(self, entry):
-        model = build_model(spec_for_entry(entry), rng=0)
-        triples = np.array([[0, 0, 1], [2, 1, 3]], dtype=np.int64)
-        scores = model.score_triples(triples)
+        model = build_model(full_spec(entry), rng=0)
+        try:
+            triples = np.array([[0, 0, 1], [2, 1, 3]], dtype=np.int64)
+            scores = model.score_triples(triples)
+        finally:
+            close(model)
         assert scores.shape == (2,)
         assert np.all(np.isfinite(scores))
 
-    def test_sparse_dense_capability_parity(self):
-        """Models in both formulations agree on formulation-independent flags."""
-        sparse = {e.name: e for e in iter_entries() if e.formulation == "sparse"}
-        dense = {e.name: e for e in iter_entries() if e.formulation == "dense"}
-        for name in set(sparse) & set(dense):
-            s_caps, d_caps = sparse[name].capabilities, dense[name].capabilities
-            assert s_caps.accepts_relation_dim == d_caps.accepts_relation_dim, name
-            assert s_caps.default_dissimilarity == d_caps.default_dissimilarity, name
-            # The backend knob is what distinguishes the formulations.
-            assert s_caps.accepts_backend or not d_caps.accepts_backend, name
-
-    def test_sparse_grads_flag_applied_on_build(self):
-        spec = spec_for_entry(get_entry("transe", "sparse"))
-        assert spec.sparse_grads
-        model = build_model(spec, rng=0)
-        assert model.sparse_grads is True
+    def test_legacy_sparse_grads_key_is_ignored(self):
+        spec = ModelSpec.from_dict({
+            "model": "transe", "formulation": "sparse", "n_entities": 5,
+            "n_relations": 2, "embedding_dim": 4, "sparse_grads": True,
+        })
+        assert "sparse_grads" not in spec.to_dict()
+        assert build_model(spec).sparse_grads is False
 
     def test_ann_fields_round_trip(self):
         spec = ModelSpec(model="transe", formulation="sparse", n_entities=50,
@@ -189,12 +224,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="dissimilarity"):
             build_model(spec)
 
-    def test_build_rejects_unsupported_sparse_grads(self):
-        spec = ModelSpec(model="rotate", formulation="sparse", n_entities=5,
-                         n_relations=2, embedding_dim=4, sparse_grads=True)
-        with pytest.raises(ValueError, match="sparse_grads"):
-            build_model(spec)
-
     def test_unknown_model_error_message_is_unquoted(self):
         try:
             get_entry("kg2e", "sparse")
@@ -241,7 +270,32 @@ class TestCheckpointIntegration:
         data = dict(np.load(path, allow_pickle=False))
         metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
         metadata["model_spec"] = None
-        metadata["model_config"]["model"] = "MysteryNet"
+        metadata["model_class"] = "MysteryNet"
+        data["metadata"] = np.frombuffer(json.dumps(metadata).encode("utf-8"),
+                                         dtype=np.uint8)
+        np.savez(path, **data)
+
+        with pytest.raises(ValueError, match="'MysteryNet'.*@register_model"):
+            load_model(path)
+
+    def test_older_checkpoint_without_a_spec_names_the_class(self, tmp_path):
+        """Checkpoints written before ``model_class`` name the class inside a
+        ``model_config`` summary; a spec-less one still says which it was."""
+        import json
+
+        from repro.training.checkpoint import load_model, save_checkpoint
+
+        model = build_model(ModelSpec(model="transe", formulation="sparse",
+                                      n_entities=20, n_relations=3,
+                                      embedding_dim=8), rng=0)
+        path = str(tmp_path / "old.npz")
+        save_checkpoint(path, model)
+
+        data = dict(np.load(path, allow_pickle=False))
+        metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
+        metadata["model_spec"] = None
+        del metadata["model_class"]
+        metadata["model_config"] = {"model": "MysteryNet", "n_entities": 20}
         data["metadata"] = np.frombuffer(json.dumps(metadata).encode("utf-8"),
                                          dtype=np.uint8)
         np.savez(path, **data)
