@@ -10,14 +10,12 @@ rule id             invariant
 ==================  =====================================================
 dtype-ctor          hot-path numpy constructors name their dtype
 dtype-promotion     no builtin-float dtypes / fp64-forcing literals
-fork-module-lock    no module-level locks in the fork closure
-fork-sqlite         no sqlite connections crossing os.fork
-fork-atexit         no atexit handlers in the fork closure
-fork-taint          fork hazards anywhere in the *transitive* import
-                    closure, with the import/call chain (interprocedural)
-lock-discipline     serving state mutates only under its Lock (lexical)
-lock-state          no lock-free call path from a thread entry point to a
-                    write of Lock-guarded state (interprocedural)
+fork-taint          no lock, sqlite connection or atexit handler in what
+                    os.fork() duplicates into workers, with the
+                    import/call chain (interprocedural)
+lock-state          no lock-free call path from a thread entry point,
+                    callback or closure to a write of Lock-guarded
+                    state (interprocedural)
 resource-lifecycle  acquired handles (open/sqlite/mmap) close on every
                     path, or escape to an owner (interprocedural)
 kernel-parity       every backend/kernel has a tests/sparse/ parity test,

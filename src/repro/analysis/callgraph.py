@@ -393,7 +393,7 @@ class CallGraph:
                     if not isinstance(node, ast.Assign):
                         continue
                     for target in node.targets:
-                        attr = _self_attr_name(target)
+                        attr = self_attr(target)
                         if not attr:
                             continue
                         typed = self._infer_value_type(src.relpath, node.value,
@@ -432,7 +432,7 @@ class CallGraph:
             return None
         if isinstance(value, ast.Name):
             return params.get(value.id)
-        attr = _self_attr_name(value)
+        attr = self_attr(value)
         if attr and cls is not None:
             return cls.attr_types.get(attr)
         if isinstance(value, ast.Attribute):
@@ -597,7 +597,7 @@ class CallGraph:
         return f"{fn.qualname}()"
 
 
-def _self_attr_name(node: ast.expr) -> str:
+def self_attr(node: ast.expr) -> str:
     """``X`` when node is ``self.X``, else empty string."""
     if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id == "self"):

@@ -3,10 +3,8 @@
 from repro.analysis.checkers import (  # noqa: F401
     ann_recall,
     dtype,
-    fork_safety,
     fork_taint,
     kernel_parity,
-    lock_discipline,
     lock_state,
     registry_checks,
     resource_lifecycle,

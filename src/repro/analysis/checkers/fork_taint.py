@@ -1,53 +1,63 @@
-"""fork-taint checker: transitive fork-closure hazard detection.
+"""fork-taint checker: nothing fork-unsafe in what ``os.fork()`` duplicates.
 
-The PR 7 ``fork-safety`` rules stop one import level away from the fork
-entry points (``training/multiprocess.py``, ``serving/pool.py``) — a
-module-level lock or an import-time
-``sqlite3.connect`` two hops down the import graph forks into every
-worker just as surely, but invisibly to a file-local rule.  This rule
-walks the *transitive* module-level import closure over the call graph
-and reports each hazard with the full chain that carries it into the
-fork:
+``MultiprocessTrainer`` and the serving ``WorkerPool`` use ``fork``-start
+workers: everything ``training/multiprocess.py`` or ``serving/pool.py``
+imports is duplicated into child processes with whatever process-global
+state the parent had.  Three hazards corrupt silently across a fork:
 
-* **closure** — BFS from both entry points over module-level
-  imports (what actually executes before ``os.fork()`` can run; lazy
-  function-level imports execute in whichever process calls them and are
-  out of scope).
-* **import-time hazards** — in every closure module: a module-level
-  ``threading.Lock``/``RLock`` assignment, plus any ``sqlite3.connect``,
-  ``atexit.register`` or lock construction reachable from module-level
-  *call sites* through resolved call edges (a top-level
-  ``_X = _make()`` runs ``_make`` at import time, wherever it is
-  defined).
-* **dedup with fork-safety** — hazards that the file-local rules already
-  flag (anything lexically inside an entry point or its direct imports)
-  are skipped; this rule only reports what the old scope could not see.
+* a **lock** created at import time: if any parent thread holds it at
+  fork time, every child inherits it locked forever (the classic
+  logging deadlock);
+* a **sqlite3 connection**: connections must never cross a fork; batch
+  factories open their own handle post-fork instead;
+* an **atexit handler**: handlers registered pre-fork re-run in every
+  worker at child exit, typically re-flushing or deleting parent-owned
+  resources.
+
+Scope, from one BFS over the call graph's module-level imports:
+
+* **closure** — every module reachable from an entry point through
+  module-level imports (what executes before ``os.fork()`` can run; lazy
+  function-level imports execute in whichever process calls them).  In
+  each one: a module-level lock assignment, plus any lock construction,
+  ``sqlite3.connect`` or ``atexit.register`` reachable from module-level
+  *call sites* through resolved call edges (a top-level ``_X = _make()``
+  runs ``_make`` at import time, wherever it is defined).
+* **direct scope** — the entry points and every ``repro`` module they
+  import at any nesting.  These modules are duplicated into every worker
+  wholesale, so *any* ``sqlite3.connect`` or ``atexit.register`` in them
+  is a finding, not only an import-time one.
 
 Findings carry the evidence chain, e.g.::
 
     fork-taint: import chain training/multiprocess.py ->
     data/streaming.py -> x.py; call chain <module> -> make_conn():
-    sqlite3.connect(...) executes at import time inside the fork closure
+    sqlite3 connections must never cross os.fork() ... (executes at
+    import time inside the closure os.fork() duplicates into workers)
 
 Graceful degradation: unresolved call targets (registries, callables as
-values) end the walk — no edge, no claim.  Hazards created inside
-functions that only run post-fork are deliberately not flagged (that is
-the ``BatchFactory`` contract, not a bug).
+values) end the walk — no edge, no claim.  Outside the direct scope,
+hazards created inside functions that only run post-fork are deliberately
+not flagged (that is the ``BatchFactory`` contract, not a bug).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph, MODULE_BODY, walk_shallow
-from repro.analysis.checkers.fork_safety import (
-    _ENTRIES,
-    _direct_scope,
-    _lock_aliases,
-    _threading_lock_call,
+from repro.analysis.callgraph import (
+    CallGraph,
+    MODULE_BODY,
+    module_to_relpath,
+    walk_shallow,
 )
-from repro.analysis.core import Checker, Finding, Project, register_checker
+from repro.analysis.checkers.lock_state import is_lock_ctor, lock_ctor_names
+from repro.analysis.core import Checker, Finding, Project, SourceFile, register_checker
+
+#: The modules that call ``os.fork()`` (through ``multiprocessing``'s
+#: ``fork`` context): the data-parallel trainer and the serving pool.
+_ENTRIES = ("training/multiprocess.py", "serving/pool.py")
 
 _MAX_CALL_DEPTH = 8
 
@@ -60,17 +70,63 @@ _HAZARD_TEXT = {
               "at child exit",
 }
 
+_IMPORT_TIME = "executes at import time inside the closure os.fork() " \
+               "duplicates into workers"
+_DUPLICATED = "in a module os.fork() duplicates into workers"
 
-def _hazard_kind(node: ast.Call, lock_aliases: Set[str]) -> Optional[str]:
+
+def _hazard_kind(node: ast.Call, ctor_names: FrozenSet[str]) -> Optional[str]:
     func = node.func
     if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
         if func.attr == "connect" and func.value.id == "sqlite3":
             return "sqlite"
         if func.attr == "register" and func.value.id == "atexit":
             return "atexit"
-    if _threading_lock_call(node, lock_aliases):
+    if is_lock_ctor(node, ctor_names):
         return "lock"
     return None
+
+
+def _direct_imports(project: Project, source: SourceFile) -> Set[str]:
+    """``repro`` modules ``source`` imports anywhere, function bodies included."""
+    out: Set[str] = set()
+    for node in ast.walk(source.tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            # ``from repro.training import config`` imports a submodule.
+            names = [node.module] + [
+                f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        out.update(rel for rel in (module_to_relpath(project, name)
+                                   for name in names) if rel)
+    return out
+
+
+def _fork_scope(project: Project, graph: CallGraph
+                ) -> Tuple[Dict[str, Tuple[str, ...]], Set[str]]:
+    """relpath -> shortest import chain from an entry, and the direct scope."""
+    chains: Dict[str, Tuple[str, ...]] = {}
+    direct: Dict[str, Tuple[str, ...]] = {}
+    for entry in _ENTRIES:
+        source = project.file(entry)
+        if source is not None:
+            chains[entry] = direct[entry] = (entry,)
+            for rel in sorted(_direct_imports(project, source)):
+                direct.setdefault(rel, (entry, rel))
+    queue = list(chains)
+    while queue:
+        relpath = queue.pop(0)
+        for imported in sorted(graph.modules[relpath].symbols.imported_modules):
+            if imported not in chains:
+                chains[imported] = chains[relpath] + (imported,)
+                queue.append(imported)
+    # Lazily imported direct modules are not in the import closure, but
+    # the whole-file contract still covers them.
+    for relpath, chain in direct.items():
+        chains.setdefault(relpath, chain)
+    return chains, set(direct)
 
 
 @register_checker
@@ -78,77 +134,63 @@ class ForkTaintChecker(Checker):
     name = "fork-taint"
     rule_ids = ("fork-taint",)
     description = (
-        "the transitive import closures of training/multiprocess.py and "
-        "serving/pool.py must stay fork-safe: no locks, sqlite connections, "
-        "or atexit handlers created at import time anywhere os.fork() "
-        "duplicates (call chains from module level included)"
+        "what training/multiprocess.py and serving/pool.py duplicate into "
+        "workers must stay fork-safe: no locks, sqlite connections or "
+        "atexit handlers created at import time anywhere in their import "
+        "closures, and no sqlite connections or atexit handlers at all in "
+        "the entry points and the modules they import"
     )
     # The import closure can grow from any package file.
     trigger_prefixes = ("",)
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        local_scope = set(_direct_scope(project))
-        if not local_scope:
-            return []
-        graph = CallGraph.for_project(project)
-        closure = self._import_closure(graph)
+        self._project = project
+        self._graph = CallGraph.for_project(project)
+        self._findings: List[Finding] = []
+        self._seen: Set[Tuple[str, int, int]] = set()
+        chains, direct = _fork_scope(project, self._graph)
 
-        findings: List[Finding] = []
-        seen: Set[Tuple[str, int, int]] = set()
-        for relpath, import_chain in sorted(closure.items()):
+        for relpath in sorted(direct):
+            source = project.file(relpath)
+            for node in ast.walk(source.tree):
+                # No lock constructor names: a lock is a hazard only when
+                # it exists at fork time, which the walk below decides.
+                kind = isinstance(node, ast.Call) and \
+                    _hazard_kind(node, frozenset())
+                if kind:
+                    self._report(source, node, node, kind, chains[relpath],
+                                 (), _DUPLICATED)
+
+        for relpath, import_chain in sorted(chains.items()):
             source = project.file(relpath)
             if source is None:
                 continue
-            aliases = _lock_aliases(source.tree)
-            # Module-level lock objects outside the file-local rules' scope.
-            if relpath not in local_scope:
-                for stmt in source.tree.body:
-                    value = getattr(stmt, "value", None)
-                    if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and \
-                            value is not None and \
-                            _threading_lock_call(value, aliases):
-                        findings.append(self._finding(
-                            source, stmt, "lock", import_chain, ()))
-                        # The module-body call walk sees the same ctor.
-                        seen.add((relpath, value.lineno, value.col_offset))
-            # Hazards reached from module-level call sites via call edges.
-            findings.extend(self._walk_calls(
-                project, graph, f"{relpath}::{MODULE_BODY}", import_chain,
-                ("<module>",), local_scope, set(), seen))
-        return findings
+            ctor_names = lock_ctor_names(source.tree)
+            for stmt in source.tree.body:
+                value = getattr(stmt, "value", None)
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and \
+                        value is not None and is_lock_ctor(value, ctor_names):
+                    # Reported at the statement; the module-body call walk
+                    # sees the same constructor and skips it.
+                    self._report(source, stmt, value, "lock", import_chain,
+                                 (), _IMPORT_TIME)
+            self._walk_calls(f"{relpath}::{MODULE_BODY}", import_chain,
+                             ("<module>",), set())
+        return self._findings
 
     # ------------------------------------------------------------------ #
-    def _import_closure(self, graph: CallGraph) -> Dict[str, Tuple[str, ...]]:
-        """relpath -> shortest import chain from a fork entry point."""
-        chains: Dict[str, Tuple[str, ...]] = {entry: (entry,) for entry in _ENTRIES}
-        queue = list(chains)
-        while queue:
-            relpath = queue.pop(0)
-            module = graph.modules.get(relpath)
-            if module is None:
-                continue
-            for imported in sorted(module.symbols.imported_modules):
-                if imported not in chains:
-                    chains[imported] = chains[relpath] + (imported,)
-                    queue.append(imported)
-        return chains
-
-    def _walk_calls(self, project: Project, graph: CallGraph, fn_key: str,
-                    import_chain: Tuple[str, ...],
-                    call_chain: Tuple[str, ...], local_scope: Set[str],
-                    visited: Set[str],
-                    seen: Set[Tuple[str, int, int]]) -> List[Finding]:
+    def _walk_calls(self, fn_key: str, import_chain: Tuple[str, ...],
+                    call_chain: Tuple[str, ...], visited: Set[str]) -> None:
         if fn_key in visited or len(call_chain) > _MAX_CALL_DEPTH:
-            return []
+            return
         visited.add(fn_key)
-        fn = graph.function(fn_key)
+        fn = self._graph.function(fn_key)
         if fn is None:
-            return []
-        source = project.file(fn.relpath)
+            return
+        source = self._project.file(fn.relpath)
         if source is None:
-            return []
-        findings: List[Finding] = []
-        aliases = _lock_aliases(source.tree)
+            return
+        ctor_names = lock_ctor_names(source.tree)
         body = fn.node.body if fn.qualname != MODULE_BODY else [
             s for s in source.tree.body
             if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -157,32 +199,28 @@ class ForkTaintChecker(Checker):
             for node in walk_shallow(stmt):
                 if not isinstance(node, ast.Call):
                     continue
-                kind = _hazard_kind(node, aliases)
+                kind = _hazard_kind(node, ctor_names)
                 if kind is not None:
-                    covered_by_fork_safety = (
-                        fn.relpath in local_scope
-                        and (kind != "lock" or len(call_chain) == 1))
-                    key = (fn.relpath, node.lineno, node.col_offset)
-                    if not covered_by_fork_safety and key not in seen:
-                        seen.add(key)
-                        findings.append(self._finding(
-                            source, node, kind, import_chain, call_chain))
+                    self._report(source, node, node, kind, import_chain,
+                                 call_chain, _IMPORT_TIME)
                     continue
-                site = graph.site(node)
+                site = self._graph.site(node)
                 if site is not None and site.callee is not None:
-                    findings.extend(self._walk_calls(
-                        project, graph, site.callee, import_chain,
-                        call_chain + (graph.display(site.callee),),
-                        local_scope, visited, seen))
-        return findings
+                    self._walk_calls(
+                        site.callee, import_chain,
+                        call_chain + (self._graph.display(site.callee),),
+                        visited)
 
-    def _finding(self, source, node: ast.AST, kind: str,
-                 import_chain: Tuple[str, ...],
-                 call_chain: Tuple[str, ...]) -> Finding:
+    def _report(self, source: SourceFile, node: ast.AST, call: ast.Call,
+                kind: str, import_chain: Tuple[str, ...],
+                call_chain: Tuple[str, ...], where: str) -> None:
+        """One finding per hazard call, however many paths reach it."""
+        key = (source.relpath, call.lineno, call.col_offset)
+        if key in self._seen:
+            return
+        self._seen.add(key)
         chain = "import chain " + " -> ".join(import_chain)
         if len(call_chain) > 1:
             chain += "; call chain " + " -> ".join(call_chain)
-        return source.finding(
-            "fork-taint", node,
-            f"{chain}: {_HAZARD_TEXT[kind]} (executes at import time "
-            "inside the closure os.fork() duplicates into workers)")
+        self._findings.append(source.finding(
+            "fork-taint", node, f"{chain}: {_HAZARD_TEXT[kind]} ({where})"))

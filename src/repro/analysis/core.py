@@ -1,12 +1,12 @@
 """Core of the ``sptransx check`` static-analysis framework.
 
 The repo accumulated a set of cross-cutting invariants (dtype preservation
-through the kernel layer, fork-safety in the multiprocess trainer, lock
-discipline in serving, kernel-parity test coverage, registry completeness)
-that example-based tests can only spot-check.  This package encodes each
-invariant once, as an AST-level rule run over the whole source tree, so a
-regression anywhere in the codebase fails CI even when no existing test
-happens to exercise the broken path.
+through the kernel layer, fork safety in the processes that fork, lock
+discipline in every class that owns a lock, kernel-parity test coverage,
+registry completeness) that example-based tests can only spot-check.
+This package encodes each invariant once, as an AST-level rule run over
+the whole source tree, so a regression anywhere in the codebase fails CI
+even when no existing test happens to exercise the broken path.
 
 Three layers:
 
@@ -23,8 +23,8 @@ Three layers:
 Suppressions::
 
     x = np.empty(n)  # repro: ignore[dtype-ctor]
-    # repro: ignore[lock-discipline]      (suppresses this physical line)
-    # repro: ignore-file[fork-atexit]     (anywhere: suppresses whole file)
+    # repro: ignore[lock-state]           (suppresses this physical line)
+    # repro: ignore-file[fork-taint]      (anywhere: suppresses whole file)
     # repro: ignore                       (all rules, this line)
 
 No third-party dependencies: everything here is stdlib ``ast`` + ``re``.

@@ -27,16 +27,12 @@ def rules_of(findings) -> set:
 
 
 class TestFramework:
-    def test_all_fourteen_rules_registered(self):
+    def test_all_ten_rules_registered(self):
         rule_ids = {rule for rule, _ in iter_rules()}
         assert rule_ids == {
             "dtype-ctor",
             "dtype-promotion",
-            "fork-module-lock",
-            "fork-sqlite",
-            "fork-atexit",
             "fork-taint",
-            "lock-discipline",
             "lock-state",
             "kernel-parity",
             "registry-model",
@@ -162,6 +158,8 @@ class TestDtypeChecker:
 
 
 class TestForkSafetyChecker:
+    """The entry points and their direct imports, owned by fork-taint."""
+
     def _trainer(self, body: str = "") -> str:
         return "from repro.training import helpers\n" + body
 
@@ -173,9 +171,9 @@ class TestForkSafetyChecker:
                 "_LOCK = threading.Lock()\n"
             ),
         })
-        findings = run_checks(tmp_path, rules=["fork-module-lock"])
-        assert len(findings) == 1
-        assert findings[0].path == "src/repro/training/helpers.py"
+        findings = run_checks(tmp_path, rules=["fork-taint"])
+        assert [(f.path, f.line) for f in findings] == [
+            ("src/repro/training/helpers.py", 2)]
 
     def test_aliased_lock_import_flagged(self, tmp_path):
         make_project(tmp_path, {
@@ -184,7 +182,18 @@ class TestForkSafetyChecker:
                 "_GUARD = L()\n"
             ),
         })
-        assert rules_of(run_checks(tmp_path)) == {"fork-module-lock"}
+        findings = run_checks(tmp_path)
+        assert [(f.rule, f.line) for f in findings] == [("fork-taint", 2)]
+
+    def test_aliased_threading_module_lock_flagged(self, tmp_path):
+        make_project(tmp_path, {
+            "src/repro/training/multiprocess.py": (
+                "import threading as th\n"
+                "_G = th.Lock()\n"
+            ),
+        })
+        findings = run_checks(tmp_path)
+        assert [(f.rule, f.line) for f in findings] == [("fork-taint", 2)]
 
     def test_sqlite_connect_flagged(self, tmp_path):
         make_project(tmp_path, {
@@ -194,7 +203,9 @@ class TestForkSafetyChecker:
                 "    return sqlite3.connect(path)\n"
             ),
         })
-        assert rules_of(run_checks(tmp_path)) == {"fork-sqlite"}
+        findings = run_checks(tmp_path)
+        assert [(f.rule, f.line) for f in findings] == [("fork-taint", 3)]
+        assert "in a module os.fork() duplicates" in findings[0].message
 
     def test_atexit_register_flagged(self, tmp_path):
         make_project(tmp_path, {
@@ -204,7 +215,43 @@ class TestForkSafetyChecker:
                 "    atexit.register(handler)\n"
             ),
         })
-        assert rules_of(run_checks(tmp_path)) == {"fork-atexit"}
+        findings = run_checks(tmp_path)
+        assert [(f.rule, f.line) for f in findings] == [("fork-taint", 3)]
+
+    def test_module_imported_from_a_package_is_a_direct_import(self, tmp_path):
+        # `from repro.training import helpers` with a training/__init__.py:
+        # helpers.py is still duplicated into every worker.
+        make_project(tmp_path, {
+            "src/repro/__init__.py": "",
+            "src/repro/training/__init__.py": "",
+            "src/repro/training/multiprocess.py": (
+                "def start():\n"
+                "    from repro.training import helpers\n"
+            ),
+            "src/repro/training/helpers.py": (
+                "import sqlite3\n"
+                "def open_store(path):\n"
+                "    return sqlite3.connect(path)\n"
+            ),
+        })
+        findings = run_checks(tmp_path)
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("fork-taint", "src/repro/training/helpers.py", 3)]
+
+    def test_retired_rule_id_in_an_ignore_is_reported_stale(self, tmp_path):
+        # fork-sqlite is folded into fork-taint; an ignore naming the old
+        # id suppresses nothing, and suppression-unused says so.
+        make_project(tmp_path, {
+            "src/repro/training/multiprocess.py": (
+                "import sqlite3\n"
+                "def open_store(p):\n"
+                "    return sqlite3.connect(p)  # repro: ignore[fork-sqlite]\n"
+            ),
+        })
+        findings = {f.rule: f for f in run_checks(tmp_path)}
+        assert sorted((r, f.line) for r, f in findings.items()) == [
+            ("fork-taint", 3), ("suppression-unused", 3)]
+        assert "fork-sqlite" in findings["suppression-unused"].message
 
     def test_instance_lock_passes(self, tmp_path):
         make_project(tmp_path, {
@@ -219,7 +266,7 @@ class TestForkSafetyChecker:
 
     def test_unimported_module_not_in_scope(self, tmp_path):
         # The lock lives in a module the trainer never imports: not in the
-        # fork closure, so fork-safety has nothing to say about it.
+        # fork closure, so fork-taint has nothing to say about it.
         make_project(tmp_path, {
             "src/repro/training/multiprocess.py": "x = 1\n",
             "src/repro/serving/helpers.py": (
@@ -227,7 +274,7 @@ class TestForkSafetyChecker:
                 "_LOCK = threading.Lock()\n"
             ),
         })
-        assert run_checks(tmp_path, rules=["fork-module-lock"]) == []
+        assert run_checks(tmp_path, rules=["fork-taint"]) == []
 
     def test_serving_pool_is_an_entry_point(self, tmp_path):
         # `serve --workers N` forks from serving/pool.py: a module-level lock
@@ -239,9 +286,9 @@ class TestForkSafetyChecker:
                 "_LOCK = threading.Lock()\n"
             ),
         })
-        findings = run_checks(tmp_path, rules=["fork-module-lock"])
-        assert [(f.rule, f.path) for f in findings] == [
-            ("fork-module-lock", "src/repro/serving/deadline.py")]
+        findings = run_checks(tmp_path, rules=["fork-taint"])
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("fork-taint", "src/repro/serving/deadline.py", 2)]
 
 
 _LOCKED_CLASS = """\
@@ -261,16 +308,31 @@ class Engine:
 
 
 class TestLockDisciplineChecker:
+    """The single-method cases of the lock contract, owned by lock-state."""
+
     def test_unlocked_mutation_flagged(self, tmp_path):
         make_project(tmp_path, {
             "src/repro/serving/engine.py": _LOCKED_CLASS.format(
                 bump_body="self.count += 1"
             ),
         })
-        findings = run_checks(tmp_path, rules=["lock-discipline"])
-        assert len(findings) == 1
+        findings = run_checks(tmp_path, rules=["lock-state"])
+        assert [(f.path, f.line) for f in findings] == [
+            ("src/repro/serving/engine.py", 9)]
         assert "Engine.bump" in findings[0].message
         assert "self._lock" in findings[0].message
+
+    def test_aliased_lock_class_flagged(self, tmp_path):
+        make_project(tmp_path, {
+            "src/repro/serving/engine.py": _LOCKED_CLASS.replace(
+                "import threading\n", "from threading import Lock as L\n"
+            ).replace("threading.Lock()", "L()").format(
+                bump_body="self.count += 1"
+            ),
+        })
+        findings = run_checks(tmp_path, rules=["lock-state"])
+        assert [(f.path, f.line) for f in findings] == [
+            ("src/repro/serving/engine.py", 9)]
 
     def test_locked_mutation_passes(self, tmp_path):
         make_project(tmp_path, {
@@ -278,7 +340,7 @@ class TestLockDisciplineChecker:
                 bump_body="with self._lock:\n            self.count += 1"
             ),
         })
-        assert run_checks(tmp_path, rules=["lock-discipline"]) == []
+        assert run_checks(tmp_path, rules=["lock-state"]) == []
 
     def test_locked_suffix_method_exempt(self, tmp_path):
         # _reset_locked mutates self.count bare, but the suffix marks the
@@ -288,7 +350,7 @@ class TestLockDisciplineChecker:
                 bump_body="with self._lock:\n            self._reset_locked()"
             ),
         })
-        assert run_checks(tmp_path, rules=["lock-discipline"]) == []
+        assert run_checks(tmp_path, rules=["lock-state"]) == []
 
     def test_nested_callback_loses_the_lock(self, tmp_path):
         body = (
@@ -300,7 +362,33 @@ class TestLockDisciplineChecker:
         make_project(tmp_path, {
             "src/repro/serving/engine.py": _LOCKED_CLASS.format(bump_body=body),
         })
-        assert rules_of(run_checks(tmp_path)) == {"lock-discipline"}
+        findings = run_checks(tmp_path)
+        assert [(f.rule, f.line) for f in findings] == [("lock-state", 11)]
+        assert "Engine.bump.<locals>.cb()" in findings[0].message
+
+    def test_callback_method_passed_as_a_value_is_a_root(self, tmp_path):
+        # No call edge reaches _expire: the Timer thread runs it, with no
+        # lock held.
+        make_project(tmp_path, {
+            "src/repro/serving/engine.py": (
+                "import threading\n"
+                "\n"
+                "class Engine:\n"
+                "    def __init__(self):\n"
+                "        self._lock = threading.Lock()\n"
+                "        self.count = 0\n"
+                "\n"
+                "    def arm(self):\n"
+                "        threading.Timer(1.0, self._expire).start()\n"
+                "\n"
+                "    def _expire(self):\n"
+                "        self.count = 0\n"
+            ),
+        })
+        findings = run_checks(tmp_path, rules=["lock-state"])
+        assert [(f.path, f.line) for f in findings] == [
+            ("src/repro/serving/engine.py", 12)]
+        assert findings[0].message.startswith("Engine._expire()")
 
     def test_class_without_lock_ignored(self, tmp_path):
         make_project(tmp_path, {
@@ -312,15 +400,17 @@ class TestLockDisciplineChecker:
                 "        self.count += 1\n"
             ),
         })
-        assert run_checks(tmp_path, rules=["lock-discipline"]) == []
+        assert run_checks(tmp_path, rules=["lock-state"]) == []
 
-    def test_outside_serving_ignored(self, tmp_path):
+    def test_outside_serving_checked_too(self, tmp_path):
         make_project(tmp_path, {
             "src/repro/utils/engine.py": _LOCKED_CLASS.format(
                 bump_body="self.count += 1"
             ),
         })
-        assert run_checks(tmp_path, rules=["lock-discipline"]) == []
+        findings = run_checks(tmp_path, rules=["lock-state"])
+        assert [(f.path, f.line) for f in findings] == [
+            ("src/repro/utils/engine.py", 9)]
 
 
 class TestKernelParityChecker:
@@ -571,7 +661,7 @@ class TestSuppressions:
         make_project(tmp_path, {
             "src/repro/sparse/mod.py": (
                 "import numpy as np\n"
-                "x = np.empty(3)  # repro: ignore[lock-discipline]\n"
+                "x = np.empty(3)  # repro: ignore[lock-state]\n"
             ),
         })
         # The dtype finding survives (wrong rule named), and the ignore
@@ -661,17 +751,6 @@ class TestLockStateChecker:
             "src/repro/training/batcher.py": _BATCHER.format(drain_body=body),
         })
         assert run_checks(tmp_path, rules=["lock-state"]) == []
-
-    def test_package_wide_unlike_lock_discipline(self, tmp_path):
-        # Same race, outside serving/: lexical lock-discipline is scoped to
-        # serving/, the interprocedural rule is package-wide.
-        make_project(tmp_path, {
-            "src/repro/training/batcher.py": _BATCHER.format(
-                drain_body="self._flush_locked()"
-            ),
-        })
-        assert run_checks(tmp_path, rules=["lock-discipline"]) == []
-        assert len(run_checks(tmp_path, rules=["lock-state"])) == 1
 
     CROSS = """\
 import threading
@@ -814,8 +893,8 @@ class TestForkTaintChecker:
     ENTRY = "src/repro/training/multiprocess.py"
 
     def test_lock_two_hops_down_reported_with_import_chain(self, tmp_path):
-        # fork-module-lock stops at direct imports; the taint rule walks
-        # the whole closure and names the path that carries the hazard.
+        # The rule walks the whole import closure, not just the direct
+        # imports, and names the path that carries the hazard.
         make_project(tmp_path, {
             self.ENTRY: "from repro.training import mid\n",
             "src/repro/training/mid.py": "from repro.training import deep\n",
@@ -824,7 +903,6 @@ class TestForkTaintChecker:
                 "_LOCK = threading.Lock()\n"
             ),
         })
-        assert run_checks(tmp_path, rules=["fork-module-lock"]) == []
         findings = run_checks(tmp_path, rules=["fork-taint"])
         assert len(findings) == 1
         assert "training/mid.py -> training/deep.py" in findings[0].message
@@ -832,8 +910,8 @@ class TestForkTaintChecker:
     def test_import_time_call_chain_reported(self, tmp_path):
         # CONN = make() at module level runs sqlite3.connect before the
         # fork; the finding carries the call chain, not just the import.
-        # (Distance 2: inside direct imports fork-sqlite already covers
-        # the whole file, and fork-taint stays silent.)
+        # (Distance 2: in a direct import any connect would be flagged,
+        # import-time or not.)
         make_project(tmp_path, {
             self.ENTRY: "from repro.training import mid\n",
             "src/repro/training/mid.py": "from repro.training import deep\n",
@@ -867,8 +945,10 @@ class TestForkTaintChecker:
     def test_post_fork_function_body_not_flagged(self, tmp_path):
         # A connect inside a function that nothing calls at import time
         # runs post-fork in the worker — the documented-safe pattern.
+        # (Distance 2: direct imports are held to the whole-file contract.)
         make_project(tmp_path, {
-            self.ENTRY: "from repro.training import deep\n",
+            self.ENTRY: "from repro.training import mid\n",
+            "src/repro/training/mid.py": "from repro.training import deep\n",
             "src/repro/training/deep.py": (
                 "import sqlite3\n"
                 "\n"
@@ -895,7 +975,7 @@ class TestSuppressionUnusedChecker:
     def test_stale_file_ignore_flagged(self, tmp_path):
         make_project(tmp_path, {
             "src/repro/sparse/mod.py": (
-                "# repro: ignore-file[lock-discipline]\n"
+                "# repro: ignore-file[lock-state]\n"
                 "X = 1\n"
             ),
         })

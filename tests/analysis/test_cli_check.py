@@ -58,7 +58,7 @@ class TestCheckCommand:
     def test_rules_restriction(self, tmp_path, capsys):
         make_project(tmp_path, BAD_FILES)
         assert main(["check", "--root", str(tmp_path),
-                     "--rules", "lock-discipline"]) == 0
+                     "--rules", "lock-state"]) == 0
 
     def test_unknown_rule_rejected(self, tmp_path):
         make_project(tmp_path, GOOD_FILES)
@@ -68,7 +68,8 @@ class TestCheckCommand:
     def test_list_rules(self, capsys):
         assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("dtype-ctor", "fork-module-lock", "lock-discipline",
+        assert len(out.splitlines()) == 10
+        for rule in ("dtype-ctor", "fork-taint", "lock-state",
                      "kernel-parity", "registry-roundtrip"):
             assert rule in out
 
@@ -119,22 +120,29 @@ def git_project(tmp_path):
 
 class TestDiffMode:
     def test_diff_restricts_to_changed_files(self, git_project):
-        # Make sparse/mod.py dirty with a fresh violation; the pre-existing
-        # serving/ violation is untouched since HEAD so its *file-scoped*
-        # finding (lock-discipline) must not re-report.  Interprocedural
-        # rules are project-scoped and re-run whole (like kernel-parity),
-        # so lock-state still sees the serving race.
+        # Make sparse/mod.py dirty with a fresh violation; nn/old.py's
+        # violation is untouched since HEAD so its *file-scoped* finding
+        # must not re-report.  Interprocedural rules are project-scoped and
+        # re-run whole (like kernel-parity), so lock-state still sees the
+        # serving race.
+        make_project(git_project, {
+            "src/repro/nn/old.py": "import numpy as np\ny = np.zeros(2)\n",
+        })
+        _git(git_project, "add", "-A")
+        _git(git_project, "commit", "-q", "-m", "old violation")
         (git_project / "src/repro/sparse/mod.py").write_text(
             "import numpy as np\nx = np.empty(3)\n", encoding="utf-8"
         )
         findings = run_checks(git_project, diff_ref="HEAD")
-        assert {f.rule for f in findings} == {"dtype-ctor", "lock-state"}
-        assert not any(
-            f.rule == "lock-discipline" for f in findings
-        )
+        assert {(f.rule, f.path) for f in findings} == {
+            ("dtype-ctor", "src/repro/sparse/mod.py"),
+            ("lock-state", "src/repro/serving/engine.py"),
+        }
         full = run_checks(git_project)
-        assert {f.rule for f in full} == {
-            "dtype-ctor", "lock-discipline", "lock-state",
+        assert {(f.rule, f.path) for f in full} == {
+            ("dtype-ctor", "src/repro/nn/old.py"),
+            ("dtype-ctor", "src/repro/sparse/mod.py"),
+            ("lock-state", "src/repro/serving/engine.py"),
         }
 
     def test_clean_diff_reports_nothing(self, git_project):
