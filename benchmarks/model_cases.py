@@ -2,10 +2,12 @@
 
 The paper measures device memory, hardware FLOPs and cache misses of whole
 frameworks; here one training step of each (dataset, model, formulation) is
-read by ``repro.profiling``: the measured peak traced bytes of a warm step,
-and the first-principles operation count and byte-traffic cache model.  No
-clock is read, so the verdicts are deterministic: each case reads one of those
-yardsticks against the claim the paper makes for the measured quantity.
+read by ``repro.profiling``: the measured peak traced bytes of a warm step and
+the first-principles operation count.  No clock is read, so the verdicts are
+deterministic: each case reads one of those yardsticks against the claim the
+paper makes for the measured quantity.  Table 7's cache-miss rate needs
+hardware counters, which this repository does not read, so that case reports
+the claim as not measured and never holds.
 """
 
 from __future__ import annotations
@@ -23,16 +25,7 @@ from benchmarks.common import (
     make_batch,
 )
 from repro.optim import Adam
-from repro.profiling import (
-    CacheModel,
-    count_training_flops,
-    measure_cache_behaviour,
-    training_step_peak,
-)
-
-#: Modelled LLC capacity: comparable to the scaled embedding tables, as the
-#: paper's 32 MiB LLC is to its GB-scale ones.
-CACHE_BYTES = 4 * 1024 * 1024
+from repro.profiling import count_training_flops, training_step_peak
 
 
 def _dataset_means(scale: float, seed: int,
@@ -111,33 +104,13 @@ def _holds_table6(rows: Rows) -> Tuple[bool, str]:
 
 
 # --------------------------------------------------------------------- #
-SPMM_DOMINATED = ("TransE", "TransR", "TorusE")
-
-
 def _run_table7(scale: float, seeds: Sequence[int]) -> Rows:
-    cache = CacheModel(capacity_bytes=CACHE_BYTES)
-
-    def measure(build, batch):
-        return {"miss_rate": measure_cache_behaviour(build(), batch, cache=cache).miss_rate}
-
-    rows = []
-    for model_name, means in _dataset_means(scale, seeds[0], measure).items():
-        rows.append({"model": model_name,
-                     "sparse_miss_%": 100 * means["sparse"]["miss_rate"],
-                     "dense_miss_%": 100 * means["dense"]["miss_rate"]})
-    return rows
+    return [{"quantity": "LLC miss rate, sparse vs dense", "reading": "not measured"}]
 
 
 def _holds_table7(rows: Rows) -> Tuple[bool, str]:
-    gap = {r["model"]: r["sparse_miss_%"] - r["dense_miss_%"] for r in rows}
-    above = [m for m in SPMM_DOMINATED if gap[m] > 0]
-    closest = min(gap, key=lambda m: abs(gap[m]))
-    detail = ("sparse - dense modelled miss rate (points): "
-              + ", ".join(f"{m} {g:+.2f}" for m, g in gap.items())
-              + f"; closest call is {closest}")
-    if above:
-        detail += f"; sparse is above dense for {', '.join(above)}"
-    return not above and closest == "TransH", detail
+    return False, ("not measured: the miss rate is a hardware-counter reading (perf), and "
+                   "this repository has no hardware-counter reader")
 
 
 CASES = [
@@ -160,7 +133,7 @@ CASES = [
         name="table7", paper_ref="Table 7", deterministic=True,
         claim="Cache-miss rate: \"sparse at or below dense for the SpMM-dominated models "
               "[TransE, TransR, TorusE], with TransH the closest call\".",
-        columns=("model", "sparse_miss_%", "dense_miss_%"),
+        columns=("quantity", "reading"),
         run=_run_table7, holds=_holds_table7,
     ),
 ]

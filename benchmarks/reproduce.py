@@ -8,7 +8,8 @@ Runs the selected :class:`~benchmarks.common.Case` definitions and writes
 detail, seconds; plus scale, seeds, environment) and ``REPRODUCTION.md``, the
 table of *claim / our number / holds?* rendered from it.  The copies at the
 repo root are the default-scale run; a claim that does not hold there is
-reported as such, never tuned away.
+reported as such, never tuned away.  When ``--out`` already holds a report at
+the same scale and seeds, ``--only`` replaces just the named cases in it.
 """
 
 from __future__ import annotations
@@ -84,6 +85,23 @@ def run_cases(names: Sequence[str], scale: float, seeds: Sequence[int]) -> dict:
             "seconds": seconds,
         }))
     return report
+
+
+def merge_into_existing(report: dict, out_dir: str) -> dict:
+    """``report`` plus the cases it did not run, from the report in ``out_dir``.
+
+    Only a report at the same scale and seeds is merged, and cases keep the
+    :data:`CASES` order; otherwise ``report`` is returned as it is.
+    """
+    path = os.path.join(out_dir, "REPRODUCTION.json")
+    if not os.path.exists(path):
+        return report
+    with open(path, encoding="utf-8") as handle:
+        previous = json.load(handle)
+    if (previous["scale"], previous["seeds"]) != (report["scale"], report["seeds"]):
+        return report
+    by_name = {case["name"]: case for case in previous["cases"] + report["cases"]}
+    return {**report, "cases": [by_name[name] for name in CASES if name in by_name]}
 
 
 def render_table(report: dict) -> str:
@@ -173,6 +191,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if unknown:
         parser.error(f"unknown case(s) {', '.join(unknown)}; choose from {', '.join(CASES)}")
     report = run_cases(names, args.scale, SEEDS if args.scale >= 1 else SEEDS[:2])
+    report = merge_into_existing(report, args.out)
     write_report(report, args.out)
     print(render_table(report))
     return 0

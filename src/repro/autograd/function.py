@@ -1,19 +1,12 @@
-"""Tape bookkeeping shared by every differentiable operation.
+"""FLOP accounting shared by every differentiable operation.
 
-Two concerns live here:
-
-* **FLOP accounting** — each primitive op reports an analytic floating-point
-  operation count.  The profiling layer (``repro.profiling.flops``) and the
-  Table-6 benchmark read these counters; models themselves never need to.
-* **Memory-traffic accounting** — each op may additionally report how many
-  bytes it streamed and how many *unique* parameter bytes it touched.  The
-  cache-behaviour model (Table 7) is built on these numbers.
+Each primitive op and each sparse kernel reports an analytic floating-point
+operation count through :func:`count_flops`.  The profiling layer
+(``repro.profiling.flops``) and the Table-6 benchmark read these counters;
+models themselves never need to.
 
 Counts are recorded only into open :func:`flop_counter` regions; outside one,
-:func:`count_flops` does nothing.  Ops whose figures cost real work to derive
-(an SpMM's *unique*-byte figure is an ``np.unique`` over its column indices)
-check :func:`counting_active` and skip the derivation when nobody is
-collecting.
+:func:`count_flops` does nothing.
 """
 
 from __future__ import annotations
@@ -26,29 +19,14 @@ from typing import Dict, Iterator
 
 @dataclass(eq=False)
 class OpCounters:
-    """Aggregated per-op-name counters collected during a region of execution."""
+    """Per-op-name FLOP counts collected during a region of execution."""
 
     flops: int = 0
-    bytes_streamed: int = 0
-    bytes_unique: int = 0
-    calls: int = 0
     per_op: Dict[str, int] = field(default_factory=dict)
 
-    def add(self, op_name: str, flops: int, bytes_streamed: int = 0,
-            bytes_unique: int = 0) -> None:
+    def add(self, op_name: str, flops: int) -> None:
         self.flops += int(flops)
-        self.bytes_streamed += int(bytes_streamed)
-        self.bytes_unique += int(bytes_unique)
-        self.calls += 1
         self.per_op[op_name] = self.per_op.get(op_name, 0) + int(flops)
-
-    def merge(self, other: "OpCounters") -> None:
-        self.flops += other.flops
-        self.bytes_streamed += other.bytes_streamed
-        self.bytes_unique += other.bytes_unique
-        self.calls += other.calls
-        for k, v in other.per_op.items():
-            self.per_op[k] = self.per_op.get(k, 0) + v
 
 
 class _CounterState(threading.local):
@@ -59,25 +37,15 @@ class _CounterState(threading.local):
 _state = _CounterState()
 
 
-def count_flops(op_name: str, flops: int, bytes_streamed: int = 0,
-                bytes_unique: int = 0) -> None:
-    """Record ``flops`` (and optional byte traffic) against every active counter.
+def count_flops(op_name: str, flops: int) -> None:
+    """Record ``flops`` against every active counter.
 
     Called by the primitive ops in :mod:`repro.autograd.tensor` /
     :mod:`repro.autograd.ops` and by the sparse kernels; a no-op outside
     :func:`flop_counter` regions.
     """
     for counters in _state.active:
-        counters.add(op_name, flops, bytes_streamed, bytes_unique)
-
-
-def counting_active() -> bool:
-    """Whether a :func:`flop_counter` region is open on this thread.
-
-    Ops whose ``bytes_unique`` figure is expensive to derive check this and
-    skip the derivation when nobody is collecting it.
-    """
-    return bool(_state.active)
+        counters.add(op_name, flops)
 
 
 @contextlib.contextmanager

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.autograd.function import count_flops, counting_active
+from repro.autograd.function import count_flops
 from repro.autograd.tensor import Tensor, _unbroadcast
 
 ArrayLike = Union[np.ndarray, Sequence, float, int]
@@ -268,14 +268,7 @@ def gather_rows(weight: Tensor, indices: np.ndarray,
             f"index out of range: min={idx.min()}, max={idx.max()}, rows={weight.shape[0]}"
         )
     out_data = weight.data[idx]
-    row_bytes = weight.data.itemsize * int(np.prod(weight.data.shape[1:]))
-    # Distinct rows only feed ``bytes_unique``; the sort is skipped when no
-    # ``flop_counter()`` region is collecting it (as in the SpMM kernels).
-    unique_rows = len(np.unique(idx)) if idx.size and counting_active() else 0
-    # The gathered copy is freshly written memory (write-allocate traffic), so it
-    # counts towards the compulsory-miss volume alongside the rows read.
-    count_flops("gather", 0, bytes_streamed=out_data.nbytes,
-                bytes_unique=unique_rows * row_bytes + out_data.nbytes)
+    count_flops("gather", 0)
 
     def backward(grad: np.ndarray) -> None:
         if not weight.requires_grad:
@@ -284,18 +277,12 @@ def gather_rows(weight: Tensor, indices: np.ndarray,
             from repro.sparse.rowsparse import RowSparseGrad
 
             rsg = RowSparseGrad.from_rows(idx, grad, weight.data.shape)
-            count_flops("scatter_add[rowsparse]", grad.size,
-                        bytes_streamed=grad.nbytes + rsg.values.nbytes,
-                        bytes_unique=unique_rows * row_bytes + rsg.values.nbytes)
+            count_flops("scatter_add[rowsparse]", grad.size)
             weight.accumulate_grad(rsg)
             return
         full = np.zeros_like(weight.data)
         np.add.at(full, idx, grad)
-        # EmbeddingBackward materialises a full-table gradient: its write is
-        # compulsory traffic, which is exactly why the scatter path is costly.
-        count_flops("scatter_add", grad.size,
-                    bytes_streamed=grad.nbytes + full.nbytes,
-                    bytes_unique=unique_rows * row_bytes + full.nbytes)
+        count_flops("scatter_add", grad.size)
         weight.accumulate_grad(full, owned=True)
 
     return Tensor._make(out_data, (weight,), backward, "gather")
@@ -315,8 +302,7 @@ def bmm_vec(mats: Tensor, vecs: Tensor) -> Tensor:
     if mats.shape[0] != vecs.shape[0] or mats.shape[2] != vecs.shape[1]:
         raise ValueError(f"incompatible shapes {mats.shape} and {vecs.shape}")
     out_data = np.einsum("bkd,bd->bk", mats.data, vecs.data, optimize=True)
-    count_flops("bmm_vec", 2 * out_data.size * mats.shape[2],
-                bytes_streamed=mats.nbytes + vecs.nbytes + out_data.nbytes)
+    count_flops("bmm_vec", 2 * out_data.size * mats.shape[2])
 
     def backward(grad: np.ndarray) -> None:
         if mats.requires_grad:

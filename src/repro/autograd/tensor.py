@@ -497,8 +497,7 @@ class Tensor:
         # 2*m*n*k flops for (m,k) @ (k,n)
         if self.data.ndim >= 2 and other_t.data.ndim >= 2:
             k = self.data.shape[-1]
-            count_flops("matmul", 2 * out_data.size * k,
-                        bytes_streamed=self.data.nbytes + other_t.data.nbytes + out_data.nbytes)
+            count_flops("matmul", 2 * out_data.size * k)
         else:
             count_flops("matmul", 2 * max(self.data.size, other_t.data.size))
 

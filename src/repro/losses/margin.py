@@ -62,9 +62,7 @@ def margin_ranking_loss(positive_scores: Tensor, negative_scores: Tensor,
     else:
         total, mask = kernels.margin_loss_sum(pos.data, neg.data, margin)
         out_data = np.asarray(total if reduction == "sum" else total * (1.0 / n))
-    count_flops("margin_loss[fused]", kernels.margin_loss_flops(n),
-                bytes_streamed=pos.data.nbytes + neg.data.nbytes,
-                bytes_unique=pos.data.nbytes + neg.data.nbytes)
+    count_flops("margin_loss[fused]", kernels.margin_loss_flops(n))
 
     def backward(grad: np.ndarray) -> None:
         g = np.asarray(grad)

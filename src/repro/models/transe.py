@@ -190,6 +190,8 @@ class SpTransE(TranslationalModel):
                         entity_sq: Optional[np.ndarray] = None) -> np.ndarray:
         """Closed-form ranking: ``||(h + r) − t'||`` against every entity.
 
+        A subclass that overrides :meth:`scores` ranks through
+        :class:`~repro.models.base.KGEModel`'s candidate expansion instead.
         The ``(B, N, d)`` diff tensor is never materialised whole — at
         B=128, N=100k, d=100 that would be ~10 GB — the candidate entities
         are processed in blocks bounded by :attr:`RANK_BLOCK_ELEMENTS` (and,
@@ -197,6 +199,8 @@ class SpTransE(TranslationalModel):
         ``entity_sq`` is this model's :meth:`entity_sq_norms`, taken by a
         caller that ranks many batches against unchanged weights.
         """
+        if not self._closed_form_applies():
+            return super().score_all_tails(heads, relations, chunk_size=chunk_size)
         heads = np.asarray(heads, dtype=np.int64).reshape(-1)
         relations = np.asarray(relations, dtype=np.int64).reshape(-1)
         translated = self._entity_rows(heads) + self._relation_rows(relations)
@@ -210,6 +214,8 @@ class SpTransE(TranslationalModel):
 
         Blocked over candidate entities like :meth:`score_all_tails`.
         """
+        if not self._closed_form_applies():
+            return super().score_all_heads(relations, tails, chunk_size=chunk_size)
         relations = np.asarray(relations, dtype=np.int64).reshape(-1)
         tails = np.asarray(tails, dtype=np.int64).reshape(-1)
         target = self._entity_rows(tails) - self._relation_rows(relations)
@@ -258,15 +264,26 @@ class SpTransE(TranslationalModel):
                 out[:, start:stop] = self._reduce(diff)
         return out
 
+    def _closed_form_applies(self) -> bool:
+        """Whether the score is :meth:`_reduce` of ``h + r − t``.
+
+        False for subclasses that weight or re-metric the residual in their
+        own :meth:`scores` (TransM, TransA): ranking them by the bare residual
+        would order candidates by a score they do not train on.
+        """
+        scores_impl = getattr(self.scores, "__func__", self.scores)
+        return scores_impl is SpTransE.scores
+
     def _l2_gemm_applies(self) -> bool:
         """Whether the GEMM expansion can replace the blocked diff reduction.
 
-        Only valid when the reduction really is the plain L2 norm: subclasses
-        (torus, squared, adaptive metrics) and instances that override
-        :meth:`_reduce` keep the blocked path.
+        Only valid when the score really is the plain L2 norm of the
+        residual: subclasses (torus, squared, adaptive metrics) and instances
+        that override :meth:`scores` or :meth:`_reduce` keep the blocked path.
         """
         reduce_impl = getattr(self._reduce, "__func__", self._reduce)
-        return reduce_impl is SpTransE._reduce and self.dissimilarity_name == "L2"
+        return (self._closed_form_applies() and reduce_impl is SpTransE._reduce
+                and self.dissimilarity_name == "L2")
 
     def _reduce(self, diff: np.ndarray) -> np.ndarray:
         if self.dissimilarity_name == "L1":
@@ -309,8 +326,8 @@ class SpTransE(TranslationalModel):
         the rescored ordering matches full-precision serving.  ``direction``
         is ``"tail"`` (``anchor`` is the head) or ``"head"`` (``anchor`` is
         the tail); returns ``None`` when the closed L2 form does not apply
-        (L1 / overridden reductions), telling the caller to serve the coarse
-        ranking as-is.
+        (L1 / overridden scores or reductions), telling the caller to serve
+        the coarse ranking as-is.
         """
         query = self.l2_query_vector(anchor, relation, direction)
         if query is None:
@@ -325,7 +342,8 @@ class SpTransE(TranslationalModel):
         Shared by :meth:`exact_candidate_scores` and the serving engine's
         ANN routing, so an IVF-rescored ranking and an exact rescored ranking
         score candidates from literally the same query vector.  ``None`` for
-        L1 / overridden reductions (the caller falls back to exact ranking).
+        L1 / overridden scores or reductions (the caller falls back to exact
+        ranking).
         """
         if not self._l2_gemm_applies():
             return None

@@ -46,7 +46,7 @@ class Adagrad(Optimizer):
 
     def _update_sparse(self, param: Parameter, grad) -> None:
         self._apply(param, grad.values, rows=grad.indices)
-        self._count_sparse_update_flops(param, grad.values.size, 6)
+        self._count_sparse_update_flops(grad.values.size, 6)
 
     def _apply(self, param: Parameter, grad: np.ndarray, rows=None) -> None:
         state = self._param_state(param)

@@ -99,7 +99,7 @@ class Adam(Optimizer):
                        for beta in (self.beta1, self.beta2)]
         self._apply(row_blocks(param, vals, state["m"], state["v"], rows=rows,
                                per_row=corrections))
-        self._count_sparse_update_flops(param, vals.size, 10)
+        self._count_sparse_update_flops(vals.size, 10)
 
     def _apply(self, blocks, *corrections: float) -> None:
         """The Adam update over ``row_blocks``: the two scalar bias corrections

@@ -157,18 +157,9 @@ class Optimizer:
         self.lr = float(lr)
 
     def _count_update_flops(self, param: Parameter, flops_per_element: int) -> None:
-        count_flops(f"optim[{type(self).__name__}]", flops_per_element * param.size,
-                    bytes_streamed=2 * param.nbytes)
+        count_flops(f"optim[{type(self).__name__}]", flops_per_element * param.size)
 
-    def _count_sparse_update_flops(self, param: Parameter, n_elements: int,
-                                   flops_per_element: int) -> None:
-        """FLOP/byte accounting for a scatter update touching ``n_elements``.
-
-        Bytes reflect the read-modify-write of only the touched rows — the
-        figure the cache-model benchmark compares against the dense path's
-        full-table rewrite.
-        """
+    def _count_sparse_update_flops(self, n_elements: int, flops_per_element: int) -> None:
+        """FLOP accounting for a scatter update touching ``n_elements``."""
         count_flops(f"optim[{type(self).__name__}:rowsparse]",
-                    flops_per_element * n_elements,
-                    bytes_streamed=2 * n_elements * param.data.itemsize,
-                    bytes_unique=2 * n_elements * param.data.itemsize)
+                    flops_per_element * n_elements)

@@ -51,7 +51,7 @@ class SGD(Optimizer):
             super()._update_sparse(param, grad)
             return
         self._apply(param, grad.values, rows=grad.indices)
-        self._count_sparse_update_flops(param, grad.values.size, 2)
+        self._count_sparse_update_flops(grad.values.size, 2)
 
     def _apply(self, param: Parameter, grad: np.ndarray, rows=None) -> None:
         state = []

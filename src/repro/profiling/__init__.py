@@ -1,4 +1,4 @@
-"""Profiling substrate: FLOP counting, measured step memory, cache model.
+"""Profiling substrate: FLOP counting, measured step memory, function profile.
 
 These modules stand in for the measurement tools the paper uses on its
 hardware testbed:
@@ -8,16 +8,15 @@ hardware testbed:
 * :mod:`repro.profiling.memory` — the measured peak traced bytes of one
   warm training step (replaces ``torch.cuda.max_memory_allocated``; Table 5,
   Figure 6).
-* :mod:`repro.profiling.cache` — a cache-behaviour model built from the
-  byte-traffic counters of each kernel (replaces ``perf``'s cache-miss rate;
-  Table 7).
 * :mod:`repro.profiling.report` — function-level CPU profile of a training
   step (Figure 2).
+
+Table 7's cache-miss rate has no counterpart: it needs hardware counters,
+which this package does not read.
 """
 
 from repro.profiling.flops import count_training_flops, FlopsBreakdown
 from repro.profiling.memory import peak_traced_bytes, training_step_peak
-from repro.profiling.cache import CacheModel, CacheReport, measure_cache_behaviour
 from repro.profiling.report import profile_training_step, FunctionProfile
 
 __all__ = [
@@ -25,9 +24,6 @@ __all__ = [
     "FlopsBreakdown",
     "peak_traced_bytes",
     "training_step_peak",
-    "CacheModel",
-    "CacheReport",
-    "measure_cache_behaviour",
     "profile_training_step",
     "FunctionProfile",
 ]

@@ -202,12 +202,7 @@ def l2_distance_matrix(queries: np.ndarray, targets: np.ndarray,
         np.maximum(acc, 0.0, out=acc)
         np.add(acc, 1e-12, out=acc)
         np.sqrt(acc, out=acc)
-    count_flops(
-        "rank_l2[tiled]",
-        2 * b * n * d + 5 * b * n,
-        bytes_streamed=q.nbytes + targets.nbytes + out.nbytes,
-        bytes_unique=q.nbytes + targets.nbytes + out.nbytes,
-    )
+    count_flops("rank_l2[tiled]", 2 * b * n * d + 5 * b * n)
     return out
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Dict, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.autograd.function import count_flops, counting_active
+from repro.autograd.function import count_flops
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.rowsparse import RowSparseGrad
@@ -59,32 +59,6 @@ def spmm_flops(A: SparseLike, X: np.ndarray) -> int:
     return int(2 * nnz * n_cols)
 
 
-def _record(A: SparseLike, X: np.ndarray, out: np.ndarray, kernel: str) -> None:
-    """Register FLOPs and byte traffic for one SpMM call.
-
-    The unique-bytes figure counts the distinct embedding rows read plus the
-    freshly written output (write-allocate traffic) — the compulsory-miss
-    volume the cache model compares against the total streamed bytes.  Finding
-    the distinct rows is an ``np.unique`` over the column indices, a cost
-    comparable to the kernel itself on a training batch, so nothing is derived
-    unless a ``flop_counter()`` region is collecting it.
-    """
-    if not counting_active():
-        return
-    row_bytes = X.itemsize * (X.shape[1] if X.ndim > 1 else 1)
-    coo_cols = None
-    if isinstance(A, COOMatrix):
-        coo_cols = A.cols
-    elif isinstance(A, CSRMatrix):
-        coo_cols = A.indices
-    elif sp.issparse(A):
-        coo_cols = A.tocoo().col
-    unique_reads = len(np.unique(coo_cols)) * row_bytes if coo_cols is not None else 0
-    streamed = (A.nnz * row_bytes) + out.nbytes
-    count_flops(kernel, spmm_flops(A, X), bytes_streamed=streamed,
-                bytes_unique=unique_reads + out.nbytes)
-
-
 @dataclass(frozen=True)
 class SpMMBackend:
     """A named SpMM implementation.
@@ -115,7 +89,7 @@ class SpMMBackend:
         if A.shape[1] != X.shape[0]:
             raise ValueError(f"dimension mismatch: {A.shape} @ {X.shape}")
         out = self.fn(A, X)
-        _record(A, X, out, f"spmm[{self.name}]")
+        count_flops(f"spmm[{self.name}]", spmm_flops(A, X))
         return out
 
 
@@ -178,7 +152,7 @@ def _rowsparse_backward(A: SparseLike, grad: np.ndarray, n_rows: int) -> RowSpar
     touched = np.flatnonzero(np.diff(transposed.indptr))
     compact = transposed[touched]
     packed = _scipy_spmm(compact, grad)
-    _record(compact, grad, packed, "spmm_bwd[rowsparse]")
+    count_flops("spmm_bwd[rowsparse]", spmm_flops(compact, grad))
     return RowSparseGrad(touched, packed, (n_rows,) + grad.shape[1:])
 
 
@@ -193,7 +167,7 @@ def _numpy_rowsparse_backward(A: SparseLike, grad: np.ndarray, n_rows: int) -> R
     vals = coo.values.astype(grad.dtype, copy=False)
     contributions = vals[:, None] * grad[coo.rows]
     out = RowSparseGrad.from_rows(coo.cols, contributions, (n_rows,) + grad.shape[1:])
-    _record(coo, grad, out.values, "spmm_bwd[numpy]")
+    count_flops("spmm_bwd[numpy]", spmm_flops(coo, grad))
     return out
 
 

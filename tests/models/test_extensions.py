@@ -97,16 +97,6 @@ class TestSpTransC:
             rtol=1e-6,
         )
 
-    def test_score_all_tails_uses_squared_metric(self, small_kg):
-        model = make(SpTransC, small_kg)
-        scores = model.score_all_tails(np.array([0]), np.array([1]))
-        triples = np.column_stack([
-            np.zeros(small_kg.n_entities, dtype=int),
-            np.ones(small_kg.n_entities, dtype=int),
-            np.arange(small_kg.n_entities),
-        ])
-        np.testing.assert_allclose(scores[0], model.score_triples(triples), rtol=1e-8)
-
 
 class TestSpTransA:
     def test_identity_metric_reduces_to_squared_l2(self, small_kg, random_triples):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import sys
 import time
 
@@ -77,6 +78,33 @@ class TestCheckedInReport:
                 assert case.repo_ref.strip()
             else:
                 assert case.paper_ref.strip(), case.name
+
+
+class TestOnlyReplacesNamedCases:
+    @staticmethod
+    def _run_only(out_dir, *argv):
+        reproduce.main(["--only", "table7", "--out", str(out_dir), *argv])
+        with open(os.path.join(out_dir, "REPRODUCTION.json"), encoding="utf-8") as handle:
+            return json.load(handle)
+
+    def test_other_entries_of_a_same_scale_report_are_kept(self, tmp_path, checked_in):
+        for name in ("REPRODUCTION.json", "README.md"):
+            shutil.copy(os.path.join(REPO_ROOT, name), tmp_path / name)
+        merged = self._run_only(tmp_path)
+        assert [case["name"] for case in merged["cases"]] == list(reproduce.CASES)
+        for before, after in zip(checked_in["cases"], merged["cases"]):
+            if after["name"] != "table7":
+                assert after == before
+        with open(tmp_path / "REPRODUCTION.md", encoding="utf-8") as handle:
+            assert handle.read() == reproduce.render_markdown(merged)
+        with open(tmp_path / "README.md", encoding="utf-8") as handle:
+            readme = handle.read()
+        assert reproduce.render_readme(readme, merged) == readme
+
+    def test_a_report_at_another_scale_is_replaced(self, tmp_path):
+        shutil.copy(os.path.join(REPO_ROOT, "REPRODUCTION.json"), tmp_path)
+        fresh = self._run_only(tmp_path, "--scale", "toy")
+        assert [case["name"] for case in fresh["cases"]] == ["table7"]
 
 
 class TestInterleavedRatio:
