@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.autograd.function import count_flops
-from repro.autograd.tensor import Tensor, _unbroadcast
+from repro.autograd.tensor import Tensor, _unbroadcast, is_grad_enabled
 
 ArrayLike = Union[np.ndarray, Sequence, float, int]
 
@@ -427,8 +427,10 @@ def torus_distance(x: Tensor, p: int = 2, axis: int = -1) -> Tensor:
     """
     x = _to_tensor(x)
     y = x.data - np.floor(x.data)
-    take_y = y <= 0.5
-    d = np.where(take_y, y, 1.0 - y)
+    # ``min(y, 1 − y)`` is ``y`` exactly when ``y <= 0.5``; the fold mask is
+    # built only when the tape will keep the backward that reads it.
+    d = np.minimum(y, 1.0 - y)
+    take_y = y <= 0.5 if is_grad_enabled() and x.requires_grad else None
     if p == 1:
         out_data = d.sum(axis=axis)
     elif p == 2:

@@ -21,13 +21,6 @@ class DenseTorusE(DenseTransE):
         super().__init__(n_entities, n_relations, embedding_dim,
                          dissimilarity=dissimilarity, rng=rng)
 
-    def _reduce(self, diff: np.ndarray) -> np.ndarray:
-        frac = diff - np.floor(diff)
-        dist = np.minimum(frac, 1.0 - frac)
-        if self.dissimilarity_name == "torus_L1":
-            return dist.sum(axis=-1)
-        return (dist ** 2).sum(axis=-1)
-
     def normalize_parameters(self) -> None:
         """Wrap embeddings into [0, 1): TorusE works on fractional parts."""
         np.mod(self.entity_embeddings.weight.data, 1.0,

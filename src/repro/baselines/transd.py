@@ -63,12 +63,6 @@ class DenseTransD(TranslationalModel):
         t_perp = t + r_p * row_dot(t_p, t).reshape(-1, 1)
         return h_perp + r - t_perp
 
-    def scores(self, triples: np.ndarray) -> Tensor:
-        return self.dissimilarity(self.residuals(triples))
-
-    def entity_embedding_matrix(self) -> np.ndarray:
-        return self.entity_embeddings.weight.data.copy()
-
     def relation_embedding_matrix(self) -> np.ndarray:
         return self.relation_embeddings.weight.data.copy()
 

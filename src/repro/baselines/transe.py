@@ -31,6 +31,8 @@ class DenseTransE(TranslationalModel):
         Seed or generator for initialisation.
     """
 
+    ranking_geometry = "translation"
+
     def __init__(self, n_entities: int, n_relations: int, embedding_dim: int,
                  dissimilarity: str = "L2", rng=None) -> None:
         super().__init__(n_entities, n_relations, embedding_dim, dissimilarity)
@@ -47,36 +49,8 @@ class DenseTransE(TranslationalModel):
         t = self.entity_embeddings(triples[:, 2])
         return h + r - t
 
-    def scores(self, triples: np.ndarray) -> Tensor:
-        return self.dissimilarity(self.residuals(triples))
-
-    def score_all_tails(self, heads: np.ndarray, relations: np.ndarray,
-                        chunk_size: int = 65536) -> np.ndarray:
-        heads = np.asarray(heads, dtype=np.int64).reshape(-1)
-        relations = np.asarray(relations, dtype=np.int64).reshape(-1)
-        ent = self.entity_embeddings.weight.data
-        rel = self.relation_embeddings.weight.data
-        translated = ent[heads] + rel[relations]
-        diff = translated[:, None, :] - ent[None, :, :]
-        return self._reduce(diff)
-
-    def score_all_heads(self, relations: np.ndarray, tails: np.ndarray,
-                        chunk_size: int = 65536) -> np.ndarray:
-        relations = np.asarray(relations, dtype=np.int64).reshape(-1)
-        tails = np.asarray(tails, dtype=np.int64).reshape(-1)
-        ent = self.entity_embeddings.weight.data
-        rel = self.relation_embeddings.weight.data
-        target = ent[tails] - rel[relations]
-        diff = ent[None, :, :] - target[:, None, :]
-        return self._reduce(diff)
-
-    def _reduce(self, diff: np.ndarray) -> np.ndarray:
-        if self.dissimilarity_name == "L1":
-            return np.abs(diff).sum(axis=-1)
-        return np.sqrt((diff ** 2).sum(axis=-1) + 1e-12)
-
-    def entity_embedding_matrix(self) -> np.ndarray:
-        return self.entity_embeddings.weight.data.copy()
+    def relation_translations(self, relations: np.ndarray) -> np.ndarray:
+        return self.relation_embeddings.weight.data[relations]
 
     def relation_embedding_matrix(self) -> np.ndarray:
         return self.relation_embeddings.weight.data.copy()

@@ -7,6 +7,7 @@ import numpy as np
 from repro.autograd.ops import normalize_rows, row_dot
 from repro.autograd.tensor import Tensor
 from repro.models.base import TranslationalModel
+from repro.models.transh import HyperplaneGeometry
 from repro.nn.embedding import Embedding
 from repro.registry import register_model
 from repro.utils.seeding import new_rng
@@ -14,7 +15,7 @@ from repro.utils.validation import check_triples
 
 
 @register_model("transh", "dense")
-class DenseTransH(TranslationalModel):
+class DenseTransH(HyperplaneGeometry, TranslationalModel):
     """TransH with per-operand hyperplane projections.
 
     Head and tail are gathered and projected onto the relation hyperplane
@@ -52,19 +53,8 @@ class DenseTransH(TranslationalModel):
         t_perp = t - w_r * row_dot(w_r, t).reshape(-1, 1)
         return h_perp + d_r - t_perp
 
-    def scores(self, triples: np.ndarray) -> Tensor:
-        return self.dissimilarity(self.residuals(triples))
-
-    def entity_embedding_matrix(self) -> np.ndarray:
-        return self.entity_embeddings.weight.data.copy()
-
     def relation_embedding_matrix(self) -> np.ndarray:
         return self.translations.weight.data.copy()
-
-    def normal_vectors(self) -> np.ndarray:
-        """Unit-normalised hyperplane normals ``(R, d)``."""
-        w = self.normals.weight.data
-        return w / np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)
 
     def normalize_parameters(self) -> None:
         """Constrain entity embeddings to the unit ball and normals to unit norm."""

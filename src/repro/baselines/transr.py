@@ -7,6 +7,7 @@ import numpy as np
 from repro.autograd.ops import bmm_vec, gather_rows
 from repro.autograd.tensor import Tensor
 from repro.models.base import TranslationalModel
+from repro.models.transr import RelationSpaceGeometry
 from repro.nn import init
 from repro.nn.embedding import Embedding
 from repro.nn.parameter import Parameter
@@ -16,7 +17,7 @@ from repro.utils.validation import check_triples
 
 
 @register_model("transr", "dense")
-class DenseTransR(TranslationalModel):
+class DenseTransR(RelationSpaceGeometry, TranslationalModel):
     """TransR with per-operand gathers: head and tail are projected separately.
 
     The conventional implementation gathers ``h`` and ``t``, projects each with
@@ -65,18 +66,8 @@ class DenseTransR(TranslationalModel):
         t_proj = bmm_vec(mats, t)
         return h_proj + r - t_proj
 
-    def scores(self, triples: np.ndarray) -> Tensor:
-        return self.dissimilarity(self.residuals(triples))
-
-    def entity_embedding_matrix(self) -> np.ndarray:
-        return self.entity_embeddings.weight.data.copy()
-
     def relation_embedding_matrix(self) -> np.ndarray:
         return self.relation_embeddings.weight.data.copy()
-
-    def projection_matrices(self) -> np.ndarray:
-        """Snapshot of the per-relation projection stack ``(R, k, d)``."""
-        return self.projections.data.copy()
 
     def normalize_parameters(self) -> None:
         """Constrain entity and relation embeddings to the unit L2 ball."""

@@ -18,6 +18,7 @@ from repro.autograd.tensor import Tensor, no_grad
 from repro.data.batching import TripletBatch
 from repro.losses.margin import MarginRankingLoss
 from repro.nn.module import Module
+from repro.nn.table import DenseSliceTable, EmbeddingTable, block_rows_for
 from repro.utils.validation import check_triples
 
 
@@ -119,39 +120,47 @@ class KGEModel(Module):
         """Score every entity as a candidate tail: ``(B, n_entities)``.
 
         The generic implementation expands to ``B * n_entities`` triples and
-        scores them in chunks; subclasses with a cheaper closed form (e.g.
-        TransE's ``h + r`` against all tails) override it.
+        scores them in chunks; :class:`TranslationalModel` ranks in closed
+        form where the model's geometry allows it.
         """
-        heads = np.asarray(heads, dtype=np.int64).reshape(-1)
-        relations = np.asarray(relations, dtype=np.int64).reshape(-1)
-        if heads.shape != relations.shape:
-            raise ValueError("heads and relations must have equal length")
+        heads, relations = self._query_ids(heads, relations)
         return self._score_all_generic(heads, relations, position="tail",
                                        chunk_size=chunk_size)
 
     def score_all_heads(self, relations: np.ndarray, tails: np.ndarray,
                         chunk_size: int = 65536) -> np.ndarray:
         """Score every entity as a candidate head: ``(B, n_entities)``."""
-        relations = np.asarray(relations, dtype=np.int64).reshape(-1)
-        tails = np.asarray(tails, dtype=np.int64).reshape(-1)
-        if tails.shape != relations.shape:
-            raise ValueError("tails and relations must have equal length")
+        tails, relations = self._query_ids(tails, relations)
         return self._score_all_generic(relations, tails, position="head",
                                        chunk_size=chunk_size)
+
+    def _query_ids(self, anchors, relations) -> Tuple[np.ndarray, np.ndarray]:
+        """``int64`` ``(anchors, relations)`` of one ranking call, range-checked.
+
+        A negative or too-large id raises ``IndexError`` on every ranking path
+        (as the serving engine and the partitioned table do) instead of
+        wrapping around a dense table.
+        """
+        anchors = np.asarray(anchors, dtype=np.int64).reshape(-1)
+        relations = np.asarray(relations, dtype=np.int64).reshape(-1)
+        if anchors.shape != relations.shape:
+            raise ValueError("anchors and relations must have equal length")
+        for ids, limit, kind in ((anchors, self.n_entities, "entity"),
+                                 (relations, self.n_relations, "relation")):
+            if ids.size and (ids.min() < 0 or ids.max() >= limit):
+                bad = ids.min() if ids.min() < 0 else ids.max()
+                raise IndexError(f"{kind} id {bad} out of range [0, {limit})")
+        return anchors, relations
 
     def entity_sq_norms(self) -> Optional[np.ndarray]:
         """``‖e‖²`` per entity for models whose ranking is an L2 GEMM, else ``None``.
 
         A caller that ranks many batches against weights it knows are not
         being written (one ``evaluate_link_prediction`` call) asks once and
-        passes the array back as ``score_all_tails(..., entity_sq=)`` /
-        ``score_all_heads(..., entity_sq=)``; a model that returns an array
-        here accepts that keyword.  The model itself never remembers the
-        answer: optimizers update ``weight.data`` in place and there is no
-        write path to invalidate a cache from, so every call recomputes
-        (:func:`repro.ranking.squared_norms`).  The default — no closed form
-        with a ``‖t‖²`` term — is ``None``, and such models are called
-        without the keyword.
+        passes the array back as ``score_all_*(..., entity_sq=)``.  The model
+        never remembers it: optimizers write ``weight.data`` in place and
+        there is no write path to invalidate a cache from.  ``None`` (the
+        default) means the model is called without the keyword.
         """
         return None
 
@@ -166,23 +175,15 @@ class KGEModel(Module):
             first, second, position=position, n_entities=self.n_entities,
             score_triples=self.score_triples, chunk_size=chunk_size)
 
-    #: Pairwise L2 distances ``(B, N)`` through one GEMM; kept as a static
-    #: method for API compatibility — the implementation lives in
-    #: :func:`repro.ranking.l2_distance_matrix`.
-    l2_distance_matrix = staticmethod(ranking.l2_distance_matrix)
-
-    #: O(N) argpartition top-k (ascending); see :func:`repro.ranking.top_k`.
-    _top_k = staticmethod(ranking.top_k)
-
     def predict_tails(self, head: int, relation: int, k: int = 10) -> np.ndarray:
         """Return the ``k`` most plausible tail entities for ``(head, relation, ?)``."""
         scores = self.score_all_tails(np.array([head]), np.array([relation]))[0]
-        return self._top_k(scores, k)
+        return ranking.top_k(scores, k)
 
     def predict_heads(self, relation: int, tail: int, k: int = 10) -> np.ndarray:
         """Return the ``k`` most plausible head entities for ``(?, relation, tail)``."""
         scores = self.score_all_heads(np.array([relation]), np.array([tail]))[0]
-        return self._top_k(scores, k)
+        return ranking.top_k(scores, k)
 
     def classify_triples(self, triples: np.ndarray, threshold: float) -> np.ndarray:
         """Binary triple classification: True when dissimilarity <= threshold."""
@@ -192,12 +193,9 @@ class KGEModel(Module):
                         direction: str) -> Optional[np.ndarray]:
         """Embedding-space query vector when ranking reduces to an L2 kNN.
 
-        Models whose ``score_all_*`` is exactly ``||q − t'||`` over the entity
-        table return the float64 query ``q`` (TransE: ``h + r`` for tails,
-        ``t − r`` for heads) so the serving engine can route the query through
-        an ANN index and rescore candidates with the identical closed form.
-        The default returns ``None`` — "not L2-rankable" — which makes ANN
-        serving fall back to exact ranking for this model.
+        The float64 ``q`` with ``score_all_*`` exactly ``||q − t'||`` over the
+        entity table, so the serving engine can route the query through an
+        ANN index; ``None`` (the default) makes it fall back to exact ranking.
         """
         return None
 
@@ -211,33 +209,6 @@ class KGEModel(Module):
     def relation_embedding_matrix(self) -> np.ndarray:
         """Dense ``(n_relations, d_rel)`` relation embedding snapshot."""
         raise NotImplementedError
-
-    def entity_embedding_rows(self, entity_ids: np.ndarray) -> np.ndarray:
-        """Copy of selected entity embedding rows ``(k, d)``.
-
-        The default slices the dense snapshot; table-backed models override
-        it with a row read that never densifies the full matrix.
-        """
-        idx = np.asarray(entity_ids, dtype=np.int64).reshape(-1)
-        return self.entity_embedding_matrix()[idx]
-
-    def iter_entity_embedding_blocks(self, block_rows: Optional[int] = None
-                                     ) -> Iterable[Tuple[int, np.ndarray]]:
-        """Yield ``(start_row, block)`` sweeps over the entity embeddings.
-
-        Bounded-memory primitive behind blocked ranking and the serving
-        engine's nearest-neighbour scan.  ``block_rows`` defaults to an
-        element-bounded size (a few MB per block regardless of row width).
-        The default yields slices of the dense snapshot; partitioned models
-        stream one bucket at a time.
-        """
-        from repro.nn.table import block_rows_for
-
-        if block_rows is None:
-            block_rows = block_rows_for(self.embedding_dim)
-        matrix = self.entity_embedding_matrix()
-        for start in range(0, matrix.shape[0], int(block_rows)):
-            yield start, matrix[start:start + int(block_rows)]
 
     def bind_optimizer(self, optimizer) -> None:
         """Give the model a chance to cooperate with its optimiser.
@@ -259,11 +230,35 @@ class KGEModel(Module):
 class TranslationalModel(KGEModel):
     """Base for models scoring with a distance over a translation residual.
 
+    A subclass supplies :meth:`residuals`; the score is :attr:`dissimilarity`
+    of it.  Ranking is written once, here: a model that declares a
+    :attr:`ranking_geometry` and does not override :meth:`scores` ranks every
+    candidate in closed form from its parameter matrices, whichever
+    formulation trained them; any other model ranks through
+    :class:`KGEModel`'s candidate expansion, which stays the oracle the closed
+    form is tested against (``tests/models/test_ranking_parity.py``).
+
     Parameters
     ----------
     dissimilarity:
         Name of the distance function (``"L1"``, ``"L2"``, ``"torus_L2"``...).
     """
+
+    #: Upper bound on the elements one closed-form ranking block may
+    #: materialise (~16 MB of float64): the ``(B, block, k)`` diff of a non-L2
+    #: dissimilarity, or the ``(block, k)`` projected candidates of an L2 one,
+    #: so peak memory stays flat in the vocabulary size.
+    RANK_BLOCK_ELEMENTS = 1 << 21
+
+    #: How candidates meet the query in the closed-form ranking.  ``None`` —
+    #: the default — declares no closed form.  ``"translation"``: the query
+    #: ``h + r`` (tails) or ``t − r`` (heads) is scored against the raw entity
+    #: rows, so a chunk is one group (TransE, TorusE, TransC).
+    #: ``"projection"``: anchors and candidates enter each relation's space
+    #: through :meth:`project_entities` first, so a chunk is ranked one
+    #: relation group at a time and each candidate block is projected once
+    #: per distinct relation (TransH, TransR).
+    ranking_geometry: Optional[str] = None
 
     def __init__(self, n_entities: int, n_relations: int, embedding_dim: int,
                  dissimilarity: str = "L2") -> None:
@@ -272,3 +267,240 @@ class TranslationalModel(KGEModel):
 
         self.dissimilarity_name = dissimilarity
         self.dissimilarity = get_dissimilarity(dissimilarity)
+
+    def residuals(self, triples: np.ndarray) -> Tensor:
+        """Per-triplet translation residual ``(B, k)`` (differentiable)."""
+        raise NotImplementedError
+
+    def scores(self, triples: np.ndarray) -> Tensor:
+        """Dissimilarity of each triplet's residual, shape ``(B,)``."""
+        return self.dissimilarity(self.residuals(triples))
+
+    # ------------------------------------------------------------------ #
+    # Ranking geometry and entity rows
+    # ------------------------------------------------------------------ #
+    def relation_translations(self, relations: np.ndarray) -> np.ndarray:
+        """Translation rows ``(B, k)`` of ``relations`` in relation space."""
+        raise NotImplementedError
+
+    def project_entities(self, rows: np.ndarray, relation: int) -> np.ndarray:
+        """Entity ``rows`` ``(n, d)`` mapped into ``relation``'s space ``(n, k)``.
+
+        Called only for the ``"projection"`` :attr:`ranking_geometry`.
+        """
+        raise NotImplementedError
+
+    def entity_table(self) -> EmbeddingTable:
+        """The entity rows as an :class:`~repro.nn.table.EmbeddingTable`.
+
+        The default adapts the ``entity_embeddings`` attribute (an
+        :class:`~repro.nn.embedding.Embedding` or a bare parameter).
+        """
+        weights = self.entity_embeddings
+        if isinstance(weights, EmbeddingTable):
+            return weights
+        return DenseSliceTable(weights.data)
+
+    def entity_embedding_rows(self, entity_ids: np.ndarray) -> np.ndarray:
+        """Copy of selected entity rows ``(k, d)``; never densifies the table."""
+        return self.entity_table().read_rows(
+            np.asarray(entity_ids, dtype=np.int64).reshape(-1))
+
+    def iter_entity_embedding_blocks(self, block_rows: Optional[int] = None
+                                     ) -> Iterable[Tuple[int, np.ndarray]]:
+        """Yield ``(start_row, block)`` views over the entity rows.
+
+        Bounded-memory primitive behind blocked ranking and the serving
+        engine's nearest-neighbour scan: ``block_rows`` defaults to an
+        element-bounded size, and a partitioned table streams one bucket at
+        a time.
+        """
+        if block_rows is None:
+            block_rows = block_rows_for(self.embedding_dim, self.RANK_BLOCK_ELEMENTS)
+        return self.entity_table().iter_blocks(int(block_rows))
+
+    def entity_embedding_matrix(self) -> np.ndarray:
+        """Dense snapshot; a partitioned table densifies every bucket."""
+        return self.entity_table().to_matrix()
+
+    def _dense_entity_view(self) -> Optional[np.ndarray]:
+        """The whole entity table as one array view; ``None`` when partitioned."""
+        if self.n_partitions > 1:
+            return None
+        (_, matrix), = self.entity_table().iter_blocks(self.n_entities)
+        return matrix
+
+    def _closed_form_applies(self) -> bool:
+        """Whether ranking is the closed form of the score the model trains on.
+
+        True when the model declares a :attr:`ranking_geometry` and scores
+        with :meth:`scores` as defined here.  False for models that weight or
+        re-metric the residual in their own :meth:`scores` (TransM, TransA):
+        ranking them by the bare residual would order candidates by a score
+        they do not train on.
+        """
+        scores_impl = getattr(self.scores, "__func__", self.scores)
+        return (self.ranking_geometry is not None
+                and scores_impl is TranslationalModel.scores)
+
+    def _l2_over_entities(self) -> bool:
+        """Whether ranking is an L2 kNN of one query vector over the raw entity rows."""
+        return (self._closed_form_applies()
+                and self.ranking_geometry == "translation"
+                and self.dissimilarity_name == "L2")
+
+    # ------------------------------------------------------------------ #
+    # Closed-form ranking
+    # ------------------------------------------------------------------ #
+    def entity_sq_norms(self) -> Optional[np.ndarray]:
+        """``‖e‖²`` of the dense entity table when ranking is the L2 GEMM.
+
+        ``None`` for other dissimilarities, projected geometries and
+        partitioned tables, whose blocks the kernel squares in-call.
+        """
+        matrix = self._dense_entity_view()
+        if matrix is None or not self._l2_over_entities():
+            return None
+        return ranking.squared_norms(matrix)
+
+    def score_all_tails(self, heads: np.ndarray, relations: np.ndarray,
+                        chunk_size: int = 65536,
+                        entity_sq: Optional[np.ndarray] = None) -> np.ndarray:
+        """Score every entity as a candidate tail: ``(B, n_entities)``.
+
+        In closed form when it applies: ``dissimilarity(q − project_r(t'))``
+        with ``q = project_r(h) + r``, through
+        :func:`repro.ranking.l2_distance_matrix` at L2 and the model's own
+        :attr:`dissimilarity` otherwise, over candidate blocks bounded by
+        ``chunk_size`` entities and :attr:`RANK_BLOCK_ELEMENTS`.
+        ``entity_sq`` is this model's :meth:`entity_sq_norms`.
+        """
+        heads, relations = self._query_ids(heads, relations)
+        if not self._closed_form_applies():
+            return self._score_all_generic(heads, relations, position="tail",
+                                           chunk_size=chunk_size)
+        return self._rank_blocked(heads, relations, "tail", chunk_size, entity_sq)
+
+    def score_all_heads(self, relations: np.ndarray, tails: np.ndarray,
+                        chunk_size: int = 65536,
+                        entity_sq: Optional[np.ndarray] = None) -> np.ndarray:
+        """Score every entity as a candidate head: ``(B, n_entities)``.
+
+        The closed form is ``dissimilarity(project_r(h') − q)`` with
+        ``q = project_r(t) − r``, blocked like :meth:`score_all_tails`.
+        """
+        tails, relations = self._query_ids(tails, relations)
+        if not self._closed_form_applies():
+            return self._score_all_generic(relations, tails, position="head",
+                                           chunk_size=chunk_size)
+        return self._rank_blocked(tails, relations, "head", chunk_size, entity_sq)
+
+    def _rank_blocked(self, anchors: np.ndarray, relations: np.ndarray,
+                      direction: str, chunk_size: int,
+                      entity_sq: Optional[np.ndarray]) -> np.ndarray:
+        """The one closed-form ranking loop behind both ``score_all_*``.
+
+        Queries are grouped by relation (one group for the ``"translation"``
+        geometry); candidate blocks come from
+        :meth:`iter_entity_embedding_blocks`, so the same loop serves dense
+        tables (views) and partitioned tables (one bucket resident at a
+        time), and each block is projected once per group.  For heads the
+        residual is ``candidate − query``, so asymmetric dissimilarities keep
+        the orientation the model trains on.
+        """
+        anchor_rows = self.entity_embedding_rows(anchors)
+        translations = self.relation_translations(relations)
+        if direction == "head":
+            translations = -translations  # ``x + (−r)`` rounds exactly as ``x − r``
+        groups = []
+        if self.ranking_geometry == "translation":
+            groups.append((slice(None), None, anchor_rows + translations))
+        else:
+            for relation in np.unique(relations):
+                rows = np.flatnonzero(relations == relation)
+                groups.append((rows, relation, translations[rows]
+                               + self.project_entities(anchor_rows[rows], relation)))
+
+        l2 = self.dissimilarity_name == "L2"
+        matrix = self._dense_entity_view()
+        if l2 and matrix is not None and self.ranking_geometry == "translation":
+            # Dense table: one GEMM kernel call over the whole entity matrix
+            # (the norm is symmetric, so heads need no special case).
+            return ranking.l2_distance_matrix(groups[0][2], matrix,
+                                              target_sq=entity_sq)
+        b, n = anchors.shape[0], self.n_entities
+        width = max(self.embedding_dim, translations.shape[1])
+        # An L2 block materialises only ~block·k floats of candidate rows; a
+        # diff block is B times that.  Both are bounded by elements, not rows,
+        # so wide tables stay within the memory budget.
+        budget = self.RANK_BLOCK_ELEMENTS // max(1, width if l2 else b * width)
+        block_rows = max(1, min(int(chunk_size), int(budget)))
+        out = np.empty((b, n), dtype=np.float64)
+        with no_grad():
+            for start, block in self.iter_entity_embedding_blocks(block_rows):
+                cols = slice(start, start + block.shape[0])
+                for rows, relation, queries in groups:
+                    if relation is None:
+                        cand = block
+                    else:
+                        cand = self.project_entities(block, relation)
+                    if l2 and relation is None:
+                        ranking.l2_distance_matrix(queries, cand, out=out[:, cols])
+                    elif l2:
+                        out[rows, cols] = ranking.l2_distance_matrix(queries, cand)
+                    else:
+                        diff = queries[:, None, :] - cand[None, :, :]
+                        if direction == "head":
+                            np.negative(diff, out=diff)
+                        out[rows, cols] = self.dissimilarity(diff).data
+        return out
+
+    # ------------------------------------------------------------------ #
+    # Exact rescoring (ANN and two-phase quantized serving)
+    # ------------------------------------------------------------------ #
+    def exact_entity_rows(self, entity_ids: np.ndarray) -> np.ndarray:
+        """Float64 entity rows regardless of serving quantization.
+
+        A quantized partitioned table serves them from its exact bucket files
+        (:meth:`~repro.nn.partitioned.PartitionedEmbedding.exact_rows`).
+        """
+        table = self.entity_table()
+        read = getattr(table, "exact_rows", table.read_rows)
+        return np.asarray(read(np.asarray(entity_ids, dtype=np.int64).reshape(-1)),
+                          dtype=np.float64)
+
+    def exact_candidate_scores(self, anchor: int, relation: int,
+                               candidates: np.ndarray,
+                               direction: str) -> Optional[np.ndarray]:
+        """Full-precision scores for one query against a short candidate list.
+
+        The rescoring half of two-phase quantized serving: the same L2 kernel
+        the full-precision path runs, over just the candidates' exact float64
+        rows.  ``direction`` is ``"tail"`` (``anchor`` is the head) or
+        ``"head"``; ``None`` when ranking is not an L2 kNN over the entity
+        rows, telling the caller to serve the coarse ranking as-is.
+        """
+        query = self.l2_query_vector(anchor, relation, direction)
+        if query is None:
+            return None
+        candidates = np.asarray(candidates, dtype=np.int64).reshape(-1)
+        return ranking.l2_distance_matrix(
+            query[None, :], self.exact_entity_rows(candidates))[0]
+
+    def l2_query_vector(self, anchor: int, relation: int,
+                        direction: str) -> Optional[np.ndarray]:
+        """Float64 L2 query (``h + r`` / ``t − r``) when ranking is an L2 kNN.
+
+        Shared by :meth:`exact_candidate_scores` and the serving engine's
+        ANN routing, so an IVF-rescored ranking and an exact rescored ranking
+        score candidates from literally the same query vector.  ``None`` for
+        other dissimilarities, projected geometries and overridden scores
+        (the caller falls back to exact ranking).
+        """
+        if not self._l2_over_entities():
+            return None
+        anchors, relations = self._query_ids([anchor], [relation])
+        anchor_row = self.exact_entity_rows(anchors)[0]
+        rel_row = np.asarray(self.relation_translations(relations)[0],
+                             dtype=np.float64)
+        return anchor_row + rel_row if direction == "tail" else anchor_row - rel_row

@@ -78,9 +78,6 @@ class SpTransC(SpTransE):
         super().__init__(n_entities, n_relations, embedding_dim,
                          dissimilarity="squared_L2", backend=backend, fmt=fmt, rng=rng)
 
-    def _reduce(self, diff: np.ndarray) -> np.ndarray:
-        return (diff ** 2).sum(axis=-1)
-
 
 @register_model("transa", "sparse")
 class SpTransA(SpTransE):

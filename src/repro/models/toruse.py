@@ -34,13 +34,6 @@ class SpTorusE(SpTransE):
         super().__init__(n_entities, n_relations, embedding_dim,
                          dissimilarity=dissimilarity, backend=backend, fmt=fmt, rng=rng)
 
-    def _reduce(self, diff: np.ndarray) -> np.ndarray:
-        frac = diff - np.floor(diff)
-        dist = np.minimum(frac, 1.0 - frac)
-        if self.dissimilarity_name == "torus_L1":
-            return dist.sum(axis=-1)
-        return (dist ** 2).sum(axis=-1)
-
     def normalize_parameters(self) -> None:
         """TorusE works on the fractional part; wrap embeddings into [0, 1)."""
         w = self.embeddings.weight.data

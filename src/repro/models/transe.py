@@ -21,7 +21,7 @@ exactly while never holding more than ``max_resident`` buckets in memory.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from repro.autograd.tensor import Tensor
 from repro.models.base import TranslationalModel
 from repro.nn.embedding import StackedEmbedding
 from repro.nn.partitioned import PartitionedEmbedding
-from repro.nn.table import block_rows_for
-from repro.ranking import l2_distance_matrix, squared_norms
+from repro.nn.table import EmbeddingTable
 from repro.registry import register_model
 from repro.sparse.backends import DEFAULT_BACKEND, get_backend
 from repro.sparse.incidence import IncidenceBuilder, build_hrt_incidence
@@ -69,6 +68,8 @@ class SpTransE(TranslationalModel):
         schedule.
     """
 
+    ranking_geometry = "translation"
+
     def __init__(self, n_entities: int, n_relations: int, embedding_dim: int,
                  dissimilarity: str = "L2", backend: str = DEFAULT_BACKEND,
                  fmt: str = "csr", rng=None, partitions: int = 1,
@@ -91,14 +92,6 @@ class SpTransE(TranslationalModel):
         self.builder = IncidenceBuilder(n_entities, n_relations, fmt=fmt)
         self.fmt = fmt
         self.backend = backend
-
-    #: Upper bound on the number of ``(B, block, d)`` diff elements a single
-    #: closed-form ranking block may materialise (~16 MB of float64).  Keeps
-    #: peak memory flat in the vocabulary size and each block inside the CPU
-    #: cache hierarchy — large multi-query blocks were allocation-bound (every
-    #: 100+ MB temporary is an mmap + kernel page-zeroing round trip); see
-    #: ``score_all_tails``.
-    RANK_BLOCK_ELEMENTS = 1 << 21
 
     def set_sparse_grads(self, enabled: bool = True) -> "SpTransE":
         """Toggle row-sparse gradients (forced on for partitioned tables)."""
@@ -156,143 +149,19 @@ class SpTransE(TranslationalModel):
 
         return Tensor._make(out, parents, backward, "spmm[partitioned]")
 
-    def scores(self, triples: np.ndarray) -> Tensor:
-        """Dissimilarity ``||h + r − t||`` per triplet."""
-        return self.dissimilarity(self.residuals(triples))
-
     # ------------------------------------------------------------------ #
-    # Closed-form ranking
+    # Ranking geometry and serving (the loop is TranslationalModel's)
     # ------------------------------------------------------------------ #
-    def _entity_rows(self, entity_ids: np.ndarray) -> np.ndarray:
+    def entity_table(self) -> EmbeddingTable:
         if self.partitions > 1:
-            return self.embeddings.read_rows(entity_ids)
-        return self.embeddings.entity_embeddings()[entity_ids]
+            return self.embeddings
+        return self.embeddings.entity_table()
 
-    def _relation_rows(self, relation_ids: np.ndarray) -> np.ndarray:
+    def relation_translations(self, relations: np.ndarray) -> np.ndarray:
         if self.partitions > 1:
-            return self.embeddings.relation_rows(relation_ids)
-        return self.embeddings.relation_embeddings()[relation_ids]
+            return self.embeddings.relation_rows(relations)
+        return self.embeddings.relation_embeddings()[relations]
 
-    def entity_sq_norms(self) -> Optional[np.ndarray]:
-        """``‖e‖²`` of the dense entity table when ranking is the L2 GEMM.
-
-        ``None`` for L1 / overridden reductions (no ``‖t‖²`` term) and for
-        partitioned tables (buckets stream through the kernel one at a time,
-        each computing its own).  Computed on every call and never kept: see
-        :meth:`KGEModel.entity_sq_norms <repro.models.base.KGEModel.entity_sq_norms>`.
-        """
-        if self.partitions > 1 or not self._l2_gemm_applies():
-            return None
-        return squared_norms(self.embeddings.entity_embeddings())
-
-    def score_all_tails(self, heads: np.ndarray, relations: np.ndarray,
-                        chunk_size: int = 65536,
-                        entity_sq: Optional[np.ndarray] = None) -> np.ndarray:
-        """Closed-form ranking: ``||(h + r) − t'||`` against every entity.
-
-        A subclass that overrides :meth:`scores` ranks through
-        :class:`~repro.models.base.KGEModel`'s candidate expansion instead.
-        The ``(B, N, d)`` diff tensor is never materialised whole — at
-        B=128, N=100k, d=100 that would be ~10 GB — the candidate entities
-        are processed in blocks bounded by :attr:`RANK_BLOCK_ELEMENTS` (and,
-        for partitioned tables, streamed one resident bucket at a time).
-        ``entity_sq`` is this model's :meth:`entity_sq_norms`, taken by a
-        caller that ranks many batches against unchanged weights.
-        """
-        if not self._closed_form_applies():
-            return super().score_all_tails(heads, relations, chunk_size=chunk_size)
-        heads = np.asarray(heads, dtype=np.int64).reshape(-1)
-        relations = np.asarray(relations, dtype=np.int64).reshape(-1)
-        translated = self._entity_rows(heads) + self._relation_rows(relations)
-        return self._rank_blocked(translated, reverse=False,
-                                  chunk_size=chunk_size, entity_sq=entity_sq)
-
-    def score_all_heads(self, relations: np.ndarray, tails: np.ndarray,
-                        chunk_size: int = 65536,
-                        entity_sq: Optional[np.ndarray] = None) -> np.ndarray:
-        """Closed-form ranking: ``||h' − (t − r)||`` against every entity.
-
-        Blocked over candidate entities like :meth:`score_all_tails`.
-        """
-        if not self._closed_form_applies():
-            return super().score_all_heads(relations, tails, chunk_size=chunk_size)
-        relations = np.asarray(relations, dtype=np.int64).reshape(-1)
-        tails = np.asarray(tails, dtype=np.int64).reshape(-1)
-        target = self._entity_rows(tails) - self._relation_rows(relations)
-        return self._rank_blocked(target, reverse=True, chunk_size=chunk_size,
-                                  entity_sq=entity_sq)
-
-    def _rank_blocked(self, queries: np.ndarray, reverse: bool,
-                      chunk_size: int = 65536,
-                      entity_sq: Optional[np.ndarray] = None) -> np.ndarray:
-        """Reduce ``queries`` against every entity in memory-bounded blocks.
-
-        ``chunk_size`` caps the entities per block; :attr:`RANK_BLOCK_ELEMENTS`
-        additionally bounds the ``(B, block, d)`` diff tensor, whichever is
-        smaller.  ``reverse`` flips the sign of the residual (``entity −
-        query`` instead of ``query − entity``) so asymmetric dissimilarities
-        in subclasses keep their original orientation.  Candidate blocks come
-        from :meth:`iter_entity_embedding_blocks`, so the same loop serves the
-        dense table (views) and the partitioned table (one bucket resident at
-        a time).
-        """
-        use_gemm = self._l2_gemm_applies()
-        if use_gemm and self.partitions == 1:
-            # Dense fast path: the GEMM kernel over the whole entity matrix
-            # (the norm is symmetric, so ``reverse`` needs no special case).
-            return l2_distance_matrix(
-                queries, self.embeddings.entity_embeddings(), target_sq=entity_sq)
-        b, d = queries.shape
-        n = self.n_entities
-        block = max(1, min(int(chunk_size),
-                           int(self.RANK_BLOCK_ELEMENTS // max(1, b * d))))
-        # The GEMM path needs no (B, block, d) diff tensor, but each block
-        # still materialises ~block*d floats of candidate rows — bound by
-        # elements, not rows, so wide tables stay within the memory budget.
-        block_rows = max(1, min(int(chunk_size),
-                                int(self.RANK_BLOCK_ELEMENTS // max(1, d)))
-                         ) if use_gemm else block
-        out = np.empty((b, n), dtype=np.float64)
-        for start, ent_block in self.iter_entity_embedding_blocks(block_rows):
-            stop = start + ent_block.shape[0]
-            if use_gemm:
-                l2_distance_matrix(queries, ent_block, out=out[:, start:stop])
-            else:
-                diff = queries[:, None, :] - ent_block[None, :, :]
-                if reverse:
-                    np.negative(diff, out=diff)
-                out[:, start:stop] = self._reduce(diff)
-        return out
-
-    def _closed_form_applies(self) -> bool:
-        """Whether the score is :meth:`_reduce` of ``h + r − t``.
-
-        False for subclasses that weight or re-metric the residual in their
-        own :meth:`scores` (TransM, TransA): ranking them by the bare residual
-        would order candidates by a score they do not train on.
-        """
-        scores_impl = getattr(self.scores, "__func__", self.scores)
-        return scores_impl is SpTransE.scores
-
-    def _l2_gemm_applies(self) -> bool:
-        """Whether the GEMM expansion can replace the blocked diff reduction.
-
-        Only valid when the score really is the plain L2 norm of the
-        residual: subclasses (torus, squared, adaptive metrics) and instances
-        that override :meth:`scores` or :meth:`_reduce` keep the blocked path.
-        """
-        reduce_impl = getattr(self._reduce, "__func__", self._reduce)
-        return (self._closed_form_applies() and reduce_impl is SpTransE._reduce
-                and self.dissimilarity_name == "L2")
-
-    def _reduce(self, diff: np.ndarray) -> np.ndarray:
-        if self.dissimilarity_name == "L1":
-            return np.abs(diff).sum(axis=-1)
-        return np.sqrt((diff ** 2).sum(axis=-1) + 1e-12)
-
-    # ------------------------------------------------------------------ #
-    # Exact rescoring (two-phase quantized serving)
-    # ------------------------------------------------------------------ #
     @property
     def serving_quantized(self) -> Optional[str]:
         """Quantization mode the entity table is served from (or ``None``)."""
@@ -300,86 +169,13 @@ class SpTransE(TranslationalModel):
             return self.embeddings.quantized
         return None
 
-    def exact_entity_rows(self, entity_ids: np.ndarray) -> np.ndarray:
-        """Float64 entity rows regardless of serving quantization.
-
-        On a quantized partitioned table this reads the exact bucket files
-        row-wise (:meth:`~repro.nn.partitioned.PartitionedEmbedding.exact_rows`)
-        instead of the quantized resident slabs.
-        """
-        idx = np.asarray(entity_ids, dtype=np.int64).reshape(-1)
-        if self.partitions > 1:
-            return self.embeddings.exact_rows(idx)
-        return np.array(self.embeddings.entity_embeddings()[idx],
-                        dtype=np.float64, copy=True)
-
-    def exact_candidate_scores(self, anchor: int, relation: int,
-                               candidates: np.ndarray,
-                               direction: str) -> Optional[np.ndarray]:
-        """Full-precision scores for one query against a short candidate list.
-
-        The rescoring half of two-phase quantized serving: the engine ranks
-        every entity coarsely on the quantized slabs, keeps the top
-        ``k × expansion`` candidates, and calls this to score just those rows
-        from the exact float64 bucket files — the same
-        ``||q||² − 2q·Tᵀ + ||t||²`` kernel the full-precision path runs, so
-        the rescored ordering matches full-precision serving.  ``direction``
-        is ``"tail"`` (``anchor`` is the head) or ``"head"`` (``anchor`` is
-        the tail); returns ``None`` when the closed L2 form does not apply
-        (L1 / overridden scores or reductions), telling the caller to serve
-        the coarse ranking as-is.
-        """
-        query = self.l2_query_vector(anchor, relation, direction)
-        if query is None:
-            return None
-        candidates = np.asarray(candidates, dtype=np.int64).reshape(-1)
-        return l2_distance_matrix(query[None, :], self.exact_entity_rows(candidates))[0]
-
-    def l2_query_vector(self, anchor: int, relation: int,
-                        direction: str) -> Optional[np.ndarray]:
-        """Float64 L2 query (``h + r`` / ``t − r``) when the closed form applies.
-
-        Shared by :meth:`exact_candidate_scores` and the serving engine's
-        ANN routing, so an IVF-rescored ranking and an exact rescored ranking
-        score candidates from literally the same query vector.  ``None`` for
-        L1 / overridden scores or reductions (the caller falls back to exact
-        ranking).
-        """
-        if not self._l2_gemm_applies():
-            return None
-        anchor_row = self.exact_entity_rows(np.array([anchor]))[0]
-        rel_row = np.asarray(self._relation_rows(np.array([relation]))[0],
-                             dtype=np.float64)
-        return anchor_row + rel_row if direction == "tail" else anchor_row - rel_row
-
     # ------------------------------------------------------------------ #
     # Introspection / maintenance
     # ------------------------------------------------------------------ #
-    def entity_embedding_matrix(self) -> np.ndarray:
-        """Dense snapshot; for partitioned tables this densifies every bucket
-        (debugging / small-scale use — serving paths stream blocks instead)."""
-        if self.partitions > 1:
-            return self.embeddings.to_matrix()
-        return self.embeddings.entity_embeddings().copy()
-
     def relation_embedding_matrix(self) -> np.ndarray:
         if self.partitions > 1:
             return self.embeddings.relations.data.copy()
         return self.embeddings.relation_embeddings().copy()
-
-    def entity_embedding_rows(self, entity_ids: np.ndarray) -> np.ndarray:
-        idx = np.asarray(entity_ids, dtype=np.int64).reshape(-1)
-        return np.array(self._entity_rows(idx), copy=True)
-
-    def iter_entity_embedding_blocks(self, block_rows: Optional[int] = None
-                                     ) -> Iterator[Tuple[int, np.ndarray]]:
-        if block_rows is None:
-            block_rows = block_rows_for(self.embedding_dim,
-                                        self.RANK_BLOCK_ELEMENTS)
-        if self.partitions > 1:
-            yield from self.embeddings.iter_blocks(int(block_rows))
-        else:
-            yield from self.embeddings.entity_table().iter_blocks(int(block_rows))
 
     def normalize_parameters(self) -> None:
         """Project entity embeddings onto the unit L2 ball (TransE's constraint).

@@ -29,8 +29,33 @@ from repro.utils.seeding import new_rng
 from repro.utils.validation import check_triples
 
 
+class HyperplaneGeometry:
+    """TransH's ranking geometry, shared by both formulations.
+
+    Entities are projected onto the hyperplane of relation ``r``,
+    ``X − (X·w_r) w_r`` with the unit normal the forward normalises to, and
+    translated by ``d_r``.  Reads the two relation rows it needs, never a
+    whole stack.
+    """
+
+    ranking_geometry = "projection"
+
+    def relation_translations(self, relations: np.ndarray) -> np.ndarray:
+        return self.translations.weight.data[relations]
+
+    def project_entities(self, rows: np.ndarray, relation: int) -> np.ndarray:
+        w = self.normals.weight.data[relation]
+        w = w / np.sqrt(w @ w + 1e-12)
+        return rows - np.outer(rows @ w, w)
+
+    def normal_vectors(self) -> np.ndarray:
+        """Unit-normalised hyperplane normals ``(R, d)``."""
+        w = self.normals.weight.data
+        return w / np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)
+
+
 @register_model("transh", "sparse")
-class SpTransH(TranslationalModel):
+class SpTransH(HyperplaneGeometry, TranslationalModel):
     """TransH trained through SpMM over the ``ht`` incidence matrix.
 
     Parameters
@@ -80,20 +105,8 @@ class SpTransH(TranslationalModel):
         correction = w_r * projection.reshape(-1, 1)
         return ht + d_r - correction
 
-    def scores(self, triples: np.ndarray) -> Tensor:
-        """Dissimilarity ``||h_⊥ + d_r − t_⊥||`` per triplet."""
-        return self.dissimilarity(self.residuals(triples))
-
-    def entity_embedding_matrix(self) -> np.ndarray:
-        return self.entity_embeddings.data.copy()
-
     def relation_embedding_matrix(self) -> np.ndarray:
         return self.translations.weight.data.copy()
-
-    def normal_vectors(self) -> np.ndarray:
-        """Unit-normalised hyperplane normals ``(R, d)``."""
-        w = self.normals.weight.data
-        return w / np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)
 
     def normalize_parameters(self) -> None:
         """Constrain entity embeddings to the unit ball and normals to unit norm."""

@@ -28,8 +28,29 @@ from repro.utils.seeding import new_rng
 from repro.utils.validation import check_triples
 
 
+class RelationSpaceGeometry:
+    """TransR's ranking geometry, shared by both formulations.
+
+    Entities are mapped into the space of relation ``r`` by its projection
+    ``X M_rᵀ`` and translated by ``r``.  Reads one ``(k, d)`` matrix per
+    relation, never a copy of the ``(R, k, d)`` stack.
+    """
+
+    ranking_geometry = "projection"
+
+    def relation_translations(self, relations: np.ndarray) -> np.ndarray:
+        return self.relation_embeddings.weight.data[relations]
+
+    def project_entities(self, rows: np.ndarray, relation: int) -> np.ndarray:
+        return rows @ self.projections.data[relation].T
+
+    def projection_matrices(self) -> np.ndarray:
+        """Snapshot of the per-relation projection stack ``(R, k, d)``."""
+        return self.projections.data.copy()
+
+
 @register_model("transr", "sparse")
-class SpTransR(TranslationalModel):
+class SpTransR(RelationSpaceGeometry, TranslationalModel):
     """TransR trained through SpMM over the ``ht`` incidence matrix.
 
     Parameters
@@ -90,19 +111,8 @@ class SpTransR(TranslationalModel):
         rel = self.relation_embeddings(rel_idx)                                # (B, k)
         return projected + rel
 
-    def scores(self, triples: np.ndarray) -> Tensor:
-        """Dissimilarity ``||M_r (h − t) + r||`` per triplet."""
-        return self.dissimilarity(self.residuals(triples))
-
-    def entity_embedding_matrix(self) -> np.ndarray:
-        return self.entity_embeddings.data.copy()
-
     def relation_embedding_matrix(self) -> np.ndarray:
         return self.relation_embeddings.weight.data.copy()
-
-    def projection_matrices(self) -> np.ndarray:
-        """Snapshot of the per-relation projection stack ``(R, k, d)``."""
-        return self.projections.data.copy()
 
     def normalize_parameters(self) -> None:
         """Constrain entity and relation embeddings to the unit L2 ball."""

@@ -1,9 +1,9 @@
 """Blocked ranking and top-k selection shared by models and serving.
 
 The pieces of ranking logic that models, evaluation, serving and the ANN
-index all need live here, once; :class:`~repro.models.base.KGEModel` keeps
-thin delegating wrappers for API compatibility and the serving engine
-imports these directly:
+index all need live here, once, and every caller imports them directly —
+:class:`~repro.models.base.TranslationalModel`'s one closed-form ranking loop,
+``KGEModel.predict_*`` and the serving engine alike:
 
 * :func:`top_k` — O(N) ``argpartition`` selection of the ``k`` smallest
   scores, ordered ascending;
@@ -120,9 +120,11 @@ def l2_distance_matrix(queries: np.ndarray, targets: np.ndarray,
     Beyond the result the call allocates one tile-sized scratch buffer —
     never a table-sized array, nor (for B > 1) a second result-sized one.
     ``‖q − t‖² = ‖q‖² − 2 q·Tᵀ + ‖t‖²`` avoids the ``(B, N, d)`` diff tensor;
-    shared by the closed-form ranking path (``SpTransE``), the serving
-    engine's embedding-space kNN, the IVF probe, rescore and recall tuner,
-    and the per-bucket sweeps over partitioned tables.
+    shared by the closed-form ranking of every translational model
+    (``TranslationalModel.score_all_*``: the whole table for TransE, one call
+    per relation group for TransH/TransR), the serving engine's
+    embedding-space kNN, the IVF probe, rescore and recall tuner, and the
+    per-bucket sweeps over partitioned tables.
 
     The target rows are taken ``tile = max(RANK_TILE_ELEMENTS // B, B)``
     columns at a time.  Each tile's ``q·Tᵀ`` and its doubling go through one

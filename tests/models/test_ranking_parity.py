@@ -67,3 +67,19 @@ def test_ranking_equals_the_triple_scores(entry, dissimilarity):
                                                  np.arange(N_ENTITIES), direction)
             np.testing.assert_allclose(exact, grid[i], rtol=1e-10, atol=1e-12,
                                        err_msg=f"exact_candidate_scores ({direction})")
+
+
+@pytest.mark.parametrize("entry", list(iter_entries()),
+                         ids=lambda e: f"{e.name}-{e.formulation}")
+@pytest.mark.parametrize("direction", ["tail", "head"])
+@pytest.mark.parametrize("anchor,relation", [(-1, 0), (0, -1),
+                                             (N_ENTITIES, 0), (0, N_RELATIONS)])
+def test_ranking_rejects_ids_outside_the_vocabulary(entry, direction, anchor, relation):
+    """A negative id must not wrap around to the table's last rows."""
+    model = _perturbed(entry, None)
+    anchors, relations = np.array([3, anchor]), np.array([1, relation])
+    with pytest.raises(IndexError, match="out of range"):
+        if direction == "tail":
+            model.score_all_tails(anchors, relations)
+        else:
+            model.score_all_heads(relations, anchors)

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import ranking
 from repro.evaluation import compute_ranks
-from repro.models.base import KGEModel
 from repro.profiling import peak_traced_bytes
 
 
@@ -70,9 +69,16 @@ class TestTopK:
     def test_k_zero(self):
         assert ranking.top_k(np.array([1.0, 2.0]), 0).size == 0
 
-    def test_model_staticmethod_is_the_shared_helper(self):
-        assert KGEModel._top_k is ranking.top_k
-        assert KGEModel.l2_distance_matrix is ranking.l2_distance_matrix
+    def test_model_predictions_are_the_shared_helper(self):
+        from repro.models import SpTransH
+
+        model = SpTransH(30, 3, 6, rng=0)
+        np.testing.assert_array_equal(
+            model.predict_tails(4, 1, k=5),
+            ranking.top_k(model.score_all_tails([4], [1])[0], 5))
+        np.testing.assert_array_equal(
+            model.predict_heads(2, 7, k=5),
+            ranking.top_k(model.score_all_heads([2], [7])[0], 5))
 
 
 class TestL2DistanceMatrix:
@@ -402,8 +408,6 @@ class TestL2KernelArguments:
 # Who owns ``‖t‖²``: the evaluator, once per call — never the model.
 # --------------------------------------------------------------------------- #
 def _spy_on_squared_norms(monkeypatch):
-    from repro.models import transe
-
     shapes = []
     real = ranking.squared_norms
 
@@ -412,7 +416,6 @@ def _spy_on_squared_norms(monkeypatch):
         return real(rows, dtype)
 
     monkeypatch.setattr(ranking, "squared_norms", spy)
-    monkeypatch.setattr(transe, "squared_norms", spy)
     return shapes
 
 
@@ -454,7 +457,7 @@ class TestNormsAreOwnedByTheCaller:
         np.testing.assert_array_equal(got.head_ranks, want_head)
 
     @pytest.mark.parametrize("name, kwargs", [
-        ("SpTorusE", {}), ("SpTransE", {"dissimilarity": "L1"}), ("SpTransR", {})])
+        ("SpTorusE", {}), ("SpTransE", {"dissimilarity": "L1"}), ("SpTransA", {})])
     def test_models_without_the_l2_closed_form_are_called_as_before(
             self, kg, monkeypatch, name, kwargs):
         from repro import models
@@ -467,6 +470,20 @@ class TestNormsAreOwnedByTheCaller:
         result = evaluate_link_prediction(model, kg.split.test[:9],
                                           kg.known_triples(), batch_size=3)
         assert shapes == [] and np.isfinite(result.mrr)
+
+    def test_projected_geometry_squares_only_its_projected_blocks(self, kg, monkeypatch):
+        from repro.evaluation import evaluate_link_prediction
+        from repro.models import SpTransR
+
+        model = SpTransR(kg.n_entities, kg.n_relations, 8, relation_dim=5, rng=0)
+        assert model.entity_sq_norms() is None
+        shapes = _spy_on_squared_norms(monkeypatch)
+        result = evaluate_link_prediction(model, kg.split.test[:9],
+                                          kg.known_triples(), batch_size=3)
+        # Each relation group squares its own (N, k) projected candidates
+        # inside the kernel; the raw (N, d) table is never squared.
+        assert shapes and set(shapes) == {(kg.n_entities, 5)}
+        assert np.isfinite(result.mrr)
 
     def test_partitioned_table_has_no_whole_table_norms(self, kg, monkeypatch):
         from repro.evaluation import evaluate_link_prediction

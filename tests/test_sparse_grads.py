@@ -13,16 +13,19 @@ Covers the contract promised by the ``sparse_grads`` switch:
 * the chunked closed-form ranking bounds peak memory without changing scores.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, gradcheck
+from repro.autograd import Tensor, gradcheck, no_grad
 from repro.autograd.ops import gather_rows
 from repro.data.dataset import KGDataset
-from repro.models import SpTorusE, SpTransE, SpTransH, SpTransR
+from repro.models import SpTorusE, SpTransE, SpTransH, SpTransR, TranslationalModel
 from repro.nn.parameter import Parameter
 from repro.optim import SGD, Adagrad, Adam
 from repro.profiling import peak_traced_bytes
+from repro.registry import ModelSpec, build_model, iter_entries
 from repro.sparse import IncidenceBuilder, RowSparseGrad, spmm
 from repro.training import Trainer, TrainingConfig
 
@@ -420,12 +423,39 @@ class TestTrainingEquivalence:
 # --------------------------------------------------------------------------- #
 # Chunked closed-form ranking
 # --------------------------------------------------------------------------- #
+def _closed_form_inputs():
+    """``(entry, dissimilarity)`` for every registration that ranks in closed form."""
+    for entry in iter_entries():
+        cls = entry.cls
+        if (not issubclass(cls, TranslationalModel) or cls.ranking_geometry is None
+                or cls.scores is not TranslationalModel.scores):
+            continue
+        yield pytest.param(entry, None, id=f"{entry.name}-{entry.formulation}")
+        if "dissimilarity" in inspect.signature(cls).parameters:
+            l1 = "torus_L1" if entry.name == "toruse" else "L1"
+            yield pytest.param(entry, l1, id=f"{entry.name}-{entry.formulation}-{l1}")
+
+
 class TestChunkedRanking:
     def _naive(self, model, heads, relations):
         ent = model.embeddings.entity_embeddings()
         rel = model.embeddings.relation_embeddings()
         translated = ent[heads] + rel[relations]
-        return model._reduce(translated[:, None, :] - ent[None, :, :])
+        with no_grad():
+            return model.dissimilarity(translated[:, None, :] - ent[None, :, :]).data
+
+    @staticmethod
+    def _record_block_widths(model):
+        """Wrap ``model.dissimilarity`` to record each diff block's width."""
+        seen = []
+        original = model.dissimilarity
+
+        def recording(diff):
+            seen.append(diff.shape[1])
+            return original(diff)
+
+        model.dissimilarity = recording
+        return seen
 
     @pytest.mark.parametrize("model_cls", [SpTransE, SpTorusE])
     def test_blocked_matches_unblocked(self, model_cls):
@@ -440,39 +470,37 @@ class TestChunkedRanking:
         )
 
     def test_chunk_size_parameter_bounds_blocks(self):
-        model = SpTransE(40, 2, 4, rng=0)
-        seen = []
-        original = model._reduce
-
-        def recording_reduce(diff):
-            seen.append(diff.shape[1])
-            return original(diff)
-
-        model._reduce = recording_reduce
+        model = SpTransE(40, 2, 4, dissimilarity="L1", rng=0)
         heads = np.array([0, 1])
         relations = np.array([0, 1])
+        seen = self._record_block_widths(model)
         blocked = model.score_all_tails(heads, relations, chunk_size=7)
         assert max(seen) <= 7 and len(seen) >= 6
-        model._reduce = original
         np.testing.assert_allclose(blocked,
                                    self._naive(model, heads, relations),
                                    atol=1e-12)
 
-    def test_heads_orientation_preserved(self):
-        model = SpTransE(30, 2, 5, rng=1)
+    @pytest.mark.parametrize("model_cls", [SpTransE, SpTorusE])
+    def test_heads_orientation_preserved(self, model_cls):
+        model = model_cls(30, 2, 5, rng=1)
         relations = np.array([0, 1])
         tails = np.array([3, 9])
         ent = model.embeddings.entity_embeddings()
         rel = model.embeddings.relation_embeddings()
         target = ent[tails] - rel[relations]
-        expected = model._reduce(ent[None, :, :] - target[:, None, :])
+        with no_grad():
+            expected = model.dissimilarity(ent[None, :, :] - target[:, None, :]).data
         np.testing.assert_allclose(model.score_all_heads(relations, tails),
                                    expected, atol=1e-12)
 
-    def test_peak_memory_bounded(self):
+    @pytest.mark.parametrize("entry,dissimilarity", list(_closed_form_inputs()))
+    def test_peak_memory_bounded(self, entry, dissimilarity):
         b, n, d = 8, 4000, 16
-        model = SpTransE(n, 2, d, rng=0)
-        model.RANK_BLOCK_ELEMENTS = 1 << 14  # ~128 rows per block
+        fields = {} if dissimilarity is None else {"dissimilarity": dissimilarity}
+        model = build_model(ModelSpec(model=entry.name, formulation=entry.formulation,
+                                      n_entities=n, n_relations=2, embedding_dim=d,
+                                      **fields), rng=0)
+        model.RANK_BLOCK_ELEMENTS = 1 << 14  # ~128 rows per diff block
         heads = np.zeros(b, dtype=np.int64)
         relations = np.zeros(b, dtype=np.int64)
         full_diff_bytes = b * n * d * 8
@@ -483,3 +511,8 @@ class TestChunkedRanking:
         assert peak < full_diff_bytes // 2, (
             f"peak {peak} bytes vs full diff {full_diff_bytes}"
         )
+
+    def test_every_translational_family_ranks_in_closed_form(self):
+        ids = {param.id for param in _closed_form_inputs()}
+        assert {f"{name}-{formulation}" for name in ("transe", "transh", "transr", "toruse")
+                for formulation in ("sparse", "dense")} | {"transc-sparse"} <= ids
