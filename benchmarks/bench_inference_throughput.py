@@ -145,12 +145,13 @@ def run_ann_sweep(n_entities: int, dim: int, partitions: int, n_queries: int,
     recall@``k`` against the exact answers (over the distinct query universe,
     so stream skew cannot inflate recall).
     """
+    import os
     import shutil
     import tempfile
 
     from repro.ann import build_index_files, load_index
     from repro.models.transe import SpTransE
-    from repro.training.checkpoint import save_weight_files
+    from repro.training.checkpoint import save_checkpoint
 
     directory = tempfile.mkdtemp(prefix="bench-ann-")
     try:
@@ -169,7 +170,7 @@ def run_ann_sweep(n_entities: int, dim: int, partitions: int, n_queries: int,
         model.embeddings.relations.data[...] = \
             0.05 * rng.standard_normal(model.embeddings.relations.data.shape)
         build_start = time.perf_counter()
-        save_weight_files(directory, model)
+        save_checkpoint(os.path.join(directory, "checkpoint.npz"), model)
         manifest = build_index_files(directory, kind="ivf", seed=seed)
         build_s = time.perf_counter() - build_start
 

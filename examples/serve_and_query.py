@@ -45,53 +45,55 @@ def main() -> None:
         save_checkpoint(checkpoint_path, model, epoch=10)
         print(f"checkpoint written to {checkpoint_path}")
 
-        # The checkpoint stores the spec; load_model rebuilds the exact model.
+        # The checkpoint stores the spec; load_model rebuilds the exact model
+        # over the weight files, which it maps: serve inside this block.
         restored = load_model(checkpoint_path)
-    print(f"restored from spec: {type(restored).__name__}, "
-          f"backend={restored.backend}, dissimilarity={restored.dissimilarity_name}")
+        print(f"restored from spec: {type(restored).__name__}, "
+              f"backend={restored.backend}, dissimilarity={restored.dissimilarity_name}")
 
-    # ------------------------------------------------- programmatic engine
-    engine = InferenceEngine(restored, known_triples=kg.known_triples(),
-                             cache_size=1024)
-    head, relation, tail = (int(x) for x in kg.split.test[0])
+        # ------------------------------------------------- programmatic engine
+        engine = InferenceEngine(restored, known_triples=kg.known_triples(),
+                                 cache_size=1024)
+        head, relation, tail = (int(x) for x in kg.split.test[0])
 
-    top = engine.top_k_tails(head, relation, k=5)
-    print(f"\ntop-5 tails for ({head}, {relation}, ?): {list(top.entities)}")
+        top = engine.top_k_tails(head, relation, k=5)
+        print(f"\ntop-5 tails for ({head}, {relation}, ?): {list(top.entities)}")
 
-    filtered = engine.top_k_tails(head, relation, k=5, filtered=True)
-    print(f"same query, known positives masked:      {list(filtered.entities)}")
+        filtered = engine.top_k_tails(head, relation, k=5, filtered=True)
+        print(f"same query, known positives masked:      {list(filtered.entities)}")
 
-    print(f"score({head}, {relation}, {tail}) = {engine.score(head, relation, tail):.4f}")
+        score = engine.score(head, relation, tail)
+        print(f"score({head}, {relation}, {tail}) = {score:.4f}")
 
-    neighbours = engine.nearest_entities(head, k=3)
-    print(f"entities nearest to {head} in embedding space: {list(neighbours.entities)}")
+        neighbours = engine.nearest_entities(head, k=3)
+        print(f"entities nearest to {head} in embedding space: {list(neighbours.entities)}")
 
-    # A batch of queries costs one scoring call, not len(queries).
-    queries = [TopKQuery(h, relation, 3) for h in range(8)]
-    engine.top_k_tails_batch(queries)
-    print(f"engine stats after the batch: {engine.stats()}")
+        # A batch of queries costs one scoring call, not len(queries).
+        queries = [TopKQuery(h, relation, 3) for h in range(8)]
+        engine.top_k_tails_batch(queries)
+        print(f"engine stats after the batch: {engine.stats()}")
 
-    # ------------------------------------------------------- HTTP serving
-    server = make_server(engine, port=0)           # what `sptransx serve` runs
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    print(f"\nserving on {server.url}")
+        # ------------------------------------------------------- HTTP serving
+        server = make_server(engine, port=0)           # what `sptransx serve` runs
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        print(f"\nserving on {server.url}")
 
-    request = urllib.request.Request(
-        server.url + "/v1/top_k_tails",
-        data=json.dumps({"head": head, "relation": relation, "k": 5}).encode(),
-        headers={"Content-Type": "application/json"})
-    with urllib.request.urlopen(request) as response:
-        payload = json.loads(response.read())
-    print(f"HTTP answer: {payload['entities']}")
-    assert payload["entities"] == list(top.entities)
+        request = urllib.request.Request(
+            server.url + "/v1/top_k_tails",
+            data=json.dumps({"head": head, "relation": relation, "k": 5}).encode(),
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request) as response:
+            payload = json.loads(response.read())
+        print(f"HTTP answer: {payload['entities']}")
+        assert payload["entities"] == list(top.entities)
 
-    with urllib.request.urlopen(server.url + "/v1/spec") as response:
-        print(f"served spec: {json.loads(response.read())}")
+        with urllib.request.urlopen(server.url + "/v1/spec") as response:
+            print(f"served spec: {json.loads(response.read())}")
 
-    server.shutdown()
-    server.close()
-    print("done")
+        server.shutdown()
+        server.close()
+        print("done")
 
 
 if __name__ == "__main__":

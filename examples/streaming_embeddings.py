@@ -1,89 +1,67 @@
-"""Streaming (memory-mapped) embeddings for tables too large for main memory.
+"""Streaming embeddings from disk for tables too large for main memory.
 
 Run with::
 
     python examples/streaming_embeddings.py
 
-The paper's framework supports initialising KG training from pre-trained LLM
-embeddings that do not fit in CPU memory, by backing the embedding table with
-a memory-mapped tensor and streaming only the rows each batch touches.  This
-example reproduces that workflow end-to-end with NumPy memmaps:
+The paper's framework can initialise KG training from pre-trained LLM
+embeddings that do not fit in CPU memory, streaming in only the rows each
+batch touches.  This example runs that workflow on the repo's out-of-core
+entity table:
 
-1. build a disk-backed ``[entities; relations]`` table and overwrite part of it
-   with "pre-trained" vectors (standing in for BERT/T5/GPT embeddings);
-2. run a TransE-style training loop that looks up only the rows of each batch,
-   backpropagates into that block, and writes row-wise SGD updates back to
-   disk — the full table is never materialised in memory;
-3. report the loss curve and the bytes actually resident per step.
+1. build an ``SpTransE`` whose entity table is split into ``PARTITIONS``
+   on-disk buckets (``partitions=``/``partition_dir=``), at most two of which
+   are resident at a time;
+2. overwrite part of it with "pre-trained" vectors (standing in for
+   BERT/T5/GPT embeddings) through ``model.embeddings.write_rows``;
+3. train it with the ordinary ``Trainer`` and row-sparse gradients: each
+   batch faults in the buckets it touches, the optimiser updates only the
+   touched rows, and dirty buckets are written back when they are evicted;
+4. report the loss curve and how many buckets were ever resident at once.
 """
+
+import tempfile
 
 import numpy as np
 
-from repro.autograd import ops
-from repro.data import UniformNegativeSampler, make_dataset_like
-from repro.losses import margin_ranking_loss
-from repro.nn.embedding import MemoryMappedEmbedding
+from repro.data import make_dataset_like
+from repro.models import SpTransE
+from repro.training import Trainer, TrainingConfig
 
 DIM = 64
+PARTITIONS = 4
 EPOCHS = 5
-BATCH = 1024
-LR = 0.1
-
-
-def batch_rows(kg, positives, negatives):
-    """Unique stacked-table rows touched by one positive/negative batch."""
-    combined = np.concatenate([positives, negatives])
-    rows = np.unique(np.concatenate([
-        combined[:, 0], combined[:, 2], kg.n_entities + combined[:, 1]
-    ]))
-    remap = {int(r): i for i, r in enumerate(rows)}
-    return combined, rows, remap
 
 
 def main() -> None:
     kg = make_dataset_like("WN18RR", scale=0.01, rng=0)
-    table = MemoryMappedEmbedding(kg.n_entities, kg.n_relations, DIM, rng=0)
     print(f"dataset: {kg}")
-    print(f"disk-backed table: {table.shape[0]} rows x {table.shape[1]} dims "
-          f"({table.shape[0] * table.shape[1] * 8 / 1e6:.1f} MB on disk at {table.path})")
+    with tempfile.TemporaryDirectory() as partition_dir:
+        model = SpTransE(kg.n_entities, kg.n_relations, DIM, rng=0,
+                         partitions=PARTITIONS, partition_dir=partition_dir)
+        table = model.embeddings
+        print(f"disk-backed entity table: {kg.n_entities} rows x {DIM} dims in "
+              f"{PARTITIONS} buckets ({kg.n_entities * DIM * 8 / 1e6:.1f} MB "
+              f"on disk at {partition_dir}), at most {table.max_resident} "
+              "resident")
 
-    # Stand-in for loading pre-trained LLM entity embeddings from disk.
-    pretrained_rows = np.arange(min(100, kg.n_entities))
-    table._memmap[pretrained_rows] = np.random.default_rng(1).normal(
-        0.0, 0.1, size=(len(pretrained_rows), DIM)
-    )
-    table._memmap.flush()
+        # Stand-in for loading pre-trained LLM entity embeddings from disk.
+        pretrained_rows = np.arange(min(100, kg.n_entities))
+        table.write_rows(pretrained_rows, np.random.default_rng(1).normal(
+            0.0, 0.1, size=(len(pretrained_rows), DIM)))
 
-    sampler = UniformNegativeSampler(kg.n_entities, rng=0)
-    rng = np.random.default_rng(0)
-    triples = kg.split.train
+        config = TrainingConfig(epochs=EPOCHS, batch_size=1024,
+                                learning_rate=0.01, sparse_grads=True, seed=0)
+        result = Trainer(model, kg, config).train()
+        for epoch, loss in enumerate(result.losses):
+            print(f"epoch {epoch}: loss {loss:.4f}")
 
-    for epoch in range(EPOCHS):
-        order = rng.permutation(len(triples))
-        losses, resident = [], []
-        for start in range(0, len(triples), BATCH):
-            positives = triples[order[start:start + BATCH]]
-            negatives = sampler.corrupt(positives)
-            combined, rows, remap = batch_rows(kg, positives, negatives)
-
-            block = table.forward(rows)                      # only these rows leave disk
-            resident.append(block.nbytes)
-            h = ops.gather_rows(block, np.array([remap[int(x)] for x in combined[:, 0]]))
-            r = ops.gather_rows(block, np.array([remap[int(kg.n_entities + x)]
-                                                 for x in combined[:, 1]]))
-            t = ops.gather_rows(block, np.array([remap[int(x)] for x in combined[:, 2]]))
-            scores = ops.lp_norm(h + r - t, p=2)
-            m = len(positives)
-            loss = margin_ranking_loss(scores[np.arange(m)], scores[np.arange(m, 2 * m)],
-                                       margin=0.5)
-            loss.backward()
-            table.apply_row_update(rows, block.grad, lr=LR)
-            losses.append(loss.item())
-        print(f"epoch {epoch}: loss {np.mean(losses):.4f} | "
-              f"resident embedding bytes per step ~{np.mean(resident) / 1e3:.0f} KB "
-              f"(full table would be {table.shape[0] * DIM * 8 / 1e3:.0f} KB)")
-
-    table.close()
+        stats = table.stats()
+        print(f"peak resident buckets: {stats['peak_resident']} of {PARTITIONS} "
+              f"({stats['faults']} faults, {stats['writebacks']} write-backs)")
+        assert stats["peak_resident"] <= table.max_resident
+        assert result.losses[-1] < result.losses[0]
+        table.close()
 
 
 if __name__ == "__main__":

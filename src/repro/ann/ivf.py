@@ -40,7 +40,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Type
 import numpy as np
 
 from repro.ann.kmeans import default_n_clusters, kmeans
-from repro.nn.partitioned import PARTITION_MANIFEST, bucket_filename
+from repro.nn.partitioned import ARTIFACT_WEIGHTS, PARTITION_MANIFEST, bucket_filename
 from repro.ranking import l2_distance_matrix, top_k
 
 #: Manifest filename written next to the index files.
@@ -52,11 +52,6 @@ INDEX_MANIFEST_VERSION = 1
 
 #: Artifact subdirectory holding the index files (sibling of ``weights/``).
 ARTIFACT_INDEX = "index"
-
-#: Artifact subdirectory holding the weight files.  Mirrors
-#: ``repro.training.checkpoint.ARTIFACT_WEIGHTS`` (duplicated here so the
-#: index layer has no import edge into the checkpoint layer).
-ARTIFACT_WEIGHTS = "weights"
 
 _INDEX_REGISTRY: Dict[str, Type["IVFIndex"]] = {}
 
@@ -129,8 +124,9 @@ def build_index_files(directory: str, kind: str = "ivf", **kwargs) -> Dict[str, 
     """Build ANN index files for the artifact at ``directory``.
 
     ``directory`` must hold partitioned weight files under
-    ``<directory>/weights/`` (the :func:`save_weight_files` layout); the index
-    is written to ``<directory>/index/``.  Returns the written manifest.
+    ``<directory>/weights/`` (what :func:`~repro.training.save_checkpoint`
+    writes for a partitioned model); the index is written to
+    ``<directory>/index/``.  Returns the written manifest.
     """
     return get_index_class(kind).build(directory, **kwargs)
 
@@ -244,7 +240,7 @@ class IVFIndex:
             raise ValueError(
                 f"no {PARTITION_MANIFEST} under {weights_dir}; ANN indexes "
                 "are built over partitioned weight artifacts (train with "
-                "partitions or re-export with save_weight_files)"
+                "partitions > 1)"
             )
         with open(partition_path, "r", encoding="utf-8") as handle:
             partition = json.load(handle)

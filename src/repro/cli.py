@@ -96,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--quantize", default=None, choices=["fp16", "int8"],
                      help="after training, also write quantized entity bucket "
                           "files into the artifact (partitioned models only); "
-                          "serve them with InferenceEngine.from_artifact("
-                          "quantized=...) at 2-4x lower resident memory")
+                          "the artifact then serves them at 2-4x lower "
+                          "resident memory, rescoring answers exactly")
     run.add_argument("--ann", default=None, choices=["ivf"],
                      help="after training, also build an ANN index over the "
                           "partitioned entity table (per-bucket IVF k-means "
@@ -408,11 +408,15 @@ def _command_run(args: argparse.Namespace) -> int:
     except (UnknownModelError, ValueError, FileNotFoundError) as exc:
         raise SystemExit(str(exc)) from exc
     if getattr(args, "quantize", None):
-        from repro.training.checkpoint import save_weight_files
+        import os
+
+        from repro.nn.partitioned import ARTIFACT_WEIGHTS
+        from repro.nn.quantize import quantize_weight_files
 
         try:
-            save_weight_files(artifact_dir, result.model, quantize=args.quantize)
-        except ValueError as exc:
+            quantize_weight_files(os.path.join(artifact_dir, ARTIFACT_WEIGHTS),
+                                  args.quantize)
+        except FileNotFoundError as exc:
             raise SystemExit(str(exc)) from exc
     print(json.dumps({"experiment": spec.name,
                       "artifacts": artifact_dir,
@@ -438,7 +442,9 @@ def _command_evaluate(args: argparse.Namespace) -> int:
     """Rank the artifact's split under its own eval settings, on its own data.
 
     Without ``--ks`` and ``--split`` this prints exactly the link-prediction
-    numbers ``run`` recorded in the artifact's ``metrics.json``.
+    numbers ``run`` recorded in the artifact's ``metrics.json`` — unless the
+    artifact was quantized at export: it then ranks through the quantized
+    entity table the artifact serves.
     """
     overrides = {"ks": args.ks, "split": args.split}
     overrides = {name: value for name, value in overrides.items() if value is not None}

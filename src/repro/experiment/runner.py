@@ -12,7 +12,8 @@ One call composes every layer of the library behind an
 
        <artifact_dir>/
          spec.json          # the exact ExperimentSpec (vocab sizes resolved)
-         checkpoint.npz     # model + optimiser state, training config metadata
+         checkpoint.npz     # optimiser state, spec + training config metadata
+         weights/           # every parameter once, one .npy file each
          metrics.json       # final loss, phase breakdown, per-protocol reports
          history.json       # per-epoch loss / timing curves
          environment.json   # python/numpy/platform/seed provenance record
@@ -42,7 +43,6 @@ from repro.data.partition_schedule import PartitionedStreamingIterator
 from repro.data.sqlite_store import SQLiteKGStore
 from repro.data.streaming import StreamingBatchIterator
 from repro.data.batching import BatchIterator
-from repro.nn.partitioned import partitioned_tables
 from repro.partition import EntityPartition
 from repro.evaluation.evaluators import EvalReport
 from repro.models.base import KGEModel
@@ -55,7 +55,6 @@ from repro.training.checkpoint import (
     load_model,
     restore_into,
     save_checkpoint,
-    save_weight_files,
 )
 from repro.training.config import TrainingConfig
 from repro.training.multiprocess import MultiprocessTrainer
@@ -447,12 +446,6 @@ class Experiment:
                             "experiment": self.spec.name,
                             "training_config": self.spec.training.to_dict(),
                         })
-        # Mirror the parameters as numpy.lib.format files so the artifact can
-        # be served memory-mapped (npz members cannot be mapped).  Partitioned
-        # models already wrote their bucket files + manifest as part of
-        # save_checkpoint (a partitioned npz is incomplete without them).
-        if not partitioned_tables(result.model):
-            save_weight_files(directory, result.model)
         if self.spec.model.ann is not None:
             # ANN serving index built at artifact-write time: cluster the
             # just-written bucket files and record the auto- (or spec-) chosen
@@ -502,16 +495,12 @@ class ExperimentArtifact:
     metrics: Dict[str, object]
     history: Dict[str, object]
 
-    def load_model(self, mmap: bool = False, quantized=None) -> KGEModel:
-        """Rebuild the trained model from the artifact's checkpoint.
+    def load_model(self) -> KGEModel:
+        """The trained model, read-only over the artifact's weight files.
 
-        ``mmap=True`` attaches the parameters to the artifact's on-disk
-        weight files instead of densifying them (read-only serving path).
-        ``quantized`` (``"fp16"``/``"int8"``/``"auto"``) serves the quantized
-        bucket files instead — see
-        :func:`repro.training.checkpoint.load_model`.
+        See :func:`repro.training.checkpoint.load_model`.
         """
-        return load_model(self.path, mmap=mmap, quantized=quantized)
+        return load_model(self.path)
 
 
 def load_artifact(path: str) -> ExperimentArtifact:

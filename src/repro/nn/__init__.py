@@ -3,14 +3,15 @@
 Contains the :class:`Module` / :class:`Parameter` abstractions, the dense
 :class:`Embedding` (fine-grained gather path used by the baselines), the
 :class:`StackedEmbedding` (single ``[entities; relations]`` matrix consumed by
-the SpMM path), initializers, and the dissimilarity functions shared by every
-translational model.
+the SpMM path), the out-of-core :class:`PartitionedEmbedding` (entity rows in
+paged on-disk buckets), initializers, and the dissimilarity functions shared
+by every translational model.
 """
 
 from repro.nn.parameter import Parameter
 from repro.nn.module import Module
 from repro.nn.table import DenseSliceTable, EmbeddingTable
-from repro.nn.embedding import Embedding, StackedEmbedding, MemoryMappedEmbedding
+from repro.nn.embedding import Embedding, StackedEmbedding
 from repro.nn.partitioned import (
     BucketParameter,
     PartitionedEmbedding,
@@ -26,7 +27,6 @@ __all__ = [
     "DenseSliceTable",
     "Embedding",
     "StackedEmbedding",
-    "MemoryMappedEmbedding",
     "PartitionedEmbedding",
     "BucketParameter",
     "partitioned_tables",

@@ -7,15 +7,13 @@
   followed by relation rows, consumed whole by the SpMM of the sparse path
   (paper Section 4.2.2).  Views over the entity / relation blocks are exposed
   for evaluation and for models that still need per-relation parameters.
-* :class:`MemoryMappedEmbedding` — a disk-backed variant mirroring the
-  framework's "streaming embeddings from disk" feature for LLM-initialised
-  embeddings that do not fit in memory.
+
+Tables too large for memory are the bucketed
+:class:`~repro.nn.partitioned.PartitionedEmbedding`.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -212,117 +210,3 @@ class StackedEmbedding(Module):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"StackedEmbedding(entities={self.n_entities}, "
                 f"relations={self.n_relations}, dim={self.embedding_dim})")
-
-
-class MemoryMappedEmbedding(Module, EmbeddingTable):
-    """Disk-backed stacked embedding for tables larger than main memory.
-
-    The weight lives in a ``numpy.memmap`` file.  Forward lookups behave like
-    :class:`StackedEmbedding`; updates are applied row-wise through
-    :meth:`apply_row_update` (lazy SGD on just the touched rows), which is how
-    streaming training avoids materialising a dense full-size gradient.
-
-    Parameters
-    ----------
-    n_entities, n_relations, embedding_dim:
-        Table geometry.
-    path:
-        Backing file; a temporary file is created when omitted.
-    rng:
-        Seed or generator for initialisation.
-    """
-
-    def __init__(self, n_entities: int, n_relations: int, embedding_dim: int,
-                 path: Optional[str] = None,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        self.n_entities = int(n_entities)
-        self.n_relations = int(n_relations)
-        self.embedding_dim = int(embedding_dim)
-        rows = self.n_entities + self.n_relations
-        if path is None:
-            fd, path = tempfile.mkstemp(suffix=".embeddings.npy")
-            os.close(fd)
-            self._owns_file = True
-        else:
-            self._owns_file = False
-        self.path = path
-        self._memmap = np.memmap(path, dtype=np.float64, mode="w+",
-                                 shape=(rows, self.embedding_dim))
-        rng = new_rng(rng)
-        bound = np.sqrt(6.0 / (rows + self.embedding_dim))
-        # Initialise in chunks so huge tables never need a full in-memory copy.
-        chunk = max(1, min(rows, 65536))
-        for start in range(0, rows, chunk):
-            stop = min(rows, start + chunk)
-            self._memmap[start:stop] = rng.uniform(-bound, bound,
-                                                   size=(stop - start, self.embedding_dim))
-        self._memmap.flush()
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (self.n_entities + self.n_relations, self.embedding_dim)
-
-    # ------------------------------------------------------------------ #
-    # EmbeddingTable interface (over the full stacked row space)
-    # ------------------------------------------------------------------ #
-    @property
-    def n_rows(self) -> int:
-        return self.n_entities + self.n_relations
-
-    def read_rows(self, indices: np.ndarray) -> np.ndarray:
-        return self.lookup(indices)
-
-    def iter_blocks(self, block_rows: int = 65536
-                    ) -> Iterator[Tuple[int, np.ndarray]]:
-        for start in range(0, self.n_rows, block_rows):
-            stop = min(self.n_rows, start + block_rows)
-            yield start, np.array(self._memmap[start:stop], dtype=np.float64)
-
-    def write_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
-        rows = np.asarray(rows, dtype=np.int64)
-        self._memmap[rows] = np.asarray(values, dtype=np.float64)
-        self._memmap.flush()
-
-    def lookup(self, rows: np.ndarray) -> np.ndarray:
-        """Read rows from disk into an in-memory array (no autograd)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        return np.array(self._memmap[rows], dtype=np.float64)
-
-    def forward(self, rows: np.ndarray) -> Tensor:
-        """Return looked-up rows as a leaf tensor that requires grad.
-
-        The caller reads ``tensor.grad`` after backward and feeds it to
-        :meth:`apply_row_update`; the full table never enters memory.
-        """
-        return Tensor(self.lookup(rows), requires_grad=True, name="memmap_rows")
-
-    def apply_row_update(self, rows: np.ndarray, grad: np.ndarray, lr: float) -> None:
-        """SGD update of only the touched rows, written straight back to disk."""
-        rows = np.asarray(rows, dtype=np.int64)
-        grad = np.asarray(grad, dtype=np.float64)
-        if grad.shape != (rows.size, self.embedding_dim):
-            raise ValueError(
-                f"grad must have shape {(rows.size, self.embedding_dim)}, got {grad.shape}"
-            )
-        # Accumulate duplicate-row gradients before the single write-back.
-        unique, inverse = np.unique(rows, return_inverse=True)
-        accum = np.zeros((unique.size, self.embedding_dim), dtype=np.float64)
-        np.add.at(accum, inverse, grad)
-        self._memmap[unique] -= lr * accum
-        self._memmap.flush()
-
-    def close(self) -> None:
-        """Flush and release the backing file (deletes it if we created it)."""
-        if getattr(self, "_memmap", None) is not None:
-            self._memmap.flush()
-            del self._memmap
-            self._memmap = None
-        if self._owns_file and os.path.exists(self.path):
-            os.unlink(self.path)
-
-    def __del__(self) -> None:  # pragma: no cover - best effort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass

@@ -57,6 +57,11 @@ from repro.utils.seeding import new_rng
 #: Manifest filename written next to the bucket files.
 PARTITION_MANIFEST = "partition.json"
 
+#: Directory of a checkpoint's parameter files, next to its ``.npz``: the
+#: bucket files with their manifest, and one ``<name>.npy`` per other
+#: parameter (see :func:`repro.training.checkpoint.save_checkpoint`).
+ARTIFACT_WEIGHTS = "weights"
+
 #: Current manifest schema version.
 PARTITION_MANIFEST_VERSION = 1
 
@@ -335,24 +340,19 @@ class PartitionedEmbedding(Module, EmbeddingTable):
             handle.write("\n")
         return path
 
-    def attach_storage(self, directory: str, read_only: bool = True,
-                       quantized: Optional[object] = None) -> None:
-        """Bind this table to existing bucket files (serving / reload path).
+    def attach_storage(self, directory: str) -> None:
+        """Bind this table, read-only, to existing bucket files (the load path).
 
         The directory must carry a compatible ``partition.json``; any resident
         slabs are dropped (not written back) so subsequent faults read the
         attached files.
 
-        ``quantized`` selects which bucket files back the resident set:
-        ``None``/``False`` faults the exact float64 buckets; ``"fp16"`` /
-        ``"int8"`` faults the quantized twins written by
-        :func:`repro.nn.quantize.quantize_weight_files` (raising if the
-        manifest carries no matching ``"quantized"`` entry); ``"auto"`` (or
-        ``True``) uses the manifest's quantized mode when present and falls
-        back to full precision otherwise.  Quantized attachment is serve-only
-        (``read_only`` must stay true) and automatically scales
-        ``max_resident`` by the mode's compression factor — the memory budget
-        buys 2× (int8) / 4× (fp16) more resident buckets.
+        The directory decides how the rows are served: when the manifest
+        records quantized twins (written by
+        :func:`repro.nn.quantize.quantize_weight_files`), faults read those
+        and ``max_resident`` scales by the mode's compression factor — the
+        memory budget buys 2× (int8) / 4× (fp16) more resident buckets —
+        while :meth:`exact_rows` still reads the float64 originals.
         """
         manifest_path = os.path.join(directory, PARTITION_MANIFEST)
         if not os.path.exists(manifest_path):
@@ -374,13 +374,10 @@ class PartitionedEmbedding(Module, EmbeddingTable):
             path = os.path.join(directory, entry["file"])
             if not os.path.exists(path):
                 raise FileNotFoundError(f"bucket file missing: {path}")
-        mode = self._resolve_quantized(manifest, quantized)
+        quantized = manifest.get("quantized")
+        mode = (quantize_lib.check_mode(quantized["mode"])
+                if isinstance(quantized, dict) else None)
         if mode is not None:
-            if not read_only:
-                raise ValueError(
-                    "quantized buckets are serve-only; attach_storage with "
-                    "read_only=True or use the exact float64 buckets"
-                )
             for k in range(self.partition.n_partitions):
                 for name in quantize_lib.quantized_filenames(k, mode):
                     path = os.path.join(directory, name)
@@ -392,7 +389,7 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         self._directory = directory
         self._owns_dir = False
         self._attached = True
-        self.read_only = bool(read_only)
+        self.read_only = True
         self._quantized = mode
         if mode is not None:
             self.max_resident = min(
@@ -400,24 +397,6 @@ class PartitionedEmbedding(Module, EmbeddingTable):
                 self._base_max_resident * quantize_lib.compression_factor(mode))
         else:
             self.max_resident = self._base_max_resident
-
-    @staticmethod
-    def _resolve_quantized(manifest: Dict[str, object],
-                           quantized: Optional[object]) -> Optional[str]:
-        entry = manifest.get("quantized")
-        available = entry.get("mode") if isinstance(entry, dict) else None
-        if quantized in (None, False):
-            return None
-        if quantized in (True, "auto"):
-            return available
-        mode = quantize_lib.check_mode(str(quantized))
-        if available != mode:
-            raise ValueError(
-                f"weights directory is not quantized as {mode!r} "
-                f"(manifest has {available!r}); re-export the artifact with "
-                f"save_weight_files(..., quantize={mode!r})"
-            )
-        return mode
 
     def rehome(self, directory: Optional[str] = None) -> str:
         """Move the backing storage to a private directory (fork isolation).

@@ -135,9 +135,10 @@ def quantize_weight_files(weights_dir: str, mode: str) -> Dict[str, object]:
 
     Reads each ``entities.bucket<k>.npy`` (one at a time — the full table
     never enters memory), writes its quantized twin(s) beside it, and records
-    a ``"quantized"`` entry in ``partition.json``.  The float64 originals are
-    kept: exact-rescore serving reads them row-wise.  Returns the manifest
-    entry written.
+    a ``"quantized"`` entry in ``partition.json``; every later load of the
+    directory serves the twins.  The float64 originals are kept:
+    exact-rescore serving reads them row-wise.  Returns the manifest entry
+    written.
     """
     from repro.nn.partitioned import PARTITION_MANIFEST
 

@@ -12,11 +12,10 @@ serving engine's nearest-neighbour scan — now talks to this interface instead:
 * :attr:`EmbeddingTable.n_partitions` — ``1`` for dense tables, ``P`` for
   :class:`~repro.nn.partitioned.PartitionedEmbedding`.
 
-Three concrete families implement it: the dense in-memory tables
+Two concrete families implement it: the dense in-memory tables
 (:class:`~repro.nn.embedding.Embedding` and the
 :class:`DenseSliceTable` views :class:`~repro.nn.embedding.StackedEmbedding`
-exposes), the disk-backed
-:class:`~repro.nn.embedding.MemoryMappedEmbedding`, and the bucketed
+exposes), and the bucketed, disk-backed
 :class:`~repro.nn.partitioned.PartitionedEmbedding`.
 """
 

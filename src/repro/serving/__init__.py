@@ -5,7 +5,9 @@ The serving stack is layered so each piece is usable on its own:
 * :class:`~repro.serving.engine.InferenceEngine` — loads a checkpoint through
   the spec-driven registry and answers top-k / scoring / classification
   queries with ``argpartition`` selection, filtered-candidate masks, and an
-  LRU result cache.
+  LRU result cache.  The model's tables are the checkpoint's ``weights/``
+  files, mapped read-only; an artifact quantized at export serves its
+  quantized entity buckets with exact rescoring.
 * :class:`~repro.serving.request_batcher.RequestBatcher` — coalesces
   concurrent single queries into batched engine calls.
 * :mod:`~repro.serving.validation` — the request protocol both HTTP tiers
@@ -25,7 +27,8 @@ The serving stack is layered so each piece is usable on its own:
     from repro.training import load_model
 
     engine = InferenceEngine.from_artifact("runs/transe-fb15k", filtered=True)
-    bare = InferenceEngine(load_model("model.npz"))  # a bare .npz: unfiltered
+    # A bare checkpoint (the .npz with weights/ beside it) serves unfiltered.
+    bare = InferenceEngine(load_model("model.npz"))
     result = engine.top_k_tails(head=12, relation=3, k=10)
     print(result.entities, result.scores)
 """

@@ -157,8 +157,7 @@ class InferenceEngine:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_artifact(cls, path: str, filtered: bool = False,
-                      cache_size: int = 4096, mmap="auto",
-                      quantized=None,
+                      cache_size: int = 4096,
                       rescore_expansion: int = 4,
                       ann="auto",
                       nprobe: Optional[int] = None) -> "InferenceEngine":
@@ -170,18 +169,13 @@ class InferenceEngine:
         re-materialised so the run's own triples back the filtered protocol —
         no side-channel dataset arguments needed.
 
-        ``mmap`` controls how the embedding tables are loaded: ``"auto"``
-        (default) serves them memory-mapped straight from the artifact's
-        ``weights/`` directory when present — the tables are paged in on
-        demand and never densified into RAM — and falls back to the regular
-        in-memory load otherwise; ``True`` requires the weight files;
-        ``False`` always densifies.
-
-        ``quantized`` (``"fp16"``/``"int8"``/``"auto"``) serves a partitioned
-        model from the quantized bucket files written with
-        ``save_weight_files(..., quantize=...)`` — 2–4× lower resident bucket
-        bytes, with each answer rescored exactly from the float64 originals
-        (see ``rescore_expansion``).  Implies loading from the weight files.
+        The model comes from :func:`repro.training.checkpoint.load_model`, as
+        on :meth:`reload`: its tables are the artifact's ``weights/`` files,
+        mapped or faulted in on demand and never densified into RAM.  An
+        artifact whose entity buckets were quantized at export serves the
+        quantized twins — 2–4× lower resident bucket bytes, with each answer
+        rescored exactly from the float64 originals (see
+        ``rescore_expansion``).
 
         ``ann`` selects ANN-indexed serving: ``"auto"`` (default) lazily
         loads ``<path>/index/`` when the artifact carries one and serves
@@ -189,20 +183,13 @@ class InferenceEngine:
         ``False``/``"off"`` disables ANN routing.  ``nprobe`` overrides the
         index manifest's auto-chosen default probe width.
         """
-        import os
-
         from repro.experiment import load_artifact
-        from repro.training.checkpoint import ARTIFACT_WEIGHTS
 
         artifact = load_artifact(path)
         known = (artifact.spec.data.materialize().known_triples()
                  if filtered else None)
-        if quantized not in (None, False):
-            mmap = True
-        elif mmap == "auto":
-            mmap = os.path.isdir(os.path.join(path, ARTIFACT_WEIGHTS))
         ann_index = cls._load_artifact_index(path, ann)
-        engine = cls(artifact.load_model(mmap=bool(mmap), quantized=quantized),
+        engine = cls(artifact.load_model(),
                      known_triples=known, cache_size=cache_size,
                      rescore_expansion=rescore_expansion,
                      ann_index=ann_index, nprobe=nprobe)
@@ -231,7 +218,7 @@ class InferenceEngine:
             return None
         raise FileNotFoundError(
             f"no ANN index under {index_dir}; export the artifact with "
-            f"--ann {ann} (or save_weight_files(..., ann={str(ann)!r}))"
+            f"--ann {ann} (or build_index_files(<artifact>, kind={str(ann)!r}))"
         )
 
     def set_known_triples(self, triples: Iterable[Tuple[int, int, int]]) -> None:
@@ -248,11 +235,13 @@ class InferenceEngine:
     def reload(self, path: str) -> None:
         """Swap in a new checkpoint atomically and invalidate the result cache.
 
-        Any attached ANN index is dropped with the cache (its clusters
-        describe the *old* weights); when this engine came from
-        ``from_artifact`` with ANN enabled and ``path`` is an artifact
-        directory carrying an ``index/``, the new artifact's index is
-        re-attached in the same swap.
+        The new model comes from the loader :meth:`from_artifact` uses, so it
+        is served the same way: mapped weights, and quantized twins when the
+        artifact carries them.  Any attached ANN index is dropped with the
+        cache (its clusters describe the *old* weights); when this engine
+        came from ``from_artifact`` with ANN enabled and ``path`` is an
+        artifact directory carrying an ``index/``, the new artifact's index
+        is re-attached in the same swap.
         """
         import os
 

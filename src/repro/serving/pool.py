@@ -5,10 +5,9 @@ One GIL-bound process is the throughput ceiling of the threaded serving tier:
 batch assembly, cache lookups, and result marshalling are all Python.  The
 pool moves the engines into ``fork``-started worker processes.  Each worker
 builds its **own** :class:`~repro.serving.engine.InferenceEngine` *after* the
-fork — for artifact serving that is ``InferenceEngine.from_artifact(path,
-mmap="auto")``, so every worker memory-maps the same on-disk
-``weights/*.npy`` / ``index/`` files and the OS page cache backs them all
-with one physical copy.  Nothing model-sized is ever pickled or duplicated.
+fork — for artifact serving that is ``InferenceEngine.from_artifact(path)``,
+so every worker memory-maps the same on-disk ``weights/*.npy`` / ``index/``
+files and the OS page cache backs them all with one physical copy.  Nothing model-sized is ever pickled or duplicated.
 
 Inside each worker the fixed-window :class:`RequestBatcher` semantics are
 replaced by **deadline-aware batching** (:mod:`repro.serving.deadline`): the
@@ -246,8 +245,7 @@ class WorkerPool:
     ----------
     engine_factory:
         Zero-argument callable building the worker's engine, executed *inside*
-        each forked child (e.g. ``lambda: InferenceEngine.from_artifact(path,
-        mmap="auto")``).  Because the start method is ``fork``, the callable
+        each forked child (e.g. ``lambda: InferenceEngine.from_artifact(path)``).  Because the start method is ``fork``, the callable
         is inherited, never pickled.
     workers:
         Number of processes to fork (>= 1).

@@ -1,11 +1,19 @@
 """Checkpointing: save and restore models, optimisers, and training progress.
 
 Long KGE runs (the paper trains 200-1000 epochs) need resumable state.  A
-checkpoint is a single ``.npz`` file holding the model's parameter arrays, the
-optimiser's per-parameter state, the epoch counter, and the loss history, plus
-a JSON-encoded metadata blob (the model's :class:`~repro.registry.ModelSpec`
-and class name) used to rebuild the model and to check that a checkpoint is
-being restored into a compatible one.
+checkpoint is two things side by side:
+
+* ``<path>`` (``.npz``) holds a JSON-encoded metadata blob — the model's
+  :class:`~repro.registry.ModelSpec` and class name, the epoch counter and the
+  loss history — and the optimiser's per-parameter state (``optim::*``);
+* ``weights/`` next to it holds every parameter once, as plain
+  ``numpy.lib.format`` files: a partitioned entity table as its
+  ``entities.bucket<k>.npy`` files plus ``partition.json``, every other
+  parameter as ``<name>.npy``.
+
+:func:`load_model` maps those files read-only (buckets fault in lazily), and
+:func:`restore_into` copies them into a writable model to resume training.
+A directory holds one checkpoint: saving again into it replaces the weights.
 """
 
 from __future__ import annotations
@@ -14,7 +22,6 @@ import dataclasses
 import json
 import os
 import shutil
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -22,7 +29,9 @@ import numpy as np
 
 from repro.models.base import KGEModel
 from repro.nn.init import skip_init
+from repro.nn.parameter import Parameter
 from repro.nn.partitioned import (
+    ARTIFACT_WEIGHTS,
     PARTITION_MANIFEST,
     PartitionedEmbedding,
     bucket_filename,
@@ -31,29 +40,29 @@ from repro.nn.partitioned import (
 from repro.optim.optimizer import Optimizer
 from repro.registry import ModelSpec, UnknownModelError, build_model, spec_from_model
 
+#: Checkpoint filename inside an ``sptransx run`` artifact directory.
+ARTIFACT_CHECKPOINT = "checkpoint.npz"
+
 
 @dataclass
 class Checkpoint:
-    """In-memory representation of a saved training state."""
+    """A saved training state: its metadata and where its files live."""
 
-    model_state: Dict[str, np.ndarray]
-    optimizer_state: Dict[str, np.ndarray] = field(default_factory=dict)
+    #: Path of the ``.npz`` file this checkpoint was read from; the
+    #: ``weights/`` directory sits next to it.
+    source_path: str
     epoch: int = 0
     losses: List[float] = field(default_factory=list)
     metadata: Dict[str, object] = field(default_factory=dict)
-    #: Path of the ``.npz`` file this checkpoint was read from (``None`` for
-    #: checkpoints built in memory).  Partitioned restores use it to locate
-    #: the ``weights/`` bucket directory next to the checkpoint.
-    source_path: Optional[str] = None
+
+    @property
+    def weights_dir(self) -> str:
+        """The ``weights/`` directory holding this checkpoint's parameters."""
+        return os.path.join(os.path.dirname(self.source_path), ARTIFACT_WEIGHTS)
 
     @property
     def partition_manifest(self) -> Optional[Dict[str, object]]:
-        """The partitioned-entity-table manifest, when this checkpoint has one.
-
-        Checkpoints of partitioned models keep entity weights out of the
-        ``.npz`` (they live as ``weights/entities.bucket<k>.npy`` files next
-        to it) and record the bucket layout here.
-        """
+        """The partitioned-entity-table manifest, when this checkpoint has one."""
         manifest = self.metadata.get("partitioned")
         return manifest if isinstance(manifest, dict) else None
 
@@ -66,6 +75,12 @@ class Checkpoint:
             # hyperparameter summary.
             name = self.metadata.get("model_config", {}).get("model")
         return name
+
+    def optimizer_state(self) -> Dict[str, np.ndarray]:
+        """Optimiser buffers keyed ``<parameter>::<buffer>``, read on demand."""
+        with np.load(self.source_path, allow_pickle=False) as data:
+            return {key[len("optim::"):]: data[key] for key in data.files
+                    if key.startswith("optim::")}
 
     def spec(self) -> ModelSpec:
         """The :class:`~repro.registry.ModelSpec` this checkpoint was written with.
@@ -136,7 +151,13 @@ def _restore_optimizer_state(optimizer: Optimizer, model: KGEModel,
 def save_checkpoint(path: str, model: KGEModel, optimizer: Optional[Optimizer] = None,
                     epoch: int = 0, losses: Optional[List[float]] = None,
                     extra_metadata: Optional[Dict[str, object]] = None) -> str:
-    """Write a checkpoint to ``path`` (``.npz``); returns the path written.
+    """Write a checkpoint to ``path`` (``.npz``) and ``weights/`` beside it.
+
+    Returns the ``.npz`` path written.  Every parameter is written once under
+    ``weights/``: a partitioned table's bucket files are copied there (one at
+    a time, bounded memory) with its ``partition.json``, and every other
+    parameter becomes ``<name>.npy``.  A dense model saved over an earlier
+    partitioned one removes that layout, so no loader reads stale buckets.
 
     ``extra_metadata`` entries (must be JSON-serialisable) are merged into the
     metadata blob — the experiment runner stores the training config and
@@ -146,12 +167,6 @@ def save_checkpoint(path: str, model: KGEModel, optimizer: Optional[Optimizer] =
     """
     table, bucket_names = _partitioned_table(model)
     arrays: Dict[str, np.ndarray] = {}
-    for name, param in model.named_parameters():
-        if name in bucket_names:
-            # Entity buckets never enter the npz: they are mirrored as
-            # memory-bounded ``weights/entities.bucket<k>.npy`` files below.
-            continue
-        arrays[f"model::{name}"] = param.data.copy()
     if optimizer is not None:
         for name, value in _flatten_optimizer_state(
                 optimizer, model, skip_names=bucket_names).items():
@@ -175,104 +190,52 @@ def save_checkpoint(path: str, model: KGEModel, optimizer: Optional[Optimizer] =
         "optimizer_step_count": optimizer.step_count if optimizer is not None else 0,
     })
     arrays["metadata"] = np.frombuffer(json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    np.savez(path, **arrays)
-    if table is not None:
-        # A partitioned checkpoint is only complete with its bucket files:
-        # mirror them (one at a time, bounded memory) next to the npz.
-        save_weight_files(directory, model)
-    return path if path.endswith(".npz") else path + ".npz"
-
-
-#: Checkpoint filename inside an ``sptransx run`` artifact directory.
-ARTIFACT_CHECKPOINT = "checkpoint.npz"
-
-#: Directory of per-parameter ``.npy`` weight files inside an artifact —
-#: plain ``numpy.lib.format`` arrays, so they can be served memory-mapped
-#: (``np.load(..., mmap_mode="r")``) without densifying into RAM.
-ARTIFACT_WEIGHTS = "weights"
-
-
-def save_weight_files(directory: str, model: KGEModel,
-                      quantize: Optional[str] = None,
-                      ann: Optional[str] = None,
-                      ann_nprobe: Optional[int] = None) -> Dict[str, str]:
-    """Write every parameter as ``<directory>/weights/<name>.npy``.
-
-    The files duplicate the arrays already inside ``checkpoint.npz`` in a
-    memory-mappable layout (npz members are compressed zip entries and cannot
-    be mapped).  Returns ``{parameter_name: file_path}``.
-
-    For a model backed by a :class:`~repro.nn.partitioned.PartitionedEmbedding`
-    the entity buckets are written as ``weights/entities.bucket<k>.npy``
-    (streamed file copies from the table's own storage — the full table never
-    enters memory) together with the ``weights/partition.json`` manifest; all
-    other parameters keep the flat ``<name>.npy`` layout.  Loaders treat a
-    weights directory *without* a manifest as the legacy single-bucket dense
-    layout, so pre-partitioning artifacts stay loadable unchanged.
-
-    ``quantize`` (``"fp16"`` or ``"int8"``) additionally writes quantized
-    twins of each bucket (``entities.bucket<k>.f16.npy`` / int8 codes plus
-    per-row scales) beside the exact files and records the mode in the
-    manifest — see :mod:`repro.nn.quantize`.  Requires a partitioned model.
-
-    ``ann`` (``"ivf"``) builds an ANN index over the bucket files into
-    ``<directory>/index/`` — per-bucket k-means centroids plus cluster-sorted
-    row permutations and an ``index.json`` manifest; ``ann_nprobe`` pins the
-    serving probe width (default: auto-chosen for recall@10 ≥ 0.95, see
-    :func:`repro.ann.build_index_files`).  Also partitioned-only.
-    """
-    weights_dir = os.path.join(directory, ARTIFACT_WEIGHTS)
+    weights_dir = os.path.join(os.path.dirname(os.path.abspath(path)), ARTIFACT_WEIGHTS)
     os.makedirs(weights_dir, exist_ok=True)
-    written: Dict[str, str] = {}
-    table, bucket_names = _partitioned_table(model)
-    if table is None and quantize is not None:
-        raise ValueError(
-            "quantize= requires a model with a partitioned entity table "
-            "(train with partitions > 1)"
-        )
-    if table is None and ann is not None:
-        raise ValueError(
-            "ann= requires a model with a partitioned entity table "
-            "(train with partitions > 1)"
-        )
-    if table is not None:
+    if table is None:
+        for name in os.listdir(weights_dir):
+            if name == PARTITION_MANIFEST or name.startswith("entities.bucket"):
+                os.remove(os.path.join(weights_dir, name))
+    else:
         table.flush()
         for k in range(table.n_partitions):
             source = os.path.join(table.directory, bucket_filename(k))
             target = os.path.join(weights_dir, bucket_filename(k))
             if os.path.abspath(source) != os.path.abspath(target):
                 shutil.copyfile(source, target)
-            written[f"entities.bucket{k}"] = target
         table.write_manifest(weights_dir)
-        if quantize is not None:
-            from repro.nn.quantize import quantize_weight_files
-
-            entry = quantize_weight_files(weights_dir, quantize)
-            for k, bucket in enumerate(entry["buckets"]):
-                for name in bucket["files"]:
-                    written[os.path.splitext(name)[0]] = os.path.join(
-                        weights_dir, name)
-        if ann is not None:
-            from repro.ann import ARTIFACT_INDEX, INDEX_MANIFEST, build_index_files
-
-            index_manifest = build_index_files(directory, kind=ann,
-                                               nprobe=ann_nprobe)
-            index_dir = os.path.join(directory, ARTIFACT_INDEX)
-            written["index.manifest"] = os.path.join(index_dir, INDEX_MANIFEST)
-            for bucket in index_manifest["buckets"]:
-                for key in ("centroids", "assign"):
-                    name = str(bucket[key])
-                    written[f"index.{os.path.splitext(name)[0]}"] = os.path.join(
-                        index_dir, name)
     for name, param in model.named_parameters():
-        if name in bucket_names:
-            continue
-        path = os.path.join(weights_dir, f"{name}.npy")
-        np.save(path, np.ascontiguousarray(param.data))
-        written[name] = path
-    return written
+        if name not in bucket_names:
+            _save_weight(os.path.join(weights_dir, f"{name}.npy"), param.data)
+    np.savez(path, **arrays)
+    return path if path.endswith(".npz") else path + ".npz"
+
+
+def _save_weight(path: str, array: np.ndarray) -> None:
+    """``np.save`` through a temporary file renamed over ``path``.
+
+    A reader holding the old file mapped (a served model, or the very model
+    being saved when it was loaded from this directory) keeps a whole,
+    unchanged mapping instead of one truncated under it.
+    """
+    partial = path + ".partial"
+    with open(partial, "wb") as handle:
+        np.save(handle, array)
+    os.replace(partial, path)
+
+
+def _map_weight(weights_dir: str, name: str, param: Parameter) -> np.ndarray:
+    """``weights/<name>.npy`` mapped read-only, checked against ``param``."""
+    path = os.path.join(weights_dir, f"{name}.npy")
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"weight file missing for parameter {name!r}: {path}")
+    mapped = np.load(path, mmap_mode="r")
+    if mapped.shape != param.data.shape or mapped.dtype != param.data.dtype:
+        raise ValueError(
+            f"weight file {path} has shape {mapped.shape} / dtype "
+            f"{mapped.dtype}, model expects {param.data.shape} / {param.data.dtype}"
+        )
+    return mapped
 
 
 def resolve_checkpoint_file(path: str) -> str:
@@ -292,144 +255,66 @@ def resolve_checkpoint_file(path: str) -> str:
     return path
 
 
-def read_checkpoint_metadata(path: str) -> Dict[str, object]:
-    """Read only the JSON metadata blob of a checkpoint.
-
-    Loads a single npz member, so the cost is independent of model size —
-    the memory-mapped serving path uses this to learn the model spec without
-    pulling any parameter array into RAM.
-    """
-    with np.load(resolve_checkpoint_file(path), allow_pickle=False) as data:
-        return json.loads(bytes(data["metadata"]).decode("utf-8"))
-
-
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
+    Reads only the metadata blob, so the cost does not grow with the model.
     ``path`` may also name an experiment artifact *directory* (the layout
-    ``sptransx run`` writes); the checkpoint inside it is loaded, which is
-    what lets :func:`load_model` and the serving engine warm-load an artifact
-    without knowing its internal layout.
+    ``sptransx run`` writes); the checkpoint inside it is loaded.  Raises
+    ``FileNotFoundError`` naming the directory when ``weights/`` is missing.
     """
-    path = resolve_checkpoint_file(path)
+    path = os.path.abspath(resolve_checkpoint_file(path))
     with np.load(path, allow_pickle=False) as data:
         metadata = json.loads(bytes(data["metadata"]).decode("utf-8"))
-        model_state = {key[len("model::"):]: data[key] for key in data.files
-                       if key.startswith("model::")}
-        optimizer_state = {key[len("optim::"):]: data[key] for key in data.files
-                           if key.startswith("optim::")}
-    return Checkpoint(
-        model_state=model_state,
-        optimizer_state=optimizer_state,
+    checkpoint = Checkpoint(
+        source_path=path,
         epoch=int(metadata.get("epoch", 0)),
         losses=[float(x) for x in metadata.get("losses", [])],
         metadata=metadata,
-        source_path=os.path.abspath(path),
     )
+    if not os.path.isdir(checkpoint.weights_dir):
+        raise FileNotFoundError(
+            f"no {ARTIFACT_WEIGHTS}/ directory at {checkpoint.weights_dir}: "
+            f"the parameters of {path} are missing"
+        )
+    return checkpoint
 
 
-def load_model(path: str, rng=0, mmap: bool = False,
-               quantized: Optional[object] = None) -> KGEModel:
+def load_model(path: str, rng=0) -> KGEModel:
     """One-call ``path → ready model`` (what the serving engine and CLI use).
 
     Construction goes solely through :meth:`Checkpoint.spec` →
-    :func:`repro.registry.build_model`, so every recorded hyperparameter —
-    SpMM backend, dissimilarity, relation dimension — is restored faithfully
-    rather than falling back to constructor defaults.  A partitioned
-    checkpoint's entity buckets attach to the ``weights/`` files next to it
-    and fault in lazily.
+    :func:`repro.registry.build_model` under
+    :func:`repro.nn.init.skip_init`, so every recorded hyperparameter — SpMM
+    backend, dissimilarity, relation dimension — is restored faithfully and
+    no parameter is initialised only to be replaced.  A partitioned table
+    attaches to its bucket files and faults them in lazily; every other
+    parameter is its ``weights/<name>.npy`` file mapped read-only, paged in
+    by the OS and never copied into RAM.
 
-    With ``mmap=True`` and an artifact directory carrying a ``weights/``
-    directory, the model is constructed without initialising its parameters
-    (:func:`repro.nn.init.skip_init`) and each parameter is attached to its
-    on-disk ``.npy`` file via ``np.load(..., mmap_mode="r")`` — the embedding
-    tables are paged in lazily by the OS and are never densified into RAM.
-    The returned model is read-only: training or ``normalize_parameters``
-    would write through the map and must use the regular loader.
-
-    ``quantized`` (``"fp16"``/``"int8"``/``"auto"``) serves a partitioned
-    model from the quantized bucket files written with
-    ``save_weight_files(..., quantize=...)`` — resident bucket bytes drop 2–4×
-    and the serving engine rescores top candidates exactly from the float64
-    originals.  Requires ``mmap=True`` (the quantized files live in the
-    weights directory).
+    The artifact decides how it is served: when ``partition.json`` records
+    quantized twins (:func:`repro.nn.quantize.quantize_weight_files`), the
+    table serves them.  The model is read-only; :func:`restore_into` gives a
+    writable copy for training.
     """
-    if quantized not in (None, False) and not mmap:
-        raise ValueError(
-            "quantized serving reads the weights/ directory; load with "
-            "mmap=True (or drop quantized=)"
-        )
-    if mmap:
-        checkpoint_file = resolve_checkpoint_file(path)
-        weights_dir = os.path.join(os.path.dirname(checkpoint_file),
-                                   ARTIFACT_WEIGHTS)
-        if not os.path.isdir(weights_dir):
-            raise FileNotFoundError(
-                f"no {ARTIFACT_WEIGHTS}/ directory next to {checkpoint_file}; "
-                "memory-mapped loading needs an artifact written with weight "
-                "files (re-run `sptransx run`, or load with mmap=False)"
-            )
-        return _model_from_weight_files(checkpoint_file, weights_dir, rng=rng,
-                                        quantized=quantized)
     checkpoint = load_checkpoint(path)
-    # A partitioned model's buckets come from files: nothing to initialise.
-    with skip_init() if checkpoint.partition_manifest is not None else nullcontext():
-        model = build_model(checkpoint.spec(), rng=rng)
-    restore_into(checkpoint, model)
-    return model
-
-
-def _model_from_weight_files(checkpoint_file: str, weights_dir: str,
-                             rng=0, quantized: Optional[object] = None
-                             ) -> KGEModel:
-    """Build a model whose parameters are read-only maps of on-disk arrays.
-
-    With a ``partition.json`` manifest present, the entity buckets attach to
-    their ``entities.bucket<k>.npy`` files and fault in lazily (LRU-bounded —
-    stricter than mmap: address space, not just RSS, stays bounded); the
-    remaining parameters are memory-mapped ``<name>.npy`` files as before.
-    Without a manifest the directory is the legacy single-bucket dense
-    layout and every parameter is mapped.
-    """
-    metadata = read_checkpoint_metadata(checkpoint_file)
-    spec = Checkpoint(model_state={}, metadata=metadata).spec()
     with skip_init():
-        model = build_model(spec, rng=rng)
-    bucket_names: Set[str] = set()
-    if os.path.exists(os.path.join(weights_dir, PARTITION_MANIFEST)):
-        table, bucket_names = _partitioned_table(model)
-        if table is None:
-            raise ValueError(
-                f"{weights_dir} carries a {PARTITION_MANIFEST} but the "
-                "checkpointed spec does not describe a partitioned model"
-            )
-        table.attach_storage(weights_dir, read_only=True, quantized=quantized)
-    elif quantized not in (None, False, "auto", True):
-        raise ValueError(
-            f"quantized={quantized!r} requires a partitioned weights "
-            f"directory (no {PARTITION_MANIFEST} in {weights_dir})"
-        )
+        model = build_model(checkpoint.spec(), rng=rng)
+    table, bucket_names = _partitioned_table(model)
+    if table is not None:
+        table.attach_storage(checkpoint.weights_dir)
     for name, param in model.named_parameters():
-        if name in bucket_names:
-            continue
-        weight_path = os.path.join(weights_dir, f"{name}.npy")
-        if not os.path.exists(weight_path):
-            raise FileNotFoundError(
-                f"weight file missing for parameter {name!r}: {weight_path}"
-            )
-        mapped = np.load(weight_path, mmap_mode="r")
-        if mapped.shape != param.data.shape or mapped.dtype != param.data.dtype:
-            raise ValueError(
-                f"weight file {weight_path} has shape {mapped.shape} / dtype "
-                f"{mapped.dtype}, model expects {param.data.shape} / {param.data.dtype}"
-            )
-        param.data = mapped
+        if name not in bucket_names:
+            param.data = _map_weight(checkpoint.weights_dir, name, param)
     return model
 
 
 def restore_into(checkpoint: Checkpoint, model: KGEModel,
                  optimizer: Optional[Optimizer] = None, strict: bool = True) -> None:
-    """Load a checkpoint's state into an existing model (and optimiser).
+    """Copy a checkpoint's state into an existing, writable model (and optimiser).
+
+    The resume path: every parameter is read from ``weights/`` into the
+    model's own storage, bucket by bucket for a partitioned table.
 
     ``strict`` additionally verifies that the checkpoint describes the model:
     its :class:`~repro.registry.ModelSpec` must equal
@@ -438,13 +323,17 @@ def restore_into(checkpoint: Checkpoint, model: KGEModel,
     """
     if strict:
         _check_same_model(checkpoint, model)
-    if checkpoint.partition_manifest is not None:
-        _restore_partitioned(checkpoint, model, strict=strict)
-    else:
-        model.load_state_dict(checkpoint.model_state)
+    table, bucket_names = _partitioned_table(model)
+    for name, param in model.named_parameters():
+        if name not in bucket_names:
+            param.data[...] = _map_weight(checkpoint.weights_dir, name, param)
+    if table is not None:
+        for k in range(table.n_partitions):
+            lo, hi = table.partition.bucket_range(k)
+            table.write_rows(np.arange(lo, hi), np.load(
+                os.path.join(checkpoint.weights_dir, bucket_filename(k))))
     if optimizer is not None:
-        if checkpoint.optimizer_state:
-            _restore_optimizer_state(optimizer, model, checkpoint.optimizer_state)
+        _restore_optimizer_state(optimizer, model, checkpoint.optimizer_state())
         if checkpoint.metadata.get("optimizer_lr"):
             optimizer.set_lr(float(checkpoint.metadata["optimizer_lr"]))
         # Schedulers key off the global step counter; without this a resumed
@@ -479,49 +368,3 @@ def _check_same_model(checkpoint: Checkpoint, model: KGEModel) -> None:
                 f"checkpoint/model mismatch for {key!r}: checkpoint has "
                 f"{getattr(saved_spec, key)!r}, model has {getattr(current, key)!r}"
             )
-
-
-def _restore_partitioned(checkpoint: Checkpoint, model: KGEModel,
-                         strict: bool = True) -> None:
-    """Restore a partitioned checkpoint: npz params + attached bucket files.
-
-    The npz holds every parameter except the entity buckets; those attach
-    (read-only, lazily faulted) to the ``weights/`` directory next to the
-    checkpoint file.  ``strict`` verifies the npz covers exactly the
-    non-bucket parameters.
-    """
-    table, bucket_names = _partitioned_table(model)
-    if table is None:
-        raise ValueError(
-            "checkpoint was written by a partitioned model but the target "
-            "model has no partitioned table; rebuild it with the checkpoint's "
-            "spec (load_model does this automatically)"
-        )
-    own = {name: param for name, param in model.named_parameters()
-           if name not in bucket_names}
-    state = checkpoint.model_state
-    missing = set(own) - set(state)
-    unexpected = set(state) - set(own)
-    if strict and (missing or unexpected):
-        raise KeyError(
-            f"state_dict mismatch: missing={sorted(missing)}, "
-            f"unexpected={sorted(unexpected)}"
-        )
-    for name, param in own.items():
-        if name not in state:
-            continue
-        value = np.asarray(state[name], dtype=np.float64)
-        if value.shape != tuple(param.shape):
-            raise ValueError(
-                f"shape mismatch for {name!r}: expected {tuple(param.shape)}, "
-                f"got {value.shape}"
-            )
-        param.data = np.array(value, copy=True)
-    if checkpoint.source_path is None:
-        raise ValueError(
-            "partitioned checkpoint has no source path; load it with "
-            "load_checkpoint(path) so the weights/ directory can be located"
-        )
-    weights_dir = os.path.join(os.path.dirname(checkpoint.source_path),
-                               ARTIFACT_WEIGHTS)
-    table.attach_storage(weights_dir, read_only=True)

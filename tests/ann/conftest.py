@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.ann import build_index_files, load_index
 from repro.models.transe import SpTransE
-from repro.training.checkpoint import save_weight_files
+from repro.training.checkpoint import save_checkpoint
 
 N_ENTITIES = 300
 N_RELATIONS = 6
@@ -20,7 +22,7 @@ def indexed_artifact(tmp_path_factory):
     """A partitioned weight artifact with an IVF index built over it."""
     directory = str(tmp_path_factory.mktemp("ann-artifact"))
     model = SpTransE(N_ENTITIES, N_RELATIONS, DIM, rng=5, partitions=PARTITIONS)
-    save_weight_files(directory, model)
+    save_checkpoint(os.path.join(directory, "checkpoint.npz"), model)
     manifest = build_index_files(directory, kind="ivf", seed=0)
     return directory, model, manifest
 

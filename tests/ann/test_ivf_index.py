@@ -20,7 +20,7 @@ from repro.ann import (
 )
 from repro.models.transe import SpTransE
 from repro.nn.partitioned import bucket_filename
-from repro.training.checkpoint import save_weight_files
+from repro.training.checkpoint import save_checkpoint
 
 
 class TestRegistry:
@@ -51,7 +51,7 @@ class TestBuildAndLoad:
     def test_build_is_deterministic(self, indexed_artifact, tmp_path):
         directory, model, manifest = indexed_artifact
         other = str(tmp_path / "again")
-        save_weight_files(other, model)
+        save_checkpoint(os.path.join(other, "checkpoint.npz"), model)
         again = build_index_files(other, kind="ivf", seed=0)
         for a, b in zip(manifest["buckets"], again["buckets"]):
             assert np.array_equal(
@@ -80,7 +80,7 @@ class TestBuildAndLoad:
     def test_unpartitioned_artifact_rejected(self, tmp_path):
         directory = str(tmp_path / "dense")
         model = SpTransE(40, 3, 8, rng=0)  # no partitions -> no partition.json
-        save_weight_files(directory, model)
+        save_checkpoint(os.path.join(directory, "checkpoint.npz"), model)
         with pytest.raises(ValueError, match="partition"):
             build_index_files(directory, kind="ivf")
 
@@ -107,7 +107,7 @@ class TestFullProbeParity:
         # them the same way (top_k's stable index order).
         directory = str(tmp_path / "ties")
         model = SpTransE(90, 3, 6, rng=1, partitions=3)
-        save_weight_files(directory, model)
+        save_checkpoint(os.path.join(directory, "checkpoint.npz"), model)
         distinct = np.linspace(-1.0, 1.0, 5 * 6).reshape(5, 6)
         table = np.tile(distinct, (18, 1))  # every distance 18-way tied
         for k, entry in enumerate(json.loads(open(os.path.join(

@@ -1,9 +1,9 @@
-"""Tests for Embedding, StackedEmbedding, and MemoryMappedEmbedding."""
+"""Tests for Embedding and StackedEmbedding."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Embedding, MemoryMappedEmbedding, StackedEmbedding
+from repro.nn import Embedding, StackedEmbedding
 
 
 class TestEmbedding:
@@ -104,46 +104,3 @@ class TestStackedEmbedding:
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             StackedEmbedding(0, 2, 3)
-
-
-class TestMemoryMappedEmbedding:
-    def test_lookup_matches_memmap(self, tmp_path):
-        path = str(tmp_path / "emb.bin")
-        emb = MemoryMappedEmbedding(10, 2, 4, path=path, rng=0)
-        rows = np.array([0, 3, 11])
-        out = emb.lookup(rows)
-        assert out.shape == (3, 4)
-        np.testing.assert_allclose(out, np.asarray(emb._memmap)[rows])
-        emb.close()
-
-    def test_forward_returns_grad_leaf(self, tmp_path):
-        emb = MemoryMappedEmbedding(6, 2, 3, path=str(tmp_path / "e.bin"), rng=0)
-        t = emb.forward(np.array([1, 2]))
-        assert t.requires_grad
-        emb.close()
-
-    def test_apply_row_update_sgd(self, tmp_path):
-        emb = MemoryMappedEmbedding(6, 2, 3, path=str(tmp_path / "e.bin"), rng=0)
-        rows = np.array([1, 1, 4])
-        before = emb.lookup(np.array([1, 4]))
-        grad = np.ones((3, 3))
-        emb.apply_row_update(rows, grad, lr=0.1)
-        after = emb.lookup(np.array([1, 4]))
-        # Row 1 appears twice in the update, row 4 once.
-        np.testing.assert_allclose(after[0], before[0] - 0.2)
-        np.testing.assert_allclose(after[1], before[1] - 0.1)
-        emb.close()
-
-    def test_apply_row_update_shape_check(self, tmp_path):
-        emb = MemoryMappedEmbedding(6, 2, 3, path=str(tmp_path / "e.bin"), rng=0)
-        with pytest.raises(ValueError):
-            emb.apply_row_update(np.array([0]), np.ones((2, 3)), lr=0.1)
-        emb.close()
-
-    def test_temporary_file_cleanup(self):
-        emb = MemoryMappedEmbedding(4, 1, 2, rng=0)
-        path = emb.path
-        import os
-        assert os.path.exists(path)
-        emb.close()
-        assert not os.path.exists(path)

@@ -12,7 +12,6 @@ import pytest
 from repro.nn import (
     DenseSliceTable,
     Embedding,
-    MemoryMappedEmbedding,
     PartitionedEmbedding,
     StackedEmbedding,
     partitioned_tables,
@@ -140,7 +139,7 @@ class TestStorageLifecycle:
         before = table.to_matrix()
         other = PartitionedEmbedding(N, R, D, partitions=4, rng=0,
                                      max_resident=2)
-        other.attach_storage(str(target), read_only=True)
+        other.attach_storage(str(target))
         assert np.array_equal(other.to_matrix(), before)
         with pytest.raises(RuntimeError):
             other.write_rows(np.array([0]), np.zeros((1, D)))
@@ -442,17 +441,6 @@ class TestDenseTableConformance:
         assert np.array_equal(emb.read_rows(np.array([3, 5])), ref)
         emb.write_rows(np.array([0]), np.zeros((1, 6)))
         assert np.array_equal(emb.weight.data[0], np.zeros(6))
-
-    def test_memmap_implements_table(self):
-        emb = MemoryMappedEmbedding(15, 3, 4, rng=1)
-        try:
-            assert emb.n_rows == 18
-            total = sum(b.shape[0] for _, b in emb.iter_blocks(block_rows=5))
-            assert total == 18
-            emb.write_rows(np.array([2]), np.full((1, 4), 2.0))
-            assert np.array_equal(emb.read_rows(np.array([2])), np.full((1, 4), 2.0))
-        finally:
-            emb.close()
 
     def test_stacked_exposes_slice_tables(self):
         stacked = StackedEmbedding(10, 4, 6, rng=1)

@@ -5,12 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from repro.ann import load_index
+from repro.ann import build_index_files, load_index
 from repro.data import KnownTriples, generate_synthetic_kg
 from repro.models.transe import SpTransE
-from repro.registry import ModelSpec, build_model
+from repro.experiment import ExperimentSpec
+from repro.registry import ModelSpec, build_model, spec_from_model
 from repro.serving import InferenceEngine, TopKQuery
-from repro.training.checkpoint import load_model, save_checkpoint, save_weight_files
+from repro.nn.quantize import quantize_weight_files
+from repro.training.checkpoint import load_model, save_checkpoint
 
 
 def make_model(name="transe", formulation="sparse", n_entities=40, n_relations=6,
@@ -91,13 +93,16 @@ class TestFilteredAnswersUseTheIndex:
 
     @pytest.fixture(scope="class")
     def artifact(self, tmp_path_factory):
-        """Partitioned weights with int8 twins and an IVF index beside them."""
-        path = str(tmp_path_factory.mktemp("filtered-artifact"))
+        """One model saved twice: with an IVF index, and quantized to int8."""
         model = SpTransE(self.N_ENTITIES, self.N_RELATIONS, 12, partitions=3, rng=7,
                          max_resident=2)
-        save_checkpoint(os.path.join(path, "checkpoint.npz"), model)
-        save_weight_files(path, model, quantize="int8", ann="ivf")
-        return path
+        paths = {}
+        for name in ("indexed", "quantized"):
+            paths[name] = str(tmp_path_factory.mktemp(f"filtered-{name}"))
+            save_checkpoint(os.path.join(paths[name], "checkpoint.npz"), model)
+        build_index_files(paths["indexed"], kind="ivf")
+        quantize_weight_files(os.path.join(paths["quantized"], "weights"), "int8")
+        return paths
 
     @pytest.fixture(scope="class")
     def kg(self):
@@ -105,13 +110,13 @@ class TestFilteredAnswersUseTheIndex:
         return generate_synthetic_kg(self.N_ENTITIES, self.N_RELATIONS, 1500, rng=5,
                                      test_fraction=0.1)
 
-    def _engine(self, path, route, known):
-        ckpt = os.path.join(path, "checkpoint.npz")
+    def _engine(self, paths, route, known):
         if route == "quantized":
-            return InferenceEngine(load_model(ckpt, mmap=True, quantized="int8"),
+            return InferenceEngine(load_model(paths["quantized"]),
                                    known_triples=known, cache_size=0)
-        index = load_index(os.path.join(path, "index")) if route == "ann" else None
-        return InferenceEngine(load_model(ckpt, mmap=True), known_triples=known,
+        index = (load_index(os.path.join(paths["indexed"], "index"))
+                 if route == "ann" else None)
+        return InferenceEngine(load_model(paths["indexed"]), known_triples=known,
                                cache_size=0, ann_index=index)
 
     @staticmethod
@@ -275,6 +280,36 @@ class TestCacheBehaviour:
             assert engine.nearest_entities(entity, k=6) == fresh.nearest_entities(entity, k=6)
             assert engine.top_k_tails(entity, 2, k=6) == fresh.top_k_tails(entity, 2, k=6)
             assert engine.top_k_heads(2, entity, k=6) == fresh.top_k_heads(2, entity, k=6)
+
+
+    @staticmethod
+    def _artifact(path, model):
+        """A servable artifact directory: spec, metrics and checkpoint."""
+        ExperimentSpec(model=spec_from_model(model), name="reload").to_file(
+            os.path.join(path, "spec.json"))
+        with open(os.path.join(path, "metrics.json"), "w") as handle:
+            handle.write("{}\n")
+        save_checkpoint(os.path.join(path, "checkpoint.npz"), model)
+        return path
+
+    def test_reload_of_a_quantized_artifact_stays_quantized(self, tmp_path):
+        path = self._artifact(str(tmp_path), SpTransE(120, 5, 12, partitions=3,
+                                                      rng=7, max_resident=2))
+        quantize_weight_files(os.path.join(path, "weights"), "int8")
+        engine = InferenceEngine.from_artifact(path, cache_size=0)
+        queries = [(0, 0), (17, 2), (119, 4)]
+        before = [engine.top_k_tails(h, r, k=8) for h, r in queries]
+        assert engine.stats()["quantized"] == "int8"
+        engine.reload(path)
+        assert engine.stats()["quantized"] == "int8"
+        assert [engine.top_k_tails(h, r, k=8) for h, r in queries] == before
+
+    def test_reload_of_a_dense_artifact_stays_memory_mapped(self, tmp_path):
+        path = self._artifact(str(tmp_path), make_model(rng=3))
+        engine = InferenceEngine.from_artifact(path)
+        engine.reload(path)
+        for name, param in engine.model.named_parameters():
+            assert isinstance(param.data, np.memmap), name
 
 
 class TestNearestEntities:

@@ -274,6 +274,22 @@ class TestRunCommand:
         manifest = json.loads((weights / "partition.json").read_text())
         assert manifest["quantized"]["mode"] == "int8"
 
+    def test_serve_reaches_what_run_quantize_wrote(self, capsys, tmp_path):
+        from repro import cli
+
+        spec_path = str(tmp_path / "exp.json")
+        run_cli(capsys, "export-spec", "--dataset", "WN18RR", "--scale", "0.003",
+                "--model", "transe", "--epochs", "1", "--batch-size", "256",
+                "--dim", "8", "--output", spec_path)
+        artifacts = str(tmp_path / "artifacts")
+        run_cli(capsys, "run", spec_path, "--artifacts", artifacts,
+                "--partitions", "2", "--quantize", "int8", "--quiet")
+        args = build_parser().parse_args(["serve", "--checkpoint", artifacts])
+        engine = cli._engine_factory(args)()
+        assert engine.stats()["quantized"] == "int8"
+        assert len(engine.top_k_tails(0, 0, k=5).entities) == 5
+        assert engine.stats()["rescored_queries"] == 1
+
     def test_run_quantize_rejects_unpartitioned_model(self, capsys, tmp_path):
         spec_path = str(tmp_path / "exp.json")
         run_cli(capsys, "export-spec", "--dataset", "WN18RR", "--scale", "0.003",

@@ -12,7 +12,6 @@ from repro.data import (
 )
 from repro.evaluation import evaluate_link_prediction, evaluate_triple_classification
 from repro.models import SpTorusE, SpTransE, SpTransH
-from repro.nn.embedding import MemoryMappedEmbedding
 from repro.training import Trainer, TrainingConfig
 
 
@@ -109,42 +108,3 @@ class TestPaperWorkloads:
                 model, kg.split.test, known_triples=kg.known_triples()
             ).hits[10]
         assert abs(hits["sparse"] - hits["dense"]) < 0.25
-
-
-class TestStreamingEmbeddings:
-    def test_memmap_training_step_reduces_loss(self, tmp_path):
-        """The streaming-embedding path: lookup rows, backprop into the looked-up
-        block, write row updates back to disk."""
-        kg = generate_synthetic_kg(60, 6, 200, rng=5)
-        table = MemoryMappedEmbedding(kg.n_entities, kg.n_relations, 8,
-                                      path=str(tmp_path / "big.bin"), rng=0)
-        from repro.autograd import ops
-        from repro.losses import margin_ranking_loss
-        from repro.data import UniformNegativeSampler
-
-        sampler = UniformNegativeSampler(kg.n_entities, rng=0)
-        positives = kg.split.train[:64]
-        negatives = sampler.corrupt(positives)
-
-        def batch_loss(apply_update: bool) -> float:
-            combined = np.concatenate([positives, negatives])
-            rows = np.unique(np.concatenate([
-                combined[:, 0], combined[:, 2], kg.n_entities + combined[:, 1]
-            ]))
-            remap = {r: i for i, r in enumerate(rows)}
-            block = table.forward(rows)
-            h = ops.gather_rows(block, np.array([remap[x] for x in combined[:, 0]]))
-            r = ops.gather_rows(block, np.array([remap[kg.n_entities + x] for x in combined[:, 1]]))
-            t = ops.gather_rows(block, np.array([remap[x] for x in combined[:, 2]]))
-            scores = ops.lp_norm(h + r - t, p=2)
-            m = len(positives)
-            loss = margin_ranking_loss(scores[np.arange(m)], scores[np.arange(m, 2 * m)])
-            if apply_update:
-                loss.backward()
-                table.apply_row_update(rows, block.grad, lr=0.5)
-            return loss.item()
-
-        before = batch_loss(apply_update=True)
-        after = batch_loss(apply_update=False)
-        assert after < before
-        table.close()

@@ -75,9 +75,9 @@ class TestPartitionedCheckpointLayout:
     def test_npz_excludes_buckets_and_manifest_recorded(self, trained):
         model, path, directory = trained
         with np.load(path, allow_pickle=False) as data:
-            bucket_keys = [k for k in data.files if "bucket" in k]
-            assert not bucket_keys
-            assert "model::embeddings.relations" in data.files
+            assert not [k for k in data.files if k.startswith("model::")]
+        assert os.path.exists(os.path.join(directory, "weights",
+                                           "embeddings.relations.npy"))
         checkpoint = load_checkpoint(path)
         assert checkpoint.partition_manifest is not None
         assert checkpoint.partition_manifest["partitions"] == 3
@@ -102,10 +102,10 @@ class TestPartitionedCheckpointLayout:
         assert reloaded.n_partitions == 3
         assert reloaded.embeddings.read_only
 
-    def test_load_model_mmap_path(self, trained, kg):
-        """mmap=True routes through the weight files + lazy bucket attach."""
+    def test_load_model_faults_buckets_lazily(self, trained, kg):
+        """load_model attaches the bucket files; nothing faults until used."""
         model, path, _ = trained
-        lazy = load_model(path, mmap=True)
+        lazy = load_model(path)
         assert lazy.embeddings.stats()["faults"] == 0  # nothing faulted yet
         triples = kg.split.train[:16]
         assert np.array_equal(model.score_triples(triples),
@@ -162,17 +162,14 @@ class TestPartitionedExperimentArtifact:
             Experiment(spec.replace(name="resumed"), resume=directory).run()
 
 
-class TestLegacyFallback:
-    def test_unpartitioned_artifact_still_loads(self, kg, tmp_path):
-        """No partition.json → the dense single-bucket legacy layout."""
+class TestDenseLayout:
+    def test_unpartitioned_artifact_loads(self, kg, tmp_path):
+        """No partition.json → every parameter is one mapped ``.npy`` file."""
         model = SpTransE(kg.n_entities, kg.n_relations, 8, rng=0)
         Trainer(model, kg, TrainingConfig(epochs=1, batch_size=256)).train()
         path = save_checkpoint(str(tmp_path / "dense.npz"), model)
-        from repro.training.checkpoint import save_weight_files
-
-        save_weight_files(str(tmp_path), model)
         assert not os.path.exists(tmp_path / "weights" / PARTITION_MANIFEST)
-        lazy = load_model(path, mmap=True)
+        lazy = load_model(path)
         triples = kg.split.train[:16]
         assert np.array_equal(model.score_triples(triples),
                               lazy.score_triples(triples))

@@ -15,17 +15,22 @@ from repro.models.transe import SpTransE
 from repro.nn import quantize
 from repro.nn.partitioned import PARTITION_MANIFEST
 from repro.serving.engine import InferenceEngine
-from repro.training.checkpoint import save_checkpoint, save_weight_files, load_model
+from repro.training.checkpoint import save_checkpoint, load_model
 
 
 @pytest.fixture
 def artifact(tmp_path):
-    """A trained-ish partitioned artifact with both quantized modes written."""
+    """A partitioned artifact, not yet quantized."""
     model = SpTransE(120, 5, 12, partitions=3, rng=7, max_resident=2)
     path = str(tmp_path / "artifact")
     os.makedirs(path)
     save_checkpoint(os.path.join(path, "checkpoint.npz"), model)
     return model, path
+
+
+def quantize_artifact(path, mode):
+    """Write ``mode`` twins into the artifact: from now on it serves them."""
+    return quantize.quantize_weight_files(os.path.join(path, "weights"), mode)
 
 
 class TestCodec:
@@ -55,9 +60,9 @@ class TestCodec:
 
 
 class TestArtifactLayout:
-    def test_save_weight_files_writes_quantized_twins(self, artifact):
-        model, path = artifact
-        written = save_weight_files(path, model, quantize="int8")
+    def test_quantize_writes_twins(self, artifact):
+        _, path = artifact
+        entry = quantize_artifact(path, "int8")
         weights = os.path.join(path, "weights")
         for k in range(3):
             assert os.path.exists(os.path.join(weights, f"entities.bucket{k}.npy"))
@@ -66,18 +71,18 @@ class TestArtifactLayout:
                 os.path.join(weights, f"entities.bucket{k}.i8.scale.npy"))
         with open(os.path.join(weights, PARTITION_MANIFEST)) as handle:
             manifest = json.load(handle)
-        assert manifest["quantized"]["mode"] == "int8"
-        assert len(manifest["quantized"]["buckets"]) == 3
-        assert "entities.bucket0.i8" in written
+        assert manifest["quantized"] == entry
+        assert entry["mode"] == "int8" and len(entry["buckets"]) == 3
 
     def test_quantize_requires_partitioned_model(self, tmp_path):
         dense = SpTransE(20, 3, 4, rng=0)
-        with pytest.raises(ValueError, match="partitioned"):
-            save_weight_files(str(tmp_path), dense, quantize="fp16")
+        save_checkpoint(str(tmp_path / "checkpoint.npz"), dense)
+        with pytest.raises(FileNotFoundError, match="partitioned"):
+            quantize_artifact(str(tmp_path), "fp16")
 
     def test_disk_bytes_shrink(self, artifact):
-        model, path = artifact
-        save_weight_files(path, model, quantize="int8")
+        _, path = artifact
+        quantize_artifact(path, "int8")
         weights = os.path.join(path, "weights")
         exact = os.path.getsize(os.path.join(weights, "entities.bucket0.npy"))
         codes = os.path.getsize(os.path.join(weights, "entities.bucket0.i8.npy"))
@@ -86,11 +91,10 @@ class TestArtifactLayout:
 
 class TestQuantizedAttach:
     def test_slab_dtype_and_resident_bytes(self, artifact):
-        model, path = artifact
-        save_weight_files(path, model, quantize="int8")
-        ckpt = os.path.join(path, "checkpoint.npz")
-        ref = load_model(ckpt, mmap=True)
-        q = load_model(ckpt, mmap=True, quantized="int8")
+        _, path = artifact
+        ref = load_model(path)  # attached before the twins exist
+        quantize_artifact(path, "int8")
+        q = load_model(path)
         assert ref.embeddings.slab_dtype == np.float64
         assert q.embeddings.slab_dtype == np.float32
         assert q.embeddings.quantized == "int8"
@@ -103,62 +107,44 @@ class TestQuantizedAttach:
         np.testing.assert_allclose(rows_q, rows_ref, atol=0.02)
 
     def test_max_resident_auto_scales(self, artifact):
-        model, path = artifact
-        save_weight_files(path, model, quantize="fp16")
-        q = load_model(os.path.join(path, "checkpoint.npz"), mmap=True,
-                       quantized="fp16")
+        _, path = artifact
+        quantize_artifact(path, "fp16")
+        q = load_model(path)
         # base max_resident 2 × factor 4, capped at 3 partitions
         assert q.embeddings.max_resident == 3
         assert q.embeddings.slab_dtype == np.float16
 
     def test_exact_rows_match_float64_originals(self, artifact):
-        model, path = artifact
-        save_weight_files(path, model, quantize="int8")
-        ckpt = os.path.join(path, "checkpoint.npz")
-        ref = load_model(ckpt, mmap=True)
-        q = load_model(ckpt, mmap=True, quantized="int8")
+        _, path = artifact
+        ref = load_model(path)
+        quantize_artifact(path, "int8")
+        q = load_model(path)
         idx = np.array([0, 55, 119, 3])
         np.testing.assert_array_equal(q.embeddings.exact_rows(idx),
                                       ref.embeddings.read_rows(idx))
         assert q.embeddings.stats()["exact_row_reads"] == idx.size
 
-    def test_mode_mismatch_raises(self, artifact):
-        model, path = artifact
-        save_weight_files(path, model, quantize="fp16")
-        with pytest.raises(ValueError, match="not quantized as"):
-            load_model(os.path.join(path, "checkpoint.npz"), mmap=True,
-                       quantized="int8")
+    def test_missing_twin_raises(self, artifact):
+        _, path = artifact
+        quantize_artifact(path, "int8")
+        os.remove(os.path.join(path, "weights", "entities.bucket1.i8.npy"))
+        with pytest.raises(FileNotFoundError, match="entities.bucket1.i8.npy"):
+            load_model(path)
 
-    def test_auto_uses_manifest_mode(self, artifact):
-        model, path = artifact
-        save_weight_files(path, model, quantize="int8")
-        q = load_model(os.path.join(path, "checkpoint.npz"), mmap=True,
-                       quantized="auto")
-        assert q.embeddings.quantized == "int8"
-
-    def test_auto_without_quantized_files_is_full_precision(self, artifact):
-        model, path = artifact
-        save_weight_files(path, model)
-        q = load_model(os.path.join(path, "checkpoint.npz"), mmap=True,
-                       quantized="auto")
+    def test_unquantized_artifact_is_full_precision(self, artifact):
+        _, path = artifact
+        q = load_model(path)
         assert q.embeddings.quantized is None
         assert q.embeddings.slab_dtype == np.float64
-
-    def test_quantized_requires_mmap(self, artifact):
-        model, path = artifact
-        save_weight_files(path, model, quantize="int8")
-        with pytest.raises(ValueError, match="mmap"):
-            load_model(os.path.join(path, "checkpoint.npz"), quantized="int8")
 
 
 class TestRankParity:
     @pytest.mark.parametrize("mode", ["fp16", "int8"])
     def test_topk_ranks_identical_after_rescore(self, artifact, mode):
-        model, path = artifact
-        save_weight_files(path, model, quantize=mode)
-        ckpt = os.path.join(path, "checkpoint.npz")
-        ref_engine = InferenceEngine(load_model(ckpt, mmap=True))
-        q_engine = InferenceEngine(load_model(ckpt, mmap=True, quantized=mode))
+        _, path = artifact
+        ref_engine = InferenceEngine(load_model(path))
+        quantize_artifact(path, mode)
+        q_engine = InferenceEngine(load_model(path))
         for anchor, rel in [(0, 0), (17, 2), (119, 4), (58, 1)]:
             a = ref_engine.top_k_tails(anchor, rel, k=10)
             b = q_engine.top_k_tails(anchor, rel, k=10)
@@ -172,25 +158,21 @@ class TestRankParity:
         assert ref_engine.stats()["rescored_queries"] == 0
 
     def test_filtered_queries_keep_parity(self, artifact):
-        model, path = artifact
-        save_weight_files(path, model, quantize="int8")
-        ckpt = os.path.join(path, "checkpoint.npz")
+        _, path = artifact
         known = [(0, 0, t) for t in range(15)]
-        ref_engine = InferenceEngine(load_model(ckpt, mmap=True),
-                                     known_triples=known)
-        q_engine = InferenceEngine(load_model(ckpt, mmap=True, quantized="int8"),
-                                   known_triples=known)
+        ref_engine = InferenceEngine(load_model(path), known_triples=known)
+        quantize_artifact(path, "int8")
+        q_engine = InferenceEngine(load_model(path), known_triples=known)
         a = ref_engine.top_k_tails(0, 0, k=8, filtered=True)
         b = q_engine.top_k_tails(0, 0, k=8, filtered=True)
         assert a.entities == b.entities
         assert not set(a.entities) & set(range(15))
 
     def test_nearest_entities_parity(self, artifact):
-        model, path = artifact
-        save_weight_files(path, model, quantize="int8")
-        ckpt = os.path.join(path, "checkpoint.npz")
-        ref_engine = InferenceEngine(load_model(ckpt, mmap=True))
-        q_engine = InferenceEngine(load_model(ckpt, mmap=True, quantized="int8"))
+        _, path = artifact
+        ref_engine = InferenceEngine(load_model(path))
+        quantize_artifact(path, "int8")
+        q_engine = InferenceEngine(load_model(path))
         for entity in (3, 64, 119):
             a = ref_engine.nearest_entities(entity, k=5)
             b = q_engine.nearest_entities(entity, k=5)
