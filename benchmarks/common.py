@@ -104,11 +104,11 @@ def paired_models(model_name: str, kg: KGDataset, seed: int = 0, dim: int = DEFA
         sparse.embeddings.load_pretrained(dense.entity_embeddings.weight.data,
                                           dense.relation_embeddings.weight.data)
     elif model_name == "TransH":
-        sparse.entity_embeddings.data[...] = dense.entity_embeddings.weight.data
+        sparse.entity_embeddings.weight.data[...] = dense.entity_embeddings.weight.data
         sparse.translations.weight.data[...] = dense.translations.weight.data
         sparse.normals.weight.data[...] = dense.normals.weight.data
     else:
-        sparse.entity_embeddings.data[...] = dense.entity_embeddings.weight.data
+        sparse.entity_embeddings.weight.data[...] = dense.entity_embeddings.weight.data
         sparse.relation_embeddings.weight.data[...] = dense.relation_embeddings.weight.data
         sparse.projections.data[...] = dense.projections.data
     return sparse, dense

@@ -68,5 +68,5 @@ class DenseTransD(TranslationalModel):
 
     def normalize_parameters(self) -> None:
         """Constrain entity and relation embeddings to the unit L2 ball."""
-        self.entity_embeddings.renormalize(max_norm=1.0, p=2)
-        self.relation_embeddings.renormalize(max_norm=1.0, p=2)
+        self.entity_embeddings.renormalize_(max_norm=1.0, p=2)
+        self.relation_embeddings.renormalize_(max_norm=1.0, p=2)

@@ -57,4 +57,4 @@ class DenseTransE(TranslationalModel):
 
     def normalize_parameters(self) -> None:
         """Project entity embeddings onto the unit L2 ball (TransE's constraint)."""
-        self.entity_embeddings.renormalize(max_norm=1.0, p=2)
+        self.entity_embeddings.renormalize_(max_norm=1.0, p=2)

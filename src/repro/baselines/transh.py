@@ -58,6 +58,6 @@ class DenseTransH(HyperplaneGeometry, TranslationalModel):
 
     def normalize_parameters(self) -> None:
         """Constrain entity embeddings to the unit ball and normals to unit norm."""
-        self.entity_embeddings.renormalize(max_norm=1.0, p=2)
+        self.entity_embeddings.renormalize_(max_norm=1.0, p=2)
         w = self.normals.weight.data
         w /= np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)

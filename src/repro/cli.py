@@ -501,68 +501,63 @@ def _engine_factory(args: argparse.Namespace) -> Callable[[], InferenceEngine]:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    from repro.serving import make_server
+    from repro.serving import AsyncInferenceServer, make_server
 
     if args.workers < 0:
         raise SystemExit(f"--workers must be >= 0, got {args.workers}")
-    engine_factory = _engine_factory(args)
-    # SIGTERM unwinds like Ctrl-C, so both tiers close what they started:
-    # the threaded server, or the pool and its forked workers.
+    server = None
+    # SIGTERM unwinds like Ctrl-C.  Every statement after the handler runs
+    # inside this try, so a SIGTERM at any point of start-up (loading the
+    # artifact, forking the pool, printing the ready line) still closes what
+    # has started: the threaded server, or the pool and its forked workers.
     signal.signal(signal.SIGTERM, signal.default_int_handler)
-    if args.workers > 0:
-        return _serve_pool(args, engine_factory)
     try:
-        engine = engine_factory()
-    except (FileNotFoundError, ValueError) as exc:
-        raise SystemExit(f"cannot serve artifact {args.checkpoint}: {exc}") from exc
-    server = make_server(engine, host=args.host, port=args.port,
-                         coalesce=not args.no_coalesce, max_batch=args.max_batch,
-                         max_wait_ms=args.max_wait_ms, verbose=args.verbose)
-    print(json.dumps({"serving": server.url,
-                      "model": type(engine.model).__name__,
-                      "spec": engine.spec().to_dict(),
-                      "coalesce": not args.no_coalesce,
-                      "filtered": args.filtered,
-                      "ann": engine.ann_index is not None}), flush=True)
-    try:
-        server.serve_forever()
+        engine_factory = _engine_factory(args)
+        if args.workers > 0:
+            # ``sptransx serve --workers N``: the asyncio + forked-pool tier.
+            try:
+                server = AsyncInferenceServer(
+                    engine_factory, workers=args.workers, host=args.host,
+                    port=args.port, deadline_ms=args.deadline_ms,
+                    max_batch=args.max_batch, admission=not args.no_admission,
+                    verbose=args.verbose)
+            except (RuntimeError, ValueError, FileNotFoundError, TimeoutError) as exc:
+                raise SystemExit(f"cannot start worker pool: {exc}") from exc
+
+            def on_started() -> None:
+                print(json.dumps({"serving": server.url,
+                                  "mode": "pool",
+                                  "workers": args.workers,
+                                  "deadline_ms": args.deadline_ms,
+                                  "admission": not args.no_admission,
+                                  "model": server.meta.get("model"),
+                                  "spec": server.meta.get("spec"),
+                                  "filtered": args.filtered}), flush=True)
+
+            server.serve_forever(on_started=on_started)
+        else:
+            try:
+                engine = engine_factory()
+            except (FileNotFoundError, ValueError) as exc:
+                raise SystemExit(
+                    f"cannot serve artifact {args.checkpoint}: {exc}") from exc
+            server = make_server(engine, host=args.host, port=args.port,
+                                 coalesce=not args.no_coalesce,
+                                 max_batch=args.max_batch,
+                                 max_wait_ms=args.max_wait_ms,
+                                 verbose=args.verbose)
+            print(json.dumps({"serving": server.url,
+                              "model": type(engine.model).__name__,
+                              "spec": engine.spec().to_dict(),
+                              "coalesce": not args.no_coalesce,
+                              "filtered": args.filtered,
+                              "ann": engine.ann_index is not None}), flush=True)
+            server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        server.close()
-    return 0
-
-
-def _serve_pool(args: argparse.Namespace,
-                engine_factory: Callable[[], InferenceEngine]) -> int:
-    """``sptransx serve --workers N``: the asyncio + forked-pool tier."""
-    from repro.serving import AsyncInferenceServer
-
-    try:
-        server = AsyncInferenceServer(
-            engine_factory, workers=args.workers, host=args.host,
-            port=args.port, deadline_ms=args.deadline_ms,
-            max_batch=args.max_batch, admission=not args.no_admission,
-            verbose=args.verbose)
-    except (RuntimeError, ValueError, FileNotFoundError, TimeoutError) as exc:
-        raise SystemExit(f"cannot start worker pool: {exc}") from exc
-
-    def on_started() -> None:
-        print(json.dumps({"serving": server.url,
-                          "mode": "pool",
-                          "workers": args.workers,
-                          "deadline_ms": args.deadline_ms,
-                          "admission": not args.no_admission,
-                          "model": server.meta.get("model"),
-                          "spec": server.meta.get("spec"),
-                          "filtered": args.filtered}), flush=True)
-
-    try:
-        server.serve_forever(on_started=on_started)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.pool.close()
+        if server is not None:
+            server.close()
     return 0
 
 

@@ -18,7 +18,8 @@ from repro.autograd.tensor import Tensor, no_grad
 from repro.data.batching import TripletBatch
 from repro.losses.margin import MarginRankingLoss
 from repro.nn.module import Module
-from repro.nn.table import DenseSliceTable, EmbeddingTable, block_rows_for
+from repro.nn.partitioned import partitioned_tables
+from repro.nn.table import EmbeddingTable, block_rows_for
 from repro.utils.validation import check_triples
 
 
@@ -47,11 +48,11 @@ class KGEModel(Module):
         #: their SpMM / gather backwards (see ``repro.sparse.rowsparse``).
         self.sparse_grads = False
 
-    #: Number of entity-table buckets; models backed by a
-    #: :class:`~repro.nn.partitioned.PartitionedEmbedding` override this with
-    #: the partition count so the training/serving layers can stay
-    #: partition-aware without isinstance checks.
-    n_partitions = 1
+    @property
+    def n_partitions(self) -> int:
+        """Entity-table buckets: ``P`` of the model's paged table, else ``1``."""
+        return max((table.n_partitions for table in partitioned_tables(self)),
+                   default=1)
 
     def set_sparse_grads(self, enabled: bool = True) -> "KGEModel":
         """Toggle the row-sparse gradient path.
@@ -210,16 +211,6 @@ class KGEModel(Module):
         """Dense ``(n_relations, d_rel)`` relation embedding snapshot."""
         raise NotImplementedError
 
-    def bind_optimizer(self, optimizer) -> None:
-        """Give the model a chance to cooperate with its optimiser.
-
-        Default is a no-op.  Partition-backed models attach the optimiser to
-        their embedding table so per-bucket optimiser state slabs page in and
-        out with their bucket (see
-        :meth:`~repro.nn.partitioned.PartitionedEmbedding.attach_optimizer`).
-        Trainers call this right after constructing the optimiser.
-        """
-
     def normalize_parameters(self) -> None:
         """Per-epoch parameter maintenance (entity renormalisation etc.).
 
@@ -293,13 +284,19 @@ class TranslationalModel(KGEModel):
     def entity_table(self) -> EmbeddingTable:
         """The entity rows as an :class:`~repro.nn.table.EmbeddingTable`.
 
-        The default adapts the ``entity_embeddings`` attribute (an
-        :class:`~repro.nn.embedding.Embedding` or a bare parameter).
+        The default reads the ``entity_embeddings`` attribute: a table itself
+        (an :class:`~repro.nn.embedding.Embedding` or a paged table), or an
+        SpMM table exposing its entity rows.
         """
-        weights = self.entity_embeddings
-        if isinstance(weights, EmbeddingTable):
-            return weights
-        return DenseSliceTable(weights.data)
+        table = self.entity_embeddings
+        if isinstance(table, EmbeddingTable):
+            return table
+        return table.entity_table()
+
+    @property
+    def serving_quantized(self) -> Optional[str]:
+        """Quantization mode the entity table is served from (or ``None``)."""
+        return self.entity_table().quantized
 
     def entity_embedding_rows(self, entity_ids: np.ndarray) -> np.ndarray:
         """Copy of selected entity rows ``(k, d)``; never densifies the table."""
@@ -322,13 +319,6 @@ class TranslationalModel(KGEModel):
     def entity_embedding_matrix(self) -> np.ndarray:
         """Dense snapshot; a partitioned table densifies every bucket."""
         return self.entity_table().to_matrix()
-
-    def _dense_entity_view(self) -> Optional[np.ndarray]:
-        """The whole entity table as one array view; ``None`` when partitioned."""
-        if self.n_partitions > 1:
-            return None
-        (_, matrix), = self.entity_table().iter_blocks(self.n_entities)
-        return matrix
 
     def _closed_form_applies(self) -> bool:
         """Whether ranking is the closed form of the score the model trains on.
@@ -358,7 +348,7 @@ class TranslationalModel(KGEModel):
         ``None`` for other dissimilarities, projected geometries and
         partitioned tables, whose blocks the kernel squares in-call.
         """
-        matrix = self._dense_entity_view()
+        matrix = self.entity_table().as_array()
         if matrix is None or not self._l2_over_entities():
             return None
         return ranking.squared_norms(matrix)
@@ -422,7 +412,7 @@ class TranslationalModel(KGEModel):
                                + self.project_entities(anchor_rows[rows], relation)))
 
         l2 = self.dissimilarity_name == "L2"
-        matrix = self._dense_entity_view()
+        matrix = self.entity_table().as_array()
         if l2 and matrix is not None and self.ranking_geometry == "translation":
             # Dense table: one GEMM kernel call over the whole entity matrix
             # (the norm is symmetric, so heads need no special case).

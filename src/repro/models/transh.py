@@ -13,18 +13,18 @@ TransH its small memory footprint (paper Section 6.2.2).
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.autograd.ops import normalize_rows, row_dot
 from repro.autograd.tensor import Tensor
 from repro.models.base import TranslationalModel
 from repro.nn.embedding import Embedding
-from repro.nn.parameter import Parameter
-from repro.nn import init
+from repro.nn.partitioned import spmm_table
 from repro.registry import register_model
 from repro.sparse.backends import DEFAULT_BACKEND
 from repro.sparse.incidence import IncidenceBuilder
-from repro.sparse.spmm import spmm
 from repro.utils.seeding import new_rng
 from repro.utils.validation import check_triples
 
@@ -70,16 +70,20 @@ class SpTransH(HyperplaneGeometry, TranslationalModel):
         SpMM backend name and incidence format.
     rng:
         Seed or generator for initialisation.
+    partitions, partition_dir:
+        Entity-table paging, as for :class:`~repro.models.transe.SpTransE`;
+        the relation-side tables stay resident.
     """
 
     def __init__(self, n_entities: int, n_relations: int, embedding_dim: int,
                  dissimilarity: str = "L2", backend: str = DEFAULT_BACKEND,
-                 fmt: str = "csr", rng=None) -> None:
+                 fmt: str = "csr", rng=None, partitions: int = 1,
+                 partition_dir: Optional[str] = None) -> None:
         super().__init__(n_entities, n_relations, embedding_dim, dissimilarity)
         rng = new_rng(rng)
-        entity_weight = Parameter(np.empty((n_entities, embedding_dim)), name="entity_embeddings")
-        init.xavier_uniform_(entity_weight, rng=rng)
-        self.entity_embeddings = entity_weight
+        self.entity_embeddings = spmm_table(
+            n_entities, 0, embedding_dim, rng=rng, partitions=partitions,
+            partition_dir=partition_dir)
 
         self.translations = Embedding(n_relations, embedding_dim, rng=rng)
         self.normals = Embedding(n_relations, embedding_dim, rng=rng)
@@ -91,13 +95,7 @@ class SpTransH(HyperplaneGeometry, TranslationalModel):
         """Per-triplet ``(h − t) + d_r − (w_rᵀ (h − t)) w_r`` with one SpMM."""
         triples = check_triples(triples, n_entities=self.n_entities,
                                 n_relations=self.n_relations)
-        if self.sparse_grads:
-            # The row-sparse backward never needs A^T; skip building it.
-            A, A_t = self.builder.ht(triples), None
-        else:
-            A, A_t = self.builder.ht(triples, with_transpose=True)
-        ht = spmm(A, self.entity_embeddings, backend=self.backend, A_t=A_t,
-                  sparse_grad=self.sparse_grads)                             # (B, d)
+        ht = self.entity_embeddings.spmm(triples, self.builder, self.backend)  # (B, d)
         rel_idx = triples[:, 1]
         d_r = self.translations(rel_idx)                                      # (B, d)
         w_r = normalize_rows(self.normals(rel_idx))                           # (B, d), unit norm
@@ -110,8 +108,6 @@ class SpTransH(HyperplaneGeometry, TranslationalModel):
 
     def normalize_parameters(self) -> None:
         """Constrain entity embeddings to the unit ball and normals to unit norm."""
-        ent = self.entity_embeddings.data
-        norms = np.linalg.norm(ent, axis=1, keepdims=True)
-        ent *= np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-12), 1.0)
+        self.entity_table().renormalize_(max_norm=1.0, p=2)
         w = self.normals.weight.data
         w /= np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)

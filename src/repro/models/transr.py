@@ -12,6 +12,8 @@ TransR scores ``||M_r h + r − M_r t||`` with a per-relation projection matrix
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.autograd.ops import bmm_vec, gather_rows
@@ -20,10 +22,10 @@ from repro.models.base import TranslationalModel
 from repro.nn import init
 from repro.nn.embedding import Embedding
 from repro.nn.parameter import Parameter
+from repro.nn.partitioned import spmm_table
 from repro.registry import register_model
 from repro.sparse.backends import DEFAULT_BACKEND
 from repro.sparse.incidence import IncidenceBuilder
-from repro.sparse.spmm import spmm
 from repro.utils.seeding import new_rng
 from repro.utils.validation import check_triples
 
@@ -67,20 +69,23 @@ class SpTransR(RelationSpaceGeometry, TranslationalModel):
         SpMM backend name and incidence format.
     rng:
         Seed or generator for initialisation.
+    partitions, partition_dir:
+        Entity-table paging, as for :class:`~repro.models.transe.SpTransE`;
+        the relation vectors and projections stay resident.
     """
 
     def __init__(self, n_entities: int, n_relations: int, embedding_dim: int,
                  relation_dim: int | None = None, dissimilarity: str = "L2",
-                 backend: str = DEFAULT_BACKEND, fmt: str = "csr", rng=None) -> None:
+                 backend: str = DEFAULT_BACKEND, fmt: str = "csr", rng=None,
+                 partitions: int = 1, partition_dir: Optional[str] = None) -> None:
         super().__init__(n_entities, n_relations, embedding_dim, dissimilarity)
         self.relation_dim = int(relation_dim) if relation_dim is not None else int(embedding_dim)
         if self.relation_dim <= 0:
             raise ValueError(f"relation_dim must be positive, got {relation_dim}")
         rng = new_rng(rng)
-
-        entity_weight = Parameter(np.empty((n_entities, embedding_dim)), name="entity_embeddings")
-        init.xavier_uniform_(entity_weight, rng=rng)
-        self.entity_embeddings = entity_weight
+        self.entity_embeddings = spmm_table(
+            n_entities, 0, embedding_dim, rng=rng, partitions=partitions,
+            partition_dir=partition_dir)
 
         self.relation_embeddings = Embedding(n_relations, self.relation_dim, rng=rng)
 
@@ -97,13 +102,7 @@ class SpTransR(RelationSpaceGeometry, TranslationalModel):
         """Per-triplet ``M_r (h − t) + r`` via one ``ht`` SpMM + batched projection."""
         triples = check_triples(triples, n_entities=self.n_entities,
                                 n_relations=self.n_relations)
-        if self.sparse_grads:
-            # The row-sparse backward never needs A^T; skip building it.
-            A, A_t = self.builder.ht(triples), None
-        else:
-            A, A_t = self.builder.ht(triples, with_transpose=True)
-        ht = spmm(A, self.entity_embeddings, backend=self.backend, A_t=A_t,
-                  sparse_grad=self.sparse_grads)                               # (B, d)
+        ht = self.entity_embeddings.spmm(triples, self.builder, self.backend)  # (B, d)
         rel_idx = triples[:, 1]
         mats = gather_rows(self.projections, rel_idx,
                            sparse_grad=self.sparse_grads)                      # (B, k, d)
@@ -116,7 +115,5 @@ class SpTransR(RelationSpaceGeometry, TranslationalModel):
 
     def normalize_parameters(self) -> None:
         """Constrain entity and relation embeddings to the unit L2 ball."""
-        for matrix in (self.entity_embeddings.data, self.relation_embeddings.weight.data):
-            norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-            scale = np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-12), 1.0)
-            matrix *= scale
+        for table in (self.entity_table(), self.relation_embeddings):
+            table.renormalize_(max_norm=1.0, p=2)

@@ -7,14 +7,16 @@
   followed by relation rows, consumed whole by the SpMM of the sparse path
   (paper Section 4.2.2).  Views over the entity / relation blocks are exposed
   for evaluation and for models that still need per-relation parameters.
+  With ``R = 0`` it is the entity-only table the ``ht`` models multiply.
 
 Tables too large for memory are the bucketed
-:class:`~repro.nn.partitioned.PartitionedEmbedding`.
+:class:`~repro.nn.partitioned.PartitionedEmbedding`; both SpMM tables answer
+the same :meth:`~StackedEmbedding.spmm` lookup.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +26,8 @@ from repro.nn import init
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.nn.table import DEFAULT_BLOCK_ROWS, DenseSliceTable, EmbeddingTable
+from repro.sparse.incidence import IncidenceBuilder
+from repro.sparse.spmm import spmm
 from repro.utils.seeding import new_rng
 
 
@@ -66,18 +70,6 @@ class Embedding(Module, EmbeddingTable):
         return gather_rows(self.weight, np.asarray(indices, dtype=np.int64),
                            sparse_grad=self.sparse_grad)
 
-    def renormalize(self, max_norm: float = 1.0, p: int = 2) -> None:
-        """Project every row onto the L_p ball of radius ``max_norm`` in place.
-
-        TransE-style training renormalises entity embeddings between batches;
-        this is a data-level operation outside the autograd tape.  The
-        projection runs block-wise (see
-        :func:`~repro.nn.table.renormalize_block_`) so the norm/scale
-        temporaries stay bounded regardless of table height; being purely
-        per-row, the result is bit-identical to the whole-matrix projection.
-        """
-        self._table().renormalize_(max_norm=max_norm, p=p)
-
     # ------------------------------------------------------------------ #
     # EmbeddingTable interface
     # ------------------------------------------------------------------ #
@@ -98,6 +90,13 @@ class Embedding(Module, EmbeddingTable):
     def write_rows(self, indices: np.ndarray, values: np.ndarray) -> None:
         self._table().write_rows(indices, values)
 
+    def as_array(self) -> np.ndarray:
+        return self.weight.data
+
+    def apply_rows_(self, fn: Callable[[np.ndarray], None],
+                    block_rows: Optional[int] = None) -> None:
+        self._table().apply_rows_(fn, block_rows)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Embedding({self.num_embeddings}, {self.embedding_dim})"
 
@@ -107,13 +106,13 @@ class StackedEmbedding(Module):
 
     The sparse models multiply the whole matrix by the ``hrt`` incidence
     matrix, so entities and relations must live in one contiguous parameter.
-    ``ht``-based models (TransR, TransH) use only the entity block for the
-    SpMM and index the relation block directly.
+    ``ht``-based models (TransR, TransH) multiply an entity-only table
+    (``n_relations=0``) and keep their relation parameters apart.
 
     Parameters
     ----------
     n_entities, n_relations:
-        Vocabulary sizes.
+        Vocabulary sizes (``n_relations`` may be ``0``).
     embedding_dim:
         Shared embedding width ``d``.
     rng:
@@ -127,8 +126,9 @@ class StackedEmbedding(Module):
                  rng: Optional[np.random.Generator] = None,
                  sparse_grad: bool = False) -> None:
         super().__init__()
-        if n_entities <= 0 or n_relations <= 0 or embedding_dim <= 0:
-            raise ValueError("n_entities, n_relations, and embedding_dim must be positive")
+        if n_entities <= 0 or n_relations < 0 or embedding_dim <= 0:
+            raise ValueError("n_entities and embedding_dim must be positive and "
+                             "n_relations non-negative")
         self.n_entities = int(n_entities)
         self.n_relations = int(n_relations)
         self.embedding_dim = int(embedding_dim)
@@ -154,6 +154,27 @@ class StackedEmbedding(Module):
         """Return the full stacked parameter (fed directly to ``spmm``)."""
         return self.weight
 
+    def spmm(self, triples: np.ndarray, builder: IncidenceBuilder,
+             backend: str) -> Tensor:
+        """The batch's lookup: ``A @ weight`` for its incidence ``A``.
+
+        ``A`` is the ``hrt`` incidence when the table holds relation rows and
+        the ``ht`` one when it is entity-only.
+
+        One full-matrix SpMM; see
+        :meth:`~repro.nn.partitioned.PartitionedEmbedding.spmm` for the paged
+        table's compacted form, which returns the same floats.  The row-sparse
+        backward takes ``A`` and transposes it itself, so ``A^T`` is built
+        only for the dense one.
+        """
+        build = builder.hrt if self.n_relations else builder.ht
+        if self.sparse_grad:
+            A, A_t = build(triples), None
+        else:
+            A, A_t = build(triples, with_transpose=True)
+        return spmm(A, self.weight, backend=backend, A_t=A_t,
+                    sparse_grad=self.sparse_grad)
+
     def gather_entities(self, indices: np.ndarray) -> Tensor:
         """Differentiable gather from the entity block."""
         idx = np.asarray(indices, dtype=np.int64)
@@ -168,16 +189,6 @@ class StackedEmbedding(Module):
             raise IndexError("relation index out of range")
         return gather_rows(self.weight, idx + self.n_entities,
                            sparse_grad=self.sparse_grad)
-
-    def renormalize_entities(self, max_norm: float = 1.0, p: int = 2) -> None:
-        """Project entity rows onto the L_p ball (relations untouched).
-
-        Runs block-wise over the entity block so memory for the norm/scale
-        temporaries is bounded by the block size, not the vocabulary; the
-        per-row projection makes the result bit-identical to the old
-        whole-matrix code.
-        """
-        self.entity_table().renormalize_(max_norm=max_norm, p=p)
 
     def entity_table(self) -> DenseSliceTable:
         """:class:`~repro.nn.table.EmbeddingTable` view of the entity block."""

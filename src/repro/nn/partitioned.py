@@ -16,14 +16,16 @@ own ``entities.bucket<k>.npy`` file:
   gradient exchange are all naturally bucket-granular: optimiser state pages
   out *with* its bucket (see :meth:`attach_optimizer`), and untouched buckets
   contribute nothing to the DDP wire volume;
-* relations stay a small always-resident dense parameter.
+* relations stay a small always-resident dense parameter; the entity-only
+  table of the ``ht`` models (``n_relations=0``) has none.
 
 Initialisation draws the same Xavier stream a
 :class:`~repro.nn.embedding.StackedEmbedding` of the stacked ``(N + R, d)``
 shape would draw — bucket by bucket, entities first, relations last — so a
 partitioned model starts from bit-identical weights and (with the compacted
-SpMM scoring path in :class:`~repro.models.transe.SpTransE`) follows the
-bit-identical training trajectory of its unpartitioned twin.
+lookup of :meth:`PartitionedEmbedding.spmm`) follows the bit-identical
+training trajectory of its unpartitioned twin.  :func:`spmm_table` is the one
+place a model chooses between the two tables.
 """
 
 from __future__ import annotations
@@ -35,23 +37,32 @@ import shutil
 import tempfile
 import time
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib import format as npy_format
 
+from repro.autograd.tensor import Tensor
 from repro.nn import init
 from repro.nn import quantize as quantize_lib
+from repro.nn.embedding import StackedEmbedding
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.nn.table import (
     DEFAULT_BLOCK_ROWS,
+    DenseSliceTable,
     EmbeddingTable,
     block_rows_for,
-    renormalize_block_,
 )
 from repro.partition import EntityPartition
+from repro.sparse.backends import get_backend
+from repro.sparse.incidence import (
+    IncidenceBuilder,
+    build_hrt_incidence,
+    build_ht_incidence,
+)
 from repro.sparse.rowsparse import RowSparseGrad
+from repro.sparse.spmm import rowsparse_backward_for
 from repro.utils.seeding import new_rng
 
 #: Manifest filename written next to the bucket files.
@@ -193,6 +204,7 @@ class PartitionedEmbedding(Module, EmbeddingTable):
     ----------
     n_entities, n_relations, embedding_dim:
         Table geometry (entity rows are partitioned; relations stay dense).
+        ``n_relations=0`` is the entity-only table, with no relation rows.
     partitions:
         Number of entity buckets ``P``.
     rng:
@@ -216,8 +228,9 @@ class PartitionedEmbedding(Module, EmbeddingTable):
                  partitions: int, rng=None, directory: Optional[str] = None,
                  max_resident: Optional[int] = 2, read_only: bool = False) -> None:
         super().__init__()
-        if n_entities <= 0 or n_relations <= 0 or embedding_dim <= 0:
-            raise ValueError("n_entities, n_relations, and embedding_dim must be positive")
+        if n_entities <= 0 or n_relations < 0 or embedding_dim <= 0:
+            raise ValueError("n_entities and embedding_dim must be positive and "
+                             "n_relations non-negative")
         self.n_entities = int(n_entities)
         self.n_relations = int(n_relations)
         self._embedding_dim = int(embedding_dim)
@@ -250,10 +263,12 @@ class PartitionedEmbedding(Module, EmbeddingTable):
             "exact_row_reads": 0,
         }
 
-        # Relations: small, dense, always resident.
-        self.relations = Parameter(np.empty((self.n_relations, self._embedding_dim),
-                                            dtype=np.float64),
-                                   name="relations")
+        # Relations: small, dense, always resident (absent when entity-only).
+        self.relations: Optional[Parameter] = None
+        if self.n_relations:
+            self.relations = Parameter(
+                np.empty((self.n_relations, self._embedding_dim), dtype=np.float64),
+                name="relations")
         # Bucket parameters (attribute registration keeps them in
         # named_parameters for optimizers, digests, and the DDP wire format).
         self._buckets: List[BucketParameter] = []
@@ -290,8 +305,9 @@ class PartitionedEmbedding(Module, EmbeddingTable):
             rows = self.partition.bucket_rows(k)
             slab = rng.uniform(-bound, bound, size=(rows, self._embedding_dim))
             np.save(self._bucket_path(k), slab)
-        self.relations.data[...] = rng.uniform(
-            -bound, bound, size=(self.n_relations, self._embedding_dim))
+        if self.relations is not None:
+            self.relations.data[...] = rng.uniform(
+                -bound, bound, size=(self.n_relations, self._embedding_dim))
         # Fresh weights start from fresh optimiser state: a reused directory
         # must not hand an earlier run's paged-out moments to this one.
         stale = tuple(bucket_filename(k) + ".state."
@@ -328,7 +344,7 @@ class PartitionedEmbedding(Module, EmbeddingTable):
                 for k, (lo, hi) in enumerate(self.partition.ranges())
             ],
             "entity_param_prefix": "bucket",
-            "relations_param": "relations",
+            "relations_param": "relations" if self.relations is not None else None,
         }
 
     def write_manifest(self, directory: Optional[str] = None) -> str:
@@ -674,81 +690,96 @@ class PartitionedEmbedding(Module, EmbeddingTable):
             self._dirty.add(bucket)
             self._resident.move_to_end(bucket)
 
-    def renormalize_(self, max_norm: float = 1.0, p: int = 2,
-                     block_rows: Optional[int] = None) -> None:
-        """Block-wise entity row projection, in place, one bucket at a time."""
+    def apply_rows_(self, fn: Callable[[np.ndarray], None],
+                    block_rows: Optional[int] = None) -> None:
+        """Run ``fn`` in place over the entity rows, one bucket at a time."""
         if self.read_only:
-            raise RuntimeError("cannot renormalize a read-only partitioned table")
+            raise RuntimeError("cannot modify a read-only partitioned table")
         if block_rows is None:
             block_rows = block_rows_for(self._embedding_dim)
         for k in range(self.partition.n_partitions):
             self._fault(k)
             slab = self._buckets[k]._slab
             for start in range(0, slab.shape[0], block_rows):
-                renormalize_block_(slab[start:start + block_rows], max_norm, p)
+                fn(slab[start:start + block_rows])
             self._dirty.add(k)
             self._resident.move_to_end(k)
 
-    # ------------------------------------------------------------------ #
-    # Relations + compact gather/scatter (the training hot path)
-    # ------------------------------------------------------------------ #
-    def relation_rows(self, indices: np.ndarray) -> np.ndarray:
-        """Copy of relation rows (always resident)."""
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n_relations):
-            raise IndexError("relation index out of range")
-        return np.array(self.relations.data[idx], copy=True)
+    def entity_table(self) -> "PartitionedEmbedding":
+        """The entity rows as an :class:`~repro.nn.table.EmbeddingTable` (this table)."""
+        return self
 
-    def gather_stacked(self, entity_ids: np.ndarray, relation_ids: np.ndarray
-                       ) -> Tuple[np.ndarray, Tuple[Parameter, ...]]:
-        """Compact ``[entities; relations]`` block for a batch's unique ids.
+    def relation_table(self) -> DenseSliceTable:
+        """:class:`~repro.nn.table.EmbeddingTable` view of the resident relation rows."""
+        return DenseSliceTable(self.relations.data)
 
-        ``entity_ids``/``relation_ids`` must be sorted and unique (the caller
-        gets them from ``np.unique``).  Returns the ``(U_e + U_r, d)`` stacked
-        rows plus the parameters gradients must flow to — the touched bucket
-        parameters and the relation parameter — for use as autograd parents.
+    # ------------------------------------------------------------------ #
+    # The compacted SpMM lookup (the training hot path)
+    # ------------------------------------------------------------------ #
+    def spmm(self, triples: np.ndarray, builder: IncidenceBuilder,
+             backend: str) -> Tensor:
+        """The batch's lookup as one SpMM over only the rows it touches.
+
+        An incidence matrix is a stack of signed one-hot rows, so multiplying
+        it by a table looks rows up; restricted to the columns a batch touches
+        it is the **compacted sub-incidence matrix**.  The batch's unique
+        entity (and, when the table holds relation rows, relation) ids are remapped onto
+        ``[0, U_e)`` / ``[0, U_r)`` and only those rows are gathered from the
+        resident buckets.  Both maps are monotone, so the compacted matrix's
+        per-row column order — and with it every floating-point accumulation
+        in the kernel and in the row-sparse backward — matches
+        :meth:`StackedEmbedding.spmm <repro.nn.embedding.StackedEmbedding.spmm>`
+        with row-sparse gradients on the same backend: a ``P``-way
+        partitioned run reproduces the unpartitioned trajectory bit for bit
+        while never holding more than ``max_resident`` buckets in memory.
+        The backward splits the compact gradient onto the touched bucket
+        parameters (bucket-local rows, bucket marked dirty) and the relation
+        parameter.  Only ``builder.fmt`` is read: the compact matrix has its
+        own shape.
         """
-        entity_ids = np.asarray(entity_ids, dtype=np.int64)
-        relation_ids = np.asarray(relation_ids, dtype=np.int64)
-        out = np.empty((entity_ids.size + relation_ids.size, self._embedding_dim),
-                       dtype=np.float64)
+        entity_ids = np.unique(triples[:, 0::2])
+        relation_ids = np.unique(triples[:, 1]) if self.n_relations else triples[:0, 1]
+        n_ent = int(entity_ids.size)
+        compact = np.empty_like(triples)
+        compact[:, 0] = np.searchsorted(entity_ids, triples[:, 0])
+        compact[:, 1] = np.searchsorted(relation_ids, triples[:, 1])
+        compact[:, 2] = np.searchsorted(entity_ids, triples[:, 2])
+        if self.n_relations:
+            A = build_hrt_incidence(compact, n_ent, int(relation_ids.size),
+                                    fmt=builder.fmt)
+        else:
+            A = build_ht_incidence(compact, n_ent, fmt=builder.fmt)
+
+        rows = np.empty((n_ent + relation_ids.size, self._embedding_dim),
+                        dtype=np.float64)
         parents: List[Parameter] = []
         for bucket, sl, local in self._bucket_slices(entity_ids):
             self._fault(bucket)
-            out[sl] = self._buckets[bucket]._slab[local]
+            rows[sl] = self._buckets[bucket]._slab[local]
             self._resident.move_to_end(bucket)
             parents.append(self._buckets[bucket])
-        out[entity_ids.size:] = self.relations.data[relation_ids]
-        parents.append(self.relations)
-        return out, tuple(parents)
+        if relation_ids.size:
+            rows[n_ent:] = self.relations.data[relation_ids]
+            parents.append(self.relations)
+        n_rows = rows.shape[0]  # the backward must not keep ``rows`` alive
+        rowsparse_backward = rowsparse_backward_for(backend)
 
-    def scatter_stacked_grad(self, entity_ids: np.ndarray,
-                             relation_ids: np.ndarray,
-                             grad: RowSparseGrad) -> None:
-        """Split a compact stacked gradient onto bucket / relation parameters.
+        def backward(grad: np.ndarray) -> None:
+            packed = rowsparse_backward(A, grad, n_rows)
+            split = int(np.searchsorted(packed.indices, n_ent))
+            ent_vals = packed.values[:split]
+            for bucket, sl, local in self._bucket_slices(
+                    entity_ids[packed.indices[:split]]):
+                param = self._buckets[bucket]
+                param.accumulate_grad(RowSparseGrad(local, ent_vals[sl], param.shape))
+                self._dirty.add(bucket)
+            if split < packed.indices.size:
+                self.relations.accumulate_grad(RowSparseGrad(
+                    relation_ids[packed.indices[split:] - n_ent],
+                    packed.values[split:], self.relations.shape))
 
-        ``grad`` indexes the compact rows :meth:`gather_stacked` returned
-        (entities first, relations after).  Entity rows become per-bucket
-        :class:`~repro.sparse.rowsparse.RowSparseGrad` contributions with
-        bucket-local indices; relation rows become one row-sparse gradient on
-        the relation parameter.  Buckets receiving gradient are marked dirty —
-        the optimiser's scatter update will write them before the next
-        eviction can page them out.
-        """
-        entity_ids = np.asarray(entity_ids, dtype=np.int64)
-        relation_ids = np.asarray(relation_ids, dtype=np.int64)
-        split = int(np.searchsorted(grad.indices, entity_ids.size))
-        ent_rows = entity_ids[grad.indices[:split]]
-        ent_vals = grad.values[:split]
-        for bucket, sl, local in self._bucket_slices(ent_rows):
-            param = self._buckets[bucket]
-            param.accumulate_grad(RowSparseGrad(local, ent_vals[sl], param.shape))
-            self._dirty.add(bucket)
-        rel_rows = relation_ids[grad.indices[split:] - entity_ids.size]
-        if rel_rows.size:
-            self.relations.accumulate_grad(RowSparseGrad(
-                rel_rows, grad.values[split:],
-                (self.n_relations, self._embedding_dim)))
+        return Tensor._make(get_backend(backend)(A, rows), tuple(parents),
+                            backward, "spmm[partitioned]")
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -800,3 +831,25 @@ class PartitionedEmbedding(Module, EmbeddingTable):
 def partitioned_tables(module: Module) -> List[PartitionedEmbedding]:
     """Every :class:`PartitionedEmbedding` inside ``module`` (may be empty)."""
     return [m for m in module.modules() if isinstance(m, PartitionedEmbedding)]
+
+
+def spmm_table(n_entities: int, n_relations: int, embedding_dim: int, rng=None,
+               partitions: int = 1, partition_dir: Optional[str] = None,
+               max_resident: Optional[int] = 2):
+    """The table an SpMM model multiplies: resident at one partition, paged beyond.
+
+    ``partitions == 1`` builds a :class:`~repro.nn.embedding.StackedEmbedding`;
+    more builds a :class:`PartitionedEmbedding` of that many buckets under
+    ``partition_dir`` with at most ``max_resident`` of them in memory.  Both
+    draw the same floats from ``rng`` and answer the same ``spmm`` lookup, so a
+    model is written once for either.  ``n_relations=0`` is the entity-only
+    table of the ``ht`` models.
+    """
+    partitions = int(partitions)
+    if partitions < 1:
+        raise ValueError(f"partitions must be >= 1, got {partitions}")
+    if partitions == 1:
+        return StackedEmbedding(n_entities, n_relations, embedding_dim, rng=rng)
+    return PartitionedEmbedding(n_entities, n_relations, embedding_dim,
+                                partitions=partitions, rng=rng,
+                                directory=partition_dir, max_resident=max_resident)

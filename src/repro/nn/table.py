@@ -7,8 +7,10 @@ serving engine's nearest-neighbour scan — now talks to this interface instead:
 * :meth:`EmbeddingTable.read_rows` — random-access row reads (always a copy);
 * :meth:`EmbeddingTable.iter_blocks` — bounded-memory sequential sweeps, the
   primitive behind blocked ranking and block-wise renormalisation;
-* :meth:`EmbeddingTable.write_rows` — row-granular writes (renormalisation,
-  pre-trained loads);
+* :meth:`EmbeddingTable.write_rows` — row-granular writes (pre-trained
+  loads);
+* :meth:`EmbeddingTable.apply_rows_` — block-wise in-place maintenance
+  (renormalisation, TorusE's wrap onto the torus);
 * :attr:`EmbeddingTable.n_partitions` — ``1`` for dense tables, ``P`` for
   :class:`~repro.nn.partitioned.PartitionedEmbedding`.
 
@@ -21,7 +23,7 @@ exposes), and the bucketed, disk-backed
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -66,7 +68,7 @@ class EmbeddingTable:
     A duck-typed base rather than a strict ABC: implementors expose
     ``n_rows`` and ``embedding_dim`` as either attributes or properties
     (``Embedding`` keeps its historical ``embedding_dim`` instance attribute)
-    and override the three access primitives below.
+    and override the four access primitives below.
     """
 
     @property
@@ -97,21 +99,31 @@ class EmbeddingTable:
         """Overwrite the rows at ``indices`` with ``values``."""
         raise NotImplementedError(f"{type(self).__name__} must define write_rows")
 
+    @property
+    def quantized(self) -> Optional[str]:
+        """Quantization mode the rows are served from (dense tables: ``None``)."""
+        return None
+
+    def as_array(self) -> Optional[np.ndarray]:
+        """The whole table as one in-memory array view; ``None`` when paged."""
+        return None
+
+    def apply_rows_(self, fn: Callable[[np.ndarray], None],
+                    block_rows: Optional[int] = None) -> None:
+        """Run the in-place ``fn(block)`` over every row, block by block.
+
+        ``fn`` must act row by row (or element by element), so the result is
+        bit-identical to applying it to the whole matrix at once.
+        ``block_rows`` defaults to the element-bounded :func:`block_rows_for`
+        size, so ``fn``'s temporaries stay a few MB however wide the rows are.
+        """
+        raise NotImplementedError(f"{type(self).__name__} must define apply_rows_")
+
     def renormalize_(self, max_norm: float = 1.0, p: int = 2,
                      block_rows: Optional[int] = None) -> None:
-        """Block-wise L_p row projection (bounded memory, exact per row).
-
-        ``block_rows`` defaults to the element-bounded
-        :func:`block_rows_for` size, so the norm/scale temporaries stay a few
-        MB however wide the rows are.
-        """
-        if block_rows is None:
-            block_rows = block_rows_for(self.embedding_dim)
-        for start, block in self.iter_blocks(block_rows):
-            updated = np.array(block, copy=True)
-            renormalize_block_(updated, max_norm, p)
-            self.write_rows(np.arange(start, start + block.shape[0],
-                                      dtype=np.int64), updated)
+        """Block-wise L_p row projection (bounded memory, exact per row)."""
+        self.apply_rows_(lambda block: renormalize_block_(block, max_norm, p),
+                         block_rows)
 
     def to_matrix(self) -> np.ndarray:
         """Densify the whole table (debugging / small-scale use only)."""
@@ -166,12 +178,13 @@ class DenseSliceTable(EmbeddingTable):
         idx = np.asarray(indices, dtype=np.int64)
         self._array[self._start + idx] = values
 
-    def renormalize_(self, max_norm: float = 1.0, p: int = 2,
-                     block_rows: Optional[int] = None) -> None:
-        # Direct in-place projection on the view: no row copies at all.
+    def as_array(self) -> np.ndarray:
+        return self._array[self._start:self._stop]
+
+    def apply_rows_(self, fn: Callable[[np.ndarray], None],
+                    block_rows: Optional[int] = None) -> None:
+        # Directly in place on the view: no row copies at all.
         if block_rows is None:
             block_rows = block_rows_for(self.embedding_dim)
-        for start in range(0, self.n_rows, block_rows):
-            stop = min(self.n_rows, start + block_rows)
-            renormalize_block_(self._array[self._start + start:
-                                           self._start + stop], max_norm, p)
+        for _, block in self.iter_blocks(block_rows):
+            fn(block)

@@ -114,11 +114,6 @@ class AsyncInferenceServer:
                  start_timeout_s: float = 120.0) -> None:
         if deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be positive, got {deadline_ms}")
-        self.pool = WorkerPool(engine_factory, workers=workers,
-                               max_batch=max_batch, slack_ms=slack_ms,
-                               default_service_ms=default_service_ms,
-                               start_timeout_s=start_timeout_s)
-        self.meta = self.pool.meta
         self.deadline_ms = float(deadline_ms)
         self.verbose = bool(verbose)
         self.metrics = MetricsRegistry()
@@ -136,6 +131,16 @@ class AsyncInferenceServer:
         self._clients: Set["asyncio.Task"] = set()
         self._thread: Optional[threading.Thread] = None
         self._port: Optional[int] = None
+        # Forked last: nothing after it can fail and leave the workers running.
+        self.pool = WorkerPool(engine_factory, workers=workers,
+                               max_batch=max_batch, slack_ms=slack_ms,
+                               default_service_ms=default_service_ms,
+                               start_timeout_s=start_timeout_s)
+
+    @property
+    def meta(self) -> Dict[str, Any]:
+        """Model summary worker 0 reported at start-up."""
+        return self.pool.meta
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -45,6 +45,7 @@ failed request comes back as ``ok=False`` with the status and body of
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional
@@ -204,6 +205,7 @@ def _worker_main(conn, engine_factory: Callable[[], InferenceEngine],
                  max_batch: int, slack_ms: float,
                  default_service_ms: float) -> None:
     """Entry point of one forked worker: build the engine, serve the pipe."""
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)  # see _start
     try:
         engine = engine_factory()
         # Warm the scoring path before accepting traffic: the first query
@@ -228,6 +230,26 @@ def _worker_main(conn, engine_factory: Callable[[], InferenceEngine],
         if close is not None:
             close()
         conn.close()
+
+
+_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+
+
+def _start(proc) -> None:
+    """Fork ``proc`` with the stop signals held back until the fork returns.
+
+    A Python signal handler that fires inside the interpreter's after-fork
+    hooks has its exception printed and dropped, so a Ctrl-C or SIGTERM
+    landing mid-fork would be lost and the server would start anyway.
+    Blocked, the signal stays pending and raises once the mask is restored;
+    the child unblocks its own copy of the mask first thing.
+    """
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    try:
+        signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+        proc.start()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
 # --------------------------------------------------------------------------- #
@@ -271,17 +293,19 @@ class WorkerPool:
         self._closed = False
         self.meta: Dict[str, Any] = {}
         self._next_id = 0
-        for idx in range(self.workers):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(target=_worker_main,
-                               args=(child_conn, engine_factory, int(max_batch),
-                                     float(slack_ms), float(default_service_ms)),
-                               name=f"serving-worker-{idx}", daemon=True)
-            proc.start()
-            child_conn.close()
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
+        # Anything raised mid-start (a Ctrl-C or SIGTERM between two forks
+        # included) closes the workers started so far.
         try:
+            for idx in range(self.workers):
+                parent_conn, child_conn = ctx.Pipe(duplex=True)
+                self._conns.append(parent_conn)
+                proc = ctx.Process(target=_worker_main,
+                                   args=(child_conn, engine_factory, int(max_batch),
+                                         float(slack_ms), float(default_service_ms)),
+                                   name=f"serving-worker-{idx}", daemon=True)
+                _start(proc)
+                self._procs.append(proc)
+                child_conn.close()
             self._await_ready(start_timeout_s)
         except BaseException:
             self.close()

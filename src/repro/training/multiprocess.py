@@ -35,6 +35,7 @@ from repro.autograd.sanitizer import sanitize
 from repro.data.batching import TripletBatch
 from repro.losses.margin import MarginRankingLoss
 from repro.models.base import KGEModel
+from repro.nn.partitioned import partitioned_tables
 from repro.sparse.rowsparse import RowSparseGrad
 from repro.training.config import TrainingConfig
 from repro.training.trainer import (
@@ -211,8 +212,6 @@ def _worker_main(rank: int, world: int, model: KGEModel,
                  batch_factory: BatchFactory, config: TrainingConfig,
                  epochs: int, start_epoch: int, conn) -> None:
     """Worker replica: lockstep shard compute + merged-gradient updates."""
-    from repro.nn.partitioned import partitioned_tables
-
     tables = partitioned_tables(model)
     try:
         # A forked replica shares the parent's bucket *files*; give each
@@ -226,8 +225,8 @@ def _worker_main(rank: int, world: int, model: KGEModel,
             sanitize(True)
         criterion = MarginRankingLoss(margin=config.margin)
         optimizer = build_optimizer(config.optimizer, model, config.learning_rate)
-        if hasattr(model, "bind_optimizer"):
-            model.bind_optimizer(optimizer)
+        for table in tables:
+            table.attach_optimizer(optimizer)
         batches = batch_factory()
         replay_epochs(batches, start_epoch)
         for epoch in range(start_epoch, start_epoch + epochs):
@@ -320,8 +319,8 @@ class MultiprocessTrainer:
         criterion = MarginRankingLoss(margin=self.config.margin)
         optimizer = build_optimizer(self.config.optimizer, self.model,
                                     self.config.learning_rate)
-        if hasattr(self.model, "bind_optimizer"):
-            self.model.bind_optimizer(optimizer)
+        for table in partitioned_tables(self.model):
+            table.attach_optimizer(optimizer)
         self.optimizer = optimizer
         # ``p.shape`` rather than ``p.data.shape``: bucket parameters of a
         # partitioned table answer shape metadata without faulting their slab.

@@ -21,6 +21,7 @@ from repro.data.dataset import KGDataset
 from repro.data.negative_sampling import NegativeSampler, UniformNegativeSampler
 from repro.losses.margin import MarginRankingLoss
 from repro.models.base import KGEModel
+from repro.nn.partitioned import partitioned_tables
 from repro.optim import SGD, Adagrad, Adam, Optimizer
 from repro.training.config import TrainingConfig
 from repro.utils.logging import get_logger
@@ -170,11 +171,9 @@ class Trainer:
         self.optimizer = optimizer if optimizer is not None else build_optimizer(
             self.config.optimizer, model, self.config.learning_rate
         )
-        # Partition-backed models attach the optimiser to their embedding
-        # table so per-bucket optimiser state pages in and out with its
-        # bucket; a no-op for everything else.
-        if hasattr(model, "bind_optimizer"):
-            model.bind_optimizer(self.optimizer)
+        # Per-bucket optimiser state pages in and out with its bucket.
+        for table in partitioned_tables(model):
+            table.attach_optimizer(self.optimizer)
         self.criterion = criterion if criterion is not None else MarginRankingLoss(
             margin=self.config.margin
         )

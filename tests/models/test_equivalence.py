@@ -40,13 +40,13 @@ def _sync_transe_like(sparse, dense):
 
 
 def _sync_transr(sparse, dense):
-    sparse.entity_embeddings.data[...] = dense.entity_embeddings.weight.data
+    sparse.entity_embeddings.weight.data[...] = dense.entity_embeddings.weight.data
     sparse.relation_embeddings.weight.data[...] = dense.relation_embeddings.weight.data
     sparse.projections.data[...] = dense.projections.data
 
 
 def _sync_transh(sparse, dense):
-    sparse.entity_embeddings.data[...] = dense.entity_embeddings.weight.data
+    sparse.entity_embeddings.weight.data[...] = dense.entity_embeddings.weight.data
     sparse.translations.weight.data[...] = dense.translations.weight.data
     sparse.normals.weight.data[...] = dense.normals.weight.data
 
@@ -123,7 +123,7 @@ class TestGradientEquivalence:
         sparse.loss(small_batch).backward()
         dense.loss(small_batch).backward()
         np.testing.assert_allclose(
-            sparse.entity_embeddings.grad, dense.entity_embeddings.weight.grad,
+            sparse.entity_embeddings.weight.grad, dense.entity_embeddings.weight.grad,
             rtol=1e-7, atol=1e-10,
         )
         np.testing.assert_allclose(

@@ -213,7 +213,7 @@ class TestSpTorusE:
 class TestSpTransR:
     def test_identity_projection_reduces_to_ht_plus_r(self, small_kg, random_triples):
         model = make(SpTransR, small_kg)
-        ent = model.entity_embeddings.data
+        ent = model.entity_embeddings.weight.data
         rel = model.relation_embeddings.weight.data
         expected = np.linalg.norm(
             ent[random_triples[:, 0]] - ent[random_triples[:, 2]]
@@ -240,10 +240,10 @@ class TestSpTransR:
 
     def test_normalize_parameters(self, small_kg):
         model = make(SpTransR, small_kg)
-        model.entity_embeddings.data *= 10
+        model.entity_embeddings.weight.data *= 10
         model.relation_embeddings.weight.data *= 10
         model.normalize_parameters()
-        assert np.all(np.linalg.norm(model.entity_embeddings.data, axis=1) <= 1 + 1e-9)
+        assert np.all(np.linalg.norm(model.entity_embeddings.weight.data, axis=1) <= 1 + 1e-9)
         assert np.all(np.linalg.norm(model.relation_embeddings.weight.data, axis=1) <= 1 + 1e-9)
 
 
@@ -252,7 +252,7 @@ class TestSpTransH:
         model = make(SpTransH, small_kg)
         residual = model.residuals(random_triples).data
         # Manual recomputation of the paper's rearranged expression.
-        ent = model.entity_embeddings.data
+        ent = model.entity_embeddings.weight.data
         w = model.normal_vectors()[random_triples[:, 1]]
         d = model.translations.weight.data[random_triples[:, 1]]
         ht = ent[random_triples[:, 0]] - ent[random_triples[:, 2]]
@@ -278,10 +278,10 @@ class TestSpTransH:
 
     def test_normalize_parameters(self, small_kg):
         model = make(SpTransH, small_kg)
-        model.entity_embeddings.data *= 10
+        model.entity_embeddings.weight.data *= 10
         model.normals.weight.data *= 3
         model.normalize_parameters()
-        assert np.all(np.linalg.norm(model.entity_embeddings.data, axis=1) <= 1 + 1e-9)
+        assert np.all(np.linalg.norm(model.entity_embeddings.weight.data, axis=1) <= 1 + 1e-9)
         np.testing.assert_allclose(
             np.linalg.norm(model.normals.weight.data, axis=1), 1.0, rtol=1e-9
         )

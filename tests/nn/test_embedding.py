@@ -33,7 +33,7 @@ class TestEmbedding:
     def test_renormalize_l2(self):
         emb = Embedding(5, 3, rng=0)
         emb.weight.data *= 10.0
-        emb.renormalize(max_norm=1.0, p=2)
+        emb.renormalize_(max_norm=1.0, p=2)
         norms = np.linalg.norm(emb.weight.data, axis=1)
         assert np.all(norms <= 1.0 + 1e-9)
 
@@ -41,16 +41,16 @@ class TestEmbedding:
         emb = Embedding(5, 3, rng=0)
         emb.weight.data[:] = 0.01
         before = emb.weight.data.copy()
-        emb.renormalize(max_norm=1.0, p=2)
+        emb.renormalize_(max_norm=1.0, p=2)
         np.testing.assert_allclose(emb.weight.data, before)
 
     def test_renormalize_l1_and_invalid_p(self):
         emb = Embedding(5, 3, rng=0)
         emb.weight.data *= 10.0
-        emb.renormalize(max_norm=1.0, p=1)
+        emb.renormalize_(max_norm=1.0, p=1)
         assert np.all(np.abs(emb.weight.data).sum(axis=1) <= 1.0 + 1e-9)
         with pytest.raises(ValueError):
-            emb.renormalize(p=3)
+            emb.renormalize_(p=3)
 
 
 class TestStackedEmbedding:
@@ -82,7 +82,7 @@ class TestStackedEmbedding:
         emb = StackedEmbedding(6, 3, 4, rng=2)
         emb.weight.data *= 10.0
         rel_before = emb.relation_embeddings().copy()
-        emb.renormalize_entities(max_norm=1.0)
+        emb.entity_table().renormalize_(max_norm=1.0)
         assert np.all(np.linalg.norm(emb.entity_embeddings(), axis=1) <= 1.0 + 1e-9)
         np.testing.assert_allclose(emb.relation_embeddings(), rel_before)
 

@@ -209,7 +209,7 @@ class TestStorageLifecycle:
 
     def test_renormalize_matches_stacked(self, table):
         stacked = StackedEmbedding(N, R, D, rng=42)
-        stacked.renormalize_entities(max_norm=0.25, p=2)
+        stacked.entity_table().renormalize_(max_norm=0.25, p=2)
         table.renormalize_(max_norm=0.25, p=2)
         assert np.array_equal(table.to_matrix(), stacked.entity_embeddings())
 

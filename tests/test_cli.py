@@ -440,3 +440,110 @@ class TestServeShutdown:
                     os.kill(pid, signal.SIGKILL)
             proc.wait()
             proc.stdout.close()
+
+
+def _sigterm_caught(pid):
+    """Whether ``pid`` has installed a handler for SIGTERM yet."""
+    with open(f"/proc/{pid}/status", encoding="ascii") as handle:
+        for line in handle:
+            if line.startswith("SigCgt:"):
+                return bool(int(line.split()[1], 16) >> (signal.SIGTERM - 1) & 1)
+    return False
+
+
+def _session_processes(sid):
+    """Live (non-zombie) processes of session ``sid``."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        if int(fields[3]) == sid and fields[0] != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process state from /proc")
+class TestServeStartupShutdown:
+    """A SIGTERM during start-up (the artifact loading, the pool forking,
+    before the ready line) stops ``serve`` as cleanly as one while serving."""
+
+    @pytest.fixture(scope="class")
+    def artifact(self, tmp_path_factory):
+        from repro.experiment import DataSpec, EvalSpec, ExperimentSpec, run_experiment
+        from repro.registry import ModelSpec
+        from repro.training import TrainingConfig
+
+        data = DataSpec(dataset="WN18RR", scale=0.001)
+        n_entities, n_relations = data.vocab_sizes()
+        directory = str(tmp_path_factory.mktemp("sigterm-start") / "artifact")
+        run_experiment(ExperimentSpec(
+            name="sigterm-start", data=data,
+            model=ModelSpec(model="transe", formulation="sparse",
+                            n_entities=n_entities, n_relations=n_relations,
+                            embedding_dim=8),
+            training=TrainingConfig(epochs=1, batch_size=64),
+            eval=EvalSpec(protocols=())), artifact_dir=directory)
+        return directory
+
+    @pytest.mark.parametrize("workers", [2, 0], ids=["pool", "threaded"])
+    def test_sigterm_before_ready_line(self, artifact, workers):
+        proc = self._serve(artifact, workers)
+        try:
+            # The handler is the first thing start-up arms; signal the moment
+            # it is there, while the artifact is still loading.
+            deadline = time.monotonic() + 60.0
+            while not _sigterm_caught(proc.pid):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.001)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            self._assert_session_empty(proc.pid)
+        finally:
+            self._reap(proc)
+
+    def test_sigterm_while_pool_workers_start(self, artifact):
+        """The signal lands after the pool has forked its workers but before
+        they report ready: the parent closes the pool, no worker survives."""
+        proc = self._serve(artifact, workers=2)
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(_session_processes(proc.pid)) < 2:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.001)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            assert proc.stdout.read() == ""  # no ready line: still starting
+            self._assert_session_empty(proc.pid)
+        finally:
+            self._reap(proc)
+
+    @staticmethod
+    def _serve(artifact, workers):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")]))
+        # Its own session, so every process it forks can be found afterwards.
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--checkpoint", artifact,
+             "--port", "0", "--workers", str(workers)],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, text=True,
+            start_new_session=True)
+
+    @staticmethod
+    def _assert_session_empty(sid):
+        deadline = time.monotonic() + 10.0
+        while _session_processes(sid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _session_processes(sid) == []
+
+    @staticmethod
+    def _reap(proc):
+        for pid in _session_processes(proc.pid):
+            os.kill(pid, signal.SIGKILL)
+        proc.wait()
+        proc.stdout.close()

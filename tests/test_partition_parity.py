@@ -16,7 +16,11 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import make_dataset_like
+from repro.models.toruse import SpTorusE
 from repro.models.transe import SpTransE
+from repro.models.transh import SpTransH
+from repro.models.transr import SpTransR
+from repro.nn.partitioned import partitioned_tables
 from repro.serving import InferenceEngine
 from repro.training.config import TrainingConfig
 from repro.training.trainer import Trainer
@@ -153,3 +157,117 @@ class TestNormalizationParity:
         assert np.array_equal(dense_model.entity_embedding_matrix(),
                               part_model.entity_embedding_matrix())
         part_model.embeddings.close()
+
+
+def _layout(model, read):
+    """``{name: read(param)}`` in the unpartitioned layout: a paged table's
+    buckets and relation rows become the one ``weight`` they stand in for."""
+    order = {}
+    for table in partitioned_tables(model):
+        rows = list(table.bucket_parameters())
+        if table.relations is not None:
+            rows.append(table.relations)
+        order.update({id(param): k for k, param in enumerate(rows)})
+    out, paged = {}, {}
+    for name, param in model.named_parameters():
+        if id(param) in order:
+            owner = name.rpartition(".")[0] + ".weight"
+            paged.setdefault(owner, {})[order[id(param)]] = read(param)
+        else:
+            out[name] = np.array(read(param))
+    for name, parts in paged.items():
+        out[name] = np.concatenate([parts[k] for k in sorted(parts)], axis=0)
+    return out
+
+
+def _state_layout(model, optimizer):
+    """Every array buffer of the optimiser state, per buffer, in that layout."""
+    names = {name for param in model.parameters()
+             for name, value in optimizer._param_state(param).items()
+             if isinstance(value, np.ndarray)}
+    return {name: _layout(model, lambda p: optimizer._param_state(p)[name])
+            for name in sorted(names)}
+
+
+@pytest.fixture(scope="module")
+def unpartitioned_runs(kg):
+    """The ``sparse_grads`` P = 1 run of each (model, optimizer), trained once."""
+    runs = {}
+
+    def run(cls, optimizer_name):
+        key = (cls, optimizer_name)
+        if key not in runs:
+            runs[key] = _train_model(kg, cls, 1, optimizer_name)
+        return runs[key]
+    return run
+
+
+def _train_model(kg, cls, partitions, optimizer_name, epochs=3):
+    config = TrainingConfig(epochs=epochs, batch_size=512,
+                            optimizer=optimizer_name, learning_rate=0.01,
+                            sparse_grads=True, seed=0)
+    model = cls(kg.n_entities, kg.n_relations, 16, rng=7, partitions=partitions)
+    trainer = Trainer(model, kg, config)
+    result = trainer.train()
+    return model, result, trainer.optimizer
+
+
+class TestEveryPartitionableModel:
+    """TorusE, TransH and TransR page their entity tables through the same
+    compacted lookup, so they keep TransE's bit-identity contract."""
+
+    @pytest.mark.parametrize("optimizer_name", ["adam", "adagrad", "sgd"])
+    @pytest.mark.parametrize("partitions", [2, 3, 4])
+    @pytest.mark.parametrize("cls", [SpTorusE, SpTransH, SpTransR],
+                             ids=lambda cls: cls.__name__)
+    def test_trajectory_matches_unpartitioned(self, kg, unpartitioned_runs, cls,
+                                              partitions, optimizer_name):
+        dense_model, dense_result, dense_opt = unpartitioned_runs(cls, optimizer_name)
+        model, result, optimizer = _train_model(kg, cls, partitions, optimizer_name)
+        try:
+            assert model.n_partitions == partitions
+            assert result.losses == dense_result.losses
+            dense_rows = _layout(dense_model, lambda p: p.data)
+            rows = _layout(model, lambda p: p.data)
+            assert set(rows) == set(dense_rows)
+            for name in dense_rows:
+                assert np.array_equal(rows[name], dense_rows[name]), name
+            dense_state = _state_layout(dense_model, dense_opt)
+            state = _state_layout(model, optimizer)
+            assert set(state) == set(dense_state)
+            for buffer in dense_state:
+                for name in dense_state[buffer]:
+                    assert np.array_equal(state[buffer][name],
+                                          dense_state[buffer][name]), (buffer, name)
+        finally:
+            for table in partitioned_tables(model):
+                table.close()
+
+    @pytest.mark.parametrize("cls", [SpTorusE, SpTransH, SpTransR],
+                             ids=lambda cls: cls.__name__)
+    def test_initial_weights_and_normalization_match(self, kg, cls):
+        dense_model = cls(kg.n_entities, kg.n_relations, 16, rng=7)
+        part_model = cls(kg.n_entities, kg.n_relations, 16, rng=7, partitions=3)
+        try:
+            def stretch(block):
+                block *= 3.0
+
+            for model in (dense_model, part_model):
+                model.entity_table().apply_rows_(stretch)
+                model.normalize_parameters()
+            dense_rows = _layout(dense_model, lambda p: p.data)
+            rows = _layout(part_model, lambda p: p.data)
+            for name in dense_rows:
+                assert np.array_equal(rows[name], dense_rows[name]), name
+        finally:
+            for table in partitioned_tables(part_model):
+                table.close()
+
+
+class TestPartitionCountIsValidated:
+    @pytest.mark.parametrize("partitions", [0, -3])
+    @pytest.mark.parametrize("cls", [SpTransE, SpTorusE, SpTransH, SpTransR],
+                             ids=lambda cls: cls.__name__)
+    def test_non_positive_count_is_refused(self, cls, partitions):
+        with pytest.raises(ValueError, match="partitions must be >= 1"):
+            cls(50, 4, 8, rng=0, partitions=partitions)

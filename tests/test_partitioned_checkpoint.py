@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import make_dataset_like
+from repro.evaluation.link_prediction import evaluate_link_prediction
 from repro.experiment import DataSpec, EvalSpec, Experiment, ExperimentSpec, load_artifact
 from repro.models.transe import SpTransE
-from repro.nn.partitioned import PARTITION_MANIFEST
+from repro.models.transh import SpTransH
+from repro.models.transr import SpTransR
+from repro.nn.partitioned import PARTITION_MANIFEST, partitioned_tables
 from repro.registry import ModelSpec, build_model, spec_from_model
 from repro.serving import InferenceEngine
 from repro.training.checkpoint import (
@@ -111,6 +114,60 @@ class TestPartitionedCheckpointLayout:
         assert np.array_equal(model.score_triples(triples),
                               lazy.score_triples(triples))
         assert lazy.embeddings.stats()["faults"] > 0
+
+
+class TestHtModelArtifacts:
+    """TransH and TransR page their entity table like TransE: a P = 3 artifact
+    serves and evaluates exactly as the model that was trained."""
+
+    @pytest.fixture(scope="class", params=[SpTransH, SpTransR],
+                    ids=lambda cls: cls.__name__)
+    def trained_ht(self, request, kg, tmp_path_factory):
+        directory = tmp_path_factory.mktemp(f"ht-{request.param.__name__}")
+        model = request.param(kg.n_entities, kg.n_relations, 12, rng=3,
+                              partitions=3)
+        trainer = Trainer(model, kg, TrainingConfig(
+            epochs=2, batch_size=256, sparse_grads=True, learning_rate=0.01,
+            seed=0))
+        trainer.train()
+        path = save_checkpoint(str(directory / "checkpoint.npz"), model,
+                               trainer.optimizer, epoch=2)
+        yield model, path
+        for table in partitioned_tables(model):
+            table.close()
+
+    def test_entity_only_buckets_written(self, trained_ht):
+        _, path = trained_ht
+        weights = os.path.join(os.path.dirname(path), "weights")
+        with open(os.path.join(weights, PARTITION_MANIFEST), encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        assert manifest["partitions"] == 3
+        assert manifest["n_relations"] == 0
+        assert not os.path.exists(os.path.join(
+            weights, "entity_embeddings.relations.npy"))
+
+    def test_engine_and_evaluation_match_trained_model(self, trained_ht, kg):
+        model, path = trained_ht
+        loaded = load_model(path)
+        assert loaded.n_partitions == 3
+        assert loaded.entity_embeddings.read_only
+        engine, direct = InferenceEngine(loaded), InferenceEngine(model)
+        for anchor, relation in ((1, 0), (5, 2), (9, 1)):
+            for query in ("top_k_tails", "top_k_heads"):
+                args = ((anchor, relation) if query == "top_k_tails"
+                        else (relation, anchor))
+                a = getattr(engine, query)(*args, k=10)
+                b = getattr(direct, query)(*args, k=10)
+                assert a.entities == b.entities
+                assert np.array_equal(a.scores, b.scores)
+        known = kg.known_triples()
+        triples = kg.split.train[:40]
+        served = evaluate_link_prediction(loaded, triples, known)
+        trained = evaluate_link_prediction(model, triples, known)
+        assert served.mrr > 0
+        assert served.to_dict() == trained.to_dict()
+        assert np.array_equal(served.head_ranks, trained.head_ranks)
+        assert np.array_equal(served.tail_ranks, trained.tail_ranks)
 
 
 class TestPartitionedExperimentArtifact:

@@ -1,8 +1,9 @@
 """Quantized serving weights: codec, artifact layout, and rank parity.
 
-The acceptance contract: int8/fp16 artifacts serve with top-k ranks identical
-to full-precision serving (exact rescoring from the float64 originals) at no
-more than half the resident bucket bytes.
+The acceptance contract: int8/fp16 artifacts of TransE at L2 serve with top-k
+ranks identical to full-precision serving (exact rescoring from the float64
+originals) at no more than half the resident bucket bytes; models without an
+L2 query vector serve the coarse quantized ranks.
 """
 
 import json
@@ -11,7 +12,10 @@ import os
 import numpy as np
 import pytest
 
+from repro.models.toruse import SpTorusE
 from repro.models.transe import SpTransE
+from repro.models.transh import SpTransH
+from repro.models.transr import SpTransR
 from repro.nn import quantize
 from repro.nn.partitioned import PARTITION_MANIFEST
 from repro.serving.engine import InferenceEngine
@@ -156,6 +160,24 @@ class TestRankParity:
         assert q_engine.stats()["rescored_queries"] > 0
         assert q_engine.stats()["quantized"] == mode
         assert ref_engine.stats()["rescored_queries"] == 0
+
+    @pytest.mark.parametrize("model_cls", [SpTorusE, SpTransH, SpTransR],
+                             ids=lambda cls: cls.__name__)
+    def test_models_without_an_l2_query_vector_serve_coarse_ranks(
+            self, tmp_path, model_cls):
+        """Torus and projected geometries have no exact rescore: their int8
+        twins serve the quantized ranking, and ``stats()`` says so."""
+        model = model_cls(120, 5, 12, partitions=3, rng=7)
+        path = str(tmp_path / "artifact")
+        os.makedirs(path)
+        save_checkpoint(os.path.join(path, "checkpoint.npz"), model)
+        quantize_artifact(path, "int8")
+        q_engine = InferenceEngine(load_model(path))
+        for anchor, rel in [(0, 0), (17, 2), (119, 4)]:
+            assert len(q_engine.top_k_tails(anchor, rel, k=10).entities) == 10
+            assert len(q_engine.top_k_heads(rel, anchor, k=10).entities) == 10
+        assert q_engine.stats()["quantized"] == "int8"
+        assert q_engine.stats()["rescored_queries"] == 0
 
     def test_filtered_queries_keep_parity(self, artifact):
         _, path = artifact

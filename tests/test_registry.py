@@ -5,6 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
+from repro.nn.partitioned import partitioned_tables
 from repro.registry import (
     KEYWORD_FIELDS,
     ModelSpec,
@@ -62,8 +63,8 @@ def full_spec(entry):
 
 
 def close(model):
-    if model.n_partitions > 1:
-        model.embeddings.close()
+    for table in partitioned_tables(model):
+        table.close()
 
 
 class TestRegistryContents:
@@ -251,8 +252,8 @@ class TestCheckpointIntegration:
         assert restored.backend == "numpy"
         assert restored.dissimilarity_name == "L1"
         assert restored.relation_dim == 6
-        np.testing.assert_allclose(restored.entity_embeddings.data,
-                                   model.entity_embeddings.data)
+        np.testing.assert_allclose(restored.entity_embeddings.weight.data,
+                                   model.entity_embeddings.weight.data)
 
     def test_checkpoint_without_a_spec_names_the_class(self, tmp_path):
         """An unregistered model saves ``model_spec: null``; loading it says
