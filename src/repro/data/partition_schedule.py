@@ -9,10 +9,12 @@ an episode — positives *and* their corruptions — draws its entities from at
 most those two buckets, so a training step faults at most two buckets
 (``max_resident=2`` suffices, whatever ``P`` is).
 
-Episodes stream out of the triple store through the contiguous rowid runs
-:meth:`~repro.data.sqlite_store.SQLiteKGStore.pair_runs` computes (one run
-per pair after :meth:`~repro.data.sqlite_store.SQLiteKGStore.cluster_by_partition`),
-so peak memory stays one shuffle block, exactly like
+Episodes stream out of the triple store through the contiguous position
+runs :meth:`~repro.data.sqlite_store.SQLiteKGStore.pair_runs` returns.  After
+:meth:`~repro.data.sqlite_store.SQLiteKGStore.cluster_by_partition` that is
+one run per pair, found by one chunk-by-chunk scan per iterator, and an
+episode is a handful of whole chunks read with one ``np.frombuffer`` per
+shuffle block; peak memory stays one shuffle block, exactly like
 :class:`~repro.data.streaming.StreamingBatchIterator`.
 
 Negative corruption is bucket-local (the PBG recipe): a corrupted head is

@@ -6,6 +6,16 @@ streams minibatches out of it.  This class provides that store: ingest a
 :class:`~repro.data.dataset.KGDataset` (or labelled triples), query counts,
 and iterate triples in fixed-size batches without materialising the whole
 table in memory.
+
+Each split's triples are a sequence of **chunks**: packed little-endian int64
+``(rows, 3)`` blobs of :data:`CHUNK_ROWS` rows each (the split's last chunk
+may hold fewer).  A triple is addressed by its 0-based *position* in its
+split, so position ``p`` lives in chunk ``p // CHUNK_ROWS``; reading a
+position range is one indexed query for the chunks that cover it and one
+``np.frombuffer`` over their bytes.  Ingest appends whole chunks, and
+:meth:`SQLiteKGStore.cluster_by_partition` rewrites them in bucket-pair order
+a chunk at a time.  Stores written in the earlier one-row-per-triple layout
+are refused with a request to re-spool.
 """
 
 from __future__ import annotations
@@ -17,7 +27,20 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.data.dataset import KGDataset
+from repro.data.streaming import block_bounds_of, pair_run_bounds, pair_runs_of
 from repro.data.vocab import Vocabulary
+
+#: Triples per chunk blob (96 KiB): a fetch reads at most one partial chunk
+#: beyond each end of its range, and clustering holds about two chunks.
+CHUNK_ROWS = 4096
+
+_ROW_DTYPE = np.dtype("<i8")
+
+#: Meta key recording the bucket size the chunks were last clustered by.
+_CLUSTERED = "clustered_bucket_size"
+
+#: Scratch table of an in-progress clustering pass (dropped when it ends).
+_CLUSTERING_TABLE = "chunks_clustering"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS entities (
@@ -28,19 +51,23 @@ CREATE TABLE IF NOT EXISTS relations (
     id INTEGER PRIMARY KEY,
     label TEXT UNIQUE NOT NULL
 );
-CREATE TABLE IF NOT EXISTS triples (
-    rowid INTEGER PRIMARY KEY AUTOINCREMENT,
-    head INTEGER NOT NULL,
-    relation INTEGER NOT NULL,
-    tail INTEGER NOT NULL,
-    split TEXT NOT NULL DEFAULT 'train'
+CREATE TABLE IF NOT EXISTS chunks (
+    split TEXT NOT NULL,
+    idx INTEGER NOT NULL,
+    n_rows INTEGER NOT NULL,
+    data BLOB NOT NULL,
+    PRIMARY KEY (split, idx)
 );
-CREATE INDEX IF NOT EXISTS idx_triples_split ON triples(split);
 CREATE TABLE IF NOT EXISTS meta (
     key TEXT PRIMARY KEY,
     value TEXT NOT NULL
 );
 """
+
+
+def _rows(blobs: List[bytes]) -> np.ndarray:
+    """The ``(M, 3)`` int64 rows packed in ``blobs``, as one writable array."""
+    return np.frombuffer(bytearray().join(blobs), dtype=_ROW_DTYPE).reshape(-1, 3)
 
 
 class SQLiteKGStore:
@@ -55,6 +82,13 @@ class SQLiteKGStore:
     def __init__(self, path: str = ":memory:") -> None:
         self.path = path
         self._conn = sqlite3.connect(path)
+        if self._conn.execute("SELECT 1 FROM sqlite_master WHERE type = 'table' "
+                              "AND name = 'triples'").fetchone() is not None:
+            self._conn.close()
+            raise ValueError(
+                f"{path} stores one row per triple, a layout this version no "
+                "longer reads; re-spool it (delete the file and ingest the "
+                "dataset again)")
         self._conn.executescript(_SCHEMA)
         self._conn.commit()
 
@@ -87,39 +121,64 @@ class SQLiteKGStore:
                 ("valid", dataset.split.valid),
                 ("test", dataset.split.test),
             ):
-                if triples.size == 0:
-                    continue
-                self._insert_triples(triples, split_name)
+                self._append(split_name, [triples])
 
-    def _insert_triples(self, triples: np.ndarray, split: str,
-                        chunk: int = 65536) -> None:
-        """Insert an ``(M, 3)`` array in bounded chunks (no full python list)."""
-        for start in range(0, triples.shape[0], chunk):
-            block = triples[start:start + chunk]
-            self._conn.executemany(
-                "INSERT INTO triples (head, relation, tail, split) VALUES (?, ?, ?, ?)",
-                ((int(h), int(r), int(t), split) for h, r, t in block),
-            )
+    def _append(self, split: str, blocks: Iterable[np.ndarray]) -> int:
+        """Append ``(M, 3)`` blocks to ``split``'s chunks; returns rows written.
+
+        Runs inside the caller's transaction.  The split's partial last chunk
+        is topped up first, so every chunk but the last stays full; memory is
+        one block plus one chunk.  Writing any row forgets the clustering
+        record, so the next :meth:`cluster_by_partition` call re-clusters.
+        """
+        tail = self._conn.execute(
+            "SELECT idx, n_rows, data FROM chunks WHERE split = ? "
+            "ORDER BY idx DESC LIMIT 1", (split,)).fetchone()
+        idx, pending, filled = 0, [], 0
+        if tail is not None:
+            idx, filled = int(tail[0]), int(tail[1])
+            if filled == CHUNK_ROWS:
+                idx, filled = idx + 1, 0
+            else:
+                pending = [_rows([tail[2]])]
+        written = 0
+
+        def flush() -> None:
+            rows = pending[0] if len(pending) == 1 else np.concatenate(pending)
+            self._conn.execute(
+                "INSERT OR REPLACE INTO chunks (split, idx, n_rows, data) "
+                "VALUES (?, ?, ?, ?)",
+                (split, idx, filled, rows.astype(_ROW_DTYPE, copy=False).tobytes()))
+
+        for block in blocks:
+            block = np.asarray(block).reshape(-1, 3)
+            written += block.shape[0]
+            while block.shape[0]:
+                take = CHUNK_ROWS - filled
+                pending.append(block[:take])
+                filled += min(take, block.shape[0])
+                block = block[take:]
+                if filled == CHUNK_ROWS:
+                    flush()
+                    idx, pending, filled = idx + 1, [], 0
+        if written:
+            if filled:
+                flush()
+            self._conn.execute("DELETE FROM meta WHERE key = ?", (_CLUSTERED,))
+        return written
 
     def ingest_triple_batches(self, batches: Iterable[np.ndarray],
                               split: str = "train") -> int:
         """Stream ``(M, 3)`` integer arrays into the store; returns rows written.
 
         The out-of-core ingestion path: a generator of triple blocks (e.g. a
-        chunked synthetic generator or a file reader) is committed batch by
-        batch so peak memory is one block, never the whole graph.  Entity and
+        chunked synthetic generator or a file reader) is appended block by
+        block so peak memory is one block, never the whole graph.  Entity and
         relation tables are not touched — register vocabularies separately
         with :meth:`register_vocab_sizes` or :meth:`ingest_dataset`.
         """
-        total = 0
         with self._conn:
-            for block in batches:
-                block = np.asarray(block)
-                if block.size == 0:
-                    continue
-                self._insert_triples(block.reshape(-1, 3), split)
-                total += int(block.reshape(-1, 3).shape[0])
-        return total
+            return self._append(split, batches)
 
     def register_vocab_sizes(self, n_entities: int, n_relations: int) -> None:
         """Create index-label rows for integer-only graphs (no label source)."""
@@ -136,15 +195,19 @@ class SQLiteKGStore:
     def ingest_labeled_triples(self, labeled: Iterable[Tuple[str, str, str]],
                                split: str = "train") -> None:
         """Insert labelled triples, growing the entity/relation tables as needed."""
-        with self._conn:
+        def blocks() -> Iterator[np.ndarray]:
+            ids: List[Tuple[int, int, int]] = []
             for head, relation, tail in labeled:
-                h = self._get_or_create("entities", head)
-                r = self._get_or_create("relations", relation)
-                t = self._get_or_create("entities", tail)
-                self._conn.execute(
-                    "INSERT INTO triples (head, relation, tail, split) VALUES (?, ?, ?, ?)",
-                    (h, r, t, split),
-                )
+                ids.append((self._get_or_create("entities", head),
+                            self._get_or_create("relations", relation),
+                            self._get_or_create("entities", tail)))
+                if len(ids) == CHUNK_ROWS:
+                    yield np.array(ids, dtype=np.int64)
+                    ids = []
+            yield np.array(ids, dtype=np.int64)
+
+        with self._conn:
+            self._append(split, blocks())
 
     def _get_or_create(self, table: str, label: str) -> int:
         row = self._conn.execute(
@@ -169,12 +232,11 @@ class SQLiteKGStore:
 
     def n_triples(self, split: Optional[str] = "train") -> int:
         if split is None:
-            return int(self._conn.execute("SELECT COUNT(*) FROM triples").fetchone()[0])
-        return int(
-            self._conn.execute(
-                "SELECT COUNT(*) FROM triples WHERE split = ?", (split,)
-            ).fetchone()[0]
-        )
+            return int(self._conn.execute(
+                "SELECT COALESCE(SUM(n_rows), 0) FROM chunks").fetchone()[0])
+        return int(self._conn.execute(
+            "SELECT COALESCE(SUM(n_rows), 0) FROM chunks WHERE split = ?",
+            (split,)).fetchone()[0])
 
     def entity_vocabulary(self) -> Vocabulary:
         rows = self._conn.execute("SELECT label FROM entities ORDER BY id").fetchall()
@@ -184,28 +246,38 @@ class SQLiteKGStore:
         rows = self._conn.execute("SELECT label FROM relations ORDER BY id").fetchall()
         return Vocabulary(label for (label,) in rows)
 
+    def _read_chunks(self, split: str, first: int, last: int) -> np.ndarray:
+        """Rows of chunks ``first..last`` (inclusive) of ``split``, in order."""
+        blobs = self._conn.execute(
+            "SELECT data FROM chunks WHERE split = ? AND idx BETWEEN ? AND ? "
+            "ORDER BY idx", (split, int(first), int(last))).fetchall()
+        return _rows([data for (data,) in blobs])
+
+    def _iter_chunks(self, split: str) -> Iterator[np.ndarray]:
+        """``split``'s chunks in position order, one at a time."""
+        n_chunks = self._conn.execute(
+            "SELECT COUNT(*) FROM chunks WHERE split = ?", (split,)).fetchone()[0]
+        for idx in range(n_chunks):
+            yield self._read_chunks(split, idx, idx)
+
     def iter_batches(self, batch_size: int, split: str = "train") -> Iterator[np.ndarray]:
         """Stream ``(batch, 3)`` triple arrays without loading the whole table."""
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        cursor = self._conn.execute(
-            "SELECT head, relation, tail FROM triples WHERE split = ? ORDER BY rowid",
-            (split,),
-        )
-        while True:
-            rows = cursor.fetchmany(batch_size)
-            if not rows:
-                break
-            yield np.asarray(rows, dtype=np.int64)
+        for lo, hi in self.block_bounds(batch_size, split):
+            yield self.fetch_block(lo, hi, split)
 
     def set_meta(self, key: str, value: str) -> None:
         """Store a small key/value annotation (dataset fingerprints etc.)."""
         with self._conn:
-            self._conn.execute(
-                "INSERT INTO meta (key, value) VALUES (?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
-                (str(key), str(value)),
-            )
+            self._set_meta(key, value)
+
+    def _set_meta(self, key: str, value: str) -> None:
+        self._conn.execute(
+            "INSERT INTO meta (key, value) VALUES (?, ?) "
+            "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
+            (str(key), str(value)),
+        )
 
     def get_meta(self, key: str) -> Optional[str]:
         """Read an annotation written by :meth:`set_meta` (``None`` if absent)."""
@@ -215,136 +287,96 @@ class SQLiteKGStore:
         return str(row[0]) if row is not None else None
 
     def block_bounds(self, block_size: int, split: str = "train") -> List[Tuple[int, int]]:
-        """Split a split's rows into contiguous rowid ranges of ``block_size``.
+        """Split a split's positions into inclusive ranges of ``block_size``.
 
-        One sequential index walk computes ``[(lo, hi), ...]`` inclusive rowid
-        bounds covering every row of the split, each holding ``block_size``
-        rows (the final range may be smaller).  Random-access epoch shuffles
-        then fetch blocks in any order with cheap ``rowid BETWEEN`` scans
-        instead of O(offset) ``LIMIT/OFFSET`` walks — memory stays
-        O(n_blocks), not O(n_triples).
+        ``[(lo, hi), ...]`` covers every position of the split, each range
+        holding ``block_size`` rows (the final one may be smaller).  It is
+        arithmetic on the split's row count: random-access epoch shuffles
+        fetch the ranges in any order with :meth:`fetch_block`.
         """
-        if block_size <= 0:
-            raise ValueError(f"block_size must be positive, got {block_size}")
-        bounds: List[Tuple[int, int]] = []
-        cursor = self._conn.execute(
-            "SELECT rowid FROM triples WHERE split = ? ORDER BY rowid", (split,)
-        )
-        lo: Optional[int] = None
-        count = 0
-        last = -1
-        while True:
-            rows = cursor.fetchmany(65536)
-            if not rows:
-                break
-            for (rowid,) in rows:
-                if lo is None:
-                    lo = rowid
-                count += 1
-                last = rowid
-                if count == block_size:
-                    bounds.append((lo, last))
-                    lo, count = None, 0
-        if lo is not None:
-            bounds.append((lo, last))
-        return bounds
+        return block_bounds_of(self.n_triples(split), block_size)
 
     def cluster_by_partition(self, bucket_size: int) -> None:
-        """Rewrite the triples table ordered by ``(head bucket, tail bucket)``.
+        """Reorder every split's chunks by ``(head bucket, tail bucket)``.
 
         The PBG-style bucket-pair schedule wants each ``(head_bucket,
-        tail_bucket)`` episode to be a handful of contiguous rowid runs so it
-        can stream an episode with cheap ``rowid BETWEEN`` scans.  This
-        one-time clustering pass reorders the rows with SQLite's external
-        sort (disk-backed — the triples never materialise in Python), after
-        which :meth:`pair_runs` returns exactly one run per populated pair.
+        tail_bucket)`` episode to be one contiguous position range.  This pass
+        produces the order ``ORDER BY split, head / bucket_size, tail /
+        bucket_size, position`` a chunk at a time: each chunk's rows are
+        stably sorted by pair and stored as one piece per pair in a scratch
+        table, then the pieces are read back in ``(pair, chunk)`` order and
+        re-packed into chunks.  Memory stays about two chunks; afterwards
+        :meth:`pair_runs` finds exactly one run per populated pair.
 
         Idempotent per ``bucket_size``: the applied size is recorded in the
-        meta table and re-clustering with the same size is a no-op.
+        meta table and re-clustering with the same size is a no-op.  Any
+        later ingest clears the record, so the next call re-clusters.  The
+        rewrite of the chunks is one transaction; the scratch table an
+        interrupted pass leaves behind is dropped by the next.
         """
         if bucket_size <= 0:
             raise ValueError(f"bucket_size must be positive, got {bucket_size}")
-        if self.get_meta("clustered_bucket_size") == str(int(bucket_size)):
+        if self.get_meta(_CLUSTERED) == str(int(bucket_size)):
             return
+        size = int(bucket_size)
         with self._conn:
-            # Plain execute()s so everything stays inside one transaction
-            # (executescript would commit early); the DROP clears any debris
-            # a previously interrupted clustering attempt left behind.
-            self._conn.execute("DROP TABLE IF EXISTS triples_clustered")
-            self._conn.execute("""
-                CREATE TABLE triples_clustered (
-                    rowid INTEGER PRIMARY KEY AUTOINCREMENT,
-                    head INTEGER NOT NULL,
-                    relation INTEGER NOT NULL,
-                    tail INTEGER NOT NULL,
-                    split TEXT NOT NULL DEFAULT 'train'
+            self._conn.execute(f"DROP TABLE IF EXISTS {_CLUSTERING_TABLE}")
+            self._conn.execute(f"""
+                CREATE TABLE {_CLUSTERING_TABLE} (
+                    split TEXT NOT NULL,
+                    head_bucket INTEGER NOT NULL,
+                    tail_bucket INTEGER NOT NULL,
+                    chunk INTEGER NOT NULL,
+                    data BLOB NOT NULL,
+                    PRIMARY KEY (split, head_bucket, tail_bucket, chunk)
                 )
             """)
-            # SQLite's / on integers is integer division, so head/bs is the
-            # head's bucket id.
-            self._conn.execute(
-                "INSERT INTO triples_clustered (head, relation, tail, split) "
-                "SELECT head, relation, tail, split FROM triples "
-                "ORDER BY split, head / ?, tail / ?, rowid",
-                (int(bucket_size), int(bucket_size)),
-            )
-            self._conn.execute("DROP TABLE triples")
-            self._conn.execute("ALTER TABLE triples_clustered RENAME TO triples")
-            self._conn.execute(
-                "CREATE INDEX IF NOT EXISTS idx_triples_split ON triples(split)")
-        self.set_meta("clustered_bucket_size", str(int(bucket_size)))
+            splits = [split for (split,) in self._conn.execute(
+                "SELECT DISTINCT split FROM chunks ORDER BY split").fetchall()]
+            for split in splits:
+                for chunk, rows in enumerate(self._iter_chunks(split)):
+                    heads, tails = rows[:, 0] // size, rows[:, 2] // size
+                    order = np.lexsort((tails, heads))  # stable: position order
+                    heads, tails, rows = heads[order], tails[order], rows[order]
+                    starts, stops = pair_run_bounds(heads, tails)
+                    self._conn.executemany(
+                        f"INSERT INTO {_CLUSTERING_TABLE} VALUES (?, ?, ?, ?, ?)",
+                        ((split, int(heads[lo]), int(tails[lo]), chunk,
+                          rows[lo:hi].tobytes())
+                         for lo, hi in zip(starts.tolist(), stops.tolist())))
+            self._conn.execute("DELETE FROM chunks")
+            for split in splits:
+                self._append(split, (_rows([data]) for (data,) in self._conn.execute(
+                    f"SELECT data FROM {_CLUSTERING_TABLE} WHERE split = ? "
+                    "ORDER BY head_bucket, tail_bucket, chunk", (split,))))
+            self._conn.execute(f"DROP TABLE {_CLUSTERING_TABLE}")
+            self._set_meta(_CLUSTERED, str(size))
 
     def pair_runs(self, bucket_size: int, split: str = "train"
                   ) -> Dict[Tuple[int, int], List[Tuple[int, int]]]:
-        """Contiguous rowid runs per ``(head_bucket, tail_bucket)`` pair.
+        """Contiguous position runs per ``(head_bucket, tail_bucket)`` pair.
 
-        One sequential scan computes, for every populated bucket pair, the
-        list of inclusive ``(lo, hi)`` rowid runs holding its triples.  On a
-        store clustered with :meth:`cluster_by_partition` each pair collapses
-        to a single run, so memory stays O(pairs); on an unclustered store the
-        runs simply fragment (correct, just more per-episode scans).
+        For every populated bucket pair, the list of inclusive ``(lo, hi)``
+        position runs holding its triples, found by one chunk-by-chunk scan.
+        On a store clustered with :meth:`cluster_by_partition` at this
+        ``bucket_size`` each pair has exactly one run; otherwise the runs
+        fragment (correct, just more per-episode fetches).
         """
-        if bucket_size <= 0:
-            raise ValueError(f"bucket_size must be positive, got {bucket_size}")
-        runs: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        cursor = self._conn.execute(
-            "SELECT rowid, head / ?, tail / ? FROM triples WHERE split = ? "
-            "ORDER BY rowid",
-            (int(bucket_size), int(bucket_size), split),
-        )
-        while True:
-            rows = cursor.fetchmany(65536)
-            if not rows:
-                break
-            for rowid, bh, bt in rows:
-                pair_runs = runs.setdefault((int(bh), int(bt)), [])
-                if pair_runs and pair_runs[-1][1] == rowid - 1:
-                    pair_runs[-1] = (pair_runs[-1][0], rowid)
-                else:
-                    pair_runs.append((rowid, rowid))
-        return runs
+        return pair_runs_of(self._iter_chunks(split), bucket_size)
 
     def fetch_block(self, lo: int, hi: int, split: str = "train") -> np.ndarray:
-        """All ``(head, relation, tail)`` rows with ``lo <= rowid <= hi``."""
-        rows = self._conn.execute(
-            "SELECT head, relation, tail FROM triples "
-            "WHERE split = ? AND rowid BETWEEN ? AND ? ORDER BY rowid",
-            (split, int(lo), int(hi)),
-        ).fetchall()
-        return (np.asarray(rows, dtype=np.int64).reshape(-1, 3)
-                if rows else np.empty((0, 3), dtype=np.int64))
+        """The ``(head, relation, tail)`` rows at positions ``lo..hi`` (inclusive)."""
+        first = int(lo) // CHUNK_ROWS
+        rows = self._read_chunks(split, first, int(hi) // CHUNK_ROWS)
+        start = int(lo) - first * CHUNK_ROWS
+        return rows[start:start + max(int(hi) - int(lo) + 1, 0)]
 
     def to_dataset(self, name: Optional[str] = None) -> KGDataset:
         """Materialise the store back into an in-memory :class:`KGDataset`."""
         from repro.data.dataset import TripleSplit
 
         def fetch(split: str) -> np.ndarray:
-            rows = self._conn.execute(
-                "SELECT head, relation, tail FROM triples WHERE split = ? ORDER BY rowid",
-                (split,),
-            ).fetchall()
-            return (np.asarray(rows, dtype=np.int64).reshape(-1, 3)
-                    if rows else np.empty((0, 3), dtype=np.int64))
+            return self._read_chunks(split, 0, self.n_triples(split) // CHUNK_ROWS)
 
         return KGDataset(
             n_entities=self.n_entities,

@@ -21,7 +21,7 @@ trainer reconstruct the identical batch stream without any coordination.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Protocol, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -29,6 +29,54 @@ from repro.data.batching import TripletBatch
 from repro.data.dataset import KGDataset
 from repro.data.negative_sampling import NegativeSampler, UniformNegativeSampler
 from repro.utils.seeding import new_rng
+
+
+def block_bounds_of(n_rows: int, block_size: int) -> List[Tuple[int, int]]:
+    """Inclusive ``(lo, hi)`` position ranges of ``block_size`` rows covering
+    ``n_rows`` rows (the last range may be shorter)."""
+    if block_size <= 0:
+        raise ValueError(f"block_size must be positive, got {block_size}")
+    return [(lo, min(lo + block_size, n_rows) - 1)
+            for lo in range(0, n_rows, block_size)]
+
+
+def pair_run_bounds(head_buckets: np.ndarray, tail_buckets: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Half-open ``[start, stop)`` row ranges of constant ``(head_bucket,
+    tail_bucket)`` key, found where the key differs from the previous row's."""
+    changed = np.flatnonzero((head_buckets[1:] != head_buckets[:-1])
+                             | (tail_buckets[1:] != tail_buckets[:-1])) + 1
+    if not head_buckets.size:
+        return changed, changed
+    return (np.concatenate(([0], changed)),
+            np.concatenate((changed, [head_buckets.size])))
+
+
+def pair_runs_of(chunks: Iterable[np.ndarray], bucket_size: int
+                 ) -> Dict[Tuple[int, int], List[Tuple[int, int]]]:
+    """Contiguous position runs per ``(head_bucket, tail_bucket)`` pair.
+
+    ``chunks`` are consecutive ``(M, 3)`` pieces of one split; a run that
+    crosses a chunk boundary stays one run.  Key changes are found per chunk
+    with :func:`pair_run_bounds`; Python touches each run, not each row.
+    """
+    if bucket_size <= 0:
+        raise ValueError(f"bucket_size must be positive, got {bucket_size}")
+    runs: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    offset = 0
+    for rows in chunks:
+        heads, tails = rows[:, 0] // bucket_size, rows[:, 2] // bucket_size
+        starts, stops = pair_run_bounds(heads, tails)
+        for head, tail, lo, hi in zip(heads[starts].tolist(), tails[starts].tolist(),
+                                      (starts + offset).tolist(),
+                                      (stops + offset - 1).tolist()):
+            pair_list = runs.setdefault((head, tail), [])
+            if pair_list and pair_list[-1][1] == lo - 1:
+                pair_list[-1] = (pair_list[-1][0], hi)
+            else:
+                pair_list.append((lo, hi))
+        offset += rows.shape[0]
+    return runs
 
 
 class TripleStore(Protocol):
@@ -79,36 +127,20 @@ class InMemoryTripleStore:
 
     def block_bounds(self, block_size: int, split: str = "train"
                      ) -> List[Tuple[int, int]]:
-        if block_size <= 0:
-            raise ValueError(f"block_size must be positive, got {block_size}")
-        n = self.n_triples(split)
-        return [(lo, min(lo + block_size, n) - 1)
-                for lo in range(0, n, block_size)]
+        return block_bounds_of(self.n_triples(split), block_size)
 
     def fetch_block(self, lo: int, hi: int, split: str = "train") -> np.ndarray:
         return self._split(split)[lo:hi + 1]
 
     def pair_runs(self, bucket_size: int, split: str = "train"
-                  ) -> dict:
+                  ) -> Dict[Tuple[int, int], List[Tuple[int, int]]]:
         """Contiguous row runs per ``(head_bucket, tail_bucket)`` pair.
 
-        In-memory twin of :meth:`repro.data.sqlite_store.SQLiteKGStore.pair_runs`
-        (rows are 0-based positions rather than SQLite rowids), so the
-        bucket-pair schedule can be exercised against RAM-backed data too.
+        In-memory twin of :meth:`repro.data.sqlite_store.SQLiteKGStore.pair_runs`,
+        so the bucket-pair schedule can be exercised against RAM-backed data
+        too.
         """
-        if bucket_size <= 0:
-            raise ValueError(f"bucket_size must be positive, got {bucket_size}")
-        triples = self._split(split)
-        runs: dict = {}
-        for row in range(triples.shape[0]):
-            pair = (int(triples[row, 0] // bucket_size),
-                    int(triples[row, 2] // bucket_size))
-            pair_list = runs.setdefault(pair, [])
-            if pair_list and pair_list[-1][1] == row - 1:
-                pair_list[-1] = (pair_list[-1][0], row)
-            else:
-                pair_list.append((row, row))
-        return runs
+        return pair_runs_of([self._split(split)], bucket_size)
 
 
 class StreamingBatchIterator:

@@ -326,8 +326,8 @@ class Experiment:
             partition = EntityPartition(dataset.n_entities, partitions)
             if spec.data.storage_path is None:
                 # One-time disk-side clustering so every episode is a single
-                # contiguous rowid run (idempotent per bucket size).  Only for
-                # the run's own store: clustering reorders the triples table,
+                # contiguous position run (idempotent per bucket size).  Only
+                # for the run's own store: clustering reorders the triples,
                 # which would silently change the seeded block shuffle of any
                 # later *unpartitioned* run sharing a user-supplied database.
                 with SQLiteKGStore(db_path) as store:

@@ -64,6 +64,7 @@ from repro.sparse.incidence import (
 from repro.sparse.rowsparse import RowSparseGrad
 from repro.sparse.spmm import rowsparse_backward_for
 from repro.utils.seeding import new_rng
+from repro.utils.validation import check_triples
 
 #: Manifest filename written next to the bucket files.
 PARTITION_MANIFEST = "partition.json"
@@ -195,6 +196,55 @@ class BucketParameter(Parameter):
         status = "resident" if self.resident else "evicted"
         return (f"BucketParameter(bucket={self._bucket}, "
                 f"shape={self._bucket_shape}, {status})")
+
+
+def _rank_distinct(keys: np.ndarray, span: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of ``keys`` (all in ``[0, span)``) and each
+    key's index among them, by marking and numbering instead of sorting."""
+    seen = np.zeros(span, dtype=bool)
+    seen[keys] = True
+    distinct = np.flatnonzero(seen)
+    rank = np.empty(span, dtype=np.int64)
+    rank[distinct] = np.arange(distinct.size, dtype=np.int64)
+    return distinct, rank[keys]
+
+
+def compact_ids(triples: np.ndarray, partition: EntityPartition, n_relations: int
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A batch's sorted unique entity and relation ids, and the triples on them.
+
+    Returns ``(entity_ids, relation_ids, compact)`` where ``compact`` holds
+    each triple's head and tail as an index into ``entity_ids`` and its
+    relation as an index into ``relation_ids``: the ``np.unique`` +
+    ``np.searchsorted`` map, computed by counting.  Entities are marked in a
+    scratch that lays the touched buckets end to end, so it is bounded by
+    their rows: at most two buckets under the bucket-pair schedule, but all
+    ``n_entities`` rows when a uniform batch touches every bucket (9 bytes a
+    row per call).  Relations are marked over ``n_relations``.
+    ``n_relations=0`` is an entity-only table: ``relation_ids`` is empty and
+    the relation column is 0.  Ids are validated as the resident table's
+    incidence builder validates them.
+    """
+    triples = check_triples(triples, n_entities=partition.n_entities,
+                            n_relations=n_relations or None)
+    compact = np.zeros_like(triples)
+    if not triples.size:
+        return triples[:0, 0], triples[:0, 1], compact
+    entities = triples[:, 0::2]
+    size = partition.bucket_size
+    buckets = partition.bucket_of(entities)
+    touched = np.zeros(partition.n_partitions, dtype=bool)
+    touched[buckets] = True
+    hit = np.flatnonzero(touched)
+    place = np.cumsum(touched, dtype=np.int64) - 1  # bucket -> index in ``hit``
+    # The touched buckets laid end to end: slot = id + (place - bucket) * size.
+    slots, compact[:, 0::2] = _rank_distinct(
+        entities + (place[buckets] - buckets) * size, hit.size * size)
+    entity_ids = slots + (hit[slots // size] - slots // size) * size
+    if not n_relations:
+        return entity_ids, triples[:0, 1], compact
+    relation_ids, compact[:, 1] = _rank_distinct(triples[:, 1], n_relations)
+    return entity_ids, relation_ids, compact
 
 
 class PartitionedEmbedding(Module, EmbeddingTable):
@@ -723,8 +773,9 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         An incidence matrix is a stack of signed one-hot rows, so multiplying
         it by a table looks rows up; restricted to the columns a batch touches
         it is the **compacted sub-incidence matrix**.  The batch's unique
-        entity (and, when the table holds relation rows, relation) ids are remapped onto
-        ``[0, U_e)`` / ``[0, U_r)`` and only those rows are gathered from the
+        entity (and, when the table holds relation rows, relation) ids are
+        remapped onto ``[0, U_e)`` / ``[0, U_r)`` by :func:`compact_ids`, which
+        counts rather than sorts, and only those rows are gathered from the
         resident buckets.  Both maps are monotone, so the compacted matrix's
         per-row column order — and with it every floating-point accumulation
         in the kernel and in the row-sparse backward — matches
@@ -737,13 +788,9 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         parameter.  Only ``builder.fmt`` is read: the compact matrix has its
         own shape.
         """
-        entity_ids = np.unique(triples[:, 0::2])
-        relation_ids = np.unique(triples[:, 1]) if self.n_relations else triples[:0, 1]
+        entity_ids, relation_ids, compact = compact_ids(
+            triples, self.partition, self.n_relations)
         n_ent = int(entity_ids.size)
-        compact = np.empty_like(triples)
-        compact[:, 0] = np.searchsorted(entity_ids, triples[:, 0])
-        compact[:, 1] = np.searchsorted(relation_ids, triples[:, 1])
-        compact[:, 2] = np.searchsorted(entity_ids, triples[:, 2])
         if self.n_relations:
             A = build_hrt_incidence(compact, n_ent, int(relation_ids.size),
                                     fmt=builder.fmt)

@@ -65,10 +65,10 @@ class TestPairRuns:
         assert sqlite_store.pair_runs(bucket_size=15) == first
 
     def test_cluster_recovers_from_interrupted_attempt(self, sqlite_store, kg):
-        """Debris from a mid-clustering crash (a leftover triples_clustered
-        table) must not wedge the store forever."""
+        """Debris from a mid-clustering crash (a leftover chunks_clustering
+        scratch table) must not wedge the store forever."""
         sqlite_store._conn.execute(
-            "CREATE TABLE triples_clustered (leftover INTEGER)")
+            "CREATE TABLE chunks_clustering (leftover INTEGER)")
         sqlite_store.cluster_by_partition(15)
         assert all(len(runs) == 1
                    for runs in sqlite_store.pair_runs(bucket_size=15).values())
