@@ -13,7 +13,9 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.known import KnownTriples
-from repro.evaluation.ranks import (
+# ``compute_ranks`` is no longer called here, but stays importable under this
+# module's name: the ``eval_rank`` benchmark's tracer wraps it by that name.
+from repro.evaluation.ranks import (  # noqa: F401
     RankingProtocol,
     compute_ranks,
     hits_at_k,
@@ -68,8 +70,8 @@ def evaluate_link_prediction(
     Parameters
     ----------
     model:
-        Trained model exposing ``score_all_tails`` / ``score_all_heads`` and
-        :meth:`~repro.models.base.KGEModel.entity_sq_norms`.
+        Trained model; each chunk is ranked per direction by
+        :meth:`~repro.models.base.KGEModel.rank_targets`.
     triples:
         Evaluation triples ``(B, 3)``.
     known_triples:
@@ -82,8 +84,10 @@ def evaluate_link_prediction(
     protocol:
         RAW or FILTERED ranking.
     batch_size:
-        Queries ranked per chunk (bounds the ``(B, n_entities)`` score block,
-        of which one is alive at a time); must be positive.
+        Queries ranked per chunk; must be positive.  A closed-form model
+        counts a chunk's ranks tile by tile and never holds a
+        ``(batch_size, n_entities)`` block; any other model scores one such
+        block per direction.
     """
     batch_size = int(batch_size)
     if batch_size <= 0:
@@ -97,27 +101,19 @@ def evaluate_link_prediction(
             raise ValueError("filtered evaluation requires known_triples")
         known = KnownTriples.coerce(known_triples)
 
-    # The weights do not change inside this call, so the ``‖t‖²`` term of the
-    # L2 closed form is computed once here for every chunk and both
-    # directions.  Models without that term are called without the keyword.
-    entity_sq = model.entity_sq_norms()
-    norms = {} if entity_sq is None else {"entity_sq": entity_sq}
-
     head_rank_chunks = []
     tail_rank_chunks = []
     for start in range(0, triples.shape[0], batch_size):
         chunk = triples[start:start + batch_size]
         heads, rels, tails = chunk[:, 0], chunk[:, 1], chunk[:, 2]
 
-        # Each score block is an argument expression, not a local: it is
-        # released when compute_ranks returns, before the next is allocated.
         tail_filters = known.exclusions("tail", heads, rels) if known is not None else None
-        tail_rank_chunks.append(compute_ranks(
-            model.score_all_tails(heads, rels, **norms), tails, tail_filters))
+        tail_rank_chunks.append(
+            model.rank_targets(heads, rels, tails, "tail", tail_filters))
 
         head_filters = known.exclusions("head", tails, rels) if known is not None else None
-        head_rank_chunks.append(compute_ranks(
-            model.score_all_heads(rels, tails, **norms), heads, head_filters))
+        head_rank_chunks.append(
+            model.rank_targets(tails, rels, heads, "head", head_filters))
 
     tail_ranks = (np.concatenate(tail_rank_chunks) if tail_rank_chunks
                   else np.empty(0, dtype=np.float64))

@@ -9,7 +9,7 @@ code work unchanged across families.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -153,17 +153,28 @@ class KGEModel(Module):
                 raise IndexError(f"{kind} id {bad} out of range [0, {limit})")
         return anchors, relations
 
-    def entity_sq_norms(self) -> Optional[np.ndarray]:
-        """``‖e‖²`` per entity for models whose ranking is an L2 GEMM, else ``None``.
+    def rank_targets(self, anchors: np.ndarray, relations: np.ndarray,
+                     targets: np.ndarray, direction: str,
+                     exclusions=None) -> np.ndarray:
+        """Rank of each target among every entity: ``(B,)`` float64, 1-based.
 
-        A caller that ranks many batches against weights it knows are not
-        being written (one ``evaluate_link_prediction`` call) asks once and
-        passes the array back as ``score_all_*(..., entity_sq=)``.  The model
-        never remembers it: optimizers write ``weight.data`` in place and
-        there is no write path to invalidate a cache from.  ``None`` (the
-        default) means the model is called without the keyword.
+        ``direction="tail"`` ranks ``targets`` as the tails of ``(anchors,
+        relations, ?)``; ``"head"`` as the heads of ``(?, relations,
+        anchors)``.  ``exclusions`` are the filtered protocol's other known
+        answers, in any form :func:`~repro.evaluation.compute_ranks` takes.
+        This generic version scores every candidate with ``score_all_*`` and
+        counts with ``compute_ranks``; :class:`TranslationalModel` counts in
+        closed form, tile by tile, without the ``(B, n_entities)`` block.
         """
-        return None
+        from repro.evaluation.ranks import compute_ranks
+
+        if direction == "tail":
+            scores = self.score_all_tails(anchors, relations)
+        elif direction == "head":
+            scores = self.score_all_heads(relations, anchors)
+        else:
+            raise ValueError(f"direction must be 'tail' or 'head', got {direction!r}")
+        return compute_ranks(scores, targets, exclusions)
 
     def _score_all_generic(self, first: np.ndarray, second: np.ndarray,
                            position: str, chunk_size: int) -> np.ndarray:
@@ -342,20 +353,8 @@ class TranslationalModel(KGEModel):
     # ------------------------------------------------------------------ #
     # Closed-form ranking
     # ------------------------------------------------------------------ #
-    def entity_sq_norms(self) -> Optional[np.ndarray]:
-        """``‖e‖²`` of the dense entity table when ranking is the L2 GEMM.
-
-        ``None`` for other dissimilarities, projected geometries and
-        partitioned tables, whose blocks the kernel squares in-call.
-        """
-        matrix = self.entity_table().as_array()
-        if matrix is None or not self._l2_over_entities():
-            return None
-        return ranking.squared_norms(matrix)
-
     def score_all_tails(self, heads: np.ndarray, relations: np.ndarray,
-                        chunk_size: int = 65536,
-                        entity_sq: Optional[np.ndarray] = None) -> np.ndarray:
+                        chunk_size: int = 65536) -> np.ndarray:
         """Score every entity as a candidate tail: ``(B, n_entities)``.
 
         In closed form when it applies: ``dissimilarity(q − project_r(t'))``
@@ -363,17 +362,15 @@ class TranslationalModel(KGEModel):
         :func:`repro.ranking.l2_distance_matrix` at L2 and the model's own
         :attr:`dissimilarity` otherwise, over candidate blocks bounded by
         ``chunk_size`` entities and :attr:`RANK_BLOCK_ELEMENTS`.
-        ``entity_sq`` is this model's :meth:`entity_sq_norms`.
         """
         heads, relations = self._query_ids(heads, relations)
         if not self._closed_form_applies():
             return self._score_all_generic(heads, relations, position="tail",
                                            chunk_size=chunk_size)
-        return self._rank_blocked(heads, relations, "tail", chunk_size, entity_sq)
+        return self._rank_blocked(heads, relations, "tail", chunk_size)
 
     def score_all_heads(self, relations: np.ndarray, tails: np.ndarray,
-                        chunk_size: int = 65536,
-                        entity_sq: Optional[np.ndarray] = None) -> np.ndarray:
+                        chunk_size: int = 65536) -> np.ndarray:
         """Score every entity as a candidate head: ``(B, n_entities)``.
 
         The closed form is ``dissimilarity(project_r(h') − q)`` with
@@ -383,43 +380,49 @@ class TranslationalModel(KGEModel):
         if not self._closed_form_applies():
             return self._score_all_generic(relations, tails, position="head",
                                            chunk_size=chunk_size)
-        return self._rank_blocked(tails, relations, "head", chunk_size, entity_sq)
+        return self._rank_blocked(tails, relations, "head", chunk_size)
 
-    def _rank_blocked(self, anchors: np.ndarray, relations: np.ndarray,
-                      direction: str, chunk_size: int,
-                      entity_sq: Optional[np.ndarray]) -> np.ndarray:
-        """The one closed-form ranking loop behind both ``score_all_*``.
+    def _query_groups(self, anchors: np.ndarray, relations: np.ndarray,
+                      direction: str) -> List[Tuple[object, Optional[int], np.ndarray]]:
+        """``(rows, relation, queries)`` per group of a closed-form ranking call.
 
-        Queries are grouped by relation (one group for the ``"translation"``
-        geometry); candidate blocks come from
-        :meth:`iter_entity_embedding_blocks`, so the same loop serves dense
-        tables (views) and partitioned tables (one bucket resident at a
-        time), and each block is projected once per group.  For heads the
-        residual is ``candidate − query``, so asymmetric dissimilarities keep
-        the orientation the model trains on.
+        One group (``rows`` is ``slice(None)``, ``relation`` ``None``) for
+        the ``"translation"`` geometry, one per distinct relation for
+        ``"projection"``, whose queries are already in that relation's space.
         """
         anchor_rows = self.entity_embedding_rows(anchors)
         translations = self.relation_translations(relations)
         if direction == "head":
             translations = -translations  # ``x + (−r)`` rounds exactly as ``x − r``
-        groups = []
         if self.ranking_geometry == "translation":
-            groups.append((slice(None), None, anchor_rows + translations))
-        else:
-            for relation in np.unique(relations):
-                rows = np.flatnonzero(relations == relation)
-                groups.append((rows, relation, translations[rows]
-                               + self.project_entities(anchor_rows[rows], relation)))
+            return [(slice(None), None, anchor_rows + translations)]
+        groups = []
+        for relation in np.unique(relations):
+            rows = np.flatnonzero(relations == relation)
+            groups.append((rows, relation, translations[rows]
+                           + self.project_entities(anchor_rows[rows], relation)))
+        return groups
 
+    def _rank_blocked(self, anchors: np.ndarray, relations: np.ndarray,
+                      direction: str, chunk_size: int) -> np.ndarray:
+        """The one closed-form scoring loop behind both ``score_all_*``.
+
+        Queries are grouped by relation (:meth:`_query_groups`); candidate
+        blocks come from :meth:`iter_entity_embedding_blocks`, so the same
+        loop serves dense tables (views) and partitioned tables (one bucket
+        resident at a time), and each block is projected once per group.
+        For heads the residual is ``candidate − query``, so asymmetric
+        dissimilarities keep the orientation the model trains on.
+        """
+        groups = self._query_groups(anchors, relations, direction)
         l2 = self.dissimilarity_name == "L2"
         matrix = self.entity_table().as_array()
         if l2 and matrix is not None and self.ranking_geometry == "translation":
             # Dense table: one GEMM kernel call over the whole entity matrix
             # (the norm is symmetric, so heads need no special case).
-            return ranking.l2_distance_matrix(groups[0][2], matrix,
-                                              target_sq=entity_sq)
+            return ranking.l2_distance_matrix(groups[0][2], matrix)
         b, n = anchors.shape[0], self.n_entities
-        width = max(self.embedding_dim, translations.shape[1])
+        width = max([self.embedding_dim] + [q.shape[1] for _, _, q in groups])
         # An L2 block materialises only ~block·k floats of candidate rows; a
         # diff block is B times that.  Both are bounded by elements, not rows,
         # so wide tables stay within the memory budget.
@@ -439,11 +442,147 @@ class TranslationalModel(KGEModel):
                     elif l2:
                         out[rows, cols] = ranking.l2_distance_matrix(queries, cand)
                     else:
-                        diff = queries[:, None, :] - cand[None, :, :]
-                        if direction == "head":
-                            np.negative(diff, out=diff)
-                        out[rows, cols] = self.dissimilarity(diff).data
+                        out[rows, cols] = self._residual_keys(queries, cand, direction)
         return out
+
+    def _residual_keys(self, queries: np.ndarray, cand: np.ndarray,
+                       direction: str) -> np.ndarray:
+        """``(nb, w)`` :attr:`dissimilarity` of every query–candidate residual."""
+        diff = queries[:, None, :] - cand[None, :, :]
+        if direction == "head":
+            np.negative(diff, out=diff)
+        return self.dissimilarity(diff).data
+
+    # ------------------------------------------------------------------ #
+    # Closed-form rank counting
+    # ------------------------------------------------------------------ #
+    def rank_targets(self, anchors: np.ndarray, relations: np.ndarray,
+                     targets: np.ndarray, direction: str,
+                     exclusions=None) -> np.ndarray:
+        """Rank of each target among every entity, counted tile by tile.
+
+        Walks the candidate blocks and relation groups of the closed form
+        (:meth:`_walk_keys`) and counts each tile into a
+        :class:`~repro.evaluation.ranks.RankCounter`; the ``(B, n_entities)``
+        block is never built.  A tile holds each candidate's *key*: at L2
+        the squared distance less the query's own ``‖q‖²``, ``‖c‖² − 2q·c``,
+        one GEMM of the pre-scaled ``−2q`` plus the block's row norms (no
+        ``sqrt``, no clamp); for any other dissimilarity exactly the values
+        ``score_all_*`` returns.  A candidate ties the target only when their
+        keys, as computed, are bitwise equal.
+
+        The target's key is bracketed from its own row first (GEMM rounding
+        depends on a column's place in the tile, so the row value may differ
+        from the tile's in the last bits); the tile's value is read back when
+        the walk reaches it.  A query with another candidate inside its
+        bracket — a tie or a near-duplicate of the target — is re-walked
+        alone with its keys kept, ``(n_unresolved, n_entities)``, and ranked
+        from them by :func:`~repro.evaluation.compute_ranks`.
+        """
+        from repro.evaluation.ranks import RankCounter, compute_ranks
+
+        anchors, relations = self._query_ids(anchors, relations)
+        if not self._closed_form_applies():
+            return super().rank_targets(anchors, relations, targets, direction,
+                                        exclusions)
+        if direction not in ("tail", "head"):
+            raise ValueError(f"direction must be 'tail' or 'head', got {direction!r}")
+        targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+        if targets.shape != anchors.shape:
+            raise ValueError("targets must align with anchors and relations")
+        if not targets.size:
+            return np.empty(0, dtype=np.float64)
+        groups = self._query_groups(anchors, relations, direction)
+        lo, hi = self._target_key_brackets(groups, targets, direction)
+        counter = RankCounter(self.n_entities, targets, exclusions, lo, hi)
+        self._walk_keys(groups, direction, counter.count)
+        ranks, unresolved = counter.ranks()
+        if unresolved.any():
+            rows = np.flatnonzero(unresolved)
+            keys = np.empty((rows.size, self.n_entities), dtype=lo.dtype)
+
+            def keep(tile, sub, start):
+                keys[sub, start:start + tile.shape[1]] = tile
+
+            self._walk_keys(self._query_groups(anchors[rows], relations[rows],
+                                               direction), direction, keep)
+            ranks[rows] = compute_ranks(keys, targets[rows], counter.exclusions(rows))
+        return ranks
+
+    def _target_key_brackets(self, groups, targets: np.ndarray,
+                             direction: str) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)`` around each target's key, computed from its own row.
+
+        The bracket is a rounding bound: ``4 (w + 2) ε Σ a(1 + a)`` with
+        ``a = |q| + |c|`` over the residual's ``w`` components, which covers
+        the sum of ``w`` products or terms (the dot and norm of the L2 key,
+        the residual's sum otherwise) rounded in any order.  A projected
+        target row may itself round differently from its block's projection;
+        should its tile key then fall outside, the counter reports the query
+        unresolved and it is re-walked like a tie.
+        """
+        target_rows = self.entity_embedding_rows(targets)
+        lo = np.empty(targets.shape[0], dtype=np.float64)
+        hi = np.empty_like(lo)
+        for rows, relation, queries in groups:
+            cand = target_rows[rows]
+            if relation is not None:
+                cand = self.project_entities(cand, relation)
+            dtype = np.result_type(queries.dtype, cand.dtype)
+            queries = queries.astype(dtype, copy=False)
+            cand = cand.astype(dtype, copy=False)
+            if self.dissimilarity_name == "L2":
+                key = (np.einsum("ij,ij->i", cand, cand)
+                       + np.einsum("ij,ij->i", -2.0 * queries, cand))
+            else:
+                diff = (queries - cand)[:, None, :]
+                if direction == "head":
+                    np.negative(diff, out=diff)
+                key = self.dissimilarity(diff).data[:, 0]
+            size = np.abs(queries) + np.abs(cand)
+            slack = (4 * (queries.shape[1] + 2) * np.finfo(dtype).eps
+                     * np.einsum("ij,ij->i", size, 1.0 + size))
+            lo[rows], hi[rows] = key - slack, key + slack
+        return lo, hi
+
+    def _walk_keys(self, groups, direction: str,
+                   sink: Callable[[np.ndarray, object, int], None]) -> None:
+        """Every ranking key of ``groups``' queries, one tile at a time.
+
+        ``sink(keys, rows, start)`` receives the ``(len(rows), w)`` keys of
+        candidates ``start .. start + w − 1``.  At L2 a tile is at most
+        :data:`repro.ranking.RANK_TILE_ELEMENTS` keys, written by one GEMM
+        into one scratch buffer reused for the whole walk.
+        """
+        l2 = self.dissimilarity_name == "L2"
+        b = sum(queries.shape[0] for _, _, queries in groups)
+        width = max([self.embedding_dim] + [q.shape[1] for _, _, q in groups])
+        if l2:
+            groups = [(rows, relation, -2.0 * queries)
+                      for rows, relation, queries in groups]
+            block_rows = min(self.RANK_BLOCK_ELEMENTS // width,
+                             ranking.RANK_TILE_ELEMENTS // b)
+        else:
+            block_rows = self.RANK_BLOCK_ELEMENTS // (b * width)
+        block_rows = max(1, block_rows)
+        scratch = np.empty(0)
+        with no_grad():
+            for start, block in self.iter_entity_embedding_blocks(block_rows):
+                for rows, relation, queries in groups:
+                    cand = block if relation is None else self.project_entities(
+                        block, relation)
+                    if not l2:
+                        sink(self._residual_keys(queries, cand, direction), rows, start)
+                        continue
+                    dtype = np.result_type(queries.dtype, cand.dtype)
+                    cand = cand.astype(dtype, copy=False)
+                    if scratch.dtype != dtype or scratch.size < b * block_rows:
+                        scratch = np.empty(b * block_rows, dtype=dtype)
+                    keys = scratch[:queries.shape[0] * cand.shape[0]].reshape(
+                        queries.shape[0], cand.shape[0])
+                    np.matmul(queries.astype(dtype, copy=False), cand.T, out=keys)
+                    keys += np.einsum("ij,ij->i", cand, cand)
+                    sink(keys, rows, start)
 
     # ------------------------------------------------------------------ #
     # Exact rescoring (ANN and two-phase quantized serving)

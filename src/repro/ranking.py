@@ -13,12 +13,15 @@ index all need live here, once, and every caller imports them directly —
   result-sized array;
 * :func:`squared_norms` — the ``‖t‖²`` term of that kernel, blocked the same
   way.  The norms of a table are **owned by whoever knows the table is not
-  being written**: ``evaluate_link_prediction`` computes them once per call
-  and passes them in as ``target_sq=`` for every chunk and both directions;
-  every other caller lets the kernel compute them in-call.  Models and
-  tables never cache them: optimizers update ``weight.data`` in place
-  through ``out=`` and there is no write path a cache could be invalidated
-  from;
+  being written**: k-means computes its rows' once per call and its
+  centroids' once per iteration; a caller that scores many batches against
+  one fixed table may pass them to the kernel as ``target_sq=``, and every
+  other caller lets the kernel compute them in-call.  Models and tables
+  never cache them: optimizers update ``weight.data`` in place through
+  ``out=`` and there is no write path a cache could be invalidated from.
+  Evaluation calls neither function: ``TranslationalModel.rank_targets``
+  counts ranks on squared keys, tile by tile, and squares each candidate
+  block it walks itself;
 * :func:`candidate_expansion_scores` — the generic "expand every entity as a
   candidate and score the grid in chunks" ranking fallback;
 * :func:`nearest_rows` — the blocked embedding-space kNN used to serve
@@ -87,14 +90,13 @@ def squared_norms(rows: np.ndarray, dtype=None) -> np.ndarray:
 
     The one producer of the ``‖t‖²`` term of :func:`l2_distance_matrix`: the
     kernel calls it when no ``target_sq`` is passed, and whoever holds an
-    unchanging view of a table (one ``evaluate_link_prediction`` call) calls
-    it once and passes the result in — the same function, so the same bits
-    either way.  ``dtype`` defaults to the rows' own floating dtype
-    (``float64`` for integer rows); pass the distance dtype when it is wider
-    (fp16 rows scored by fp64 queries are squared in fp64, as the kernel
-    does).  Rows are squared a block at a time into one
-    :data:`RANK_TILE_ELEMENTS` scratch buffer, never into an ``(N, d)`` copy
-    of the table.
+    unchanging view of a table calls it once and passes the result in — the
+    same function, so the same bits either way.  ``dtype`` defaults to the
+    rows' own floating dtype (``float64`` for integer rows); pass the
+    distance dtype when it is wider (fp16 rows scored by fp64 queries are
+    squared in fp64, as the kernel does).  Rows are squared a block at a
+    time into one :data:`RANK_TILE_ELEMENTS` scratch buffer, never into an
+    ``(N, d)`` copy of the table.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2:

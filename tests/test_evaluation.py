@@ -13,6 +13,7 @@ from repro.evaluation import (
 )
 from repro.evaluation.ranks import hits_at_k, mean_rank, mean_reciprocal_rank
 from repro.models import SpTransE
+from repro.models.base import KGEModel
 from repro.profiling import peak_traced_bytes
 
 
@@ -65,14 +66,14 @@ def _oracle_ranks(model, triples, known_triples, batch_size):
     return np.concatenate(tail_ranks), np.concatenate(head_ranks)
 
 
-class _ConstantScorer:
-    """Every candidate ties: the ranks are decided by the tie and filter counts."""
+class _ConstantScorer(KGEModel):
+    """Every candidate ties: the ranks are decided by the tie and filter counts.
+
+    It ranks through :class:`KGEModel`'s generic ``rank_targets``: its score
+    blocks, then ``compute_ranks``."""
 
     def __init__(self, n_entities, n_relations):
-        self.n_entities, self.n_relations = n_entities, n_relations
-
-    def entity_sq_norms(self):
-        return None
+        super().__init__(n_entities, n_relations, 1)
 
     def score_all_tails(self, heads, relations):
         return np.full((heads.shape[0], self.n_entities), 0.25, dtype=np.float64)
@@ -180,6 +181,16 @@ class TestComputeRanks:
         compute_ranks(scores[:2], true[:2])  # warm numpy's own lazy allocations
         assert peak_traced_bytes(lambda: compute_ranks(scores, true, (rows, cols))) < (
             0.5 * scores.nbytes)
+
+    def test_non_finite_target_ranks_last_among_the_unfiltered(self):
+        # A NaN target used to rank 0.5 (no candidate compares below or equal
+        # to NaN, and the target's own tie was subtracted): a diverged model
+        # reported better than perfect metrics.
+        scores = np.array([[1.0, np.nan, 2.0, 0.5, np.nan],
+                           [np.inf, 0.0, 1.0, 2.0, 3.0]])
+        ranks = compute_ranks(scores, np.array([1, 0]), [np.array([0, 4, 1]), None])
+        # Row 0: two other candidates filtered, last of the three left.
+        np.testing.assert_array_equal(ranks, [3.0, 5.0])
 
     def test_fp32_block_ranks_as_its_fp64_widening(self):
         rng = np.random.default_rng(1)
@@ -300,6 +311,54 @@ class TestLinkPrediction:
         want_tail, want_head = _oracle_ranks(model, test, None, batch_size)
         np.testing.assert_array_equal(raw.tail_ranks, want_tail)
         np.testing.assert_array_equal(raw.head_ranks, want_head)
+
+    def test_a_diverged_model_ranks_every_target_last(self):
+        kg = generate_synthetic_kg(50, 3, 400, rng=0, valid_fraction=0.0,
+                                   test_fraction=0.2)
+        model = SpTransE(kg.n_entities, kg.n_relations, 8, rng=0)
+        model.embeddings.weight.data[:kg.n_entities] = np.nan
+        known = kg.known_triples()
+        test = kg.split.test
+        result = evaluate_link_prediction(model, test, known, batch_size=16)
+        for ranks, side, anchors, targets in (
+                (result.tail_ranks, "tail", test[:, 0], test[:, 2]),
+                (result.head_ranks, "head", test[:, 2], test[:, 0])):
+            rows, cols = known.exclusions(side, anchors, test[:, 1])
+            others = np.bincount(rows[cols != targets[rows]], minlength=test.shape[0])
+            np.testing.assert_array_equal(ranks, kg.n_entities - others)
+        assert result.mrr <= 1.0 and result.hits[1] == 0.0
+
+    def test_non_finite_target_rows_rank_last_in_the_tiled_count(self):
+        kg = generate_synthetic_kg(50, 3, 400, rng=0, valid_fraction=0.0,
+                                   test_fraction=0.2)
+        model = SpTransE(kg.n_entities, kg.n_relations, 8, rng=0)
+        broken = np.arange(0, kg.n_entities, 3)
+        model.embeddings.weight.data[broken] = np.nan
+        heads, rels, tails = kg.split.test.T
+        filters = kg.known_triples().exclusions("tail", heads, rels)
+        got = model.rank_targets(heads, rels, tails, "tail", filters)
+        want = compute_ranks(model.score_all_tails(heads, rels), tails, filters)
+        np.testing.assert_array_equal(got, want)
+        rows, cols = filters
+        others = np.bincount(rows[cols != tails[rows]], minlength=tails.shape[0])
+        last = np.isin(tails, broken) | np.isin(heads, broken)
+        assert last.any() and not last.all()
+        np.testing.assert_array_equal(got[last], (kg.n_entities - others)[last])
+        assert np.all(got[~last] < kg.n_entities - others[~last])
+
+    def test_evaluation_never_allocates_the_score_block(self):
+        from repro.data import KnownTriples
+
+        n, b = 20_000, 64
+        model = SpTransE(n, 4, 16, rng=0)
+        rng = np.random.default_rng(0)
+        triples = np.column_stack([rng.integers(0, n, b), rng.integers(0, 4, b),
+                                   rng.integers(0, n, b)])
+        known = KnownTriples(triples)
+        evaluate_link_prediction(model, triples[:2], known)  # warm lazy allocations
+        peak = peak_traced_bytes(
+            lambda: evaluate_link_prediction(model, triples, known, batch_size=b))
+        assert peak < b * n * 8 / 2
 
     @pytest.mark.parametrize("batch_size", [0, -4])
     def test_non_positive_batch_size_is_rejected(self, trained_setup, batch_size):

@@ -405,7 +405,8 @@ class TestL2KernelArguments:
 
 
 # --------------------------------------------------------------------------- #
-# Who owns ``‖t‖²``: the evaluator, once per call — never the model.
+# Who owns ``‖c‖²``: one ranking call, which squares each candidate block it
+# walks once — never the model.  Evaluation never calls the distance kernel.
 # --------------------------------------------------------------------------- #
 def _spy_on_squared_norms(monkeypatch):
     shapes = []
@@ -416,6 +417,20 @@ def _spy_on_squared_norms(monkeypatch):
         return real(rows, dtype)
 
     monkeypatch.setattr(ranking, "squared_norms", spy)
+    return shapes
+
+
+def _spy_on_row_norms(monkeypatch):
+    """Record the operand shape of every ``einsum('ij,ij->i', x, x)``."""
+    shapes = []
+    real = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        if subscripts == "ij,ij->i" and operands[0] is operands[1]:
+            shapes.append(operands[0].shape)
+        return real(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
     return shapes
 
 
@@ -441,7 +456,7 @@ class TestNormsAreOwnedByTheCaller:
         return generate_synthetic_kg(40, 4, 400, rng=0, valid_fraction=0.0,
                                      test_fraction=0.1)
 
-    def test_one_norm_pass_per_evaluation_of_a_dense_l2_model(self, kg, monkeypatch):
+    def test_dense_l2_evaluation_squares_each_row_once_per_call(self, kg, monkeypatch):
         from repro.evaluation import evaluate_link_prediction
         from repro.models import SpTransE
 
@@ -449,9 +464,15 @@ class TestNormsAreOwnedByTheCaller:
         known = kg.known_triples()
         test = kg.split.test
         assert test.shape[0] >= 3 * 7
-        shapes = _spy_on_squared_norms(monkeypatch)
+        kernel = _spy_on_squared_norms(monkeypatch)
+        rows = _spy_on_row_norms(monkeypatch)
         got = evaluate_link_prediction(model, test, known, batch_size=7)
-        assert shapes == [(kg.n_entities, 16)]  # once: not per chunk, not per direction
+        assert kernel == []  # the distance kernel is never called
+        calls = -(-test.shape[0] // 7) * 2  # chunks x directions
+        # Per call: one pass over the table, plus the batch's own target rows.
+        assert sorted(rows) == sorted([(kg.n_entities, 16)] * calls
+                                      + [(min(7, test.shape[0] - s), 16)
+                                         for s in range(0, test.shape[0], 7)] * 2)
         want_tail, want_head = _oracle_chunk_ranks(model, test, known, 7)
         np.testing.assert_array_equal(got.tail_ranks, want_tail)
         np.testing.assert_array_equal(got.head_ranks, want_head)
@@ -465,24 +486,25 @@ class TestNormsAreOwnedByTheCaller:
 
         model = getattr(models, name)(kg.n_entities, kg.n_relations, 8, rng=0,
                                       **kwargs)
-        assert model.entity_sq_norms() is None
-        shapes = _spy_on_squared_norms(monkeypatch)
+        kernel = _spy_on_squared_norms(monkeypatch)
+        rows = _spy_on_row_norms(monkeypatch)
         result = evaluate_link_prediction(model, kg.split.test[:9],
                                           kg.known_triples(), batch_size=3)
-        assert shapes == [] and np.isfinite(result.mrr)
+        assert kernel == [] and rows == [] and np.isfinite(result.mrr)
 
     def test_projected_geometry_squares_only_its_projected_blocks(self, kg, monkeypatch):
         from repro.evaluation import evaluate_link_prediction
         from repro.models import SpTransR
 
         model = SpTransR(kg.n_entities, kg.n_relations, 8, relation_dim=5, rng=0)
-        assert model.entity_sq_norms() is None
-        shapes = _spy_on_squared_norms(monkeypatch)
+        kernel = _spy_on_squared_norms(monkeypatch)
+        rows = _spy_on_row_norms(monkeypatch)
         result = evaluate_link_prediction(model, kg.split.test[:9],
                                           kg.known_triples(), batch_size=3)
-        # Each relation group squares its own (N, k) projected candidates
-        # inside the kernel; the raw (N, d) table is never squared.
-        assert shapes and set(shapes) == {(kg.n_entities, 5)}
+        # Each relation group squares its own (N, k) projected candidates and
+        # its projected targets; the raw (N, d) table is never squared.
+        assert kernel == []
+        assert (kg.n_entities, 5) in rows and {k for _, k in rows} == {5}
         assert np.isfinite(result.mrr)
 
     def test_partitioned_table_has_no_whole_table_norms(self, kg, monkeypatch):
@@ -491,13 +513,11 @@ class TestNormsAreOwnedByTheCaller:
 
         part = SpTransE(kg.n_entities, kg.n_relations, 8, rng=2, partitions=3)
         try:
-            assert part.entity_sq_norms() is None
             known = kg.known_triples()
-            shapes = _spy_on_squared_norms(monkeypatch)
+            rows = _spy_on_row_norms(monkeypatch)
             got = evaluate_link_prediction(part, kg.split.test, known, batch_size=7)
-            # Each bucket block computes its own inside the kernel; nothing
-            # table-sized is ever squared.
-            assert shapes and max(rows for rows, _ in shapes) < kg.n_entities
+            # Each bucket block is squared on its own; nothing table-sized is.
+            assert rows and max(n for n, _ in rows) < kg.n_entities
             want_tail, want_head = _oracle_chunk_ranks(part, kg.split.test, known, 7)
             np.testing.assert_array_equal(got.tail_ranks, want_tail)
             np.testing.assert_array_equal(got.head_ranks, want_head)
