@@ -1,10 +1,10 @@
-"""ANN-indexed serving: per-bucket IVF indexes with exact rescoring.
+"""ANN-indexed serving: IVF indexes over an entity table, with exact rescoring.
 
-The layer between weight artifacts and the serving engine: seeded k-means
-clustering of each entity bucket at export time (:func:`build_index_files`),
-versioned ``index/`` artifact files, and an :class:`IVFIndex` query path that
-probes ``nprobe`` clusters and rescores candidates exactly from the fp64
-originals.  See :mod:`repro.ann.ivf` for the layout and guarantees.
+Seeded k-means clustering of each of the table's row ranges at export time
+(:func:`build_index_files`), versioned ``index/`` artifact files, and an
+:class:`IVFIndex` query path that probes ``nprobe`` clusters and rescores
+candidates exactly from the table's float64 rows.  See :mod:`repro.ann.ivf`
+for the layout and guarantees.
 """
 
 from repro.ann.kmeans import assign_clusters, default_n_clusters, kmeans

@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "resident memory, rescoring answers exactly")
     run.add_argument("--ann", default=None, choices=["ivf"],
                      help="after training, also build an ANN index over the "
-                          "partitioned entity table (per-bucket IVF k-means "
-                          "centroids + exact rescoring); serve it with "
+                          "entity table (IVF k-means centroids per row range "
+                          "+ exact rescoring); serve it with "
                           "InferenceEngine.from_artifact(ann=...) for "
                           "sublinear top-k at million-entity vocabularies")
     run.add_argument("--nprobe", type=int, default=None,
@@ -401,6 +401,10 @@ def _command_run(args: argparse.Namespace) -> int:
         spec = _apply_run_overrides(spec, args)
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
+    if getattr(args, "quantize", None) and spec.model.partitions is None:
+        raise SystemExit(
+            "--quantize applies to partitioned models only (train with "
+            "--partitions > 1)")
     artifact_dir = args.artifacts if args.artifacts else f"runs/{spec.name}"
     try:
         result = Experiment(spec, artifact_dir=artifact_dir,

@@ -590,13 +590,11 @@ class TranslationalModel(KGEModel):
     def exact_entity_rows(self, entity_ids: np.ndarray) -> np.ndarray:
         """Float64 entity rows regardless of serving quantization.
 
-        A quantized partitioned table serves them from its exact bucket files
-        (:meth:`~repro.nn.partitioned.PartitionedEmbedding.exact_rows`).
+        Read through :meth:`~repro.nn.table.EmbeddingTable.exact_rows`, so a
+        partitioned table faults no bucket for them.
         """
-        table = self.entity_table()
-        read = getattr(table, "exact_rows", table.read_rows)
-        return np.asarray(read(np.asarray(entity_ids, dtype=np.int64).reshape(-1)),
-                          dtype=np.float64)
+        return self.entity_table().exact_rows(
+            np.asarray(entity_ids, dtype=np.int64).reshape(-1))
 
     def exact_candidate_scores(self, anchor: int, relation: int,
                                candidates: np.ndarray,

@@ -661,6 +661,9 @@ class PartitionedEmbedding(Module, EmbeddingTable):
     def n_partitions(self) -> int:
         return self.partition.n_partitions
 
+    def row_ranges(self) -> List[Tuple[int, int]]:
+        return self.partition.ranges()
+
     def _bucket_slices(self, sorted_ids: np.ndarray) -> Iterator[Tuple[int, slice, np.ndarray]]:
         """Yield ``(bucket, slice_into_sorted_ids, local_rows)`` per touched bucket."""
         buckets = self.partition.bucket_of(sorted_ids)
@@ -691,17 +694,15 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         return out
 
     def exact_rows(self, indices: np.ndarray) -> np.ndarray:
-        """Full-precision float64 entity rows, even when serving quantized.
+        """Float64 entity rows, read without faulting or evicting a bucket.
 
-        A quantized table keeps the exact ``entities.bucket<k>.npy`` files on
-        disk beside their quantized twins; this reads just the requested rows
-        from them through a transient memory map — no full bucket is widened
-        into RAM and nothing enters the resident set.  Without quantization it
-        is simply :meth:`read_rows`.  The two-phase serving path uses this to
-        rescore the coarse candidate list exactly.
+        A bucket whose float64 slab is resident is read from memory, so a
+        dirty bucket of a writable table gives its current rows, not its
+        stale file.  Any other bucket — evicted, or resident as a quantized
+        twin — is read from its float64 ``entities.bucket<k>.npy`` file
+        through a transient memory map: only the requested rows are copied,
+        nothing enters the resident set and the LRU order is untouched.
         """
-        if self._quantized is None:
-            return self.read_rows(indices)
         idx = np.asarray(indices, dtype=np.int64).reshape(-1)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_entities):
             raise IndexError("entity index out of range")
@@ -709,6 +710,10 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         order = np.argsort(idx, kind="stable")
         sorted_ids = idx[order]
         for bucket, sl, local in self._bucket_slices(sorted_ids):
+            slab = self._buckets[bucket]._slab
+            if slab is not None and self._quantized is None:
+                out[order[sl]] = slab[local]
+                continue
             exact = np.load(self._bucket_path(bucket), mmap_mode="r")
             out[order[sl]] = exact[local]
             del exact  # drop the mmap (and its fd) as soon as rows are copied

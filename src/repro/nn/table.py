@@ -5,6 +5,8 @@ Every layer that used to assume "the entity embeddings are one dense
 serving engine's nearest-neighbour scan — now talks to this interface instead:
 
 * :meth:`EmbeddingTable.read_rows` — random-access row reads (always a copy);
+* :meth:`EmbeddingTable.exact_rows` — float64 row reads that leave residency
+  alone (what ANN probes and exact rescoring read);
 * :meth:`EmbeddingTable.iter_blocks` — bounded-memory sequential sweeps, the
   primitive behind blocked ranking and block-wise renormalisation;
 * :meth:`EmbeddingTable.write_rows` — row-granular writes (pre-trained
@@ -12,7 +14,8 @@ serving engine's nearest-neighbour scan — now talks to this interface instead:
 * :meth:`EmbeddingTable.apply_rows_` — block-wise in-place maintenance
   (renormalisation, TorusE's wrap onto the torus);
 * :attr:`EmbeddingTable.n_partitions` — ``1`` for dense tables, ``P`` for
-  :class:`~repro.nn.partitioned.PartitionedEmbedding`.
+  :class:`~repro.nn.partitioned.PartitionedEmbedding`, and
+  :meth:`EmbeddingTable.row_ranges`, the row range each one holds.
 
 Two concrete families implement it: the dense in-memory tables
 (:class:`~repro.nn.embedding.Embedding` and the
@@ -23,7 +26,7 @@ exposes), and the bucketed, disk-backed
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,9 +84,18 @@ class EmbeddingTable:
         """Number of independently loadable buckets (dense tables: 1)."""
         return 1
 
+    def row_ranges(self) -> List[Tuple[int, int]]:
+        """``(lo, hi)`` row range of each partition, in order (dense: one)."""
+        return [(0, self.n_rows)]
+
     def read_rows(self, indices: np.ndarray) -> np.ndarray:
         """Copy of the rows at ``indices`` (shape ``(k, d)``)."""
         raise NotImplementedError(f"{type(self).__name__} must define read_rows")
+
+    def exact_rows(self, indices: np.ndarray) -> np.ndarray:
+        """Float64 copy of the rows at ``indices`` that leaves residency alone
+        (ANN probes and exact rescoring read through it); dense: :meth:`read_rows`."""
+        return self.read_rows(indices)
 
     def iter_blocks(self, block_rows: int = DEFAULT_BLOCK_ROWS
                     ) -> Iterator[Tuple[int, np.ndarray]]:

@@ -216,7 +216,10 @@ class ModelSpec:
                 # and round-trip canonically.
                 self.partitions = None
         if self.ann is not None:
+            from repro.ann import get_index_class
+
             self.ann = str(self.ann).lower()
+            get_index_class(self.ann)  # an unknown kind fails before training
         if self.nprobe is not None:
             self.nprobe = int(self.nprobe)
             if self.nprobe < 1:

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro import ranking
 from repro.data.known import KnownTriples
-from repro.models.base import KGEModel
+from repro.models.base import KGEModel, TranslationalModel
 from repro.registry import ModelSpec, spec_from_model
 from repro.serving.cache import LRUCache
 
@@ -105,8 +105,8 @@ class InferenceEngine:
         with exact final scores; models without an L2 closed form fall back to
         exact ranking (counted in ``stats()["fallback_queries"]``).
     nprobe:
-        Engine-default probe width (``None`` uses the index manifest's
-        auto-chosen default; per-query overrides win over both).
+        Engine-default probe width, at least 1 (``None`` uses the index
+        manifest's auto-chosen default; per-query overrides win over both).
     """
 
     def __init__(self, model: KGEModel,
@@ -125,6 +125,8 @@ class InferenceEngine:
                 f"model has {model.n_entities}; rebuild the index from this "
                 "artifact's weight files"
             )
+        if nprobe is not None and int(nprobe) < 1:
+            raise ValueError(f"nprobe must be >= 1, got {nprobe}")
         self.ann_index = ann_index
         self.ann_nprobe = int(nprobe) if nprobe is not None else None
         #: How from_artifact selected the index ("auto"/kind/None); reload()
@@ -188,8 +190,9 @@ class InferenceEngine:
         artifact = load_artifact(path)
         known = (artifact.spec.data.materialize().known_triples()
                  if filtered else None)
-        ann_index = cls._load_artifact_index(path, ann)
-        engine = cls(artifact.load_model(),
+        model = artifact.load_model()
+        ann_index = cls._load_artifact_index(path, ann, model)
+        engine = cls(model,
                      known_triples=known, cache_size=cache_size,
                      rescore_expansion=rescore_expansion,
                      ann_index=ann_index, nprobe=nprobe)
@@ -197,8 +200,8 @@ class InferenceEngine:
         return engine
 
     @staticmethod
-    def _load_artifact_index(path: str, ann):
-        """Resolve the ``ann`` mode against ``<path>/index/`` (or return None)."""
+    def _load_artifact_index(path: str, ann, model: KGEModel):
+        """Resolve ``ann`` against ``<path>/index/``, over ``model``'s table (or None)."""
         if ann in (None, False, "off"):
             return None
         import os
@@ -207,7 +210,7 @@ class InferenceEngine:
 
         index_dir = os.path.join(path, ARTIFACT_INDEX)
         if os.path.isdir(index_dir):
-            index = load_index(index_dir)
+            index = load_index(index_dir, table=model.entity_table())
             if ann not in (True, "auto") and index.kind != str(ann):
                 raise ValueError(
                     f"artifact carries a {index.kind!r} index but "
@@ -248,14 +251,9 @@ class InferenceEngine:
         from repro.training.checkpoint import load_model
 
         model = load_model(path)
-        new_index = (self._load_artifact_index(path, self._ann_mode)
+        new_index = (self._load_artifact_index(path, self._ann_mode, model)
                      if self._ann_mode is not None and os.path.isdir(path)
                      else None)
-        if new_index is not None and int(new_index.n_entities) != int(model.n_entities):
-            raise ValueError(
-                f"ANN index under {path} covers {new_index.n_entities} "
-                f"entities but the reloaded model has {model.n_entities}"
-            )
         with self._score_lock:
             self.model = model
             self.ann_index = new_index
@@ -288,8 +286,10 @@ class InferenceEngine:
 
         Embedding-space similarity ("entities like this one") rather than a
         scoring-function ranking — the query itself is excluded from the
-        answer.  Distances come from the cached snapshot through one
-        GEMM-expanded L2 pass, and results share the engine's LRU cache.
+        answer.  With an ANN index the answer is an IVF search; otherwise a
+        translational model's entity table is swept block by block, and any
+        other model ranks its cached dense snapshot.  Results share the
+        engine's LRU cache.
         """
         entity = int(entity)
         if not 0 <= entity < self.model.n_entities:
@@ -303,62 +303,53 @@ class InferenceEngine:
                 # Single-flight: a concurrent identical query may have filled
                 # the cache while this thread waited for the lock.
                 found, value = self.cache.recheck(key)
-                if found:
-                    pass
-                elif self.ann_index is not None and self.model.n_partitions > 1:
-                    # IVF route: probe nprobe clusters around the entity's own
-                    # row, then rescore the gathered candidates exactly from
-                    # the fp64 originals — identical distances to the blocked
-                    # sweep whenever the true top-k lies in probed clusters.
-                    query = self.ann_index.exact_rows(np.array([entity]))[0]
-                    cand = self.ann_index.candidate_ids(
-                        query, self._effective_nprobe(None))
-                    dist = ranking.l2_distance_matrix(
-                        query[None, :], self.ann_index.exact_rows(cand))[0]
-                    value = self._ann_result(
-                        cand, dist, int(k),
-                        exclude=np.array([entity], dtype=np.int64))
-                    with self._stats_lock:
-                        self.ann_queries += 1
-                        self.ann_candidates += int(cand.size)
-                elif self.model.n_partitions > 1:
-                    # Partitioned tables are never densified: fault buckets in
-                    # lazily and keep a running top-k across blocks.  Under
-                    # quantized serving the blocked sweep is coarse, so keep
-                    # k·expansion candidates and rescore them exactly.
-                    exact_rows = (getattr(self.model, "exact_entity_rows", None)
-                                  if getattr(self.model, "serving_quantized",
-                                             None) is not None else None)
-                    k_coarse = (k * self.rescore_expansion
-                                if exact_rows is not None else k)
-                    query = self.model.entity_embedding_rows(
-                        np.array([entity]))[0]
-                    idx, distances_sel = ranking.nearest_rows(
-                        query, self.model.iter_entity_embedding_blocks(),
-                        k_coarse, exclude=entity)
-                    if exact_rows is not None and idx.size:
-                        q = exact_rows(np.array([entity]))[0]
-                        exact = ranking.l2_distance_matrix(
-                            q[None, :], exact_rows(idx))[0]
-                        sel = ranking.top_k(exact, k)
-                        idx, distances_sel = idx[sel], exact[sel]
+                if not found:
+                    idx, distances = self._nearest_locked(entity, int(k))
                     value = TopKResult(
                         entities=tuple(int(i) for i in idx),
-                        scores=tuple(float(d) for d in distances_sel))
-                else:
-                    ent = self._entity_snapshot_locked()
-                    distances = ranking.l2_distance_matrix(
-                        ent[entity][None, :], ent)[0]
-                    distances[entity] = np.inf
-                    idx = ranking.top_k(distances, k)
-                    idx = idx[np.isfinite(distances[idx])]
-                    value = TopKResult(
-                        entities=tuple(int(i) for i in idx),
-                        scores=tuple(float(distances[i]) for i in idx))
-                self.cache.put(key, value)
+                        scores=tuple(float(d) for d in distances))
+                    self.cache.put(key, value)
         with self._stats_lock:
             self.queries_served += 1
         return value
+
+    def _nearest_locked(self, entity: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ids, distances)`` of :meth:`nearest_entities`; caller holds the score lock."""
+        if self.ann_index is not None:
+            # IVF route: probe the clusters around the entity's own row and
+            # rescore the candidates exactly — the distances of the blocked
+            # sweep whenever the true top-k lies in probed clusters.
+            query = self.ann_index.table.exact_rows(np.array([entity]))[0]
+            scored = self.ann_index.counters["candidates_scored"]
+            nearest = self.ann_index.search(query, k, self._effective_nprobe(None),
+                                            exclude=entity)
+            with self._stats_lock:
+                self.ann_queries += 1
+                self.ann_candidates += int(
+                    self.ann_index.counters["candidates_scored"] - scored)
+            return nearest
+        if isinstance(self.model, TranslationalModel):
+            # A block-by-block sweep with a running top-k, never densified; a
+            # quantized sweep is coarse, so keep k·expansion candidates and
+            # rescore them exactly.
+            quantized = self.model.serving_quantized is not None
+            query = self.model.entity_embedding_rows(np.array([entity]))[0]
+            idx, distances = ranking.nearest_rows(
+                query, self.model.iter_entity_embedding_blocks(),
+                k * self.rescore_expansion if quantized else k, exclude=entity)
+            if quantized and idx.size:
+                q = self.model.exact_entity_rows(np.array([entity]))[0]
+                exact = ranking.l2_distance_matrix(
+                    q[None, :], self.model.exact_entity_rows(idx))[0]
+                sel = ranking.top_k(exact, k)
+                idx, distances = idx[sel], exact[sel]
+            return idx, distances
+        ent = self._entity_snapshot_locked()
+        distances = ranking.l2_distance_matrix(ent[entity][None, :], ent)[0]
+        distances[entity] = np.inf
+        idx = ranking.top_k(distances, k)
+        idx = idx[np.isfinite(distances[idx])]
+        return idx, distances[idx]
 
     # ------------------------------------------------------------------ #
     # Query API
@@ -514,11 +505,7 @@ class InferenceEngine:
         query = self.model.l2_query_vector(anchor, relation, direction)
         if query is None:
             return None
-        candidates = self.ann_index.candidate_ids(query, nprobe)
-        rows = self.ann_index.exact_rows(candidates)
-        dist = ranking.l2_distance_matrix(
-            np.asarray(query, dtype=np.float64)[None, :], rows)[0]
-        return candidates, dist
+        return self.ann_index.probe(query, nprobe)
 
     def _ann_result(self, candidates: np.ndarray, dist: np.ndarray, k: int,
                     exclude: Optional[np.ndarray]) -> TopKResult:

@@ -21,16 +21,24 @@ def kg():
     return make_dataset_like("FB15K", scale=0.003, rng=1)
 
 
+#: The model spec fields of each entity-table layout (``conftest.TABLES``).
+SPEC_LAYOUTS = {
+    "sparse-p3": {"formulation": "sparse", "partitions": 3},
+    "sparse-p1": {"formulation": "sparse"},
+    "dense": {"formulation": "dense"},
+}
+
+
 @pytest.fixture(scope="module")
-def ann_artifact(kg, tmp_path_factory):
+def ann_artifact(kg, layout, tmp_path_factory):
     """An `sptransx run`-shaped artifact trained with model.ann='ivf'."""
     directory = str(tmp_path_factory.mktemp("ann-run"))
     spec = ExperimentSpec(
         name="ann-run",
         data=DataSpec(dataset="FB15K", scale=0.003, seed=1, test_fraction=0.05),
-        model=ModelSpec(model="transe", formulation="sparse",
-                        n_entities=kg.n_entities, n_relations=kg.n_relations,
-                        embedding_dim=12, partitions=3, ann="ivf"),
+        model=ModelSpec(model="transe", n_entities=kg.n_entities,
+                        n_relations=kg.n_relations, embedding_dim=12,
+                        ann="ivf", **SPEC_LAYOUTS[layout]),
         training=TrainingConfig(epochs=2, batch_size=256, sparse_grads=True),
         eval=EvalSpec(protocols=()),
     )
@@ -142,6 +150,24 @@ class TestQueryParity:
             e = exact.nearest_entities(entity, k=6)
             assert a.entities == e.entities
             assert entity not in a.entities
+        assert ann.stats()["ann_queries"] == 3
+
+
+class TestAnnServingFaultsNoBucket:
+    @pytest.mark.parametrize("layout", ["sparse-p3"], indirect=True)
+    def test_ann_misses_read_rows_without_faulting(self, ann_artifact, kg):
+        # The anchor row, the candidates and the nearest-entity query all
+        # come through the table's exact_rows, which never faults a bucket.
+        engine = InferenceEngine.from_artifact(ann_artifact, cache_size=0)
+        for h, r, _ in kg.split.train[:12]:
+            engine.top_k_tails(int(h), int(r), k=5)
+        engine.nearest_entities(17, k=5)
+        stats = engine.stats()
+        assert stats["ann_queries"] == 13
+        assert stats["fallback_queries"] == 0
+        table = engine.model.entity_table().stats()
+        assert table["faults"] == 0
+        assert table["resident"] == 0
 
 
 class TestStatsAndFallback:

@@ -12,14 +12,13 @@ from repro import ranking
 from repro.ann import (
     INDEX_MANIFEST,
     INDEX_MANIFEST_VERSION,
-    IVFIndex,
     build_index_files,
     get_index_class,
     index_kinds,
+    ivf,
     load_index,
 )
 from repro.models.transe import SpTransE
-from repro.nn.partitioned import bucket_filename
 from repro.training.checkpoint import save_checkpoint
 
 
@@ -47,6 +46,14 @@ class TestBuildAndLoad:
                                                entry["centroids"]))
             assert os.path.exists(os.path.join(directory, "index",
                                                entry["assign"]))
+
+    def test_one_index_range_per_table_range(self, indexed_artifact):
+        _, model, manifest = indexed_artifact
+        table = model.entity_table()
+        assert [(b["start"], b["start"] + b["rows"])
+                for b in manifest["buckets"]] == table.row_ranges()
+        assert manifest["partitions"] == table.n_partitions
+        assert manifest["n_entities"] == table.n_rows
 
     def test_build_is_deterministic(self, indexed_artifact, tmp_path):
         directory, model, manifest = indexed_artifact
@@ -77,12 +84,11 @@ class TestBuildAndLoad:
         with pytest.raises(FileNotFoundError, match=INDEX_MANIFEST):
             load_index(str(tmp_path))
 
-    def test_unpartitioned_artifact_rejected(self, tmp_path):
-        directory = str(tmp_path / "dense")
-        model = SpTransE(40, 3, 8, rng=0)  # no partitions -> no partition.json
-        save_checkpoint(os.path.join(directory, "checkpoint.npz"), model)
-        with pytest.raises(ValueError, match="partition"):
-            build_index_files(directory, kind="ivf")
+    def test_table_of_another_shape_rejected(self, indexed_artifact):
+        directory, _, _ = indexed_artifact
+        other = SpTransE(40, 3, 12, rng=0).entity_table()
+        with pytest.raises(ValueError, match="index covers"):
+            load_index(os.path.join(directory, "index"), table=other)
 
 
 class TestFullProbeParity:
@@ -100,24 +106,20 @@ class TestFullProbeParity:
             assert np.array_equal(ids, expected)
             assert np.array_equal(got_dist, dist[expected])
 
-    def test_full_probe_ties_at_kth_score(self, tmp_path):
+    def test_full_probe_ties_at_kth_score(self, tmp_path, make_model):
         # Property (satellite): with nprobe == n_clusters the IVF result is
         # bit-identical to ranking.top_k even when the k-th score ties —
         # duplicate rows force exact distance ties, and both paths must break
         # them the same way (top_k's stable index order).
         directory = str(tmp_path / "ties")
-        model = SpTransE(90, 3, 6, rng=1, partitions=3)
-        save_checkpoint(os.path.join(directory, "checkpoint.npz"), model)
+        model = make_model(n_entities=90, dim=6)
         distinct = np.linspace(-1.0, 1.0, 5 * 6).reshape(5, 6)
         table = np.tile(distinct, (18, 1))  # every distance 18-way tied
-        for k, entry in enumerate(json.loads(open(os.path.join(
-                directory, "weights", "partition.json")).read())["buckets"]):
-            lo, rows = int(entry["start"]), int(entry["rows"])
-            np.save(os.path.join(directory, "weights", bucket_filename(k)),
-                    table[lo:lo + rows])
+        model.entity_table().write_rows(np.arange(90), table)
+        save_checkpoint(os.path.join(directory, "checkpoint.npz"), model)
         build_index_files(directory, kind="ivf", seed=0, nprobe=1)
         index = load_index(os.path.join(directory, "index"))
-        full = index.exact_rows(np.arange(90, dtype=np.int64))
+        full = index.table.exact_rows(np.arange(90, dtype=np.int64))
         assert np.array_equal(full, table)
         for row in (0, 4, 44):
             dist = ranking.l2_distance_matrix(table[row][None, :], table)[0]
@@ -139,16 +141,15 @@ class TestExactTruth:
     @pytest.mark.parametrize("block_rows", [16384, 37])
     def test_batched_truth_equals_per_query_nearest_rows(
             self, index, full_table, monkeypatch, n_queries, k, block_rows):
-        # block_rows=37 splits every 100-row bucket into several blocks,
-        # the last one partial.
-        monkeypatch.setattr(
-            index, "_iter_exact_blocks",
-            lambda: IVFIndex._iter_exact_blocks(index, block_rows=block_rows))
+        # block_rows=37 splits every row range (300 rows, or 100 per bucket)
+        # into several blocks, the last one partial.
+        monkeypatch.setattr(ivf, "EXACT_BLOCK_ROWS", block_rows)
         queries = full_table[::7][:n_queries] + 0.01
         truth = index._exact_topk(queries, k)
         assert len(truth) == n_queries
         for q, ids in zip(queries, truth):
-            expected, _ = ranking.nearest_rows(q, index._iter_exact_blocks(), k)
+            expected, _ = ranking.nearest_rows(
+                q, index.table.iter_blocks(block_rows), k)
             assert ids.dtype == np.int64
             assert np.array_equal(ids, expected)
 
@@ -184,6 +185,8 @@ class TestRecall:
 
 
 class TestResidency:
+    # One row range per bucket: only a partitioned table has several blocks.
+    @pytest.mark.parametrize("layout", ["sparse-p3"], indirect=True)
     def test_assignment_blocks_page_under_lru(self, indexed_artifact, full_table):
         directory, _, _ = indexed_artifact
         index = load_index(os.path.join(directory, "index"), max_resident=1)

@@ -123,6 +123,43 @@ class TestResidency:
         assert param.resident
 
 
+class TestExactRows:
+    """``exact_rows`` reads float64 rows without faulting or evicting."""
+
+    def test_dirty_resident_bucket_wins_over_its_stale_file(self, table):
+        lo, _ = table.partition.bucket_range(1)
+        fresh = np.full((2, D), 3.5)
+        table.write_rows(np.array([lo, lo + 1]), fresh)  # bucket 1: dirty
+        on_disk = np.load(os.path.join(table.directory, bucket_filename(1)))
+        assert not np.array_equal(on_disk[:2], fresh)  # the file is stale
+        got = table.exact_rows(np.array([lo + 1, 0, lo, N - 1]))
+        assert np.array_equal(got[[2, 0]], fresh)
+        assert got.dtype == np.float64
+
+    def test_reads_evicted_buckets_without_faulting(self, table):
+        stacked = StackedEmbedding(N, R, D, rng=42)
+        table._fault(2)
+        table._fault(0)
+        before = table.stats()
+        ids = np.array([101, 5, 60, 30, 5])
+        assert np.array_equal(table.exact_rows(ids),
+                              stacked.entity_embeddings()[ids])
+        after = table.stats()
+        assert after["faults"] == before["faults"]
+        assert after["evictions"] == before["evictions"]
+        assert table.resident_buckets() == (2, 0)  # LRU order untouched
+        assert after["exact_row_reads"] == before["exact_row_reads"] + ids.size
+
+    def test_dense_tables_read_their_rows(self):
+        emb = Embedding(20, 6, rng=1)
+        assert np.array_equal(emb.exact_rows(np.array([3, 5])),
+                              emb.read_rows(np.array([3, 5])))
+        assert emb.row_ranges() == [(0, 20)]
+
+    def test_row_ranges_are_the_buckets(self, table):
+        assert table.row_ranges() == table.partition.ranges()
+
+
 class TestStorageLifecycle:
     def test_manifest_roundtrip_and_attach(self, table, tmp_path):
         target = tmp_path / "exported"

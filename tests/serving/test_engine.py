@@ -312,6 +312,13 @@ class TestCacheBehaviour:
             assert isinstance(param.data, np.memmap), name
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("nprobe", [0, -5])
+    def test_nprobe_below_one_rejected(self, nprobe):
+        with pytest.raises(ValueError, match=f"nprobe must be >= 1, got {nprobe}"):
+            InferenceEngine(make_model(), nprobe=nprobe)
+
+
 class TestNearestEntities:
     def test_matches_brute_force_and_excludes_self(self):
         engine = InferenceEngine(make_model(), cache_size=0)

@@ -299,6 +299,51 @@ class TestRunCommand:
             main(["run", spec_path, "--artifacts", str(tmp_path / "a"),
                   "--quantize", "fp16", "--quiet"])
 
+    def test_run_quantize_on_unpartitioned_model_fails_before_training(
+            self, capsys, tmp_path):
+        spec_path = str(tmp_path / "exp.json")
+        run_cli(capsys, "export-spec", "--dataset", "WN18RR", "--scale", "0.003",
+                "--model", "transe", "--epochs", "1", "--batch-size", "256",
+                "--dim", "8", "--output", spec_path)
+        artifacts = tmp_path / "a"
+        with pytest.raises(SystemExit, match="--quantize applies to partitioned"):
+            main(["run", spec_path, "--artifacts", str(artifacts),
+                  "--quantize", "int8", "--quiet"])
+        assert not (artifacts / "checkpoint.npz").exists()
+
+    def test_run_unknown_ann_kind_fails_before_training(self, capsys, tmp_path):
+        spec_path = tmp_path / "exp.json"
+        run_cli(capsys, "export-spec", "--dataset", "WN18RR", "--scale", "0.003",
+                "--model", "transe", "--epochs", "1", "--batch-size", "256",
+                "--dim", "8", "--output", str(spec_path))
+        payload = json.loads(spec_path.read_text())
+        payload["model"]["ann"] = "hnsw"
+        spec_path.write_text(json.dumps(payload))
+        artifacts = tmp_path / "a"
+        with pytest.raises(SystemExit, match="unknown ANN index kind 'hnsw'"):
+            main(["run", str(spec_path), "--artifacts", str(artifacts), "--quiet"])
+        assert not (artifacts / "checkpoint.npz").exists()
+
+    def test_run_ann_on_unpartitioned_spec_writes_a_servable_artifact(
+            self, capsys, tmp_path):
+        from repro.serving import InferenceEngine
+
+        spec_path = str(tmp_path / "exp.json")
+        run_cli(capsys, "export-spec", "--dataset", "WN18RR", "--scale", "0.003",
+                "--model", "transe", "--epochs", "1", "--batch-size", "256",
+                "--dim", "8", "--output", spec_path)
+        artifacts = str(tmp_path / "artifacts")
+        code, _ = run_cli(capsys, "run", spec_path, "--artifacts", artifacts,
+                          "--ann", "ivf", "--quiet")
+        assert code == 0
+        for name in ("spec.json", "metrics.json", "checkpoint.npz",
+                     os.path.join("index", "index.json")):
+            assert os.path.exists(os.path.join(artifacts, name)), name
+        engine = InferenceEngine.from_artifact(artifacts, cache_size=0)
+        assert engine.ann_index is not None
+        assert len(engine.top_k_tails(0, 0, k=5).entities) == 5
+        assert engine.stats()["ann_queries"] == 1
+
     def test_run_missing_spec_fails(self, capsys, tmp_path):
         with pytest.raises(SystemExit, match="cannot load"):
             main(["run", str(tmp_path / "nope.json")])
