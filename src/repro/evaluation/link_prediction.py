@@ -70,8 +70,9 @@ def evaluate_link_prediction(
     Parameters
     ----------
     model:
-        Trained model; each chunk is ranked per direction by
-        :meth:`~repro.models.base.KGEModel.rank_targets`.
+        Trained model; each chunk's tails and heads are ranked together by
+        :meth:`~repro.models.base.KGEModel.rank_triples`, which a closed-form
+        model answers in one walk of its entity table.
     triples:
         Evaluation triples ``(B, 3)``.
     known_triples:
@@ -84,10 +85,10 @@ def evaluate_link_prediction(
     protocol:
         RAW or FILTERED ranking.
     batch_size:
-        Queries ranked per chunk; must be positive.  A closed-form model
-        counts a chunk's ranks tile by tile and never holds a
-        ``(batch_size, n_entities)`` block; any other model scores one such
-        block per direction.
+        Triples ranked per chunk; must be positive.  A closed-form model
+        counts a chunk's ``2 · batch_size`` ranks tile by tile and never
+        holds a ``(batch_size, n_entities)`` block; any other model scores
+        one such block per direction.
     """
     batch_size = int(batch_size)
     if batch_size <= 0:
@@ -107,13 +108,12 @@ def evaluate_link_prediction(
         chunk = triples[start:start + batch_size]
         heads, rels, tails = chunk[:, 0], chunk[:, 1], chunk[:, 2]
 
-        tail_filters = known.exclusions("tail", heads, rels) if known is not None else None
-        tail_rank_chunks.append(
-            model.rank_targets(heads, rels, tails, "tail", tail_filters))
-
-        head_filters = known.exclusions("head", tails, rels) if known is not None else None
-        head_rank_chunks.append(
-            model.rank_targets(tails, rels, heads, "head", head_filters))
+        filters = ((known.exclusions("tail", heads, rels),
+                    known.exclusions("head", tails, rels))
+                   if known is not None else (None, None))
+        tail_chunk, head_chunk = model.rank_triples(heads, rels, tails, *filters)
+        tail_rank_chunks.append(tail_chunk)
+        head_rank_chunks.append(head_chunk)
 
     tail_ranks = (np.concatenate(tail_rank_chunks) if tail_rank_chunks
                   else np.empty(0, dtype=np.float64))

@@ -186,6 +186,16 @@ def _row_counts(mask: np.ndarray) -> np.ndarray:
     return mask.view(np.uint8).sum(axis=1, dtype=dtype)
 
 
+def stack_exclusions(filter_sets, b: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat ``(rows, cols)`` of query blocks of ``b`` rows stacked in order:
+    block ``k``'s rows offset by ``k·b``; a ``None`` block excludes nothing."""
+    none = np.empty(0, dtype=np.int64)
+    flat = [(none, none) if part is None else _flat_exclusions(part, b, n)
+            for part in filter_sets]
+    return (np.concatenate([rows + k * b for k, (rows, _) in enumerate(flat)]),
+            np.concatenate([cols for _, cols in flat]))
+
+
 def _flat_exclusions(filter_indices, b: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Either ``filter_indices`` form as checked, duplicate-free ``(rows, cols)``."""
     if isinstance(filter_indices, tuple):

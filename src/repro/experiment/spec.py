@@ -43,6 +43,7 @@ from repro.evaluation.evaluators import (
 )
 from repro.registry import ModelSpec
 from repro.training.config import TrainingConfig
+from repro.utils.validation import check_json_types
 
 #: Serialisation version written by :meth:`ExperimentSpec.to_dict`.  Bump when
 #: a field changes meaning; ``from_dict`` refuses versions from the future.
@@ -219,6 +220,8 @@ class DataSpec:
                  "test_fraction", "seed", "negative_sampler", "num_negatives",
                  "storage", "storage_path")
         _reject_unknown_keys(payload, known, "data")
+        check_json_types(payload, "data", ints=("seed", "num_negatives"),
+                         floats=("scale", "valid_fraction", "test_fraction"))
         return cls(
             dataset=str(payload.get("dataset", "FB15K")),
             scale=float(payload.get("scale", 0.01)),  # type: ignore[arg-type]
@@ -323,6 +326,8 @@ class EvalSpec:
                     f"eval section key {key!r} must be a list, "
                     f"got the string {payload[key]!r}"
                 )
+        check_json_types(payload, "eval", bools=("filtered",), ints=("batch_size",),
+                         int_lists=("ks",))
         return cls(
             protocols=tuple(payload.get("protocols", ("link_prediction",))),  # type: ignore[arg-type]
             filtered=bool(payload.get("filtered", True)),
@@ -423,6 +428,7 @@ class ExperimentSpec:
         there the model section must carry explicit sizes.
         """
         payload = _require_mapping(payload, "experiment")
+        check_json_types(payload, "experiment", ints=("spec_version", "seed"))
         version = int(payload.get("spec_version", 1))  # type: ignore[arg-type]
         # Version gate first: a future spec's unknown fields are expected, and
         # "upgrade the library" is the useful error, not "unknown key".
@@ -465,6 +471,7 @@ class ExperimentSpec:
         # Older specs also set the gradient switch in the model section; it
         # is a training choice, so a legacy ``model.sparse_grads: true``
         # moves here.
+        check_json_types(model_payload, "model", bools=("sparse_grads",))
         if model_payload.get("sparse_grads"):
             training_payload["sparse_grads"] = True
         training = TrainingConfig.from_dict(training_payload)

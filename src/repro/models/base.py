@@ -153,28 +153,27 @@ class KGEModel(Module):
                 raise IndexError(f"{kind} id {bad} out of range [0, {limit})")
         return anchors, relations
 
-    def rank_targets(self, anchors: np.ndarray, relations: np.ndarray,
-                     targets: np.ndarray, direction: str,
-                     exclusions=None) -> np.ndarray:
-        """Rank of each target among every entity: ``(B,)`` float64, 1-based.
+    def rank_triples(self, heads: np.ndarray, relations: np.ndarray,
+                     tails: np.ndarray, tail_exclusions=None,
+                     head_exclusions=None) -> Tuple[np.ndarray, np.ndarray]:
+        """``(tail_ranks, head_ranks)`` of triples among every entity.
 
-        ``direction="tail"`` ranks ``targets`` as the tails of ``(anchors,
-        relations, ?)``; ``"head"`` as the heads of ``(?, relations,
-        anchors)``.  ``exclusions`` are the filtered protocol's other known
-        answers, in any form :func:`~repro.evaluation.compute_ranks` takes.
-        This generic version scores every candidate with ``score_all_*`` and
-        counts with ``compute_ranks``; :class:`TranslationalModel` counts in
-        closed form, tile by tile, without the ``(B, n_entities)`` block.
+        Each is ``(B,)`` float64, 1-based: the tail's rank among the
+        candidates of ``(h, r, ?)`` and the head's among those of ``(?, r,
+        t)``.  ``tail_exclusions``/``head_exclusions`` are the filtered
+        protocol's other known answers per direction, in any form
+        :func:`~repro.evaluation.compute_ranks` takes.  This generic version
+        scores every candidate with ``score_all_*`` and counts with
+        ``compute_ranks``; :class:`TranslationalModel` counts both directions
+        in closed form, in one walk of the entity table, without a
+        ``(B, n_entities)`` block.
         """
         from repro.evaluation.ranks import compute_ranks
 
-        if direction == "tail":
-            scores = self.score_all_tails(anchors, relations)
-        elif direction == "head":
-            scores = self.score_all_heads(relations, anchors)
-        else:
-            raise ValueError(f"direction must be 'tail' or 'head', got {direction!r}")
-        return compute_ranks(scores, targets, exclusions)
+        return (compute_ranks(self.score_all_tails(heads, relations), tails,
+                              tail_exclusions),
+                compute_ranks(self.score_all_heads(relations, tails), heads,
+                              head_exclusions))
 
     def _score_all_generic(self, first: np.ndarray, second: np.ndarray,
                            position: str, chunk_size: int) -> np.ndarray:
@@ -367,7 +366,7 @@ class TranslationalModel(KGEModel):
         if not self._closed_form_applies():
             return self._score_all_generic(heads, relations, position="tail",
                                            chunk_size=chunk_size)
-        return self._rank_blocked(heads, relations, "tail", chunk_size)
+        return self._rank_blocked(heads, relations, heads.shape[0], chunk_size)
 
     def score_all_heads(self, relations: np.ndarray, tails: np.ndarray,
                         chunk_size: int = 65536) -> np.ndarray:
@@ -380,31 +379,46 @@ class TranslationalModel(KGEModel):
         if not self._closed_form_applies():
             return self._score_all_generic(relations, tails, position="head",
                                            chunk_size=chunk_size)
-        return self._rank_blocked(tails, relations, "head", chunk_size)
+        return self._rank_blocked(tails, relations, 0, chunk_size)
 
-    def _query_groups(self, anchors: np.ndarray, relations: np.ndarray,
-                      direction: str) -> List[Tuple[object, Optional[int], np.ndarray]]:
-        """``(rows, relation, queries)`` per group of a closed-form ranking call.
+    def _query_groups(self, anchor_rows: np.ndarray, relations: np.ndarray,
+                      n_tail: int) -> List[Tuple[object, Optional[int], Optional[str],
+                                                 np.ndarray]]:
+        """``(rows, relation, direction, queries)`` per group of a ranking call.
 
-        One group (``rows`` is ``slice(None)``, ``relation`` ``None``) for
-        the ``"translation"`` geometry, one per distinct relation for
-        ``"projection"``, whose queries are already in that relation's space.
+        The queries are built from the anchors' entity rows; queries
+        ``0 .. n_tail − 1`` rank tails, the rest heads.  One group
+        (``relation`` ``None``) for the ``"translation"`` geometry, one per
+        distinct relation for ``"projection"``, its queries already in that
+        relation's space; split by direction unless at L2, whose norm is
+        symmetric (``direction`` ``None``).  ``rows`` is ``slice(None)`` when
+        a group holds every query.
         """
-        anchor_rows = self.entity_embedding_rows(anchors)
+        b = anchor_rows.shape[0]
         translations = self.relation_translations(relations)
-        if direction == "head":
-            translations = -translations  # ``x + (−r)`` rounds exactly as ``x − r``
-        if self.ranking_geometry == "translation":
-            return [(slice(None), None, anchor_rows + translations)]
+        # ``x + (−r)`` rounds exactly as ``x − r``.
+        translations = np.concatenate([translations[:n_tail], -translations[n_tail:]])
+        is_tail = np.arange(b) < n_tail
+        sides = [None] if self.dissimilarity_name == "L2" else ["tail", "head"]
         groups = []
-        for relation in np.unique(relations):
-            rows = np.flatnonzero(relations == relation)
-            groups.append((rows, relation, translations[rows]
-                           + self.project_entities(anchor_rows[rows], relation)))
+        for relation in (np.unique(relations)
+                         if self.ranking_geometry == "projection" else [None]):
+            for side in sides:
+                mask = np.ones(b, bool) if relation is None else relations == relation
+                if side is not None:
+                    mask &= is_tail == (side == "tail")
+                rows = np.flatnonzero(mask)
+                if not rows.size:
+                    continue
+                queries = anchor_rows[rows]
+                if relation is not None:
+                    queries = self.project_entities(queries, relation)
+                groups.append((slice(None) if rows.size == b else rows, relation,
+                               side, translations[rows] + queries))
         return groups
 
     def _rank_blocked(self, anchors: np.ndarray, relations: np.ndarray,
-                      direction: str, chunk_size: int) -> np.ndarray:
+                      n_tail: int, chunk_size: int) -> np.ndarray:
         """The one closed-form scoring loop behind both ``score_all_*``.
 
         Queries are grouped by relation (:meth:`_query_groups`); candidate
@@ -414,15 +428,16 @@ class TranslationalModel(KGEModel):
         For heads the residual is ``candidate − query``, so asymmetric
         dissimilarities keep the orientation the model trains on.
         """
-        groups = self._query_groups(anchors, relations, direction)
+        groups = self._query_groups(self.entity_embedding_rows(anchors), relations,
+                                    n_tail)
         l2 = self.dissimilarity_name == "L2"
         matrix = self.entity_table().as_array()
         if l2 and matrix is not None and self.ranking_geometry == "translation":
             # Dense table: one GEMM kernel call over the whole entity matrix
             # (the norm is symmetric, so heads need no special case).
-            return ranking.l2_distance_matrix(groups[0][2], matrix)
+            return ranking.l2_distance_matrix(groups[0][3], matrix)
         b, n = anchors.shape[0], self.n_entities
-        width = max([self.embedding_dim] + [q.shape[1] for _, _, q in groups])
+        width = max([self.embedding_dim] + [q.shape[1] for *_, q in groups])
         # An L2 block materialises only ~block·k floats of candidate rows; a
         # diff block is B times that.  Both are bounded by elements, not rows,
         # so wide tables stay within the memory budget.
@@ -432,7 +447,7 @@ class TranslationalModel(KGEModel):
         with no_grad():
             for start, block in self.iter_entity_embedding_blocks(block_rows):
                 cols = slice(start, start + block.shape[0])
-                for rows, relation, queries in groups:
+                for rows, relation, side, queries in groups:
                     if relation is None:
                         cand = block
                     else:
@@ -442,7 +457,7 @@ class TranslationalModel(KGEModel):
                     elif l2:
                         out[rows, cols] = ranking.l2_distance_matrix(queries, cand)
                     else:
-                        out[rows, cols] = self._residual_keys(queries, cand, direction)
+                        out[rows, cols] = self._residual_keys(queries, cand, side)
         return out
 
     def _residual_keys(self, queries: np.ndarray, cand: np.ndarray,
@@ -456,46 +471,59 @@ class TranslationalModel(KGEModel):
     # ------------------------------------------------------------------ #
     # Closed-form rank counting
     # ------------------------------------------------------------------ #
-    def rank_targets(self, anchors: np.ndarray, relations: np.ndarray,
-                     targets: np.ndarray, direction: str,
-                     exclusions=None) -> np.ndarray:
-        """Rank of each target among every entity, counted tile by tile.
+    def rank_triples(self, heads: np.ndarray, relations: np.ndarray,
+                     tails: np.ndarray, tail_exclusions=None,
+                     head_exclusions=None) -> Tuple[np.ndarray, np.ndarray]:
+        """``(tail_ranks, head_ranks)``, both counted in one walk of the table.
 
-        Walks the candidate blocks and relation groups of the closed form
-        (:meth:`_walk_keys`) and counts each tile into a
-        :class:`~repro.evaluation.ranks.RankCounter`; the ``(B, n_entities)``
-        block is never built.  A tile holds each candidate's *key*: at L2
-        the squared distance less the query's own ``‖q‖²``, ``‖c‖² − 2q·c``,
-        one GEMM of the pre-scaled ``−2q`` plus the block's row norms (no
-        ``sqrt``, no clamp); for any other dissimilarity exactly the values
-        ``score_all_*`` returns.  A candidate ties the target only when their
-        keys, as computed, are bitwise equal.
+        The chunk's ``B`` tail queries ``h + r`` and ``B`` head queries
+        ``t − r`` are stacked into ``2B`` queries (head rows after tail rows,
+        exclusions offset to match), and one walk of the candidate blocks and
+        relation groups of the closed form (:meth:`_walk_keys`) counts every
+        tile into one :class:`~repro.evaluation.ranks.RankCounter`; the
+        ``(B, n_entities)`` block is never built.  Each candidate block is
+        read once per call (the walk faults each bucket of a partitioned
+        table once, and the chunk's own rows are read once), squared once,
+        and at L2 meets all ``2B`` queries in one GEMM per tile; a
+        ``"projection"`` block is projected once per relation for both
+        directions.
+
+        A tile holds each candidate's *key*: at L2 the squared distance less
+        the query's own ``‖q‖²``, ``‖c‖² − 2q·c``, one GEMM of the pre-scaled
+        ``−2q`` plus the block's row norms (no ``sqrt``, no clamp); for any
+        other dissimilarity exactly the values ``score_all_*`` returns.  A
+        candidate ties the target only when their keys, as computed, are
+        bitwise equal.
 
         The target's key is bracketed from its own row first (GEMM rounding
         depends on a column's place in the tile, so the row value may differ
         from the tile's in the last bits); the tile's value is read back when
-        the walk reaches it.  A query with another candidate inside its
-        bracket — a tie or a near-duplicate of the target — is re-walked
-        alone with its keys kept, ``(n_unresolved, n_entities)``, and ranked
-        from them by :func:`~repro.evaluation.compute_ranks`.
+        the walk reaches it.  The queries of either direction with another
+        candidate inside their bracket — a tie or a near-duplicate of the
+        target — are re-walked together, once, with their keys kept,
+        ``(n_unresolved, n_entities)``, and ranked from them by
+        :func:`~repro.evaluation.compute_ranks`.
         """
-        from repro.evaluation.ranks import RankCounter, compute_ranks
+        from repro.evaluation.ranks import RankCounter, compute_ranks, stack_exclusions
 
-        anchors, relations = self._query_ids(anchors, relations)
         if not self._closed_form_applies():
-            return super().rank_targets(anchors, relations, targets, direction,
-                                        exclusions)
-        if direction not in ("tail", "head"):
-            raise ValueError(f"direction must be 'tail' or 'head', got {direction!r}")
-        targets = np.asarray(targets, dtype=np.int64).reshape(-1)
-        if targets.shape != anchors.shape:
-            raise ValueError("targets must align with anchors and relations")
-        if not targets.size:
-            return np.empty(0, dtype=np.float64)
-        groups = self._query_groups(anchors, relations, direction)
-        lo, hi = self._target_key_brackets(groups, targets, direction)
+            return super().rank_triples(heads, relations, tails, tail_exclusions,
+                                        head_exclusions)
+        heads, relations = self._query_ids(heads, relations)
+        tails, _ = self._query_ids(tails, relations)
+        b = heads.shape[0]
+        if not b:
+            return np.empty(0), np.empty(0)
+        # Every id is read once: the targets are the anchors, halves swapped.
+        anchor_rows = self.entity_embedding_rows(np.concatenate([heads, tails]))
+        targets = np.concatenate([tails, heads])
+        relations = np.concatenate([relations, relations])
+        groups = self._query_groups(anchor_rows, relations, b)
+        lo, hi = self._target_key_brackets(groups, np.roll(anchor_rows, b, axis=0))
+        exclusions = stack_exclusions((tail_exclusions, head_exclusions), b,
+                                      self.n_entities)
         counter = RankCounter(self.n_entities, targets, exclusions, lo, hi)
-        self._walk_keys(groups, direction, counter.count)
+        self._walk_keys(groups, counter.count)
         ranks, unresolved = counter.ranks()
         if unresolved.any():
             rows = np.flatnonzero(unresolved)
@@ -504,13 +532,13 @@ class TranslationalModel(KGEModel):
             def keep(tile, sub, start):
                 keys[sub, start:start + tile.shape[1]] = tile
 
-            self._walk_keys(self._query_groups(anchors[rows], relations[rows],
-                                               direction), direction, keep)
+            self._walk_keys(self._query_groups(anchor_rows[rows], relations[rows],
+                                               np.searchsorted(rows, b)), keep)
             ranks[rows] = compute_ranks(keys, targets[rows], counter.exclusions(rows))
-        return ranks
+        return ranks[:b], ranks[b:]
 
-    def _target_key_brackets(self, groups, targets: np.ndarray,
-                             direction: str) -> Tuple[np.ndarray, np.ndarray]:
+    def _target_key_brackets(self, groups, target_rows: np.ndarray
+                             ) -> Tuple[np.ndarray, np.ndarray]:
         """``(lo, hi)`` around each target's key, computed from its own row.
 
         The bracket is a rounding bound: ``4 (w + 2) ε Σ a(1 + a)`` with
@@ -521,10 +549,9 @@ class TranslationalModel(KGEModel):
         should its tile key then fall outside, the counter reports the query
         unresolved and it is re-walked like a tie.
         """
-        target_rows = self.entity_embedding_rows(targets)
-        lo = np.empty(targets.shape[0], dtype=np.float64)
+        lo = np.empty(target_rows.shape[0], dtype=np.float64)
         hi = np.empty_like(lo)
-        for rows, relation, queries in groups:
+        for rows, relation, direction, queries in groups:
             cand = target_rows[rows]
             if relation is not None:
                 cand = self.project_entities(cand, relation)
@@ -545,21 +572,23 @@ class TranslationalModel(KGEModel):
             lo[rows], hi[rows] = key - slack, key + slack
         return lo, hi
 
-    def _walk_keys(self, groups, direction: str,
+    def _walk_keys(self, groups,
                    sink: Callable[[np.ndarray, object, int], None]) -> None:
         """Every ranking key of ``groups``' queries, one tile at a time.
 
         ``sink(keys, rows, start)`` receives the ``(len(rows), w)`` keys of
-        candidates ``start .. start + w − 1``.  At L2 a tile is at most
+        candidates ``start .. start + w − 1``.  Each candidate block is read
+        once and projected once per relation, whichever directions the
+        groups hold.  At L2 a tile is at most
         :data:`repro.ranking.RANK_TILE_ELEMENTS` keys, written by one GEMM
         into one scratch buffer reused for the whole walk.
         """
         l2 = self.dissimilarity_name == "L2"
-        b = sum(queries.shape[0] for _, _, queries in groups)
-        width = max([self.embedding_dim] + [q.shape[1] for _, _, q in groups])
+        b = sum(queries.shape[0] for *_, queries in groups)
+        width = max([self.embedding_dim] + [q.shape[1] for *_, q in groups])
         if l2:
-            groups = [(rows, relation, -2.0 * queries)
-                      for rows, relation, queries in groups]
+            groups = [(rows, relation, side, -2.0 * queries)
+                      for rows, relation, side, queries in groups]
             block_rows = min(self.RANK_BLOCK_ELEMENTS // width,
                              ranking.RANK_TILE_ELEMENTS // b)
         else:
@@ -568,9 +597,12 @@ class TranslationalModel(KGEModel):
         scratch = np.empty(0)
         with no_grad():
             for start, block in self.iter_entity_embedding_blocks(block_rows):
-                for rows, relation, queries in groups:
-                    cand = block if relation is None else self.project_entities(
-                        block, relation)
+                cand, projected = block, None
+                for rows, relation, direction, queries in groups:
+                    if relation is not None and relation != projected:
+                        # Groups of one relation are adjacent: one projection.
+                        cand = self.project_entities(block, relation)
+                        projected = relation
                     if not l2:
                         sink(self._residual_keys(queries, cand, direction), rows, start)
                         continue

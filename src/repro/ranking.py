@@ -19,9 +19,9 @@ index all need live here, once, and every caller imports them directly —
   other caller lets the kernel compute them in-call.  Models and tables
   never cache them: optimizers update ``weight.data`` in place through
   ``out=`` and there is no write path a cache could be invalidated from.
-  Evaluation calls neither function: ``TranslationalModel.rank_targets``
-  counts ranks on squared keys, tile by tile, and squares each candidate
-  block it walks itself;
+  Evaluation calls neither function: ``TranslationalModel.rank_triples``
+  counts both directions' ranks on squared keys, tile by tile, in one walk
+  of the table, and squares each candidate block it walks itself;
 * :func:`candidate_expansion_scores` — the generic "expand every entity as a
   candidate and score the grid in chunks" ranking fallback;
 * :func:`nearest_rows` — the blocked embedding-space kNN used to serve

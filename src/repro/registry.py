@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple, Type
 
 from repro.sparse.backends import get_backend
+from repro.utils.validation import check_json_types
 
 #: The two computational formulations the paper compares.
 FORMULATIONS = ("sparse", "dense")
@@ -270,6 +271,10 @@ class ModelSpec:
                    if key not in payload]
         if missing:
             raise ValueError(f"model spec is missing required keys: {missing}")
+        optional = ("relation_dim", "partitions", "nprobe")
+        check_json_types(payload, "model", nullable=optional,
+                         ints=("n_entities", "n_relations", "embedding_dim",
+                               "spec_version") + optional)
         relation_dim = payload.get("relation_dim")
         partitions = payload.get("partitions")
         nprobe = payload.get("nprobe")

@@ -6,6 +6,8 @@ import difflib
 from dataclasses import dataclass, field, fields, asdict
 from typing import Dict, Mapping, Optional
 
+from repro.utils.validation import check_json_types
+
 
 @dataclass
 class TrainingConfig:
@@ -108,7 +110,9 @@ class TrainingConfig:
         ``TrainingConfig(**payload)`` raises a raw ``TypeError`` naming no
         field when the payload carries a stale or misspelled key; this
         constructor instead rejects unknown keys with the offending names and
-        a closest-match suggestion.  Used by experiment-spec loading and
+        a closest-match suggestion, and a value of the wrong JSON type (a
+        ``"false"`` string for a bool, ``3.5`` or ``"3"`` for an int, ``"0.1"``
+        for a float) with the key's name.  Used by experiment-spec loading and
         checkpoint restore, where payloads come from JSON written by other
         (possibly older or newer) versions of the library.
         """
@@ -127,6 +131,13 @@ class TrainingConfig:
                 f"unknown training config key(s): {', '.join(hints)}; "
                 f"valid keys: {sorted(known)}"
             )
+        types = {f.name: f.type for f in fields(cls)}
+        check_json_types(
+            payload, "training",
+            bools=[k for k, t in types.items() if t == "bool"],
+            ints=[k for k, t in types.items() if t in ("int", "Optional[int]")],
+            floats=[k for k, t in types.items() if t == "float"],
+            nullable=[k for k, t in types.items() if t.startswith("Optional")])
         return cls(**{key: payload[key] for key in payload})
 
     def replace(self, **kwargs) -> "TrainingConfig":

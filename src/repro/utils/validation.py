@@ -6,7 +6,8 @@ fails at the boundary rather than deep inside a kernel.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+import numbers
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,3 +127,42 @@ def check_choice(value, choices: Iterable, *, name: str = "value"):
     if value not in options:
         raise ValueError(f"{name} must be one of {options}, got {value!r}")
     return value
+
+
+def check_json_types(payload: Mapping[str, object], section: str, *,
+                     bools: Iterable[str] = (), ints: Iterable[str] = (),
+                     floats: Iterable[str] = (), int_lists: Iterable[str] = (),
+                     nullable: Iterable[str] = ()) -> None:
+    """Reject a spec section's values whose JSON type is not the field's.
+
+    ``bools`` take only ``true``/``false`` (``"false"`` would be truthy),
+    ``ints`` and the entries of ``int_lists`` only integers (``12.7`` would
+    truncate, and ``true`` is not a count), ``floats`` any number but a
+    boolean; ``nullable`` keys may also be ``null``.  Absent keys keep their
+    defaults.  Raises ``ValueError`` naming the section and the key.
+    """
+    def is_int(value) -> bool:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+    def is_float(value) -> bool:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+    def fail(key: str, kind: str) -> None:
+        raise ValueError(
+            f"{section} section key {key!r} must be {kind}, got {payload[key]!r}")
+
+    for key in bools:
+        if key in payload and not isinstance(payload[key], bool):
+            fail(key, "a JSON boolean (true or false)")
+    for key in ints:
+        value = payload.get(key)
+        if key in payload and not (is_int(value) or (value is None and key in nullable)):
+            fail(key, "an integer")
+    for key in floats:
+        if key in payload and not is_float(payload[key]):
+            fail(key, "a number")
+    for key in int_lists:
+        value = payload.get(key)
+        if key in payload and not (isinstance(value, (list, tuple))
+                                   and all(map(is_int, value))):
+            fail(key, "a list of integers")

@@ -95,6 +95,17 @@ class TestEvalSpec:
     def test_empty_protocols_allowed(self):
         assert EvalSpec(protocols=()).build_evaluators() == []
 
+    @pytest.mark.parametrize("key, value", [
+        ("filtered", "false"), ("filtered", 0), ("filtered", None),
+        ("batch_size", 12.7), ("batch_size", "64"), ("batch_size", True),
+        ("ks", [10.9]), ("ks", [1, True]), ("ks", 10),
+    ])
+    def test_wrong_json_type_rejected_naming_the_key(self, key, value):
+        # "false" used to evaluate filtered, 12.7 to truncate to 12 and
+        # [10.9] to (10,).
+        with pytest.raises(ValueError, match=f"eval section key '{key}'"):
+            EvalSpec.from_dict({key: value})
+
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown evaluation protocol"):
             EvalSpec(protocols=("mrr",))
@@ -217,6 +228,41 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             tiny_spec(seed=-1)
 
+    def test_experiment_spec_rejects_string_booleans(self):
+        payload = tiny_spec().to_dict()
+        payload["training"]["sparse_grads"] = "false"
+        with pytest.raises(ValueError, match="training section key 'sparse_grads'"):
+            ExperimentSpec.from_dict(payload)
+        payload = tiny_spec().to_dict()
+        payload["model"]["sparse_grads"] = "false"  # the legacy location
+        with pytest.raises(ValueError, match="model section key 'sparse_grads'"):
+            ExperimentSpec.from_dict(payload)
+        payload = tiny_spec().to_dict()
+        payload["data"]["num_negatives"] = 2.9
+        with pytest.raises(ValueError, match="data section key 'num_negatives'"):
+            ExperimentSpec.from_dict(payload)
+        payload = tiny_spec().to_dict()
+        payload["data"]["scale"] = "0.5"
+        with pytest.raises(ValueError, match="data section key 'scale'"):
+            ExperimentSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("key, value", [("seed", 1.5), ("spec_version", "1")])
+    def test_experiment_ints_are_not_truncated(self, key, value):
+        payload = tiny_spec().to_dict()
+        payload[key] = value
+        with pytest.raises(ValueError, match=f"experiment section key '{key}'"):
+            ExperimentSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("key, value", [
+        ("embedding_dim", 16.7), ("n_entities", "40"), ("partitions", 2.5),
+        ("nprobe", True),
+    ])
+    def test_model_section_ints_are_not_truncated(self, key, value):
+        payload = tiny_spec().to_dict()
+        payload["model"][key] = value
+        with pytest.raises(ValueError, match=f"model section key '{key}'"):
+            ExperimentSpec.from_dict(payload)
+
 
 class TestTrainingConfigFromDict:
     def test_round_trip(self):
@@ -238,3 +284,20 @@ class TestTrainingConfigFromDict:
     def test_field_validation_still_applies(self):
         with pytest.raises(ValueError):
             TrainingConfig.from_dict({"epochs": 0})
+
+    @pytest.mark.parametrize("key, value", [
+        ("sparse_grads", "false"), ("shuffle", 1), ("sanitize", "true"),
+        ("epochs", "3"), ("epochs", 2.5), ("epochs", True), ("epochs", None),
+        ("batch_size", 64.0), ("num_workers", "2"), ("seed", 1.5),
+        ("learning_rate", "0.01"), ("margin", True),
+    ])
+    def test_wrong_json_type_rejected_naming_the_key(self, key, value):
+        # "false" used to switch the row-sparse path on and "3" to raise a
+        # bare TypeError.
+        with pytest.raises(ValueError, match=f"training section key '{key}'"):
+            TrainingConfig.from_dict({key: value})
+
+    def test_null_seed_and_json_types_accepted(self):
+        cfg = TrainingConfig.from_dict({"seed": None, "sparse_grads": False,
+                                        "epochs": 3, "learning_rate": 1})
+        assert (cfg.seed, cfg.sparse_grads, cfg.epochs) == (None, False, 3)

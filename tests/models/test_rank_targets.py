@@ -1,7 +1,8 @@
-"""``rank_targets`` against its oracle, ``compute_ranks(score_all_*)``.
+"""``rank_triples`` against its oracle, ``compute_ranks(score_all_*)``.
 
-The closed form counts filtered ranks tile by tile on squared L2 keys (or on
-the model's own dissimilarity) and never builds the ``(B, N)`` block.  On
+The closed form counts both directions' filtered ranks in one walk of the
+entity table, tile by tile on squared L2 keys (or on the model's own
+dissimilarity), and never builds the ``(B, N)`` block.  On
 tables whose every key is exact in fp64 — small integers, or multiples of 1/8
 for TorusE, whose distance reads only the fractional part — ties are real
 ties, ``sqrt`` merges no two keys, and the ranks must equal the oracle's bit
@@ -88,8 +89,18 @@ def _cases(draw):
         # Tile width in candidates; targets are drawn on tile boundaries.
         "tile": draw(st.integers(1, n)),
         "filters": draw(st.sampled_from(["none", "empty", "random", "with_target"])),
-        "direction": draw(st.sampled_from(["tail", "head"])),
     }
+
+
+def _exclusions(rng, mode, n, targets):
+    if mode == "none":
+        return None
+    if mode == "empty":
+        return [np.empty(0, dtype=np.int64)] * len(targets)
+    exclusions = [rng.choice(n, rng.integers(0, n), replace=False) for _ in targets]
+    if mode == "with_target":
+        exclusions = [np.append(ex, t) for ex, t in zip(exclusions, targets)]
+    return exclusions
 
 
 def _build(name, case):
@@ -104,29 +115,31 @@ def _build(name, case):
         entities[rng.integers(0, n, n // 2)] = entities[rng.integers(0, n, n // 2)]
     _set_tables(model, entities, rng, scale)
     b, tile = case["b"], case["tile"]
-    anchors = rng.integers(0, n, b)
     relations = rng.integers(0, case["r"], b)
-    # Half the targets sit on a tile's first column, half on its last.
+    # Half the targets of each direction sit on a tile's first column, half
+    # on its last.
     starts = np.arange(0, n, tile)
     edges = np.concatenate([starts, np.minimum(starts + tile, n) - 1])
-    targets = rng.choice(edges, b)
-    if case["filters"] == "none":
-        exclusions = None
-    elif case["filters"] == "empty":
-        exclusions = [np.empty(0, dtype=np.int64)] * b
-    else:
-        exclusions = [rng.choice(n, rng.integers(0, n), replace=False) for _ in range(b)]
-        if case["filters"] == "with_target":
-            exclusions = [np.append(ex, t) for ex, t in zip(exclusions, targets)]
-    return model, (anchors, relations, targets, case["direction"], exclusions)
+    heads, tails = rng.choice(edges, b), rng.choice(edges, b)
+    return model, (heads, relations, tails,
+                   _exclusions(rng, case["filters"], n, tails),
+                   _exclusions(rng, case["filters"], n, heads))
 
 
 def _tiled(model, tile, b, query):
-    """``rank_targets`` with candidate blocks of exactly ``tile`` rows."""
+    """``rank_triples`` with candidate blocks of exactly ``tile`` rows (the
+    walk holds ``2b`` queries)."""
     width = max(model.embedding_dim, getattr(model, "relation_dim", 0))
-    with mock.patch.object(ranking, "RANK_TILE_ELEMENTS", tile * b), \
-            mock.patch.object(type(model), "RANK_BLOCK_ELEMENTS", tile * b * width):
-        return model.rank_targets(*query)
+    with mock.patch.object(ranking, "RANK_TILE_ELEMENTS", tile * 2 * b), \
+            mock.patch.object(type(model), "RANK_BLOCK_ELEMENTS",
+                              tile * 2 * b * width):
+        return model.rank_triples(*query)
+
+
+def _oracles(model, heads, relations, tails, tail_exclusions, head_exclusions):
+    """``(tail_ranks, head_ranks)`` by :func:`_oracle`."""
+    return (_oracle(model, heads, relations, tails, "tail", tail_exclusions),
+            _oracle(model, tails, relations, heads, "head", head_exclusions))
 
 
 @pytest.mark.parametrize("name", list(MODELS))
@@ -136,30 +149,65 @@ def test_exact_tables_rank_as_the_oracle(name, case):
     model, query = _build(name, case)
     try:
         got = _tiled(model, case["tile"], case["b"], query)
-        want = _oracle(model, *query)
-        np.testing.assert_array_equal(got, want)
-        assert got.dtype == np.float64
+        for ranks, want in zip(got, _oracles(model, *query)):
+            np.testing.assert_array_equal(ranks, want)
+            assert ranks.dtype == np.float64
     finally:
         _close(model)
 
 
 def test_all_equal_table_re_walks_only_the_tied_queries():
-    """Every candidate ties: each query is handed to the kept-keys walk."""
+    """Every candidate ties: each query of both directions is handed to the
+    kept-keys walk, and the two directions are re-walked together, once."""
     model = SpTransE(30, 2, 4, rng=0)
     model.entity_table().write_rows(np.arange(30), np.ones((30, 4)))
-    anchors, relations = np.arange(5), np.zeros(5, dtype=np.int64)
+    heads, relations = np.arange(5), np.zeros(5, dtype=np.int64)
     walks = []
     real = model._walk_keys
 
-    def spy(groups, direction, sink):
-        walks.append(sum(queries.shape[0] for _, _, queries in groups))
-        return real(groups, direction, sink)
+    def spy(groups, sink):
+        walks.append(sum(queries.shape[0] for *_, queries in groups))
+        return real(groups, sink)
 
     with mock.patch.object(model, "_walk_keys", spy):
-        got = model.rank_targets(anchors, relations, np.arange(5, 10), "tail",
-                                 [np.array([0, 1])] * 5)
-    assert walks == [5, 5]
-    np.testing.assert_array_equal(got, np.full(5, (28 + 1) / 2))
+        got = model.rank_triples(heads, relations, np.arange(5, 10),
+                                 [np.array([0, 1])] * 5, [np.array([10, 11])] * 5)
+    assert walks == [10, 10]
+    for ranks in got:
+        np.testing.assert_array_equal(ranks, np.full(5, (28 + 1) / 2))
+
+
+def test_one_tie_per_direction_is_re_walked_jointly():
+    """One tail query and one head query each tie their target: the second
+    walk holds exactly those two queries, and every rank is the oracle's."""
+    rng = np.random.default_rng(5)
+    model = SpTransE(40, 2, 6, rng=0)
+    entities = rng.integers(-3, 4, size=(40, 6)).astype(float)
+    entities[21] = entities[20]  # tail 20's twin
+    entities[31] = entities[30]  # head 30's twin
+    model.entity_table().write_rows(np.arange(40), entities)
+    for name, param in model.named_parameters():
+        if "bucket" not in name:
+            param.data[model.n_entities:] = rng.integers(-2, 3, (2, 6))
+    heads = np.array([30, 1, 2, 3])
+    relations = np.array([0, 1, 0, 1])
+    tails = np.array([20, 4, 5, 6])
+    walks = []
+    real = model._query_groups
+
+    def spy(anchor_rows, relations, n_tail):
+        walks.append((anchor_rows.tolist(), int(n_tail)))
+        return real(anchor_rows, relations, n_tail)
+
+    with mock.patch.object(model, "_query_groups", spy):
+        got = model.rank_triples(heads, relations, tails)
+    # The first walk's 2B queries, then the tail query of row 0 and the head
+    # query of row 0 together.
+    assert walks == [(entities[np.r_[heads, tails]].tolist(), 4),
+                     (entities[[30, 20]].tolist(), 1)]
+    for ranks, want in zip(got, _oracles(model, heads, relations, tails, None, None)):
+        np.testing.assert_array_equal(ranks, want)
+    assert got[0][0] % 1 == got[1][0] % 1 == 0.5  # each twin counts half
 
 
 @pytest.mark.parametrize("name", list(MODELS))
@@ -176,17 +224,20 @@ def test_random_tables_differ_only_at_rounding_ties(name, record_property):
         try:
             for param in model.parameters():
                 param.data += 0.3 * rng.standard_normal(param.shape)
-            for direction in ("tail", "head"):
-                anchors, relations = rng.integers(0, 300, 40), rng.integers(0, 4, 40)
-                targets = rng.integers(0, 300, 40)
-                exclusions = [rng.choice(300, 5, replace=False) for _ in range(40)]
-                query = (anchors, relations, targets, direction, exclusions)
-                got = model.rank_targets(*query)
-                want = _oracle(model, *query)
+            heads, relations = rng.integers(0, 300, 40), rng.integers(0, 4, 40)
+            tails = rng.integers(0, 300, 40)
+            exclusions = {side: [rng.choice(300, 5, replace=False) for _ in range(40)]
+                          for side in ("tail", "head")}
+            got = model.rank_triples(heads, relations, tails, exclusions["tail"],
+                                     exclusions["head"])
+            for ranks, direction, anchors, targets in (
+                    (got[0], "tail", heads, tails), (got[1], "head", tails, heads)):
+                want = _oracle(model, anchors, relations, targets, direction,
+                               exclusions[direction])
                 scores = (model.score_all_tails(anchors, relations) if direction == "tail"
                           else model.score_all_heads(relations, anchors))
                 target = scores[np.arange(40), targets]
-                for row in np.flatnonzero(got != want):
+                for row in np.flatnonzero(ranks != want):
                     others = np.delete(scores[row], targets[row])
                     assert np.any(np.abs(others - target[row])
                                   <= 1e-9 * max(1.0, abs(target[row]))), (seed, row)
@@ -206,14 +257,83 @@ def test_near_duplicate_of_the_target_is_ranked_from_its_kept_keys():
     entities = rng.standard_normal((50, 8))
     entities[7] = entities[6] * (1 + 3e-15)
     model.entity_table().write_rows(np.arange(50), entities)
-    anchors, relations, targets = np.array([0, 1]), np.array([0, 0]), np.array([6, 6])
-    keys = np.empty((2, 50))
+    heads, relations, tails = np.array([0, 1]), np.array([0, 0]), np.array([6, 6])
+    keys = np.empty((4, 50))
 
     def keep(tile, rows, start):
         keys[rows, start:start + tile.shape[1]] = tile
 
-    model._walk_keys(model._query_groups(anchors, relations, "tail"), "tail", keep)
-    assert np.all(keys[:, 6] != keys[:, 7])  # the twin is not a tie
-    got = model.rank_targets(anchors, relations, targets, "tail")
-    np.testing.assert_array_equal(got, compute_ranks(keys, targets))
+    model._walk_keys(model._query_groups(entities[np.r_[heads, tails]],
+                                         np.concatenate([relations, relations]), 2),
+                     keep)
+    assert np.all(keys[:2, 6] != keys[:2, 7])  # the twin is not a tie
+    got, _ = model.rank_triples(heads, relations, tails)
+    np.testing.assert_array_equal(got, compute_ranks(keys[:2], tails))
     assert np.all(got == np.round(got))
+
+
+def _spy_walks(table):
+    """Count the walks of ``table``'s kind: calls of its ``iter_blocks``
+    (a dense model builds a fresh table view per call)."""
+    walks = []
+    real = type(table).iter_blocks
+
+    def spy(self, *args, **kwargs):
+        walks.append(args)
+        return real(self, *args, **kwargs)
+
+    return walks, mock.patch.object(type(table), "iter_blocks", spy)
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_one_table_walk_per_chunk(name):
+    """Evaluation walks the entity table once per chunk, both directions
+    together, whatever the model."""
+    from repro.data import generate_synthetic_kg
+    from repro.evaluation import evaluate_link_prediction
+
+    kg = generate_synthetic_kg(60, 3, 300, rng=0, valid_fraction=0.0,
+                               test_fraction=0.2)
+    make, _ = MODELS[name]
+    model = make(kg.n_entities, kg.n_relations, 8)
+    try:
+        rng = np.random.default_rng(1)
+        for param in model.parameters():
+            param.data += 0.3 * rng.standard_normal(param.shape)
+        test = kg.split.test[:40]
+        walks, spy = _spy_walks(model.entity_table())
+        with spy:
+            result = evaluate_link_prediction(model, test, kg.known_triples(),
+                                              batch_size=16)
+        assert len(walks) == 3  # ceil(40 / 16) chunks, no tie to re-walk
+        assert result.tail_ranks.shape == result.head_ranks.shape == (40,)
+    finally:
+        _close(model)
+
+
+def test_partitioned_table_faults_each_bucket_once_per_chunk():
+    """P = 3 buckets, one resident: a chunk faults each bucket once, not
+    once per direction.  Anchors and targets all live in the last bucket,
+    which the previous chunk's walk leaves resident, so reading their rows
+    faults nothing and every fault is the walk's."""
+    from repro.data import KnownTriples
+    from repro.evaluation import evaluate_link_prediction
+
+    p, n = 3, 90
+    model = SpTransE(n, 2, 8, rng=0, partitions=p, max_resident=1)
+    try:
+        table = model.entity_table()
+        last = np.arange(*table.row_ranges()[-1])
+        rng = np.random.default_rng(2)
+        triples = np.column_stack([rng.choice(last, 24), rng.integers(0, 2, 24),
+                                   rng.choice(last, 24)])
+        known = KnownTriples(triples)
+        evaluate_link_prediction(model, triples[:8], known, batch_size=8)  # warm
+        before = table.stats()["faults"]
+        walks, spy = _spy_walks(table)
+        with spy:
+            evaluate_link_prediction(model, triples, known, batch_size=8)
+        assert table.stats()["faults"] - before == 3 * p  # 3 chunks
+        assert len(walks) == 3
+    finally:
+        _close(model)

@@ -324,6 +324,22 @@ class TestRunCommand:
             main(["run", str(spec_path), "--artifacts", str(artifacts), "--quiet"])
         assert not (artifacts / "checkpoint.npz").exists()
 
+    @pytest.mark.parametrize("section, key", [("training", "sparse_grads"),
+                                              ("eval", "filtered")])
+    def test_run_string_boolean_fails_before_training(self, capsys, tmp_path,
+                                                      section, key):
+        spec_path = tmp_path / "exp.json"
+        run_cli(capsys, "export-spec", "--dataset", "WN18RR", "--scale", "0.003",
+                "--model", "transe", "--epochs", "1", "--batch-size", "256",
+                "--dim", "8", "--output", str(spec_path))
+        payload = json.loads(spec_path.read_text())
+        payload[section][key] = "false"
+        spec_path.write_text(json.dumps(payload))
+        artifacts = tmp_path / "a"
+        with pytest.raises(SystemExit, match=f"{section} section key '{key}'"):
+            main(["run", str(spec_path), "--artifacts", str(artifacts), "--quiet"])
+        assert not (artifacts / "checkpoint.npz").exists()
+
     def test_run_ann_on_unpartitioned_spec_writes_a_servable_artifact(
             self, capsys, tmp_path):
         from repro.serving import InferenceEngine

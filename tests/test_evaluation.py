@@ -69,7 +69,7 @@ def _oracle_ranks(model, triples, known_triples, batch_size):
 class _ConstantScorer(KGEModel):
     """Every candidate ties: the ranks are decided by the tie and filter counts.
 
-    It ranks through :class:`KGEModel`'s generic ``rank_targets``: its score
+    It ranks through :class:`KGEModel`'s generic ``rank_triples``: its score
     blocks, then ``compute_ranks``."""
 
     def __init__(self, n_entities, n_relations):
@@ -335,16 +335,21 @@ class TestLinkPrediction:
         broken = np.arange(0, kg.n_entities, 3)
         model.embeddings.weight.data[broken] = np.nan
         heads, rels, tails = kg.split.test.T
-        filters = kg.known_triples().exclusions("tail", heads, rels)
-        got = model.rank_targets(heads, rels, tails, "tail", filters)
-        want = compute_ranks(model.score_all_tails(heads, rels), tails, filters)
-        np.testing.assert_array_equal(got, want)
-        rows, cols = filters
-        others = np.bincount(rows[cols != tails[rows]], minlength=tails.shape[0])
+        known = kg.known_triples()
+        filters = (known.exclusions("tail", heads, rels),
+                   known.exclusions("head", tails, rels))
+        got = model.rank_triples(heads, rels, tails, *filters)
+        wants = (compute_ranks(model.score_all_tails(heads, rels), tails, filters[0]),
+                 compute_ranks(model.score_all_heads(rels, tails), heads, filters[1]))
         last = np.isin(tails, broken) | np.isin(heads, broken)
         assert last.any() and not last.all()
-        np.testing.assert_array_equal(got[last], (kg.n_entities - others)[last])
-        assert np.all(got[~last] < kg.n_entities - others[~last])
+        for ranks, want, (rows, cols), targets in zip(got, wants, filters,
+                                                      (tails, heads)):
+            np.testing.assert_array_equal(ranks, want)
+            others = np.bincount(rows[cols != targets[rows]],
+                                 minlength=targets.shape[0])
+            np.testing.assert_array_equal(ranks[last], (kg.n_entities - others)[last])
+            assert np.all(ranks[~last] < kg.n_entities - others[~last])
 
     def test_evaluation_never_allocates_the_score_block(self):
         from repro.data import KnownTriples

@@ -468,11 +468,12 @@ class TestNormsAreOwnedByTheCaller:
         rows = _spy_on_row_norms(monkeypatch)
         got = evaluate_link_prediction(model, test, known, batch_size=7)
         assert kernel == []  # the distance kernel is never called
-        calls = -(-test.shape[0] // 7) * 2  # chunks x directions
-        # Per call: one pass over the table, plus the batch's own target rows.
+        calls = -(-test.shape[0] // 7)  # one per chunk, both directions
+        # Per call: one pass over the table, plus the chunk's own target rows
+        # of both directions.
         assert sorted(rows) == sorted([(kg.n_entities, 16)] * calls
-                                      + [(min(7, test.shape[0] - s), 16)
-                                         for s in range(0, test.shape[0], 7)] * 2)
+                                      + [(2 * min(7, test.shape[0] - s), 16)
+                                         for s in range(0, test.shape[0], 7)])
         want_tail, want_head = _oracle_chunk_ranks(model, test, known, 7)
         np.testing.assert_array_equal(got.tail_ranks, want_tail)
         np.testing.assert_array_equal(got.head_ranks, want_head)
