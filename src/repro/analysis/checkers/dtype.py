@@ -6,8 +6,9 @@ never silently widen to float64 mid-pipeline.  Two rule ids enforce the
 static side of that contract inside the hot-path modules (``sparse/``,
 ``nn/``, ``losses/``, ``evaluation/``, ``ann/``, ``optim/`` — whose blocked
 updates allocate scratch next to fp32 tables — ``ranking.py``,
-``data/synthetic.py``, and ``data/known.py``, whose index arrays feed the
-rank kernel):
+``data/synthetic.py``, ``data/known.py``, whose index arrays feed the
+rank kernel, and ``models/base.py``, whose ranking walk mixes fp32 tiles
+with fp64 keys):
 
 * ``dtype-ctor`` — ``np.zeros/empty/ones/full/arange`` without an explicit
   ``dtype=``.  Bare constructors default to float64 (int64 for arange),
@@ -42,7 +43,7 @@ _CTOR_DTYPE_POS = {
 _NUMPY_NAMES = {"np", "numpy"}
 
 _SCOPES = ("sparse/", "nn/", "losses/", "evaluation/", "ann/", "optim/")
-_SCOPE_FILES = ("ranking.py", "data/synthetic.py", "data/known.py")
+_SCOPE_FILES = ("ranking.py", "data/synthetic.py", "data/known.py", "models/base.py")
 
 
 def _is_numpy_attr(func: ast.expr, names: Iterable[str]) -> bool:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Optional, Tuple, Union
+from typing import Callable, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -87,6 +87,20 @@ class RankCounter:
     bracket (then ``better`` is the count below it); :meth:`ranks` names the
     queries where one does, or where the key read back lies outside, as
     unresolved.
+
+    A tile may also hold *approximate* keys, each within a known ``margin``
+    of the exact key it stands for (the fp32 tiles of
+    :meth:`~repro.models.base.TranslationalModel.rank_triples`).  Its counts
+    are then taken against ``lo − margin`` and ``hi + margin``, so a
+    candidate counted below (or left above) is below ``lo`` (above ``hi``)
+    for certain, and each candidate left in between — the *band* — is
+    settled one by one from its exact key and that key's own margin, which
+    ``settle`` returns.  A query whose band holds a candidate no margin
+    decides or more than :data:`SETTLE_LIMIT` candidates in one tile, whose
+    bound is not finite (a NaN key fails both compares and would count as
+    worse), or whose target key is not inside its bracket for certain is
+    unresolved, exactly as a candidate inside the bracket makes it in the
+    exact count.
     """
 
     def __init__(self, n_candidates: int,
@@ -118,20 +132,44 @@ class RankCounter:
         self.target = np.full(b, np.nan, dtype=self.lo.dtype)
         self._below = np.zeros(b, dtype=np.int64)
         self._upto = np.zeros(b, dtype=np.int64)
+        #: Queries an approximate tile could not decide (see :meth:`count`).
+        self._doubt = np.zeros(b, dtype=bool)
+        #: Keys settled exactly per query, the target's included.
+        self.settled = np.zeros(b, dtype=np.int64)
         self._mask = np.empty(0, dtype=bool)
 
-    def count(self, keys: np.ndarray, rows, start: int) -> None:
+    def count(self, keys: np.ndarray, rows, start: int,
+              margin: Optional[np.ndarray] = None,
+              settle: Optional[Callable[[np.ndarray, np.ndarray],
+                                        Tuple[np.ndarray, np.ndarray]]] = None
+              ) -> None:
         """Count one tile: ``keys[j, c]`` is candidate ``start + c``'s key for
-        query ``rows[j]`` (``rows`` an index array, or ``slice(None)``)."""
+        query ``rows[j]`` (``rows`` an index array, or ``slice(None)``).
+
+        An approximate tile comes with ``margin[j]``, a bound on how far any
+        of query ``rows[j]``'s keys lies from its exact key, and
+        ``settle(j, c)``, which returns the exact keys of the pairs ``(j[i],
+        c[i])`` (tile row, tile column) with bounds on their own rounding.
+        """
         b = self.true.shape[0]
         nb, w = keys.shape
-        if self._mask.size < nb * w:
-            self._mask = np.empty(nb * w, dtype=bool)
-        mask = self._mask[:nb * w].reshape(nb, w)
-        np.less(keys, self.lo[rows, None], out=mask)
-        self._below[rows] += _row_counts(mask)
-        np.less_equal(keys, self.hi[rows, None], out=mask)
-        self._upto[rows] += _row_counts(mask)
+        lo, hi = self.lo[rows], self.hi[rows]
+        if margin is not None:
+            lo, hi = _widened(lo, hi, margin, keys.dtype)
+        # Settling locates the band from both masks, whose rows are padded to
+        # whole 8-byte words; otherwise one mask is reused.
+        masks, span = (1, w) if settle is None else (2, -(-w // 8) * 8)
+        if self._mask.size < masks * nb * span:
+            self._mask = np.empty(masks * nb * span, dtype=bool)
+        mask = self._mask[:masks * nb * span].reshape(masks, nb, span)
+        if span > w:
+            mask[:, :, w:] = False
+        np.less(keys, lo[:, None], out=mask[0, :, :w])
+        below = _row_counts(mask[0])
+        np.less_equal(keys, hi[:, None], out=mask[-1, :, :w])
+        upto = _row_counts(mask[-1])
+        self._below[rows] += below
+        self._upto[rows] += upto
 
         first, last = np.searchsorted(self._cols, (start, start + w))
         at, cols = self._rows[first:last], self._cols[first:last]
@@ -139,17 +177,64 @@ class RankCounter:
         inside = local >= 0
         at, cols, local = at[inside], cols[inside], local[inside]
         key = keys[local, cols - start]
-        self._below -= np.bincount(at[key < self.lo[at]], minlength=b)
-        self._upto -= np.bincount(at[key <= self.hi[at]], minlength=b)
+        lower, upper = key < lo[local], key <= hi[local]
+        self._below -= np.bincount(at[lower], minlength=b)
+        self._upto -= np.bincount(at[upper], minlength=b)
         own = cols == self.true[at]
-        self.target[at[own]] = key[own]
+        if settle is None:
+            self.target[at[own]] = key[own]
+            return
+        # The band of each row: up to hi, not below lo, and neither an
+        # exclusion nor the target, which leave both masks.
+        mask[:, local, cols - start] = False
+        band = (upto.astype(np.int64) - below
+                - np.bincount(local[upper & ~lower], minlength=nb))
+        self._settle(mask, band, np.arange(b, dtype=np.int64)[rows],
+                     ~(np.isfinite(lo) & np.isfinite(hi)), local[own],
+                     cols[own] - start, settle)
+
+    def _settle(self, mask: np.ndarray, band: np.ndarray, queries: np.ndarray,
+                unbounded: np.ndarray, target_rows: np.ndarray,
+                target_cols: np.ndarray, settle) -> None:
+        """Settle an approximate tile's band and targets from exact keys.
+
+        ``mask`` holds the tile's two masks (below ``lo``, up to ``hi``) and
+        ``band`` each row's count between them; ``queries`` are the rows'
+        queries, and the tile holds targets at ``(target_rows,
+        target_cols)``.  A band candidate found below ``lo`` or above ``hi``
+        for certain leaves the band.  Any other stays in it, and so does
+        every candidate of a row with more than :data:`SETTLE_LIMIT`, which
+        is not settled: either leaves the query unresolved.  So do a target
+        not inside its bracket for certain and an unbounded row.
+        """
+        self._doubt[queries[unbounded]] = True
+        busy = np.flatnonzero((band > 0) & (band <= SETTLE_LIMIT))
+        # Eight mask bytes per word (below ⊆ up to): the few words with a
+        # band byte, then their bytes.
+        words = mask[:, busy].view(np.uint64)
+        words = np.bitwise_xor(words[0], words[1], out=words[0])
+        row, word = np.nonzero(words)
+        pick, byte = np.nonzero(words[row, word].view(np.uint8).reshape(-1, 8))
+        rows = np.concatenate([target_rows, busy[row[pick]]])
+        key, slack = settle(rows, np.concatenate([target_cols, 8 * word[pick] + byte]))
+        at = queries[rows]
+        self.settled += np.bincount(at, minlength=self.settled.size)
+        lo, hi = self.lo[at], self.hi[at]
+        n = target_rows.size
+        self.target[at[:n]] = key[:n]
+        certain = (lo[:n] <= key[:n] - slack[:n]) & (key[:n] + slack[:n] <= hi[:n])
+        self._doubt[at[:n][~certain]] = True
+        at, key, slack = at[n:], key[n:], slack[n:]
+        self._below += np.bincount(at[key + slack < lo[n:]], minlength=self._below.size)
+        self._upto -= np.bincount(at[key - slack > hi[n:]], minlength=self._upto.size)
 
     def ranks(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(ranks, unresolved)``: ``(B,)`` float64 ranks and a boolean mask.
 
         A non-finite target key ranks last among the candidates left after
         filtering.  An unresolved query's rank is not valid: some other
-        candidate's key lies inside its bracket, or its own key lies outside.
+        candidate's key lies inside its bracket, or its own key lies outside,
+        or an approximate tile left either in doubt.
         """
         inside = self._upto - self._below
         ranks = self._below + inside / 2.0 + 1
@@ -158,7 +243,7 @@ class RankCounter:
         ranks[~finite] = (self.n_candidates - self._n_excluded)[~finite]
         exact = (lo == key) & (hi == key)
         bracketed = (inside == 0) & (lo <= key) & (key <= hi)
-        return ranks, finite & ~(exact | bracketed)
+        return ranks, (finite & ~(exact | bracketed)) | self._doubt
 
     def exclusions(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Flat ``(rows, cols)`` exclusions of the queries ``rows`` (ascending),
@@ -173,6 +258,25 @@ class RankCounter:
         local = np.full(self.true.shape[0], -1, dtype=np.int64)
         local[rows] = np.arange(len(rows), dtype=np.int64)
         return local
+
+
+#: The most band candidates one query settles from one tile; a query with
+#: more (a table of ties) is left unresolved, which bounds what a tile's
+#: settling gathers.
+SETTLE_LIMIT = 16
+
+
+def _widened(lo: np.ndarray, hi: np.ndarray, margin: np.ndarray, dtype
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """``lo − margin`` and ``hi + margin`` rounded outward into ``dtype``.
+
+    The nearest ``dtype`` value, stepped one ulp outward, lies strictly
+    outside the float64 bound and further from it than the float64
+    subtraction's rounding.  Non-finite where a bound overflows ``dtype``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.nextafter((lo - margin).astype(dtype), dtype.type(-np.inf)),
+                np.nextafter((hi + margin).astype(dtype), dtype.type(np.inf)))
 
 
 def _row_counts(mask: np.ndarray) -> np.ndarray:

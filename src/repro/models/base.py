@@ -9,7 +9,9 @@ code work unchanged across families.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Tuple
+import functools
+import math
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -398,7 +400,7 @@ class TranslationalModel(KGEModel):
         translations = self.relation_translations(relations)
         # ``x + (−r)`` rounds exactly as ``x − r``.
         translations = np.concatenate([translations[:n_tail], -translations[n_tail:]])
-        is_tail = np.arange(b) < n_tail
+        is_tail = np.arange(b, dtype=np.int64) < n_tail
         sides = [None] if self.dissimilarity_name == "L2" else ["tail", "head"]
         groups = []
         for relation in (np.unique(relations)
@@ -488,8 +490,8 @@ class TranslationalModel(KGEModel):
         ``"projection"`` block is projected once per relation for both
         directions.
 
-        A tile holds each candidate's *key*: at L2 the squared distance less
-        the query's own ``‖q‖²``, ``‖c‖² − 2q·c``, one GEMM of the pre-scaled
+        A candidate's *key* is, at L2, the squared distance less the query's
+        own ``‖q‖²``, ``‖c‖² − 2q·c`` at fp64: one GEMM of the pre-scaled
         ``−2q`` plus the block's row norms (no ``sqrt``, no clamp); for any
         other dissimilarity exactly the values ``score_all_*`` returns.  A
         candidate ties the target only when their keys, as computed, are
@@ -497,12 +499,20 @@ class TranslationalModel(KGEModel):
 
         The target's key is bracketed from its own row first (GEMM rounding
         depends on a column's place in the tile, so the row value may differ
-        from the tile's in the last bits); the tile's value is read back when
-        the walk reaches it.  The queries of either direction with another
-        candidate inside their bracket — a tie or a near-duplicate of the
-        target — are re-walked together, once, with their keys kept,
-        ``(n_unresolved, n_entities)``, and ranked from them by
-        :func:`~repro.evaluation.compute_ranks`.
+        from the tile's in the last bits).  At L2 the walk then counts fp32
+        keys, each certified to lie within a rigorous per-block bound of its
+        fp64 key: a candidate is below or above the bracket for certain, or
+        it is one of the few in the band between, which are settled from
+        their fp64 keys and the GEMM's rounding margin from the block in
+        hand; the target's own fp64 key must lie inside its bracket for
+        certain.  Any other dissimilarity counts its fp64 keys directly and
+        reads the target's back.  The queries of either direction that no
+        count decides — a tie or a near-duplicate of the target inside its
+        bracket, a band candidate no margin decides, a non-finite or
+        fp32-overflowing operand — are re-walked together, once, at fp64 with
+        their keys kept, ``(n_unresolved, n_entities)``, and ranked from them
+        by :func:`~repro.evaluation.compute_ranks`.  Every rank is therefore
+        the rank of the fp64 keys, whichever pass decided it.
         """
         from repro.evaluation.ranks import RankCounter, compute_ranks, stack_exclusions
 
@@ -513,7 +523,7 @@ class TranslationalModel(KGEModel):
         tails, _ = self._query_ids(tails, relations)
         b = heads.shape[0]
         if not b:
-            return np.empty(0), np.empty(0)
+            return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.float64)
         # Every id is read once: the targets are the anchors, halves swapped.
         anchor_rows = self.entity_embedding_rows(np.concatenate([heads, tails]))
         targets = np.concatenate([tails, heads])
@@ -523,7 +533,7 @@ class TranslationalModel(KGEModel):
         exclusions = stack_exclusions((tail_exclusions, head_exclusions), b,
                                       self.n_entities)
         counter = RankCounter(self.n_entities, targets, exclusions, lo, hi)
-        self._walk_keys(groups, counter.count)
+        self._walk_keys(groups, counter)
         ranks, unresolved = counter.ranks()
         if unresolved.any():
             rows = np.flatnonzero(unresolved)
@@ -572,18 +582,32 @@ class TranslationalModel(KGEModel):
             lo[rows], hi[rows] = key - slack, key + slack
         return lo, hi
 
-    def _walk_keys(self, groups,
-                   sink: Callable[[np.ndarray, object, int], None]) -> None:
+    def _walk_keys(self, groups, sink) -> None:
         """Every ranking key of ``groups``' queries, one tile at a time.
 
-        ``sink(keys, rows, start)`` receives the ``(len(rows), w)`` keys of
-        candidates ``start .. start + w − 1``.  Each candidate block is read
-        once and projected once per relation, whichever directions the
-        groups hold.  At L2 a tile is at most
+        ``sink`` is a :class:`~repro.evaluation.ranks.RankCounter`, or a
+        callable ``sink(keys, rows, start)`` that receives the ``(len(rows),
+        w)`` keys of candidates ``start .. start + w − 1``.  Each candidate
+        block is read once and projected once per relation, whichever
+        directions the groups hold.  At L2 a tile is at most
         :data:`repro.ranking.RANK_TILE_ELEMENTS` keys, written by one GEMM
         into one scratch buffer reused for the whole walk.
+
+        A callable receives the keys in the operands' dtype.  A counter of
+        float64 L2 keys is fed certified fp32 tiles instead: each block is
+        cast to fp32 inside the walk with its fp32 row norms as one more
+        column, and one sgemm of the fp32 ``−2q`` (beside a column of ones)
+        writes ``‖c‖² − 2q·c``.  Each query gets the block's rigorous bound
+        on the distance from every fp32 key to its fp64 key
+        (:func:`_fp32_key_margin`); the counter settles the few candidates
+        the bound leaves undecided from the float64 block in hand
+        (:func:`_fp64_keys`), so no row is read twice.
         """
+        from repro.evaluation.ranks import RankCounter
+
         l2 = self.dissimilarity_name == "L2"
+        counted = isinstance(sink, RankCounter)
+        count = sink.count if counted else sink
         b = sum(queries.shape[0] for *_, queries in groups)
         width = max([self.embedding_dim] + [q.shape[1] for *_, q in groups])
         if l2:
@@ -594,27 +618,38 @@ class TranslationalModel(KGEModel):
         else:
             block_rows = self.RANK_BLOCK_ELEMENTS // (b * width)
         block_rows = max(1, block_rows)
-        scratch = np.empty(0)
+        certified = (l2 and counted
+                     and all(q.dtype == np.float64 for *_, q in groups))
+        if certified:
+            fp32 = [_fp32_queries(queries) for *_, queries in groups]
+            cand32 = np.empty(block_rows * (width + 1), dtype=np.float32)
+        scratch = np.empty(0, dtype=np.float64)
         with no_grad():
             for start, block in self.iter_entity_embedding_blocks(block_rows):
                 cand, projected = block, None
-                for rows, relation, direction, queries in groups:
+                for group, (rows, relation, direction, queries) in enumerate(groups):
                     if relation is not None and relation != projected:
                         # Groups of one relation are adjacent: one projection.
                         cand = self.project_entities(block, relation)
                         projected = relation
                     if not l2:
-                        sink(self._residual_keys(queries, cand, direction), rows, start)
+                        count(self._residual_keys(queries, cand, direction), rows, start)
                         continue
-                    dtype = np.result_type(queries.dtype, cand.dtype)
-                    cand = cand.astype(dtype, copy=False)
+                    dtype = np.float32 if certified else np.result_type(queries.dtype,
+                                                                        cand.dtype)
                     if scratch.dtype != dtype or scratch.size < b * block_rows:
                         scratch = np.empty(b * block_rows, dtype=dtype)
                     keys = scratch[:queries.shape[0] * cand.shape[0]].reshape(
                         queries.shape[0], cand.shape[0])
+                    if certified:
+                        margin = _fp32_tile(*fp32[group], cand, cand32, keys)
+                        count(keys, rows, start, margin,
+                              functools.partial(_fp64_keys, queries, cand))
+                        continue
+                    cand = cand.astype(dtype, copy=False)
                     np.matmul(queries.astype(dtype, copy=False), cand.T, out=keys)
                     keys += np.einsum("ij,ij->i", cand, cand)
-                    sink(keys, rows, start)
+                    count(keys, rows, start)
 
     # ------------------------------------------------------------------ #
     # Exact rescoring (ANN and two-phase quantized serving)
@@ -663,3 +698,106 @@ class TranslationalModel(KGEModel):
         rel_row = np.asarray(self.relation_translations(relations)[0],
                              dtype=np.float64)
         return anchor_row + rel_row if direction == "tail" else anchor_row - rel_row
+
+
+# ---------------------------------------------------------------------- #
+# Certified fp32 keys (the ranking walk's first pass)
+# ---------------------------------------------------------------------- #
+_U32, _U64 = 2.0 ** -24, 2.0 ** -53
+#: Smallest normal fp32: more than the absolute error of one fp32 rounding
+#: that underflows, even where subnormals flush to zero.
+_ETA32 = 2.0 ** -126
+#: Largest ``‖−2q‖`` or ``max ‖c‖`` the fp32 walk takes: every fp32 product,
+#: sum and key then stays below ``2¹⁰¹``, far from overflow.
+_FP32_SAFE = 2.0 ** 50
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's ``γ_n = n u / (1 − n u)``: the relative error bound of an
+    ``n``-term dot product rounded in any order at unit roundoff ``u``."""
+    return n * u / (1 - n * u)
+
+
+def _fp32_queries(queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(q32, q_norm)`` of fp64 queries ``−2q``: the fp32 operand with a
+    column of ones (it meets the block norms), and ``‖−2q‖`` rounded up —
+    infinite where it is not finite or exceeds :data:`_FP32_SAFE`."""
+    n, k = queries.shape
+    q32 = np.ones((n, k + 1), dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q32[:, :k] = queries
+        q_norm = np.linalg.norm(queries, axis=1) * (1 + 2.0 ** -30)
+    q_norm[~(q_norm <= _FP32_SAFE)] = np.inf
+    return q32, q_norm
+
+
+def _fp32_tile(q32: np.ndarray, q_norm: np.ndarray, cand: np.ndarray,
+               cand32: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Write the fp32 keys ``‖c‖² − 2q·c`` of ``cand`` into ``keys``; return
+    each query's :func:`_fp32_key_margin` for the block."""
+    w, k = cand.shape
+    block = cand32[:w * (k + 1)].reshape(w, k + 1)
+    rows = block[:, :k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.copyto(rows, cand, casting="same_kind")
+        np.einsum("ij,ij->i", rows, rows, out=block[:, k])
+        np.matmul(q32, block.T, out=keys)
+    return _fp32_key_margin(q_norm, float(block[:, k].max()) if w else 0.0, k)
+
+
+def _fp32_key_margin(q_norm: np.ndarray, sq_max: float, k: int) -> np.ndarray:
+    """Bound on ``|K32 − K64|`` for each query and any candidate of a block.
+
+    ``K32`` is the walk's fp32 key, ``K64`` the fp64 key
+    ``fl(fl(−2q·c) + fl(‖c‖²))``, both of the float64 operands ``a = −2q``
+    and ``c`` whose exact key is ``K``.  With ``A ≥ ‖a‖`` (``q_norm``),
+    ``C ≥ ‖c‖`` and ``u`` the fp32 unit roundoff:
+
+    * the casts ``â``, ``ĉ`` move ``a·c + ‖c‖²`` by at most
+      ``(2u + u²)(AC + C²)``;
+    * the fp32 norm ``N̂`` of ``ĉ`` is within ``γ_k ‖ĉ‖²`` of it, and the
+      ``(k + 1)``-term sgemm of ``[â, 1]·[ĉ, N̂]`` within
+      ``γ_{k+1}(Σ|â ĉ| + N̂)``;
+    * ``K64`` is within ``γ_{k+1}(AC + C²)`` of ``K`` at fp64.
+
+    Summed, ``|K32 − K64| ≤ c₁·AC + c₂·C²`` (the norm's ``γ_k`` is in
+    ``c₂`` only), plus an absolute term for every rounding that underflows.
+    ``C`` is taken from the block's largest fp32 norm ``sq_max``, widened
+    for that norm's own rounding.  Infinite where an operand is not finite
+    or exceeds :data:`_FP32_SAFE`: the counter then leaves the query
+    unresolved.
+    """
+    c1, c2, tiny, g = _fp32_margin_terms(k)
+    c = (math.sqrt((sq_max + k * _ETA32) * (1 + 2 * g)) * (1 + 2 * _U32)
+         + math.sqrt(k) * _ETA32)
+    if not c <= _FP32_SAFE:
+        return np.full(q_norm.shape, np.inf, dtype=np.float64)
+    return q_norm * (c1 * c + tiny) + (c2 * c * c + tiny * (1 + c))
+
+
+@functools.lru_cache(maxsize=None)
+def _fp32_margin_terms(k: int) -> Tuple[float, float, float, float]:
+    """``(c₁, c₂, absolute, γ_k)`` of :func:`_fp32_key_margin` at width ``k``,
+    each rounded up by ``2⁻³⁰`` to cover the fp64 arithmetic of the bound."""
+    u, g, g1 = _U32, _gamma(k, _U32), _gamma(k + 1, _U32)
+    shared = 2 * u + u * u + _gamma(k + 1, _U64)  # the casts and K64
+    up = 1 + 2.0 ** -30
+    return (((1 + u) ** 2 * g1 + shared) * up,
+            ((1 + u) ** 2 * (g1 * (1 + g) + g) + shared) * up,
+            (4 * k + 8) * _ETA32 * up, g)
+
+
+def _fp64_keys(queries: np.ndarray, cand: np.ndarray, j: np.ndarray,
+               c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(key, margin)`` of the pairs (query ``j[i]``, candidate ``c[i]``).
+
+    ``key`` is ``c·(c − 2q)`` at fp64 from the rows, ``margin`` a bound on
+    its distance to the GEMM tile's fp64 key: each is within ``γ_{k+1}
+    Σ|c|(|c| + |2q|)`` of the exact key, whatever order either sums in, and
+    ``2⁻¹⁰⁰⁰`` covers every rounding that underflows.
+    """
+    rows = np.asarray(cand[c], dtype=np.float64)
+    a = queries[j]
+    key = np.einsum("ij,ij->i", rows, rows + a)
+    size = np.einsum("ij,ij->i", np.abs(rows, out=rows), rows + np.abs(a, out=a))
+    return key, _gamma(rows.shape[1] + 1, _U64) * (2 + 2.0 ** -28) * size + 2.0 ** -1000

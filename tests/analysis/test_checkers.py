@@ -150,6 +150,21 @@ class TestDtypeChecker:
             ("dtype-promotion", "src/repro/data/known.py", 5),
         ]
 
+    def test_ranking_walk_must_name_its_dtype(self, tmp_path):
+        make_project(tmp_path, {
+            "src/repro/models/base.py": (
+                "import numpy as np\n"
+                "def walk(b):\n"
+                "    scratch = np.empty(0)\n"
+                "    tile = np.empty(b, dtype=np.float32)\n"
+                "    return scratch, tile\n"
+            ),
+            # The rest of models/ stays outside the rule.
+            "src/repro/models/transe.py": "import numpy as np\nx = np.empty(3)\n",
+        })
+        findings = run_checks(tmp_path, rules=["dtype-ctor"])
+        assert [(f.path, f.line) for f in findings] == [("src/repro/models/base.py", 3)]
+
     def test_out_of_scope_module_ignored(self, tmp_path):
         make_project(tmp_path, {
             "src/repro/utils/mod.py": "import numpy as np\nx = np.empty(3)\n",
