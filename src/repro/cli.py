@@ -148,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "instead of micro-batching concurrent queries")
     serve.add_argument("--max-batch", type=int, default=64,
                        help="largest coalesced query batch")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="how long to hold an open batch for more queries")
     serve.add_argument("--ann", default="auto", choices=["auto", "ivf", "off"],
                        help="ANN index policy for artifact directories: 'auto' "
                             "uses index/ when present, 'ivf' requires it, "
@@ -548,7 +546,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             server = make_server(engine, host=args.host, port=args.port,
                                  coalesce=not args.no_coalesce,
                                  max_batch=args.max_batch,
-                                 max_wait_ms=args.max_wait_ms,
                                  verbose=args.verbose)
             print(json.dumps({"serving": server.url,
                               "model": type(engine.model).__name__,

@@ -637,8 +637,8 @@ class TranslationalModel(KGEModel):
                         continue
                     dtype = np.float32 if certified else np.result_type(queries.dtype,
                                                                         cand.dtype)
-                    if scratch.dtype != dtype or scratch.size < b * block_rows:
-                        scratch = np.empty(b * block_rows, dtype=dtype)
+                    if scratch.dtype != dtype or scratch.size < max(b, 2) * block_rows:
+                        scratch = np.empty(max(b, 2) * block_rows, dtype=dtype)
                     keys = scratch[:queries.shape[0] * cand.shape[0]].reshape(
                         queries.shape[0], cand.shape[0])
                     if certified:
@@ -647,7 +647,15 @@ class TranslationalModel(KGEModel):
                               functools.partial(_fp64_keys, queries, cand))
                         continue
                     cand = cand.astype(dtype, copy=False)
-                    np.matmul(queries.astype(dtype, copy=False), cand.T, out=keys)
+                    queries = queries.astype(dtype, copy=False)
+                    if queries.shape[0] == 1:
+                        # One row would take BLAS's GEMV path, which rounds
+                        # differently from the GEMM of any wider tile: the row
+                        # goes in twice, and scratch's first row is ``keys``.
+                        np.matmul(np.repeat(queries, 2, axis=0), cand.T,
+                                  out=scratch[:2 * cand.shape[0]].reshape(2, -1))
+                    else:
+                        np.matmul(queries, cand.T, out=keys)
                     keys += np.einsum("ij,ij->i", cand, cand)
                     count(keys, rows, start)
 

@@ -1,9 +1,9 @@
 """Deadline-aware batch scheduling for the serving worker pool.
 
-The PR 2 :class:`~repro.serving.request_batcher.RequestBatcher` ships a batch
-when it is full or a *fixed* wait window expires — a latency/throughput
-trade-off chosen once, blind to each request's SLO.  The pool workers replace
-that with deadline-aware shipping: a batch ships when it is full **or** when
+The threaded tier's :class:`~repro.serving.request_batcher.RequestBatcher`
+ships whatever is queued the moment its worker is free: it never waits for
+a batch to fill, whatever each request's SLO would allow.  The pool workers
+ship deadline-aware instead: a batch ships when it is full **or** when
 waiting any longer would make the oldest request miss its deadline, where
 "any longer" is judged against a live estimate of how long the batch will
 take to execute.  Lightly loaded workers therefore wait almost the whole

@@ -9,12 +9,12 @@ fork — for artifact serving that is ``InferenceEngine.from_artifact(path)``,
 so every worker memory-maps the same on-disk ``weights/*.npy`` / ``index/``
 files and the OS page cache backs them all with one physical copy.  Nothing model-sized is ever pickled or duplicated.
 
-Inside each worker the fixed-window :class:`RequestBatcher` semantics are
-replaced by **deadline-aware batching** (:mod:`repro.serving.deadline`): the
-worker blocks on its request pipe for exactly as long as the oldest pending
-request's deadline minus the estimated batch service time allows, so lightly
-loaded workers coalesce aggressively while near-deadline requests ship at
-once.
+Inside each worker, where the threaded tier's :class:`RequestBatcher` ships
+whatever is queued, batching is **deadline-aware**
+(:mod:`repro.serving.deadline`): the worker blocks on its request pipe for
+exactly as long as the oldest pending request's deadline minus the estimated
+batch service time allows, so lightly loaded workers coalesce aggressively
+while near-deadline requests ship at once.
 
 Wire protocol (pickled tuples over a duplex ``multiprocessing.Pipe``; the
 ``fork`` start method means nothing else — in particular not the engine

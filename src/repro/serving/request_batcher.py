@@ -4,25 +4,25 @@ A serving process receives top-k requests one at a time (one per HTTP
 request), but the engine answers a *batch* of queries for nearly the price of
 one: ``score_all_tails`` over B query rows is a single vectorised pass, while
 B separate calls pay the Python/kernel dispatch overhead B times.  The
-batcher closes that gap: requests arriving within a short window are
-collected and executed as one ``top_k_tails_batch``/``top_k_heads_batch``
+batcher closes that gap: requests that queue up while the engine is busy
+are executed together as one ``top_k_tails_batch``/``top_k_heads_batch``
 call, Helmsman-style.
 
 Mechanics: callers block in :meth:`RequestBatcher.top_k_tails` /
 ``top_k_heads`` while a single worker thread drains the shared queue.  The
-worker takes the first pending request, then keeps gathering until either
-``max_batch`` requests are in hand or ``max_wait_ms`` has elapsed since the
-batch opened, and answers it through
+worker takes the first pending request plus whatever is already queued
+behind it, up to ``max_batch``, and answers that batch at once through
 :func:`~repro.serving.validation.top_k_groups` — one engine call per
-direction, the same execution the pool workers use.  Per-request exceptions
-are propagated back to their caller without poisoning the rest of the batch.
+direction, the same execution the pool workers use.  It never holds a batch
+open: a lone request is dispatched at once, and requests arriving while a
+batch executes form the next one.  Per-request exceptions are propagated
+back to their caller without poisoning the rest of the batch.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -59,18 +59,13 @@ class RequestBatcher:
         The :class:`~repro.serving.engine.InferenceEngine` executing batches.
     max_batch:
         Largest number of requests dispatched as one engine call.
-    max_wait_ms:
-        How long the worker holds an open batch waiting for more requests.
-        This bounds added latency: a lone request is delayed at most this long.
     """
 
-    def __init__(self, engine: InferenceEngine, max_batch: int = 64,
-                 max_wait_ms: float = 2.0) -> None:
+    def __init__(self, engine: InferenceEngine, max_batch: int = 64) -> None:
         if max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
         self.engine = engine
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_ms) / 1000.0
         self._queue: "queue.Queue[Optional[_PendingRequest]]" = queue.Queue()
         # Guards the closed-flag/enqueue pair: no request can slip into the
         # queue behind the shutdown sentinel and block its caller forever.
@@ -177,13 +172,9 @@ class RequestBatcher:
     # ------------------------------------------------------------------ #
     def _collect_batch(self, first: _PendingRequest) -> List[_PendingRequest]:
         batch = [first]
-        deadline = time.monotonic() + self.max_wait_s
         while len(batch) < self.max_batch:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
             try:
-                item = self._queue.get(timeout=remaining)
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is None:

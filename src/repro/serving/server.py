@@ -40,6 +40,8 @@ class ServingHandler(BaseHTTPRequestHandler):
 
     server: "InferenceServer"
     protocol_version = "HTTP/1.1"
+    # A keep-alive reply must not wait for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------ #
     # Plumbing
@@ -53,8 +55,13 @@ class ServingHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # Status line, headers and body leave in one write: one ``sendall``,
+        # one segment.  An HTTP/0.9 reply is the body alone.
+        self._headers_buffer = getattr(self, "_headers_buffer", [])
+        if self.request_version != "HTTP/0.9":
+            self._headers_buffer.append(b"\r\n")
+        self._headers_buffer.append(body)
+        self.flush_headers()
 
     # ------------------------------------------------------------------ #
     # Routes
@@ -113,8 +120,8 @@ class InferenceServer(ThreadingHTTPServer):
     coalesce:
         Route top-k requests through a :class:`RequestBatcher` so concurrent
         queries share scoring calls.  Disable to measure the unbatched path.
-    max_batch, max_wait_ms:
-        Batcher tuning knobs (ignored when ``coalesce`` is false).
+    max_batch:
+        Largest coalesced batch (ignored when ``coalesce`` is false).
     verbose:
         Log one line per request (off by default; serving is chatty).
     """
@@ -123,13 +130,12 @@ class InferenceServer(ThreadingHTTPServer):
 
     def __init__(self, engine: InferenceEngine, host: str = "127.0.0.1",
                  port: int = 0, coalesce: bool = True, max_batch: int = 64,
-                 max_wait_ms: float = 2.0, verbose: bool = False) -> None:
+                 verbose: bool = False) -> None:
         super().__init__((host, port), ServingHandler)
         self.engine = engine
         self.verbose = bool(verbose)
         self.batcher: Optional[RequestBatcher] = (
-            RequestBatcher(engine, max_batch=max_batch, max_wait_ms=max_wait_ms)
-            if coalesce else None
+            RequestBatcher(engine, max_batch=max_batch) if coalesce else None
         )
 
     @property
@@ -150,12 +156,11 @@ class InferenceServer(ThreadingHTTPServer):
 
 def make_server(engine: InferenceEngine, host: str = "127.0.0.1", port: int = 0,
                 coalesce: bool = True, max_batch: int = 64,
-                max_wait_ms: float = 2.0, verbose: bool = False) -> InferenceServer:
+                verbose: bool = False) -> InferenceServer:
     """Construct (but do not start) an :class:`InferenceServer`.
 
     Call ``serve_forever()`` on the result — from the current thread for a
     real deployment (the CLI does this), or a background thread in tests.
     """
     return InferenceServer(engine, host=host, port=port, coalesce=coalesce,
-                           max_batch=max_batch, max_wait_ms=max_wait_ms,
-                           verbose=verbose)
+                           max_batch=max_batch, verbose=verbose)

@@ -337,3 +337,24 @@ def test_partitioned_table_faults_each_bucket_once_per_chunk():
         assert len(walks) == 3
     finally:
         _close(model)
+
+
+def test_lone_re_walk_keys_equal_its_row_of_a_pair():
+    """A one-query fp64 re-walk must not take BLAS's one-row (GEMV) path,
+    whose rounding differs from the GEMM's: its keys equal the same query's
+    keys in a two-query re-walk, bit for bit, so a re-walked rank does not
+    depend on which other queries of its chunk were re-walked with it."""
+    model = SpTransE(3000, 2, 128, rng=0)
+    anchors = model.entity_embedding_rows(np.array([7, 11]))
+    relations = np.array([0, 1])
+
+    def re_walk_keys(b):
+        keys = np.empty((b, model.n_entities))
+
+        def keep(tile, rows, start):
+            keys[rows, start:start + tile.shape[1]] = tile
+
+        model._walk_keys(model._query_groups(anchors[:b], relations[:b], b), keep)
+        return keys
+
+    np.testing.assert_array_equal(re_walk_keys(1)[0], re_walk_keys(2)[0])

@@ -2,7 +2,10 @@
 
 import http.client
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -11,6 +14,7 @@ import pytest
 
 from repro.registry import ModelSpec, build_model
 from repro.serving import InferenceEngine, make_server
+from repro.serving.server import ServingHandler
 
 
 @pytest.fixture
@@ -20,7 +24,7 @@ def served():
                                   n_entities=30, n_relations=4,
                                   embedding_dim=8), rng=0)
     engine = InferenceEngine(model, known_triples=[(0, 1, 2)], cache_size=32)
-    server = make_server(engine, port=0, max_wait_ms=1.0)
+    server = make_server(engine, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server, model
@@ -168,29 +172,48 @@ class TestErrorHandling:
 
 
 class TestCoalescingOverHTTP:
-    def test_concurrent_http_queries_share_scoring_calls(self, served):
-        server, _ = served
+    def test_queries_queued_behind_a_busy_engine_share_one_call(self, served):
+        """The first query holds the engine until the other seven are
+        queued; they are then answered by one scoring call."""
+        server, model = served
         server.engine.cache.clear()
         baseline_calls = server.engine.stats()["scoring_calls"]
-        barrier = threading.Barrier(8)
+        batch = server.engine.top_k_tails_batch
+        entered, release = threading.Event(), threading.Event()
+
+        def gated_batch(queries):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(timeout=30.0)
+            return batch(queries)
+
+        server.engine.top_k_tails_batch = gated_batch
         results = {}
 
         def worker(i):
-            barrier.wait()
             results[i] = post(server, "/v1/top_k_tails",
                               {"head": i, "relation": 0, "k": 3})
 
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for t in threads:
+        threads = [threading.Thread(target=worker, args=(0,))]
+        threads[0].start()
+        assert entered.wait(timeout=10.0)
+        threads += [threading.Thread(target=worker, args=(i,)) for i in range(1, 8)]
+        for t in threads[1:]:
             t.start()
+        deadline = time.monotonic() + 10.0
+        while server.batcher._queue.qsize() < 7:
+            assert time.monotonic() < deadline, "queries never reached the batcher"
+            time.sleep(0.001)
+        release.set()
         for t in threads:
-            t.join()
+            t.join(timeout=10.0)
+            assert not t.is_alive(), "a query hung"
 
-        assert len(results) == 8
-        batcher_stats = server.batcher.stats()
-        assert batcher_stats["requests"] >= 8
-        # Eight distinct queries must have cost fewer than eight scoring calls.
-        assert server.engine.stats()["scoring_calls"] - baseline_calls < 8
+        for i in range(8):
+            assert results[i]["entities"] == [int(e)
+                                              for e in model.predict_tails(i, 0, k=3)]
+        assert server.batcher.stats()["largest_batch"] == 7
+        assert server.engine.stats()["scoring_calls"] - baseline_calls == 2
 
 
 class TestAnnOverrides:
@@ -280,3 +303,110 @@ class TestKeepAlive:
             assert conn.sock is sock
         finally:
             conn.close()
+
+
+def read_reply(sock, buffered: bytearray):
+    """``(status, body)`` of one HTTP/1.1 reply read off a raw socket."""
+    while b"\r\n\r\n" not in buffered:
+        chunk = sock.recv(65536)
+        assert chunk, "server closed the connection"
+        buffered += chunk
+    head, _, rest = bytes(buffered).partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    length = next(int(line.split(":", 1)[1]) for line in lines[1:]
+                  if line.lower().startswith("content-length:"))
+    while len(rest) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "server closed the connection"
+        rest += chunk
+    buffered[:] = rest[length:]
+    return int(lines[0].split()[1]), rest[:length]
+
+
+class TestReplyPath:
+    """No reply waits on a timer: one write per reply, Nagle off.
+
+    A reply written as two segments on a keep-alive socket with Nagle on
+    holds its second segment until the client's delayed ACK, 40 ms on Linux.
+    """
+
+    @pytest.fixture
+    def handlers(self, monkeypatch):
+        """Every handler set up from here on, its writes and its socket's
+        ``TCP_NODELAY`` recorded."""
+        seen = []
+        setup = ServingHandler.setup
+
+        def spying_setup(handler):
+            setup(handler)
+            handler.nodelay = handler.connection.getsockopt(socket.IPPROTO_TCP,
+                                                            socket.TCP_NODELAY)
+            handler.writes = []
+            write = handler.wfile.write
+
+            def spy(data):
+                handler.writes.append(bytes(data))
+                return write(data)
+
+            handler.wfile.write = spy
+            seen.append(handler)
+
+        monkeypatch.setattr(ServingHandler, "setup", spying_setup)
+        return seen
+
+    def test_each_reply_is_one_write(self, served, handlers):
+        server, _ = served
+        conn = http.client.HTTPConnection(*server.server_address, timeout=10)
+        requests = [("GET", "/v1/health", None),
+                    ("POST", "/v1/top_k_tails", {"head": 1, "relation": 0, "k": 3}),
+                    ("POST", "/v1/top_k_tails", {"relation": 0}),
+                    ("GET", "/v1/nope", None)]
+        bodies = []
+        try:
+            for method, path, payload in requests:
+                conn.request(method, path, headers={"Content-Type": "application/json"},
+                             body=None if payload is None else json.dumps(payload))
+                bodies.append(conn.getresponse().read())
+        finally:
+            conn.close()
+        (handler,) = handlers
+        assert len(handler.writes) == len(requests)
+        for write, body in zip(handler.writes, bodies):
+            assert write.startswith(b"HTTP/1.1 ") and write.endswith(b"\r\n\r\n" + body)
+
+    def test_http_0_9_reply_is_the_body_alone(self, served, handlers):
+        server, _ = served
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            sock.sendall(b"GET /v1/health\r\n\r\n")
+            reply = b"".join(iter(lambda: sock.recv(65536), b""))
+        assert json.loads(reply)["status"] == "ok"
+        assert handlers[0].writes == [reply]
+
+    def test_accepted_socket_has_nodelay(self, served, handlers):
+        server, _ = served
+        get(server, "/v1/health")
+        (handler,) = handlers
+        assert handler.nodelay
+
+    def test_keep_alive_round_trips_do_not_stall(self, served):
+        """Median of the last 10 of 12 round trips per route under 20 ms, half
+        the delayed-ACK floor (the first few ride TCP's quick-ACK start)."""
+        server, _ = served
+        top_k = json.dumps({"head": 1, "relation": 0, "k": 3}).encode()
+        routes = {
+            "health": b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n",
+            "top_k": (b"POST /v1/top_k_tails HTTP/1.1\r\nHost: x\r\n"
+                      b"Content-Type: application/json\r\n"
+                      b"Content-Length: %d\r\n\r\n" % len(top_k)) + top_k,
+        }
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            buffered = bytearray()
+            for name, request in routes.items():
+                rtt_ms = []
+                for _ in range(12):
+                    start = time.perf_counter()
+                    sock.sendall(request)
+                    status, _ = read_reply(sock, buffered)
+                    rtt_ms.append((time.perf_counter() - start) * 1e3)
+                    assert status == 200
+                assert statistics.median(rtt_ms[2:]) < 20.0, (name, rtt_ms)

@@ -79,7 +79,7 @@ CASES = [
 
 @pytest.fixture(scope="module")
 def tiers():
-    threaded = make_server(make_engine(), port=0, max_wait_ms=1.0)
+    threaded = make_server(make_engine(), port=0)
     thread = threading.Thread(target=threaded.serve_forever, daemon=True)
     thread.start()
     pool = AsyncInferenceServer(make_engine, workers=1, deadline_ms=5_000.0)

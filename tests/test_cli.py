@@ -90,7 +90,7 @@ class TestParser:
                     for opt in action.option_strings if opt not in ("-h", "--help")}
 
         assert options("evaluate") == {"--checkpoint", "--ks", "--split"}
-        assert len(options("serve")) == 14
+        assert len(options("serve")) == 13
         assert not options("serve") & {"--dataset", "--scale", "--triples-file",
                                        "--data-seed", "--storage"}
 
