@@ -2,16 +2,18 @@
 
 The repo's hot paths juggle three kinds of OS-backed handles — SQLite
 connections (``sqlite3.connect``), plain files (``open``), and memory maps
-(``np.load(..., mmap_mode=...)`` / ``np.lib.format.open_memmap``).  A
-handle that is opened but not released on *every* normal path out of the
-function is a descriptor leak; on the serving side the transient-mmap
-pattern makes this easy to get wrong inside rescoring loops.
+(``mmap.mmap``, ``np.load(..., mmap_mode=...)`` /
+``np.lib.format.open_memmap``).  A handle that is opened but not released
+on *every* normal path out of the function is a descriptor leak; a raw map
+holds a duplicate of its file's descriptor until it is closed, so one made
+per read inside a rescoring loop leaks a descriptor per read.
 
 Mechanics, per function (forward dataflow over the :mod:`dataflow` CFG):
 
 * an **acquisition** bound to a local starts ``open``;
-* ``x.close()``, ``del x`` (the canonical release for ``np.memmap``, which
-  has no ``close()``), and ``with x:`` move it to ``closed``;
+* ``x.close()`` (files, connections, ``mmap.mmap``), ``del x`` (the
+  canonical release for ``np.memmap``, which has no ``close()``), and
+  ``with x:`` move it to ``closed``;
 * passing the handle to *any* call, returning/yielding it, or storing it
   on an object moves it to ``escaped`` — ownership transferred, the
   caller/consumer is now responsible;
@@ -55,7 +57,8 @@ _KIND_TEXT = {
 _RELEASE_HINT = {
     "file": "close it, use `with`, or hand it to an owner that closes it",
     "sqlite": "close it, use `with contextlib.closing(...)`, or pass it on",
-    "mmap": "release it with `del` once copied out (np.memmap has no close)",
+    "mmap": ("close it (mmap.mmap), `del` it once copied out (np.memmap "
+             "has no close), or hand it to an owner that closes it"),
 }
 
 
@@ -78,7 +81,9 @@ def acquisition_kind(node: ast.Call) -> Optional[str]:
                     and kw.value.value is None):
                 return "mmap"
         return None
-    if func.attr == "open_memmap":
+    if func.attr == "open_memmap" or (
+            func.attr == "mmap" and isinstance(base, ast.Name)
+            and base.id == "mmap"):
         return "mmap"
     return None
 
@@ -281,8 +286,8 @@ class ResourceLifecycleChecker(Checker):
     name = "resource-lifecycle"
     rule_ids = ("resource-lifecycle",)
     description = (
-        "acquired handles (open/sqlite3.connect/mmap-mode np.load/"
-        "open_memmap) must be closed on every normal path, managed by "
+        "acquired handles (open/sqlite3.connect/mmap.mmap/mmap-mode "
+        "np.load/open_memmap) must be closed on every normal path, managed by "
         "`with`, or handed off; functions returning open handles taint "
         "their callers (interprocedural)"
     )

@@ -32,10 +32,12 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import shutil
 import tempfile
 import time
+import weakref
 from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -83,43 +85,47 @@ def bucket_filename(bucket: int) -> str:
     return f"entities.bucket{int(bucket)}.npy"
 
 
-def _holds_payload_of(handle, array: np.ndarray) -> bool:
-    """Whether the open ``.npy`` ``handle`` is a C-ordered file of ``array``'s
-    shape, dtype and exact length; leaves the position at the payload."""
+def _holds_payload(handle, shape: Tuple[int, ...], dtype: np.dtype) -> bool:
+    """Whether the open ``.npy`` ``handle`` is a C-ordered file of exactly
+    ``shape`` and ``dtype``; leaves the position at the payload."""
     try:
         version = npy_format.read_magic(handle)
         if version == (1, 0):
-            shape, fortran_order, dtype = npy_format.read_array_header_1_0(handle)
+            header = npy_format.read_array_header_1_0(handle)
         elif version == (2, 0):
-            shape, fortran_order, dtype = npy_format.read_array_header_2_0(handle)
+            header = npy_format.read_array_header_2_0(handle)
         else:
             return False
     except ValueError:  # not an .npy file, or a header numpy cannot parse
         return False
-    return (shape == array.shape and dtype == array.dtype and not fortran_order
-            and os.fstat(handle.fileno()).st_size == handle.tell() + array.nbytes)
+    nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    # ``header`` is ``(shape, fortran_order, dtype)``.
+    return (header == (tuple(shape), False, dtype)
+            and os.fstat(handle.fileno()).st_size == handle.tell() + nbytes)
 
 
-def save_in_place(path: str, array: np.ndarray) -> None:
+def save_in_place(path: str, array: np.ndarray) -> bool:
     """``np.save(path, array)`` that overwrites a matching file's payload.
 
     Buckets and their optimiser-state slabs are rewritten at the same shape
     and dtype on every eviction.  When ``path`` already is such a file only
     the payload bytes are written over it: the bytes on disk are the ones
-    ``np.save`` produces, but the file is never truncated — a concurrent
-    ``np.load(mmap_mode="r")`` reader keeps a whole mapping — and no
-    page-cache page or disk block is freed and reallocated.  A missing file or
-    one of another shape, dtype, order or length takes plain ``np.save``.
+    ``np.save`` produces, but the file keeps its inode and is never
+    truncated — a reader holding it mapped keeps a whole, coherent mapping —
+    and no page-cache page or disk block is freed and reallocated.  A missing
+    file or one of another shape, dtype, order or length takes plain
+    ``np.save``.  Returns whether the payload was written in place.
     """
     if array.flags.c_contiguous and not array.dtype.hasobject:
         try:
             with open(path, "r+b") as handle:
-                if _holds_payload_of(handle, array):
+                if _holds_payload(handle, array.shape, array.dtype):
                     handle.write(array.data)
-                    return
+                    return True
         except FileNotFoundError:
             pass
     np.save(path, array)
+    return False
 
 
 class BucketParameter(Parameter):
@@ -134,7 +140,9 @@ class BucketParameter(Parameter):
 
     def __init__(self, owner: "PartitionedEmbedding", bucket: int,
                  rows: int, dim: int, name: str) -> None:
-        self._owner = owner
+        # A proxy, not a reference: the table and its buckets form no cycle,
+        # so dropping the table's last holder closes its maps and fds at once.
+        self._owner = weakref.proxy(owner)
         self._bucket = int(bucket)
         self._bucket_shape = (int(rows), int(dim))
         self._slab: Optional[np.ndarray] = None
@@ -299,6 +307,10 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         self._owns_dir = False
         self._directory: Optional[str] = None
         self._quantized: Optional[str] = None
+        # bucket -> (read-only map of its float64 file, payload offset): the
+        # exact_rows reader, opened on first use and held until the table
+        # points at other files.
+        self._maps: Dict[int, Tuple[mmap.mmap, int]] = {}
         self._base_max_resident = self.max_resident
         self._resident_bytes = 0
         self.counters: Dict[str, float] = {
@@ -450,6 +462,7 @@ class PartitionedEmbedding(Module, EmbeddingTable):
                     if not os.path.exists(path):
                         raise FileNotFoundError(f"quantized bucket file missing: {path}")
         self._drop_resident()
+        self._close_maps()
         if self._owns_dir and self._directory is not None:
             shutil.rmtree(self._directory, ignore_errors=True)
         self._directory = directory
@@ -486,14 +499,16 @@ class PartitionedEmbedding(Module, EmbeddingTable):
                 np.save(target, param._slab)
             else:
                 shutil.copyfile(self._bucket_path(k), target)
+        self._close_maps()
         self._directory = new_dir
         self._owns_dir = directory is None
         self._dirty.clear()
         return new_dir
 
     def close(self) -> None:
-        """Drop resident slabs and delete owned storage."""
+        """Drop resident slabs and held maps, and delete owned storage."""
         self._drop_resident()
+        self._close_maps()
         if self._owns_dir and self._directory is not None:
             shutil.rmtree(self._directory, ignore_errors=True)
             self._directory = None
@@ -511,6 +526,13 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         self._resident.clear()
         self._dirty.clear()
         self._resident_bytes = 0
+
+    def _close_maps(self, *buckets: int) -> None:
+        """Close the held maps of ``buckets`` (every bucket when none given)."""
+        for bucket in buckets or tuple(self._maps):
+            held = self._maps.pop(bucket, None)
+            if held is not None:
+                held[0].close()
 
     # ------------------------------------------------------------------ #
     # Residency management
@@ -560,7 +582,8 @@ class PartitionedEmbedding(Module, EmbeddingTable):
             return
         slab = self._buckets[bucket]._slab
         t0 = time.perf_counter()
-        save_in_place(self._bucket_path(bucket), slab)
+        if not save_in_place(self._bucket_path(bucket), slab):
+            self._close_maps(bucket)  # a new file: a held map shows the old one
         self.counters["writebacks"] += 1
         self.counters["bytes_written"] += slab.nbytes
         self.counters["writeback_seconds"] += time.perf_counter() - t0
@@ -700,8 +723,12 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         dirty bucket of a writable table gives its current rows, not its
         stale file.  Any other bucket — evicted, or resident as a quantized
         twin — is read from its float64 ``entities.bucket<k>.npy`` file
-        through a transient memory map: only the requested rows are copied,
-        nothing enters the resident set and the LRU order is untouched.
+        through a read-only memory map the table opens on the bucket's first
+        such read and holds (:meth:`_exact_map`): only the requested rows are
+        copied, then the map's pages are released, so nothing enters the
+        resident set, the process RSS does not grow and the LRU order is
+        untouched.  An in-place write-back keeps the file's inode, so a held
+        map reads the rows written last.
         """
         idx = np.asarray(indices, dtype=np.int64).reshape(-1)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_entities):
@@ -714,11 +741,35 @@ class PartitionedEmbedding(Module, EmbeddingTable):
             if slab is not None and self._quantized is None:
                 out[order[sl]] = slab[local]
                 continue
-            exact = np.load(self._bucket_path(bucket), mmap_mode="r")
+            mapping, offset = self._exact_map(bucket)
+            exact = np.ndarray(self._buckets[bucket].shape, dtype=np.float64,
+                               buffer=mapping, offset=offset)
             out[order[sl]] = exact[local]
-            del exact  # drop the mmap (and its fd) as soon as rows are copied
+            del exact  # the view pins the map's buffer
+            mapping.madvise(mmap.MADV_DONTNEED)
         self.counters["exact_row_reads"] += int(idx.size)
         return out
+
+    def _exact_map(self, bucket: int) -> Tuple[mmap.mmap, int]:
+        """``bucket``'s float64 file mapped read-only, and its payload offset.
+
+        Opened once and held: the ``.npy`` header is parsed and checked
+        against the bucket's shape when the map is made, not on every read.
+        """
+        held = self._maps.get(bucket)
+        if held is not None:
+            return held
+        path = self._bucket_path(bucket)
+        with open(path, "rb") as handle:
+            if not _holds_payload(handle, self._buckets[bucket].shape,
+                                  np.dtype(np.float64)):
+                raise ValueError(
+                    f"{path} is not a C-ordered float64 "
+                    f"{self._buckets[bucket].shape} .npy file")
+            offset = handle.tell()
+            mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        self._maps[bucket] = (mapping, offset)
+        return mapping, offset
 
     def iter_blocks(self, block_rows: int = DEFAULT_BLOCK_ROWS
                     ) -> Iterator[Tuple[int, np.ndarray]]:

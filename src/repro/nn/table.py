@@ -94,7 +94,11 @@ class EmbeddingTable:
 
     def exact_rows(self, indices: np.ndarray) -> np.ndarray:
         """Float64 copy of the rows at ``indices`` that leaves residency alone
-        (ANN probes and exact rescoring read through it); dense: :meth:`read_rows`."""
+        (ANN probes and exact rescoring read through it); dense: :meth:`read_rows`.
+
+        A paged table reads evicted rows from its files without loading them
+        (a partitioned one through a read-only map per bucket file, held by
+        the table and stripped of its pages after each read)."""
         return self.read_rows(indices)
 
     def iter_blocks(self, block_rows: int = DEFAULT_BLOCK_ROWS

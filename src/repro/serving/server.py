@@ -18,6 +18,7 @@ own so the override cannot leak onto batch-mates.
 from __future__ import annotations
 
 import json
+import socket
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional
 
@@ -127,6 +128,10 @@ class InferenceServer(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    # socketserver's default backlog of 5 overflows when a burst of clients
+    # connects at once: the kernel drops their SYNs and each waits out the
+    # 1 s retransmission timer (or its client's timeout).
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, engine: InferenceEngine, host: str = "127.0.0.1",
                  port: int = 0, coalesce: bool = True, max_batch: int = 64,

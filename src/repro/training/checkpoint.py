@@ -202,7 +202,7 @@ def save_checkpoint(path: str, model: KGEModel, optimizer: Optional[Optimizer] =
             source = os.path.join(table.directory, bucket_filename(k))
             target = os.path.join(weights_dir, bucket_filename(k))
             if os.path.abspath(source) != os.path.abspath(target):
-                shutil.copyfile(source, target)
+                _copy_weight(source, target)
         table.write_manifest(weights_dir)
     for name, param in model.named_parameters():
         if name not in bucket_names:
@@ -222,6 +222,15 @@ def _save_weight(path: str, array: np.ndarray) -> None:
     with open(partial, "wb") as handle:
         np.save(handle, array)
     os.replace(partial, path)
+
+
+def _copy_weight(source: str, target: str) -> None:
+    """``shutil.copyfile`` through a temporary file renamed over ``target``,
+    for the reason :func:`_save_weight` gives: a served table holding the old
+    bucket file mapped keeps reading its old rows."""
+    partial = target + ".partial"
+    shutil.copyfile(source, partial)
+    os.replace(partial, target)
 
 
 def _map_weight(weights_dir: str, name: str, param: Parameter) -> np.ndarray:

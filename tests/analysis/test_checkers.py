@@ -871,6 +871,54 @@ class TestResourceLifecycleChecker:
         })
         assert run_checks(tmp_path, rules=["resource-lifecycle"]) == []
 
+    def test_raw_map_left_open_flagged(self, tmp_path):
+        make_project(tmp_path, {
+            "src/repro/nn/rows.py": (
+                "import mmap\n"
+                "\n"
+                "def head(path):\n"
+                "    with open(path, 'rb') as fh:\n"
+                "        m = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)\n"
+                "    return bytes(m[:4])\n"
+            ),
+        })
+        findings = run_checks(tmp_path, rules=["resource-lifecycle"])
+        assert len(findings) == 1
+        assert "memory map acquired here" in findings[0].message
+        assert "head()" in findings[0].message
+        assert "close it (mmap.mmap)" in findings[0].message
+
+    def test_raw_map_closed_or_held_by_an_owner_passes(self, tmp_path):
+        make_project(tmp_path, {
+            "src/repro/nn/rows.py": (
+                "import mmap\n"
+                "\n"
+                "def head(path):\n"
+                "    with open(path, 'rb') as fh:\n"
+                "        m = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)\n"
+                "    out = m[:4]\n"
+                "    m.close()\n"
+                "    return out\n"
+                "\n"
+                "class Rows:\n"
+                "    def __init__(self):\n"
+                "        self._maps = {}\n"
+                "\n"
+                "    def mapping(self, key, fileno):\n"
+                "        held = mmap.mmap(fileno, 0, access=mmap.ACCESS_READ)\n"
+                "        self._maps[key] = held\n"
+                "        return held\n"
+                "\n"
+                "    def close(self):\n"
+                "        for held in self._maps.values():\n"
+                "            held.close()\n"
+                "\n"
+                "def first(rows, fileno):\n"
+                "    return rows.mapping(0, fileno)[:4]\n"
+            ),
+        })
+        assert run_checks(tmp_path, rules=["resource-lifecycle"]) == []
+
     def test_anonymous_acquisition_flagged(self, tmp_path):
         make_project(tmp_path, {
             "src/repro/data/io.py": (

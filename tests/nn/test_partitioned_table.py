@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import mmap
 import os
 
 import numpy as np
@@ -23,6 +24,29 @@ from repro.sparse.rowsparse import RowSparseGrad
 
 
 N, R, D = 103, 7, 12
+
+linux_only = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                reason="reads /proc/self")
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _mapped_rss_kb(path: str):
+    """``(found, kB)``: whether ``path`` is mapped in this process, and the
+    resident kB of its mappings, from ``/proc/self/smaps``."""
+    real = os.path.realpath(path)
+    found, rss, current = False, 0, False
+    with open("/proc/self/smaps", "r", encoding="utf-8") as handle:
+        for line in handle:
+            fields = line.split(None, 5)
+            if not fields[0].endswith(":"):  # a mapping's header line
+                current = len(fields) == 6 and fields[5].strip() == real
+                found = found or current
+            elif current and fields[0] == "Rss:":
+                rss += int(fields[1])
+    return found, rss
 
 
 @pytest.fixture
@@ -159,6 +183,125 @@ class TestExactRows:
     def test_row_ranges_are_the_buckets(self, table):
         assert table.row_ranges() == table.partition.ranges()
 
+    @staticmethod
+    def _spy_maps(monkeypatch):
+        """Record the inode of every file mapped from now on."""
+        mapped, real = [], mmap.mmap
+
+        def spy(fileno, *args, **kwargs):
+            mapped.append(os.fstat(fileno).st_ino)
+            return real(fileno, *args, **kwargs)
+
+        monkeypatch.setattr(mmap, "mmap", spy)
+        return mapped
+
+    def test_each_bucket_file_is_mapped_once(self, table, monkeypatch):
+        mapped = self._spy_maps(monkeypatch)
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            table.exact_rows(rng.integers(0, N, size=40))
+        inodes = {os.stat(os.path.join(table.directory, bucket_filename(k))).st_ino
+                  for k in range(4)}
+        assert sorted(mapped) == sorted(inodes)
+
+    @linux_only
+    def test_reads_hold_no_more_descriptors(self, table):
+        everything = np.arange(N)
+        table.exact_rows(everything)
+        before = _open_fds()
+        rng = np.random.default_rng(1)
+        for _ in range(1000):
+            table.exact_rows(rng.integers(0, N, size=8))
+        assert _open_fds() == before
+
+    @linux_only
+    def test_reloads_hold_no_more_descriptors(self, tmp_path):
+        from repro.ann import build_index_files, load_index
+        from repro.models.transe import SpTransE
+        from repro.serving import InferenceEngine
+        from repro.training.checkpoint import load_model, save_checkpoint
+
+        directory = str(tmp_path)
+        save_checkpoint(os.path.join(directory, "checkpoint.npz"),
+                        SpTransE(120, 4, 8, rng=5, partitions=3))
+        build_index_files(directory, kind="ivf", seed=0)
+        model = load_model(directory)
+        engine = InferenceEngine(model, ann_index=load_index(
+            os.path.join(directory, "index"), table=model.entity_table()))
+        del model
+        before = None
+        for step in range(21):
+            if step:
+                engine.reload(directory)
+            engine.nearest_entities(step, k=5)  # maps every probed bucket
+            engine.top_k_tails(step, 1, k=5)
+            if before is None:
+                before = _open_fds()
+        assert engine.ann_queries == 42  # both routes took the index
+        assert _open_fds() == before
+
+    def test_bucket_written_back_in_place_reads_its_new_rows(self, table,
+                                                             monkeypatch):
+        lo, _ = table.partition.bucket_range(1)
+        table.exact_rows(np.array([lo]))  # bucket 1's file is mapped
+        mapped = self._spy_maps(monkeypatch)
+        fresh = np.full((2, D), -4.25)
+        table.write_rows(np.array([lo, lo + 1]), fresh)
+        table._fault(0)
+        table._fault(2)  # evicts dirty bucket 1: in-place write-back
+        assert 1 not in table.resident_buckets()
+        assert np.array_equal(table.exact_rows(np.array([lo + 1, lo])),
+                              fresh[::-1])
+        assert mapped == []  # read through the map it already held
+
+    def test_bucket_rewritten_by_np_save_is_mapped_anew(self, table):
+        lo, _ = table.partition.bucket_range(1)
+        table.exact_rows(np.array([lo]))
+        held = table._maps[1][0]
+        fresh = np.full((1, D), 2.5)
+        table.write_rows(np.array([lo]), fresh)
+        with open(os.path.join(table.directory, bucket_filename(1)), "wb") as handle:
+            handle.write(b"foreign")  # not a bucket file: write-back np.saves
+        table._fault(0)
+        table._fault(2)
+        assert held.closed
+        assert np.array_equal(table.exact_rows(np.array([lo])), fresh)
+
+    def test_rehome_attach_and_close_drop_every_map(self, table, tmp_path):
+        everything = np.arange(N)
+        expected = table.exact_rows(everything)
+        held = [mapping for mapping, _ in table._maps.values()]
+        assert len(held) == 4
+        table.rehome(str(tmp_path / "rehomed"))
+        assert table._maps == {} and all(m.closed for m in held)
+        assert np.array_equal(table.exact_rows(everything), expected)
+
+        table.flush()
+        table.write_manifest()
+        other = PartitionedEmbedding(N, R, D, partitions=4, rng=0)
+        other.exact_rows(everything)
+        held = [mapping for mapping, _ in other._maps.values()]
+        other.attach_storage(table.directory)
+        assert other._maps == {} and all(m.closed for m in held)
+        assert np.array_equal(other.exact_rows(everything), expected)
+        held = [mapping for mapping, _ in other._maps.values()]
+        other.close()
+        assert other._maps == {} and all(m.closed for m in held)
+
+    @linux_only
+    def test_map_pages_are_released_after_a_read(self, tmp_path):
+        big = PartitionedEmbedding(8000, 0, 16, partitions=4, rng=0,
+                                   directory=str(tmp_path))
+        lo, hi = big.partition.bucket_range(2)
+        try:
+            big.exact_rows(np.arange(lo, hi))  # a whole 256 kB bucket
+            found, rss_kb = _mapped_rss_kb(
+                os.path.join(str(tmp_path), bucket_filename(2)))
+        finally:
+            big.close()
+        assert found
+        assert rss_kb <= mmap.PAGESIZE // 1024
+
 
 class TestStorageLifecycle:
     def test_manifest_roundtrip_and_attach(self, table, tmp_path):
@@ -267,13 +410,13 @@ class TestSaveInPlace:
                                                              monkeypatch):
         path = str(tmp_path / "slab.npy")
         first = np.arange(60, dtype=np.float64).reshape(5, 12)
-        save_in_place(path, first)  # missing file: plain np.save
+        assert save_in_place(path, first) is False  # missing file: plain np.save
         assert _file_bytes(path) == _np_save_bytes(first)
         reader = np.load(path, mmap_mode="r")  # a concurrent reader's mapping
         second = first * -2.0
         with monkeypatch.context() as patch:
             patch.delattr(np, "save")  # np.save would truncate under the mapping
-            save_in_place(path, second)
+            assert save_in_place(path, second) is True
         assert _file_bytes(path) == _np_save_bytes(second)
         assert np.array_equal(np.load(path), second)
         assert np.array_equal(reader, second)
@@ -289,7 +432,7 @@ class TestSaveInPlace:
     def test_falls_back_to_np_save_on_any_mismatch(self, tmp_path, replacement):
         path = str(tmp_path / "slab.npy")
         np.save(path, np.ones((5, 12), dtype=np.float64))
-        save_in_place(path, replacement)
+        assert save_in_place(path, replacement) is False
         assert _file_bytes(path) == _np_save_bytes(replacement)
         loaded = np.load(path)
         assert loaded.dtype == replacement.dtype

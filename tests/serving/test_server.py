@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import selectors
 import socket
 import statistics
 import threading
@@ -410,3 +411,64 @@ class TestReplyPath:
                     rtt_ms.append((time.perf_counter() - start) * 1e3)
                     assert status == 200
                 assert statistics.median(rtt_ms[2:]) < 20.0, (name, rtt_ms)
+
+
+class TestConnectionBurst:
+    """A burst of clients connecting while the engine is busy is accepted
+    whole: no SYN is dropped on a full listen backlog."""
+
+    def test_64_keep_alive_connections_at_once_are_all_answered(self, served):
+        server, model = served
+        batch = server.engine.top_k_tails_batch
+        entered, release = threading.Event(), threading.Event()
+
+        def gated_batch(queries):
+            entered.set()
+            assert release.wait(timeout=30.0)
+            return batch(queries)
+
+        server.engine.top_k_tails_batch = gated_batch
+        socks = [socket.socket() for _ in range(64)]
+        selector = selectors.DefaultSelector()
+        try:
+            start = time.perf_counter()
+            for i, sock in enumerate(socks):
+                sock.setblocking(False)
+                sock.connect_ex(server.server_address)
+                selector.register(sock, selectors.EVENT_WRITE, i)
+            connect_s = {}
+            while len(connect_s) < len(socks):
+                assert time.perf_counter() - start < 10.0, "connections hung"
+                for key, _ in selector.select(timeout=0.05):
+                    assert key.fileobj.getsockopt(socket.SOL_SOCKET,
+                                                  socket.SO_ERROR) == 0
+                    connect_s[key.data] = time.perf_counter() - start
+                    selector.unregister(key.fileobj)
+            # A dropped SYN is retried after TCP's 1 s initial timeout.
+            assert max(connect_s.values()) < 0.9, sorted(connect_s.values())[-3:]
+
+            def request(i):
+                body = json.dumps({"head": i % 30, "relation": 0, "k": 3}).encode()
+                return (b"POST /v1/top_k_tails HTTP/1.1\r\nHost: x\r\n"
+                        b"Content-Type: application/json\r\n"
+                        b"Content-Length: %d\r\n\r\n" % len(body)) + body
+
+            for i, sock in enumerate(socks):
+                sock.setblocking(True)
+                sock.settimeout(10.0)
+                sock.sendall(request(i))
+            assert entered.wait(timeout=10.0)
+            release.set()
+            for round_ in range(2):  # the second rides each kept-alive socket
+                for i, sock in enumerate(socks):
+                    if round_:
+                        sock.sendall(request(i))
+                    status, body = read_reply(sock, bytearray())
+                    assert status == 200, (i, body)
+                    assert json.loads(body)["entities"] == [
+                        int(e) for e in model.predict_tails(i % 30, 0, k=3)]
+        finally:
+            release.set()
+            selector.close()
+            for sock in socks:
+                sock.close()

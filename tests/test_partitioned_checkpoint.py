@@ -115,6 +115,23 @@ class TestPartitionedCheckpointLayout:
                               lazy.score_triples(triples))
         assert lazy.embeddings.stats()["faults"] > 0
 
+    def test_resave_leaves_a_served_table_its_old_rows(self, tmp_path):
+        """Re-saving an artifact renames new bucket files in; a table serving
+        the old ones keeps its map of them, whole and unchanged."""
+        path = str(tmp_path / "checkpoint.npz")
+        save_checkpoint(path, SpTransE(40, 3, 6, rng=1, partitions=3))
+        served = load_model(path).entity_table()
+        everything = np.arange(40)
+        old = served.exact_rows(everything)  # maps every bucket file
+        newer = SpTransE(40, 3, 6, rng=2, partitions=3)
+        save_checkpoint(path, newer)
+        assert not np.array_equal(newer.entity_table().to_matrix(), old)
+        assert np.array_equal(served.exact_rows(everything), old)
+        assert np.array_equal(load_model(path).entity_table().exact_rows(everything),
+                              newer.entity_table().to_matrix())
+        assert not [name for name in os.listdir(tmp_path / "weights")
+                    if name.endswith(".partial")]
+
 
 class TestHtModelArtifacts:
     """TransH and TransR page their entity table like TransE: a P = 3 artifact
