@@ -5,10 +5,10 @@ loss paths preserve the caller's floating dtype — a float32 model must
 never silently widen to float64 mid-pipeline.  Two rule ids enforce the
 static side of that contract inside the hot-path modules (``sparse/``,
 ``nn/``, ``losses/``, ``evaluation/``, ``ann/``, ``optim/`` — whose blocked
-updates allocate scratch next to fp32 tables — ``ranking.py``,
-``data/synthetic.py``, ``data/known.py``, whose index arrays feed the
-rank kernel, and ``models/base.py``, whose ranking walk mixes fp32 tiles
-with fp64 keys):
+updates allocate scratch next to fp32 tables — ``ranking.py``, whose
+table walk mixes fp32 tiles with fp64 keys, ``data/synthetic.py``,
+``data/known.py``, whose index arrays feed the rank kernel, and
+``models/base.py``, which sizes that walk's blocks):
 
 * ``dtype-ctor`` — ``np.zeros/empty/ones/full/arange`` without an explicit
   ``dtype=``.  Bare constructors default to float64 (int64 for arange),

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.ann.kmeans import default_n_clusters, kmeans
 from repro.nn.table import EmbeddingTable
-from repro.ranking import l2_distance_matrix, top_k
+from repro.ranking import TopK, l2_distance_matrix, top_k, walk_table
 
 #: Manifest filename written next to the index files.
 INDEX_MANIFEST = "index.json"
@@ -50,7 +50,7 @@ INDEX_MANIFEST_VERSION = 1
 #: Artifact subdirectory holding the index files (sibling of ``weights/``).
 ARTIFACT_INDEX = "index"
 
-#: Rows per table read of the exact top-k sweep behind recall measurements.
+#: Rows per ``exact_rows`` read of the exact scan behind recall measurements.
 EXACT_BLOCK_ROWS = 16384
 
 _INDEX_REGISTRY: Dict[str, Type["IVFIndex"]] = {}
@@ -405,37 +405,17 @@ class IVFIndex:
     # ------------------------------------------------------------------ #
     # Recall measurement / probe auto-tuning
     # ------------------------------------------------------------------ #
-    def _exact_topk(self, queries: np.ndarray, k: int) -> List[np.ndarray]:
-        """Exact top-``k`` ids per query, ascending by distance.
-
-        One pass over the table, :data:`EXACT_BLOCK_ROWS` rows of one range
-        at a time: each block is scored against every query in one
-        :func:`l2_distance_matrix` call, and each query's running top-k is
-        re-selected from its previous best plus the block.
-        """
-        queries = np.asarray(queries, dtype=np.float64)
-        n_q = queries.shape[0]
-        best_ids = np.empty((n_q, 0), dtype=np.int64)
-        best_dist = np.empty((n_q, 0), dtype=np.float64)
-        for part in range(self.n_buckets):
-            lo = int(self._range_start[part])
-            hi = int(self._range_start[part + 1])
-            for start in range(lo, hi, EXACT_BLOCK_ROWS):
-                block_ids = np.arange(start, min(hi, start + EXACT_BLOCK_ROWS),
-                                      dtype=np.int64)
-                block = self.table.exact_rows(block_ids)
-                ids = np.concatenate(
-                    (best_ids, np.broadcast_to(block_ids, (n_q, block_ids.size))),
-                    axis=1)
-                dist = np.concatenate(
-                    (best_dist, l2_distance_matrix(queries, block)), axis=1)
-                if dist.shape[1] > k:
-                    keep = np.argpartition(dist, k - 1, axis=1)[:, :k]
-                    ids = np.take_along_axis(ids, keep, axis=1)
-                    dist = np.take_along_axis(dist, keep, axis=1)
-                best_ids, best_dist = ids, dist
-        order = np.lexsort((best_ids, best_dist), axis=1)
-        return list(np.take_along_axis(best_ids, order, axis=1))
+    def _ground_truth(self, queries: np.ndarray, k: int) -> List[np.ndarray]:
+        """Exact top-``k`` ids per query by ``(distance, id)``: the table's own
+        scan, :data:`EXACT_BLOCK_ROWS` rows per ``exact_rows`` read (no fault)."""
+        blocks = ((start, self.table.exact_rows(np.arange(
+                      start, min(hi, start + EXACT_BLOCK_ROWS), dtype=np.int64)))
+                  for lo, hi in zip(self._range_start[:-1].tolist(),
+                                    self._range_start[1:].tolist())
+                  for start in range(lo, hi, EXACT_BLOCK_ROWS))
+        truth = TopK(queries.shape[0], k)
+        walk_table(blocks, [(slice(None), None, None, queries)], truth, distances=True)
+        return [ids for ids, _ in truth.results()]
 
     def recall_probe(self, queries: np.ndarray, k: int = 10,
                      nprobe: Optional[int] = None) -> float:
@@ -446,7 +426,7 @@ class IVFIndex:
         by :meth:`search` at ``nprobe``.
         """
         queries = np.asarray(queries, dtype=np.float64)
-        truth = self._exact_topk(queries, k)
+        truth = self._ground_truth(queries, k)
         return self._recall_against(queries, truth, k, self._clamp_nprobe(nprobe))
 
     def _recall_against(self, queries: np.ndarray, truth: List[np.ndarray],
@@ -470,7 +450,7 @@ class IVFIndex:
         where search degenerates to exact and recall is 1.0 by construction).
         """
         queries = np.asarray(queries, dtype=np.float64)
-        truth = self._exact_topk(queries, k)
+        truth = self._ground_truth(queries, k)
         nprobe = 1
         while nprobe < max(1, self.n_clusters):
             if self._recall_against(queries, truth, k, nprobe) >= target_recall:

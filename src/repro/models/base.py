@@ -9,8 +9,6 @@ code work unchanged across families.
 
 from __future__ import annotations
 
-import functools
-import math
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -23,6 +21,10 @@ from repro.nn.module import Module
 from repro.nn.partitioned import partitioned_tables
 from repro.nn.table import EmbeddingTable, block_rows_for
 from repro.utils.validation import check_triples
+
+#: Default ``chunk_size``: triples per :meth:`KGEModel.score_triples` chunk,
+#: and the most rows of one served block (``score_all_*`` and ``top_k``).
+CHUNK_SIZE = 65536
 
 
 class KGEModel(Module):
@@ -104,7 +106,7 @@ class KGEModel(Module):
         neg_scores = all_scores[m:]
         return criterion(pos_scores, neg_scores)
 
-    def score_triples(self, triples: np.ndarray, chunk_size: int = 65536) -> np.ndarray:
+    def score_triples(self, triples: np.ndarray, chunk_size: int = CHUNK_SIZE) -> np.ndarray:
         """Non-differentiable scores (used by evaluation), computed in chunks."""
         triples = check_triples(triples, n_entities=self.n_entities,
                                 n_relations=self.n_relations)
@@ -119,23 +121,26 @@ class KGEModel(Module):
     # Link prediction helpers
     # ------------------------------------------------------------------ #
     def score_all_tails(self, heads: np.ndarray, relations: np.ndarray,
-                        chunk_size: int = 65536) -> np.ndarray:
+                        chunk_size: int = CHUNK_SIZE) -> np.ndarray:
         """Score every entity as a candidate tail: ``(B, n_entities)``.
 
         The generic implementation expands to ``B * n_entities`` triples and
-        scores them in chunks; :class:`TranslationalModel` ranks in closed
-        form where the model's geometry allows it.
+        scores them in chunks (:func:`repro.ranking.candidate_expansion_scores`);
+        :class:`TranslationalModel` ranks in closed form where the model's
+        geometry allows it.
         """
         heads, relations = self._query_ids(heads, relations)
-        return self._score_all_generic(heads, relations, position="tail",
-                                       chunk_size=chunk_size)
+        keep = ranking.KeepKeys(heads.shape[0], self.n_entities)
+        self._rank_into(heads, relations, "tail", keep, chunk_size)
+        return keep.keys
 
     def score_all_heads(self, relations: np.ndarray, tails: np.ndarray,
-                        chunk_size: int = 65536) -> np.ndarray:
+                        chunk_size: int = CHUNK_SIZE) -> np.ndarray:
         """Score every entity as a candidate head: ``(B, n_entities)``."""
         tails, relations = self._query_ids(tails, relations)
-        return self._score_all_generic(relations, tails, position="head",
-                                       chunk_size=chunk_size)
+        keep = ranking.KeepKeys(tails.shape[0], self.n_entities)
+        self._rank_into(tails, relations, "head", keep, chunk_size)
+        return keep.keys
 
     def _query_ids(self, anchors, relations) -> Tuple[np.ndarray, np.ndarray]:
         """``int64`` ``(anchors, relations)`` of one ranking call, range-checked.
@@ -177,26 +182,37 @@ class KGEModel(Module):
                 compute_ranks(self.score_all_heads(relations, tails), heads,
                               head_exclusions))
 
-    def _score_all_generic(self, first: np.ndarray, second: np.ndarray,
-                           position: str, chunk_size: int) -> np.ndarray:
-        """Candidate-expansion ranking shared by the two ``score_all_*`` fallbacks.
+    def top_k(self, direction: str, anchors: np.ndarray, relations: np.ndarray,
+              k: int = 10, exclusions=None) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """``(ids, scores)`` of each query's ``k`` best ``direction``
+        (``"tail"``/``"head"``) candidates; ``anchors`` are the other end.
 
-        Delegates to :func:`repro.ranking.candidate_expansion_scores`, the one
-        implementation of the expand-and-chunk grid this library has.
+        The ``score_all_*`` scores, by ``(score, id)``, kept by a
+        :class:`~repro.ranking.TopK` sink that flat ``(rows, cols)``
+        ``exclusions`` never enter: a walk never builds the ``(B, N)`` block.
         """
-        return ranking.candidate_expansion_scores(
-            first, second, position=position, n_entities=self.n_entities,
-            score_triples=self.score_triples, chunk_size=chunk_size)
+        anchors, relations = self._query_ids(anchors, relations)
+        sink = ranking.TopK(anchors.shape[0], k, exclusions)
+        self._rank_into(anchors, relations, direction, sink, CHUNK_SIZE)
+        return sink.results()
+
+    def _rank_into(self, anchors: np.ndarray, relations: np.ndarray,
+                   direction: str, sink, chunk_size: int) -> None:
+        """Feed ``sink`` every candidate's score: here the expanded
+        candidate grid's ``(B, N)`` scores, as one tile."""
+        first, second = ((anchors, relations) if direction == "tail"
+                         else (relations, anchors))
+        sink(ranking.candidate_expansion_scores(
+            first, second, position=direction, n_entities=self.n_entities,
+            score_triples=self.score_triples, chunk_size=chunk_size), slice(None), 0)
 
     def predict_tails(self, head: int, relation: int, k: int = 10) -> np.ndarray:
         """Return the ``k`` most plausible tail entities for ``(head, relation, ?)``."""
-        scores = self.score_all_tails(np.array([head]), np.array([relation]))[0]
-        return ranking.top_k(scores, k)
+        return self.top_k("tail", [head], [relation], k)[0][0]
 
     def predict_heads(self, relation: int, tail: int, k: int = 10) -> np.ndarray:
         """Return the ``k`` most plausible head entities for ``(?, relation, tail)``."""
-        scores = self.score_all_heads(np.array([relation]), np.array([tail]))[0]
-        return ranking.top_k(scores, k)
+        return self.top_k("head", [tail], [relation], k)[0][0]
 
     def classify_triples(self, triples: np.ndarray, threshold: float) -> np.ndarray:
         """Binary triple classification: True when dissimilarity <= threshold."""
@@ -354,35 +370,6 @@ class TranslationalModel(KGEModel):
     # ------------------------------------------------------------------ #
     # Closed-form ranking
     # ------------------------------------------------------------------ #
-    def score_all_tails(self, heads: np.ndarray, relations: np.ndarray,
-                        chunk_size: int = 65536) -> np.ndarray:
-        """Score every entity as a candidate tail: ``(B, n_entities)``.
-
-        In closed form when it applies: ``dissimilarity(q − project_r(t'))``
-        with ``q = project_r(h) + r``, through
-        :func:`repro.ranking.l2_distance_matrix` at L2 and the model's own
-        :attr:`dissimilarity` otherwise, over candidate blocks bounded by
-        ``chunk_size`` entities and :attr:`RANK_BLOCK_ELEMENTS`.
-        """
-        heads, relations = self._query_ids(heads, relations)
-        if not self._closed_form_applies():
-            return self._score_all_generic(heads, relations, position="tail",
-                                           chunk_size=chunk_size)
-        return self._rank_blocked(heads, relations, heads.shape[0], chunk_size)
-
-    def score_all_heads(self, relations: np.ndarray, tails: np.ndarray,
-                        chunk_size: int = 65536) -> np.ndarray:
-        """Score every entity as a candidate head: ``(B, n_entities)``.
-
-        The closed form is ``dissimilarity(project_r(h') − q)`` with
-        ``q = project_r(t) − r``, blocked like :meth:`score_all_tails`.
-        """
-        tails, relations = self._query_ids(tails, relations)
-        if not self._closed_form_applies():
-            return self._score_all_generic(relations, tails, position="head",
-                                           chunk_size=chunk_size)
-        return self._rank_blocked(tails, relations, 0, chunk_size)
-
     def _query_groups(self, anchor_rows: np.ndarray, relations: np.ndarray,
                       n_tail: int) -> List[Tuple[object, Optional[int], Optional[str],
                                                  np.ndarray]]:
@@ -419,48 +406,16 @@ class TranslationalModel(KGEModel):
                                side, translations[rows] + queries))
         return groups
 
-    def _rank_blocked(self, anchors: np.ndarray, relations: np.ndarray,
-                      n_tail: int, chunk_size: int) -> np.ndarray:
-        """The one closed-form scoring loop behind both ``score_all_*``.
-
-        Queries are grouped by relation (:meth:`_query_groups`); candidate
-        blocks come from :meth:`iter_entity_embedding_blocks`, so the same
-        loop serves dense tables (views) and partitioned tables (one bucket
-        resident at a time), and each block is projected once per group.
-        For heads the residual is ``candidate − query``, so asymmetric
-        dissimilarities keep the orientation the model trains on.
-        """
+    def _rank_into(self, anchors: np.ndarray, relations: np.ndarray,
+                   direction: str, sink, chunk_size: int) -> None:
+        """The closed form's served walk into ``sink``: tails score
+        ``dissimilarity(q − project_r(t'))`` with ``q = project_r(h) + r``,
+        heads ``dissimilarity(project_r(h') − q)`` with ``q = project_r(t) − r``."""
+        if not self._closed_form_applies():
+            return super()._rank_into(anchors, relations, direction, sink, chunk_size)
         groups = self._query_groups(self.entity_embedding_rows(anchors), relations,
-                                    n_tail)
-        l2 = self.dissimilarity_name == "L2"
-        matrix = self.entity_table().as_array()
-        if l2 and matrix is not None and self.ranking_geometry == "translation":
-            # Dense table: one GEMM kernel call over the whole entity matrix
-            # (the norm is symmetric, so heads need no special case).
-            return ranking.l2_distance_matrix(groups[0][3], matrix)
-        b, n = anchors.shape[0], self.n_entities
-        width = max([self.embedding_dim] + [q.shape[1] for *_, q in groups])
-        # An L2 block materialises only ~block·k floats of candidate rows; a
-        # diff block is B times that.  Both are bounded by elements, not rows,
-        # so wide tables stay within the memory budget.
-        budget = self.RANK_BLOCK_ELEMENTS // max(1, width if l2 else b * width)
-        block_rows = max(1, min(int(chunk_size), int(budget)))
-        out = np.empty((b, n), dtype=np.float64)
-        with no_grad():
-            for start, block in self.iter_entity_embedding_blocks(block_rows):
-                cols = slice(start, start + block.shape[0])
-                for rows, relation, side, queries in groups:
-                    if relation is None:
-                        cand = block
-                    else:
-                        cand = self.project_entities(block, relation)
-                    if l2 and relation is None:
-                        ranking.l2_distance_matrix(queries, cand, out=out[:, cols])
-                    elif l2:
-                        out[rows, cols] = ranking.l2_distance_matrix(queries, cand)
-                    else:
-                        out[rows, cols] = self._residual_keys(queries, cand, side)
-        return out
+                                    anchors.shape[0] if direction == "tail" else 0)
+        self._walk_keys(groups, sink, distances=True, chunk_size=chunk_size)
 
     def _residual_keys(self, queries: np.ndarray, cand: np.ndarray,
                        direction: str) -> np.ndarray:
@@ -537,14 +492,11 @@ class TranslationalModel(KGEModel):
         ranks, unresolved = counter.ranks()
         if unresolved.any():
             rows = np.flatnonzero(unresolved)
-            keys = np.empty((rows.size, self.n_entities), dtype=lo.dtype)
-
-            def keep(tile, sub, start):
-                keys[sub, start:start + tile.shape[1]] = tile
-
+            keep = ranking.KeepKeys(rows.size, self.n_entities, dtype=lo.dtype)
             self._walk_keys(self._query_groups(anchor_rows[rows], relations[rows],
                                                np.searchsorted(rows, b)), keep)
-            ranks[rows] = compute_ranks(keys, targets[rows], counter.exclusions(rows))
+            ranks[rows] = compute_ranks(keep.keys, targets[rows],
+                                        counter.exclusions(rows))
         return ranks[:b], ranks[b:]
 
     def _target_key_brackets(self, groups, target_rows: np.ndarray
@@ -582,82 +534,31 @@ class TranslationalModel(KGEModel):
             lo[rows], hi[rows] = key - slack, key + slack
         return lo, hi
 
-    def _walk_keys(self, groups, sink) -> None:
-        """Every ranking key of ``groups``' queries, one tile at a time.
+    def _walk_keys(self, groups, sink, distances: bool = False,
+                   chunk_size: Optional[int] = None) -> None:
+        """:func:`repro.ranking.walk_table` over this model's blocks.
 
-        ``sink`` is a :class:`~repro.evaluation.ranks.RankCounter`, or a
-        callable ``sink(keys, rows, start)`` that receives the ``(len(rows),
-        w)`` keys of candidates ``start .. start + w − 1``.  Each candidate
-        block is read once and projected once per relation, whichever
-        directions the groups hold.  At L2 a tile is at most
-        :data:`repro.ranking.RANK_TILE_ELEMENTS` keys, written by one GEMM
-        into one scratch buffer reused for the whole walk.
-
-        A callable receives the keys in the operands' dtype.  A counter of
-        float64 L2 keys is fed certified fp32 tiles instead: each block is
-        cast to fp32 inside the walk with its fp32 row norms as one more
-        column, and one sgemm of the fp32 ``−2q`` (beside a column of ones)
-        writes ``‖c‖² − 2q·c``.  Each query gets the block's rigorous bound
-        on the distance from every fp32 key to its fp64 key
-        (:func:`_fp32_key_margin`); the counter settles the few candidates
-        the bound leaves undecided from the float64 block in hand
-        (:func:`_fp64_keys`), so no row is read twice.
+        Evaluation's walk is on squared keys, one GEMM tile per block; a
+        served one (``distances``) on distance tiles, in blocks of at most
+        ``chunk_size`` rows, but a dense table at L2 without projection is
+        one block: the tiles of one ``l2_distance_matrix`` call.
         """
-        from repro.evaluation.ranks import RankCounter
-
-        l2 = self.dissimilarity_name == "L2"
-        counted = isinstance(sink, RankCounter)
-        count = sink.count if counted else sink
         b = sum(queries.shape[0] for *_, queries in groups)
         width = max([self.embedding_dim] + [q.shape[1] for *_, q in groups])
-        if l2:
-            groups = [(rows, relation, side, -2.0 * queries)
-                      for rows, relation, side, queries in groups]
-            block_rows = min(self.RANK_BLOCK_ELEMENTS // width,
-                             ranking.RANK_TILE_ELEMENTS // b)
-        else:
-            block_rows = self.RANK_BLOCK_ELEMENTS // (b * width)
-        block_rows = max(1, block_rows)
-        certified = (l2 and counted
-                     and all(q.dtype == np.float64 for *_, q in groups))
-        if certified:
-            fp32 = [_fp32_queries(queries) for *_, queries in groups]
-            cand32 = np.empty(block_rows * (width + 1), dtype=np.float32)
-        scratch = np.empty(0, dtype=np.float64)
+        l2 = self.dissimilarity_name == "L2"
+        block_rows = self.RANK_BLOCK_ELEMENTS // max(1, width if l2 else b * width)
+        if distances:
+            whole = (l2 and self.ranking_geometry == "translation"
+                     and self.entity_table().as_array() is not None)
+            block_rows = self.n_entities if whole else min(block_rows, int(chunk_size))
+        elif l2:
+            block_rows = min(block_rows, ranking.RANK_TILE_ELEMENTS // max(1, b))
         with no_grad():
-            for start, block in self.iter_entity_embedding_blocks(block_rows):
-                cand, projected = block, None
-                for group, (rows, relation, direction, queries) in enumerate(groups):
-                    if relation is not None and relation != projected:
-                        # Groups of one relation are adjacent: one projection.
-                        cand = self.project_entities(block, relation)
-                        projected = relation
-                    if not l2:
-                        count(self._residual_keys(queries, cand, direction), rows, start)
-                        continue
-                    dtype = np.float32 if certified else np.result_type(queries.dtype,
-                                                                        cand.dtype)
-                    if scratch.dtype != dtype or scratch.size < max(b, 2) * block_rows:
-                        scratch = np.empty(max(b, 2) * block_rows, dtype=dtype)
-                    keys = scratch[:queries.shape[0] * cand.shape[0]].reshape(
-                        queries.shape[0], cand.shape[0])
-                    if certified:
-                        margin = _fp32_tile(*fp32[group], cand, cand32, keys)
-                        count(keys, rows, start, margin,
-                              functools.partial(_fp64_keys, queries, cand))
-                        continue
-                    cand = cand.astype(dtype, copy=False)
-                    queries = queries.astype(dtype, copy=False)
-                    if queries.shape[0] == 1:
-                        # One row would take BLAS's GEMV path, which rounds
-                        # differently from the GEMM of any wider tile: the row
-                        # goes in twice, and scratch's first row is ``keys``.
-                        np.matmul(np.repeat(queries, 2, axis=0), cand.T,
-                                  out=scratch[:2 * cand.shape[0]].reshape(2, -1))
-                    else:
-                        np.matmul(queries, cand.T, out=keys)
-                    keys += np.einsum("ij,ij->i", cand, cand)
-                    count(keys, rows, start)
+            ranking.walk_table(
+                self.iter_entity_embedding_blocks(max(1, block_rows)), groups, sink,
+                project=self.project_entities,
+                residual=None if l2 else self._residual_keys,
+                distances=distances)
 
     # ------------------------------------------------------------------ #
     # Exact rescoring (ANN and two-phase quantized serving)
@@ -706,106 +607,3 @@ class TranslationalModel(KGEModel):
         rel_row = np.asarray(self.relation_translations(relations)[0],
                              dtype=np.float64)
         return anchor_row + rel_row if direction == "tail" else anchor_row - rel_row
-
-
-# ---------------------------------------------------------------------- #
-# Certified fp32 keys (the ranking walk's first pass)
-# ---------------------------------------------------------------------- #
-_U32, _U64 = 2.0 ** -24, 2.0 ** -53
-#: Smallest normal fp32: more than the absolute error of one fp32 rounding
-#: that underflows, even where subnormals flush to zero.
-_ETA32 = 2.0 ** -126
-#: Largest ``‖−2q‖`` or ``max ‖c‖`` the fp32 walk takes: every fp32 product,
-#: sum and key then stays below ``2¹⁰¹``, far from overflow.
-_FP32_SAFE = 2.0 ** 50
-
-
-def _gamma(n: int, u: float) -> float:
-    """Higham's ``γ_n = n u / (1 − n u)``: the relative error bound of an
-    ``n``-term dot product rounded in any order at unit roundoff ``u``."""
-    return n * u / (1 - n * u)
-
-
-def _fp32_queries(queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(q32, q_norm)`` of fp64 queries ``−2q``: the fp32 operand with a
-    column of ones (it meets the block norms), and ``‖−2q‖`` rounded up —
-    infinite where it is not finite or exceeds :data:`_FP32_SAFE`."""
-    n, k = queries.shape
-    q32 = np.ones((n, k + 1), dtype=np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):
-        q32[:, :k] = queries
-        q_norm = np.linalg.norm(queries, axis=1) * (1 + 2.0 ** -30)
-    q_norm[~(q_norm <= _FP32_SAFE)] = np.inf
-    return q32, q_norm
-
-
-def _fp32_tile(q32: np.ndarray, q_norm: np.ndarray, cand: np.ndarray,
-               cand32: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Write the fp32 keys ``‖c‖² − 2q·c`` of ``cand`` into ``keys``; return
-    each query's :func:`_fp32_key_margin` for the block."""
-    w, k = cand.shape
-    block = cand32[:w * (k + 1)].reshape(w, k + 1)
-    rows = block[:, :k]
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.copyto(rows, cand, casting="same_kind")
-        np.einsum("ij,ij->i", rows, rows, out=block[:, k])
-        np.matmul(q32, block.T, out=keys)
-    return _fp32_key_margin(q_norm, float(block[:, k].max()) if w else 0.0, k)
-
-
-def _fp32_key_margin(q_norm: np.ndarray, sq_max: float, k: int) -> np.ndarray:
-    """Bound on ``|K32 − K64|`` for each query and any candidate of a block.
-
-    ``K32`` is the walk's fp32 key, ``K64`` the fp64 key
-    ``fl(fl(−2q·c) + fl(‖c‖²))``, both of the float64 operands ``a = −2q``
-    and ``c`` whose exact key is ``K``.  With ``A ≥ ‖a‖`` (``q_norm``),
-    ``C ≥ ‖c‖`` and ``u`` the fp32 unit roundoff:
-
-    * the casts ``â``, ``ĉ`` move ``a·c + ‖c‖²`` by at most
-      ``(2u + u²)(AC + C²)``;
-    * the fp32 norm ``N̂`` of ``ĉ`` is within ``γ_k ‖ĉ‖²`` of it, and the
-      ``(k + 1)``-term sgemm of ``[â, 1]·[ĉ, N̂]`` within
-      ``γ_{k+1}(Σ|â ĉ| + N̂)``;
-    * ``K64`` is within ``γ_{k+1}(AC + C²)`` of ``K`` at fp64.
-
-    Summed, ``|K32 − K64| ≤ c₁·AC + c₂·C²`` (the norm's ``γ_k`` is in
-    ``c₂`` only), plus an absolute term for every rounding that underflows.
-    ``C`` is taken from the block's largest fp32 norm ``sq_max``, widened
-    for that norm's own rounding.  Infinite where an operand is not finite
-    or exceeds :data:`_FP32_SAFE`: the counter then leaves the query
-    unresolved.
-    """
-    c1, c2, tiny, g = _fp32_margin_terms(k)
-    c = (math.sqrt((sq_max + k * _ETA32) * (1 + 2 * g)) * (1 + 2 * _U32)
-         + math.sqrt(k) * _ETA32)
-    if not c <= _FP32_SAFE:
-        return np.full(q_norm.shape, np.inf, dtype=np.float64)
-    return q_norm * (c1 * c + tiny) + (c2 * c * c + tiny * (1 + c))
-
-
-@functools.lru_cache(maxsize=None)
-def _fp32_margin_terms(k: int) -> Tuple[float, float, float, float]:
-    """``(c₁, c₂, absolute, γ_k)`` of :func:`_fp32_key_margin` at width ``k``,
-    each rounded up by ``2⁻³⁰`` to cover the fp64 arithmetic of the bound."""
-    u, g, g1 = _U32, _gamma(k, _U32), _gamma(k + 1, _U32)
-    shared = 2 * u + u * u + _gamma(k + 1, _U64)  # the casts and K64
-    up = 1 + 2.0 ** -30
-    return (((1 + u) ** 2 * g1 + shared) * up,
-            ((1 + u) ** 2 * (g1 * (1 + g) + g) + shared) * up,
-            (4 * k + 8) * _ETA32 * up, g)
-
-
-def _fp64_keys(queries: np.ndarray, cand: np.ndarray, j: np.ndarray,
-               c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(key, margin)`` of the pairs (query ``j[i]``, candidate ``c[i]``).
-
-    ``key`` is ``c·(c − 2q)`` at fp64 from the rows, ``margin`` a bound on
-    its distance to the GEMM tile's fp64 key: each is within ``γ_{k+1}
-    Σ|c|(|c| + |2q|)`` of the exact key, whatever order either sums in, and
-    ``2⁻¹⁰⁰⁰`` covers every rounding that underflows.
-    """
-    rows = np.asarray(cand[c], dtype=np.float64)
-    a = queries[j]
-    key = np.einsum("ij,ij->i", rows, rows + a)
-    size = np.einsum("ij,ij->i", np.abs(rows, out=rows), rows + np.abs(a, out=a))
-    return key, _gamma(rows.shape[1] + 1, _U64) * (2 + 2.0 ** -28) * size + 2.0 ** -1000

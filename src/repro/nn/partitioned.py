@@ -690,8 +690,9 @@ class PartitionedEmbedding(Module, EmbeddingTable):
     def _bucket_slices(self, sorted_ids: np.ndarray) -> Iterator[Tuple[int, slice, np.ndarray]]:
         """Yield ``(bucket, slice_into_sorted_ids, local_rows)`` per touched bucket."""
         buckets = self.partition.bucket_of(sorted_ids)
+        # No ids, no bucket: the leading flag is False on an empty array.
         boundaries = np.flatnonzero(
-            np.concatenate(([True], buckets[1:] != buckets[:-1])))
+            np.concatenate(([buckets.size > 0], buckets[1:] != buckets[:-1])))
         for i, start in enumerate(boundaries):
             stop = boundaries[i + 1] if i + 1 < boundaries.size else sorted_ids.size
             bucket = int(buckets[start])

@@ -1,10 +1,14 @@
 """Blocked ranking and top-k selection shared by models and serving.
 
 The pieces of ranking logic that models, evaluation, serving and the ANN
-index all need live here, once, and every caller imports them directly —
-:class:`~repro.models.base.TranslationalModel`'s one closed-form ranking loop,
-``KGEModel.predict_*`` and the serving engine alike:
+index all need live here, once, and every caller imports them directly:
 
+* :func:`walk_table` — the one walk of an entity table for ranking, into
+  one *sink* per consumer: evaluation's
+  :class:`~repro.evaluation.ranks.RankCounter`, :class:`KeepKeys` (every
+  key: ``score_all_*``) and :class:`TopK` (each row's running top-k by
+  ``(score, id)``: serving, ``predict_*``, ``nearest_entities`` and the IVF
+  ground truth);
 * :func:`top_k` — O(N) ``argpartition`` selection of the ``k`` smallest
   scores, ordered ascending;
 * :func:`l2_distance_matrix` — pairwise L2 distances, one GEMM per column
@@ -19,19 +23,18 @@ index all need live here, once, and every caller imports them directly —
   other caller lets the kernel compute them in-call.  Models and tables
   never cache them: optimizers update ``weight.data`` in place through
   ``out=`` and there is no write path a cache could be invalidated from.
-  Evaluation calls neither function: ``TranslationalModel.rank_triples``
-  counts both directions' ranks on squared keys, tile by tile, in one walk
-  of the table, and squares each candidate block it walks itself;
+  Evaluation calls neither function: its walk counts both directions' ranks
+  on squared keys, tile by tile, and squares each candidate block it walks
+  itself;
 * :func:`candidate_expansion_scores` — the generic "expand every entity as a
-  candidate and score the grid in chunks" ranking fallback;
-* :func:`nearest_rows` — the blocked embedding-space kNN used to serve
-  ``nearest_entities`` against tables that are never densified (partitioned
-  models).
+  candidate and score the grid in chunks" ranking fallback.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Tuple
+import functools
+import math
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,12 +54,17 @@ from repro.autograd.function import count_flops
 RANK_TILE_ELEMENTS = 1 << 18
 
 #: Target columns per BLAS call of a single-query (B = 1) call — what one
-#: query has always been given.  The engine's ``nearest_entities``,
-#: :func:`nearest_rows` and the IVF rescore are B = 1 calls whose distances
-#: go to clients, so they keep the call shape (and with it the rounding) they
-#: had before the batched tile above was narrowed; the scratch this costs is
-#: one ``(n,)`` row beside an ``(n, d)`` table.
+#: query has always been given.  A single served query, ``nearest_entities``
+#: and the IVF probe and rescore are B = 1 calls whose distances go to
+#: clients, so they keep the call shape (and with it the rounding) they had
+#: before the batched tile above was narrowed; the scratch this costs is one
+#: ``(n,)`` row beside an ``(n, d)`` table.
 SINGLE_QUERY_COLUMNS = 1 << 21
+
+
+def _tile_columns(b: int) -> int:
+    """Target columns per GEMM of a ``b``-query :func:`l2_distance_matrix` call."""
+    return SINGLE_QUERY_COLUMNS if b == 1 else max(RANK_TILE_ELEMENTS // max(1, b), b)
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -122,11 +130,9 @@ def l2_distance_matrix(queries: np.ndarray, targets: np.ndarray,
     Beyond the result the call allocates one tile-sized scratch buffer —
     never a table-sized array, nor (for B > 1) a second result-sized one.
     ``‖q − t‖² = ‖q‖² − 2 q·Tᵀ + ‖t‖²`` avoids the ``(B, N, d)`` diff tensor;
-    shared by the closed-form ranking of every translational model
-    (``TranslationalModel.score_all_*``: the whole table for TransE, one call
-    per relation group for TransH/TransR), the serving engine's
-    embedding-space kNN, the IVF probe, rescore and recall tuner, and the
-    per-bucket sweeps over partitioned tables.
+    shared by the served walk of every translational model
+    (:func:`walk_table` with ``distances``: one call per column tile of each
+    block and relation group), the IVF probe and rescore, and k-means.
 
     The target rows are taken ``tile = max(RANK_TILE_ELEMENTS // B, B)``
     columns at a time.  Each tile's ``q·Tᵀ`` and its doubling go through one
@@ -189,9 +195,7 @@ def l2_distance_matrix(queries: np.ndarray, targets: np.ndarray,
         target_sq = target_sq.astype(dtype, copy=False)
     q = queries.astype(dtype, copy=False)
     q_sq = (q ** 2).sum(axis=1)[:, None]
-    width = (SINGLE_QUERY_COLUMNS if b == 1
-             else max(RANK_TILE_ELEMENTS // max(1, b), b))
-    tile = max(1, min(n, width))
+    tile = max(1, min(n, _tile_columns(b)))
     dot_buf = np.empty(b * tile, dtype=dtype)
     for start in range(0, n, tile):
         stop = min(n, start + tile)
@@ -254,42 +258,277 @@ def candidate_expansion_scores(
     return out
 
 
-def nearest_rows(query: np.ndarray,
-                 blocks: Iterable[Tuple[int, np.ndarray]],
-                 k: int,
-                 exclude: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Blocked embedding-space kNN: the ``k`` rows closest to ``query``.
+def walk_table(blocks: Iterable[Tuple[int, np.ndarray]], groups, sink,
+               project=None, residual=None, distances: bool = False) -> None:
+    """Every ranking key of ``groups``' queries against a table, one tile at a time.
 
-    ``blocks`` yields ``(start_row, block)`` pairs (the
-    :meth:`~repro.nn.table.EmbeddingTable.iter_blocks` contract), so the full
-    table is never materialised — each block contributes its local top-k and
-    the running candidate set is re-selected, keeping memory O(block + k).
-    Returns ``(indices, distances)`` ascending; ``exclude`` drops one row id
-    (the query itself).
-
-    The distance dtype follows NumPy promotion of the query and block dtypes
-    (the :func:`l2_distance_matrix` contract): an fp16 query against fp16
-    blocks yields fp16 distances, never a silent float64 upcast.  Non-float
-    queries (e.g. integer test fixtures) are cast to float64.
+    ``blocks`` yields ``(start_row, block)`` pairs (a model's
+    ``iter_entity_embedding_blocks``, the IVF index's ``exact_rows`` ranges);
+    each is read once and projected once per relation (``project(block,
+    relation)``).  ``groups`` are ``(rows, relation, direction, queries)`` as
+    ``TranslationalModel._query_groups`` builds them.  ``sink`` is a
+    :class:`~repro.evaluation.ranks.RankCounter` or a callable ``sink(tile,
+    rows, start)`` taking the keys of candidates ``start .. start + w − 1``
+    for the queries ``rows``: ``residual(queries, cand, direction)`` when
+    given (any dissimilarity but L2); with ``distances`` (what is served), L2
+    distances in the column tiles of one :func:`l2_distance_matrix` call over
+    the block; otherwise (evaluation) the squared key ``‖c‖² − 2q·c``, one
+    GEMM of the pre-scaled ``−2q`` per block.  A counter of float64 keys gets
+    certified fp32 tiles instead (one sgemm of ``[−2q, 1]`` and ``[c,
+    ‖c‖²]``), each query with the block's rigorous bound
+    (:func:`_fp32_key_margin`) from every fp32 key to its fp64 key; the
+    counter settles the few the bound leaves undecided from the float64
+    block in hand (:func:`_fp64_keys`).
     """
-    best_idx = np.empty(0, dtype=np.int64)
-    best_dist: Optional[np.ndarray] = None
-    q = np.asarray(query)
-    if not np.issubdtype(q.dtype, np.floating):
-        q = np.asarray(q, dtype=np.float64)
-    q = q[None, :]
+    from repro.evaluation.ranks import RankCounter
+
+    b = sum(queries.shape[0] for *_, queries in groups)
+    if not b:
+        return
+    counted = isinstance(sink, RankCounter)
+    count = sink.count if counted else sink
+    squared = residual is None and not distances
+    if squared:
+        groups = [(rows, relation, side, -2.0 * queries)
+                  for rows, relation, side, queries in groups]
+    certified = (squared and counted
+                 and all(q.dtype == np.float64 for *_, q in groups))
+    if certified:
+        fp32 = [_fp32_queries(queries) for *_, queries in groups]
+    cand32 = np.empty(0, dtype=np.float32)
+    scratch = np.empty(0, dtype=np.float64)
     for start, block in blocks:
-        dist = l2_distance_matrix(q, block)[0]
-        if best_dist is None:
-            best_dist = np.empty(0, dtype=dist.dtype)
-        idx = np.arange(start, start + block.shape[0], dtype=np.int64)
-        if exclude is not None and start <= exclude < start + block.shape[0]:
-            dist[exclude - start] = np.inf
-        merged_idx = np.concatenate([best_idx, idx])
-        merged_dist = np.concatenate([best_dist, dist])
-        keep = top_k(merged_dist, k)
-        best_idx, best_dist = merged_idx[keep], merged_dist[keep]
-    if best_dist is None:
-        best_dist = np.empty(0, dtype=np.float64)
-    finite = np.isfinite(best_dist)
-    return best_idx[finite], best_dist[finite]
+        cand, projected = block, None
+        for group, (rows, relation, direction, queries) in enumerate(groups):
+            if relation is not None and relation != projected:
+                cand = project(block, relation)
+                projected = relation
+            nb, w = queries.shape[0], cand.shape[0]
+            if residual is not None:
+                count(residual(queries, cand, direction), rows, start)
+                continue
+            if distances:
+                # One norms pass and one result tile per block: per-tile
+                # buffers would fault fresh pages in on every tile.
+                dtype = _floating(np.result_type(queries.dtype, cand.dtype))
+                norms = squared_norms(cand, dtype)
+                tile = max(1, min(w, _tile_columns(nb)))
+                out = np.empty((nb, tile), dtype=dtype)
+                for at in range(0, w, tile):
+                    stop = min(w, at + tile)
+                    count(l2_distance_matrix(queries, cand[at:stop], norms[at:stop],
+                                             out[:, :stop - at]), rows, start + at)
+                continue
+            dtype = np.float32 if certified else np.result_type(queries.dtype, cand.dtype)
+            if scratch.dtype != dtype or scratch.size < max(b, 2) * w:
+                scratch = np.empty(max(b, 2) * w, dtype=dtype)
+            keys = scratch[:nb * w].reshape(nb, w)
+            if certified:
+                if cand32.size < w * (cand.shape[1] + 1):
+                    cand32 = np.empty(w * (cand.shape[1] + 1), dtype=np.float32)
+                margin = _fp32_tile(*fp32[group], cand, cand32, keys)
+                count(keys, rows, start, margin,
+                      functools.partial(_fp64_keys, queries, cand))
+                continue
+            cand = cand.astype(dtype, copy=False)
+            queries = queries.astype(dtype, copy=False)
+            if nb == 1:
+                # One row would take BLAS's GEMV path, which rounds
+                # differently from the GEMM of any wider tile: the row goes in
+                # twice, and scratch's first row is ``keys``.
+                np.matmul(np.repeat(queries, 2, axis=0), cand.T,
+                          out=scratch[:2 * w].reshape(2, -1))
+            else:
+                np.matmul(queries, cand.T, out=keys)
+            keys += np.einsum("ij,ij->i", cand, cand)
+            count(keys, rows, start)
+
+
+class KeepKeys:
+    """Walk sink keeping every key, the ``(B, N)`` block: ``score_all_*`` and
+    ``rank_triples``' re-walk of the queries no count decided."""
+
+    def __init__(self, n_rows: int, n_cols: int, dtype=np.float64) -> None:
+        self.keys = np.empty((int(n_rows), int(n_cols)), dtype=dtype)
+
+    def __call__(self, tile: np.ndarray, rows, start: int) -> None:
+        self.keys[rows, start:start + tile.shape[1]] = tile
+
+
+class TopK:
+    """Walk sink keeping each row's ``k`` best candidates by ``(score, id)``.
+
+    Flat ``(rows, cols)`` ``exclusions`` never enter, nor does a NaN score.
+    Memory is the kept ``(rows, k)`` plus one tile's mask: a candidate enters
+    at or below its row's ``k``-th score, or its tile's while the row is short,
+    and only the rows of the tile are merged.
+    """
+
+    def __init__(self, n_rows: int, k: int, exclusions=None) -> None:
+        self.k = max(0, int(k))
+        none = np.empty(0, dtype=np.int64)
+        rows, cols = ((none, none) if exclusions is None else
+                      (np.asarray(part, dtype=np.int64).reshape(-1)
+                       for part in exclusions))
+        order = np.argsort(cols, kind="stable")
+        self._ex_rows, self._ex_cols = rows[order], cols[order]
+        self._queries = np.arange(int(n_rows), dtype=np.int64)
+        # Each row's first ``_count`` entries are its kept (score, id), ascending.
+        self._count = np.zeros(int(n_rows), dtype=np.int64)
+        self._id = np.zeros((int(n_rows), self.k), dtype=np.int64)
+        self._score = None
+
+    def __call__(self, tile: np.ndarray, rows, start: int) -> None:
+        if self._score is None:
+            self._score = np.empty(self._id.shape, dtype=tile.dtype)
+        if not self.k:
+            return
+        queries = self._queries[rows]
+        w = tile.shape[1]
+        count = self._count[queries]
+        full = count == self.k
+        bound = np.where(full, self._score[queries, -1], np.inf)
+        # A later tile's id exceeds the k-th's: at the bound, it would lose.
+        later = full & (self._id[queries, -1] < start)
+        bound[later] = np.nextafter(bound[later], -np.inf)
+        admit = tile <= bound[:, None]
+        first, last = np.searchsorted(self._ex_cols, (start, start + w))
+        local = np.full(self._queries.size, -1, dtype=np.int64)
+        local[queries] = np.arange(queries.size, dtype=np.int64)
+        at = local[self._ex_rows[first:last]]
+        inside = at >= 0
+        admit[at[inside], self._ex_cols[first:last][inside] - start] = False
+        short = np.flatnonzero(~full)
+        if short.size and w > self.k:
+            sub = np.where(admit[short], tile[short], np.nan)
+            kth = np.partition(sub, self.k - 1, axis=1)[:, self.k - 1]
+            kth[np.isnan(kth)] = np.inf
+            admit[short] = sub <= kth[:, None]
+        r, c = np.divmod(np.flatnonzero(admit), w)  # flat: 10x a 2-D nonzero
+        if not r.size:
+            return
+        # Keep the k best of each touched row's kept and admitted candidates.
+        touched = np.unique(r)
+        owners = queries[touched]
+        held = np.arange(self.k, dtype=np.int64) < count[touched][:, None]
+        place = np.concatenate([np.nonzero(held)[0], np.searchsorted(touched, r)])
+        ids = np.concatenate([self._id[owners][held], start + c])
+        scores = np.concatenate([self._score[owners][held], tile[r, c]])
+        order = np.lexsort((ids, scores, place))
+        place, ids, scores = place[order], ids[order], scores[order]
+        rank = np.arange(place.size, dtype=np.int64) - np.searchsorted(place, place)
+        keep = rank < self.k
+        place, rank = place[keep], rank[keep]
+        self._id[owners[place], rank] = ids[keep]
+        self._score[owners[place], rank] = scores[keep]
+        self._count[owners] = np.bincount(place, minlength=touched.size)
+
+    def results(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """``(ids, scores)`` of each row, ascending by ``(score, id)``."""
+        scores = (np.empty(self._id.shape, dtype=np.float64)
+                  if self._score is None else self._score)
+        return [(self._id[row, :n], scores[row, :n])
+                for row, n in enumerate(self._count)]
+
+
+# ---------------------------------------------------------------------- #
+# Certified fp32 keys (the evaluation walk's first pass)
+# ---------------------------------------------------------------------- #
+_U32, _U64 = 2.0 ** -24, 2.0 ** -53
+#: Smallest normal fp32: more than the absolute error of one fp32 rounding
+#: that underflows, even where subnormals flush to zero.
+_ETA32 = 2.0 ** -126
+#: Largest ``‖−2q‖`` or ``max ‖c‖`` the fp32 walk takes: every fp32 product,
+#: sum and key then stays below ``2¹⁰¹``, far from overflow.
+_FP32_SAFE = 2.0 ** 50
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's ``γ_n = n u / (1 − n u)``: the relative error bound of an
+    ``n``-term dot product rounded in any order at unit roundoff ``u``."""
+    return n * u / (1 - n * u)
+
+
+def _fp32_queries(queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(q32, q_norm)`` of fp64 queries ``−2q``: the fp32 operand with a
+    column of ones (it meets the block norms), and ``‖−2q‖`` rounded up —
+    infinite where it is not finite or exceeds :data:`_FP32_SAFE`."""
+    n, k = queries.shape
+    q32 = np.ones((n, k + 1), dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q32[:, :k] = queries
+        q_norm = np.linalg.norm(queries, axis=1) * (1 + 2.0 ** -30)
+    q_norm[~(q_norm <= _FP32_SAFE)] = np.inf
+    return q32, q_norm
+
+
+def _fp32_tile(q32: np.ndarray, q_norm: np.ndarray, cand: np.ndarray,
+               cand32: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Write the fp32 keys ``‖c‖² − 2q·c`` of ``cand`` into ``keys``; return
+    each query's :func:`_fp32_key_margin` for the block."""
+    w, k = cand.shape
+    block = cand32[:w * (k + 1)].reshape(w, k + 1)
+    rows = block[:, :k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.copyto(rows, cand, casting="same_kind")
+        np.einsum("ij,ij->i", rows, rows, out=block[:, k])
+        np.matmul(q32, block.T, out=keys)
+    return _fp32_key_margin(q_norm, float(block[:, k].max()) if w else 0.0, k)
+
+
+def _fp32_key_margin(q_norm: np.ndarray, sq_max: float, k: int) -> np.ndarray:
+    """Bound on ``|K32 − K64|`` for each query and any candidate of a block.
+
+    ``K32`` is the walk's fp32 key, ``K64`` the fp64 key
+    ``fl(fl(−2q·c) + fl(‖c‖²))``, both of the float64 operands ``a = −2q``
+    and ``c`` whose exact key is ``K``.  With ``A ≥ ‖a‖`` (``q_norm``),
+    ``C ≥ ‖c‖`` and ``u`` the fp32 unit roundoff:
+
+    * the casts ``â``, ``ĉ`` move ``a·c + ‖c‖²`` by at most
+      ``(2u + u²)(AC + C²)``;
+    * the fp32 norm ``N̂`` of ``ĉ`` is within ``γ_k ‖ĉ‖²`` of it, and the
+      ``(k + 1)``-term sgemm of ``[â, 1]·[ĉ, N̂]`` within
+      ``γ_{k+1}(Σ|â ĉ| + N̂)``;
+    * ``K64`` is within ``γ_{k+1}(AC + C²)`` of ``K`` at fp64.
+
+    Summed, ``|K32 − K64| ≤ c₁·AC + c₂·C²`` (the norm's ``γ_k`` is in
+    ``c₂`` only), plus an absolute term for every rounding that underflows.
+    ``C`` is taken from the block's largest fp32 norm ``sq_max``, widened
+    for that norm's own rounding.  Infinite where an operand is not finite
+    or exceeds :data:`_FP32_SAFE`: the counter then leaves the query
+    unresolved.
+    """
+    c1, c2, tiny, g = _fp32_margin_terms(k)
+    c = (math.sqrt((sq_max + k * _ETA32) * (1 + 2 * g)) * (1 + 2 * _U32)
+         + math.sqrt(k) * _ETA32)
+    if not c <= _FP32_SAFE:
+        return np.full(q_norm.shape, np.inf, dtype=np.float64)
+    return q_norm * (c1 * c + tiny) + (c2 * c * c + tiny * (1 + c))
+
+
+@functools.lru_cache(maxsize=None)
+def _fp32_margin_terms(k: int) -> Tuple[float, float, float, float]:
+    """``(c₁, c₂, absolute, γ_k)`` of :func:`_fp32_key_margin` at width ``k``,
+    each rounded up by ``2⁻³⁰`` to cover the fp64 arithmetic of the bound."""
+    u, g, g1 = _U32, _gamma(k, _U32), _gamma(k + 1, _U32)
+    shared = 2 * u + u * u + _gamma(k + 1, _U64)  # the casts and K64
+    up = 1 + 2.0 ** -30
+    return (((1 + u) ** 2 * g1 + shared) * up,
+            ((1 + u) ** 2 * (g1 * (1 + g) + g) + shared) * up,
+            (4 * k + 8) * _ETA32 * up, g)
+
+
+def _fp64_keys(queries: np.ndarray, cand: np.ndarray, j: np.ndarray,
+               c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(key, margin)`` of the pairs (query ``j[i]``, candidate ``c[i]``).
+
+    ``key`` is ``c·(c − 2q)`` at fp64 from the rows, ``margin`` a bound on
+    its distance to the GEMM tile's fp64 key: each is within ``γ_{k+1}
+    Σ|c|(|c| + |2q|)`` of the exact key, whatever order either sums in, and
+    ``2⁻¹⁰⁰⁰`` covers every rounding that underflows.
+    """
+    rows = np.asarray(cand[c], dtype=np.float64)
+    a = queries[j]
+    key = np.einsum("ij,ij->i", rows, rows + a)
+    size = np.einsum("ij,ij->i", np.abs(rows, out=rows), rows + np.abs(a, out=a))
+    return key, _gamma(rows.shape[1] + 1, _U64) * (2 + 2.0 ** -28) * size + 2.0 ** -1000

@@ -4,8 +4,8 @@ The serving stack is layered so each piece is usable on its own:
 
 * :class:`~repro.serving.engine.InferenceEngine` — loads a checkpoint through
   the spec-driven registry and answers top-k / scoring / classification
-  queries with ``argpartition`` selection, filtered-candidate masks, and an
-  LRU result cache.  The model's tables are the checkpoint's ``weights/``
+  queries through the model's table walk with a running top-k (filtered
+  candidates never enter it), and an LRU result cache.  The model's tables are the checkpoint's ``weights/``
   files, mapped read-only; an artifact quantized at export serves its
   quantized entity buckets with exact rescoring.
 * :class:`~repro.serving.request_batcher.RequestBatcher` — coalesces

@@ -6,13 +6,14 @@ The engine is the programmatic serving surface the HTTP server and the
 * loads a model through the spec-driven registry
   (:func:`repro.training.checkpoint.load_model`), so the served model is
   backend- and hyperparameter-faithful to what was trained;
-* answers ``top_k_tails`` / ``top_k_heads`` with O(N) ``argpartition``
-  selection instead of a full sort;
+* answers ``top_k_tails`` / ``top_k_heads`` through the model's table walk
+  with a running top-k sink (:class:`repro.ranking.TopK`), ordered by
+  ``(score, id)``: no ``(B, n_entities)`` score block and no full sort;
 * supports the **filtered** protocol at serving time: known positives are
-  masked out of the candidate set, so the answer is "new predictions only";
-* coalesces batches of single queries into one vectorised
-  ``score_all_tails``/``score_all_heads`` call (the batcher's fast path),
-  deduplicating repeated ``(h, r)`` pairs within a batch;
+  excluded from the candidate set, so the answer is "new predictions only";
+* coalesces batches of single queries into one walk of the entity table
+  (``model.top_k``, the batcher's fast path),
+  deduplicating repeated ``(h, r, filtered)`` queries within a batch;
 * keeps an LRU cache keyed ``(direction, h, r, k, filtered)`` that is
   invalidated atomically on :meth:`reload`.
 """
@@ -27,6 +28,7 @@ import numpy as np
 
 from repro import ranking
 from repro.data.known import KnownTriples
+from repro.evaluation.ranks import stack_exclusions
 from repro.models.base import KGEModel, TranslationalModel
 from repro.registry import ModelSpec, spec_from_model
 from repro.serving.cache import LRUCache
@@ -61,20 +63,9 @@ class TopKResult:
         return {"entities": list(self.entities), "scores": list(self.scores)}
 
 
-def _result_from_row(scores_row: np.ndarray, k: int,
-                     exclude: Optional[np.ndarray]) -> TopKResult:
-    """Top-k of one score row; excluded candidates never appear in the answer."""
-    if exclude is not None and exclude.size:
-        scores_row = scores_row.copy()
-        scores_row[exclude] = np.inf
-        # Masked candidates sort last; trim them off rather than returning
-        # +inf rows, so a filtered answer contains only real predictions.
-        idx = ranking.top_k(scores_row, k)
-        idx = idx[np.isfinite(scores_row[idx])]
-    else:
-        idx = ranking.top_k(scores_row, k)
-    return TopKResult(entities=tuple(int(i) for i in idx),
-                      scores=tuple(float(scores_row[i]) for i in idx))
+def _result(ids: np.ndarray, scores: np.ndarray) -> TopKResult:
+    return TopKResult(entities=tuple(ids.tolist()),
+                      scores=tuple(float(score) for score in scores))
 
 
 class InferenceEngine:
@@ -304,10 +295,7 @@ class InferenceEngine:
                 # the cache while this thread waited for the lock.
                 found, value = self.cache.recheck(key)
                 if not found:
-                    idx, distances = self._nearest_locked(entity, int(k))
-                    value = TopKResult(
-                        entities=tuple(int(i) for i in idx),
-                        scores=tuple(float(d) for d in distances))
+                    value = _result(*self._nearest_locked(entity, int(k)))
                     self.cache.put(key, value)
         with self._stats_lock:
             self.queries_served += 1
@@ -328,28 +316,32 @@ class InferenceEngine:
                 self.ann_candidates += int(
                     self.ann_index.counters["candidates_scored"] - scored)
             return nearest
+        # The table walk with a top-k sink: a translational model's entity
+        # table block by block, never densified; any other model's cached
+        # dense snapshot as one block.  A quantized sweep is coarse, so it
+        # keeps k·expansion candidates and rescores them exactly.  A
+        # non-finite distance (an overflowing row) is never a neighbour.
+        quantized = self._rescorer() is not None
         if isinstance(self.model, TranslationalModel):
-            # A block-by-block sweep with a running top-k, never densified; a
-            # quantized sweep is coarse, so keep k·expansion candidates and
-            # rescore them exactly.
-            quantized = self.model.serving_quantized is not None
-            query = self.model.entity_embedding_rows(np.array([entity]))[0]
-            idx, distances = ranking.nearest_rows(
-                query, self.model.iter_entity_embedding_blocks(),
-                k * self.rescore_expansion if quantized else k, exclude=entity)
-            if quantized and idx.size:
-                q = self.model.exact_entity_rows(np.array([entity]))[0]
-                exact = ranking.l2_distance_matrix(
-                    q[None, :], self.model.exact_entity_rows(idx))[0]
-                sel = ranking.top_k(exact, k)
-                idx, distances = idx[sel], exact[sel]
-            return idx, distances
-        ent = self._entity_snapshot_locked()
-        distances = ranking.l2_distance_matrix(ent[entity][None, :], ent)[0]
-        distances[entity] = np.inf
-        idx = ranking.top_k(distances, k)
-        idx = idx[np.isfinite(distances[idx])]
-        return idx, distances[idx]
+            query = self.model.entity_embedding_rows(np.array([entity]))
+            blocks = self.model.iter_entity_embedding_blocks()
+        else:
+            ent = self._entity_snapshot_locked()
+            query, blocks = ent[entity][None, :], [(0, ent)]
+        nearest = ranking.TopK(1, k * self.rescore_expansion if quantized else k,
+                               (np.zeros(1, dtype=np.int64), np.array([entity])))
+        ranking.walk_table(blocks, [(slice(None), None, None, query)], nearest,
+                           distances=True)
+        idx, distances = nearest.results()[0]
+        finite = np.isfinite(distances)
+        idx, distances = idx[finite], distances[finite]
+        if quantized and idx.size:
+            q = self.model.exact_entity_rows(np.array([entity]))[0]
+            exact = ranking.l2_distance_matrix(
+                q[None, :], self.model.exact_entity_rows(idx))[0]
+            sel = np.lexsort((idx, exact))[:k]
+            idx, distances = idx[sel], exact[sel]
+        return idx, distances
 
     # ------------------------------------------------------------------ #
     # Query API
@@ -369,11 +361,11 @@ class InferenceEngine:
             [TopKQuery(tail, relation, k, filtered, ann, nprobe)])[0]
 
     def top_k_tails_batch(self, queries: Sequence[TopKQuery]) -> List[TopKResult]:
-        """Answer many tail queries with (at most) one ``score_all_tails`` call."""
+        """Answer many tail queries with (at most) one ``model.top_k`` walk."""
         return self._top_k_batch(queries, direction="tail")
 
     def top_k_heads_batch(self, queries: Sequence[TopKQuery]) -> List[TopKResult]:
-        """Answer many head queries with (at most) one ``score_all_heads`` call."""
+        """Answer many head queries with (at most) one ``model.top_k`` walk."""
         return self._top_k_batch(queries, direction="head")
 
     def _top_k_batch(self, queries: Sequence[TopKQuery],
@@ -406,7 +398,9 @@ class InferenceEngine:
                 ann_sets: Dict[Tuple[int, int, int],
                                Optional[Tuple[np.ndarray, np.ndarray]]] = {}
                 plans: Dict[int, Tuple[str, Tuple]] = {}
-                pair_rows: Dict[Tuple[int, int], int] = {}
+                # One walk row per (anchor, relation, filtered): the rows
+                # share the walk, each with its own exclusions.
+                exact_rows: Dict[Tuple[int, int, bool], int] = {}
                 ann_fallbacks = 0
                 for i in miss_positions:
                     q = queries[i]
@@ -420,41 +414,37 @@ class InferenceEngine:
                             plans[i] = ("ann", ann_key)
                             continue
                         ann_fallbacks += 1
-                    pair = (q.anchor, q.relation)
-                    pair_rows.setdefault(pair, len(pair_rows))
-                    plans[i] = ("exact", pair)
-                scores = None
-                if pair_rows:
-                    anchors = np.fromiter((p[0] for p in pair_rows),
-                                          dtype=np.int64, count=len(pair_rows))
-                    relations = np.fromiter((p[1] for p in pair_rows),
-                                            dtype=np.int64, count=len(pair_rows))
-                    if direction == "tail":
-                        scores = self.model.score_all_tails(anchors, relations)
-                    else:
-                        scores = self.model.score_all_heads(relations, anchors)
-                    with self._stats_lock:
-                        self.scoring_calls += 1
-                        self.rows_scored += int(anchors.shape[0])
+                    row = (q.anchor, q.relation, bool(q.filtered))
+                    exact_rows.setdefault(row, i)
+                    plans[i] = ("exact", row)
                 rescore = self._rescorer()
+                expansion = self.rescore_expansion if rescore is not None else 1
+                ranked = {}
+                if exact_rows:
+                    firsts = [queries[i] for i in exact_rows.values()]
+                    k = max(queries[i].k for i, (kind, _) in plans.items()
+                            if kind == "exact")
+                    ranked = dict(zip(exact_rows, self._exact_top_k_locked(
+                        direction, firsts, k * expansion)))
                 ann_answered = 0
                 ann_scanned = 0
                 for i in miss_positions:
                     q = queries[i]
                     kind, ref = plans[i]
-                    exclude = self._exclusions(direction, q) if q.filtered else None
                     if kind == "ann":
+                        exclude = self._exclusions(direction, q) if q.filtered else None
                         candidates, dist = ann_sets[ref]  # type: ignore[misc]
                         result = self._ann_result(candidates, dist, q.k, exclude)
                         ann_answered += 1
                         ann_scanned += int(candidates.size)
                     else:
-                        row = scores[pair_rows[ref]]  # type: ignore[index]
+                        ids, scores = ranked[ref]
+                        keep = max(0, q.k) * expansion
                         if rescore is not None:
-                            result = self._rescored_result(row, q, exclude,
-                                                           direction, rescore)
+                            result = self._rescored_result(
+                                ids[:keep], scores[:keep], q, direction, rescore)
                         else:
-                            result = _result_from_row(row, q.k, exclude)
+                            result = _result(ids[:keep], scores[:keep])
                     self.cache.put(self._cache_key(direction, q), result)
                     results[i] = result
                 with self._stats_lock:
@@ -513,7 +503,7 @@ class InferenceEngine:
 
         ``candidates`` is sorted ascending, so excluded ids are located with
         ``searchsorted``; with a full probe the candidate set is every entity
-        and this reduces to exactly ``_result_from_row``.
+        and this is the exact route's answer.
         """
         if exclude is not None and exclude.size and candidates.size:
             exclude = np.asarray(exclude, dtype=np.int64).reshape(-1)
@@ -526,8 +516,7 @@ class InferenceEngine:
                 dist[hit] = np.inf
         sel = ranking.top_k(dist, k)
         sel = sel[np.isfinite(dist[sel])]
-        return TopKResult(entities=tuple(int(candidates[i]) for i in sel),
-                          scores=tuple(float(dist[i]) for i in sel))
+        return _result(candidates[sel], dist[sel])
 
     def _rescorer(self):
         """The model's exact-rescore hook, when quantized serving is active."""
@@ -535,33 +524,33 @@ class InferenceEngine:
             return None
         return getattr(self.model, "exact_candidate_scores", None)
 
-    def _rescored_result(self, row: np.ndarray, q: TopKQuery,
-                         exclude: Optional[np.ndarray], direction: str,
-                         rescore) -> TopKResult:
-        """Two-phase answer: coarse quantized top-k·expansion, exact rescore.
+    def _exact_top_k_locked(self, direction: str, rows: Sequence[TopKQuery],
+                            k: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Each row's ``k`` best ``(ids, scores)`` by one walk (caller holds
+        the score lock); a filtered row's known positives never enter."""
+        filters = [self._exclusions(direction, q) if q.filtered else None for q in rows]
+        ranked = self.model.top_k(
+            direction, [q.anchor for q in rows], [q.relation for q in rows], k,
+            stack_exclusions([filters], len(rows), self.model.n_entities))
+        with self._stats_lock:
+            self.scoring_calls += 1
+            self.rows_scored += len(rows)
+        return ranked
 
-        Exclusions are masked *before* the coarse cut so filtered queries keep
-        the full candidate budget; the survivors are rescored from the float64
-        bucket files and the final top-k ranked on the exact scores.
-        """
-        masked = row
-        if exclude is not None and exclude.size:
-            masked = row.copy()
-            masked[exclude] = np.inf
-        coarse_k = min(masked.shape[0], q.k * self.rescore_expansion)
-        candidates = ranking.top_k(masked, coarse_k)
-        candidates = candidates[np.isfinite(masked[candidates])]
+    def _rescored_result(self, candidates: np.ndarray, coarse: np.ndarray,
+                         q: TopKQuery, direction: str, rescore) -> TopKResult:
+        """Two-phase answer: the coarse quantized top-k·expansion rescored from
+        the float64 bucket files, the final top-k ranked by exact ``(score, id)``."""
         if candidates.size == 0:
             return TopKResult(entities=(), scores=())
         exact = rescore(q.anchor, q.relation, candidates, direction)
         if exact is None:
             # Model cannot rescore this formulation; serve the coarse ranking.
-            return _result_from_row(row, q.k, exclude)
-        sel = ranking.top_k(exact, q.k)
+            return _result(candidates[:q.k], coarse[:q.k])
+        sel = np.lexsort((candidates, exact))[:max(0, q.k)]
         with self._stats_lock:
             self.rescored_queries += 1
-        return TopKResult(entities=tuple(int(candidates[i]) for i in sel),
-                          scores=tuple(float(exact[i]) for i in sel))
+        return _result(candidates[sel], exact[sel])
 
     def _uncoalesced_misses_locked(self, queries: Sequence[TopKQuery],
                                    direction: str,

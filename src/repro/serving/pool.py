@@ -1,7 +1,7 @@
 """Forked worker pool: one inference engine per process, shared page cache.
 
 One GIL-bound process is the throughput ceiling of the threaded serving tier:
-``score_all_tails`` releases the GIL inside numpy, but request parsing,
+the table walk releases the GIL inside numpy, but request parsing,
 batch assembly, cache lookups, and result marshalling are all Python.  The
 pool moves the engines into ``fork``-started worker processes.  Each worker
 builds its **own** :class:`~repro.serving.engine.InferenceEngine` *after* the

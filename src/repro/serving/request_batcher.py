@@ -2,7 +2,7 @@
 
 A serving process receives top-k requests one at a time (one per HTTP
 request), but the engine answers a *batch* of queries for nearly the price of
-one: ``score_all_tails`` over B query rows is a single vectorised pass, while
+one: B query rows share a single walk of the entity table, while
 B separate calls pay the Python/kernel dispatch overhead B times.  The
 batcher closes that gap: requests that queue up while the engine is busy
 are executed together as one ``top_k_tails_batch``/``top_k_heads_batch``

@@ -139,19 +139,19 @@ class TestExactTruth:
     @pytest.mark.parametrize("n_queries", [1, 5, 32])
     @pytest.mark.parametrize("k", [1, 10])
     @pytest.mark.parametrize("block_rows", [16384, 37])
-    def test_batched_truth_equals_per_query_nearest_rows(
+    def test_batched_truth_equals_per_query_whole_table_sort(
             self, index, full_table, monkeypatch, n_queries, k, block_rows):
         # block_rows=37 splits every row range (300 rows, or 100 per bucket)
         # into several blocks, the last one partial.
         monkeypatch.setattr(ivf, "EXACT_BLOCK_ROWS", block_rows)
         queries = full_table[::7][:n_queries] + 0.01
-        truth = index._exact_topk(queries, k)
+        truth = index._ground_truth(queries, k)
         assert len(truth) == n_queries
-        for q, ids in zip(queries, truth):
-            expected, _ = ranking.nearest_rows(
-                q, index.table.iter_blocks(block_rows), k)
-            assert ids.dtype == np.int64
-            assert np.array_equal(ids, expected)
+        ids = np.arange(full_table.shape[0])
+        for q, got in zip(queries, truth):
+            dist = ranking.l2_distance_matrix(q[None, :], full_table)[0]
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.lexsort((ids, dist))[:k])
 
     def test_full_probe_recall_is_one_on_a_batch(self, index):
         queries = index._sample_queries(32, seed=5)

@@ -269,8 +269,6 @@ def test_margins_bound_the_distance_to_the_fp64_tile_key(seed, k, w, scale):
     tile key (one GEMM plus the row norms), and so is the key settling
     recomputes from the rows, within its own margin.  Operands whose fp32
     products overflow, although each fits, get an infinite margin."""
-    from repro.models import base
-
     rng = np.random.default_rng(seed)
     queries = -2.0 * rng.standard_normal((3, k))
     cand = rng.standard_normal((w, k))
@@ -287,15 +285,15 @@ def test_margins_bound_the_distance_to_the_fp64_tile_key(seed, k, w, scale):
         cand *= 1e17
         queries *= 1e22
     fp64 = queries @ cand.T + np.einsum("ij,ij->i", cand, cand)
-    q32, q_norm = base._fp32_queries(queries)
+    q32, q_norm = ranking._fp32_queries(queries)
     keys = np.empty((3, w), dtype=np.float32)
-    margin = base._fp32_tile(q32, q_norm, cand, np.empty(w * (k + 1), np.float32), keys)
+    margin = ranking._fp32_tile(q32, q_norm, cand, np.empty(w * (k + 1), np.float32), keys)
     with np.errstate(invalid="ignore"):
         error = np.abs(keys.astype(np.float64) - fp64)
     assert np.all((error <= margin[:, None]) | np.isinf(margin)[:, None])
     assert np.isinf(margin).all() == (scale == "overflow")
     j, c = np.divmod(np.arange(3 * w), w)
-    key, slack = base._fp64_keys(queries, cand, j, c)
+    key, slack = ranking._fp64_keys(queries, cand, j, c)
     assert np.all(np.abs(key - fp64[j, c]) <= slack)
     assert np.all(slack > 0)
 

@@ -120,13 +120,13 @@ class TestSingleFlight:
                                       n_entities=30, n_relations=4,
                                       embedding_dim=8), rng=0)
         engine = InferenceEngine(model, cache_size=32)
-        original = model.score_all_tails
+        original = model.top_k
 
-        def slow_score(heads, relations):
+        def slow_score(*args, **kwargs):
             time.sleep(0.1)     # hold the score lock so every rider queues up
-            return original(heads, relations)
+            return original(*args, **kwargs)
 
-        model.score_all_tails = slow_score
+        model.top_k = slow_score
         barrier = threading.Barrier(8)
         results = []
 

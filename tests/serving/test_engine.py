@@ -12,6 +12,7 @@ from repro.experiment import ExperimentSpec
 from repro.registry import ModelSpec, build_model, spec_from_model
 from repro.serving import InferenceEngine, TopKQuery
 from repro.nn.quantize import quantize_weight_files
+from repro.profiling import peak_traced_bytes
 from repro.training.checkpoint import load_model, save_checkpoint
 
 
@@ -312,6 +313,27 @@ class TestCacheBehaviour:
             assert isinstance(param.data, np.memmap), name
 
 
+class TestExactRouteMemory:
+    def test_a_batch_never_holds_a_score_block(self):
+        # The exact route walks the table into a running top-k per query, as
+        # evaluation counts ranks: no (B, N) block of scores, whose float64
+        # bytes are B·N·8 (51.2 MB here).
+        b, n = 64, 100_000
+        model = SpTransE(n, 4, 64, rng=0)
+        rng = np.random.default_rng(0)
+        anchors = rng.choice(n, b, replace=False)
+        relations = rng.integers(0, 4, b)
+        known = [(int(h), int(r), int(t)) for h, r in zip(anchors, relations)
+                 for t in rng.integers(0, n, 5)]
+        engine = InferenceEngine(model, known_triples=known, cache_size=0)
+        queries = [TopKQuery(int(h), int(r), 10, filtered=True)
+                   for h, r in zip(anchors, relations)]
+        engine.top_k_tails_batch(queries[:2])  # imports, first-call state
+        peak = peak_traced_bytes(lambda: engine.top_k_tails_batch(queries))
+        assert engine.stats()["rows_scored"] == 2 + b
+        assert peak < b * n * 8 // 2
+
+
 class TestConstruction:
     @pytest.mark.parametrize("nprobe", [0, -5])
     def test_nprobe_below_one_rejected(self, nprobe):
@@ -341,6 +363,18 @@ class TestNearestEntities:
         engine.reload(path)
         after = engine.nearest_entities(3, k=4)
         assert first.scores != after.scores
+
+    @pytest.mark.parametrize("name", ["transe", "distmult"])
+    def test_overflowing_row_is_no_neighbour(self, name):
+        # Table walk (transe) and dense snapshot (distmult): a row whose
+        # distance overflows to inf is dropped, not served.
+        model = make_model(name)
+        model.embeddings.weight.data[5] = 1e200
+        engine = InferenceEngine(model, cache_size=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = engine.nearest_entities(7, k=40)
+        assert sorted(result.entities) == sorted(set(range(40)) - {5, 7})
+        assert np.isfinite(result.scores).all()
 
     def test_out_of_range_entity_raises(self):
         engine = InferenceEngine(make_model(), cache_size=0)

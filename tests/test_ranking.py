@@ -103,46 +103,173 @@ class TestCandidateExpansion:
         assert np.allclose(generic, closed_form, atol=1e-9)
 
 
-class TestNearestRows:
-    def test_blocked_matches_whole_matrix(self, rng):
-        table = rng.standard_normal((50, 6))
-        query = table[7]
-        dist = ranking.l2_distance_matrix(query[None, :], table)[0]
-        dist[7] = np.inf
-        expected = ranking.top_k(dist, 5)
+def _top_k_oracle(scores, k, exclusions=None):
+    """Per row: drop the excluded and NaN candidates, then ``np.lexsort((ids,
+    scores))``'s first ``k`` — the ``(score, id)`` order :class:`TopK` keeps."""
+    out = []
+    for row, line in enumerate(scores):
+        ids = np.arange(line.size)
+        keep = ~np.isnan(line)
+        if exclusions is not None:
+            keep[exclusions[1][exclusions[0] == row]] = False
+        ids, line = ids[keep], line[keep]
+        order = np.lexsort((ids, line))[:max(0, k)]
+        out.append((ids[order], line[order]))
+    return out
 
-        def blocks(block_rows=12):
-            for start in range(0, 50, block_rows):
-                yield start, table[start:start + block_rows]
 
-        idx, d = ranking.nearest_rows(query, blocks(), 5, exclude=7)
-        assert np.array_equal(idx, expected)
-        assert np.all(np.diff(d) >= 0)
+def _feed(sink, scores, tile, split):
+    """Feed ``scores`` to ``sink`` in column tiles of ``tile``; with ``split``
+    the rows come as two index groups, as a relation-grouped walk sends them."""
+    groups = ([slice(None)] if not split or scores.shape[0] < 2 else
+              [np.arange(0, scores.shape[0], 2), np.arange(1, scores.shape[0], 2)])
+    for start in range(0, scores.shape[1], tile):
+        for rows in groups:
+            sink(scores[rows, start:start + tile], rows, start)
 
-    def test_exclude_never_returned(self, rng):
-        table = rng.standard_normal((20, 4))
-        idx, _ = ranking.nearest_rows(table[3], [(0, table)], 20, exclude=3)
-        assert 3 not in idx.tolist()
 
-    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
-    def test_distance_dtype_follows_table(self, rng, dtype):
-        # Regression: the query used to be widened to float64 unconditionally,
-        # so fp16/fp32 tables came back with float64 distances in violation of
-        # the dtype-promotion invariant (l2_distance_matrix contract).
-        table = rng.standard_normal((24, 4)).astype(dtype)
-        _, dist = ranking.nearest_rows(table[5], [(0, table[:12]), (12, table[12:])],
-                                       4, exclude=5)
-        assert dist.dtype == np.dtype(dtype)
+@st.composite
+def _sink_cases(draw):
+    n = draw(st.integers(1, 40))
+    return {
+        "n": n, "b": draw(st.integers(1, 9)), "k": draw(st.integers(0, n + 3)),
+        "shape": draw(st.sampled_from(["random", "all_equal", "duplicates", "nan"])),
+        "seed": draw(st.integers(0, 2 ** 16)),
+        "tile": draw(st.integers(1, n)),
+        "filters": draw(st.sampled_from(["none", "empty", "random", "most"])),
+        "split": draw(st.booleans()),
+        "dtype": draw(st.sampled_from([np.float64, np.float32])),
+    }
 
-    def test_integer_query_still_works(self):
-        table = np.arange(12, dtype=np.float64).reshape(6, 2)
-        query = np.array([4, 5], dtype=np.int64)  # non-float: cast to float64
-        idx, dist = ranking.nearest_rows(query, [(0, table)], 2)
-        assert idx[0] == 2 and dist.dtype == np.float64
 
-    def test_empty_blocks(self):
-        idx, dist = ranking.nearest_rows(np.zeros(3, dtype=np.float32), [], 4)
-        assert idx.size == 0 and dist.size == 0 and dist.dtype == np.float64
+class TestTopKSink:
+    """:class:`ranking.TopK` against ``np.lexsort`` of the masked block."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_sink_cases())
+    def test_matches_the_lexsort_of_the_masked_block(self, case):
+        rng = np.random.default_rng(case["seed"])
+        b, n = case["b"], case["n"]
+        scores = rng.integers(-3, 4, size=(b, n)).astype(case["dtype"])
+        if case["shape"] == "random":
+            scores = rng.standard_normal((b, n)).astype(case["dtype"])
+        elif case["shape"] == "all_equal":
+            scores[:] = scores[0, 0]
+        elif case["shape"] == "nan":
+            scores[rng.random((b, n)) < 0.3] = np.nan
+        exclusions = None
+        if case["filters"] != "none":
+            share = {"empty": 0.0, "random": 0.3, "most": 0.9}[case["filters"]]
+            exclusions = np.nonzero(rng.random((b, n)) < share)
+        sink = ranking.TopK(b, case["k"], exclusions)
+        _feed(sink, scores, case["tile"], case["split"])
+        got = sink.results()
+        assert len(got) == b
+        for (ids, values), (want_ids, want_values) in zip(
+                got, _top_k_oracle(scores, case["k"], exclusions)):
+            assert ids.dtype == np.int64 and values.dtype == case["dtype"]
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_array_equal(values, want_values)
+
+    @pytest.mark.parametrize("tile", [1, 5, 17, 40, 64])
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_an_18_way_tie_at_the_kth_place_keeps_the_lowest_ids(self, rng, tile, b):
+        scores = rng.standard_normal((b, 64)) + 10.0
+        tied = rng.choice(64, 18, replace=False)
+        scores[:, tied] = 5.0
+        scores[:, rng.choice(np.setdiff1d(np.arange(64), tied), 3)] = 1.0
+        sink = ranking.TopK(b, 10, None)
+        _feed(sink, scores, tile, split=True)
+        for ids, values in sink.results():
+            assert ids[:3].tolist() == sorted(ids[:3].tolist())
+            np.testing.assert_array_equal(ids[3:], np.sort(tied)[:7])
+            np.testing.assert_array_equal(values, [1.0] * 3 + [5.0] * 7)
+
+    def test_all_equal_scores_are_the_first_ids(self):
+        sink = ranking.TopK(2, 6, None)
+        _feed(sink, np.zeros((2, 30)), 4, split=False)
+        for ids, _ in sink.results():
+            np.testing.assert_array_equal(ids, np.arange(6))
+
+    def test_exclusions_that_leave_fewer_than_k(self):
+        exclusions = (np.zeros(7, dtype=np.int64), np.arange(7))
+        sink = ranking.TopK(2, 5, exclusions)
+        _feed(sink, np.arange(20, dtype=np.float64).reshape(2, 10), 3, split=False)
+        first, second = sink.results()
+        np.testing.assert_array_equal(first[0], [7, 8, 9])
+        np.testing.assert_array_equal(second[0], [0, 1, 2, 3, 4])
+
+    @pytest.mark.parametrize("k", [0, 11, 100])
+    def test_k_zero_and_k_beyond_the_table(self, rng, k):
+        scores = rng.standard_normal((2, 11))
+        sink = ranking.TopK(2, k, None)
+        _feed(sink, scores, 4, split=True)
+        for (ids, _), want in zip(sink.results(), scores):
+            np.testing.assert_array_equal(ids, np.argsort(want, kind="stable")[:k])
+
+    def test_no_tile_leaves_every_row_empty(self):
+        (ids, values), = ranking.TopK(1, 4, None).results()
+        assert ids.size == 0 and values.size == 0 and values.dtype == np.float64
+
+
+class TestWalkTable:
+    """:func:`ranking.walk_table`'s served tiles are one distance call's bits."""
+
+    @pytest.mark.parametrize("b", [1, 3, 64])
+    def test_distance_tiles_are_the_bits_of_one_call(self, rng, monkeypatch, b):
+        monkeypatch.setattr(ranking, "RANK_TILE_ELEMENTS", 64 * b)
+        monkeypatch.setattr(ranking, "SINGLE_QUERY_COLUMNS", 96)
+        queries = rng.standard_normal((b, 6))
+        table = rng.standard_normal((1000, 6))
+        keep = ranking.KeepKeys(b, 1000)
+        ranking.walk_table([(0, table)], [(slice(None), None, None, queries)], keep,
+                           distances=True)
+        np.testing.assert_array_equal(keep.keys,
+                                      ranking.l2_distance_matrix(queries, table))
+
+    def test_top_k_through_the_walk(self, rng):
+        queries = rng.standard_normal((5, 4))
+        table = rng.standard_normal((300, 4))
+        exclusions = (np.array([0, 0, 3]), np.array([7, 250, 12]))
+        sink = ranking.TopK(5, 9, exclusions)
+        blocks = [(start, table[start:start + 70]) for start in range(0, 300, 70)]
+        ranking.walk_table(blocks, [(slice(None), None, None, queries)], sink,
+                           distances=True)
+        want = _top_k_oracle(ranking.l2_distance_matrix(queries, table), 9, exclusions)
+        for (ids, _), (want_ids, _) in zip(sink.results(), want):
+            np.testing.assert_array_equal(ids, want_ids)
+
+    def test_no_queries_reads_no_block(self):
+        def blocks():
+            raise AssertionError("an empty walk read a block")
+            yield  # pragma: no cover
+
+        ranking.walk_table(blocks(), [], ranking.KeepKeys(0, 5), distances=True)
+
+
+class TestNearestEntities:
+    """``nearest_entities`` walks the table; blocked equals whole-matrix."""
+
+    @pytest.mark.parametrize("partitions", [1, 3])
+    def test_blocked_matches_whole_matrix(self, partitions):
+        from repro.models.transe import SpTransE
+        from repro.serving import InferenceEngine
+
+        model = SpTransE(50, 3, 6, rng=4, partitions=partitions)
+        model.RANK_BLOCK_ELEMENTS = 6 * 7  # seven-row blocks: many, some partial
+        try:
+            engine = InferenceEngine(model, cache_size=0)
+            table = model.entity_embedding_matrix()
+            ids = np.arange(50)
+            for entity in (0, 7, 49):
+                dist = ranking.l2_distance_matrix(table[entity][None, :], table)[0]
+                order = np.lexsort((ids, dist))
+                want = order[order != entity][:5]
+                got = engine.nearest_entities(entity, k=5)
+                assert list(got.entities) == want.tolist()
+                np.testing.assert_allclose(got.scores, dist[want], rtol=1e-12)
+        finally:
+            model.embeddings.close() if partitions > 1 else None
 
 
 class TestBlockedRankingOnModels:
@@ -161,6 +288,25 @@ class TestBlockedRankingOnModels:
         assert np.allclose(dense.score_all_heads(relations, heads),
                            part.score_all_heads(relations, heads), atol=1e-9)
         part.embeddings.close()
+
+
+class TestEmptyBatch:
+    @pytest.mark.parametrize("name, kwargs", [
+        ("SpTransE", {}), ("SpTransE", {"dissimilarity": "L1"}),
+        ("SpTransE", {"partitions": 3}), ("SpTransH", {}), ("SpTransR", {}),
+        ("SpTorusE", {}), ("SpTransA", {}), ("SpDistMult", {})])
+    def test_every_geometry_scores_an_empty_batch(self, name, kwargs):
+        from repro import models
+
+        model = getattr(models, name)(50, 3, 8, rng=0, **kwargs)
+        none = np.empty(0, dtype=np.int64)
+        assert model.score_all_tails(none, none).shape == (0, 50)
+        assert model.score_all_heads(none, none).shape == (0, 50)
+        assert model.top_k("tail", none, none, 5) == []
+        assert model.top_k("head", none, none, 5) == []
+        close = getattr(getattr(model, "embeddings", None), "close", None)
+        if kwargs.get("partitions"):
+            close()
 
 
 class TestL2DistanceDtype:
