@@ -148,14 +148,16 @@ def paper_training_config(epochs: int = 2, batch_size: int = 4096,
 
 
 def interleave(steps: Sequence[Callable[[], object]], warmup: int = 1,
-               rounds: int = 4) -> List[List[Tuple[float, object]]]:
+               rounds: int = 4, clock: Callable[[], float] = time.perf_counter
+               ) -> List[List[Tuple[float, object]]]:
     """Time several steps against each other so box drift and cold starts cancel.
 
     Each step runs ``warmup`` untimed times (the first call on a fresh shape
     costs up to 10x a steady one), then ``rounds`` timed times; the order of
     the steps reverses every round (ABAB → AB BA AB BA), so no step is always
     the one that runs first.  Returns, per step, its ``(seconds, value)``
-    samples — the lesson of ``benchmarks/e2e``.
+    samples — the lesson of ``benchmarks/e2e``.  ``clock`` reads the time in
+    seconds.
     """
     for step in steps:
         for _ in range(warmup):
@@ -164,9 +166,9 @@ def interleave(steps: Sequence[Callable[[], object]], warmup: int = 1,
     order = list(range(len(steps)))
     for _ in range(rounds):
         for i in order:
-            start = time.perf_counter()
+            start = clock()
             value = steps[i]()
-            samples[i].append((time.perf_counter() - start, value))
+            samples[i].append((clock() - start, value))
         order.reverse()
     return samples
 
@@ -178,13 +180,15 @@ def median_iqr(values: Sequence[float]) -> Tuple[float, float]:
 
 
 def interleaved_ratio(step_a: Callable[[], object], step_b: Callable[[], object],
-                      warmup: int = 1, rounds: int = 4) -> Dict[str, object]:
+                      warmup: int = 1, rounds: int = 4,
+                      clock: Callable[[], float] = time.perf_counter
+                      ) -> Dict[str, object]:
     """``median(a) / median(b)`` of interleaved wall-clock, with both IQRs.
 
     ``a_values`` / ``b_values`` are what the steps returned in the timed
     rounds, for steps that time their own phases.
     """
-    a, b = interleave([step_a, step_b], warmup, rounds)
+    a, b = interleave([step_a, step_b], warmup, rounds, clock)
     a_s, a_iqr = median_iqr([seconds for seconds, _ in a])
     b_s, b_iqr = median_iqr([seconds for seconds, _ in b])
     return {"a_s": a_s, "a_iqr_s": a_iqr, "a_values": [value for _, value in a],

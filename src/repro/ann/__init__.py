@@ -3,8 +3,8 @@
 Seeded k-means clustering of each of the table's row ranges at export time
 (:func:`build_index_files`), versioned ``index/`` artifact files, and an
 :class:`IVFIndex` query path that probes ``nprobe`` clusters and rescores
-candidates exactly from the table's float64 rows.  See :mod:`repro.ann.ivf`
-for the layout and guarantees.
+candidates exactly from float64 posting lists, one positional read per probed
+cluster.  See :mod:`repro.ann.ivf` for the layout and guarantees.
 """
 
 from repro.ann.kmeans import assign_clusters, default_n_clusters, kmeans
@@ -18,6 +18,7 @@ from repro.ann.ivf import (
     centroids_filename,
     get_index_class,
     index_kinds,
+    lists_filename,
     load_index,
     register_index,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "get_index_class",
     "index_kinds",
     "kmeans",
+    "lists_filename",
     "load_index",
     "register_index",
 ]

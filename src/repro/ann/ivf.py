@@ -6,21 +6,34 @@ recall loss for sub-linear scans, Helmsman-style, over any
 table's :meth:`~repro.nn.table.EmbeddingTable.row_ranges` (one for a dense
 table, one per bucket of a partitioned one) is clustered with seeded k-means
 at artifact-export time, and a query probes only the ``nprobe``
-globally-nearest clusters, then **rescores the candidates exactly** from the
-table's float64 rows (:meth:`~repro.nn.table.EmbeddingTable.exact_rows`,
-which faults no bucket) with the shared :func:`repro.ranking.top_k`.  Ranks
-equal exact search whenever the true top-k lies in the probed clusters; with
-``nprobe == n_clusters`` the candidates are every entity in ascending id
-order and the result is bit-identical to the exact path, ties included.
+globally-nearest clusters, then **rescores the candidates exactly** with the
+shared :func:`repro.ranking.top_k`.  The candidates' float64 rows come from
+the range's *posting lists*: the build writes the range's rows once more,
+grouped by cluster, each with its squared norm, so a probed cluster is one
+contiguous span of one file and a probe reads it with one positional read
+(``os.preadv``) into a per-call buffer — no table read, no memory map, no
+bucket fault.  Ranks equal exact search whenever the true top-k lies in the
+probed clusters; with ``nprobe == n_clusters`` the candidates are every
+entity in ascending id order and the result is bit-identical to the exact
+path, ties included.
 
 On-disk layout (``<artifact>/index/`` beside ``<artifact>/weights/``)::
 
     index.json                         # versioned manifest; "buckets": ranges
     entities.bucket<k>.centroids.npy   # (clusters_k, d) float64, row range k
     entities.bucket<k>.assign.npy      # (rows_k,) int32 cluster id per local row
+    entities.bucket<k>.lists.npy       # (rows_k, d + 1) float64 posting lists
 
-Centroids (≈ sqrt(rows) per range) stay resident; the assignment blocks are
-faulted lazily under their own LRU.
+A list file holds range ``k``'s rows in cluster order (the stable
+``argsort`` of the assignment, so ascending id within a cluster), each row
+followed by its :func:`repro.ranking.squared_norms` value.  The lists are a
+copy of the rows the index was built from: an index describes the weights it
+was built over, and a new artifact needs a new index.
+
+Centroids (≈ sqrt(rows) per range) and their squared norms stay resident;
+the assignment blocks are faulted lazily under their own LRU; the index
+holds one unbuffered read handle per list file, checked against its shape
+when the index loads, until :meth:`IVFIndex.close`.
 
 Thread safety: the index mutates LRU/counter state without internal locking;
 the serving engine serialises access under its scoring lock, and standalone
@@ -37,15 +50,16 @@ from typing import Dict, List, Optional, Tuple, Type
 import numpy as np
 
 from repro.ann.kmeans import default_n_clusters, kmeans
+from repro.nn.partitioned import _holds_payload
 from repro.nn.table import EmbeddingTable
-from repro.ranking import TopK, l2_distance_matrix, top_k, walk_table
+from repro.ranking import TopK, l2_distance_matrix, squared_norms, top_k, walk_table
 
 #: Manifest filename written next to the index files.
 INDEX_MANIFEST = "index.json"
 
 #: Current index manifest schema version (bumped on layout changes; loads of
 #: any other version are rejected).
-INDEX_MANIFEST_VERSION = 1
+INDEX_MANIFEST_VERSION = 2
 
 #: Artifact subdirectory holding the index files (sibling of ``weights/``).
 ARTIFACT_INDEX = "index"
@@ -93,6 +107,23 @@ def centroids_filename(part: int) -> str:
 def assign_filename(part: int) -> str:
     """On-disk name of row range ``part``'s per-row cluster assignment."""
     return f"entities.bucket{int(part)}.assign.npy"
+
+
+def lists_filename(part: int) -> str:
+    """On-disk name of row range ``part``'s posting lists."""
+    return f"entities.bucket{int(part)}.lists.npy"
+
+
+def _cluster_order(assign: np.ndarray, clusters: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(perm, offsets)`` of a range's assignment: ``perm`` lists its local
+    rows sorted by cluster id (stable, so within a cluster rows stay in
+    ascending id order) and cluster ``c``'s rows are
+    ``perm[offsets[c]:offsets[c + 1]]`` — also the rows ``offsets[c]`` to
+    ``offsets[c + 1]`` of the range's list file."""
+    perm = np.argsort(assign, kind="stable").astype(np.int64, copy=False)
+    offsets = np.zeros(clusters + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(np.bincount(assign, minlength=clusters))
+    return perm, offsets
 
 
 def artifact_table(directory: str) -> EmbeddingTable:
@@ -150,7 +181,8 @@ def build_index_files(directory: str, kind: str = "ivf", **kwargs) -> Dict[str, 
 
 @register_index("ivf")
 class IVFIndex:
-    """IVF index over one entity table: resident centroids, LRU-paged assignments.
+    """IVF index over one entity table: resident centroids, LRU-paged
+    assignments, posting lists read in place.
 
     Parameters
     ----------
@@ -159,9 +191,10 @@ class IVFIndex:
     manifest:
         Parsed (and version-checked) ``index.json`` payload.
     table:
-        The :class:`~repro.nn.table.EmbeddingTable` the index was built over;
-        candidates and recall probes read their float64 rows through its
-        :meth:`~repro.nn.table.EmbeddingTable.exact_rows`.
+        The :class:`~repro.nn.table.EmbeddingTable` the index was built over.
+        Probes read candidates from the posting lists, never from the table;
+        the recall ground truth and sample queries read its float64 rows
+        through :meth:`~repro.nn.table.EmbeddingTable.exact_rows`.
     max_resident:
         LRU bound on simultaneously resident per-range assignment blocks
         (``None`` keeps every faulted block resident — they are int64
@@ -218,8 +251,10 @@ class IVFIndex:
                 f"{self.n_entities} entities"
             )
         # Global centroid table: small (≈ sqrt(rows) per range), always
-        # resident so the coarse probe is a single tiled distance sweep.
+        # resident so the coarse probe is a single tiled distance sweep
+        # against norms computed here, once.
         self._centroids = np.concatenate(centroid_parts, axis=0)
+        self._centroid_sq = squared_norms(self._centroids)
         self.n_clusters = int(self._centroids.shape[0])
         # Global cluster id -> owning range, for candidate gathering.
         self._cluster_range = np.repeat(
@@ -231,8 +266,35 @@ class IVFIndex:
         self._blocks: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]" = OrderedDict()
         self.counters: Dict[str, float] = {
             "index_faults": 0, "index_evictions": 0, "index_bytes_loaded": 0,
-            "candidates_scored": 0,
+            "candidates_scored": 0, "list_bytes_read": 0,
         }
+        # One unbuffered handle per posting-list file and its payload offset.
+        self._lists: List[Tuple[object, int]] = []
+        try:
+            for entry in buckets:
+                self._lists.append(self._open_list(
+                    os.path.join(index_dir, str(entry["lists"])),
+                    (int(entry["rows"]), self.embedding_dim + 1)))
+        except BaseException:
+            self.close()
+            raise
+
+    @staticmethod
+    def _open_list(path: str, shape: Tuple[int, int]) -> Tuple[object, int]:
+        """``(handle, payload offset)`` of the list file at ``path``, after
+        checking its header and length against ``shape`` float64 C order."""
+        handle = open(path, "rb", buffering=0)
+        if not _holds_payload(handle, shape, np.dtype(np.float64)):
+            handle.close()
+            raise ValueError(
+                f"{path} is not a C-ordered float64 {shape} .npy file; "
+                "rebuild the index with build_index_files()")
+        return handle, handle.tell()
+
+    def close(self) -> None:
+        """Release the posting-list handles; a later probe raises ``ValueError``."""
+        for handle, _ in self._lists:
+            handle.close()
 
     # ------------------------------------------------------------------ #
     # Build
@@ -266,12 +328,19 @@ class IVFIndex:
             # reproducible) regardless of partition count.
             centroids, assign = kmeans(rows, clusters, n_iters=n_iters,
                                        seed=int(seed) + k)
+            assign = assign.astype(np.int32, copy=False)
             np.save(os.path.join(index_dir, centroids_filename(k)), centroids)
-            np.save(os.path.join(index_dir, assign_filename(k)),
-                    assign.astype(np.int32, copy=False))
+            np.save(os.path.join(index_dir, assign_filename(k)), assign)
+            perm, _ = _cluster_order(assign, int(centroids.shape[0]))
+            lists = np.empty((hi - lo, rows.shape[1] + 1), dtype=np.float64)
+            lists[:, :-1] = rows[perm]
+            lists[:, -1] = squared_norms(rows)[perm]
+            np.save(os.path.join(index_dir, lists_filename(k)), lists)
+            del lists
             entries.append({
                 "centroids": centroids_filename(k),
                 "assign": assign_filename(k),
+                "lists": lists_filename(k),
                 "start": int(lo),
                 "rows": int(hi - lo),
                 "clusters": int(centroids.shape[0]),
@@ -291,11 +360,14 @@ class IVFIndex:
             "nprobe": 1,
             "buckets": entries,
         }
-        index = cls(index_dir, manifest, table)
         if nprobe is None:
-            queries = index._sample_queries(recall_sample, seed=int(seed))
-            nprobe = index.choose_nprobe(queries, k=recall_k,
-                                         target_recall=target_recall)
+            index = cls(index_dir, manifest, table)
+            try:
+                queries = index._sample_queries(recall_sample, seed=int(seed))
+                nprobe = index.choose_nprobe(queries, k=recall_k,
+                                             target_recall=target_recall)
+            finally:
+                index.close()
         manifest["nprobe"] = int(max(1, min(int(nprobe), max(1, total_clusters))))
         with open(os.path.join(index_dir, INDEX_MANIFEST), "w",
                   encoding="utf-8") as handle:
@@ -307,13 +379,8 @@ class IVFIndex:
     # Residency (assignment blocks page under their own LRU)
     # ------------------------------------------------------------------ #
     def _block(self, part: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Fault range ``part``'s ``(perm, offsets)`` block (LRU-bounded).
-
-        ``perm`` lists the range's local rows sorted by cluster id (stable,
-        so within a cluster rows stay in ascending id order); ``offsets`` is
-        the CSR-style boundary array — cluster ``c``'s rows are
-        ``perm[offsets[c]:offsets[c + 1]]``.
-        """
+        """Fault range ``part``'s ``(perm, offsets)`` block (LRU-bounded);
+        see :func:`_cluster_order`."""
         if part in self._blocks:
             self._blocks.move_to_end(part)
             return self._blocks[part]
@@ -323,11 +390,7 @@ class IVFIndex:
                 self.counters["index_evictions"] += 1
         entry = self._range_entries[part]
         assign = np.load(os.path.join(self.directory, str(entry["assign"])))
-        clusters = int(entry["clusters"])
-        perm = np.argsort(assign, kind="stable").astype(np.int64, copy=False)
-        counts = np.bincount(assign, minlength=clusters)
-        offsets = np.zeros(clusters + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum(counts)
+        perm, offsets = _cluster_order(assign, int(entry["clusters"]))
         self._blocks[part] = (perm, offsets)
         self.counters["index_faults"] += 1
         self.counters["index_bytes_loaded"] += int(assign.nbytes)
@@ -341,28 +404,36 @@ class IVFIndex:
             nprobe = self.nprobe_default
         return max(1, min(int(nprobe), max(1, self.n_clusters)))
 
+    def _probed(self, q: np.ndarray, nprobe: Optional[int]
+                ) -> List[Tuple[int, int, int, np.ndarray]]:
+        """``(range, first list row, rows, global ids)`` of each of the
+        ``nprobe`` clusters nearest ``q``, nearest first.
+
+        The probe ranks every centroid globally (not per range), so dense
+        regions naturally draw more probes.
+        """
+        coarse = l2_distance_matrix(q, self._centroids,
+                                    target_sq=self._centroid_sq)[0]
+        spans = []
+        for cluster in top_k(coarse, self._clamp_nprobe(nprobe)):
+            part = int(self._cluster_range[cluster])
+            local_cluster = int(cluster - self._range_cluster_start[part])
+            perm, offsets = self._block(part)
+            lo, hi = int(offsets[local_cluster]), int(offsets[local_cluster + 1])
+            spans.append((part, lo, hi - lo, perm[lo:hi] + self._range_start[part]))
+        return spans
+
     def candidate_ids(self, query: np.ndarray,
                       nprobe: Optional[int] = None) -> np.ndarray:
         """Global entity ids inside the ``nprobe`` nearest clusters, ascending.
 
-        The probe ranks every centroid globally (not per range), so dense
-        regions naturally draw more probes.  Clusters partition the rows, so
-        the concatenated candidate lists are duplicate-free; sorting them
-        ascending makes the full-probe candidate set literally
-        ``arange(n_entities)`` — the bit-identical-to-exact guarantee.
+        Clusters partition the rows, so the concatenated candidate lists are
+        duplicate-free; sorting them ascending makes the full-probe candidate
+        set literally ``arange(n_entities)`` — the bit-identical-to-exact
+        guarantee.
         """
-        nprobe = self._clamp_nprobe(nprobe)
         q = np.asarray(query, dtype=np.float64).reshape(1, -1)
-        coarse = l2_distance_matrix(q, self._centroids)[0]
-        probe = top_k(coarse, nprobe)
-        parts: List[np.ndarray] = []
-        for cluster in probe:
-            part = int(self._cluster_range[cluster])
-            local_cluster = int(cluster - self._range_cluster_start[part])
-            perm, offsets = self._block(part)
-            rows = perm[offsets[local_cluster]:offsets[local_cluster + 1]]
-            parts.append(rows + self._range_start[part])
-        candidates = np.concatenate(parts)
+        candidates = np.concatenate([ids for *_, ids in self._probed(q, nprobe)])
         candidates.sort(kind="stable")
         return candidates
 
@@ -370,14 +441,38 @@ class IVFIndex:
               ) -> Tuple[np.ndarray, np.ndarray]:
         """Candidates of ``query`` with their exact L2 distances.
 
-        :meth:`candidate_ids` (ascending), rescored from the table's float64
-        rows; ``(ids, distances)`` are aligned, not ranked.
+        :meth:`candidate_ids` (ascending), rescored from their float64 rows
+        and stored norms; ``(ids, distances)`` are aligned, not ranked.  Each
+        probed cluster's span of its range's list file is read with one
+        ``os.preadv`` into one buffer; the rows are then put in ascending id
+        order, so the distance call is the one an id-sorted
+        ``exact_rows`` read of the candidates would make.
         """
-        candidates = self.candidate_ids(query, nprobe)
         q = np.asarray(query, dtype=np.float64).reshape(1, -1)
-        dist = l2_distance_matrix(q, self.table.exact_rows(candidates))[0]
+        spans = self._probed(q, nprobe)
+        width = self.embedding_dim + 1
+        row_bytes = width * np.dtype(np.float64).itemsize
+        buffer = np.empty((sum(rows for _, _, rows, _ in spans), width),
+                          dtype=np.float64)
+        view = memoryview(buffer.reshape(-1).view(np.uint8))
+        at = 0
+        for part, first, rows, _ in spans:
+            handle, payload = self._lists[part]
+            want = rows * row_bytes
+            got = os.preadv(handle.fileno(), [view[at:at + want]],
+                            payload + first * row_bytes)
+            if got != want:
+                raise ValueError(
+                    f"{handle.name} ended {want - got} bytes early; it changed "
+                    "after the index loaded")
+            at += want
+        candidates = np.concatenate([ids for *_, ids in spans])
+        order = np.argsort(candidates, kind="stable")
+        dist = l2_distance_matrix(q, buffer[order, :-1],
+                                  target_sq=buffer[order, -1])[0]
         self.counters["candidates_scored"] += int(candidates.size)
-        return candidates, dist
+        self.counters["list_bytes_read"] += at
+        return candidates[order], dist
 
     def search(self, query: np.ndarray, k: int, nprobe: Optional[int] = None,
                exclude: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:

@@ -561,7 +561,7 @@ class TranslationalModel(KGEModel):
                 distances=distances)
 
     # ------------------------------------------------------------------ #
-    # Exact rescoring (ANN and two-phase quantized serving)
+    # Exact rows (the ANN anchor row and two-phase quantized serving)
     # ------------------------------------------------------------------ #
     def exact_entity_rows(self, entity_ids: np.ndarray) -> np.ndarray:
         """Float64 entity rows regardless of serving quantization.

@@ -308,8 +308,9 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         self._directory: Optional[str] = None
         self._quantized: Optional[str] = None
         # bucket -> (read-only map of its float64 file, payload offset): the
-        # exact_rows reader, opened on first use and held until the table
-        # points at other files.
+        # exact_rows reader (quantized rescoring, the ANN anchor row, the IVF
+        # build; not IVF probes, which read the index's own list files),
+        # opened on first use and held until the table points at other files.
         self._maps: Dict[int, Tuple[mmap.mmap, int]] = {}
         self._base_max_resident = self.max_resident
         self._resident_bytes = 0

@@ -6,7 +6,8 @@ serving engine's nearest-neighbour scan — now talks to this interface instead:
 
 * :meth:`EmbeddingTable.read_rows` — random-access row reads (always a copy);
 * :meth:`EmbeddingTable.exact_rows` — float64 row reads that leave residency
-  alone (what ANN probes and exact rescoring read);
+  alone (what quantized rescoring, the ANN anchor row and the IVF build
+  read; an IVF probe reads its own posting lists);
 * :meth:`EmbeddingTable.iter_blocks` — bounded-memory sequential sweeps, the
   primitive behind blocked ranking and block-wise renormalisation;
 * :meth:`EmbeddingTable.write_rows` — row-granular writes (pre-trained
@@ -94,7 +95,9 @@ class EmbeddingTable:
 
     def exact_rows(self, indices: np.ndarray) -> np.ndarray:
         """Float64 copy of the rows at ``indices`` that leaves residency alone
-        (ANN probes and exact rescoring read through it); dense: :meth:`read_rows`.
+        (quantized rescoring, the ANN anchor row and the IVF build and recall
+        truth read through it; IVF probes read the index's posting lists);
+        dense: :meth:`read_rows`.
 
         A paged table reads evicted rows from its files without loading them
         (a partitioned one through a read-only map per bucket file, held by

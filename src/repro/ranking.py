@@ -263,8 +263,8 @@ def walk_table(blocks: Iterable[Tuple[int, np.ndarray]], groups, sink,
     """Every ranking key of ``groups``' queries against a table, one tile at a time.
 
     ``blocks`` yields ``(start_row, block)`` pairs (a model's
-    ``iter_entity_embedding_blocks``, the IVF index's ``exact_rows`` ranges);
-    each is read once and projected once per relation (``project(block,
+    ``iter_entity_embedding_blocks``, the IVF ground truth's ``exact_rows``
+    ranges); each is read once and projected once per relation (``project(block,
     relation)``).  ``groups`` are ``(rows, relation, direction, queries)`` as
     ``TranslationalModel._query_groups`` builds them.  ``sink`` is a
     :class:`~repro.evaluation.ranks.RankCounter` or a callable ``sink(tile,

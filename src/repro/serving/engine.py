@@ -232,10 +232,11 @@ class InferenceEngine:
         The new model comes from the loader :meth:`from_artifact` uses, so it
         is served the same way: mapped weights, and quantized twins when the
         artifact carries them.  Any attached ANN index is dropped with the
-        cache (its clusters describe the *old* weights); when this engine
-        came from ``from_artifact`` with ANN enabled and ``path`` is an
-        artifact directory carrying an ``index/``, the new artifact's index
-        is re-attached in the same swap.
+        cache (its clusters describe the *old* weights) and closed, which
+        releases its list files; when this engine came from
+        ``from_artifact`` with ANN enabled and ``path`` is an artifact
+        directory carrying an ``index/``, the new artifact's index is
+        re-attached in the same swap.
         """
         import os
 
@@ -246,8 +247,11 @@ class InferenceEngine:
                      if self._ann_mode is not None and os.path.isdir(path)
                      else None)
         with self._score_lock:
+            dropped = self.ann_index
             self.model = model
             self.ann_index = new_index
+            if dropped is not None:
+                dropped.close()
             self.cache.clear()
             self._entity_snapshot = None
             with self._stats_lock:

@@ -50,7 +50,9 @@ def indexed_artifact(make_model, tmp_path_factory):
 @pytest.fixture
 def index(indexed_artifact):
     directory, _, _ = indexed_artifact
-    return load_index(f"{directory}/index")
+    index = load_index(f"{directory}/index")
+    yield index
+    index.close()
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
-"""IVFIndex: build/load roundtrip, full-probe parity, recall, LRU residency."""
+"""IVFIndex: build/load roundtrip, probe parity, recall, LRU residency, list files."""
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -19,7 +21,27 @@ from repro.ann import (
     load_index,
 )
 from repro.models.transe import SpTransE
-from repro.training.checkpoint import save_checkpoint
+from repro.serving import InferenceEngine
+from repro.training.checkpoint import load_model, save_checkpoint
+
+linux_only = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                reason="reads /proc/self")
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _tie_artifact(directory, make_model):
+    """A 90-row artifact of 5 distinct rows repeated 18 times (every distance
+    18-way tied), indexed at nprobe 1; returns the table."""
+    model = make_model(n_entities=90, dim=6)
+    distinct = np.linspace(-1.0, 1.0, 5 * 6).reshape(5, 6)
+    table = np.tile(distinct, (18, 1))
+    model.entity_table().write_rows(np.arange(90), table)
+    save_checkpoint(os.path.join(directory, "checkpoint.npz"), model)
+    build_index_files(directory, kind="ivf", seed=0, nprobe=1)
+    return table
 
 
 class TestRegistry:
@@ -46,6 +68,21 @@ class TestBuildAndLoad:
                                                entry["centroids"]))
             assert os.path.exists(os.path.join(directory, "index",
                                                entry["assign"]))
+            assert entry["lists"] == ivf.lists_filename(
+                on_disk["buckets"].index(entry))
+
+    def test_lists_hold_each_cluster_contiguously(self, indexed_artifact):
+        directory, model, manifest = indexed_artifact
+        table = model.entity_table()
+        for entry in manifest["buckets"]:
+            lists = np.load(os.path.join(directory, "index", entry["lists"]))
+            assign = np.load(os.path.join(directory, "index", entry["assign"]))
+            assert lists.dtype == np.float64 and lists.flags.c_contiguous
+            assert lists.shape == (entry["rows"], table.embedding_dim + 1)
+            ids = entry["start"] + np.argsort(assign, kind="stable")
+            rows = table.exact_rows(ids)
+            assert np.array_equal(lists[:, :-1], rows)
+            assert np.array_equal(lists[:, -1], ranking.squared_norms(rows))
 
     def test_one_index_range_per_table_range(self, indexed_artifact):
         _, model, manifest = indexed_artifact
@@ -69,15 +106,36 @@ class TestBuildAndLoad:
                 np.load(os.path.join(other, "index", b["assign"])))
         assert manifest["nprobe"] == again["nprobe"]
 
-    def test_version_mismatch_rejected(self, indexed_artifact, tmp_path):
+    @pytest.mark.parametrize("damage", ["truncated", "narrow", "float32"])
+    def test_damaged_list_file_named_at_load(self, indexed_artifact, tmp_path,
+                                             damage):
+        directory, _, manifest = indexed_artifact
+        copy = tmp_path / "copy"
+        shutil.copytree(directory, copy)
+        entry = manifest["buckets"][-1]
+        path = os.path.join(copy, "index", entry["lists"])
+        lists = np.load(path)
+        if damage == "truncated":
+            os.truncate(path, os.path.getsize(path) - 8)
+        elif damage == "narrow":
+            np.save(path, np.ascontiguousarray(lists[:, :-1]))
+        else:
+            np.save(path, lists.astype(np.float32))
+        with pytest.raises(ValueError, match=entry["lists"]):
+            load_index(os.path.join(copy, "index"))
+
+    # Version 1 indexes carry no posting lists: they must be rebuilt.
+    @pytest.mark.parametrize("version", [1, INDEX_MANIFEST_VERSION + 1])
+    def test_version_mismatch_rejected(self, indexed_artifact, tmp_path, version):
         directory, _, _ = indexed_artifact
         stale = tmp_path / "stale-index"
         stale.mkdir()
         manifest = json.loads(
             open(os.path.join(directory, "index", INDEX_MANIFEST)).read())
-        manifest["version"] = INDEX_MANIFEST_VERSION + 1
+        manifest["version"] = version
         (stale / INDEX_MANIFEST).write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="unsupported index manifest version"):
+        with pytest.raises(ValueError, match="unsupported index manifest "
+                           "version .* rebuild the index"):
             load_index(str(stale))
 
     def test_missing_manifest_rejected(self, tmp_path):
@@ -112,12 +170,7 @@ class TestFullProbeParity:
         # duplicate rows force exact distance ties, and both paths must break
         # them the same way (top_k's stable index order).
         directory = str(tmp_path / "ties")
-        model = make_model(n_entities=90, dim=6)
-        distinct = np.linspace(-1.0, 1.0, 5 * 6).reshape(5, 6)
-        table = np.tile(distinct, (18, 1))  # every distance 18-way tied
-        model.entity_table().write_rows(np.arange(90), table)
-        save_checkpoint(os.path.join(directory, "checkpoint.npz"), model)
-        build_index_files(directory, kind="ivf", seed=0, nprobe=1)
+        table = _tie_artifact(directory, make_model)
         index = load_index(os.path.join(directory, "index"))
         full = index.table.exact_rows(np.arange(90, dtype=np.int64))
         assert np.array_equal(full, table)
@@ -133,6 +186,90 @@ class TestFullProbeParity:
         q = full_table[12]
         ids, _ = index.search(q, 5, nprobe=index.n_clusters, exclude=12)
         assert 12 not in ids.tolist()
+
+
+def _assert_probe_is_exact_rows_rescore(index, queries):
+    """``probe`` at every nprobe equals an id-sorted ``exact_rows`` rescore of
+    its candidates, bit for bit: the distance call of a table read."""
+    for q in queries:
+        for nprobe in range(1, index.n_clusters + 1):
+            ids, dist = index.probe(q, nprobe)
+            expected = index.candidate_ids(q, nprobe)
+            assert np.array_equal(ids, expected)
+            oracle = ranking.l2_distance_matrix(
+                q[None, :], index.table.exact_rows(expected))[0]
+            assert dist.dtype == oracle.dtype
+            assert dist.tobytes() == oracle.tobytes()
+
+
+class TestProbeReadsLists:
+    # P = 3 and P = 1 (and the dense table) through the layout fixture.
+    def test_probe_equals_exact_rows_rescore(self, index, full_table):
+        queries = np.concatenate([full_table[[0, 57, 211]],
+                                  full_table[[3, 100]] + 0.05])
+        _assert_probe_is_exact_rows_rescore(index, queries)
+
+    def test_probe_equals_exact_rows_rescore_on_ties(self, tmp_path, make_model):
+        directory = str(tmp_path / "ties")
+        table = _tie_artifact(directory, make_model)
+        index = load_index(os.path.join(directory, "index"))
+        _assert_probe_is_exact_rows_rescore(index, table[[0, 4, 44]])
+        index.close()
+
+    def test_probe_reads_neither_the_table_nor_a_map(self, index, full_table,
+                                                     monkeypatch):
+        calls = []
+
+        def spy(name):
+            def refuse(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"probe called {name}")
+            return refuse
+        monkeypatch.setattr(type(index.table), "exact_rows", spy("exact_rows"))
+        monkeypatch.setattr(mmap, "mmap", spy("mmap.mmap"))
+        for row in (1, 150, 299):
+            ids, dist = index.probe(full_table[row], index.n_clusters)
+            assert ids.size == index.n_entities
+        assert calls == []
+        assert index.stats()["list_bytes_read"] == (
+            3 * index.n_entities * (index.embedding_dim + 1) * 8)
+
+
+@linux_only
+class TestListHandles:
+    def test_close_releases_one_handle_per_list(self, indexed_artifact):
+        directory, _, manifest = indexed_artifact
+        table = load_model(directory).entity_table()
+        before = _open_fds()
+        index = load_index(os.path.join(directory, "index"), table=table)
+        assert _open_fds() == before + len(manifest["buckets"])
+        index.close()
+        assert _open_fds() == before
+        with pytest.raises(ValueError, match="closed file"):
+            index.probe(table.exact_rows(np.array([0]))[0], index.n_clusters)
+
+    def test_reloads_close_the_index_they_drop(self, indexed_artifact):
+        # The dropped indexes' list handles stay referenced here, as they
+        # would by a caller still holding an old index, so only the engine's
+        # close, not garbage collection, can release their descriptors.
+        directory, _, _ = indexed_artifact
+        model = load_model(directory)
+        engine = InferenceEngine(model, ann_index=load_index(
+            os.path.join(directory, "index"), table=model.entity_table()))
+        del model
+        dropped = []
+        before = None
+        for step in range(21):
+            if step:
+                dropped.append(list(engine.ann_index._lists))
+                engine.reload(directory)
+            engine.nearest_entities(step, k=5)
+            engine.top_k_tails(step, 1, k=5)
+            if before is None:
+                before = _open_fds()
+        assert engine.ann_queries == 42  # both routes took the index
+        assert _open_fds() == before
+        assert all(handle.closed for lists in dropped for handle, _ in lists)
 
 
 class TestExactTruth:

@@ -4,7 +4,6 @@ import json
 import os
 import shutil
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -110,30 +109,31 @@ class TestOnlyReplacesNamedCases:
 class TestInterleavedRatio:
     @staticmethod
     def _steps(seconds_a, seconds_b, cold_factor=50):
-        """Two sleeps; whichever is called first overall pays ``cold_factor`` times."""
-        state = {"cold": True}
+        """Two steps that advance a fake clock, returned last; whichever is
+        called first overall pays ``cold_factor`` times."""
+        state = {"cold": True, "now": 0.0}
 
         def step(seconds):
             def run():
-                time.sleep(seconds * (cold_factor if state["cold"] else 1))
+                state["now"] += seconds * (cold_factor if state["cold"] else 1)
                 state["cold"] = False
             return run
 
-        return step(seconds_a), step(seconds_b)
+        return step(seconds_a), step(seconds_b), lambda: state["now"]
 
     def test_cold_start_of_whichever_runs_first_does_not_move_the_ratio(self):
         """Timing A to completion and then B — the parent's protocol — charges
         the cold start to A and reads 0.5 as ~5; interleaved it stays 0.5."""
-        a, b = self._steps(0.005, 0.010)
-        result = interleaved_ratio(a, b, warmup=1, rounds=5)
+        a, b, clock = self._steps(0.005, 0.010)
+        result = interleaved_ratio(a, b, warmup=1, rounds=5, clock=clock)
         assert result["ratio"] == pytest.approx(0.5, rel=0.10)
         assert result["a_iqr_s"] >= 0.0 and result["b_iqr_s"] >= 0.0
 
     def test_both_orders_agree(self):
-        a, b = self._steps(0.005, 0.010)
-        forward = interleaved_ratio(a, b, warmup=1, rounds=5)["ratio"]
-        b, a = self._steps(0.010, 0.005)
-        backward = interleaved_ratio(b, a, warmup=1, rounds=5)["ratio"]
+        a, b, clock = self._steps(0.005, 0.010)
+        forward = interleaved_ratio(a, b, warmup=1, rounds=5, clock=clock)["ratio"]
+        b, a, clock = self._steps(0.010, 0.005)
+        backward = interleaved_ratio(b, a, warmup=1, rounds=5, clock=clock)["ratio"]
         assert forward * backward == pytest.approx(1.0, rel=0.15)
 
 
