@@ -93,11 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", default=None,
                      help="override model.backend: SpMM backend for sparse "
                           f"models ({', '.join(available_backends())})")
-    run.add_argument("--quantize", default=None, choices=["fp16", "int8"],
-                     help="after training, also write quantized entity bucket "
-                          "files into the artifact (partitioned models only); "
-                          "the artifact then serves them at 2-4x lower "
-                          "resident memory, rescoring answers exactly")
     run.add_argument("--ann", default=None, choices=["ivf"],
                      help="after training, also build an ANN index over the "
                           "entity table (IVF k-means centroids per row range "
@@ -399,32 +394,16 @@ def _command_run(args: argparse.Namespace) -> int:
         spec = _apply_run_overrides(spec, args)
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
-    if getattr(args, "quantize", None) and spec.model.partitions is None:
-        raise SystemExit(
-            "--quantize applies to partitioned models only (train with "
-            "--partitions > 1)")
     artifact_dir = args.artifacts if args.artifacts else f"runs/{spec.name}"
     try:
         result = Experiment(spec, artifact_dir=artifact_dir,
                             resume=args.resume).run()
     except (UnknownModelError, ValueError, FileNotFoundError) as exc:
         raise SystemExit(str(exc)) from exc
-    if getattr(args, "quantize", None):
-        import os
-
-        from repro.nn.partitioned import ARTIFACT_WEIGHTS
-        from repro.nn.quantize import quantize_weight_files
-
-        try:
-            quantize_weight_files(os.path.join(artifact_dir, ARTIFACT_WEIGHTS),
-                                  args.quantize)
-        except FileNotFoundError as exc:
-            raise SystemExit(str(exc)) from exc
     print(json.dumps({"experiment": spec.name,
                       "artifacts": artifact_dir,
                       "dataset": result.dataset_name,
                       "model": spec_from_model(result.model).to_dict(),
-                      "quantized": getattr(args, "quantize", None),
                       "metrics": result.metrics},
                      indent=2, default=float))
     return 0
@@ -444,9 +423,7 @@ def _command_evaluate(args: argparse.Namespace) -> int:
     """Rank the artifact's split under its own eval settings, on its own data.
 
     Without ``--ks`` and ``--split`` this prints exactly the link-prediction
-    numbers ``run`` recorded in the artifact's ``metrics.json`` — unless the
-    artifact was quantized at export: it then ranks through the quantized
-    entity table the artifact serves.
+    numbers ``run`` recorded in the artifact's ``metrics.json``.
     """
     overrides = {"ks": args.ks, "split": args.split}
     overrides = {name: value for name, value in overrides.items() if value is not None}
@@ -507,11 +484,12 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     if args.workers < 0:
         raise SystemExit(f"--workers must be >= 0, got {args.workers}")
-    server = None
+    server = engine = None
     # SIGTERM unwinds like Ctrl-C.  Every statement after the handler runs
     # inside this try, so a SIGTERM at any point of start-up (loading the
     # artifact, forking the pool, printing the ready line) still closes what
-    # has started: the threaded server, or the pool and its forked workers.
+    # has started: the threaded server and its engine, or the pool and its
+    # forked workers.
     signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         engine_factory = _engine_factory(args)
@@ -559,6 +537,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     finally:
         if server is not None:
             server.close()
+        if engine is not None:
+            engine.close()
     return 0
 
 

@@ -321,11 +321,6 @@ class TranslationalModel(KGEModel):
             return table
         return table.entity_table()
 
-    @property
-    def serving_quantized(self) -> Optional[str]:
-        """Quantization mode the entity table is served from (or ``None``)."""
-        return self.entity_table().quantized
-
     def entity_embedding_rows(self, entity_ids: np.ndarray) -> np.ndarray:
         """Copy of selected entity rows ``(k, d)``; never densifies the table."""
         return self.entity_table().read_rows(
@@ -561,10 +556,10 @@ class TranslationalModel(KGEModel):
                 distances=distances)
 
     # ------------------------------------------------------------------ #
-    # Exact rows (the ANN anchor row and two-phase quantized serving)
+    # Exact rows (the ANN anchor row)
     # ------------------------------------------------------------------ #
     def exact_entity_rows(self, entity_ids: np.ndarray) -> np.ndarray:
-        """Float64 entity rows regardless of serving quantization.
+        """Float64 entity rows, read without touching the table's residency.
 
         Read through :meth:`~repro.nn.table.EmbeddingTable.exact_rows`, so a
         partitioned table faults no bucket for them.
@@ -572,33 +567,14 @@ class TranslationalModel(KGEModel):
         return self.entity_table().exact_rows(
             np.asarray(entity_ids, dtype=np.int64).reshape(-1))
 
-    def exact_candidate_scores(self, anchor: int, relation: int,
-                               candidates: np.ndarray,
-                               direction: str) -> Optional[np.ndarray]:
-        """Full-precision scores for one query against a short candidate list.
-
-        The rescoring half of two-phase quantized serving: the same L2 kernel
-        the full-precision path runs, over just the candidates' exact float64
-        rows.  ``direction`` is ``"tail"`` (``anchor`` is the head) or
-        ``"head"``; ``None`` when ranking is not an L2 kNN over the entity
-        rows, telling the caller to serve the coarse ranking as-is.
-        """
-        query = self.l2_query_vector(anchor, relation, direction)
-        if query is None:
-            return None
-        candidates = np.asarray(candidates, dtype=np.int64).reshape(-1)
-        return ranking.l2_distance_matrix(
-            query[None, :], self.exact_entity_rows(candidates))[0]
-
     def l2_query_vector(self, anchor: int, relation: int,
                         direction: str) -> Optional[np.ndarray]:
         """Float64 L2 query (``h + r`` / ``t − r``) when ranking is an L2 kNN.
 
-        Shared by :meth:`exact_candidate_scores` and the serving engine's
-        ANN routing, so an IVF-rescored ranking and an exact rescored ranking
-        score candidates from literally the same query vector.  ``None`` for
-        other dissimilarities, projected geometries and overridden scores
-        (the caller falls back to exact ranking).
+        The serving engine's ANN routing probes the IVF index with it.
+        ``direction`` is ``"tail"`` (``anchor`` is the head) or ``"head"``.
+        ``None`` for other dissimilarities, projected geometries and
+        overridden scores (the caller falls back to exact ranking).
         """
         if not self._l2_over_entities():
             return None

@@ -46,7 +46,6 @@ from numpy.lib import format as npy_format
 
 from repro.autograd.tensor import Tensor
 from repro.nn import init
-from repro.nn import quantize as quantize_lib
 from repro.nn.embedding import StackedEmbedding
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
@@ -185,11 +184,11 @@ class BucketParameter(Parameter):
 
     @property
     def dtype(self):
-        return self._owner.slab_dtype
+        return np.dtype(np.float64)
 
     @property
     def nbytes(self) -> int:
-        return self.size * self._owner.slab_dtype.itemsize
+        return self.size * np.dtype(np.float64).itemsize
 
     def restore_opt_state(self, optimizer, state: Dict[str, object]) -> None:
         """Hook called by ``Optimizer._param_state`` on first (re-)use.
@@ -306,13 +305,11 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         self._attached = False
         self._owns_dir = False
         self._directory: Optional[str] = None
-        self._quantized: Optional[str] = None
         # bucket -> (read-only map of its float64 file, payload offset): the
-        # exact_rows reader (quantized rescoring, the ANN anchor row, the IVF
-        # build; not IVF probes, which read the index's own list files),
-        # opened on first use and held until the table points at other files.
+        # exact_rows reader (the ANN anchor row, the IVF build; not IVF
+        # probes, which read the index's own list files), opened on first use
+        # and held until the table points at other files.
         self._maps: Dict[int, Tuple[mmap.mmap, int]] = {}
-        self._base_max_resident = self.max_resident
         self._resident_bytes = 0
         self.counters: Dict[str, float] = {
             "faults": 0, "evictions": 0, "writebacks": 0,
@@ -424,14 +421,8 @@ class PartitionedEmbedding(Module, EmbeddingTable):
 
         The directory must carry a compatible ``partition.json``; any resident
         slabs are dropped (not written back) so subsequent faults read the
-        attached files.
-
-        The directory decides how the rows are served: when the manifest
-        records quantized twins (written by
-        :func:`repro.nn.quantize.quantize_weight_files`), faults read those
-        and ``max_resident`` scales by the mode's compression factor — the
-        memory budget buys 2× (int8) / 4× (fp16) more resident buckets —
-        while :meth:`exact_rows` still reads the float64 originals.
+        attached files.  Only the float64 bucket files the manifest lists are
+        read; any other key or file in the directory is ignored.
         """
         manifest_path = os.path.join(directory, PARTITION_MANIFEST)
         if not os.path.exists(manifest_path):
@@ -453,15 +444,6 @@ class PartitionedEmbedding(Module, EmbeddingTable):
             path = os.path.join(directory, entry["file"])
             if not os.path.exists(path):
                 raise FileNotFoundError(f"bucket file missing: {path}")
-        quantized = manifest.get("quantized")
-        mode = (quantize_lib.check_mode(quantized["mode"])
-                if isinstance(quantized, dict) else None)
-        if mode is not None:
-            for k in range(self.partition.n_partitions):
-                for name in quantize_lib.quantized_filenames(k, mode):
-                    path = os.path.join(directory, name)
-                    if not os.path.exists(path):
-                        raise FileNotFoundError(f"quantized bucket file missing: {path}")
         self._drop_resident()
         self._close_maps()
         if self._owns_dir and self._directory is not None:
@@ -470,13 +452,6 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         self._owns_dir = False
         self._attached = True
         self.read_only = True
-        self._quantized = mode
-        if mode is not None:
-            self.max_resident = min(
-                self.partition.n_partitions,
-                self._base_max_resident * quantize_lib.compression_factor(mode))
-        else:
-            self.max_resident = self._base_max_resident
 
     def rehome(self, directory: Optional[str] = None) -> str:
         """Move the backing storage to a private directory (fork isolation).
@@ -557,17 +532,12 @@ class PartitionedEmbedding(Module, EmbeddingTable):
             victim, _ = self._resident.popitem(last=False)
             self._evict(victim)
         t0 = time.perf_counter()
-        if self._quantized is not None:
-            slab, file_bytes = quantize_lib.load_quantized_bucket(
-                self._directory, bucket, self._quantized)
-        else:
-            slab = np.load(self._bucket_path(bucket))
-            file_bytes = slab.nbytes
+        slab = np.load(self._bucket_path(bucket))
         param._slab = slab
         self._resident[bucket] = None
         self._resident_bytes += slab.nbytes
         self.counters["faults"] += 1
-        self.counters["bytes_loaded"] += file_bytes
+        self.counters["bytes_loaded"] += slab.nbytes
         self.counters["fault_seconds"] += time.perf_counter() - t0
         self.counters["peak_resident"] = max(self.counters["peak_resident"],
                                              len(self._resident))
@@ -701,15 +671,11 @@ class PartitionedEmbedding(Module, EmbeddingTable):
             yield bucket, slice(int(start), int(stop)), sorted_ids[start:stop] - lo
 
     def read_rows(self, indices: np.ndarray) -> np.ndarray:
-        """Copy of arbitrary entity rows (faulting buckets as needed).
-
-        The rows come back at the resident-slab dtype — float64 normally,
-        float16/float32 when serving quantized buckets (no silent upcast).
-        """
+        """Float64 copy of arbitrary entity rows (faulting buckets as needed)."""
         idx = np.asarray(indices, dtype=np.int64).reshape(-1)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_entities):
             raise IndexError("entity index out of range")
-        out = np.empty((idx.size, self._embedding_dim), dtype=self.slab_dtype)
+        out = np.empty((idx.size, self._embedding_dim), dtype=np.float64)
         order = np.argsort(idx, kind="stable")
         sorted_ids = idx[order]
         for bucket, sl, local in self._bucket_slices(sorted_ids):
@@ -721,10 +687,9 @@ class PartitionedEmbedding(Module, EmbeddingTable):
     def exact_rows(self, indices: np.ndarray) -> np.ndarray:
         """Float64 entity rows, read without faulting or evicting a bucket.
 
-        A bucket whose float64 slab is resident is read from memory, so a
-        dirty bucket of a writable table gives its current rows, not its
-        stale file.  Any other bucket — evicted, or resident as a quantized
-        twin — is read from its float64 ``entities.bucket<k>.npy`` file
+        A resident bucket is read from memory, so a dirty bucket of a
+        writable table gives its current rows, not its stale file.  An
+        evicted bucket is read from its ``entities.bucket<k>.npy`` file
         through a read-only memory map the table opens on the bucket's first
         such read and holds (:meth:`_exact_map`): only the requested rows are
         copied, then the map's pages are released, so nothing enters the
@@ -740,7 +705,7 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         sorted_ids = idx[order]
         for bucket, sl, local in self._bucket_slices(sorted_ids):
             slab = self._buckets[bucket]._slab
-            if slab is not None and self._quantized is None:
+            if slab is not None:
                 out[order[sl]] = slab[local]
                 continue
             mapping, offset = self._exact_map(bucket)
@@ -894,20 +859,6 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         """Directory holding the bucket files."""
         return self._directory
 
-    @property
-    def quantized(self) -> Optional[str]:
-        """Active serving quantization mode (``"fp16"``/``"int8"``) or ``None``."""
-        return self._quantized
-
-    @property
-    def slab_dtype(self) -> np.dtype:
-        """Dtype of the resident bucket slabs under the current attachment."""
-        if self._quantized == "fp16":
-            return np.dtype(np.float16)
-        if self._quantized == "int8":
-            return np.dtype(np.float32)
-        return np.dtype(np.float64)
-
     def bucket_parameters(self) -> Sequence[BucketParameter]:
         """The bucket parameters, in bucket order."""
         return tuple(self._buckets)
@@ -923,7 +874,6 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         out["resident_bytes"] = self._resident_bytes
         out["max_resident"] = self.max_resident
         out["partitions"] = self.partition.n_partitions
-        out["quantized"] = self._quantized
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

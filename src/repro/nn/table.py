@@ -6,8 +6,8 @@ serving engine's nearest-neighbour scan — now talks to this interface instead:
 
 * :meth:`EmbeddingTable.read_rows` — random-access row reads (always a copy);
 * :meth:`EmbeddingTable.exact_rows` — float64 row reads that leave residency
-  alone (what quantized rescoring, the ANN anchor row and the IVF build
-  read; an IVF probe reads its own posting lists);
+  alone (what the ANN anchor row and the IVF build read; an IVF probe reads
+  its own posting lists);
 * :meth:`EmbeddingTable.iter_blocks` — bounded-memory sequential sweeps, the
   primitive behind blocked ranking and block-wise renormalisation;
 * :meth:`EmbeddingTable.write_rows` — row-granular writes (pre-trained
@@ -95,9 +95,9 @@ class EmbeddingTable:
 
     def exact_rows(self, indices: np.ndarray) -> np.ndarray:
         """Float64 copy of the rows at ``indices`` that leaves residency alone
-        (quantized rescoring, the ANN anchor row and the IVF build and recall
-        truth read through it; IVF probes read the index's posting lists);
-        dense: :meth:`read_rows`.
+        (the ANN anchor row and the IVF build and recall truth read through
+        it; IVF probes read the index's posting lists); dense:
+        :meth:`read_rows`.
 
         A paged table reads evicted rows from its files without loading them
         (a partitioned one through a read-only map per bucket file, held by
@@ -117,11 +117,6 @@ class EmbeddingTable:
     def write_rows(self, indices: np.ndarray, values: np.ndarray) -> None:
         """Overwrite the rows at ``indices`` with ``values``."""
         raise NotImplementedError(f"{type(self).__name__} must define write_rows")
-
-    @property
-    def quantized(self) -> Optional[str]:
-        """Quantization mode the rows are served from (dense tables: ``None``)."""
-        return None
 
     def as_array(self) -> Optional[np.ndarray]:
         """The whole table as one in-memory array view; ``None`` when paged."""

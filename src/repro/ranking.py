@@ -101,10 +101,10 @@ def squared_norms(rows: np.ndarray, dtype=None) -> np.ndarray:
     unchanging view of a table calls it once and passes the result in — the
     same function, so the same bits either way.  ``dtype`` defaults to the
     rows' own floating dtype (``float64`` for integer rows); pass the
-    distance dtype when it is wider (fp16 rows scored by fp64 queries are
-    squared in fp64, as the kernel does).  Rows are squared a block at a
-    time into one :data:`RANK_TILE_ELEMENTS` scratch buffer, never into an
-    ``(N, d)`` copy of the table.
+    distance dtype when it is wider (narrow rows scored by wider queries are
+    squared in the wider dtype, as the kernel does).  Rows are squared a
+    block at a time into one :data:`RANK_TILE_ELEMENTS` scratch buffer, never
+    into an ``(N, d)`` copy of the table.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2:
@@ -165,9 +165,9 @@ def l2_distance_matrix(queries: np.ndarray, targets: np.ndarray,
     larger score block) and is returned.
 
     Dtype follows the inputs (``float32`` queries never silently upcast to
-    ``float64``).  Mixed precision promotes: quantized ``float16`` target
-    tables scored against ``float64`` queries are dequantized one tile at a
-    time — the full table is never widened in memory.
+    ``float64``).  Mixed precision promotes to the wider dtype one tile at a
+    time: narrower target rows are widened per tile, never as a whole
+    table.
     """
     queries = np.asarray(queries)
     targets = np.asarray(targets)

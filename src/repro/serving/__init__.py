@@ -5,9 +5,8 @@ The serving stack is layered so each piece is usable on its own:
 * :class:`~repro.serving.engine.InferenceEngine` — loads a checkpoint through
   the spec-driven registry and answers top-k / scoring / classification
   queries through the model's table walk with a running top-k (filtered
-  candidates never enter it), and an LRU result cache.  The model's tables are the checkpoint's ``weights/``
-  files, mapped read-only; an artifact quantized at export serves its
-  quantized entity buckets with exact rescoring.
+  candidates never enter it), and an LRU result cache.  The model's tables
+  are the checkpoint's ``weights/`` files, mapped read-only.
 * :class:`~repro.serving.request_batcher.RequestBatcher` — coalesces
   concurrent single queries into batched engine calls.
 * :mod:`~repro.serving.validation` — the request protocol both HTTP tiers

@@ -15,7 +15,10 @@ The engine is the programmatic serving surface the HTTP server and the
   (``model.top_k``, the batcher's fast path),
   deduplicating repeated ``(h, r, filtered)`` queries within a batch;
 * keeps an LRU cache keyed ``(direction, h, r, k, filtered)`` that is
-  invalidated atomically on :meth:`reload`.
+  invalidated atomically on :meth:`reload`;
+* releases what it holds open — the ANN index's list files, the table's
+  bucket maps and the model's mapped weights — on :meth:`close` (or on
+  leaving a ``with`` block).
 """
 
 from __future__ import annotations
@@ -81,14 +84,6 @@ class InferenceEngine:
         protocol; without it, ``filtered=True`` queries behave like raw ones.
     cache_size:
         LRU entries kept (``0`` disables result caching).
-    rescore_expansion:
-        When the model serves quantized entity weights, each top-k query is
-        answered in two phases: a coarse sweep over the quantized table keeps
-        the best ``k × rescore_expansion`` candidates (after exclusion
-        masking), which are then rescored exactly from the float64 bucket
-        files before the final top-k — reported ranks and scores match
-        full-precision serving as long as the true top-k survives the coarse
-        cut.  Ignored for full-precision models.
     ann_index:
         An :class:`repro.ann.IVFIndex` (or compatible) built over the model's
         entity table.  When set, L2-rankable queries probe ``nprobe`` clusters
@@ -102,14 +97,10 @@ class InferenceEngine:
 
     def __init__(self, model: KGEModel,
                  known_triples: Optional[Iterable[Tuple[int, int, int]]] = None,
-                 cache_size: int = 4096, rescore_expansion: int = 4,
-                 ann_index=None, nprobe: Optional[int] = None) -> None:
+                 cache_size: int = 4096, ann_index=None,
+                 nprobe: Optional[int] = None) -> None:
         self.model = model
         self.cache = LRUCache(cache_size)
-        if rescore_expansion < 1:
-            raise ValueError(
-                f"rescore_expansion must be >= 1, got {rescore_expansion}")
-        self.rescore_expansion = int(rescore_expansion)
         if ann_index is not None and int(ann_index.n_entities) != int(model.n_entities):
             raise ValueError(
                 f"ANN index covers {ann_index.n_entities} entities but the "
@@ -135,7 +126,6 @@ class InferenceEngine:
         self.queries_served = 0
         self.scoring_calls = 0
         self.rows_scored = 0
-        self.rescored_queries = 0
         self.reloads = 0
         self.ann_queries = 0
         self.fallback_queries = 0
@@ -150,9 +140,7 @@ class InferenceEngine:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_artifact(cls, path: str, filtered: bool = False,
-                      cache_size: int = 4096,
-                      rescore_expansion: int = 4,
-                      ann="auto",
+                      cache_size: int = 4096, ann="auto",
                       nprobe: Optional[int] = None) -> "InferenceEngine":
         """Warm-load an ``sptransx run`` artifact directory.
 
@@ -164,11 +152,7 @@ class InferenceEngine:
 
         The model comes from :func:`repro.training.checkpoint.load_model`, as
         on :meth:`reload`: its tables are the artifact's ``weights/`` files,
-        mapped or faulted in on demand and never densified into RAM.  An
-        artifact whose entity buckets were quantized at export serves the
-        quantized twins — 2–4× lower resident bucket bytes, with each answer
-        rescored exactly from the float64 originals (see
-        ``rescore_expansion``).
+        mapped or faulted in on demand and never densified into RAM.
 
         ``ann`` selects ANN-indexed serving: ``"auto"`` (default) lazily
         loads ``<path>/index/`` when the artifact carries one and serves
@@ -185,7 +169,6 @@ class InferenceEngine:
         ann_index = cls._load_artifact_index(path, ann, model)
         engine = cls(model,
                      known_triples=known, cache_size=cache_size,
-                     rescore_expansion=rescore_expansion,
                      ann_index=ann_index, nprobe=nprobe)
         engine._ann_mode = None if ann in (None, False, "off") else ann
         return engine
@@ -230,10 +213,9 @@ class InferenceEngine:
         """Swap in a new checkpoint atomically and invalidate the result cache.
 
         The new model comes from the loader :meth:`from_artifact` uses, so it
-        is served the same way: mapped weights, and quantized twins when the
-        artifact carries them.  Any attached ANN index is dropped with the
-        cache (its clusters describe the *old* weights) and closed, which
-        releases its list files; when this engine came from
+        is served the same way: mapped weights.  Any attached ANN index is
+        dropped with the cache (its clusters describe the *old* weights) and
+        closed, which releases its list files; when this engine came from
         ``from_artifact`` with ANN enabled and ``path`` is an artifact
         directory carrying an ``index/``, the new artifact's index is
         re-attached in the same swap.
@@ -256,6 +238,34 @@ class InferenceEngine:
             self._entity_snapshot = None
             with self._stats_lock:
                 self.reloads += 1
+
+    def close(self) -> None:
+        """Release what the engine holds open; it answers nothing afterwards.
+
+        Closes the attached ANN index (its list files) and the served entity
+        table where it can be closed (a partitioned table's resident slabs
+        and bucket maps), empties the result cache and drops the model, whose
+        mapped weight files are unmapped with it when the engine was its last
+        holder.  The engine owns the model it serves: the table is closed even
+        when the model was passed in.  Calling it again does nothing.
+        """
+        with self._score_lock:
+            if self.model is None:
+                return
+            if self.ann_index is not None:
+                self.ann_index.close()
+            if isinstance(self.model, TranslationalModel):
+                close = getattr(self.model.entity_table(), "close", None)
+                if close is not None:
+                    close()
+            self.model = self.ann_index = self._entity_snapshot = None
+            self.cache.clear()
+
+    def __enter__(self) -> "InferenceEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def spec(self) -> ModelSpec:
         """Spec of the currently served model."""
@@ -322,30 +332,20 @@ class InferenceEngine:
             return nearest
         # The table walk with a top-k sink: a translational model's entity
         # table block by block, never densified; any other model's cached
-        # dense snapshot as one block.  A quantized sweep is coarse, so it
-        # keeps k·expansion candidates and rescores them exactly.  A
-        # non-finite distance (an overflowing row) is never a neighbour.
-        quantized = self._rescorer() is not None
+        # dense snapshot as one block.  A non-finite distance (an
+        # overflowing row) is never a neighbour.
         if isinstance(self.model, TranslationalModel):
             query = self.model.entity_embedding_rows(np.array([entity]))
             blocks = self.model.iter_entity_embedding_blocks()
         else:
             ent = self._entity_snapshot_locked()
             query, blocks = ent[entity][None, :], [(0, ent)]
-        nearest = ranking.TopK(1, k * self.rescore_expansion if quantized else k,
-                               (np.zeros(1, dtype=np.int64), np.array([entity])))
+        nearest = ranking.TopK(1, k, (np.zeros(1, dtype=np.int64), np.array([entity])))
         ranking.walk_table(blocks, [(slice(None), None, None, query)], nearest,
                            distances=True)
         idx, distances = nearest.results()[0]
         finite = np.isfinite(distances)
-        idx, distances = idx[finite], distances[finite]
-        if quantized and idx.size:
-            q = self.model.exact_entity_rows(np.array([entity]))[0]
-            exact = ranking.l2_distance_matrix(
-                q[None, :], self.model.exact_entity_rows(idx))[0]
-            sel = np.lexsort((idx, exact))[:k]
-            idx, distances = idx[sel], exact[sel]
-        return idx, distances
+        return idx[finite], distances[finite]
 
     # ------------------------------------------------------------------ #
     # Query API
@@ -421,15 +421,13 @@ class InferenceEngine:
                     row = (q.anchor, q.relation, bool(q.filtered))
                     exact_rows.setdefault(row, i)
                     plans[i] = ("exact", row)
-                rescore = self._rescorer()
-                expansion = self.rescore_expansion if rescore is not None else 1
                 ranked = {}
                 if exact_rows:
                     firsts = [queries[i] for i in exact_rows.values()]
                     k = max(queries[i].k for i, (kind, _) in plans.items()
                             if kind == "exact")
                     ranked = dict(zip(exact_rows, self._exact_top_k_locked(
-                        direction, firsts, k * expansion)))
+                        direction, firsts, k)))
                 ann_answered = 0
                 ann_scanned = 0
                 for i in miss_positions:
@@ -443,12 +441,8 @@ class InferenceEngine:
                         ann_scanned += int(candidates.size)
                     else:
                         ids, scores = ranked[ref]
-                        keep = max(0, q.k) * expansion
-                        if rescore is not None:
-                            result = self._rescored_result(
-                                ids[:keep], scores[:keep], q, direction, rescore)
-                        else:
-                            result = _result(ids[:keep], scores[:keep])
+                        keep = max(0, q.k)
+                        result = _result(ids[:keep], scores[:keep])
                     self.cache.put(self._cache_key(direction, q), result)
                     results[i] = result
                 with self._stats_lock:
@@ -522,12 +516,6 @@ class InferenceEngine:
         sel = sel[np.isfinite(dist[sel])]
         return _result(candidates[sel], dist[sel])
 
-    def _rescorer(self):
-        """The model's exact-rescore hook, when quantized serving is active."""
-        if getattr(self.model, "serving_quantized", None) is None:
-            return None
-        return getattr(self.model, "exact_candidate_scores", None)
-
     def _exact_top_k_locked(self, direction: str, rows: Sequence[TopKQuery],
                             k: int) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Each row's ``k`` best ``(ids, scores)`` by one walk (caller holds
@@ -540,21 +528,6 @@ class InferenceEngine:
             self.scoring_calls += 1
             self.rows_scored += len(rows)
         return ranked
-
-    def _rescored_result(self, candidates: np.ndarray, coarse: np.ndarray,
-                         q: TopKQuery, direction: str, rescore) -> TopKResult:
-        """Two-phase answer: the coarse quantized top-k·expansion rescored from
-        the float64 bucket files, the final top-k ranked by exact ``(score, id)``."""
-        if candidates.size == 0:
-            return TopKResult(entities=(), scores=())
-        exact = rescore(q.anchor, q.relation, candidates, direction)
-        if exact is None:
-            # Model cannot rescore this formulation; serve the coarse ranking.
-            return _result(candidates[:q.k], coarse[:q.k])
-        sel = np.lexsort((candidates, exact))[:max(0, q.k)]
-        with self._stats_lock:
-            self.rescored_queries += 1
-        return _result(candidates[sel], exact[sel])
 
     def _uncoalesced_misses_locked(self, queries: Sequence[TopKQuery],
                                    direction: str,
@@ -601,8 +574,6 @@ class InferenceEngine:
                 "queries_served": self.queries_served,
                 "scoring_calls": self.scoring_calls,
                 "rows_scored": self.rows_scored,
-                "rescored_queries": self.rescored_queries,
-                "quantized": getattr(self.model, "serving_quantized", None),
                 "reloads": self.reloads,
                 "ann_queries": self.ann_queries,
                 "fallback_queries": self.fallback_queries,

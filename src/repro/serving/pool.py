@@ -225,10 +225,7 @@ def _worker_main(conn, engine_factory: Callable[[], InferenceEngine],
     except (KeyboardInterrupt, BrokenPipeError):
         pass  # parent-driven teardown: exit quietly
     finally:
-        embeddings = getattr(engine.model, "embeddings", None)
-        close = getattr(embeddings, "close", None)
-        if close is not None:
-            close()
+        engine.close()
         conn.close()
 
 

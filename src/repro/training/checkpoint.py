@@ -299,12 +299,8 @@ def load_model(path: str, rng=0) -> KGEModel:
     no parameter is initialised only to be replaced.  A partitioned table
     attaches to its bucket files and faults them in lazily; every other
     parameter is its ``weights/<name>.npy`` file mapped read-only, paged in
-    by the OS and never copied into RAM.
-
-    The artifact decides how it is served: when ``partition.json`` records
-    quantized twins (:func:`repro.nn.quantize.quantize_weight_files`), the
-    table serves them.  The model is read-only; :func:`restore_into` gives a
-    writable copy for training.
+    by the OS and never copied into RAM.  The model is read-only;
+    :func:`restore_into` gives a writable copy for training.
     """
     checkpoint = load_checkpoint(path)
     with skip_init():

@@ -1,9 +1,9 @@
 """Every registered model ranks by the score it trains on.
 
 ``score_all_tails`` / ``score_all_heads`` may take any closed form they like,
-and the serving engine may route a query through ``l2_query_vector`` and
-``exact_candidate_scores``, but each must equal the ``score_triples`` grid of
-the same queries.  Parameters are perturbed first, so identity metrics and
+and the serving engine's ANN route may score a query's ``l2_query_vector``
+against the exact entity rows, but each must equal the ``score_triples`` grid
+of the same queries.  Parameters are perturbed first, so identity metrics and
 unit relation weights cannot hide a closed form that ignores them.
 """
 
@@ -12,6 +12,7 @@ import inspect
 import numpy as np
 import pytest
 
+from repro import ranking
 from repro.registry import ModelSpec, build_model, iter_entries
 
 N_ENTITIES, N_RELATIONS, DIM = 40, 5, 8
@@ -61,12 +62,13 @@ def test_ranking_equals_the_triple_scores(entry, dissimilarity):
         np.testing.assert_allclose(ranked, grid, rtol=1e-10, atol=1e-12,
                                    err_msg=f"score_all_{direction}s")
         for i, (anchor, relation) in enumerate(zip(ANCHORS, RELATIONS)):
-            if model.l2_query_vector(int(anchor), int(relation), direction) is None:
+            query = model.l2_query_vector(int(anchor), int(relation), direction)
+            if query is None:
                 continue
-            exact = model.exact_candidate_scores(int(anchor), int(relation),
-                                                 np.arange(N_ENTITIES), direction)
+            exact = ranking.l2_distance_matrix(
+                query[None, :], model.exact_entity_rows(np.arange(N_ENTITIES)))[0]
             np.testing.assert_allclose(exact, grid[i], rtol=1e-10, atol=1e-12,
-                                       err_msg=f"exact_candidate_scores ({direction})")
+                                       err_msg=f"l2_query_vector ({direction})")
 
 
 @pytest.mark.parametrize("entry", list(iter_entries()),

@@ -1,17 +1,21 @@
 """Tests for the inference engine: correctness vs brute force, filters, cache."""
 
+import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.ann import build_index_files, load_index
 from repro.data import KnownTriples, generate_synthetic_kg
+from repro.models.toruse import SpTorusE
 from repro.models.transe import SpTransE
+from repro.models.transh import SpTransH
+from repro.models.transr import SpTransR
 from repro.experiment import ExperimentSpec
 from repro.registry import ModelSpec, build_model, spec_from_model
 from repro.serving import InferenceEngine, TopKQuery
-from repro.nn.quantize import quantize_weight_files
 from repro.profiling import peak_traced_bytes
 from repro.training.checkpoint import load_model, save_checkpoint
 
@@ -94,16 +98,13 @@ class TestFilteredAnswersUseTheIndex:
 
     @pytest.fixture(scope="class")
     def artifact(self, tmp_path_factory):
-        """One model saved twice: with an IVF index, and quantized to int8."""
+        """One model saved with an IVF index."""
         model = SpTransE(self.N_ENTITIES, self.N_RELATIONS, 12, partitions=3, rng=7,
                          max_resident=2)
-        paths = {}
-        for name in ("indexed", "quantized"):
-            paths[name] = str(tmp_path_factory.mktemp(f"filtered-{name}"))
-            save_checkpoint(os.path.join(paths[name], "checkpoint.npz"), model)
-        build_index_files(paths["indexed"], kind="ivf")
-        quantize_weight_files(os.path.join(paths["quantized"], "weights"), "int8")
-        return paths
+        path = str(tmp_path_factory.mktemp("filtered-indexed"))
+        save_checkpoint(os.path.join(path, "checkpoint.npz"), model)
+        build_index_files(path, kind="ivf")
+        return path
 
     @pytest.fixture(scope="class")
     def kg(self):
@@ -111,13 +112,9 @@ class TestFilteredAnswersUseTheIndex:
         return generate_synthetic_kg(self.N_ENTITIES, self.N_RELATIONS, 1500, rng=5,
                                      test_fraction=0.1)
 
-    def _engine(self, paths, route, known):
-        if route == "quantized":
-            return InferenceEngine(load_model(paths["quantized"]),
-                                   known_triples=known, cache_size=0)
-        index = (load_index(os.path.join(paths["indexed"], "index"))
-                 if route == "ann" else None)
-        return InferenceEngine(load_model(paths["indexed"]), known_triples=known,
+    def _engine(self, path, route, known):
+        index = load_index(os.path.join(path, "index")) if route == "ann" else None
+        return InferenceEngine(load_model(path), known_triples=known,
                                cache_size=0, ann_index=index)
 
     @staticmethod
@@ -134,7 +131,7 @@ class TestFilteredAnswersUseTheIndex:
             else heads.get((q.relation, q.anchor)))
         return engine
 
-    @pytest.mark.parametrize("route", ["exact", "ann", "quantized"])
+    @pytest.mark.parametrize("route", ["exact", "ann"])
     def test_filtered_top_k_identical_to_the_dict_lookup(self, artifact, kg, route):
         known = kg.known_triples()
         engine = self._engine(artifact, route, known)
@@ -159,8 +156,6 @@ class TestFilteredAnswersUseTheIndex:
         stats = engine.stats()
         if route == "ann":
             assert stats["ann_queries"] > 0
-        if route == "quantized":
-            assert stats["rescored_queries"] > 0
 
     def test_replacing_the_set_invalidates_the_cache(self, kg):
         model = make_model(n_entities=self.N_ENTITIES, n_relations=self.N_RELATIONS)
@@ -293,24 +288,83 @@ class TestCacheBehaviour:
         save_checkpoint(os.path.join(path, "checkpoint.npz"), model)
         return path
 
-    def test_reload_of_a_quantized_artifact_stays_quantized(self, tmp_path):
-        path = self._artifact(str(tmp_path), SpTransE(120, 5, 12, partitions=3,
-                                                      rng=7, max_resident=2))
-        quantize_weight_files(os.path.join(path, "weights"), "int8")
-        engine = InferenceEngine.from_artifact(path, cache_size=0)
-        queries = [(0, 0), (17, 2), (119, 4)]
-        before = [engine.top_k_tails(h, r, k=8) for h, r in queries]
-        assert engine.stats()["quantized"] == "int8"
-        engine.reload(path)
-        assert engine.stats()["quantized"] == "int8"
-        assert [engine.top_k_tails(h, r, k=8) for h, r in queries] == before
-
     def test_reload_of_a_dense_artifact_stays_memory_mapped(self, tmp_path):
         path = self._artifact(str(tmp_path), make_model(rng=3))
         engine = InferenceEngine.from_artifact(path)
         engine.reload(path)
         for name, param in engine.model.named_parameters():
             assert isinstance(param.data, np.memmap), name
+
+
+class TestClose:
+    @pytest.fixture
+    def indexed(self, tmp_path):
+        """An artifact with a P = 4 table and an IVF index over it."""
+        path = TestCacheBehaviour._artifact(
+            str(tmp_path), SpTransE(120, 5, 12, partitions=4, rng=7, max_resident=2))
+        build_index_files(path, kind="ivf")
+        return path
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts descriptors through /proc (Linux)")
+    def test_close_releases_every_descriptor(self, indexed):
+        before = sorted(os.listdir("/proc/self/fd"))
+        engines = []  # held, so the collector closes nothing on close()'s behalf
+        for cycle in range(20):
+            engine = InferenceEngine.from_artifact(indexed, cache_size=0)
+            engines.append(engine)
+            # Both probe the index: its list files and the anchor row's
+            # bucket map are open now.
+            assert engine.top_k_tails(cycle, 1, k=5).entities
+            assert engine.nearest_entities(cycle, k=5).entities
+            assert engine.stats()["ann_queries"] == 2
+            assert engine.model.entity_table().stats()["faults"] == 0
+            if cycle % 2:
+                engine.close()
+            else:
+                with engine:
+                    pass
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        engines[0].close()  # idempotent
+        assert engines[0].model is None and engines[0].ann_index is None
+
+    def test_close_empties_the_cache(self, indexed):
+        with InferenceEngine.from_artifact(indexed) as engine:
+            engine.top_k_tails(3, 1, k=5)
+            assert len(engine.cache) == 1
+        assert len(engine.cache) == 0
+
+
+class TestLeftoverPrecisionEntry:
+    @pytest.mark.parametrize("model_cls", [SpTransE, SpTorusE, SpTransH, SpTransR],
+                             ids=lambda cls: cls.__name__)
+    def test_every_partitioned_model_serves_its_float64_rows(self, tmp_path, model_cls):
+        """A ``"quantized"`` entry left in ``partition.json`` changes no answer,
+        for models with an L2 query vector and without one."""
+        model = model_cls(120, 5, 12, partitions=3, rng=7)
+        plain = str(tmp_path / "plain")
+        os.makedirs(plain)
+        TestCacheBehaviour._artifact(plain, model)
+        leftover = str(tmp_path / "leftover")
+        shutil.copytree(plain, leftover)
+        manifest_path = os.path.join(leftover, "weights", "partition.json")
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["quantized"] = {"mode": "int8", "buckets": [
+            {"files": [f"entities.bucket{k}.i8.npy", f"entities.bucket{k}.i8.scale.npy"]}
+            for k in range(3)]}
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        reference = InferenceEngine(model, cache_size=0)
+        with InferenceEngine.from_artifact(leftover, cache_size=0) as engine:
+            assert engine.model.entity_table().read_rows(np.arange(120)).dtype == np.float64
+            for anchor, relation in [(0, 0), (17, 2), (119, 4)]:
+                assert (engine.top_k_tails(anchor, relation, k=10)
+                        == reference.top_k_tails(anchor, relation, k=10))
+                assert (engine.top_k_heads(relation, anchor, k=10)
+                        == reference.top_k_heads(relation, anchor, k=10))
+                assert (engine.nearest_entities(anchor, k=10)
+                        == reference.nearest_entities(anchor, k=10))
 
 
 class TestExactRouteMemory:

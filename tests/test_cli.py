@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shutil
 import signal
 import socket
 import subprocess
@@ -258,57 +259,18 @@ class TestRunCommand:
         assert "unknown SpMM backend 'fused'" in message
         assert "numpy" in message and "scipy" in message
 
-    def test_run_quantize_writes_quantized_artifact(self, capsys, tmp_path):
-        spec_path = str(tmp_path / "exp.json")
-        run_cli(capsys, "export-spec", "--dataset", "WN18RR", "--scale", "0.003",
-                "--model", "transe", "--epochs", "1", "--batch-size", "256",
-                "--dim", "8", "--output", spec_path)
-        artifacts = str(tmp_path / "artifacts")
-        code, out = run_cli(capsys, "run", spec_path, "--artifacts", artifacts,
-                            "--partitions", "2", "--quantize", "int8", "--quiet")
-        assert code == 0
-        assert json.loads(out)["quantized"] == "int8"
-        weights = tmp_path / "artifacts" / "weights"
-        assert (weights / "entities.bucket0.i8.npy").exists()
-        assert (weights / "entities.bucket0.i8.scale.npy").exists()
-        manifest = json.loads((weights / "partition.json").read_text())
-        assert manifest["quantized"]["mode"] == "int8"
-
-    def test_serve_reaches_what_run_quantize_wrote(self, capsys, tmp_path):
-        from repro import cli
-
-        spec_path = str(tmp_path / "exp.json")
-        run_cli(capsys, "export-spec", "--dataset", "WN18RR", "--scale", "0.003",
-                "--model", "transe", "--epochs", "1", "--batch-size", "256",
-                "--dim", "8", "--output", spec_path)
-        artifacts = str(tmp_path / "artifacts")
-        run_cli(capsys, "run", spec_path, "--artifacts", artifacts,
-                "--partitions", "2", "--quantize", "int8", "--quiet")
-        args = build_parser().parse_args(["serve", "--checkpoint", artifacts])
-        engine = cli._engine_factory(args)()
-        assert engine.stats()["quantized"] == "int8"
-        assert len(engine.top_k_tails(0, 0, k=5).entities) == 5
-        assert engine.stats()["rescored_queries"] == 1
-
-    def test_run_quantize_rejects_unpartitioned_model(self, capsys, tmp_path):
-        spec_path = str(tmp_path / "exp.json")
-        run_cli(capsys, "export-spec", "--dataset", "WN18RR", "--scale", "0.003",
-                "--model", "transe", "--epochs", "1", "--batch-size", "256",
-                "--dim", "8", "--output", spec_path)
-        with pytest.raises(SystemExit):
-            main(["run", spec_path, "--artifacts", str(tmp_path / "a"),
-                  "--quantize", "fp16", "--quiet"])
-
-    def test_run_quantize_on_unpartitioned_model_fails_before_training(
-            self, capsys, tmp_path):
+    def test_run_has_no_quantize_option(self, capsys, tmp_path):
+        # Served tables are float64 only: the flag is gone, not ignored.
         spec_path = str(tmp_path / "exp.json")
         run_cli(capsys, "export-spec", "--dataset", "WN18RR", "--scale", "0.003",
                 "--model", "transe", "--epochs", "1", "--batch-size", "256",
                 "--dim", "8", "--output", spec_path)
         artifacts = tmp_path / "a"
-        with pytest.raises(SystemExit, match="--quantize applies to partitioned"):
+        with pytest.raises(SystemExit) as excinfo:
             main(["run", spec_path, "--artifacts", str(artifacts),
-                  "--quantize", "int8", "--quiet"])
+                  "--partitions", "2", "--quantize", "int8", "--quiet"])
+        assert excinfo.value.code == 2
+        assert "--quantize" in capsys.readouterr().err
         assert not (artifacts / "checkpoint.npz").exists()
 
     def test_run_unknown_ann_kind_fails_before_training(self, capsys, tmp_path):
@@ -415,6 +377,157 @@ class TestEvaluateCommand:
         path = save_bare_checkpoint(str(tmp_path / "m.npz"))
         with pytest.raises(SystemExit, match="not an artifact directory"):
             main(["evaluate", "--checkpoint", path])
+
+
+class TestLeftoverQuantizedArtifact:
+    """An artifact whose ``partition.json`` still names int8 or fp16 twins,
+    whether or not the twin files are beside its buckets, is served and
+    evaluated from its float64 bucket files, exactly as the same artifact
+    without the entry."""
+
+    TWIN_NAMES = {"int8": ("entities.bucket{}.i8.npy", "entities.bucket{}.i8.scale.npy"),
+                  "fp16": ("entities.bucket{}.f16.npy",)}
+
+    @pytest.fixture(scope="class")
+    def plain(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("leftover")
+        spec_path = str(directory / "exp.json")
+        main(["export-spec", "--dataset", "WN18RR", "--scale", "0.003",
+              "--generator", "learnable", "--test-fraction", "0.1",
+              "--model", "transe", "--epochs", "2", "--batch-size", "256",
+              "--dim", "8", "--learning-rate", "0.01", "--output", spec_path])
+        plain = str(directory / "plain")
+        main(["run", spec_path, "--artifacts", plain, "--partitions", "3",
+              "--ann", "ivf", "--quiet"])
+        return plain
+
+    @pytest.fixture(scope="class",
+                    params=[("int8", True), ("int8", False), ("fp16", True),
+                            ("fp16", False)],
+                    ids=["int8-twins", "int8-no-twins", "fp16-twins",
+                         "fp16-no-twins"])
+    def artifacts(self, request, plain, tmp_path_factory):
+        mode, write_twins = request.param
+        leftover = str(tmp_path_factory.mktemp("leftover") / mode)
+        shutil.copytree(plain, leftover)
+        weights = os.path.join(leftover, "weights")
+        manifest_path = os.path.join(weights, "partition.json")
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        assert manifest["partitions"] == 3
+        buckets = []
+        for k, entry in enumerate(manifest["buckets"]):
+            names = [name.format(k) for name in self.TWIN_NAMES[mode]]
+            if write_twins:
+                # Twins that would move every answer if anything read them.
+                shape = np.load(os.path.join(weights, entry["file"]),
+                                mmap_mode="r").shape
+                if mode == "int8":
+                    np.save(os.path.join(weights, names[0]), np.zeros(shape, np.int8))
+                    np.save(os.path.join(weights, names[1]),
+                            np.ones(shape[0], np.float32))
+                else:
+                    np.save(os.path.join(weights, names[0]),
+                            np.zeros(shape, np.float16))
+            buckets.append({"files": names})
+        manifest["quantized"] = {"mode": mode, "buckets": buckets}
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        return plain, leftover
+
+    @staticmethod
+    def _answers(engine):
+        n, r = engine.model.n_entities, engine.model.n_relations
+        answers = []
+        for anchor in (0, 7, n - 1):
+            for relation in (0, r - 1):
+                for ann in (False, None):
+                    for filtered in (False, True):
+                        ask = dict(k=10, filtered=filtered, ann=ann)
+                        answers.append(engine.top_k_tails(anchor, relation, **ask))
+                        answers.append(engine.top_k_heads(relation, anchor, **ask))
+            answers.append(engine.nearest_entities(anchor, k=10))
+        return answers
+
+    def test_rows_are_the_float64_buckets(self, artifacts):
+        from repro.training.checkpoint import load_model
+
+        plain, leftover = (load_model(path).entity_table() for path in artifacts)
+        ids = np.arange(leftover.n_entities)
+        rows = leftover.read_rows(ids)
+        assert rows.dtype == np.float64
+        np.testing.assert_array_equal(rows, plain.read_rows(ids))
+        assert leftover.stats()["bytes_loaded"] == rows.nbytes
+
+    def test_buckets_are_sized_as_float64(self, artifacts):
+        from repro.training.checkpoint import load_model
+
+        plain, leftover = (load_model(path).entity_table() for path in artifacts)
+        assert leftover.max_resident == plain.max_resident
+        for ours, theirs in zip(leftover.bucket_parameters(),
+                                plain.bucket_parameters()):
+            assert ours.dtype == np.float64
+            assert ours.shape == theirs.shape
+            assert ours.nbytes == ours.size * 8 == theirs.nbytes
+
+    def test_answers_equal_those_without_the_entry(self, artifacts):
+        from repro.serving import InferenceEngine
+
+        plain, leftover = (InferenceEngine.from_artifact(path, filtered=True,
+                                                         cache_size=0)
+                           for path in artifacts)
+        with plain, leftover:
+            assert leftover.ann_index is not None
+            assert self._answers(leftover) == self._answers(plain)
+            assert leftover.stats()["ann_queries"] > 0
+
+    def test_stats_equal_those_without_the_entry(self, artifacts):
+        from repro.serving import InferenceEngine
+
+        plain, leftover = (InferenceEngine.from_artifact(path, filtered=True,
+                                                         cache_size=0)
+                           for path in artifacts)
+        with plain, leftover:
+            self._answers(plain)
+            self._answers(leftover)
+            assert leftover.stats() == plain.stats()
+            # Every table counter but the wall-clock ones.
+            ours, theirs = (
+                {key: value for key, value in engine.model.entity_table().stats().items()
+                 if not key.endswith("_seconds")}
+                for engine in (leftover, plain))
+            assert ours == theirs
+            table = leftover.model.entity_table()
+            assert ours["resident_bytes"] == sum(
+                table.bucket_parameters()[k].nbytes for k in table.resident_buckets())
+
+    def test_reload_keeps_the_answers(self, artifacts):
+        from repro.serving import InferenceEngine
+
+        plain, leftover = artifacts
+        with InferenceEngine.from_artifact(plain, filtered=True,
+                                           cache_size=0) as engine:
+            before = self._answers(engine)
+            engine.reload(leftover)
+            assert engine.ann_index is not None
+            assert self._answers(engine) == before
+            assert engine.stats()["reloads"] == 1
+
+    def test_serve_reaches_it(self, artifacts):
+        from repro import cli
+
+        plain, leftover = (
+            cli._engine_factory(build_parser().parse_args(
+                ["serve", "--checkpoint", path, "--filtered"]))()
+            for path in artifacts)
+        with plain, leftover:
+            assert self._answers(leftover) == self._answers(plain)
+
+    def test_evaluate_prints_the_recorded_metrics(self, capsys, artifacts):
+        capsys.readouterr()
+        code, out = run_cli(capsys, "evaluate", "--checkpoint", artifacts[1])
+        assert code == 0
+        assert json.loads(out) == recorded_link_prediction(artifacts[1])
 
 
 class TestServeCommand:
