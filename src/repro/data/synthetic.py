@@ -9,6 +9,14 @@ entity / relation / triple counts and realistic skew:
 * relation frequencies follow a power law (a handful of dominant relations);
 * no duplicate triples and no self-loop (head == tail) triples are emitted.
 
+Both generators draw triples in chunks and keep, per chunk, the first
+occurrence of each new triple in draw order.  Each triple is packed into the
+int64 key ``(h·R + r)·N + t``, and one sort per chunk against the sorted keys
+kept so far does what a Python ``set`` of tuples did one triple at a time, so
+a (shape, seed) gives the same triples, in the same order, as that loop (the
+tests keep it as the reference).  What is left of the cost is the random
+draws themselves.
+
 Because the sparse-vs-dense comparison depends only on the index structure
 (how many rows are gathered, how many unique rows are touched), these graphs
 exercise exactly the same code paths as the originals.
@@ -33,6 +41,98 @@ def _zipf_probabilities(n: int, exponent: float, rng: np.random.Generator) -> np
     return weights / weights.sum()
 
 
+#: Packed triple keys ``(h·R + r)·N + t`` are int64, so ``N²·R`` must stay below this.
+_KEY_SPACE_LIMIT = 2 ** 63
+
+#: Float64 elements per temporary of the learnable generator's tail sampling;
+#: rows are processed in blocks of at most this many ``(entity, latent)`` cells.
+_TAIL_BLOCK_ELEMENTS = 1 << 20
+
+
+def _check_shape(n_entities: int, n_relations: int, n_triples: int) -> None:
+    """Refuse shapes with too few distinct triples or keys beyond int64."""
+    capacity = n_entities * (n_entities - 1) * n_relations
+    if n_triples > capacity:
+        raise ValueError(
+            f"cannot place {n_triples} unique triples in a graph with capacity {capacity}"
+        )
+    key_space = int(n_entities) ** 2 * int(n_relations)
+    if key_space >= _KEY_SPACE_LIMIT:
+        raise ValueError(
+            f"n_entities**2 * n_relations = {key_space} does not fit the int64 "
+            f"triple keys; it must be below 2**63 = {_KEY_SPACE_LIMIT}"
+        )
+
+
+def _triple_keys(heads: np.ndarray, rels: np.ndarray, tails: np.ndarray,
+                 n_entities: int, n_relations: int) -> np.ndarray:
+    """Packed keys ``(h·R + r)·N + t`` of the non-self-loop draws, in draw order.
+
+    The packing preserves order: sorting keys sorts triples by (h, r, t).
+    """
+    keys = (heads * n_relations + rels) * n_entities + tails
+    return keys[heads != tails]
+
+
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Position of each distinct key's first occurrence, in key order."""
+    if keys.size == 0:
+        return np.empty(0, dtype=np.intp)
+    order = np.argsort(keys)
+    # Rebinding drops the sorted copy before the group starts are built.
+    boundaries = keys[order]
+    boundaries = boundaries[1:] != boundaries[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], boundaries)))
+    # The sort is not stable, so a key's first occurrence is its least position.
+    return np.minimum.reduceat(order, starts)
+
+
+def _append_first_new(rows: np.ndarray, filled: int, seen: np.ndarray,
+                      keys: np.ndarray, n_entities: int, n_relations: int) -> tuple:
+    """Append a chunk of drawn triple keys to ``rows[filled:]`` without repeats.
+
+    Keeps the first occurrence, in draw order, of each key not in ``seen``
+    (sorted keys of the rows so far), up to the rows left; the same triples a
+    one-at-a-time ``set`` loop keeps.  Returns the new fill count and ``seen``
+    with the kept keys merged in.
+    """
+    firsts = _first_occurrences(keys)
+    if seen.size:
+        unique = keys[firsts]
+        at = np.minimum(np.searchsorted(seen, unique), seen.size - 1)
+        firsts = firsts[seen[at] != unique]
+    kept = keys[np.sort(firsts)[:rows.shape[0] - filled]]
+    end = filled + kept.size
+    pairs, rows[filled:end, 2] = np.divmod(kept, n_entities)
+    rows[filled:end, 0], rows[filled:end, 1] = np.divmod(pairs, n_relations)
+    return end, np.sort(np.concatenate((seen, kept)))
+
+
+def _softmax_tails(positions: np.ndarray, targets: np.ndarray, heads: np.ndarray,
+                   draws: np.ndarray, temperature: float) -> np.ndarray:
+    """One tail per row from a softmax over ``−||target − z_t||² / τ``.
+
+    Inverse-CDF sampling with ``draws`` (shape ``(rows, 1)``), one block of
+    rows at a time so no temporary exceeds ``_TAIL_BLOCK_ELEMENTS`` cells;
+    each row's arithmetic does not depend on the block it is in.
+    """
+    n_entities, latent_dim = positions.shape
+    block = max(1, _TAIL_BLOCK_ELEMENTS // (n_entities * latent_dim))
+    tails = np.empty(targets.shape[0], dtype=np.int64)
+    for lo in range(0, targets.shape[0], block):
+        hi = min(lo + block, targets.shape[0])
+        sq_dists = ((targets[lo:hi, None, :] - positions[None, :, :]) ** 2).sum(axis=2)
+        # A head can never be its own tail.
+        sq_dists[np.arange(hi - lo, dtype=np.int64), heads[lo:hi]] = np.inf
+        logits = -sq_dists / temperature
+        logits -= logits.max(axis=1, keepdims=True)
+        probs = np.exp(logits)
+        probs /= probs.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(probs, axis=1)
+        tails[lo:hi] = np.minimum((draws[lo:hi] > cdf).sum(axis=1), n_entities - 1)
+    return tails
+
+
 def generate_synthetic_kg(
     n_entities: int,
     n_relations: int,
@@ -51,7 +151,8 @@ def generate_synthetic_kg(
     n_entities, n_relations, n_triples:
         Target sizes.  The generator retries collisions, so the returned
         training split has exactly ``n_triples`` unique triples whenever the
-        space allows it.
+        space allows it.  Shapes with ``n_entities² · n_relations ≥ 2⁶³``
+        (beyond the int64 triple keys) raise :class:`ValueError`.
     entity_skew, relation_skew:
         Zipf exponents controlling hubbiness; 0 gives uniform sampling.
     valid_fraction, test_fraction:
@@ -67,34 +168,25 @@ def generate_synthetic_kg(
         raise ValueError(f"n_relations must be >= 1, got {n_relations}")
     if n_triples < 1:
         raise ValueError(f"n_triples must be >= 1, got {n_triples}")
-    capacity = n_entities * (n_entities - 1) * n_relations
-    if n_triples > capacity:
-        raise ValueError(
-            f"cannot place {n_triples} unique triples in a graph with capacity {capacity}"
-        )
+    _check_shape(n_entities, n_relations, n_triples)
     rng = new_rng(rng)
     ent_probs = _zipf_probabilities(n_entities, entity_skew, rng) if entity_skew > 0 else None
     rel_probs = _zipf_probabilities(n_relations, relation_skew, rng) if relation_skew > 0 else None
 
-    seen = set()
+    seen = np.empty(0, dtype=np.int64)
     rows = np.empty((n_triples, 3), dtype=np.int64)
     filled = 0
-    # Vectorized rejection sampling: draw in chunks, drop self-loops and duplicates.
+    # Rejection sampling: draw in chunks, keep each chunk's new triples.
     while filled < n_triples:
         chunk = max(1024, 2 * (n_triples - filled))
         heads = rng.choice(n_entities, size=chunk, p=ent_probs)
         tails = rng.choice(n_entities, size=chunk, p=ent_probs)
         rels = rng.choice(n_relations, size=chunk, p=rel_probs)
-        mask = heads != tails
-        for h, r, t in zip(heads[mask], rels[mask], tails[mask]):
-            key = (int(h), int(r), int(t))
-            if key in seen:
-                continue
-            seen.add(key)
-            rows[filled] = key
-            filled += 1
-            if filled == n_triples:
-                break
+        keys = _triple_keys(heads, rels, tails, n_entities, n_relations)
+        # Drop the draws before the dedup sorts: they would hold three
+        # chunk-sized arrays through its peak.
+        del heads, tails, rels
+        filled, seen = _append_first_new(rows, filled, seen, keys, n_entities, n_relations)
 
     dataset = KGDataset(
         triples=rows,
@@ -137,6 +229,8 @@ def generate_learnable_kg(
     noise:
         Softmax temperature scale; larger values flatten the tail distribution
         and make the link-prediction task harder.
+
+    Shapes are limited as in :func:`generate_synthetic_kg`.
     """
     if n_entities < 4:
         raise ValueError(f"n_entities must be >= 4, got {n_entities}")
@@ -144,11 +238,7 @@ def generate_learnable_kg(
         raise ValueError("n_relations and n_triples must be positive")
     if noise <= 0:
         raise ValueError(f"noise must be positive, got {noise}")
-    capacity = n_entities * (n_entities - 1) * n_relations
-    if n_triples > capacity:
-        raise ValueError(
-            f"cannot place {n_triples} unique triples in a graph with capacity {capacity}"
-        )
+    _check_shape(n_entities, n_relations, n_triples)
     rng = new_rng(rng)
     positions = rng.standard_normal((n_entities, latent_dim))
     translations = rng.standard_normal((n_relations, latent_dim)) * 0.5
@@ -157,7 +247,7 @@ def generate_learnable_kg(
     typical_sq = 2.0 * latent_dim
     temperature = noise * typical_sq
 
-    seen = set()
+    seen = np.empty(0, dtype=np.int64)
     rows = np.empty((n_triples, 3), dtype=np.int64)
     filled = 0
     max_chunks = 500
@@ -168,29 +258,11 @@ def generate_learnable_kg(
         heads = rng.integers(0, n_entities, size=chunk)
         rels = rng.integers(0, n_relations, size=chunk)
         targets = positions[heads] + translations[rels]
-        sq_dists = ((targets[:, None, :] - positions[None, :, :]) ** 2).sum(axis=2)
-        # A head can never be its own tail.
-        sq_dists[np.arange(chunk, dtype=np.int64), heads] = np.inf
-        logits = -sq_dists / temperature
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        probs /= probs.sum(axis=1, keepdims=True)
-        # Vectorized categorical sampling via the inverse-CDF trick.
-        cdf = np.cumsum(probs, axis=1)
         draws = rng.random((chunk, 1))
-        tails = np.minimum((draws > cdf).sum(axis=1), n_entities - 1)
+        tails = _softmax_tails(positions, targets, heads, draws, temperature)
         before = filled
-        for h, r, t in zip(heads, rels, tails):
-            if h == t:
-                continue
-            key = (int(h), int(r), int(t))
-            if key in seen:
-                continue
-            seen.add(key)
-            rows[filled] = key
-            filled += 1
-            if filled == n_triples:
-                break
+        keys = _triple_keys(heads, rels, tails, n_entities, n_relations)
+        filled, seen = _append_first_new(rows, filled, seen, keys, n_entities, n_relations)
         # When a sharp (low-temperature) distribution saturates its capacity,
         # anneal towards a flatter one so the requested size is always reached;
         # only the over-quota remainder loses structure.

@@ -57,8 +57,8 @@ class TestRegistry:
 class TestBuildAndLoad:
     def test_manifest_written_and_versioned(self, indexed_artifact):
         directory, _, manifest = indexed_artifact
-        on_disk = json.loads(
-            open(os.path.join(directory, "index", INDEX_MANIFEST)).read())
+        with open(os.path.join(directory, "index", INDEX_MANIFEST)) as handle:
+            on_disk = json.load(handle)
         assert on_disk["version"] == INDEX_MANIFEST_VERSION
         assert on_disk["kind"] == "ivf"
         assert on_disk == json.loads(json.dumps(manifest))
@@ -130,8 +130,8 @@ class TestBuildAndLoad:
         directory, _, _ = indexed_artifact
         stale = tmp_path / "stale-index"
         stale.mkdir()
-        manifest = json.loads(
-            open(os.path.join(directory, "index", INDEX_MANIFEST)).read())
+        with open(os.path.join(directory, "index", INDEX_MANIFEST)) as handle:
+            manifest = json.load(handle)
         manifest["version"] = version
         (stale / INDEX_MANIFEST).write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="unsupported index manifest "
