@@ -31,7 +31,7 @@ from repro.data import generate_learnable_kg
 from repro.evaluation import evaluate_link_prediction
 from repro.models import SpComplEx, SpDistMult, SpRotatE
 from repro.optim import Adam
-from repro.training import HistoryCallback, Trainer, TrainingConfig
+from repro.training import Trainer, TrainingConfig
 
 
 def _learnable_kg(seed: int, n_relations: int, scale: float):
@@ -120,11 +120,9 @@ def _holds_fig5(rows: Rows) -> Tuple[bool, str]:
 
 # --------------------------------------------------------------------- #
 def _loss_curve(model, kg, epochs: int, seed: int) -> List[float]:
-    history = HistoryCallback()
     config = TrainingConfig(epochs=epochs, batch_size=4096, learning_rate=0.01,
                             margin=0.5, optimizer="adam", seed=seed)
-    Trainer(model, kg, config, callbacks=[history]).train()
-    return [float(loss) for loss in history.losses]
+    return Trainer(model, kg, config).train().losses
 
 
 def _rel_gap(a: float, b: float) -> float:

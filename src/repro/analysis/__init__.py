@@ -22,7 +22,11 @@ kernel-parity       every backend/kernel has a tests/sparse/ parity test,
                     every ranking.py kernel a tests/test_ranking.py one
 registry-model      every concrete model carries @register_model
 registry-roundtrip  spec dataclass fields survive to_dict/from_dict
+ann-recall          every registered ANN index kind has a tests/ann/ test
 suppression-unused  every ``# repro: ignore`` still suppresses something
+unreachable-public  every public top-level name is named somewhere in
+                    src/, benchmarks/ or examples/ (tests, re-exports
+                    and __all__ lists do not count)
 ==================  =====================================================
 
 Suppress per line with ``# repro: ignore[rule-id]`` or per file with

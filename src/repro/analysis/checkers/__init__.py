@@ -9,4 +9,5 @@ from repro.analysis.checkers import (  # noqa: F401
     registry_checks,
     resource_lifecycle,
     suppression_unused,
+    unreachable_public,
 )

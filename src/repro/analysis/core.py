@@ -221,17 +221,23 @@ class Project:
 
     ``root`` is the repo root; package sources are discovered under
     ``<root>/<package>`` (default ``src/repro``) and test files under
-    ``<root>/tests``.  Fixture projects in the test-suite use the same
-    layout in a tmpdir, so checkers never special-case the real repo.
+    ``<root>/tests``.  ``benchmarks/`` and ``examples/`` are read as
+    reference text only (callers of the package, never checked themselves).
+    Fixture projects in the test-suite use the same layout in a tmpdir, so
+    checkers never special-case the real repo.
     """
+
+    #: Repo-root directories whose sources use the package without being part
+    #: of it: read as reference text, never checked.
+    REFERENCE_DIRS = ("benchmarks", "examples")
 
     def __init__(self, root: Path, package: str = "src/repro"):
         self.root = Path(root)
         self.package = package
         self.package_root = self.root / package
-        self.tests_root = self.root / "tests"
         self._files: Optional[List[SourceFile]] = None
         self._test_files: Optional[List[SourceFile]] = None
+        self._reference_files: Optional[List[SourceFile]] = None
         self._by_relpath: Dict[str, SourceFile] = {}
 
     @staticmethod
@@ -256,18 +262,28 @@ class Project:
             self._files = out
         return self._files
 
+    def _load_tree(self, *dirs: str) -> List[SourceFile]:
+        """Every ``.py`` under the repo-root ``dirs``, relpath = display path."""
+        out: List[SourceFile] = []
+        for name in dirs:
+            for path in sorted((self.root / name).rglob("*.py")):
+                rel = path.relative_to(self.root).as_posix()
+                src = self._load(path, rel, rel)
+                if src is not None:
+                    out.append(src)
+        return out
+
     @property
     def test_files(self) -> List[SourceFile]:
         if self._test_files is None:
-            out: List[SourceFile] = []
-            if self.tests_root.is_dir():
-                for path in sorted(self.tests_root.rglob("*.py")):
-                    rel = path.relative_to(self.root).as_posix()
-                    src = self._load(path, rel, rel)
-                    if src is not None:
-                        out.append(src)
-            self._test_files = out
+            self._test_files = self._load_tree("tests")
         return self._test_files
+
+    @property
+    def reference_files(self) -> List[SourceFile]:
+        if self._reference_files is None:
+            self._reference_files = self._load_tree(*self.REFERENCE_DIRS)
+        return self._reference_files
 
     def file(self, relpath: str) -> Optional[SourceFile]:
         self.files  # ensure index built
@@ -375,14 +391,16 @@ def changed_files(root: Path, ref: str) -> List[str]:
 
 
 def _package_relpaths(project: Project, repo_relative: Iterable[str]) -> List[str]:
-    """Map repo-relative paths to package/test relpaths the checkers use."""
+    """Map repo-relative paths to the package/test/reference relpaths the
+    checkers use."""
     prefix = project.package.rstrip("/") + "/"
+    passthrough = tuple(f"{d}/" for d in ("tests", *project.REFERENCE_DIRS))
     out = []
     for p in repo_relative:
         p = p.strip().replace("\\", "/")
         if p.startswith(prefix):
             out.append(p[len(prefix):])
-        elif p.startswith("tests/"):
+        elif p.startswith(passthrough):
             out.append(p)
     return out
 

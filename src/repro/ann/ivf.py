@@ -31,11 +31,11 @@ copy of the rows the index was built from: an index describes the weights it
 was built over, and a new artifact needs a new index.
 
 Centroids (≈ sqrt(rows) per range) and their squared norms stay resident;
-the assignment blocks are faulted lazily under their own LRU; the index
+each range's assignment block is faulted on first use and kept; the index
 holds one unbuffered read handle per list file, checked against its shape
 when the index loads, until :meth:`IVFIndex.close`.
 
-Thread safety: the index mutates LRU/counter state without internal locking;
+Thread safety: the index mutates block/counter state without internal locking;
 the serving engine serialises access under its scoring lock, and standalone
 use (builds, CI recall gates, benches) is single-threaded.
 """
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 import os
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
@@ -156,7 +155,7 @@ def _read_index_manifest(index_dir: str) -> Dict[str, object]:
     return manifest
 
 
-def load_index(index_dir: str, max_resident: Optional[int] = None,
+def load_index(index_dir: str,
                table: Optional[EmbeddingTable] = None) -> "IVFIndex":
     """Load the index under ``index_dir`` over ``table``, by manifest kind.
 
@@ -166,7 +165,7 @@ def load_index(index_dir: str, max_resident: Optional[int] = None,
     cls = get_index_class(str(manifest.get("kind", "ivf")))
     if table is None:
         table = artifact_table(os.path.dirname(os.path.abspath(index_dir)))
-    return cls(index_dir, manifest, table, max_resident=max_resident)
+    return cls(index_dir, manifest, table)
 
 
 def build_index_files(directory: str, kind: str = "ivf", **kwargs) -> Dict[str, object]:
@@ -181,8 +180,8 @@ def build_index_files(directory: str, kind: str = "ivf", **kwargs) -> Dict[str, 
 
 @register_index("ivf")
 class IVFIndex:
-    """IVF index over one entity table: resident centroids, LRU-paged
-    assignments, posting lists read in place.
+    """IVF index over one entity table: resident centroids, assignments
+    faulted once per range, posting lists read in place.
 
     Parameters
     ----------
@@ -195,17 +194,12 @@ class IVFIndex:
         Probes read candidates from the posting lists, never from the table;
         the recall ground truth and sample queries read its float64 rows
         through :meth:`~repro.nn.table.EmbeddingTable.exact_rows`.
-    max_resident:
-        LRU bound on simultaneously resident per-range assignment blocks
-        (``None`` keeps every faulted block resident — they are int64
-        permutations, ~16 bytes/row total).
     """
 
     kind = "ivf"
 
     def __init__(self, index_dir: str, manifest: Dict[str, object],
-                 table: EmbeddingTable,
-                 max_resident: Optional[int] = None) -> None:
+                 table: EmbeddingTable) -> None:
         self.directory = str(index_dir)
         self.n_entities = int(manifest["n_entities"])
         self.embedding_dim = int(manifest["embedding_dim"])
@@ -220,9 +214,6 @@ class IVFIndex:
         self.nprobe_default = int(manifest.get("nprobe", 1))
         buckets = list(manifest["buckets"])
         self.n_buckets = len(buckets)
-        if max_resident is not None and max_resident < 1:
-            raise ValueError(f"max_resident must be >= 1, got {max_resident}")
-        self.max_resident = max_resident
 
         # Per-range geometry: global row range and global cluster-id range.
         self._range_start = np.empty(self.n_buckets + 1, dtype=np.int64)
@@ -261,11 +252,11 @@ class IVFIndex:
             np.arange(self.n_buckets, dtype=np.int64),
             np.diff(self._range_cluster_start))
 
-        # Cluster-sorted row permutations fault lazily, one range at a time,
-        # bounded by their own LRU.
-        self._blocks: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]" = OrderedDict()
+        # Cluster-sorted row permutations fault lazily, once per range (int64
+        # permutations and offsets, ~16 bytes a row), and stay resident.
+        self._blocks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self.counters: Dict[str, float] = {
-            "index_faults": 0, "index_evictions": 0, "index_bytes_loaded": 0,
+            "index_faults": 0, "index_bytes_loaded": 0,
             "candidates_scored": 0, "list_bytes_read": 0,
         }
         # One unbuffered handle per posting-list file and its payload offset.
@@ -376,18 +367,13 @@ class IVFIndex:
         return manifest
 
     # ------------------------------------------------------------------ #
-    # Residency (assignment blocks page under their own LRU)
+    # Residency (assignment blocks fault once per range)
     # ------------------------------------------------------------------ #
     def _block(self, part: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Fault range ``part``'s ``(perm, offsets)`` block (LRU-bounded);
+        """Range ``part``'s ``(perm, offsets)`` block, faulted on first use;
         see :func:`_cluster_order`."""
         if part in self._blocks:
-            self._blocks.move_to_end(part)
             return self._blocks[part]
-        if self.max_resident is not None:
-            while len(self._blocks) >= self.max_resident:
-                self._blocks.popitem(last=False)
-                self.counters["index_evictions"] += 1
         entry = self._range_entries[part]
         assign = np.load(os.path.join(self.directory, str(entry["assign"])))
         perm, offsets = _cluster_order(assign, int(entry["clusters"]))
@@ -557,14 +543,13 @@ class IVFIndex:
     # Introspection
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
-        """Fault/eviction counters plus geometry, for ``engine.stats()``."""
+        """Fault and read counters plus geometry, for ``engine.stats()``."""
         out: Dict[str, object] = dict(self.counters)
         out["kind"] = self.kind
         out["n_clusters"] = self.n_clusters
         out["n_buckets"] = self.n_buckets
         out["nprobe_default"] = self.nprobe_default
         out["resident_blocks"] = len(self._blocks)
-        out["max_resident"] = self.max_resident
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

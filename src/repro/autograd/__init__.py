@@ -18,7 +18,7 @@ Public surface
     the Appendix-G property that the SpMM backward is another SpMM.
 """
 
-from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled, enable_grad
+from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled
 from repro.autograd.function import flop_counter, count_flops
 from repro.autograd.sanitizer import SanitizerError, sanitize, sanitize_enabled
 from repro.autograd import ops
@@ -27,7 +27,6 @@ from repro.autograd.grad_check import gradcheck, numerical_gradient
 __all__ = [
     "Tensor",
     "no_grad",
-    "enable_grad",
     "is_grad_enabled",
     "ops",
     "gradcheck",

@@ -56,7 +56,7 @@ def numerical_gradient(
     return grad
 
 
-def gradcheck(
+def gradcheck(  # repro: ignore[unreachable-public]
     fn: Callable[..., Tensor],
     inputs: Sequence[Tensor],
     eps: float = 1e-5,

@@ -103,20 +103,6 @@ def relu(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward, "relu")
 
 
-def clamp_min(x: Tensor, minimum: float) -> Tensor:
-    """Elementwise ``max(x, minimum)``."""
-    x = _to_tensor(x)
-    mask = x.data > minimum
-    out_data = np.where(mask, x.data, minimum)
-    count_flops("clamp_min", x.size)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(grad * mask)
-
-    return Tensor._make(out_data, (x,), backward, "clamp_min")
-
-
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise maximum with broadcasting; ties route the gradient to ``a``."""
     a, b = _to_tensor(a), _to_tensor(b)
@@ -149,23 +135,6 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(out_data, (a, b), backward, "minimum")
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Numerically-stable logistic sigmoid."""
-    x = _to_tensor(x)
-    out_data = np.where(
-        x.data >= 0,
-        1.0 / (1.0 + np.exp(-np.clip(x.data, -60, 60))),
-        np.exp(np.clip(x.data, -60, 60)) / (1.0 + np.exp(np.clip(x.data, -60, 60))),
-    )
-    count_flops("sigmoid", 4 * x.size)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(grad * out_data * (1.0 - out_data))
-
-    return Tensor._make(out_data, (x,), backward, "sigmoid")
-
-
 def softplus(x: Tensor) -> Tensor:
     """Numerically-stable ``log(1 + exp(x))``."""
     x = _to_tensor(x)
@@ -178,24 +147,6 @@ def softplus(x: Tensor) -> Tensor:
             x.accumulate_grad(grad * sig)
 
     return Tensor._make(out_data, (x,), backward, "softplus")
-
-
-def logsigmoid(x: Tensor) -> Tensor:
-    """Numerically-stable ``log(sigmoid(x)) = -softplus(-x)``."""
-    return -softplus(-_to_tensor(x))
-
-
-def tanh(x: Tensor) -> Tensor:
-    """Elementwise hyperbolic tangent."""
-    x = _to_tensor(x)
-    out_data = np.tanh(x.data)
-    count_flops("tanh", 4 * x.size)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(grad * (1.0 - out_data ** 2))
-
-    return Tensor._make(out_data, (x,), backward, "tanh")
 
 
 def sin(x: Tensor) -> Tensor:

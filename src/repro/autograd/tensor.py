@@ -56,17 +56,6 @@ def no_grad() -> Iterator[None]:
         _grad_mode.enabled = prev
 
 
-@contextlib.contextmanager
-def enable_grad() -> Iterator[None]:
-    """Context manager that re-enables tape construction inside a ``no_grad`` block."""
-    prev = _grad_mode.enabled
-    _grad_mode.enabled = True
-    try:
-        yield
-    finally:
-        _grad_mode.enabled = prev
-
-
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` to undo NumPy broadcasting.
 

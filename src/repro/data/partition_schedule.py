@@ -88,9 +88,6 @@ class PartitionedStreamingIterator:
         self.num_negatives = int(num_negatives)
         self.block_batches = int(block_batches)
         self.epoch = 0
-        #: Exposed for Trainer compatibility (no shared sampler object; the
-        #: corruption stream is internal and per-epoch seeded).
-        self.sampler = None
         self._runs: Optional[Dict[Tuple[int, int], List[Tuple[int, int]]]] = None
         self._pair_keys: Optional[List[Tuple[int, int]]] = None
 

@@ -5,7 +5,8 @@ One call composes every layer of the library behind an
 
 1. materialise the dataset the :class:`~repro.experiment.spec.DataSpec` names;
 2. build the model through the spec-driven registry;
-3. train with :class:`~repro.training.Trainer` (+ a history callback);
+3. train with :class:`~repro.training.Trainer` (its
+   :class:`~repro.training.TrainingResult` is the run's history);
 4. run every requested protocol through the common
    :class:`~repro.evaluation.Evaluator` interface;
 5. write a **self-contained artifact directory**::
@@ -48,7 +49,6 @@ from repro.evaluation.evaluators import EvalReport
 from repro.models.base import KGEModel
 from repro.optim.optimizer import Optimizer
 from repro.registry import build_model
-from repro.training.callbacks import HistoryCallback
 from repro.training.checkpoint import (
     ARTIFACT_CHECKPOINT,
     load_checkpoint,
@@ -220,8 +220,7 @@ class Experiment:
                 optimizer = trainer.optimizer
             else:
                 trainer = Trainer(model, config=spec.training, optimizer=optimizer,
-                                  batches=batch_factory(),
-                                  callbacks=[HistoryCallback()])
+                                  batches=batch_factory())
                 trainer.skip_epochs(start_epoch)
                 training = trainer.train(epochs=remaining, start_epoch=start_epoch)
         finally:

@@ -1,23 +1,11 @@
-"""Loss functions for knowledge-graph embedding training.
-
-The paper trains every framework with ``MarginRankingLoss``; the other losses
-here are the standard alternatives offered by the compared frameworks
-(logistic, binary cross-entropy, and RotatE's self-adversarial loss) so the
-library covers the same configuration space.
+"""The training objective: the paper trains every framework with
+``MarginRankingLoss``, and it is the only loss a :class:`TrainingConfig`
+(``margin``) can select.
 """
 
 from repro.losses.margin import MarginRankingLoss, margin_ranking_loss
-from repro.losses.logistic import LogisticLoss, logistic_loss
-from repro.losses.bce import BCEWithLogitsLoss, bce_with_logits_loss
-from repro.losses.adversarial import SelfAdversarialLoss, self_adversarial_loss
 
 __all__ = [
     "MarginRankingLoss",
     "margin_ranking_loss",
-    "LogisticLoss",
-    "logistic_loss",
-    "BCEWithLogitsLoss",
-    "bce_with_logits_loss",
-    "SelfAdversarialLoss",
-    "self_adversarial_loss",
 ]

@@ -76,38 +76,12 @@ def uniform_(tensor: Tensor, low: float = 0.0, high: float = 1.0,
     return tensor
 
 
-def normal_(tensor: Tensor, mean: float = 0.0, std: float = 1.0,
-            rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Fill with samples from ``N(mean, std)``."""
-    if _init_mode.skip:
-        return tensor
-    rng = new_rng(rng)
-    tensor.data[...] = rng.normal(mean, std, size=tensor.shape)
-    return tensor
-
-
 def xavier_uniform_(tensor: Tensor, gain: float = 1.0,
                     rng: Optional[np.random.Generator] = None) -> Tensor:
     """Glorot/Xavier uniform initialisation (TorchKGE's embedding default)."""
     fan_in, fan_out = _fan_in_out(tensor.shape)
     bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
     return uniform_(tensor, -bound, bound, rng=rng)
-
-
-def xavier_normal_(tensor: Tensor, gain: float = 1.0,
-                   rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Glorot/Xavier normal initialisation."""
-    fan_in, fan_out = _fan_in_out(tensor.shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return normal_(tensor, 0.0, std, rng=rng)
-
-
-def zeros_(tensor: Tensor) -> Tensor:
-    """Fill with zeros."""
-    if _init_mode.skip:
-        return tensor
-    tensor.data[...] = 0.0
-    return tensor
 
 
 def identity_stack_(tensor: Tensor) -> Tensor:

@@ -1,29 +1,18 @@
-"""Optimizers and learning-rate schedulers.
+"""Optimizers.
 
 The paper trains every framework with the same optimiser configuration
-(learning rate 0.0004) and, for the accuracy-parity study in Appendix E, adds
-a learning-rate scheduler.  This package provides the optimisers the compared
-frameworks use (SGD, Adam, Adagrad) plus simple schedulers.
+(learning rate 0.0004).  This package provides the optimisers the compared
+frameworks use (SGD, Adam, Adagrad); ``TrainingConfig.optimizer`` picks one.
 """
 
 from repro.optim.optimizer import Optimizer
 from repro.optim.sgd import SGD
 from repro.optim.adam import Adam
 from repro.optim.adagrad import Adagrad
-from repro.optim.lr_scheduler import (
-    LRScheduler,
-    StepLR,
-    ExponentialLR,
-    ReduceLROnPlateau,
-)
 
 __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
     "Adagrad",
-    "LRScheduler",
-    "StepLR",
-    "ExponentialLR",
-    "ReduceLROnPlateau",
 ]

@@ -151,7 +151,7 @@ class Optimizer:
         return self.state[key]
 
     def set_lr(self, lr: float) -> None:
-        """Change the learning rate (used by schedulers)."""
+        """Change the learning rate (a resumed run restores its saved one)."""
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         self.lr = float(lr)

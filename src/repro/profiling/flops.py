@@ -14,7 +14,6 @@ from typing import Dict, Optional
 
 from repro.autograd.function import OpCounters, flop_counter
 from repro.data.batching import TripletBatch
-from repro.losses.margin import MarginRankingLoss
 from repro.models.base import KGEModel
 from repro.optim.optimizer import Optimizer
 
@@ -45,19 +44,17 @@ def count_training_flops(
     model: KGEModel,
     batch: TripletBatch,
     optimizer: Optional[Optimizer] = None,
-    criterion=None,
 ) -> FlopsBreakdown:
-    """Count FLOPs of one forward/backward(/step) cycle on ``batch``.
+    """Count FLOPs of one margin-ranking forward/backward(/step) cycle on ``batch``.
 
     The optimiser step is included only when an optimiser is supplied (the
     paper's FLOP figures are dominated by forward+backward, but the step term
     matters for Adam on large embedding tables).
     """
-    criterion = criterion if criterion is not None else MarginRankingLoss()
     per_op: Dict[str, int] = {}
 
     with flop_counter() as fwd_counters:
-        loss = model.loss(batch, criterion)
+        loss = model.loss(batch)
     model.zero_grad()
     with flop_counter() as bwd_counters:
         loss.backward()

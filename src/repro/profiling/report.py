@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.data.batching import TripletBatch
-from repro.losses.margin import MarginRankingLoss
 from repro.models.base import KGEModel
 from repro.optim.optimizer import Optimizer
 
@@ -43,7 +42,6 @@ def profile_training_step(
     model: KGEModel,
     batch: TripletBatch,
     optimizer: Optional[Optimizer] = None,
-    criterion=None,
     steps: int = 3,
     top: int = 10,
     restrict_to_library: bool = True,
@@ -52,9 +50,9 @@ def profile_training_step(
 
     Parameters
     ----------
-    model, batch, optimizer, criterion:
-        Training-step ingredients; the optimiser step is included when an
-        optimiser is passed.
+    model, batch, optimizer:
+        Training-step ingredients (margin-ranking loss); the optimiser step
+        is included when an optimiser is passed.
     steps:
         Number of repetitions (amortises profiler start-up noise).
     top:
@@ -65,13 +63,11 @@ def profile_training_step(
     """
     if steps <= 0:
         raise ValueError(f"steps must be positive, got {steps}")
-    criterion = criterion if criterion is not None else MarginRankingLoss()
-
     profiler = cProfile.Profile()
     profiler.enable()
     for _ in range(steps):
         model.zero_grad()
-        loss = model.loss(batch, criterion)
+        loss = model.loss(batch)
         loss.backward()
         if optimizer is not None:
             optimizer.step()

@@ -29,7 +29,7 @@ from repro.sparse.backends import (
     register_backend,
     SpMMBackend,
 )
-from repro.sparse.spmm import spmm, spmm_t
+from repro.sparse.spmm import spmm
 from repro.sparse.incidence import (
     build_ht_incidence,
     build_hrt_incidence,
@@ -48,7 +48,6 @@ __all__ = [
     "register_backend",
     "SpMMBackend",
     "spmm",
-    "spmm_t",
     "build_ht_incidence",
     "build_hrt_incidence",
     "IncidenceBuilder",

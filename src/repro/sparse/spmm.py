@@ -108,12 +108,3 @@ def spmm(
         X_t.accumulate_grad(kernel(transposed, grad), owned=True)
 
     return Tensor._make(out_data, (X_t,), backward, "spmm")
-
-
-def spmm_t(
-    A: SparseLike,
-    X: Tensor,
-    backend: Union[str, SpMMBackend] = DEFAULT_BACKEND,
-) -> Tensor:
-    """Differentiable ``A^T @ X`` (convenience wrapper around :func:`spmm`)."""
-    return spmm(_transpose(A), X, backend=backend, A_t=A)

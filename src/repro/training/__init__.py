@@ -11,13 +11,6 @@ single-worker trajectory — and reports the measured exchange next to the α–
 
 from repro.training.config import TrainingConfig
 from repro.training.trainer import Trainer, TrainingResult, EpochStats
-from repro.training.callbacks import (
-    Callback,
-    HistoryCallback,
-    EarlyStopping,
-    LRSchedulerCallback,
-    EvaluationCallback,
-)
 from repro.training.multiprocess import (
     CommunicationModel,
     MultiprocessResult,
@@ -41,11 +34,6 @@ __all__ = [
     "Trainer",
     "TrainingResult",
     "EpochStats",
-    "Callback",
-    "HistoryCallback",
-    "EarlyStopping",
-    "LRSchedulerCallback",
-    "EvaluationCallback",
     "CommunicationModel",
     "MultiprocessTrainer",
     "MultiprocessResult",

@@ -341,9 +341,9 @@ def restore_into(checkpoint: Checkpoint, model: KGEModel,
         _restore_optimizer_state(optimizer, model, checkpoint.optimizer_state())
         if checkpoint.metadata.get("optimizer_lr"):
             optimizer.set_lr(float(checkpoint.metadata["optimizer_lr"]))
-        # Schedulers key off the global step counter; without this a resumed
-        # run (notably stateless SGD) would restart any warmup/decay schedule
-        # from step zero.
+        # The step counter is saved into every later checkpoint: restore it
+        # so a resumed run keeps counting from the uninterrupted run's step
+        # instead of restarting at zero.
         optimizer._step_count = int(checkpoint.metadata.get(
             "optimizer_step_count", optimizer._step_count))
 

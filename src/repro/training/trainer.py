@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.autograd.sanitizer import sanitize
 from repro.data.batching import BatchIterator, TripletBatch
 from repro.data.dataset import KGDataset
-from repro.data.negative_sampling import NegativeSampler, UniformNegativeSampler
+from repro.data.negative_sampling import UniformNegativeSampler
 from repro.losses.margin import MarginRankingLoss
 from repro.models.base import KGEModel
 from repro.nn.partitioned import partitioned_tables
@@ -132,12 +132,6 @@ class Trainer:
         Hyperparameters; defaults reproduce the paper's setting.
     optimizer:
         Optional pre-built optimiser (overrides ``config.optimizer``).
-    criterion:
-        Loss module; defaults to margin-ranking with ``config.margin``.
-    sampler:
-        Negative sampler; defaults to uniform corruption.
-    callbacks:
-        Sequence of :class:`~repro.training.callbacks.Callback` objects.
     batches:
         Optional pre-built batch source: any re-iterable yielding
         :class:`~repro.data.batching.TripletBatch` per epoch (an in-memory
@@ -146,6 +140,9 @@ class Trainer:
         store, or anything custom).  When given, ``dataset`` may be ``None``
         — the trainer then never touches a materialised triple array, which
         is what makes out-of-core training possible.
+
+    The loss is always margin ranking with ``config.margin`` and the
+    negatives uniform corruption (or the ``batches`` source's own).
     """
 
     def __init__(
@@ -154,9 +151,6 @@ class Trainer:
         dataset: Optional[KGDataset] = None,
         config: Optional[TrainingConfig] = None,
         optimizer: Optional[Optimizer] = None,
-        criterion=None,
-        sampler: Optional[NegativeSampler] = None,
-        callbacks: Optional[Sequence] = None,
         batches=None,
     ) -> None:
         self.model = model
@@ -174,32 +168,23 @@ class Trainer:
         # Per-bucket optimiser state pages in and out with its bucket.
         for table in partitioned_tables(model):
             table.attach_optimizer(self.optimizer)
-        self.criterion = criterion if criterion is not None else MarginRankingLoss(
-            margin=self.config.margin
-        )
+        self.criterion = MarginRankingLoss(margin=self.config.margin)
         if batches is not None:
             self.batches = batches
-            self.sampler = sampler if sampler is not None else getattr(
-                batches, "sampler", None)
         else:
             if dataset is None:
                 raise ValueError(
                     "Trainer needs either a dataset or a pre-built `batches` source"
                 )
             rng = new_rng(self.config.seed)
-            self.sampler = sampler if sampler is not None else UniformNegativeSampler(
-                dataset.n_entities, rng=rng
-            )
             self.batches = BatchIterator(
                 dataset,
                 batch_size=self.config.batch_size,
-                sampler=self.sampler,
+                sampler=UniformNegativeSampler(dataset.n_entities, rng=rng),
                 shuffle=self.config.shuffle,
                 regenerate_negatives=self.config.regenerate_negatives,
                 rng=rng,
             )
-        self.callbacks = list(callbacks) if callbacks else []
-        self.stop_requested = False
 
     # ------------------------------------------------------------------ #
     def train_step(self, batch: TripletBatch) -> EpochStats:
@@ -265,22 +250,10 @@ class Trainer:
         epochs = epochs if epochs is not None else self.config.epochs
         result = TrainingResult()
         self.model.train()
-        for callback in self.callbacks:
-            callback.on_train_begin(self)
         for epoch in range(start_epoch, start_epoch + epochs):
             stats = self.train_epoch(epoch)
             result.epochs.append(stats)
             if self.config.log_every and (epoch + 1) % self.config.log_every == 0:
                 logger.info("epoch %d: loss=%.6f time=%.3fs", epoch, stats.loss,
                             stats.total_time)
-            for callback in self.callbacks:
-                callback.on_epoch_end(self, epoch, stats)
-            if self.stop_requested:
-                break
-        for callback in self.callbacks:
-            callback.on_train_end(self, result)
         return result
-
-    def request_stop(self) -> None:
-        """Ask the loop to stop after the current epoch (used by early stopping)."""
-        self.stop_requested = True

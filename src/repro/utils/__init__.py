@@ -1,23 +1,12 @@
-"""Shared utilities: seeding, validation helpers, and lightweight logging."""
+"""Shared utilities: seeding, triple and spec-type validation, and logging."""
 
-from repro.utils.seeding import seed_everything, temp_seed, new_rng
-from repro.utils.validation import (
-    check_array,
-    check_positive,
-    check_in_range,
-    check_triples,
-    check_same_shape,
-)
+from repro.utils.seeding import seed_everything, new_rng
+from repro.utils.validation import check_triples
 from repro.utils.logging import get_logger
 
 __all__ = [
     "seed_everything",
-    "temp_seed",
     "new_rng",
-    "check_array",
-    "check_positive",
-    "check_in_range",
     "check_triples",
-    "check_same_shape",
     "get_logger",
 ]

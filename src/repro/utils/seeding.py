@@ -8,15 +8,12 @@ into generators so experiments are reproducible bit-for-bit across runs.
 
 from __future__ import annotations
 
-import contextlib
 import random
-from typing import Iterator, Optional, Union
+from typing import Union
 
 import numpy as np
 
 SeedLike = Union[int, np.random.Generator, None]
-
-_GLOBAL_SEED: Optional[int] = None
 
 
 def seed_everything(seed: int) -> None:
@@ -31,17 +28,11 @@ def seed_everything(seed: int) -> None:
     seed:
         Non-negative integer seed.
     """
-    global _GLOBAL_SEED
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    _GLOBAL_SEED = int(seed)
+    seed = int(seed)
     random.seed(seed)
     np.random.seed(seed % (2**32))
-
-
-def get_global_seed() -> Optional[int]:
-    """Return the seed last passed to :func:`seed_everything`, if any."""
-    return _GLOBAL_SEED
 
 
 def new_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -60,27 +51,3 @@ def new_rng(seed: SeedLike = None) -> np.random.Generator:
             raise ValueError(f"seed must be non-negative, got {seed}")
         return np.random.default_rng(int(seed))
     raise TypeError(f"seed must be None, int, or numpy Generator, got {type(seed)!r}")
-
-
-def spawn_rngs(seed: SeedLike, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent generators from one seed.
-
-    Used by the simulated data-parallel trainer so each logical worker has an
-    independent, reproducible stream.
-    """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    root = new_rng(seed)
-    seeds = root.integers(0, 2**63 - 1, size=n)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
-@contextlib.contextmanager
-def temp_seed(seed: int) -> Iterator[None]:
-    """Context manager that temporarily seeds NumPy's legacy global state."""
-    state = np.random.get_state()
-    np.random.seed(seed % (2**32))
-    try:
-        yield
-    finally:
-        np.random.set_state(state)

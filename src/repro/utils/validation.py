@@ -7,71 +7,9 @@ fails at the boundary rather than deep inside a kernel.
 from __future__ import annotations
 
 import numbers
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
-
-
-def check_array(
-    x,
-    *,
-    name: str = "array",
-    dtype=None,
-    ndim: Optional[int] = None,
-    allow_empty: bool = True,
-) -> np.ndarray:
-    """Convert ``x`` to an ndarray and validate its dimensionality.
-
-    Parameters
-    ----------
-    x:
-        Array-like input.
-    name:
-        Name used in error messages.
-    dtype:
-        If given, the result is cast to this dtype.
-    ndim:
-        If given, the array must have exactly this many dimensions.
-    allow_empty:
-        If ``False``, zero-sized arrays are rejected.
-    """
-    arr = np.asarray(x, dtype=dtype)
-    if ndim is not None and arr.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not allow_empty and arr.size == 0:
-        raise ValueError(f"{name} must not be empty")
-    if not np.issubdtype(arr.dtype, np.number) and not np.issubdtype(arr.dtype, np.bool_):
-        raise TypeError(f"{name} must be numeric, got dtype {arr.dtype}")
-    return arr
-
-
-def check_positive(value, *, name: str = "value", strict: bool = True) -> float:
-    """Validate that a scalar is positive (or non-negative when ``strict=False``)."""
-    v = float(value)
-    if strict and v <= 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
-    if not strict and v < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return v
-
-
-def check_in_range(
-    value,
-    low: float,
-    high: float,
-    *,
-    name: str = "value",
-    inclusive: Tuple[bool, bool] = (True, True),
-) -> float:
-    """Validate that ``low <= value <= high`` (bounds optionally exclusive)."""
-    v = float(value)
-    lo_ok = v >= low if inclusive[0] else v > low
-    hi_ok = v <= high if inclusive[1] else v < high
-    if not (lo_ok and hi_ok):
-        lo_b = "[" if inclusive[0] else "("
-        hi_b = "]" if inclusive[1] else ")"
-        raise ValueError(f"{name} must be in {lo_b}{low}, {high}{hi_b}, got {value}")
-    return v
 
 
 def check_triples(
@@ -110,23 +48,6 @@ def check_triples(
             f"{n_relations} relations exist"
         )
     return arr
-
-
-def check_same_shape(a: np.ndarray, b: np.ndarray, *, names: Sequence[str] = ("a", "b")) -> None:
-    """Raise if two arrays do not share the same shape."""
-    if a.shape != b.shape:
-        raise ValueError(
-            f"{names[0]} and {names[1]} must have the same shape, "
-            f"got {a.shape} and {b.shape}"
-        )
-
-
-def check_choice(value, choices: Iterable, *, name: str = "value"):
-    """Validate that ``value`` is one of ``choices``."""
-    options = list(choices)
-    if value not in options:
-        raise ValueError(f"{name} must be one of {options}, got {value!r}")
-    return value
 
 
 def check_json_types(payload: Mapping[str, object], section: str, *,

@@ -27,7 +27,7 @@ def rules_of(findings) -> set:
 
 
 class TestFramework:
-    def test_all_ten_rules_registered(self):
+    def test_all_eleven_rules_registered(self):
         rule_ids = {rule for rule, _ in iter_rules()}
         assert rule_ids == {
             "dtype-ctor",
@@ -40,6 +40,7 @@ class TestFramework:
             "resource-lifecycle",
             "suppression-unused",
             "ann-recall",
+            "unreachable-public",
         }
 
     def test_every_checker_describes_itself(self):
@@ -218,9 +219,11 @@ class TestForkSafetyChecker:
                 "    return sqlite3.connect(path)\n"
             ),
         })
+        # open_store has no caller, which unreachable-public reports.
         findings = run_checks(tmp_path)
-        assert [(f.rule, f.line) for f in findings] == [("fork-taint", 3)]
-        assert "in a module os.fork() duplicates" in findings[0].message
+        assert [(f.rule, f.line) for f in findings] == [
+            ("unreachable-public", 2), ("fork-taint", 3)]
+        assert "in a module os.fork() duplicates" in findings[1].message
 
     def test_atexit_register_flagged(self, tmp_path):
         make_project(tmp_path, {
@@ -231,7 +234,8 @@ class TestForkSafetyChecker:
             ),
         })
         findings = run_checks(tmp_path)
-        assert [(f.rule, f.line) for f in findings] == [("fork-taint", 3)]
+        assert [(f.rule, f.line) for f in findings] == [
+            ("unreachable-public", 2), ("fork-taint", 3)]
 
     def test_module_imported_from_a_package_is_a_direct_import(self, tmp_path):
         # `from repro.training import helpers` with a training/__init__.py:
@@ -251,11 +255,14 @@ class TestForkSafetyChecker:
         })
         findings = run_checks(tmp_path)
         assert [(f.rule, f.path, f.line) for f in findings] == [
-            ("fork-taint", "src/repro/training/helpers.py", 3)]
+            ("unreachable-public", "src/repro/training/helpers.py", 2),
+            ("fork-taint", "src/repro/training/helpers.py", 3),
+            ("unreachable-public", "src/repro/training/multiprocess.py", 1)]
 
     def test_retired_rule_id_in_an_ignore_is_reported_stale(self, tmp_path):
         # fork-sqlite is folded into fork-taint; an ignore naming the old
-        # id suppresses nothing, and suppression-unused says so.
+        # id suppresses nothing, and suppression-unused says so.  (The
+        # fixture's open_store has no caller, which unreachable-public reports.)
         make_project(tmp_path, {
             "src/repro/training/multiprocess.py": (
                 "import sqlite3\n"
@@ -265,7 +272,8 @@ class TestForkSafetyChecker:
         })
         findings = {f.rule: f for f in run_checks(tmp_path)}
         assert sorted((r, f.line) for r, f in findings.items()) == [
-            ("fork-taint", 3), ("suppression-unused", 3)]
+            ("fork-taint", 3), ("suppression-unused", 3),
+            ("unreachable-public", 2)]
         assert "fork-sqlite" in findings["suppression-unused"].message
 
     def test_instance_lock_passes(self, tmp_path):
@@ -277,7 +285,9 @@ class TestForkSafetyChecker:
                 "        self._lock = threading.Lock()\n"
             ),
         })
-        assert run_checks(tmp_path) == []
+        # Only the fixture's unreferenced class is reported.
+        assert [(f.rule, f.line) for f in run_checks(tmp_path)] == [
+            ("unreachable-public", 2)]
 
     def test_unimported_module_not_in_scope(self, tmp_path):
         # The lock lives in a module the trainer never imports: not in the
@@ -378,8 +388,9 @@ class TestLockDisciplineChecker:
             "src/repro/serving/engine.py": _LOCKED_CLASS.format(bump_body=body),
         })
         findings = run_checks(tmp_path)
-        assert [(f.rule, f.line) for f in findings] == [("lock-state", 11)]
-        assert "Engine.bump.<locals>.cb()" in findings[0].message
+        assert [(f.rule, f.line) for f in findings] == [
+            ("unreachable-public", 3), ("lock-state", 11)]
+        assert "Engine.bump.<locals>.cb()" in findings[1].message
 
     def test_callback_method_passed_as_a_value_is_a_root(self, tmp_path):
         # No call edge reaches _expire: the Timer thread runs it, with no
@@ -1073,3 +1084,192 @@ class TestSuppressionUnusedChecker:
             ),
         })
         assert run_checks(tmp_path, rules=["suppression-unused"]) == []
+
+
+class TestUnreachablePublicChecker:
+    """Every flagged/not-flagged case carries an ``orphan`` control, so a
+    build without the rule (which reports nothing) fails each test."""
+
+    ORPHAN = "def orphan():\n    return 0\n"
+
+    def flagged(self, tmp_path, files) -> set:
+        files = dict(files)
+        files["src/repro/utils/orphan.py"] = self.ORPHAN
+        make_project(tmp_path, files)
+        findings = run_checks(tmp_path, rules=["unreachable-public"])
+        assert all(f.rule == "unreachable-public" for f in findings)
+        return {f.message.split()[2] for f in findings}
+
+    def test_name_referenced_only_by_tests_flagged(self, tmp_path):
+        assert self.flagged(tmp_path, {
+            "src/repro/utils/helpers.py": "def helper(x):\n    return x\n",
+            "tests/test_helpers.py": (
+                "from repro.utils.helpers import helper\n"
+                "def test_helper():\n"
+                "    assert helper(1) == 1\n"
+            ),
+        }) == {"orphan", "helper"}
+
+    def test_name_referenced_only_by_itself_flagged(self, tmp_path):
+        # Recursion, a self-returning factory and a docstring mention all sit
+        # inside the definition's own span.
+        findings = self.flagged(tmp_path, {
+            "src/repro/utils/helpers.py": (
+                "class Node:\n"
+                '    """A Node links to the next Node."""\n'
+                "    def clone(self) -> 'Node':\n"
+                "        return Node()\n"
+                "def depth(n):\n"
+                "    return 0 if n == 0 else 1 + depth(n - 1)\n"
+            ),
+        })
+        assert findings == {"orphan", "Node", "depth"}
+
+    def test_reexports_and_all_lists_are_not_references(self, tmp_path):
+        assert self.flagged(tmp_path, {
+            "src/repro/utils/__init__.py": (
+                "from repro.utils.helpers import helper\n"
+                "__all__ = ['helper']\n"
+            ),
+            "src/repro/utils/helpers.py": (
+                "__all__ = [\n"
+                "    'helper',\n"
+                "]\n"
+                "def helper(x):\n"
+                "    return x\n"
+            ),
+        }) == {"orphan", "helper"}
+
+    def test_names_used_by_benchmarks_examples_or_the_package_pass(self, tmp_path):
+        assert self.flagged(tmp_path, {
+            "src/repro/utils/helpers.py": (
+                "def for_bench():\n    return 1\n"
+                "def for_example():\n    return 2\n"
+                "class Internal:\n    pass\n"
+            ),
+            "src/repro/utils/user.py": (
+                "from repro.utils.helpers import Internal\n"
+                "_DEFAULT = Internal\n"
+            ),
+            "benchmarks/bench.py": "from repro.utils.helpers import for_bench\n",
+            "examples/demo.py": "# calls for_example() on the way\n",
+        }) == {"orphan"}
+
+    def test_registered_names_pass(self, tmp_path):
+        assert self.flagged(tmp_path, {
+            "src/repro/models/mine.py": (
+                "from repro.registry import register_model\n"
+                "from repro import registry\n"
+                '@register_model("mine")\n'
+                "class MineModel:\n"
+                "    pass\n"
+                "@registry.register_index\n"
+                "class MineIndex:\n"
+                "    pass\n"
+            ),
+        }) == {"orphan"}
+
+    def test_private_names_and_init_modules_are_not_checked(self, tmp_path):
+        assert self.flagged(tmp_path, {
+            "src/repro/utils/helpers.py": "def _private():\n    return 0\n",
+            "src/repro/utils/__init__.py": "def lazy_attr():\n    return 0\n",
+        }) == {"orphan"}
+
+    def test_suppressed_name_passes(self, tmp_path):
+        files = {
+            "src/repro/utils/helpers.py": (
+                "def kept_api(x):  # repro: ignore[unreachable-public]\n"
+                "    return x\n"
+            ),
+            "src/repro/utils/orphan.py": self.ORPHAN,
+        }
+        make_project(tmp_path, files)
+        findings = run_checks(tmp_path)
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("unreachable-public", "src/repro/utils/orphan.py", 1)]
+        assert "delete it" in findings[0].message
+
+    def test_async_functions_are_checked_too(self, tmp_path):
+        assert self.flagged(tmp_path, {
+            "src/repro/utils/helpers.py": (
+                "async def fetch():\n    return 0\n"
+                "async def used():\n    return 1\n"
+            ),
+            "src/repro/utils/user.py": "from repro.utils.helpers import used\n",
+        }) == {"orphan", "fetch"}
+
+    def test_only_top_level_names_are_checked(self, tmp_path):
+        # Methods and nested helpers are reached through their owner.
+        assert self.flagged(tmp_path, {
+            "src/repro/utils/helpers.py": (
+                "class Owner:\n"
+                "    def never_called(self):\n"
+                "        def inner():\n"
+                "            return 0\n"
+                "        return 1\n"
+            ),
+            "src/repro/utils/user.py": "import repro.utils.helpers as h\nh.Owner()\n",
+        }) == {"orphan"}
+
+    def test_match_is_on_whole_identifier_tokens(self, tmp_path):
+        # ``helper_two`` and ``my_helper`` spell ``helper`` but do not name it.
+        assert self.flagged(tmp_path, {
+            "src/repro/utils/helpers.py": "def helper():\n    return 0\n",
+            "src/repro/utils/user.py": (
+                "def _use(helper_two, my_helper):\n"
+                "    return helper_two + my_helper\n"
+            ),
+        }) == {"orphan", "helper"}
+
+    def test_strings_and_comments_count_as_references(self, tmp_path):
+        # Conservative: a name some source line spells out is never reported.
+        assert self.flagged(tmp_path, {
+            "src/repro/utils/helpers.py": (
+                "def by_name():\n    return 0\n"
+                "def in_comment():\n    return 1\n"
+            ),
+            "src/repro/utils/user.py": (
+                "import importlib\n"
+                "_FN = getattr(importlib.import_module('repro.utils.helpers'), 'by_name')\n"
+                "# see in_comment for the slow path\n"
+            ),
+        }) == {"orphan"}
+
+    def test_own_decorator_lines_are_part_of_the_definition(self, tmp_path):
+        assert self.flagged(tmp_path, {
+            "src/repro/utils/helpers.py": (
+                "def tag(name):\n"
+                "    return lambda fn: fn\n"
+                "@tag('tagged')\n"
+                "def tagged():\n"
+                "    return 0\n"
+            ),
+        }) == {"orphan", "tagged"}
+
+    @pytest.mark.parametrize("assignment", [
+        "__all__: list = ['helper']\n",
+        "__all__ = []\n__all__ += ['helper']\n",
+    ], ids=["annotated", "augmented"])
+    def test_every_form_of_all_is_not_a_reference(self, tmp_path, assignment):
+        assert self.flagged(tmp_path, {
+            "src/repro/utils/helpers.py": assignment + "def helper():\n    return 0\n",
+        }) == {"orphan", "helper"}
+
+    def test_finding_points_at_the_definition_and_names_its_kind(self, tmp_path):
+        make_project(tmp_path, {
+            "src/repro/utils/helpers.py": (
+                "import functools\n"
+                "\n"
+                "@functools.lru_cache(maxsize=None)\n"
+                "def cached():\n"
+                "    return 0\n"
+                "class Holder:\n"
+                "    pass\n"
+            ),
+        })
+        findings = run_checks(tmp_path, rules=["unreachable-public"])
+        assert [(f.path, f.line, " ".join(f.message.split()[:3]))
+                for f in findings] == [
+            ("src/repro/utils/helpers.py", 4, "public function cached"),
+            ("src/repro/utils/helpers.py", 6, "public class Holder"),
+        ]

@@ -68,7 +68,7 @@ class TestCheckCommand:
     def test_list_rules(self, capsys):
         assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert len(out.splitlines()) == 10
+        assert len(out.splitlines()) == 11
         for rule in ("dtype-ctor", "fork-taint", "lock-state",
                      "kernel-parity", "registry-roundtrip"):
             assert rule in out
@@ -124,7 +124,7 @@ class TestDiffMode:
         # violation is untouched since HEAD so its *file-scoped* finding
         # must not re-report.  Interprocedural rules are project-scoped and
         # re-run whole (like kernel-parity), so lock-state still sees the
-        # serving race.
+        # serving race and unreachable-public the Engine class nothing names.
         make_project(git_project, {
             "src/repro/nn/old.py": "import numpy as np\ny = np.zeros(2)\n",
         })
@@ -137,12 +137,14 @@ class TestDiffMode:
         assert {(f.rule, f.path) for f in findings} == {
             ("dtype-ctor", "src/repro/sparse/mod.py"),
             ("lock-state", "src/repro/serving/engine.py"),
+            ("unreachable-public", "src/repro/serving/engine.py"),
         }
         full = run_checks(git_project)
         assert {(f.rule, f.path) for f in full} == {
             ("dtype-ctor", "src/repro/nn/old.py"),
             ("dtype-ctor", "src/repro/sparse/mod.py"),
             ("lock-state", "src/repro/serving/engine.py"),
+            ("unreachable-public", "src/repro/serving/engine.py"),
         }
 
     def test_clean_diff_reports_nothing(self, git_project):
@@ -164,6 +166,22 @@ class TestDiffMode:
         parity = [f for f in findings if f.rule == "kernel-parity"]
         assert len(parity) == 1
         assert "spmm" in parity[0].message
+
+    def test_changed_example_retriggers_unreachable_public(self, git_project):
+        # A name's last reference can go from examples/ alone; diff mode must
+        # still re-run the project-scoped rule.
+        make_project(git_project, {
+            "src/repro/serving/engine.py": "def helper():\n    return 0\n",
+            "examples/demo.py": "from repro.serving.engine import helper\n",
+        })
+        _git(git_project, "add", "-A")
+        _git(git_project, "commit", "-q", "-m", "helper + its example")
+        assert run_checks(git_project, diff_ref="HEAD") == []
+        (git_project / "examples/demo.py").write_text("print(0)\n",
+                                                      encoding="utf-8")
+        findings = run_checks(git_project, diff_ref="HEAD")
+        assert [(f.rule, f.path) for f in findings] == [
+            ("unreachable-public", "src/repro/serving/engine.py")]
 
     def test_diff_cli_flag(self, git_project, capsys):
         (git_project / "src/repro/sparse/mod.py").write_text(

@@ -322,19 +322,6 @@ class TestRecall:
 
 
 class TestResidency:
-    # One row range per bucket: only a partitioned table has several blocks.
-    @pytest.mark.parametrize("layout", ["sparse-p3"], indirect=True)
-    def test_assignment_blocks_page_under_lru(self, indexed_artifact, full_table):
-        directory, _, _ = indexed_artifact
-        index = load_index(os.path.join(directory, "index"), max_resident=1)
-        for row in range(0, index.n_entities, 30):
-            index.search(full_table[row], 5, nprobe=index.n_clusters)
-        stats = index.stats()
-        assert stats["resident_blocks"] == 1
-        assert stats["index_evictions"] > 0
-        assert stats["index_faults"] > index.n_buckets
-        assert stats["index_bytes_loaded"] > 0
-
     def test_unbounded_residency_faults_each_bucket_once(self, indexed_artifact,
                                                          full_table):
         directory, _, _ = indexed_artifact
@@ -343,4 +330,23 @@ class TestResidency:
             index.search(full_table[row], 5, nprobe=index.n_clusters)
         stats = index.stats()
         assert stats["index_faults"] == index.n_buckets
-        assert stats["index_evictions"] == 0
+
+    def test_faulted_blocks_stay_resident(self, index, indexed_artifact,
+                                          full_table):
+        _, _, manifest = indexed_artifact
+        assigned = sum(
+            np.load(os.path.join(index.directory, entry["assign"])).nbytes
+            for entry in manifest["buckets"])
+        assert index.stats()["resident_blocks"] == 0
+        for _ in range(2):
+            index.search(full_table[0], 5, nprobe=index.n_clusters)
+            stats = index.stats()
+            assert stats["resident_blocks"] == index.n_buckets
+            assert stats["index_faults"] == index.n_buckets
+            assert stats["index_bytes_loaded"] == assigned
+
+    def test_stats_keys(self, index):
+        assert set(index.stats()) == {
+            "index_faults", "index_bytes_loaded", "candidates_scored",
+            "list_bytes_read", "kind", "n_clusters", "n_buckets",
+            "nprobe_default", "resident_blocks"}

@@ -29,34 +29,16 @@ class TestElementwiseForward:
     def test_relu(self):
         np.testing.assert_allclose(ops.relu(Tensor([-1.0, 2.0])).data, [0.0, 2.0])
 
-    def test_clamp_min(self):
-        np.testing.assert_allclose(ops.clamp_min(Tensor([-1.0, 2.0]), 0.5).data, [0.5, 2.0])
-
     def test_maximum_minimum(self):
         a, b = Tensor([1.0, 5.0]), Tensor([3.0, 2.0])
         np.testing.assert_allclose(ops.maximum(a, b).data, [3.0, 5.0])
         np.testing.assert_allclose(ops.minimum(a, b).data, [1.0, 2.0])
-
-    def test_sigmoid_range_and_stability(self):
-        out = ops.sigmoid(Tensor([-1000.0, 0.0, 1000.0])).data
-        assert np.all(np.isfinite(out))
-        np.testing.assert_allclose(out[1], 0.5)
-        assert out[0] < 1e-6 and out[2] > 1 - 1e-6
 
     def test_softplus_stability(self):
         out = ops.softplus(Tensor([-1000.0, 0.0, 1000.0])).data
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out[1], np.log(2.0))
         np.testing.assert_allclose(out[2], 1000.0, rtol=1e-6)
-
-    def test_logsigmoid_matches_log_of_sigmoid(self):
-        x = Tensor([-2.0, 0.0, 3.0])
-        np.testing.assert_allclose(
-            ops.logsigmoid(x).data, np.log(1 / (1 + np.exp(-x.data))), rtol=1e-10
-        )
-
-    def test_tanh(self):
-        np.testing.assert_allclose(ops.tanh(Tensor([0.0])).data, [0.0])
 
     def test_sin_cos(self):
         x = Tensor([0.0, np.pi / 2])
@@ -72,9 +54,7 @@ class TestElementwiseGradients:
     @pytest.mark.parametrize("fn", [
         ops.exp,
         lambda x: ops.log(x, eps=0.0),
-        ops.sigmoid,
         ops.softplus,
-        ops.tanh,
         ops.sin,
         ops.cos,
     ])
@@ -86,6 +66,28 @@ class TestElementwiseGradients:
     def test_sqrt_gradcheck(self):
         x = _rand((3, 3), seed=2, scale=0.2, shift=2.0)
         ok, err = gradcheck(lambda t: ops.sqrt(t), [x])
+        assert ok, err
+
+    @pytest.mark.parametrize("fn", [ops.absolute, ops.relu, ops.frac],
+                             ids=["absolute", "relu", "frac"])
+    def test_piecewise_ops_gradcheck_away_from_kinks(self, fn):
+        x = Tensor([[-1.3, -0.4, 0.35, 1.7], [2.6, -2.2, 0.8, -0.65]],
+                   requires_grad=True)
+        ok, err = gradcheck(fn, [x])
+        assert ok, f"max error {err}"
+
+    def test_maximum_minimum_gradcheck_without_ties(self):
+        a, b = _rand((3, 4), seed=3), _rand((3, 4), seed=4)
+        ok, err = gradcheck(lambda s, t: ops.maximum(s, t) * 2.0 + ops.minimum(s, t),
+                            [a, b])
+        assert ok, err
+
+    @pytest.mark.parametrize("fn", [ops.log, ops.sqrt], ids=["log", "sqrt"])
+    def test_eps_shifts_the_argument_and_its_gradient(self, fn):
+        x = _rand((2, 3), seed=5, scale=0.2, shift=1.0)
+        shifted = Tensor(x.data + 0.25, requires_grad=True)
+        np.testing.assert_allclose(fn(x, eps=0.25).data, fn(shifted).data)
+        ok, err = gradcheck(lambda t: fn(t, eps=0.25), [x])
         assert ok, err
 
     def test_abs_gradient_sign(self):

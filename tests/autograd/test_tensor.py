@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, no_grad, enable_grad, is_grad_enabled
+from repro.autograd import Tensor, no_grad, is_grad_enabled
 
 
 class TestConstruction:
@@ -285,13 +285,6 @@ class TestGradMode:
         with no_grad():
             assert not is_grad_enabled()
         assert is_grad_enabled()
-
-    def test_enable_grad_inside_no_grad(self):
-        a = Tensor([1.0], requires_grad=True)
-        with no_grad():
-            with enable_grad():
-                b = a * 2
-        assert b.requires_grad
 
     def test_tensor_created_under_no_grad_never_requires_grad(self):
         with no_grad():

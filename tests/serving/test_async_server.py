@@ -45,10 +45,19 @@ def post(server, path, payload):
         return json.loads(response.read().decode("utf-8"))
 
 
-def post_error(server, path, payload) -> urllib.error.HTTPError:
+def http_error(send) -> urllib.error.HTTPError:
+    """The HTTPError ``send()`` raises, its body read into ``.body`` and the
+    client connection it holds closed."""
     with pytest.raises(urllib.error.HTTPError) as excinfo:
-        post(server, path, payload)
-    return excinfo.value
+        send()
+    error = excinfo.value
+    error.body = error.read()
+    error.close()
+    return error
+
+
+def post_error(server, path, payload) -> urllib.error.HTTPError:
+    return http_error(lambda: post(server, path, payload))
 
 
 class TestEndpoints:
@@ -106,7 +115,7 @@ class TestErrors:
     def test_missing_field_is_400(self, server):
         err = post_error(server, "/v1/top_k_tails", {"relation": 1})
         assert err.code == 400
-        assert "head" in json.loads(err.read())["error"]
+        assert "head" in json.loads(err.body)["error"]
 
     def test_out_of_range_ids_are_400(self, server):
         assert post_error(server, "/v1/top_k_tails",
@@ -117,9 +126,8 @@ class TestErrors:
         request = urllib.request.Request(
             server.url + "/v1/score", data=b"not json",
             headers={"Content-Type": "application/json"})
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
+        assert http_error(
+            lambda: urllib.request.urlopen(request, timeout=10)).code == 400
 
     def test_bad_deadline_override_is_400(self, server):
         err = post_error(server, "/v1/top_k_tails",
@@ -127,14 +135,11 @@ class TestErrors:
         assert err.code == 400
 
     def test_unknown_path_and_method(self, server):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            post(server, "/v1/bogus", {})
-        assert excinfo.value.code == 404
+        assert post_error(server, "/v1/bogus", {}).code == 404
         request = urllib.request.Request(server.url + "/v1/top_k_tails",
                                          data=b"{}", method="PUT")
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 405
+        assert http_error(
+            lambda: urllib.request.urlopen(request, timeout=10)).code == 405
 
 
 class TestKeepAlive:
@@ -182,7 +187,7 @@ class TestAdmissionAndCoalescing:
             err = post_error(server, "/v1/top_k_tails",
                              {"head": 1, "relation": 0, "deadline_ms": 1.0})
             assert err.code == 503
-            body = json.loads(err.read())
+            body = json.loads(err.body)
             assert body["error"] == "shed"
             assert body["predicted_ms"] > body["deadline_ms"]
             assert int(err.headers["Retry-After"]) >= 1

@@ -134,28 +134,30 @@ class TestFilteredAnswersUseTheIndex:
     @pytest.mark.parametrize("route", ["exact", "ann"])
     def test_filtered_top_k_identical_to_the_dict_lookup(self, artifact, kg, route):
         known = kg.known_triples()
-        engine = self._engine(artifact, route, known)
-        assert engine._known is known  # held as is, not re-indexed
-        from_set = self._engine(artifact, route, set(known))
-        reference = self._two_dicts(self._engine(artifact, route, None), set(known))
-        queries = [(int(h), int(r), int(t)) for h, r, t in kg.split.test[:25]]
-        queries += [(0, 0, 0), (self.N_ENTITIES - 1, self.N_RELATIONS - 1, 3)]
-        excluded = 0
-        for h, r, t in queries:
-            for k in (1, 10, self.N_ENTITIES):
-                want = reference.top_k_tails(h, r, k=k, filtered=True)
-                for candidate in (engine, from_set):
-                    assert candidate.top_k_tails(h, r, k=k, filtered=True) == want
-                want = reference.top_k_heads(r, t, k=k, filtered=True)
-                for candidate in (engine, from_set):
-                    assert candidate.top_k_heads(r, t, k=k, filtered=True) == want
-            full = engine.top_k_tails(h, r, k=self.N_ENTITIES, filtered=True, ann=False)
-            assert not any((h, r, e) in known for e in full.entities)
-            excluded += self.N_ENTITIES - len(full.entities)
-        assert excluded > 25  # the filter really removed candidates
-        stats = engine.stats()
-        if route == "ann":
-            assert stats["ann_queries"] > 0
+        # Each engine owns its index's posting-list handles: close all three.
+        with self._engine(artifact, route, known) as engine, \
+                self._engine(artifact, route, set(known)) as from_set, \
+                self._engine(artifact, route, None) as unfiltered:
+            assert engine._known is known  # held as is, not re-indexed
+            reference = self._two_dicts(unfiltered, set(known))
+            queries = [(int(h), int(r), int(t)) for h, r, t in kg.split.test[:25]]
+            queries += [(0, 0, 0), (self.N_ENTITIES - 1, self.N_RELATIONS - 1, 3)]
+            excluded = 0
+            for h, r, t in queries:
+                for k in (1, 10, self.N_ENTITIES):
+                    want = reference.top_k_tails(h, r, k=k, filtered=True)
+                    for candidate in (engine, from_set):
+                        assert candidate.top_k_tails(h, r, k=k, filtered=True) == want
+                    want = reference.top_k_heads(r, t, k=k, filtered=True)
+                    for candidate in (engine, from_set):
+                        assert candidate.top_k_heads(r, t, k=k, filtered=True) == want
+                full = engine.top_k_tails(h, r, k=self.N_ENTITIES, filtered=True, ann=False)
+                assert not any((h, r, e) in known for e in full.entities)
+                excluded += self.N_ENTITIES - len(full.entities)
+            assert excluded > 25  # the filter really removed candidates
+            stats = engine.stats()
+            if route == "ann":
+                assert stats["ann_queries"] > 0
 
     def test_replacing_the_set_invalidates_the_cache(self, kg):
         model = make_model(n_entities=self.N_ENTITIES, n_relations=self.N_RELATIONS)

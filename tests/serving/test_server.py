@@ -47,10 +47,19 @@ def post(server, path, payload):
         return json.loads(response.read().decode("utf-8"))
 
 
-def post_error(server, path, payload) -> urllib.error.HTTPError:
+def http_error(send) -> urllib.error.HTTPError:
+    """The HTTPError ``send()`` raises, its body read into ``.body`` and the
+    client connection it holds closed."""
     with pytest.raises(urllib.error.HTTPError) as excinfo:
-        post(server, path, payload)
-    return excinfo.value
+        send()
+    error = excinfo.value
+    error.body = error.read()
+    error.close()
+    return error
+
+
+def post_error(server, path, payload) -> urllib.error.HTTPError:
+    return http_error(lambda: post(server, path, payload))
 
 
 class TestEndpoints:
@@ -124,7 +133,7 @@ class TestErrorHandling:
         server, _ = served
         error = post_error(server, "/v1/top_k_tails", {"head": 1})
         assert error.code == 400
-        assert "relation" in json.loads(error.read().decode())["error"]
+        assert "relation" in json.loads(error.body.decode())["error"]
 
     def test_out_of_range_id_is_400(self, served):
         server, _ = served
@@ -143,15 +152,11 @@ class TestErrorHandling:
         request = urllib.request.Request(
             server.url + "/v1/top_k_tails", data=b"{not json",
             headers={"Content-Type": "application/json"})
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
+        assert http_error(lambda: urllib.request.urlopen(request)).code == 400
 
     def test_unknown_path_is_404(self, served):
         server, _ = served
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            get(server, "/v1/nope")
-        assert excinfo.value.code == 404
+        assert http_error(lambda: get(server, "/v1/nope")).code == 404
 
     def test_unknown_post_path_is_404(self, served):
         server, _ = served

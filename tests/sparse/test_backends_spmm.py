@@ -12,7 +12,6 @@ from repro.sparse import (
     get_backend,
     register_backend,
     spmm,
-    spmm_t,
 )
 from repro.sparse.backends import spmm_flops
 
@@ -133,14 +132,23 @@ class TestSpmmAutograd:
         out = spmm(A, Tensor(X), backend=backend)
         np.testing.assert_allclose(out.data, dense @ X, rtol=1e-10)
 
-    def test_backward_is_transposed_spmm(self, sparse_and_dense):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_backward_is_transposed_spmm(self, backend, sparse_and_dense):
         """Appendix G: dL/dX = A^T (dL/dC)."""
         A, dense, X = sparse_and_dense
         Xt = Tensor(X, requires_grad=True)
-        out = spmm(A, Xt)
+        out = spmm(A, Xt, backend=backend)
         upstream = np.random.default_rng(5).standard_normal(out.shape)
         (out * Tensor(upstream)).sum().backward()
         np.testing.assert_allclose(Xt.grad, dense.T @ upstream, rtol=1e-10)
+
+    def test_gradients_accumulate_over_two_products(self, sparse_and_dense):
+        A, dense, X = sparse_and_dense
+        Xt = Tensor(X, requires_grad=True)
+        (spmm(A, Xt) + spmm(A, Xt) * 2.0).sum().backward()
+        np.testing.assert_allclose(Xt.grad, 3.0 * dense.T @ np.ones((dense.shape[0],
+                                                                     X.shape[1])),
+                                   rtol=1e-10)
 
     def test_gradcheck(self, sparse_and_dense):
         A, _, X = sparse_and_dense
@@ -159,12 +167,6 @@ class TestSpmmAutograd:
         A, dense, X = sparse_and_dense
         out = spmm(A, X)
         np.testing.assert_allclose(out.data, dense @ X, rtol=1e-10)
-
-    def test_spmm_t(self, sparse_and_dense):
-        A, dense, _ = sparse_and_dense
-        Y = np.random.default_rng(6).standard_normal((dense.shape[0], 3))
-        out = spmm_t(A, Tensor(Y))
-        np.testing.assert_allclose(out.data, dense.T @ Y, rtol=1e-10)
 
     def test_no_grad_into_constant_input(self, sparse_and_dense):
         A, _, X = sparse_and_dense

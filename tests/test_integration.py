@@ -4,6 +4,7 @@ import numpy as np
 
 from repro.baselines import DenseTransE
 from repro.data import (
+    BatchIterator,
     BernoulliNegativeSampler,
     SQLiteKGStore,
     generate_synthetic_kg,
@@ -89,11 +90,12 @@ class TestPaperWorkloads:
 
     def test_bernoulli_sampler_in_training_loop(self):
         kg = generate_synthetic_kg(50, 5, 400, rng=2)
-        sampler = BernoulliNegativeSampler(kg, rng=0)
+        batches = BatchIterator(kg, batch_size=128,
+                                sampler=BernoulliNegativeSampler(kg, rng=0), rng=0)
         model = SpTransE(kg.n_entities, kg.n_relations, 16, rng=0)
-        result = Trainer(model, kg, TrainingConfig(epochs=4, batch_size=128,
-                                                   learning_rate=0.02, seed=0),
-                         sampler=sampler).train()
+        result = Trainer(model, config=TrainingConfig(epochs=4, batch_size=128,
+                                                      learning_rate=0.02, seed=0),
+                         batches=batches).train()
         assert result.final_loss < result.losses[0]
 
     def test_accuracy_parity_between_sparse_and_dense_after_training(self):

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.losses import (
-    BCEWithLogitsLoss,
-    LogisticLoss,
-    MarginRankingLoss,
-    SelfAdversarialLoss,
-    bce_with_logits_loss,
-    logistic_loss,
-    margin_ranking_loss,
-    self_adversarial_loss,
-)
+from repro.losses import MarginRankingLoss, margin_ranking_loss
 from repro.losses.margin import _reference_margin_loss
 
 
@@ -58,79 +49,6 @@ class TestMarginRankingLoss:
             MarginRankingLoss(margin=-1.0)
         with pytest.raises(ValueError):
             MarginRankingLoss(reduction="bad")
-
-
-class TestLogisticLoss:
-    def test_value(self):
-        loss = logistic_loss(scores([0.0]), scores([0.0]))
-        np.testing.assert_allclose(loss.item(), 2 * np.log(2.0), rtol=1e-10)
-
-    def test_decreases_with_better_separation(self):
-        worse = logistic_loss(scores([2.0]), scores([1.0])).item()
-        better = logistic_loss(scores([0.5]), scores([5.0])).item()
-        assert better < worse
-
-    def test_reductions_and_module(self):
-        pos, neg = scores([0.0, 0.0]), scores([0.0, 0.0])
-        assert logistic_loss(pos, neg, "sum").item() == pytest.approx(4 * np.log(2.0))
-        module = LogisticLoss()
-        assert module(pos, neg).item() == pytest.approx(2 * np.log(2.0))
-        with pytest.raises(ValueError):
-            logistic_loss(pos, neg, "bad")
-        with pytest.raises(ValueError):
-            LogisticLoss(reduction="bad")
-
-
-class TestBCEWithLogits:
-    def test_matches_reference_formula(self):
-        logits = scores([0.5, -1.0, 2.0])
-        targets = np.array([1.0, 0.0, 1.0])
-        loss = bce_with_logits_loss(logits, targets)
-        ref = np.mean(np.logaddexp(0, logits.data) - logits.data * targets)
-        np.testing.assert_allclose(loss.item(), ref, rtol=1e-10)
-
-    def test_extreme_logits_stable(self):
-        loss = bce_with_logits_loss(scores([1000.0, -1000.0]), np.array([1.0, 0.0]))
-        assert np.isfinite(loss.item())
-        assert loss.item() < 1e-6
-
-    def test_target_shape_check(self):
-        with pytest.raises(ValueError):
-            bce_with_logits_loss(scores([1.0, 2.0]), np.array([1.0]))
-
-    def test_module_and_reductions(self):
-        module = BCEWithLogitsLoss(reduction="sum")
-        out = module(scores([0.0, 0.0]), np.array([1.0, 0.0]))
-        np.testing.assert_allclose(out.item(), 2 * np.log(2.0), rtol=1e-10)
-        with pytest.raises(ValueError):
-            BCEWithLogitsLoss(reduction="bad")
-
-
-class TestSelfAdversarialLoss:
-    def test_decreases_with_better_separation(self):
-        worse = self_adversarial_loss(scores([5.0]), scores([6.0]), margin=6.0).item()
-        better = self_adversarial_loss(scores([1.0]), scores([12.0]), margin=6.0).item()
-        assert better < worse
-
-    def test_accepts_multiple_negatives(self):
-        pos = scores([1.0, 2.0])
-        neg = Tensor(np.array([[7.0, 8.0], [9.0, 10.0]]), requires_grad=True)
-        loss = self_adversarial_loss(pos, neg)
-        assert np.isfinite(loss.item())
-        loss.backward()
-        assert pos.grad is not None and neg.grad is not None
-
-    def test_invalid_temperature(self):
-        with pytest.raises(ValueError):
-            self_adversarial_loss(scores([1.0]), scores([2.0]), temperature=0.0)
-
-    def test_module_validation(self):
-        with pytest.raises(ValueError):
-            SelfAdversarialLoss(margin=-1.0)
-        with pytest.raises(ValueError):
-            SelfAdversarialLoss(temperature=0.0)
-        module = SelfAdversarialLoss(margin=6.0)
-        assert np.isfinite(module(scores([1.0]), scores([8.0])).item())
 
 
 class TestFusedMarginLoss:

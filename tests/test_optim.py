@@ -1,4 +1,4 @@
-"""Tests for optimizers and learning-rate schedulers."""
+"""Tests for optimizers."""
 
 import math
 
@@ -9,15 +9,7 @@ from hypothesis import strategies as st
 
 from repro.autograd import Tensor
 from repro.nn.parameter import Parameter
-from repro.optim import (
-    SGD,
-    Adagrad,
-    Adam,
-    ExponentialLR,
-    Optimizer,
-    ReduceLROnPlateau,
-    StepLR,
-)
+from repro.optim import SGD, Adagrad, Adam, Optimizer
 from repro.sparse.kernels import block_rows
 from repro.sparse.rowsparse import RowSparseGrad
 
@@ -70,6 +62,34 @@ class TestOptimizerBase:
         assert opt.lr == 0.2
         with pytest.raises(ValueError):
             opt.set_lr(-1.0)
+
+    @pytest.mark.parametrize("make", [SGD, Adam, Adagrad],
+                             ids=["sgd", "adam", "adagrad"])
+    def test_set_lr_scales_the_next_step(self, make):
+        # Every update rule is linear in the learning rate.
+        deltas = []
+        for lr in (0.01, 0.02):
+            p = Parameter(np.array([0.5, -1.0, 2.0]))
+            opt = make([p], lr=0.01)
+            opt.set_lr(lr)
+            run_steps(opt, p, 1)
+            deltas.append(p.data - np.array([0.5, -1.0, 2.0]))
+        np.testing.assert_allclose(deltas[1], 2.0 * deltas[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("make", [lambda ps: SGD(ps, lr=0.05, momentum=0.9),
+                                      lambda ps: Adam(ps, lr=0.05),
+                                      lambda ps: Adagrad(ps, lr=0.05)],
+                             ids=["sgd-momentum", "adam", "adagrad"])
+    def test_set_lr_keeps_the_optimizer_state(self, make):
+        p = Parameter(np.array([0.5, -1.0, 2.0]))
+        opt = make([p])
+        run_steps(opt, p, 3)
+        before = {name: np.copy(value) for name, value in opt.state[id(p)].items()}
+        assert before
+        opt.set_lr(0.001)
+        assert opt.step_count == 3
+        for name, value in opt.state[id(p)].items():
+            np.testing.assert_array_equal(value, before[name])
 
 
 class TestSGD:
@@ -150,58 +170,6 @@ class TestAdagrad:
             Adagrad([Parameter(np.zeros(2))], lr=0.1, eps=0.0)
         with pytest.raises(ValueError):
             Adagrad([Parameter(np.zeros(2))], lr=0.1, initial_accumulator=-1.0)
-
-
-class TestSchedulers:
-    def test_step_lr(self):
-        opt = SGD([Parameter(np.zeros(2))], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = [sched.step() for _ in range(4)]
-        np.testing.assert_allclose(lrs, [1.0, 0.1, 0.1, 0.01])
-
-    def test_exponential_lr(self):
-        opt = SGD([Parameter(np.zeros(2))], lr=1.0)
-        sched = ExponentialLR(opt, gamma=0.5)
-        sched.step()
-        sched.step()
-        assert opt.lr == pytest.approx(0.25)
-
-    def test_plateau_reduces_after_patience(self):
-        opt = SGD([Parameter(np.zeros(2))], lr=1.0)
-        sched = ReduceLROnPlateau(opt, factor=0.5, patience=1)
-        for loss in [1.0, 0.9, 0.9, 0.9]:
-            sched.step(loss)
-        assert opt.lr == pytest.approx(0.5)
-
-    def test_plateau_requires_metric(self):
-        opt = SGD([Parameter(np.zeros(2))], lr=1.0)
-        sched = ReduceLROnPlateau(opt)
-        with pytest.raises(ValueError):
-            sched.step()
-
-    def test_plateau_respects_min_lr(self):
-        opt = SGD([Parameter(np.zeros(2))], lr=1e-3)
-        sched = ReduceLROnPlateau(opt, factor=0.1, patience=0, min_lr=1e-4)
-        for _ in range(10):
-            sched.step(1.0)
-        assert opt.lr >= 1e-4
-
-    def test_scheduler_validation(self):
-        opt = SGD([Parameter(np.zeros(2))], lr=1.0)
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=0)
-        with pytest.raises(ValueError):
-            ExponentialLR(opt, gamma=1.5)
-        with pytest.raises(ValueError):
-            ReduceLROnPlateau(opt, mode="sideways")
-        with pytest.raises(TypeError):
-            StepLR("not an optimizer", step_size=1)
-
-    def test_history_recorded(self):
-        opt = SGD([Parameter(np.zeros(2))], lr=1.0)
-        sched = ExponentialLR(opt, gamma=0.9)
-        sched.step()
-        assert len(sched.history) == 2
 
 
 # --------------------------------------------------------------------------- #

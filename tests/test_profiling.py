@@ -49,6 +49,11 @@ class TestFlops:
         breakdown = count_training_flops(model, batch)
         assert breakdown.step == 0
 
+    def test_loss_is_the_fused_margin_ranking_loss(self, kg, batch):
+        model = SpTransE(kg.n_entities, kg.n_relations, DIM, rng=0)
+        breakdown = count_training_flops(model, batch)
+        assert breakdown.per_op["margin_loss[fused]"] == 5 * len(batch.positives)
+
     def test_flops_scale_with_embedding_dim(self, kg, batch):
         small = count_training_flops(SpTransE(kg.n_entities, kg.n_relations, 16, rng=0), batch)
         large = count_training_flops(SpTransE(kg.n_entities, kg.n_relations, 64, rng=0), batch)

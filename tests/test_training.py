@@ -1,21 +1,15 @@
-"""Tests for the training loop, callbacks, and configuration."""
+"""Tests for the training loop and configuration."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import DenseTransE
 from repro.data import generate_synthetic_kg
+from repro.losses import MarginRankingLoss
 from repro.models import SpTransE
-from repro.optim import SGD, ExponentialLR
-from repro.training import (
-    EarlyStopping,
-    EvaluationCallback,
-    HistoryCallback,
-    LRSchedulerCallback,
-    Trainer,
-    TrainingConfig,
-)
-from repro.training.trainer import build_optimizer
+from repro.optim import SGD
+from repro.training import Trainer, TrainingConfig
+from repro.training.trainer import TrainingResult, build_optimizer
 
 
 @pytest.fixture
@@ -123,68 +117,86 @@ class TestTrainer:
         # Without the maintenance step, some entity norms stay above 1.
         assert np.any(np.linalg.norm(model.embeddings.entity_embeddings(), axis=1) > 1.0)
 
-    def test_custom_optimizer_and_criterion(self, kg, config):
-        from repro.losses import LogisticLoss
-
+    def test_custom_optimizer(self, kg, config):
         model = SpTransE(kg.n_entities, kg.n_relations, 8, rng=0)
         opt = SGD(model.parameters(), lr=0.1)
-        trainer = Trainer(model, kg, config, optimizer=opt, criterion=LogisticLoss())
+        trainer = Trainer(model, kg, config, optimizer=opt)
         result = trainer.train(epochs=2)
         assert np.isfinite(result.final_loss)
         assert trainer.optimizer is opt
 
-
-class TestCallbacks:
-    def test_history_callback_records_every_epoch(self, kg, config):
-        history = HistoryCallback()
+    @pytest.mark.parametrize("keyword", ["criterion", "sampler", "callbacks"])
+    def test_loss_sampler_and_callback_keywords_are_gone(self, kg, config, keyword):
+        # The loss is the config's margin ranking, the negatives the batch
+        # source's, and the run's record is the returned TrainingResult.
         model = SpTransE(kg.n_entities, kg.n_relations, 8, rng=0)
-        Trainer(model, kg, config, callbacks=[history]).train()
-        assert len(history.losses) == config.epochs
-        assert len(history.times) == config.epochs
+        with pytest.raises(TypeError, match=keyword):
+            Trainer(model, kg, config, **{keyword: None})
 
-    def test_early_stopping_halts_training(self, kg, config):
-        stopper = EarlyStopping(patience=0, min_delta=1e9)  # every epoch counts as bad
+
+class TestTrainingResult:
+    """The returned result is the one record of a run: one ``EpochStats`` per
+    epoch, in order, whose losses are the Figure-9 curve."""
+
+    def test_one_stats_entry_per_epoch_in_order(self, kg, config):
         model = SpTransE(kg.n_entities, kg.n_relations, 8, rng=0)
-        result = Trainer(model, kg, config.replace(epochs=10), callbacks=[stopper]).train()
-        assert len(result.epochs) < 10
-        assert stopper.stopped_epoch is not None
+        result = Trainer(model, kg, config).train()
+        assert [e.epoch for e in result.epochs] == list(range(config.epochs))
+        assert result.losses == [e.loss for e in result.epochs]
+        assert result.final_loss == result.losses[-1]
+        for stats in result.epochs:
+            assert stats.total_time == pytest.approx(
+                stats.forward_time + stats.backward_time + stats.step_time
+                + stats.data_time)
+        assert result.total_time == pytest.approx(
+            sum(e.total_time for e in result.epochs))
 
-    def test_early_stopping_validation(self):
-        with pytest.raises(ValueError):
-            EarlyStopping(patience=-1)
-
-    def test_lr_scheduler_callback(self, kg, config):
+    def test_start_epoch_offsets_the_numbering(self, kg, config):
         model = SpTransE(kg.n_entities, kg.n_relations, 8, rng=0)
-        opt = SGD(model.parameters(), lr=1.0)
-        sched = ExponentialLR(opt, gamma=0.5)
-        Trainer(model, kg, config.replace(epochs=3), optimizer=opt,
-                callbacks=[LRSchedulerCallback(sched)]).train()
-        assert opt.lr == pytest.approx(0.125)
+        result = Trainer(model, kg, config).train(epochs=2, start_epoch=3)
+        assert [e.epoch for e in result.epochs] == [3, 4]
 
-    def test_evaluation_callback_records_metrics(self):
-        kg = generate_synthetic_kg(40, 4, 300, rng=1, valid_fraction=0.1)
+    def test_epoch_loss_is_the_mean_of_its_batch_losses(self, kg, config):
+        def fresh():
+            model = SpTransE(kg.n_entities, kg.n_relations, 8, rng=0)
+            return Trainer(model, kg, config.replace(normalize_every=0))
+
+        stepped = fresh()
+        batch_losses = [stepped.train_step(batch).loss for batch in stepped.batches]
+        assert len(batch_losses) > 1
+        assert fresh().train_epoch(0).loss == pytest.approx(np.mean(batch_losses),
+                                                             rel=1e-12)
+
+    def test_empty_result(self):
+        result = TrainingResult()
+        assert result.losses == []
+        assert np.isnan(result.final_loss)
+        assert result.breakdown() == {"forward": 0, "backward": 0, "step": 0,
+                                      "data": 0, "total": 0}
+
+    def test_criterion_is_the_configs_margin_ranking_loss(self, kg, config):
         model = SpTransE(kg.n_entities, kg.n_relations, 8, rng=0)
-        evaluator = EvaluationCallback(kg, every=2, split="valid", ks=(1, 10))
-        Trainer(model, kg, TrainingConfig(epochs=4, batch_size=128, seed=0),
-                callbacks=[evaluator]).train()
-        assert len(evaluator.history) == 2
-        assert "hits@10" in evaluator.history[0]
+        trainer = Trainer(model, kg, config.replace(margin=1.25))
+        assert isinstance(trainer.criterion, MarginRankingLoss)
+        assert trainer.criterion.margin == 1.25
 
-    def test_evaluation_callback_indexes_known_triples_once(self, monkeypatch):
-        kg = generate_synthetic_kg(40, 4, 300, rng=1, valid_fraction=0.1)
-        builds = []
-        build = kg.known_triples
-        monkeypatch.setattr(kg, "known_triples",
-                            lambda: builds.append(1) or build())
-        evaluator = EvaluationCallback(kg, every=1, split="valid")
+    def test_needs_a_dataset_or_batches(self, kg, config):
         model = SpTransE(kg.n_entities, kg.n_relations, 8, rng=0)
-        Trainer(model, kg, TrainingConfig(epochs=3, batch_size=128, seed=0),
-                callbacks=[evaluator]).train()
-        assert len(evaluator.history) == 3
-        assert len(builds) == 1
+        with pytest.raises(ValueError, match="dataset or a pre-built"):
+            Trainer(model, None, config)
 
-    def test_evaluation_callback_validation(self, kg):
-        with pytest.raises(ValueError):
-            EvaluationCallback(kg, every=0)
-        with pytest.raises(ValueError):
-            EvaluationCallback(kg, split="train")
+    def test_skip_epochs_replays_what_training_would_draw(self, kg, config):
+        def trainer():
+            return Trainer(SpTransE(kg.n_entities, kg.n_relations, 8, rng=0),
+                           kg, config)
+
+        trained = trainer()
+        trained.train(epochs=2)
+        expected = next(iter(trained.batches))
+        resumed = trainer()
+        resumed.skip_epochs(2)
+        replayed = next(iter(resumed.batches))
+        np.testing.assert_array_equal(replayed.positives, expected.positives)
+        np.testing.assert_array_equal(replayed.negatives, expected.negatives)
+        fresh = next(iter(trainer().batches))
+        assert not np.array_equal(fresh.negatives, expected.negatives)

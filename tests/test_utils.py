@@ -1,23 +1,34 @@
 """Tests for the shared utilities (seeding, validation, logging)."""
 
 import logging
+import random
 
 import numpy as np
 import pytest
 
-from repro.utils import (
-    check_array,
-    check_in_range,
-    check_positive,
-    check_same_shape,
-    check_triples,
-    get_logger,
-    new_rng,
-    seed_everything,
-    temp_seed,
-)
-from repro.utils.seeding import get_global_seed, spawn_rngs
-from repro.utils.validation import check_choice
+from repro.utils import check_triples, get_logger, new_rng, seed_everything
+from repro.utils.validation import check_json_types
+
+#: ``{case: (payload, field kinds, rejected key or None)}`` for check_json_types.
+JSON_TYPE_CASES = {
+    "bool-accepts-true": ({"flag": True}, {"bools": ["flag"]}, None),
+    "bool-rejects-string": ({"flag": "false"}, {"bools": ["flag"]}, "flag"),
+    "bool-rejects-int": ({"flag": 1}, {"bools": ["flag"]}, "flag"),
+    "int-accepts-int": ({"n": 3}, {"ints": ["n"]}, None),
+    "int-rejects-float": ({"n": 12.7}, {"ints": ["n"]}, "n"),
+    "int-rejects-bool": ({"n": True}, {"ints": ["n"]}, "n"),
+    "int-rejects-null": ({"n": None}, {"ints": ["n"]}, "n"),
+    "int-nullable-accepts-null": ({"n": None}, {"ints": ["n"], "nullable": ["n"]}, None),
+    "float-accepts-int": ({"lr": 1}, {"floats": ["lr"]}, None),
+    "float-rejects-bool": ({"lr": False}, {"floats": ["lr"]}, "lr"),
+    "float-rejects-string": ({"lr": "0.1"}, {"floats": ["lr"]}, "lr"),
+    "int-list-accepts-list": ({"ks": [1, 10]}, {"int_lists": ["ks"]}, None),
+    "int-list-rejects-float-entry": ({"ks": [1, 2.5]}, {"int_lists": ["ks"]}, "ks"),
+    "int-list-rejects-bool-entry": ({"ks": [1, True]}, {"int_lists": ["ks"]}, "ks"),
+    "int-list-rejects-scalar": ({"ks": 10}, {"int_lists": ["ks"]}, "ks"),
+    "absent-keys-keep-defaults": ({}, {"bools": ["flag"], "ints": ["n"],
+                                       "floats": ["lr"], "int_lists": ["ks"]}, None),
+}
 
 
 class TestSeeding:
@@ -27,7 +38,6 @@ class TestSeeding:
         seed_everything(123)
         b = np.random.random(5)
         np.testing.assert_allclose(a, b)
-        assert get_global_seed() == 123
 
     def test_seed_everything_validation(self):
         with pytest.raises(ValueError):
@@ -51,57 +61,29 @@ class TestSeeding:
         with pytest.raises(TypeError):
             new_rng(3.5)
 
-    def test_spawn_rngs_independent_streams(self):
-        a, b = spawn_rngs(7, 2)
-        assert not np.allclose(a.random(10), b.random(10))
-        again_a, _ = spawn_rngs(7, 2)
-        np.testing.assert_allclose(a.random(0), again_a.random(0))
-        with pytest.raises(ValueError):
-            spawn_rngs(7, 0)
+    def test_new_rng_accepts_numpy_integers(self):
+        np.testing.assert_array_equal(new_rng(np.int32(4)).random(3),
+                                      new_rng(4).random(3))
 
-    def test_temp_seed_restores_state(self):
-        np.random.seed(1)
-        before = np.random.get_state()[1].copy()
-        with temp_seed(99):
-            np.random.random(10)
-        after = np.random.get_state()[1]
-        np.testing.assert_array_equal(before, after)
+    def test_seed_everything_seeds_python_random(self):
+        seed_everything(7)
+        first = [random.random() for _ in range(3)]
+        seed_everything(7)
+        assert [random.random() for _ in range(3)] == first
 
+    def test_seed_everything_wraps_numpy_seeds_past_32_bits(self):
+        seed_everything(2**32 + 5)
+        wrapped = np.random.random(3)
+        seed_everything(5)
+        np.testing.assert_array_equal(np.random.random(3), wrapped)
+
+    def test_seed_everything_accepts_numpy_integers(self):
+        seed_everything(np.int64(11))
+        first = np.random.random(2)
+        seed_everything(11)
+        np.testing.assert_array_equal(np.random.random(2), first)
 
 class TestValidation:
-    def test_check_array_basic(self):
-        out = check_array([[1, 2], [3, 4]], ndim=2, dtype=np.float64)
-        assert out.dtype == np.float64
-        assert out.shape == (2, 2)
-
-    def test_check_array_ndim_mismatch(self):
-        with pytest.raises(ValueError):
-            check_array([1, 2, 3], ndim=2)
-
-    def test_check_array_empty_rejection(self):
-        with pytest.raises(ValueError):
-            check_array([], allow_empty=False)
-
-    def test_check_array_non_numeric(self):
-        with pytest.raises(TypeError):
-            check_array(np.array(["a", "b"]))
-
-    def test_check_positive(self):
-        assert check_positive(1.5) == 1.5
-        assert check_positive(0, strict=False) == 0
-        with pytest.raises(ValueError):
-            check_positive(0)
-        with pytest.raises(ValueError):
-            check_positive(-1, strict=False)
-
-    def test_check_in_range(self):
-        assert check_in_range(0.5, 0, 1) == 0.5
-        assert check_in_range(0, 0, 1) == 0
-        with pytest.raises(ValueError):
-            check_in_range(0, 0, 1, inclusive=(False, True))
-        with pytest.raises(ValueError):
-            check_in_range(2, 0, 1)
-
     def test_check_triples_shape(self):
         with pytest.raises(ValueError):
             check_triples(np.zeros((3, 2)))
@@ -128,16 +110,37 @@ class TestValidation:
         out = check_triples(np.empty((0, 3)))
         assert out.shape == (0, 3)
 
-    def test_check_same_shape(self):
-        check_same_shape(np.zeros(3), np.ones(3))
-        with pytest.raises(ValueError):
-            check_same_shape(np.zeros(3), np.ones(4))
+    def test_check_triples_returns_contiguous_int64_copy_of_a_view(self):
+        view = np.arange(12, dtype=np.int32).reshape(3, 4)[:, :3]
+        out = check_triples(view)
+        assert out.flags.c_contiguous and out.dtype == np.int64
+        np.testing.assert_array_equal(out, view)
 
-    def test_check_choice(self):
-        assert check_choice("a", ["a", "b"]) == "a"
-        with pytest.raises(ValueError):
-            check_choice("c", ["a", "b"])
+    def test_check_triples_accepts_nested_lists(self):
+        out = check_triples([[0, 1, 2], [2, 0, 1]], n_entities=3, n_relations=2)
+        np.testing.assert_array_equal(out, [[0, 1, 2], [2, 0, 1]])
 
+    def test_check_triples_rejects_one_dimensional_input(self):
+        with pytest.raises(ValueError, match=r"\(M, 3\)"):
+            check_triples(np.array([0, 1, 2]))
+
+    def test_check_triples_errors_name_the_argument_and_the_bound(self):
+        with pytest.raises(ValueError, match="queries must have shape"):
+            check_triples(np.zeros((2, 4), dtype=np.int64), name="queries")
+        with pytest.raises(ValueError, match="entity index 5 but only 3 entities"):
+            check_triples([[0, 0, 5]], n_entities=3)
+        with pytest.raises(ValueError, match="relation index 4 but only 2"):
+            check_triples([[0, 4, 1]], n_relations=2)
+
+    @pytest.mark.parametrize("case", sorted(JSON_TYPE_CASES))
+    def test_check_json_types(self, case):
+        payload, kinds, rejected = JSON_TYPE_CASES[case]
+        if rejected is None:
+            check_json_types(payload, "training", **kinds)
+        else:
+            with pytest.raises(ValueError,
+                               match=f"training section key '{rejected}' must be"):
+                check_json_types(payload, "training", **kinds)
 
 class TestLogging:
     def test_namespace(self):
