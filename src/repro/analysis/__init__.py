@@ -10,9 +10,9 @@ rule id             invariant
 ==================  =====================================================
 dtype-ctor          hot-path numpy constructors name their dtype
 dtype-promotion     no builtin-float dtypes / fp64-forcing literals
-fork-taint          no lock, sqlite connection or atexit handler in what
-                    os.fork() duplicates into workers, with the
-                    import/call chain (interprocedural)
+fork-taint          no lock, sqlite connection, atexit handler or started
+                    thread in what os.fork() duplicates into workers,
+                    with the import/call chain (interprocedural)
 lock-state          no lock-free call path from a thread entry point,
                     callback or closure to a write of Lock-guarded
                     state (interprocedural)

@@ -12,7 +12,12 @@ state the parent had.  Three hazards corrupt silently across a fork:
   factories open their own handle post-fork instead;
 * an **atexit handler**: handlers registered pre-fork re-run in every
   worker at child exit, typically re-flushing or deleting parent-owned
-  resources.
+  resources;
+* a **thread** started at import time: a fork copies only the forking
+  thread, so the child holds whatever the thread had half done (a lock it
+  held, a queue it was filling) with nobody left to finish it.  Threads
+  started on first use, after the fork, are the safe pattern (the row split
+  of :func:`repro.sparse.kernels.split_rows` looks its workers up by pid).
 
 Scope, from one BFS over the call graph's module-level imports:
 
@@ -20,7 +25,9 @@ Scope, from one BFS over the call graph's module-level imports:
   module-level imports (what executes before ``os.fork()`` can run; lazy
   function-level imports execute in whichever process calls them).  In
   each one: a module-level lock assignment, plus any lock construction,
-  ``sqlite3.connect`` or ``atexit.register`` reachable from module-level
+  ``sqlite3.connect``, ``atexit.register`` or ``.start()`` of a
+  ``threading.Thread``/``Timer`` (constructed in the same call, or bound
+  to a name or attribute in the same body) reachable from module-level
   *call sites* through resolved call edges (a top-level ``_X = _make()``
   runs ``_make`` at import time, wherever it is defined).
 * **direct scope** — the entry points and every ``repro`` module they
@@ -68,14 +75,22 @@ _HAZARD_TEXT = {
               "handle inside the worker instead",
     "atexit": "atexit handlers registered pre-fork re-run in every worker "
               "at child exit",
+    "thread": "a thread started at import time is not copied by os.fork(): "
+              "every worker inherits what it had half done with no thread "
+              "left to finish it; start it on first use instead",
 }
+
+#: ``threading`` classes whose ``.start()`` runs a thread.
+_THREAD_TYPES = ("Thread", "Timer")
 
 _IMPORT_TIME = "executes at import time inside the closure os.fork() " \
                "duplicates into workers"
 _DUPLICATED = "in a module os.fork() duplicates into workers"
 
 
-def _hazard_kind(node: ast.Call, ctor_names: FrozenSet[str]) -> Optional[str]:
+def _hazard_kind(node: ast.Call, ctor_names: FrozenSet[str],
+                 thread_ctors: FrozenSet[str] = frozenset(),
+                 threads: FrozenSet[str] = frozenset()) -> Optional[str]:
     func = node.func
     if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
         if func.attr == "connect" and func.value.id == "sqlite3":
@@ -84,7 +99,22 @@ def _hazard_kind(node: ast.Call, ctor_names: FrozenSet[str]) -> Optional[str]:
             return "atexit"
     if is_lock_ctor(node, ctor_names):
         return "lock"
+    # ``Thread(...).start()``, or ``x.start()`` with ``x`` bound to one.
+    if isinstance(func, ast.Attribute) and func.attr == "start" and (
+            is_lock_ctor(func.value, thread_ctors)
+            or ast.unparse(func.value) in threads):
+        return "thread"
     return None
+
+
+def _bound_threads(body: List[ast.stmt],
+                   thread_ctors: FrozenSet[str]) -> FrozenSet[str]:
+    """Names and attributes a body binds to a new thread (``t = Thread(...)``)."""
+    return frozenset(
+        ast.unparse(target)
+        for stmt in body for node in walk_shallow(stmt)
+        if isinstance(node, ast.Assign) and is_lock_ctor(node.value, thread_ctors)
+        for target in node.targets)
 
 
 def _direct_imports(project: Project, source: SourceFile) -> Set[str]:
@@ -135,8 +165,8 @@ class ForkTaintChecker(Checker):
     rule_ids = ("fork-taint",)
     description = (
         "what training/multiprocess.py and serving/pool.py duplicate into "
-        "workers must stay fork-safe: no locks, sqlite connections or "
-        "atexit handlers created at import time anywhere in their import "
+        "workers must stay fork-safe: no locks, sqlite connections, atexit "
+        "handlers or started threads at import time anywhere in their import "
         "closures, and no sqlite connections or atexit handlers at all in "
         "the entry points and the modules they import"
     )
@@ -191,15 +221,17 @@ class ForkTaintChecker(Checker):
         if source is None:
             return
         ctor_names = lock_ctor_names(source.tree)
+        thread_ctors = lock_ctor_names(source.tree, _THREAD_TYPES)
         body = fn.node.body if fn.qualname != MODULE_BODY else [
             s for s in source.tree.body
             if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef))]
+        threads = _bound_threads(body, thread_ctors)
         for stmt in body:
             for node in walk_shallow(stmt):
                 if not isinstance(node, ast.Call):
                     continue
-                kind = _hazard_kind(node, ctor_names)
+                kind = _hazard_kind(node, ctor_names, thread_ctors, threads)
                 if kind is not None:
                     self._report(source, node, node, kind, import_chain,
                                  call_chain, _IMPORT_TIME)

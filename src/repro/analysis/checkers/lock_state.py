@@ -57,23 +57,25 @@ _MAX_CHAIN = 12
 _LOCK_TYPES = ("Lock", "RLock")
 
 
-def lock_ctor_names(tree: ast.Module) -> FrozenSet[str]:
+def lock_ctor_names(tree: ast.Module,
+                    kinds: Tuple[str, ...] = _LOCK_TYPES) -> FrozenSet[str]:
     """Call names that construct a ``threading`` lock in this module.
 
     ``threading.Lock``/``RLock`` and bare ``Lock``/``RLock`` always count;
     ``import threading as th`` adds ``th.Lock``/``th.RLock`` and
-    ``from threading import Lock as L`` adds ``L``.
+    ``from threading import Lock as L`` adds ``L``.  Other ``threading``
+    classes are looked up the same way through ``kinds``.
     """
     modules = {"threading"}
-    names = set(_LOCK_TYPES)
+    names = set(kinds)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules.update(alias.asname for alias in node.names
                            if alias.name == "threading" and alias.asname)
         elif isinstance(node, ast.ImportFrom) and node.module == "threading":
             names.update(alias.asname or alias.name for alias in node.names
-                         if alias.name in _LOCK_TYPES)
-    names.update(f"{module}.{kind}" for module in modules for kind in _LOCK_TYPES)
+                         if alias.name in kinds)
+    names.update(f"{module}.{kind}" for module in modules for kind in kinds)
     return frozenset(names)
 
 

@@ -52,11 +52,13 @@ class Adagrad(Optimizer):
         state = self._param_state(param)
         if "sum_sq" not in state:
             state["sum_sq"] = np.full_like(param.data, self.initial_accumulator)
-        for a, b, data, grad, sum_sq in row_blocks(param, grad, state["sum_sq"],
-                                                   rows=rows):
-            sum_sq += np.multiply(grad, grad, out=a)
-            # lr * grad / (sqrt(sum_sq) + eps)
-            np.multiply(grad, self.lr, out=a)
-            np.sqrt(sum_sq, out=b)
-            np.add(b, self.eps, out=b)
-            data -= np.divide(a, b, out=a)
+        row_blocks(self._block, param, grad, state["sum_sq"], rows=rows)
+
+    def _block(self, a, b, data, grad, sum_sq) -> None:
+        """One ``row_blocks`` block of the update."""
+        sum_sq += np.multiply(grad, grad, out=a)
+        # lr * grad / (sqrt(sum_sq) + eps)
+        np.multiply(grad, self.lr, out=a)
+        np.sqrt(sum_sq, out=b)
+        np.add(b, self.eps, out=b)
+        data -= np.divide(a, b, out=a)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -70,8 +71,9 @@ class Adam(Optimizer):
             # step count; advance the per-row counters with it so a later
             # return to the sparse path does not undercount the decays.
             row_t.fill(t)
-        self._apply(row_blocks(param, param.grad, state["m"], state["v"]),
-                    1 - self.beta1 ** t, 1 - self.beta2 ** t)
+        corrections = (1 - self.beta1 ** t, 1 - self.beta2 ** t)
+        row_blocks(functools.partial(self._apply, corrections),
+                   param, param.grad, state["m"], state["v"])
         self._count_update_flops(param, 10)
 
     def _update_sparse(self, param: Parameter, grad) -> None:
@@ -97,27 +99,28 @@ class Adam(Optimizer):
         dtype = state["m"].dtype
         corrections = [(1 - beta ** t).astype(dtype, copy=False).reshape(expand)
                        for beta in (self.beta1, self.beta2)]
-        self._apply(row_blocks(param, vals, state["m"], state["v"], rows=rows,
-                               per_row=corrections))
+        row_blocks(functools.partial(self._apply, ()), param, vals, state["m"],
+                   state["v"], rows=rows, per_row=corrections)
         self._count_sparse_update_flops(vals.size, 10)
 
-    def _apply(self, blocks, *corrections: float) -> None:
-        """The Adam update over ``row_blocks``: the two scalar bias corrections
-        on the dense path, the blocks' own per-row ones on the lazy path."""
-        for a, b, data, grad, m, v, *per_row in blocks:
-            correction1, correction2 = per_row or corrections
-            if self.weight_decay:
-                np.multiply(data, self.weight_decay, out=a)
-                grad = np.add(grad, a, out=a)
-            m *= self.beta1
-            m += np.multiply(grad, 1 - self.beta1, out=b)
-            v *= self.beta2
-            np.multiply(grad, grad, out=b)
-            v += np.multiply(b, 1 - self.beta2, out=b)
-            # lr * m_hat / (sqrt(v_hat) + eps); grad (maybe in ``a``) is spent.
-            np.divide(m, correction1, out=a)
-            np.multiply(a, self.lr, out=a)
-            np.divide(v, correction2, out=b)
-            np.sqrt(b, out=b)
-            np.add(b, self.eps, out=b)
-            data -= np.divide(a, b, out=a)
+    def _apply(self, corrections: Tuple[float, ...], a, b, data, grad, m, v,
+               *per_row) -> None:
+        """One ``row_blocks`` block of the Adam update: the two scalar bias
+        corrections on the dense path, the block's own per-row ones on the
+        lazy path."""
+        correction1, correction2 = per_row or corrections
+        if self.weight_decay:
+            np.multiply(data, self.weight_decay, out=a)
+            grad = np.add(grad, a, out=a)
+        m *= self.beta1
+        m += np.multiply(grad, 1 - self.beta1, out=b)
+        v *= self.beta2
+        np.multiply(grad, grad, out=b)
+        v += np.multiply(b, 1 - self.beta2, out=b)
+        # lr * m_hat / (sqrt(v_hat) + eps); grad (maybe in ``a``) is spent.
+        np.divide(m, correction1, out=a)
+        np.multiply(a, self.lr, out=a)
+        np.divide(v, correction2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, self.eps, out=b)
+        data -= np.divide(a, b, out=a)

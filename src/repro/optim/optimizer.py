@@ -3,27 +3,28 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.autograd.function import count_flops
 from repro.nn.parameter import Parameter
-from repro.sparse.kernels import block_rows
+from repro.sparse.kernels import block_rows, split_rows
 
 
-def row_blocks(param: Parameter, grad: np.ndarray, *state: np.ndarray,
-               rows: Optional[np.ndarray] = None,
-               per_row: Sequence[np.ndarray] = ()) -> Iterator[Tuple[np.ndarray, ...]]:
-    """Walk an update over ``param`` in cache-sized row blocks.
+def row_blocks(body: Callable[..., None], param: Parameter, grad: np.ndarray,
+               *state: np.ndarray, rows: Optional[np.ndarray] = None,
+               per_row: Sequence[np.ndarray] = ()) -> None:
+    """Run an update over ``param`` in cache-sized row blocks, on every CPU.
 
-    Yields ``(scratch_a, scratch_b, data, grad, *state, *per_row)`` per block:
-    two scratch buffers of the block's shape and the parameter's dtype, then
-    aligned blocks of ``param.data``, the gradient, each optimiser-state array
-    and each ``per_row`` factor.  An update written as ``out=`` ufuncs over
-    these blocks performs the textbook expression's elementwise operations in
-    the same order — results are bit-identical — while its only temporaries
-    are block-sized instead of several table- or gradient-sized arrays.
+    Calls ``body(scratch_a, scratch_b, data, grad, *state, *per_row)`` per
+    block: two scratch buffers of the block's shape and the parameter's dtype,
+    then aligned blocks of ``param.data``, the gradient, each optimiser-state
+    array and each ``per_row`` factor.  An update written as ``out=`` ufuncs
+    over these blocks performs the textbook expression's elementwise
+    operations in the same order — results are bit-identical — while its only
+    temporaries are block-sized instead of several table- or gradient-sized
+    arrays.
 
     ``grad`` and the ``per_row`` arrays are aligned with the walk and come as
     views.  Dense (``rows`` is ``None``): the walk is over every row, ``grad``
@@ -32,7 +33,14 @@ def row_blocks(param: Parameter, grad: np.ndarray, *state: np.ndarray,
     indices (in range — :class:`~repro.sparse.rowsparse.RowSparseGrad` checks)
     and ``grad`` its packed values, one entry per touched row; the touched rows
     of ``param.data`` and of each ``state`` array are gathered into block-sized
-    scratch and scattered back once the loop body has run.
+    scratch and scattered back once ``body`` has run.
+
+    The walk is split by :func:`~repro.sparse.kernels.split_rows`: each share
+    walks its own contiguous rows in blocks of ``step // shares`` rows through
+    its own window of the scratch allocated here, the serial walk's total.
+    Every element sees the same operations whatever its block, so the result
+    does not depend on the worker count.  ``body`` runs on a worker thread: it
+    may touch only the arrays it is handed (``param.data`` is read here, once).
     """
     data = param.data
     if data.ndim == 0:
@@ -41,27 +49,34 @@ def row_blocks(param: Parameter, grad: np.ndarray, *state: np.ndarray,
         state = tuple(a.reshape(1) for a in state)
     n_rows = data.shape[0] if rows is None else rows.size
     step = block_rows(math.prod(data.shape[1:]), data.itemsize)
-    scratch_shape = (min(step, n_rows),) + data.shape[1:]
-    scratch_a = np.empty(scratch_shape, dtype=param.data.dtype)
-    scratch_b = np.empty(scratch_shape, dtype=param.data.dtype)
+    scratch_rows = min(step, n_rows)
+    scratch_shape = (scratch_rows,) + data.shape[1:]
     tables = (data,) + state
+    scratch = [np.empty(scratch_shape, dtype=data.dtype) for _ in range(2)]
     if rows is not None:
-        gathered = [np.empty(scratch_shape, dtype=table.dtype) for table in tables]
-    for start in range(0, n_rows, step):
-        block = slice(start, min(n_rows, start + step))
-        n = block.stop - block.start
-        if rows is None:
-            blocks = [table[block] for table in tables]
-        else:
-            touched = rows[block]
-            # mode="clip": the default checks bounds through a copy of ``out``.
-            blocks = [np.take(table, touched, axis=0, out=buffer[:n], mode="clip")
-                      for table, buffer in zip(tables, gathered)]
-        yield (scratch_a[:n], scratch_b[:n], blocks[0], grad[block], *blocks[1:],
-               *(factor[block] for factor in per_row))
-        if rows is not None:
-            for table, updated in zip(tables, blocks):
-                table[touched] = updated
+        scratch += [np.empty(scratch_shape, dtype=table.dtype) for table in tables]
+
+    def walk(start: int, stop: int, share: int, shares: int) -> None:
+        width = max(1, scratch_rows // shares)
+        a, b, *gathered = [buffer[share * width:(share + 1) * width]
+                           for buffer in scratch]
+        for lo in range(start, stop, width):
+            block = slice(lo, min(stop, lo + width))
+            n = block.stop - block.start
+            if rows is None:
+                blocks = [table[block] for table in tables]
+            else:
+                touched = rows[block]
+                # mode="clip": the default checks bounds through a copy of ``out``.
+                blocks = [np.take(table, touched, axis=0, out=buffer[:n], mode="clip")
+                          for table, buffer in zip(tables, gathered)]
+            body(a[:n], b[:n], blocks[0], grad[block], *blocks[1:],
+                 *(factor[block] for factor in per_row))
+            if rows is not None:
+                for table, updated in zip(tables, blocks):
+                    table[touched] = updated
+
+    split_rows(n_rows, step, walk)
 
 
 class Optimizer:
@@ -123,8 +138,8 @@ class Optimizer:
     def _update_sparse(self, param: Parameter, grad) -> None:
         """Row-sparse update; the default densifies and reuses :meth:`_update`.
 
-        Subclasses that can do better run their :meth:`_update` body over
-        ``row_blocks(param, grad.values, ..., rows=grad.indices)``.  Reading
+        Subclasses that can do better run their :meth:`_update` body through
+        ``row_blocks(body, param, grad.values, ..., rows=grad.indices)``.  Reading
         ``param.grad`` here triggers the transparent densification, so
         unmodified third-party optimizers keep working with sparse-gradient
         models.

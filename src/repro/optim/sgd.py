@@ -60,12 +60,16 @@ class SGD(Optimizer):
             if buffers.get("velocity") is None:
                 buffers["velocity"] = np.zeros_like(param.data)
             state.append(buffers["velocity"])
-        for a, b, data, grad, *velocity in row_blocks(param, grad, *state, rows=rows):
-            if self.weight_decay:
-                np.multiply(data, self.weight_decay, out=a)
-                grad = np.add(grad, a, out=a)
-            if self.momentum:
-                velocity[0] *= self.momentum
-                velocity[0] += grad
-                grad = velocity[0]
-            data -= np.multiply(grad, self.lr, out=b)
+        row_blocks(self._block, param, grad, *state, rows=rows)
+
+    def _block(self, a, b, data, grad, *velocity) -> None:
+        """One ``row_blocks`` block of the update."""
+        if self.weight_decay:
+            np.multiply(data, self.weight_decay, out=a)
+            grad = np.add(grad, a, out=a)
+        if self.momentum:
+            buffer, = velocity
+            buffer *= self.momentum
+            buffer += grad
+            grad = buffer
+        data -= np.multiply(grad, self.lr, out=b)

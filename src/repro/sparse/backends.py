@@ -23,10 +23,12 @@ from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from repro.autograd.function import count_flops
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.kernels import block_rows, split_rows
 from repro.sparse.rowsparse import RowSparseGrad
 
 SparseLike = Union[COOMatrix, CSRMatrix, sp.spmatrix]
@@ -111,16 +113,40 @@ def _out_dtype(X: np.ndarray) -> np.dtype:
 
 
 def _scipy_spmm(A: SparseLike, X: np.ndarray) -> np.ndarray:
-    """Compiled CSR kernel from SciPy (cache-blocked C code)."""
+    """Compiled CSR kernel from SciPy, on every CPU.
+
+    ``csr @ X`` allocates a zeroed output and runs ``csr_matvecs``
+    (``csr_matvec`` for one column) over all rows; here that same call runs on
+    contiguous row shares of one output allocated by the caller
+    (:func:`~repro.sparse.kernels.split_rows`).  A share's rows read the
+    whole ``X`` and write only their own output rows, each accumulating its
+    entries in stored order as the serial call does, so the product is
+    bit-identical to ``csr @ X`` at any worker count.
+    """
     csr = _as_scipy_csr(A)
     dtype = _out_dtype(X)
-    if csr.dtype != dtype:
-        # Cast only the nnz values (cheap) so the product streams at X's
-        # width; the index arrays are shared, not copied.
-        csr = sp.csr_matrix(
-            (csr.data.astype(dtype), csr.indices, csr.indptr), shape=csr.shape
-        )
-    return np.asarray(csr @ X)
+    if X.ndim not in (1, 2):
+        raise ValueError(f"SpMM needs a 1-D or 2-D dense operand, got {X.shape}")
+    # Cast only the nnz values (cheap) so the product streams at X's width;
+    # the index arrays are shared, not copied.
+    values = csr.data.astype(dtype, copy=False)
+    flat = np.ascontiguousarray(X, dtype=dtype).reshape(-1)
+    out = np.zeros((csr.shape[0],) + X.shape[1:], dtype=dtype)
+    n_cols = X.shape[1] if X.ndim == 2 else 1
+    indptr, indices = csr.indptr, csr.indices
+
+    def share(start: int, stop: int, _share: int, _shares: int) -> None:
+        rows = out[start:stop].reshape(-1)
+        if n_cols == 1:
+            _sparsetools.csr_matvec(stop - start, csr.shape[1], indptr[start:stop + 1],
+                                    indices, values, flat, rows)
+        else:
+            _sparsetools.csr_matvecs(stop - start, csr.shape[1], n_cols,
+                                     indptr[start:stop + 1], indices, values, flat,
+                                     rows)
+
+    split_rows(csr.shape[0], block_rows(n_cols, out.itemsize), share)
+    return out
 
 
 def _numpy_spmm(A: SparseLike, X: np.ndarray) -> np.ndarray:

@@ -6,6 +6,9 @@ streaming arithmetic:
 
 * :func:`block_rows` sizes the row blocks of the optimizers' in-place updates
   so every scratch buffer stays in cache;
+* :func:`split_rows` hands contiguous shares of a row range to one worker
+  thread per CPU, each pinned to its CPU: the optimizers' row walk and the
+  CSR SpMM run on every core, bit-identical at any worker count;
 * the margin-ranking loss evaluates the hinge and its backward mask in one pass
   over the batch instead of four (sub, add, relu, mean).  The numpy form runs
   the reference's elementwise operations in the same order and is
@@ -18,7 +21,11 @@ time when it is absent, and every consumer falls back to the numpy path.
 
 from __future__ import annotations
 
-from typing import Tuple
+import functools
+import os
+import queue
+import threading
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -39,6 +46,111 @@ BLOCK_BYTES = 1 << 19
 def block_rows(dim: int, itemsize: int = 8) -> int:
     """Rows per cache block for a ``dim``-wide matrix (at least 64)."""
     return max(64, BLOCK_BYTES // max(1, int(dim) * int(itemsize)))
+
+
+# --------------------------------------------------------------------------- #
+# Row split: one pinned worker per CPU
+# --------------------------------------------------------------------------- #
+class _Workers:
+    """One daemon thread per CPU of the process's affinity set, each pinned.
+
+    Started on the first split that needs them.  The pool is looked up by
+    pid, so a process forked afterwards starts its own (a fork copies only the
+    forking thread).  Each worker owns an inbox and runs one task at a time;
+    a task is dropped before its completion is posted, so nothing a task
+    referenced outlives the split that handed it out.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.inboxes: List[queue.SimpleQueue] = []
+        self.started = False
+
+    def start(self) -> None:
+        with self.lock:
+            cpus = sorted(os.sched_getaffinity(0))
+            if self.started or len(cpus) < 2:
+                self.started = True
+                return
+            for cpu in cpus:
+                inbox: queue.SimpleQueue = queue.SimpleQueue()
+                threading.Thread(target=_serve, args=(cpu, inbox), daemon=True,
+                                 name=f"repro-rows-cpu{cpu}").start()
+                self.inboxes.append(inbox)
+            self.started = True
+
+
+_WORKERS: dict = {}
+
+
+def _serve(cpu: int, inbox: queue.SimpleQueue) -> None:
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:  # the CPU left the process's set since it was read
+        pass
+    while True:
+        task, done = inbox.get()
+        try:
+            task()
+            error = None
+        except BaseException as exc:  # handed to the caller, which re-raises
+            error = exc
+        del task
+        done.put(error)
+        error = None
+
+
+def _workers() -> _Workers:
+    pid = os.getpid()
+    workers = _WORKERS.get(pid)
+    if workers is None:
+        for stale in [other for other in _WORKERS if other != pid]:
+            _WORKERS.pop(stale, None)  # a forked child's copy has no threads
+        workers = _WORKERS.setdefault(pid, _Workers())
+    return workers
+
+
+def split_rows(n_rows: int, block: int,
+               task: Callable[[int, int, int, int], None]) -> None:
+    """Run ``task(start, stop, share, shares)`` over ``range(n_rows)``.
+
+    With W CPUs in ``os.sched_getaffinity(0)`` and at least ``block`` rows per
+    CPU, share ``k`` of ``W`` is the contiguous ``[n_rows·k // W,
+    n_rows·(k+1) // W)``, run by the worker pinned to the k-th CPU while the
+    caller waits; a worker's exception is re-raised here once every share is
+    done.  Otherwise — one CPU (``taskset -c 0``), a short or empty range, a
+    call from inside a worker, or another thread's split in progress — the
+    same ``task`` runs inline as ``task(0, n_rows, 0, 1)``.  (A split holds
+    the pool for its duration, so one started inside a worker finds it busy.)
+
+    A task must give every row the same operations in the same order whatever
+    its share, so results are bit-identical at any worker count.  The caller
+    allocates all scratch (a worker that allocates its own grows the heap
+    through glibc's per-thread arenas) and resolves everything that is not
+    thread-safe before the split: workers never read a ``BucketParameter``'s
+    ``.data`` (it faults and moves the LRU) and never call ``count_flops``
+    (its counters are thread-local).
+    """
+    workers = _workers()
+    if n_rows >= 2 * block and not workers.started:
+        workers.start()
+    shares = len(workers.inboxes)
+    if shares < 2 or n_rows < shares * block \
+            or not workers.lock.acquire(blocking=False):
+        task(0, n_rows, 0, 1)
+        return
+    try:
+        done: queue.SimpleQueue = queue.SimpleQueue()
+        for share, inbox in enumerate(workers.inboxes):
+            inbox.put((functools.partial(task, n_rows * share // shares,
+                                         n_rows * (share + 1) // shares,
+                                         share, shares), done))
+        errors = [done.get() for _ in range(shares)]
+    finally:
+        workers.lock.release()
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 # --------------------------------------------------------------------------- #

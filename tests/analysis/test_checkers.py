@@ -1034,6 +1034,108 @@ class TestForkTaintChecker:
         assert run_checks(tmp_path, rules=["fork-taint"]) == []
 
 
+class TestForkTaintThreads:
+    """A thread started at import time is a fork hazard; one started on first
+    use (the row split's pool) is not."""
+
+    ENTRY = "src/repro/training/multiprocess.py"
+
+    def _deep(self, tmp_path, body):
+        make_project(tmp_path, {
+            self.ENTRY: "from repro.training import mid\n",
+            "src/repro/training/mid.py": "from repro.sparse import deep\n",
+            "src/repro/sparse/deep.py": body,
+        })
+        return run_checks(tmp_path, rules=["fork-taint"])
+
+    def test_chained_start_at_module_level_flagged(self, tmp_path):
+        findings = self._deep(tmp_path, (
+            "import threading\n"
+            "threading.Thread(target=print, daemon=True).start()\n"
+        ))
+        assert [(f.path, f.line) for f in findings] == [("src/repro/sparse/deep.py", 2)]
+        assert "thread started at import time" in findings[0].message
+        assert "training/mid.py -> sparse/deep.py" in findings[0].message
+
+    def test_bound_thread_started_at_module_level_flagged(self, tmp_path):
+        findings = self._deep(tmp_path, (
+            "import threading as th\n"
+            "_WORKER = th.Thread(target=print)\n"
+            "_WORKER.start()\n"
+        ))
+        assert [f.line for f in findings] == [3]
+
+    def test_thread_started_by_an_import_time_call_flagged(self, tmp_path):
+        findings = self._deep(tmp_path, (
+            "from threading import Timer as T\n"
+            "\n"
+            "def _boot():\n"
+            "    timer = T(1.0, print)\n"
+            "    timer.start()\n"
+            "\n"
+            "_boot()\n"
+        ))
+        assert [f.line for f in findings] == [5]
+        assert "call chain <module> -> _boot()" in findings[0].message
+
+    def test_thread_started_on_first_use_passes(self, tmp_path):
+        # The row split's shape: the pool is a plain object at import time
+        # and its threads start inside a function only a caller runs.
+        findings = self._deep(tmp_path, (
+            "import threading\n"
+            "\n"
+            "class _Workers:\n"
+            "    def __init__(self):\n"
+            "        self.inboxes = []\n"
+            "\n"
+            "    def start(self):\n"
+            "        thread = threading.Thread(target=print, daemon=True)\n"
+            "        thread.start()\n"
+            "        self.thread = threading.Thread(target=print)\n"
+            "        self.thread.start()\n"
+            "\n"
+            "_WORKERS = {}\n"
+            "_WORKER = threading.local()\n"
+            "\n"
+            "def _workers():\n"
+            "    return _WORKERS.setdefault(0, _Workers())\n"
+            "\n"
+            "def split(task):\n"
+            "    _workers().start()\n"
+        ))
+        assert findings == []
+
+    def test_thread_built_but_not_started_passes(self, tmp_path):
+        assert self._deep(tmp_path, (
+            "import threading\n"
+            "_WORKER = threading.Thread(target=print)\n"
+        )) == []
+
+    def test_thread_outside_the_fork_closure_passes(self, tmp_path):
+        make_project(tmp_path, {
+            self.ENTRY: "x = 1\n",
+            "src/repro/serving/boot.py": (
+                "import threading\n"
+                "threading.Thread(target=print).start()\n"
+            ),
+        })
+        assert run_checks(tmp_path, rules=["fork-taint"]) == []
+
+    def test_row_split_is_in_the_real_fork_closure(self):
+        # The lazily started pool passes the real tree with no suppression
+        # (TestCheckCommand::test_real_repo_is_clean); this pins that the
+        # rule does look at it.
+        from repro.analysis.callgraph import CallGraph
+        from repro.analysis.checkers.fork_taint import _fork_scope
+        from repro.analysis.core import Project
+
+        project = Project(Path(__file__).resolve().parents[2])
+        chains, _ = _fork_scope(project, CallGraph.for_project(project))
+        assert "sparse/kernels.py" in chains
+        source = project.file("sparse/kernels.py").text
+        assert "# repro: ignore" not in source
+
+
 class TestSuppressionUnusedChecker:
     def test_stale_line_ignore_flagged(self, tmp_path):
         make_project(tmp_path, {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -68,7 +69,9 @@ def engines(ann_artifact):
     """(ann engine, exact engine) over the same artifact, filtered-capable."""
     ann = InferenceEngine.from_artifact(ann_artifact, filtered=True)
     exact = InferenceEngine.from_artifact(ann_artifact, filtered=True, ann="off")
-    return ann, exact
+    yield ann, exact
+    ann.close()
+    exact.close()
 
 
 def full_probe(engine):
@@ -90,18 +93,18 @@ class TestArtifactWiring:
         assert exact.ann_index is None
 
     def test_auto_without_index_is_exact(self, plain_artifact):
-        engine = InferenceEngine.from_artifact(plain_artifact)
-        assert engine.ann_index is None
+        with InferenceEngine.from_artifact(plain_artifact) as engine:
+            assert engine.ann_index is None
 
     def test_pinned_kind_without_index_rejected(self, plain_artifact):
         with pytest.raises(FileNotFoundError):
             InferenceEngine.from_artifact(plain_artifact, ann="ivf")
 
     def test_vocabulary_mismatch_rejected(self, ann_artifact):
-        index = load_index(os.path.join(ann_artifact, "index"))
-        small = SpTransE(index.n_entities // 2, 3, 12, rng=0)
-        with pytest.raises(ValueError, match="entities"):
-            InferenceEngine(small, ann_index=index)
+        with closing(load_index(os.path.join(ann_artifact, "index"))) as index:
+            small = SpTransE(index.n_entities // 2, 3, 12, rng=0)
+            with pytest.raises(ValueError, match="entities"):
+                InferenceEngine(small, ann_index=index)
 
 
 class TestQueryParity:
@@ -141,16 +144,16 @@ class TestQueryParity:
         assert ann.stats()["ann_queries"] == before
 
     def test_nearest_entities_full_probe_matches_exact(self, ann_artifact):
-        ann = InferenceEngine.from_artifact(ann_artifact, cache_size=0)
-        exact = InferenceEngine.from_artifact(ann_artifact, cache_size=0,
-                                              ann="off")
-        ann.ann_nprobe = full_probe(ann)
-        for entity in (0, 17, 93):
-            a = ann.nearest_entities(entity, k=6)
-            e = exact.nearest_entities(entity, k=6)
-            assert a.entities == e.entities
-            assert entity not in a.entities
-        assert ann.stats()["ann_queries"] == 3
+        with InferenceEngine.from_artifact(ann_artifact, cache_size=0) as ann, \
+                InferenceEngine.from_artifact(ann_artifact, cache_size=0,
+                                              ann="off") as exact:
+            ann.ann_nprobe = full_probe(ann)
+            for entity in (0, 17, 93):
+                a = ann.nearest_entities(entity, k=6)
+                e = exact.nearest_entities(entity, k=6)
+                assert a.entities == e.entities
+                assert entity not in a.entities
+            assert ann.stats()["ann_queries"] == 3
 
 
 class TestAnnServingFaultsNoBucket:
@@ -158,61 +161,61 @@ class TestAnnServingFaultsNoBucket:
     def test_ann_misses_read_rows_without_faulting(self, ann_artifact, kg):
         # The anchor row, the candidates and the nearest-entity query all
         # come through the table's exact_rows, which never faults a bucket.
-        engine = InferenceEngine.from_artifact(ann_artifact, cache_size=0)
-        for h, r, _ in kg.split.train[:12]:
-            engine.top_k_tails(int(h), int(r), k=5)
-        engine.nearest_entities(17, k=5)
-        stats = engine.stats()
-        assert stats["ann_queries"] == 13
-        assert stats["fallback_queries"] == 0
-        table = engine.model.entity_table().stats()
-        assert table["faults"] == 0
-        assert table["resident"] == 0
+        with InferenceEngine.from_artifact(ann_artifact, cache_size=0) as engine:
+            for h, r, _ in kg.split.train[:12]:
+                engine.top_k_tails(int(h), int(r), k=5)
+            engine.nearest_entities(17, k=5)
+            stats = engine.stats()
+            assert stats["ann_queries"] == 13
+            assert stats["fallback_queries"] == 0
+            table = engine.model.entity_table().stats()
+            assert table["faults"] == 0
+            assert table["resident"] == 0
 
 
 class TestStatsAndFallback:
     def test_ann_counters_flow_to_stats(self, ann_artifact, kg):
-        engine = InferenceEngine.from_artifact(ann_artifact, cache_size=0)
-        h, r, _ = map(int, kg.split.train[0])
-        engine.top_k_tails(h, r, k=5)
-        stats = engine.stats()
-        assert stats["ann_queries"] == 1
-        assert stats["fallback_queries"] == 0
-        assert 0.0 < stats["probed_fraction"] <= 1.0
-        assert stats["ann"]["kind"] == "ivf"
-        assert stats["ann"]["nprobe"] >= 1
+        with InferenceEngine.from_artifact(ann_artifact, cache_size=0) as engine:
+            h, r, _ = map(int, kg.split.train[0])
+            engine.top_k_tails(h, r, k=5)
+            stats = engine.stats()
+            assert stats["ann_queries"] == 1
+            assert stats["fallback_queries"] == 0
+            assert 0.0 < stats["probed_fraction"] <= 1.0
+            assert stats["ann"]["kind"] == "ivf"
+            assert stats["ann"]["nprobe"] >= 1
 
     def test_non_l2_model_falls_back_to_exact(self, ann_artifact, kg):
         # An L1 model has no closed-form L2 query vector: the engine must
         # answer exactly and count the fallback instead of mis-ranking.
-        index = load_index(os.path.join(ann_artifact, "index"))
-        model = SpTransE(kg.n_entities, kg.n_relations, 12, rng=3,
-                         dissimilarity="L1", partitions=3)
-        engine = InferenceEngine(model, cache_size=0, ann_index=index)
-        plain = InferenceEngine(model, cache_size=0)
-        h, r, _ = map(int, kg.split.train[0])
-        assert engine.top_k_tails(h, r, k=5).entities == \
-            plain.top_k_tails(h, r, k=5).entities
-        stats = engine.stats()
-        assert stats["fallback_queries"] == 1
-        assert stats["ann_queries"] == 0
-        model.embeddings.close()
-        plain.model.embeddings.close()
+        with closing(load_index(os.path.join(ann_artifact, "index"))) as index:
+            model = SpTransE(kg.n_entities, kg.n_relations, 12, rng=3,
+                             dissimilarity="L1", partitions=3)
+            engine = InferenceEngine(model, cache_size=0, ann_index=index)
+            plain = InferenceEngine(model, cache_size=0)
+            h, r, _ = map(int, kg.split.train[0])
+            assert engine.top_k_tails(h, r, k=5).entities == \
+                plain.top_k_tails(h, r, k=5).entities
+            stats = engine.stats()
+            assert stats["fallback_queries"] == 1
+            assert stats["ann_queries"] == 0
+            model.embeddings.close()
+            plain.model.embeddings.close()
 
 
 class TestReload:
     def test_reload_invalidates_cache_and_keeps_index(self, ann_artifact, kg):
-        engine = InferenceEngine.from_artifact(ann_artifact)
-        h, r, _ = map(int, kg.split.train[3])
-        first = engine.top_k_tails(h, r, k=5)
-        assert len(engine.cache) > 0
-        hits_before = engine.cache.hits
-        engine.top_k_tails(h, r, k=5)
-        assert engine.cache.hits == hits_before + 1
+        with InferenceEngine.from_artifact(ann_artifact) as engine:
+            h, r, _ = map(int, kg.split.train[3])
+            first = engine.top_k_tails(h, r, k=5)
+            assert len(engine.cache) > 0
+            hits_before = engine.cache.hits
+            engine.top_k_tails(h, r, k=5)
+            assert engine.cache.hits == hits_before + 1
 
-        engine.reload(ann_artifact)
-        assert len(engine.cache) == 0  # stale answers dropped with the weights
-        assert engine.ann_index is not None  # re-attached from the new artifact
-        again = engine.top_k_tails(h, r, k=5)
-        assert engine.cache.hits == hits_before + 1  # a miss, recomputed
-        assert again.entities == first.entities
+            engine.reload(ann_artifact)
+            assert len(engine.cache) == 0  # stale answers dropped with the weights
+            assert engine.ann_index is not None  # re-attached from the new artifact
+            again = engine.top_k_tails(h, r, k=5)
+            assert engine.cache.hits == hits_before + 1  # a miss, recomputed
+            assert again.entities == first.entities

@@ -6,6 +6,7 @@ import json
 import mmap
 import os
 import shutil
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -171,16 +172,16 @@ class TestFullProbeParity:
         # them the same way (top_k's stable index order).
         directory = str(tmp_path / "ties")
         table = _tie_artifact(directory, make_model)
-        index = load_index(os.path.join(directory, "index"))
-        full = index.table.exact_rows(np.arange(90, dtype=np.int64))
-        assert np.array_equal(full, table)
-        for row in (0, 4, 44):
-            dist = ranking.l2_distance_matrix(table[row][None, :], table)[0]
-            k = 7  # 7 < 18 duplicates: the k-th score is mid-tie
-            expected = ranking.top_k(dist, k)
-            ids, got = index.search(table[row], k, nprobe=index.n_clusters)
-            assert np.array_equal(ids, expected)
-            assert np.array_equal(got, dist[expected])
+        with closing(load_index(os.path.join(directory, "index"))) as index:
+            full = index.table.exact_rows(np.arange(90, dtype=np.int64))
+            assert np.array_equal(full, table)
+            for row in (0, 4, 44):
+                dist = ranking.l2_distance_matrix(table[row][None, :], table)[0]
+                k = 7  # 7 < 18 duplicates: the k-th score is mid-tie
+                expected = ranking.top_k(dist, k)
+                ids, got = index.search(table[row], k, nprobe=index.n_clusters)
+                assert np.array_equal(ids, expected)
+                assert np.array_equal(got, dist[expected])
 
     def test_exclude_drops_the_query_row(self, index, full_table):
         q = full_table[12]
@@ -259,17 +260,18 @@ class TestListHandles:
         del model
         dropped = []
         before = None
-        for step in range(21):
-            if step:
-                dropped.append(list(engine.ann_index._lists))
-                engine.reload(directory)
-            engine.nearest_entities(step, k=5)
-            engine.top_k_tails(step, 1, k=5)
-            if before is None:
-                before = _open_fds()
-        assert engine.ann_queries == 42  # both routes took the index
-        assert _open_fds() == before
-        assert all(handle.closed for lists in dropped for handle, _ in lists)
+        with engine:
+            for step in range(21):
+                if step:
+                    dropped.append(list(engine.ann_index._lists))
+                    engine.reload(directory)
+                engine.nearest_entities(step, k=5)
+                engine.top_k_tails(step, 1, k=5)
+                if before is None:
+                    before = _open_fds()
+            assert engine.ann_queries == 42  # both routes took the index
+            assert _open_fds() == before
+            assert all(handle.closed for lists in dropped for handle, _ in lists)
 
 
 class TestExactTruth:
@@ -325,11 +327,11 @@ class TestResidency:
     def test_unbounded_residency_faults_each_bucket_once(self, indexed_artifact,
                                                          full_table):
         directory, _, _ = indexed_artifact
-        index = load_index(os.path.join(directory, "index"))
-        for row in range(0, index.n_entities, 30):
-            index.search(full_table[row], 5, nprobe=index.n_clusters)
-        stats = index.stats()
-        assert stats["index_faults"] == index.n_buckets
+        with closing(load_index(os.path.join(directory, "index"))) as index:
+            for row in range(0, index.n_entities, 30):
+                index.search(full_table[row], 5, nprobe=index.n_clusters)
+            stats = index.stats()
+            assert stats["index_faults"] == index.n_buckets
 
     def test_faulted_blocks_stay_resident(self, index, indexed_artifact,
                                           full_table):

@@ -230,15 +230,16 @@ class TestExactRows:
             os.path.join(directory, "index"), table=model.entity_table()))
         del model
         before = None
-        for step in range(21):
-            if step:
-                engine.reload(directory)
-            engine.nearest_entities(step, k=5)  # maps every probed bucket
-            engine.top_k_tails(step, 1, k=5)
-            if before is None:
-                before = _open_fds()
-        assert engine.ann_queries == 42  # both routes took the index
-        assert _open_fds() == before
+        with engine:
+            for step in range(21):
+                if step:
+                    engine.reload(directory)
+                engine.nearest_entities(step, k=5)  # maps every probed bucket
+                engine.top_k_tails(step, 1, k=5)
+                if before is None:
+                    before = _open_fds()
+            assert engine.ann_queries == 42  # both routes took the index
+            assert _open_fds() == before
 
     def test_bucket_written_back_in_place_reads_its_new_rows(self, table,
                                                              monkeypatch):

@@ -317,10 +317,10 @@ class TestRunCommand:
         for name in ("spec.json", "metrics.json", "checkpoint.npz",
                      os.path.join("index", "index.json")):
             assert os.path.exists(os.path.join(artifacts, name)), name
-        engine = InferenceEngine.from_artifact(artifacts, cache_size=0)
-        assert engine.ann_index is not None
-        assert len(engine.top_k_tails(0, 0, k=5).entities) == 5
-        assert engine.stats()["ann_queries"] == 1
+        with InferenceEngine.from_artifact(artifacts, cache_size=0) as engine:
+            assert engine.ann_index is not None
+            assert len(engine.top_k_tails(0, 0, k=5).entities) == 5
+            assert engine.stats()["ann_queries"] == 1
 
     def test_run_missing_spec_fails(self, capsys, tmp_path):
         with pytest.raises(SystemExit, match="cannot load"):
