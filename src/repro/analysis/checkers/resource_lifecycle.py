@@ -27,9 +27,10 @@ value is an open handle (``return sqlite3.connect(p)`` or ``return conn``)
 is itself an acquisition site for its callers, found via the call graph
 and iterated to a fixpoint.  Constructors of *resource classes* (a class
 that stores a primitive handle on ``self`` and defines ``close``/
-``__exit__``/``__del__``) count the same way.  A class that stores a file
-or SQLite handle on ``self`` but defines no release method at all is
-flagged directly.
+``__exit__``/``__del__``) count the same way.  A class that stores a file,
+SQLite or map handle on ``self`` — the acquiring call itself, or a local
+bound to one in the same method (``f = open(p); self._f = f``) — but
+defines no release method at all is flagged directly.
 
 Graceful degradation: handles reached through unresolved calls, container
 comprehensions, or attribute chains the graph cannot type produce no
@@ -360,18 +361,38 @@ class ResourceLifecycleChecker(Checker):
         for key, info in self._graph.classes.items():
             if not self._has_release(key):
                 continue
-            for member in info.node.body:
-                if not isinstance(member, (ast.FunctionDef,
-                                           ast.AsyncFunctionDef)):
-                    continue
-                for node in walk_shallow(member):
-                    if (isinstance(node, ast.Assign)
-                            and isinstance(node.value, ast.Call)
-                            and self._is_self_store(node)):
-                        kind = acquisition_kind(node.value)
-                        if kind is not None:
-                            out.setdefault(key, kind)
+            for _node, kind in self._self_stored_handles(info.node):
+                out.setdefault(key, kind)
         return out
+
+    @classmethod
+    def _self_stored_handles(cls, class_node: ast.ClassDef
+                             ) -> Iterable[Tuple[ast.Assign, str]]:
+        """``(assignment, kind)`` of each handle a method stores on ``self``:
+        the acquiring call itself, or a local the method bound to one."""
+        for member in class_node.body:
+            if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            assigns = [node for node in walk_shallow(member)
+                       if isinstance(node, ast.Assign)]
+            bound: Dict[str, str] = {}
+            for node in assigns:
+                name = _single_name_target(node)
+                kind = (acquisition_kind(node.value)
+                        if isinstance(node.value, ast.Call) else None)
+                if name is not None and kind is not None:
+                    bound[name] = kind
+            for node in assigns:
+                if not cls._is_self_store(node):
+                    continue
+                if isinstance(node.value, ast.Call):
+                    kind = acquisition_kind(node.value)
+                elif isinstance(node.value, ast.Name):
+                    kind = bound.get(node.value.id)
+                else:
+                    kind = None
+                if kind is not None:
+                    yield node, kind
 
     def _has_release(self, class_key: str) -> bool:
         return any(
@@ -388,32 +409,21 @@ class ResourceLifecycleChecker(Checker):
         )
 
     def _self_store_findings(self) -> Iterable[Finding]:
-        """Classes that store a file/sqlite handle but can never release it."""
+        """Classes that store a handle on ``self`` but can never release it."""
         for key, info in self._graph.classes.items():
             if self._has_release(key):
                 continue
             source = self._project.file(info.relpath)
             if source is None:
                 continue
-            for member in info.node.body:
-                if not isinstance(member, (ast.FunctionDef,
-                                           ast.AsyncFunctionDef)):
-                    continue
-                for node in walk_shallow(member):
-                    if not (isinstance(node, ast.Assign)
-                            and isinstance(node.value, ast.Call)
-                            and self._is_self_store(node)):
-                        continue
-                    kind = acquisition_kind(node.value)
-                    if kind in ("file", "sqlite"):
-                        yield source.finding(
-                            "resource-lifecycle",
-                            node,
-                            f"{info.name} stores an open "
-                            f"{_KIND_TEXT[kind]} on self but defines no "
-                            "close()/__exit__/__del__; the handle can "
-                            "never be released",
-                        )
+            for node, kind in self._self_stored_handles(info.node):
+                yield source.finding(
+                    "resource-lifecycle",
+                    node,
+                    f"{info.name} stores an open {_KIND_TEXT[kind]} on "
+                    "self but defines no close()/__exit__/__del__; the "
+                    "handle can never be released",
+                )
 
     # ------------------------------------------------------------------ #
     def _orphan_findings(self) -> Iterable[Finding]:

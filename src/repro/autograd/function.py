@@ -66,3 +66,19 @@ def flop_counter() -> Iterator[OpCounters]:
     finally:
         _state.active.remove(counters)
 
+
+@contextlib.contextmanager
+def flop_tally(counters: OpCounters) -> Iterator[OpCounters]:
+    """Count the enclosed region into ``counters`` alone.
+
+    The thread's open :func:`flop_counter` regions are set aside meanwhile,
+    so a region run on a worker thread, or inline on the caller's, counts
+    each op once into ``counters``; the caller then adds the tally to its
+    own regions (:func:`repro.ranking.walk_table` does after each split).
+    """
+    saved, _state.active = _state.active, [counters]
+    try:
+        yield counters
+    finally:
+        _state.active = saved
+

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from enum import Enum
 from typing import Callable, Iterable, Optional, Tuple, Union
 
@@ -101,6 +102,12 @@ class RankCounter:
     worse), or whose target key is not inside its bracket for certain is
     unresolved, exactly as a candidate inside the bracket makes it in the
     exact count.
+
+    A walk split over workers (:func:`repro.ranking.walk_table`) counts each
+    share's tiles into its own :meth:`fork` and adds the parts back with
+    :meth:`merge`: the counts and ``settled`` are integers, which add in any
+    order, a doubt is ORed, and each target's key is written by the one tile
+    that holds it, so the merged counter equals one that counted every tile.
     """
 
     def __init__(self, n_candidates: int,
@@ -138,6 +145,44 @@ class RankCounter:
         self.settled = np.zeros(b, dtype=np.int64)
         self._mask = np.empty(0, dtype=bool)
 
+    def fork(self) -> "RankCounter":
+        """An empty part of this counter: the same queries, brackets and
+        exclusions (shared, read-only), its own counts and scratch."""
+        part = copy.copy(self)
+        part.target = np.full_like(self.target, np.nan)
+        part._below = np.zeros_like(self._below)
+        part._upto = np.zeros_like(self._upto)
+        part._doubt = np.zeros_like(self._doubt)
+        part.settled = np.zeros_like(self.settled)
+        part._mask = np.empty(0, dtype=bool)
+        return part
+
+    def merge(self, part: "RankCounter") -> None:
+        """Add a :meth:`fork`'s counts into this counter.
+
+        A part's target keys keep the NaN :meth:`fork` filled them with
+        except where one of its tiles held the target, so any other bits (a
+        NaN the tile computed included) are taken, each from the one share
+        whose tile held it.
+        """
+        self._below += part._below
+        self._upto += part._upto
+        self.settled += part.settled
+        self._doubt |= part._doubt
+        fill = np.full(1, np.nan, dtype=part.target.dtype).view(np.uint8)
+        bits = part.target.view(np.uint8).reshape(-1, fill.size)
+        held = (bits != fill).any(axis=1)
+        self.target[held] = part.target[held]
+
+    def reserve(self, rows: int, cols: int) -> None:
+        """Size the count's mask scratch for tiles up to ``rows × cols``.
+
+        A split walk calls it on the calling thread before each round, so a
+        share never allocates the mask (:func:`repro.sparse.kernels.split_rows`).
+        """
+        if self._mask.size < 2 * rows * cols:
+            self._mask = np.empty(2 * rows * cols, dtype=bool)
+
     def count(self, keys: np.ndarray, rows, start: int,
               margin: Optional[np.ndarray] = None,
               settle: Optional[Callable[[np.ndarray, np.ndarray],
@@ -156,17 +201,14 @@ class RankCounter:
         lo, hi = self.lo[rows], self.hi[rows]
         if margin is not None:
             lo, hi = _widened(lo, hi, margin, keys.dtype)
-        # Settling locates the band from both masks, whose rows are padded to
-        # whole 8-byte words; otherwise one mask is reused.
-        masks, span = (1, w) if settle is None else (2, -(-w // 8) * 8)
-        if self._mask.size < masks * nb * span:
-            self._mask = np.empty(masks * nb * span, dtype=bool)
-        mask = self._mask[:masks * nb * span].reshape(masks, nb, span)
-        if span > w:
-            mask[:, :, w:] = False
-        np.less(keys, lo[:, None], out=mask[0, :, :w])
+        # Settling locates the band from both masks; otherwise one is reused.
+        masks = 1 if settle is None else 2
+        if self._mask.size < masks * nb * w:
+            self._mask = np.empty(masks * nb * w, dtype=bool)
+        mask = self._mask[:masks * nb * w].reshape(masks, nb, w)
+        np.less(keys, lo[:, None], out=mask[0])
         below = _row_counts(mask[0])
-        np.less_equal(keys, hi[:, None], out=mask[-1, :, :w])
+        np.less_equal(keys, hi[:, None], out=mask[-1])
         upto = _row_counts(mask[-1])
         self._below[rows] += below
         self._upto[rows] += upto
@@ -209,14 +251,12 @@ class RankCounter:
         """
         self._doubt[queries[unbounded]] = True
         busy = np.flatnonzero((band > 0) & (band <= SETTLE_LIMIT))
-        # Eight mask bytes per word (below ⊆ up to): the few words with a
-        # band byte, then their bytes.
-        words = mask[:, busy].view(np.uint64)
-        words = np.bitwise_xor(words[0], words[1], out=words[0])
-        row, word = np.nonzero(words)
-        pick, byte = np.nonzero(words[row, word].view(np.uint8).reshape(-1, 8))
-        rows = np.concatenate([target_rows, busy[row[pick]]])
-        key, slack = settle(rows, np.concatenate([target_cols, 8 * word[pick] + byte]))
+        # A band candidate is up to ``hi`` but not below ``lo`` (below ⊆ up
+        # to): the masks of the busy rows differ exactly there.
+        row, col = np.divmod(np.flatnonzero(mask[0, busy] != mask[1, busy]),
+                             mask.shape[2])
+        rows = np.concatenate([target_rows, busy[row]])
+        key, slack = settle(rows, np.concatenate([target_cols, col]))
         at = queries[rows]
         self.settled += np.bincount(at, minlength=self.settled.size)
         lo, hi = self.lo[at], self.hi[at]

@@ -33,12 +33,16 @@ index all need live here, once, and every caller imports them directly:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.function import count_flops
+from repro.autograd.function import OpCounters, count_flops, flop_tally
+from repro.autograd.sanitizer import sanitize, sanitize_enabled
+from repro.autograd.tensor import no_grad
+from repro.sparse.kernels import blas_threads, split_rows, split_shares
 
 #: Elements in the ``(B, tile)`` scratch buffer of :func:`l2_distance_matrix`
 #: (2 MB at float64; 4096 target columns at B = 64).  The kernel allocates
@@ -279,6 +283,31 @@ def walk_table(blocks: Iterable[Tuple[int, np.ndarray]], groups, sink,
     (:func:`_fp32_key_margin`) from every fp32 key to its fp64 key; the
     counter settles the few the bound leaves undecided from the float64
     block in hand (:func:`_fp64_keys`).
+
+    **Every core.**  A sink with ``fork()``/``merge(part)`` (the counter;
+    :class:`KeepKeys`, whose shares write disjoint columns and which forks
+    to itself) is walked on W workers
+    (:func:`~repro.sparse.kernels.split_rows`, one pinned per CPU) when the
+    table has two blocks or more: the calling thread pulls the blocks a
+    round of W at a time, so bucket faults, LRU moves and ``exact_rows``
+    reads happen on it, in the inline walk's order, with at most W blocks in
+    flight; share ``k`` runs the per-block body on the round's ``k``-th
+    block, at the same block and tile shapes, into part ``k``, with scratch
+    (key tile, fp32 block, the counter's mask) the caller allocated; the
+    parts are merged into ``sink`` at the end.  Everything merged is an
+    integer count or a value one tile wrote, so the result equals the inline
+    walk's bit for bit at any worker count.  A sink without ``fork``
+    (:class:`TopK`: every served walk and the IVF ground truth), one CPU
+    (``taskset -c 0``), a one-block table or a BLAS that runs more than one
+    thread per call, or whose count cannot be read
+    (:func:`~repro.sparse.kernels.blas_threads`: such a BLAS already puts
+    every core under the sgemm, and pinned workers calling it stall) walks
+    inline.  A share runs under ``no_grad``, the caller's numpy error
+    state and sanitizer mode, and counts its FLOPs into a tally of its own
+    (:func:`~repro.autograd.function.flop_tally`), which the caller adds to
+    its counters, so FLOP totals are the inline walk's.  A residual tile's
+    ``(nb, w, k)`` temporaries are the dissimilarity's own: a split residual
+    walk holds W of them at once.
     """
     from repro.evaluation.ranks import RankCounter
 
@@ -286,18 +315,17 @@ def walk_table(blocks: Iterable[Tuple[int, np.ndarray]], groups, sink,
     if not b:
         return
     counted = isinstance(sink, RankCounter)
-    count = sink.count if counted else sink
     squared = residual is None and not distances
     if squared:
         groups = [(rows, relation, side, -2.0 * queries)
                   for rows, relation, side, queries in groups]
     certified = (squared and counted
                  and all(q.dtype == np.float64 for *_, q in groups))
-    if certified:
-        fp32 = [_fp32_queries(queries) for *_, queries in groups]
-    cand32 = np.empty(0, dtype=np.float32)
-    scratch = np.empty(0, dtype=np.float64)
-    for start, block in blocks:
+    fp32 = [_fp32_queries(queries) for *_, queries in groups] if certified else None
+
+    def walk(start: int, block: np.ndarray, part, scratch: _Scratch) -> None:
+        """One block's tiles, every group, into ``part``."""
+        count = part.count if counted else part
         cand, projected = block, None
         for group, (rows, relation, direction, queries) in enumerate(groups):
             if relation is not None and relation != projected:
@@ -320,13 +348,11 @@ def walk_table(blocks: Iterable[Tuple[int, np.ndarray]], groups, sink,
                                              out[:, :stop - at]), rows, start + at)
                 continue
             dtype = np.float32 if certified else np.result_type(queries.dtype, cand.dtype)
-            if scratch.dtype != dtype or scratch.size < max(b, 2) * w:
-                scratch = np.empty(max(b, 2) * w, dtype=dtype)
-            keys = scratch[:nb * w].reshape(nb, w)
+            buffer = scratch.keys(dtype, max(b, 2) * w)
+            keys = buffer[:nb * w].reshape(nb, w)
             if certified:
-                if cand32.size < w * (cand.shape[1] + 1):
-                    cand32 = np.empty(w * (cand.shape[1] + 1), dtype=np.float32)
-                margin = _fp32_tile(*fp32[group], cand, cand32, keys)
+                margin = _fp32_tile(*fp32[group], cand,
+                                    scratch.cand32(w * (cand.shape[1] + 1)), keys)
                 count(keys, rows, start, margin,
                       functools.partial(_fp64_keys, queries, cand))
                 continue
@@ -335,13 +361,75 @@ def walk_table(blocks: Iterable[Tuple[int, np.ndarray]], groups, sink,
             if nb == 1:
                 # One row would take BLAS's GEMV path, which rounds
                 # differently from the GEMM of any wider tile: the row goes in
-                # twice, and scratch's first row is ``keys``.
+                # twice, and the buffer's first row is ``keys``.
                 np.matmul(np.repeat(queries, 2, axis=0), cand.T,
-                          out=scratch[:2 * w].reshape(2, -1))
+                          out=buffer[:2 * w].reshape(2, -1))
             else:
                 np.matmul(queries, cand.T, out=keys)
             keys += np.einsum("ij,ij->i", cand, cand)
             count(keys, rows, start)
+
+    fork = getattr(sink, "fork", None)
+    shares = split_shares() if fork is not None and blas_threads() == 1 else 1
+    blocks = iter(blocks)
+    pulled = list(itertools.islice(blocks, shares))
+    if len(pulled) < 2:
+        scratch = _Scratch()
+        for start, block in itertools.chain(pulled, blocks):
+            walk(start, block, sink, scratch)
+        return
+    parts = [fork() for _ in range(shares)]
+    scratches = [_Scratch() for _ in range(shares)]
+    tallies = [OpCounters() for _ in range(shares)]
+    width = max(queries.shape[1] for *_, queries in groups)
+    dtype = np.float32 if certified else np.result_type(groups[0][3].dtype,
+                                                         pulled[0][1].dtype)
+
+    # A worker starts from the defaults of numpy's error state and of the
+    # sanitizer, both per thread: each share takes the caller's.
+    errors, sanitizing = np.geterr(), sanitize_enabled()
+
+    def share(first: int, stop: int, k: int, _: int) -> None:
+        with np.errstate(**errors), sanitize(sanitizing), no_grad(), \
+                flop_tally(tallies[k]):
+            for start, block in pulled[first:stop]:
+                walk(start, block, parts[k], scratches[k])
+
+    while pulled:
+        w = max(block.shape[0] for _, block in pulled)
+        for part, scratch in zip(parts, scratches):
+            if squared:
+                scratch.keys(dtype, max(b, 2) * w)
+            if certified:
+                scratch.cand32(w * (width + 1))
+            if counted:
+                part.reserve(b, w)
+        split_rows(len(pulled), 1, share)
+        pulled = list(itertools.islice(blocks, shares))
+    for part, tally in zip(parts, tallies):
+        sink.merge(part)
+        for op, flops in tally.per_op.items():
+            count_flops(op, flops)
+
+
+class _Scratch:
+    """One share's buffers for :func:`walk_table`: the key tile and the fp32
+    candidate block.  Each grows only when a tile needs more; a split walk
+    grows every share's on the calling thread before each round."""
+
+    def __init__(self) -> None:
+        self._keys = np.empty(0, dtype=np.float64)
+        self._cand32 = np.empty(0, dtype=np.float32)
+
+    def keys(self, dtype, size: int) -> np.ndarray:
+        if self._keys.dtype != dtype or self._keys.size < size:
+            self._keys = np.empty(size, dtype=dtype)
+        return self._keys
+
+    def cand32(self, size: int) -> np.ndarray:
+        if self._cand32.size < size:
+            self._cand32 = np.empty(size, dtype=np.float32)
+        return self._cand32
 
 
 class KeepKeys:
@@ -353,6 +441,13 @@ class KeepKeys:
 
     def __call__(self, tile: np.ndarray, rows, start: int) -> None:
         self.keys[rows, start:start + tile.shape[1]] = tile
+
+    def fork(self) -> "KeepKeys":
+        """Itself: the shares of a split walk write disjoint columns."""
+        return self
+
+    def merge(self, part: "KeepKeys") -> None:
+        """Nothing to add: every share wrote into :attr:`keys` itself."""
 
 
 class TopK:

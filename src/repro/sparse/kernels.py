@@ -7,8 +7,10 @@ streaming arithmetic:
 * :func:`block_rows` sizes the row blocks of the optimizers' in-place updates
   so every scratch buffer stays in cache;
 * :func:`split_rows` hands contiguous shares of a row range to one worker
-  thread per CPU, each pinned to its CPU: the optimizers' row walk and the
-  CSR SpMM run on every core, bit-identical at any worker count;
+  thread per CPU, each pinned to its CPU: the optimizers' row walk, the CSR
+  SpMM and the ranking walk's candidate blocks
+  (:func:`repro.ranking.walk_table`) run on every core, bit-identical at any
+  worker count;
 * the margin-ranking loss evaluates the hinge and its backward mask in one pass
   over the batch instead of four (sub, add, relu, mean).  The numpy form runs
   the reference's elementwise operations in the same order and is
@@ -21,6 +23,7 @@ time when it is absent, and every consumer falls back to the numpy path.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 import queue
@@ -110,6 +113,57 @@ def _workers() -> _Workers:
     return workers
 
 
+def blas_threads() -> int:
+    """Threads numpy's BLAS runs one call on; 0 where that cannot be read.
+
+    Read from the OpenBLAS mapped into the process (``/proc/self/maps``),
+    through its ``openblas_get_num_threads`` under any of the names the
+    numpy and SciPy wheels export it as.  A caller that splits BLAS calls
+    over the pinned workers (the ranking walk) does so only at 1: a worker
+    pinned to one CPU that calls a multi-threaded BLAS waits on a BLAS
+    thread that has to share a CPU with the other worker, and the split
+    walk read about 5× slower than the inline one at two BLAS threads.
+    """
+    get = _openblas_threads()
+    return 0 if get is None else int(get())
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threads():
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.rsplit("/", 1)[-1].lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                return get
+    return None
+
+
+def split_shares() -> int:
+    """How many shares a split of enough rows runs as: one per CPU of the
+    affinity set (the pool's, once it has started), or 1 on one CPU.
+
+    A caller that hands out whole units (the ranking walk's candidate
+    blocks) sizes its rounds and its per-share scratch by it.  Starts no
+    thread: the first split that needs the pool does.
+    """
+    workers = _workers()
+    cpus = len(workers.inboxes) if workers.started else len(os.sched_getaffinity(0))
+    return cpus if cpus >= 2 else 1
+
+
 def split_rows(n_rows: int, block: int,
                task: Callable[[int, int, int, int], None]) -> None:
     """Run ``task(start, stop, share, shares)`` over ``range(n_rows)``.
@@ -128,8 +182,13 @@ def split_rows(n_rows: int, block: int,
     allocates all scratch (a worker that allocates its own grows the heap
     through glibc's per-thread arenas) and resolves everything that is not
     thread-safe before the split: workers never read a ``BucketParameter``'s
-    ``.data`` (it faults and moves the LRU) and never call ``count_flops``
-    (its counters are thread-local).
+    ``.data`` (it faults and moves the LRU), and never count FLOPs into the
+    caller's counters, which are thread-local: the caller counts them, or
+    (the ranking walk, whose residual and distance tiles count through
+    autograd ops) hands each share a tally of its own
+    (:func:`repro.autograd.function.flop_tally`) and adds it to its
+    counters after the split.  ``block = 1`` hands out units: with ``n_rows``
+    equal to :func:`split_shares`, share ``k`` is unit ``k``.
     """
     workers = _workers()
     if n_rows >= 2 * block and not workers.started:

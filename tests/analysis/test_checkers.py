@@ -963,6 +963,74 @@ class TestResourceLifecycleChecker:
         assert run_checks(tmp_path, rules=["resource-lifecycle"]) == []
 
 
+    @pytest.mark.parametrize("acquire,kind", [
+        ("open(path, 'rb')", "file handle"),
+        ("sqlite3.connect(path)", "sqlite connection"),
+        ("np.load(path, mmap_mode='r')", "memory map"),
+        ("np.lib.format.open_memmap(path, mode='r')", "memory map"),
+    ])
+    def test_local_then_self_store_without_release_flagged(self, tmp_path,
+                                                           acquire, kind):
+        """The handle reaches ``self`` through a local: still the class's."""
+        holder = (
+            "import sqlite3\n"
+            "import numpy as np\n"
+            "\n"
+            "class Holder:\n"
+            "    def __init__(self, path):\n"
+            f"        handle = {acquire}\n"
+            "        self._handle = handle\n"
+        )
+        make_project(tmp_path, {"src/repro/data/store.py": holder})
+        findings = run_checks(tmp_path, rules=["resource-lifecycle"])
+        assert len(findings) == 1
+        assert f"Holder stores an open {kind}" in findings[0].message
+        make_project(tmp_path, {
+            "src/repro/data/store.py": holder + (
+                "\n"
+                "    def close(self):\n"
+                "        self._handle = None\n"
+            ),
+        })
+        assert run_checks(tmp_path, rules=["resource-lifecycle"]) == []
+
+    @pytest.mark.parametrize("store", [
+        "        self.rows = np.load(path, mmap_mode='r')\n",
+        "        rows = np.load(path, mmap_mode='r')\n"
+        "        self.rows = rows\n",
+    ])
+    def test_class_holding_a_map_taints_the_caller_that_drops_it(self, tmp_path,
+                                                                 store):
+        """A class that keeps a map and can release it is an acquirer: a
+        caller that neither closes nor hands on an instance leaks it."""
+        module = (
+            "import numpy as np\n"
+            "\n"
+            "class Rows:\n"
+            "    def __init__(self, path):\n"
+            f"{store}"
+            "\n"
+            "    def close(self):\n"
+            "        del self.rows\n"
+            "\n"
+        )
+        make_project(tmp_path, {"src/repro/nn/rows.py": module + (
+            "def first(path):\n"
+            "    rows = Rows(path)\n"
+            "    return float(rows.rows[0, 0])\n"
+        )})
+        findings = run_checks(tmp_path, rules=["resource-lifecycle"])
+        assert len(findings) == 1
+        assert "call to Rows returns an open memory map" in findings[0].message
+        make_project(tmp_path, {"src/repro/nn/rows.py": module + (
+            "def first(path):\n"
+            "    rows = Rows(path)\n"
+            "    value = float(rows.rows[0, 0])\n"
+            "    rows.close()\n"
+            "    return value\n"
+        )})
+        assert run_checks(tmp_path, rules=["resource-lifecycle"]) == []
+
 class TestForkTaintChecker:
     ENTRY = "src/repro/training/multiprocess.py"
 

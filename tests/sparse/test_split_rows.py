@@ -185,6 +185,42 @@ class TestSplitRows:
         del task, payload
         assert ref() is None
 
+    def test_split_shares_is_the_pool_width_and_hands_out_units(self):
+        """With ``block = 1`` and one unit per share, share k runs unit k."""
+        shares = kernels.split_shares()
+        assert shares == (CPUS if CPUS >= 2 else 1)
+        seen = []
+        lock = threading.Lock()
+
+        def task(start, stop, share, count):
+            with lock:
+                seen.append((start, stop, share, count))
+
+        split_rows(shares, 1, task)
+        expected = ([(k, k + 1, k, shares) for k in range(shares)] if shares >= 2
+                    else [(0, 1, 0, 1)])
+        assert sorted(seen) == expected
+
+    def test_blas_threads_reads_the_configured_count(self):
+        """``OPENBLAS_NUM_THREADS`` as the BLAS itself took it (capped at the
+        CPUs it saw); 0 only where no OpenBLAS is mapped."""
+        script = ("import numpy\nfrom repro.sparse.kernels import blas_threads\n"
+                  "print(blas_threads())\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "..", "src")]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        seen = {}
+        for threads in (1, 2):
+            env["OPENBLAS_NUM_THREADS"] = str(threads)
+            result = subprocess.run([sys.executable, "-c", script], env=env,
+                                    capture_output=True, text=True, timeout=60)
+            assert result.returncode == 0, result.stderr
+            seen[threads] = int(result.stdout)
+        if seen[1] == 0:
+            pytest.skip("numpy's BLAS is not an OpenBLAS found in the process maps")
+        assert seen == {1: 1, 2: min(2, CPUS)}
+
     @multicore
     def test_child_forked_after_the_pool_started_finishes_a_split(self):
         split_rows(1000, 64, lambda *args: None)  # the parent's pool is running
