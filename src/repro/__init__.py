@@ -11,7 +11,7 @@ self-contained Python package:
   baselines they are compared against (:mod:`repro.baselines`),
 * data loading, synthetic benchmark-scale KGs, and negative sampling
   (:mod:`repro.data`),
-* training loops including multiprocess data parallelism
+* the training loop and checkpoints
   (:mod:`repro.training`), link-prediction evaluation
   (:mod:`repro.evaluation`), and the profiling substrate used by the
   benchmark harness (:mod:`repro.profiling`).

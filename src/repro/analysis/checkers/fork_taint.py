@@ -1,15 +1,15 @@
 """fork-taint checker: nothing fork-unsafe in what ``os.fork()`` duplicates.
 
-``MultiprocessTrainer`` and the serving ``WorkerPool`` use ``fork``-start
-workers: everything ``training/multiprocess.py`` or ``serving/pool.py``
-imports is duplicated into child processes with whatever process-global
-state the parent had.  Three hazards corrupt silently across a fork:
+The serving ``WorkerPool`` uses ``fork``-start workers: everything
+``serving/pool.py`` imports is duplicated into child processes with
+whatever process-global state the parent had.  Four hazards corrupt
+silently across a fork:
 
 * a **lock** created at import time: if any parent thread holds it at
   fork time, every child inherits it locked forever (the classic
   logging deadlock);
-* a **sqlite3 connection**: connections must never cross a fork; batch
-  factories open their own handle post-fork instead;
+* a **sqlite3 connection**: connections must never cross a fork; a
+  worker's engine factory opens its own handles post-fork instead;
 * an **atexit handler**: handlers registered pre-fork re-run in every
   worker at child exit, typically re-flushing or deleting parent-owned
   resources;
@@ -37,15 +37,15 @@ Scope, from one BFS over the call graph's module-level imports:
 
 Findings carry the evidence chain, e.g.::
 
-    fork-taint: import chain training/multiprocess.py ->
-    data/streaming.py -> x.py; call chain <module> -> make_conn():
+    fork-taint: import chain serving/pool.py ->
+    serving/engine.py -> x.py; call chain <module> -> make_conn():
     sqlite3 connections must never cross os.fork() ... (executes at
     import time inside the closure os.fork() duplicates into workers)
 
 Graceful degradation: unresolved call targets (registries, callables as
 values) end the walk — no edge, no claim.  Outside the direct scope,
 hazards created inside functions that only run post-fork are deliberately
-not flagged (that is the ``BatchFactory`` contract, not a bug).
+not flagged (that is the engine-factory contract, not a bug).
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ from repro.analysis.checkers.lock_state import is_lock_ctor, lock_ctor_names
 from repro.analysis.core import Checker, Finding, Project, SourceFile, register_checker
 
 #: The modules that call ``os.fork()`` (through ``multiprocessing``'s
-#: ``fork`` context): the data-parallel trainer and the serving pool.
-_ENTRIES = ("training/multiprocess.py", "serving/pool.py")
+#: ``fork`` context): the serving pool.
+_ENTRIES = ("serving/pool.py",)
 
 _MAX_CALL_DEPTH = 8
 
@@ -164,11 +164,11 @@ class ForkTaintChecker(Checker):
     name = "fork-taint"
     rule_ids = ("fork-taint",)
     description = (
-        "what training/multiprocess.py and serving/pool.py duplicate into "
-        "workers must stay fork-safe: no locks, sqlite connections, atexit "
-        "handlers or started threads at import time anywhere in their import "
-        "closures, and no sqlite connections or atexit handlers at all in "
-        "the entry points and the modules they import"
+        "what serving/pool.py duplicates into workers must stay fork-safe: "
+        "no locks, sqlite connections, atexit handlers or started threads at "
+        "import time anywhere in its import closure, and no sqlite "
+        "connections or atexit handlers at all in the entry point and the "
+        "modules it imports"
     )
     # The import closure can grow from any package file.
     trigger_prefixes = ("",)

@@ -19,8 +19,7 @@ The checks are O(output size) per op and only run while enabled, so the CI
 smoke jobs turn them on wholesale (``sptransx run --sanitize``,
 ``TrainingConfig(sanitize=True)``) while production training pays nothing.
 
-State is thread-local (mirroring the ``no_grad`` machinery) and inherited
-across ``os.fork`` by the multiprocess trainer's workers.
+State is thread-local (mirroring the ``no_grad`` machinery).
 """
 
 from __future__ import annotations

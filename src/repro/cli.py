@@ -82,9 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "shuffled batches from an on-disk store (bounded RSS)")
     run.add_argument("--storage-path", default=None,
                      help="override the SQLite database file backing --storage sqlite")
-    run.add_argument("--workers", type=int, default=None,
-                     help="override training.num_workers: data-parallel "
-                          "processes exchanging row-sparse gradients")
     run.add_argument("--partitions", type=int, default=None,
                      help="override model.partitions: shard the entity table "
                           "into P LRU-paged buckets (train, checkpoint, and "
@@ -274,11 +271,6 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
                              "--storage sqlite training runs PBG-style "
                              "bucket-pair episodes so a step touches at most "
                              "two buckets (implies row-sparse gradients)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="data-parallel worker processes: each global batch "
-                             "is sharded across N replicas that exchange "
-                             "row-sparse gradients and stay in lockstep with "
-                             "the single-worker trajectory")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sanitize", action="store_true",
                         help="train under the autograd sanitizer (NaN/Inf, "
@@ -332,7 +324,6 @@ def _experiment_spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             learning_rate=args.learning_rate, margin=args.margin,
             optimizer=args.optimizer, seed=args.seed, log_every=0,
             sparse_grads=bool(args.sparse_grads) or partitions > 1,
-            num_workers=args.workers,
             sanitize=args.sanitize,
         )
         return ExperimentSpec(
@@ -350,7 +341,7 @@ def _experiment_spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
 
 def _apply_run_overrides(spec: ExperimentSpec,
                          args: argparse.Namespace) -> ExperimentSpec:
-    """Apply ``run``'s --storage/--storage-path/--workers flags over the spec."""
+    """Apply ``run``'s override flags (--storage, --partitions, ...) over the spec."""
     data_overrides = {}
     if args.storage is not None:
         data_overrides["storage"] = args.storage
@@ -358,8 +349,6 @@ def _apply_run_overrides(spec: ExperimentSpec,
         data_overrides["storage_path"] = args.storage_path
     if data_overrides:
         spec = spec.replace(data=dataclasses.replace(spec.data, **data_overrides))
-    if args.workers is not None:
-        spec = spec.replace(training=spec.training.replace(num_workers=args.workers))
     if getattr(args, "partitions", None) is not None:
         partitions = int(args.partitions)
         if partitions < 1:

@@ -24,10 +24,9 @@ global uniform sampling — it is the documented semantics of the partitioned
 schedule, not a drop-in replacement — which is why trajectory-parity tests
 run the standard schedule and this iterator has its own coverage tests.
 
-Everything an epoch does is a deterministic function of ``(seed, epoch)``,
-so the iterator honours the multiprocess trainer's lockstep contract: every
-replica rebuilding it from the same description replays the identical batch
-stream.
+Everything an epoch does is a deterministic function of ``(seed, epoch)``:
+rebuilding the iterator from the same description replays the identical
+batch stream.
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ class PartitionedStreamingIterator:
         return total
 
     def set_epoch(self, epoch: int) -> None:
-        """Pin the epoch counter (distributed replicas align on this)."""
+        """Pin the epoch counter: the next pass draws that epoch's order."""
         self.epoch = int(epoch)
 
     # ------------------------------------------------------------------ #

@@ -15,8 +15,8 @@ Shuffling works out of core: each epoch draws a fresh permutation of the
 fixed-size row *blocks* and a fresh permutation of the rows inside each
 fetched block, so peak memory is one block (``batch_size * block_batches``
 rows), never the whole split.  The order is a deterministic function of
-``(seed, epoch)``, which is what lets every replica of the multiprocess
-trainer reconstruct the identical batch stream without any coordination.
+``(seed, epoch)``, which is what lets a resumed run replay the epochs it
+skips without storing any of them.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ class StreamingBatchIterator:
         return int(np.ceil(n / self.batch_size))
 
     def set_epoch(self, epoch: int) -> None:
-        """Pin the epoch counter (distributed replicas align on this)."""
+        """Pin the epoch counter: the next pass draws that epoch's order."""
         self.epoch = int(epoch)
 
     def _block_bounds(self) -> List[Tuple[int, int]]:

@@ -34,7 +34,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from repro.training.checkpoint import (
     save_checkpoint,
 )
 from repro.training.config import TrainingConfig
-from repro.training.multiprocess import MultiprocessTrainer
 from repro.training.trainer import Trainer, TrainingResult, build_optimizer
 from repro.utils.logging import get_logger
 from repro.utils.seeding import new_rng, seed_everything
@@ -188,7 +187,7 @@ class Experiment:
         # explicit storage_path) is deleted once training ends.
         ephemeral_db = (db_path is not None and self.artifact_dir is None
                         and self.spec.data.storage_path is None)
-        batch_factory = self._batch_factory(dataset, db_path)
+        batches = self._batches(dataset, db_path)
         if (spec.data.storage == "sqlite" and not evaluators
                 and spec.data.negative_sampler == "uniform"
                 and self._dataset is None):
@@ -199,30 +198,14 @@ class Experiment:
             dataset = None
 
         logger.info("experiment %r: training %s on %s for %d epoch(s) "
-                    "(storage=%s, workers=%d)",
+                    "(storage=%s)",
                     spec.name, type(model).__name__, dataset_name, remaining,
-                    spec.data.storage, spec.training.num_workers)
+                    spec.data.storage)
         try:
-            if spec.training.num_workers > 1:
-                if start_epoch:
-                    raise ValueError(
-                        "cannot resume a checkpoint with num_workers > 1: worker "
-                        "replicas start with fresh optimiser state; resume with "
-                        "num_workers=1 (or finish the run single-worker first)"
-                    )
-                trainer = MultiprocessTrainer(model, batch_factory,
-                                              spec.training.num_workers,
-                                              spec.training)
-                training = trainer.train(epochs=remaining)
-                # Checkpoint rank 0's *stepped* optimiser, not the unused one
-                # built above — resuming from this artifact (single-worker)
-                # must continue with real Adam/Adagrad state.
-                optimizer = trainer.optimizer
-            else:
-                trainer = Trainer(model, config=spec.training, optimizer=optimizer,
-                                  batches=batch_factory())
-                trainer.skip_epochs(start_epoch)
-                training = trainer.train(epochs=remaining, start_epoch=start_epoch)
+            trainer = Trainer(model, config=spec.training, optimizer=optimizer,
+                              batches=batches)
+            trainer.skip_epochs(start_epoch)
+            training = trainer.train(epochs=remaining, start_epoch=start_epoch)
         finally:
             if ephemeral_db and os.path.exists(db_path):
                 os.unlink(db_path)
@@ -291,14 +274,12 @@ class Experiment:
                 )
         return path
 
-    def _batch_factory(self, dataset: KGDataset,
-                       db_path: Optional[str]) -> Callable[[], object]:
-        """A zero-arg builder of the run's deterministic batch pipeline.
+    def _batches(self, dataset: KGDataset, db_path: Optional[str]) -> object:
+        """The run's batch pipeline, seeded per ``(seed, epoch)``.
 
-        Every invocation yields an identical batch/negative stream, which is
-        the lockstep contract the multiprocess trainer relies on; the
-        single-worker path calls it once.  For SQLite storage each call opens
-        its own connection, so no handle ever crosses a process fork.
+        Every epoch's batches and negatives depend only on the seeds and the
+        epoch number, which is what lets a resumed run replay the epochs it
+        skips (:meth:`~repro.training.trainer.Trainer.skip_epochs`).
         """
         spec = self.spec
         config = spec.training
@@ -337,55 +318,34 @@ class Experiment:
                     "disk-side clustering (episodes stream fragmented runs; "
                     "spool into a run-owned store for contiguous episodes)",
                     db_path)
-            shuffle_seed = config.seed if config.seed is not None else 0
-            num_negatives = spec.data.num_negatives
-            batch_size = config.batch_size
-
-            def factory():
-                return PartitionedStreamingIterator(
-                    SQLiteKGStore(db_path), batch_size=batch_size,
-                    partition=partition, seed=shuffle_seed,
-                    num_negatives=num_negatives,
-                )
-            return factory
+            return PartitionedStreamingIterator(
+                SQLiteKGStore(db_path), batch_size=config.batch_size,
+                partition=partition,
+                seed=config.seed if config.seed is not None else 0,
+                num_negatives=spec.data.num_negatives,
+            )
 
         if spec.data.storage == "sqlite":
             assert db_path is not None
-            n_entities = dataset.n_entities
-            shuffle_seed = config.seed if config.seed is not None else 0
-            sampler_seed = spec.seed
-            num_negatives = spec.data.num_negatives
             if spec.data.negative_sampler == "uniform":
-                def make_sampler():
-                    return UniformNegativeSampler(max(n_entities, 2),
-                                                  rng=new_rng(sampler_seed))
+                sampler = UniformNegativeSampler(max(dataset.n_entities, 2),
+                                                 rng=new_rng(spec.seed))
             else:
-                data_spec = spec.data
-
-                def make_sampler():
-                    return data_spec.build_sampler(dataset, rng=sampler_seed)
-
-            def factory():
-                return StreamingBatchIterator(
-                    SQLiteKGStore(db_path), batch_size=config.batch_size,
-                    sampler=make_sampler(), shuffle=config.shuffle,
-                    seed=shuffle_seed, num_negatives=num_negatives,
-                )
-            return factory
-
-        training_dataset = self._training_dataset(dataset)
-        data_spec = spec.data
-        sampler_seed = spec.seed
-
-        def factory():
-            rng = new_rng(config.seed)
-            return BatchIterator(
-                training_dataset, batch_size=config.batch_size,
-                sampler=data_spec.build_sampler(dataset, rng=sampler_seed),
-                shuffle=config.shuffle,
-                regenerate_negatives=config.regenerate_negatives, rng=rng,
+                sampler = spec.data.build_sampler(dataset, rng=spec.seed)
+            return StreamingBatchIterator(
+                SQLiteKGStore(db_path), batch_size=config.batch_size,
+                sampler=sampler, shuffle=config.shuffle,
+                seed=config.seed if config.seed is not None else 0,
+                num_negatives=spec.data.num_negatives,
             )
-        return factory
+
+        return BatchIterator(
+            self._training_dataset(dataset), batch_size=config.batch_size,
+            sampler=spec.data.build_sampler(dataset, rng=spec.seed),
+            shuffle=config.shuffle,
+            regenerate_negatives=config.regenerate_negatives,
+            rng=new_rng(config.seed),
+        )
 
     # ------------------------------------------------------------------ #
     def _training_dataset(self, dataset: KGDataset) -> KGDataset:

@@ -1,7 +1,7 @@
 """Partitioned embedding tables: entity parameters in P independently paged buckets.
 
 The scale ceiling after out-of-core *data* (PR 4) is the dense entity table:
-every trainer replica and the serving engine still materialised all
+the trainer and the serving engine still materialised all
 ``(n_entities, d)`` rows.  :class:`PartitionedEmbedding` removes that ceiling
 by range-partitioning the entity rows into ``P`` buckets, each backed by its
 own ``entities.bucket<k>.npy`` file:
@@ -11,11 +11,10 @@ own ``entities.bucket<k>.npy`` file:
   :func:`save_in_place`) once the LRU-bounded resident set overflows
   ``max_resident`` buckets — peak RAM is ``max_resident`` bucket slabs, never
   the full table;
-* each bucket is its own :class:`BucketParameter`, so row-sparse gradients,
-  optimiser state (Adam/Adagrad moment slabs), and the multiprocess trainer's
-  gradient exchange are all naturally bucket-granular: optimiser state pages
-  out *with* its bucket (see :meth:`attach_optimizer`), and untouched buckets
-  contribute nothing to the DDP wire volume;
+* each bucket is its own :class:`BucketParameter`, so row-sparse gradients
+  and optimiser state (Adam/Adagrad moment slabs) are naturally
+  bucket-granular: optimiser state pages out *with* its bucket (see
+  :meth:`attach_optimizer`);
 * relations stay a small always-resident dense parameter; the entity-only
   table of the ``ht`` models (``n_relations=0``) has none.
 
@@ -330,7 +329,7 @@ class PartitionedEmbedding(Module, EmbeddingTable):
                 np.empty((self.n_relations, self._embedding_dim), dtype=np.float64),
                 name="relations")
         # Bucket parameters (attribute registration keeps them in
-        # named_parameters for optimizers, digests, and the DDP wire format).
+        # named_parameters for optimizers and checkpoints).
         self._buckets: List[BucketParameter] = []
         for k in range(self.partition.n_partitions):
             param = BucketParameter(self, k, self.partition.bucket_rows(k),
@@ -452,34 +451,6 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         self._owns_dir = False
         self._attached = True
         self.read_only = True
-
-    def rehome(self, directory: Optional[str] = None) -> str:
-        """Move the backing storage to a private directory (fork isolation).
-
-        A forked worker replica shares the parent's bucket *files*; rehoming
-        copies them (resident slabs are written from memory) into a directory
-        this process owns, so concurrent replicas never write back into each
-        other's storage.  Returns the new directory.
-        """
-        # The current directory belongs to the parent process the moment we
-        # decide to rehome: disown it FIRST, so a failure mid-copy (and the
-        # close() that follows in the worker's cleanup) can never rmtree the
-        # parent's live bucket storage.
-        self._owns_dir = False
-        new_dir = directory if directory is not None else tempfile.mkdtemp(
-            prefix="sptransx-partitioned-")
-        os.makedirs(new_dir, exist_ok=True)
-        for k, param in enumerate(self._buckets):
-            target = os.path.join(new_dir, bucket_filename(k))
-            if param.resident:
-                np.save(target, param._slab)
-            else:
-                shutil.copyfile(self._bucket_path(k), target)
-        self._close_maps()
-        self._directory = new_dir
-        self._owns_dir = directory is None
-        self._dirty.clear()
-        return new_dir
 
     def close(self) -> None:
         """Drop resident slabs and held maps, and delete owned storage."""

@@ -2,20 +2,11 @@
 
 :class:`Trainer` runs the paper's training protocol (margin-ranking loss over
 pre-generated negatives, per-phase wall-clock timing of forward / backward /
-optimiser step) for any :class:`~repro.models.base.KGEModel`;
-:class:`MultiprocessTrainer` runs the Appendix-F multi-worker study for real —
-worker processes exchanging row-sparse gradients in lockstep with the
-single-worker trajectory — and reports the measured exchange next to the α–β
-:class:`CommunicationModel`'s prediction.
+optimiser step) for any :class:`~repro.models.base.KGEModel`.
 """
 
 from repro.training.config import TrainingConfig
 from repro.training.trainer import Trainer, TrainingResult, EpochStats
-from repro.training.multiprocess import (
-    CommunicationModel,
-    MultiprocessResult,
-    MultiprocessTrainer,
-)
 from repro.training.checkpoint import (
     Checkpoint,
     save_checkpoint,
@@ -34,7 +25,4 @@ __all__ = [
     "Trainer",
     "TrainingResult",
     "EpochStats",
-    "CommunicationModel",
-    "MultiprocessTrainer",
-    "MultiprocessResult",
 ]

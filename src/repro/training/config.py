@@ -53,12 +53,6 @@ class TrainingConfig:
         both directions, overriding any earlier ``set_sparse_grads`` call.
         RotatE, which has no row-sparse path, refuses it before any step; a
         partitioned TransE is row-sparse whatever it says.
-    num_workers:
-        Data-parallel worker processes.  ``1`` (default) trains in-process
-        with :class:`~repro.training.trainer.Trainer`; ``N > 1`` shards every
-        global batch across ``N`` OS processes that exchange row-sparse
-        gradients (:class:`~repro.training.multiprocess.MultiprocessTrainer`)
-        and follow the single-worker trajectory.
     sanitize:
         Enable the autograd sanitizer (:func:`repro.autograd.sanitize`) for
         the duration of the run: every tape op is audited for NaN/Inf
@@ -78,7 +72,6 @@ class TrainingConfig:
     seed: Optional[int] = 0
     log_every: int = 0
     sparse_grads: bool = False
-    num_workers: int = 1
     sanitize: bool = False
 
     def __post_init__(self) -> None:
@@ -96,8 +89,6 @@ class TrainingConfig:
             )
         if self.normalize_every < 0:
             raise ValueError(f"normalize_every must be non-negative, got {self.normalize_every}")
-        if self.num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {self.num_workers}")
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict form for logging and experiment records."""
@@ -120,6 +111,17 @@ class TrainingConfig:
             raise ValueError(
                 f"training config must be a mapping, got {type(payload).__name__}"
             )
+        if "num_workers" in payload:
+            # Written by every spec and checkpoint from before data-parallel
+            # training was removed; its default, 1, is the only mode left.
+            payload = dict(payload)
+            workers = payload.pop("num_workers")
+            if type(workers) is not int or workers != 1:
+                raise ValueError(
+                    f"training config key 'num_workers' is {workers!r}: "
+                    "data-parallel training was removed; re-run this "
+                    "experiment single-process (drop the key)"
+                )
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:

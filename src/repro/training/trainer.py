@@ -93,20 +93,6 @@ class TrainingResult:
         }
 
 
-def replay_epochs(batches, n: int) -> None:
-    """Consume ``n`` epochs of a batch source without training on them.
-
-    Replays exactly the random draws those epochs would have made — epoch
-    permutations and negative corruption — which is the resume fast-forward
-    contract shared by :class:`Trainer` and every multiprocess replica: any
-    change to how an epoch's randomness is consumed must keep this single
-    replay path equivalent to real iteration.
-    """
-    for _ in range(max(int(n), 0)):
-        for _ in batches:
-            pass
-
-
 def build_optimizer(name: str, model: KGEModel, lr: float) -> Optimizer:
     """Instantiate the optimiser named in a :class:`TrainingConfig`."""
     params = list(model.parameters())
@@ -236,8 +222,14 @@ class Trainer:
         This is what makes a resumed run continue the *same* trajectory as an
         uninterrupted one: restoring model and optimiser state alone still
         leaves the batch and negative streams rewound to epoch zero.
+        Iterating replays exactly the random draws those epochs would have
+        made (epoch permutations and negative corruption), so any change to
+        how an epoch's randomness is consumed keeps this equivalent to
+        training on them.
         """
-        replay_epochs(self.batches, n)
+        for _ in range(max(int(n), 0)):
+            for _ in self.batches:
+                pass
 
     def train(self, epochs: Optional[int] = None,
               start_epoch: int = 0) -> TrainingResult:

@@ -176,24 +176,24 @@ class TestDtypeChecker:
 class TestForkSafetyChecker:
     """The entry points and their direct imports, owned by fork-taint."""
 
-    def _trainer(self, body: str = "") -> str:
-        return "from repro.training import helpers\n" + body
+    def _pool(self, body: str = "") -> str:
+        return "from repro.serving import helpers\n" + body
 
     def test_module_level_lock_in_import_flagged(self, tmp_path):
         make_project(tmp_path, {
-            "src/repro/training/multiprocess.py": self._trainer(),
-            "src/repro/training/helpers.py": (
+            "src/repro/serving/pool.py": self._pool(),
+            "src/repro/serving/helpers.py": (
                 "import threading\n"
                 "_LOCK = threading.Lock()\n"
             ),
         })
         findings = run_checks(tmp_path, rules=["fork-taint"])
         assert [(f.path, f.line) for f in findings] == [
-            ("src/repro/training/helpers.py", 2)]
+            ("src/repro/serving/helpers.py", 2)]
 
     def test_aliased_lock_import_flagged(self, tmp_path):
         make_project(tmp_path, {
-            "src/repro/training/multiprocess.py": (
+            "src/repro/serving/pool.py": (
                 "from threading import RLock as L\n"
                 "_GUARD = L()\n"
             ),
@@ -203,7 +203,7 @@ class TestForkSafetyChecker:
 
     def test_aliased_threading_module_lock_flagged(self, tmp_path):
         make_project(tmp_path, {
-            "src/repro/training/multiprocess.py": (
+            "src/repro/serving/pool.py": (
                 "import threading as th\n"
                 "_G = th.Lock()\n"
             ),
@@ -213,7 +213,7 @@ class TestForkSafetyChecker:
 
     def test_sqlite_connect_flagged(self, tmp_path):
         make_project(tmp_path, {
-            "src/repro/training/multiprocess.py": (
+            "src/repro/serving/pool.py": (
                 "import sqlite3\n"
                 "def open_store(path):\n"
                 "    return sqlite3.connect(path)\n"
@@ -227,7 +227,7 @@ class TestForkSafetyChecker:
 
     def test_atexit_register_flagged(self, tmp_path):
         make_project(tmp_path, {
-            "src/repro/training/multiprocess.py": (
+            "src/repro/serving/pool.py": (
                 "import atexit\n"
                 "def install(handler):\n"
                 "    atexit.register(handler)\n"
@@ -238,16 +238,16 @@ class TestForkSafetyChecker:
             ("unreachable-public", 2), ("fork-taint", 3)]
 
     def test_module_imported_from_a_package_is_a_direct_import(self, tmp_path):
-        # `from repro.training import helpers` with a training/__init__.py:
+        # `from repro.serving import helpers` with a serving/__init__.py:
         # helpers.py is still duplicated into every worker.
         make_project(tmp_path, {
             "src/repro/__init__.py": "",
-            "src/repro/training/__init__.py": "",
-            "src/repro/training/multiprocess.py": (
+            "src/repro/serving/__init__.py": "",
+            "src/repro/serving/pool.py": (
                 "def start():\n"
-                "    from repro.training import helpers\n"
+                "    from repro.serving import helpers\n"
             ),
-            "src/repro/training/helpers.py": (
+            "src/repro/serving/helpers.py": (
                 "import sqlite3\n"
                 "def open_store(path):\n"
                 "    return sqlite3.connect(path)\n"
@@ -255,16 +255,16 @@ class TestForkSafetyChecker:
         })
         findings = run_checks(tmp_path)
         assert [(f.rule, f.path, f.line) for f in findings] == [
-            ("unreachable-public", "src/repro/training/helpers.py", 2),
-            ("fork-taint", "src/repro/training/helpers.py", 3),
-            ("unreachable-public", "src/repro/training/multiprocess.py", 1)]
+            ("unreachable-public", "src/repro/serving/helpers.py", 2),
+            ("fork-taint", "src/repro/serving/helpers.py", 3),
+            ("unreachable-public", "src/repro/serving/pool.py", 1)]
 
     def test_retired_rule_id_in_an_ignore_is_reported_stale(self, tmp_path):
         # fork-sqlite is folded into fork-taint; an ignore naming the old
         # id suppresses nothing, and suppression-unused says so.  (The
         # fixture's open_store has no caller, which unreachable-public reports.)
         make_project(tmp_path, {
-            "src/repro/training/multiprocess.py": (
+            "src/repro/serving/pool.py": (
                 "import sqlite3\n"
                 "def open_store(p):\n"
                 "    return sqlite3.connect(p)  # repro: ignore[fork-sqlite]\n"
@@ -278,7 +278,7 @@ class TestForkSafetyChecker:
 
     def test_instance_lock_passes(self, tmp_path):
         make_project(tmp_path, {
-            "src/repro/training/multiprocess.py": (
+            "src/repro/serving/pool.py": (
                 "import threading\n"
                 "class T:\n"
                 "    def __init__(self):\n"
@@ -290,11 +290,26 @@ class TestForkSafetyChecker:
             ("unreachable-public", 2)]
 
     def test_unimported_module_not_in_scope(self, tmp_path):
-        # The lock lives in a module the trainer never imports: not in the
+        # The lock lives in a module the pool never imports: not in the
         # fork closure, so fork-taint has nothing to say about it.
         make_project(tmp_path, {
-            "src/repro/training/multiprocess.py": "x = 1\n",
+            "src/repro/serving/pool.py": "x = 1\n",
             "src/repro/serving/helpers.py": (
+                "import threading\n"
+                "_LOCK = threading.Lock()\n"
+            ),
+        })
+        assert run_checks(tmp_path, rules=["fork-taint"]) == []
+
+    def test_training_is_not_an_entry_point(self, tmp_path):
+        # Training forks nothing: a lock that only training modules import
+        # is outside every fork closure, whatever the module is called.
+        make_project(tmp_path, {
+            "src/repro/serving/pool.py": "x = 1\n",
+            "src/repro/training/multiprocess.py": (
+                "from repro.training import helpers\n"
+            ),
+            "src/repro/training/helpers.py": (
                 "import threading\n"
                 "_LOCK = threading.Lock()\n"
             ),
@@ -1032,22 +1047,22 @@ class TestResourceLifecycleChecker:
         assert run_checks(tmp_path, rules=["resource-lifecycle"]) == []
 
 class TestForkTaintChecker:
-    ENTRY = "src/repro/training/multiprocess.py"
+    ENTRY = "src/repro/serving/pool.py"
 
     def test_lock_two_hops_down_reported_with_import_chain(self, tmp_path):
         # The rule walks the whole import closure, not just the direct
         # imports, and names the path that carries the hazard.
         make_project(tmp_path, {
-            self.ENTRY: "from repro.training import mid\n",
-            "src/repro/training/mid.py": "from repro.training import deep\n",
-            "src/repro/training/deep.py": (
+            self.ENTRY: "from repro.serving import mid\n",
+            "src/repro/serving/mid.py": "from repro.serving import deep\n",
+            "src/repro/serving/deep.py": (
                 "import threading\n"
                 "_LOCK = threading.Lock()\n"
             ),
         })
         findings = run_checks(tmp_path, rules=["fork-taint"])
         assert len(findings) == 1
-        assert "training/mid.py -> training/deep.py" in findings[0].message
+        assert "serving/mid.py -> serving/deep.py" in findings[0].message
 
     def test_import_time_call_chain_reported(self, tmp_path):
         # CONN = make() at module level runs sqlite3.connect before the
@@ -1055,9 +1070,9 @@ class TestForkTaintChecker:
         # (Distance 2: in a direct import any connect would be flagged,
         # import-time or not.)
         make_project(tmp_path, {
-            self.ENTRY: "from repro.training import mid\n",
-            "src/repro/training/mid.py": "from repro.training import deep\n",
-            "src/repro/training/deep.py": (
+            self.ENTRY: "from repro.serving import mid\n",
+            "src/repro/serving/mid.py": "from repro.serving import deep\n",
+            "src/repro/serving/deep.py": (
                 "import sqlite3\n"
                 "\n"
                 "def make():\n"
@@ -1089,9 +1104,9 @@ class TestForkTaintChecker:
         # runs post-fork in the worker — the documented-safe pattern.
         # (Distance 2: direct imports are held to the whole-file contract.)
         make_project(tmp_path, {
-            self.ENTRY: "from repro.training import mid\n",
-            "src/repro/training/mid.py": "from repro.training import deep\n",
-            "src/repro/training/deep.py": (
+            self.ENTRY: "from repro.serving import mid\n",
+            "src/repro/serving/mid.py": "from repro.serving import deep\n",
+            "src/repro/serving/deep.py": (
                 "import sqlite3\n"
                 "\n"
                 "def worker(path):\n"
@@ -1106,12 +1121,12 @@ class TestForkTaintThreads:
     """A thread started at import time is a fork hazard; one started on first
     use (the row split's pool) is not."""
 
-    ENTRY = "src/repro/training/multiprocess.py"
+    ENTRY = "src/repro/serving/pool.py"
 
     def _deep(self, tmp_path, body):
         make_project(tmp_path, {
-            self.ENTRY: "from repro.training import mid\n",
-            "src/repro/training/mid.py": "from repro.sparse import deep\n",
+            self.ENTRY: "from repro.serving import mid\n",
+            "src/repro/serving/mid.py": "from repro.sparse import deep\n",
             "src/repro/sparse/deep.py": body,
         })
         return run_checks(tmp_path, rules=["fork-taint"])
@@ -1123,7 +1138,7 @@ class TestForkTaintThreads:
         ))
         assert [(f.path, f.line) for f in findings] == [("src/repro/sparse/deep.py", 2)]
         assert "thread started at import time" in findings[0].message
-        assert "training/mid.py -> sparse/deep.py" in findings[0].message
+        assert "serving/mid.py -> sparse/deep.py" in findings[0].message
 
     def test_bound_thread_started_at_module_level_flagged(self, tmp_path):
         findings = self._deep(tmp_path, (

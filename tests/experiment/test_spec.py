@@ -288,7 +288,7 @@ class TestTrainingConfigFromDict:
     @pytest.mark.parametrize("key, value", [
         ("sparse_grads", "false"), ("shuffle", 1), ("sanitize", "true"),
         ("epochs", "3"), ("epochs", 2.5), ("epochs", True), ("epochs", None),
-        ("batch_size", 64.0), ("num_workers", "2"), ("seed", 1.5),
+        ("batch_size", 64.0), ("normalize_every", "2"), ("seed", 1.5),
         ("learning_rate", "0.01"), ("margin", True),
     ])
     def test_wrong_json_type_rejected_naming_the_key(self, key, value):
@@ -296,6 +296,16 @@ class TestTrainingConfigFromDict:
         # bare TypeError.
         with pytest.raises(ValueError, match=f"training section key '{key}'"):
             TrainingConfig.from_dict({key: value})
+
+    def test_single_worker_key_of_older_payloads_is_dropped(self):
+        assert (TrainingConfig.from_dict({"num_workers": 1, "epochs": 3})
+                == TrainingConfig(epochs=3))
+
+    @pytest.mark.parametrize("value", [2, 0, "1", True, 1.0])
+    def test_any_other_worker_count_is_refused_naming_the_key(self, value):
+        with pytest.raises(ValueError, match="'num_workers'.*data-parallel "
+                                             "training was removed"):
+            TrainingConfig.from_dict({"num_workers": value})
 
     def test_null_seed_and_json_types_accepted(self):
         cfg = TrainingConfig.from_dict({"seed": None, "sparse_grads": False,

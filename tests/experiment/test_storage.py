@@ -1,6 +1,7 @@
 """Tests for the out-of-core storage path: parity, artifacts, mmap serving,
 and checkpoint-resume trajectory equality."""
 
+import json
 import os
 
 import numpy as np
@@ -13,7 +14,13 @@ from repro.data import (
     UniformNegativeSampler,
     generate_synthetic_kg,
 )
-from repro.experiment import DataSpec, EvalSpec, Experiment, ExperimentSpec
+from repro.experiment import (
+    DataSpec,
+    EvalSpec,
+    Experiment,
+    ExperimentSpec,
+    load_artifact,
+)
 from repro.models import SpTransE
 from repro.registry import ModelSpec
 from repro.serving import InferenceEngine
@@ -21,7 +28,7 @@ from repro.training import Trainer, TrainingConfig
 from repro.utils.seeding import new_rng
 
 
-def make_spec(storage="memory", num_workers=1, epochs=2, **data_overrides):
+def make_spec(storage="memory", epochs=2, **data_overrides):
     data = DataSpec(dataset="WN18RR", scale=0.003, test_fraction=0.05,
                     storage=storage, **data_overrides)
     n_entities, n_relations = data.vocab_sizes()
@@ -32,8 +39,7 @@ def make_spec(storage="memory", num_workers=1, epochs=2, **data_overrides):
                         n_entities=n_entities, n_relations=n_relations,
                         embedding_dim=16),
         training=TrainingConfig(epochs=epochs, batch_size=256,
-                                learning_rate=0.01, sparse_grads=True,
-                                num_workers=num_workers),
+                                learning_rate=0.01, sparse_grads=True),
         eval=EvalSpec(protocols=()),
     )
 
@@ -72,19 +78,6 @@ class TestStorageParity:
         # Out-of-core mode released the materialised triples before training.
         assert result.dataset is None
         assert result.dataset_name.startswith("WN18RR")
-
-    def test_experiment_sqlite_with_workers_matches_single(self, tmp_path):
-        spec = make_spec(storage="sqlite", epochs=2)
-        single = Experiment(spec, artifact_dir=str(tmp_path / "w1")).run()
-        multi = Experiment(
-            spec.replace(training=spec.training.replace(num_workers=2)),
-            artifact_dir=str(tmp_path / "w2")).run()
-        np.testing.assert_allclose(single.training.losses,
-                                   multi.training.losses, rtol=1e-9)
-        for (name, a), (_, b) in zip(single.model.named_parameters(),
-                                     multi.model.named_parameters()):
-            np.testing.assert_allclose(a.data, b.data, rtol=1e-9, atol=1e-12,
-                                       err_msg=name)
 
     def test_stale_store_with_same_count_is_rejected(self, tmp_path):
         """Reusing a storage_path across different datasets must fail even
@@ -171,6 +164,23 @@ class TestSparseResumeRegression:
                 resumed.model.named_parameters()):
             np.testing.assert_array_equal(a.data, b.data, err_msg=name)
 
+    @pytest.mark.parametrize("sampler", ["uniform", "bernoulli"])
+    def test_sqlite_resume_continues_identical_trajectory(self, tmp_path, sampler):
+        """A resumed out-of-core run replays the skipped epochs of its SQLite
+        stream, so it continues where the uninterrupted stream would be."""
+        spec = make_spec(storage="sqlite", epochs=4, negative_sampler=sampler)
+        uninterrupted = Experiment(spec).run()
+
+        checkpoint = str(tmp_path / "half")
+        Experiment(spec.replace(training=spec.training.replace(epochs=2)),
+                   artifact_dir=checkpoint).run()
+        resumed = Experiment(spec, resume=checkpoint).run()
+
+        np.testing.assert_array_equal(uninterrupted.training.losses[2:],
+                                      resumed.training.losses)
+        np.testing.assert_array_equal(uninterrupted.model.entity_embedding_matrix(),
+                                      resumed.model.entity_embedding_matrix())
+
     def test_resume_restores_optimizer_step_count(self, tmp_path):
         spec = make_spec(epochs=2)
         checkpoint = str(tmp_path / "ck")
@@ -180,11 +190,54 @@ class TestSparseResumeRegression:
         metadata = load_checkpoint(checkpoint).metadata
         assert metadata["optimizer_step_count"] > 0
 
-    def test_resume_with_workers_is_rejected(self, tmp_path):
+
+class TestArtifactsWithNumWorkers:
+    """Every ``spec.json`` and checkpoint written while data-parallel training
+    existed carries ``training.num_workers``; a 1 there still loads."""
+
+    @staticmethod
+    def write_num_workers(artifact_dir, value):
+        spec_path = os.path.join(artifact_dir, "spec.json")
+        with open(spec_path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["training"]["num_workers"] = value
+        with open(spec_path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        checkpoint_path = os.path.join(artifact_dir, "checkpoint.npz")
+        with np.load(checkpoint_path) as data:
+            arrays = dict(data)
+        metadata = json.loads(bytes(arrays["metadata"]).decode("utf-8"))
+        metadata["training_config"]["num_workers"] = value
+        arrays["metadata"] = np.frombuffer(json.dumps(metadata).encode("utf-8"),
+                                           dtype=np.uint8)
+        np.savez(checkpoint_path, **arrays)
+
+    def test_spec_loads_through_load_artifact(self, tmp_path):
+        spec = make_spec(epochs=1)
+        artifact_dir = str(tmp_path / "artifact")
+        Experiment(spec, artifact_dir=artifact_dir).run()
+        self.write_num_workers(artifact_dir, 1)
+        assert load_artifact(artifact_dir).spec.training == spec.training
+
+    def test_checkpoint_resumes_the_same_trajectory(self, tmp_path):
         spec = make_spec(epochs=4)
-        checkpoint = str(tmp_path / "ck")
+        uninterrupted = Experiment(spec).run()
+        checkpoint = str(tmp_path / "half")
         Experiment(spec.replace(training=spec.training.replace(epochs=2)),
                    artifact_dir=checkpoint).run()
-        multi = spec.replace(training=spec.training.replace(num_workers=2))
-        with pytest.raises(ValueError, match="num_workers"):
-            Experiment(multi, resume=checkpoint).run()
+        self.write_num_workers(checkpoint, 1)
+        resumed = Experiment(spec, resume=checkpoint).run()
+        np.testing.assert_array_equal(uninterrupted.training.losses[2:],
+                                      resumed.training.losses)
+
+    def test_more_than_one_worker_is_refused_naming_the_key(self, tmp_path):
+        spec = make_spec(epochs=2)
+        artifact_dir = str(tmp_path / "artifact")
+        Experiment(spec.replace(training=spec.training.replace(epochs=1)),
+                   artifact_dir=artifact_dir).run()
+        self.write_num_workers(artifact_dir, 2)
+        refusal = "'num_workers' is 2: data-parallel training was removed"
+        with pytest.raises(ValueError, match=refusal):
+            load_artifact(artifact_dir)
+        with pytest.raises(ValueError, match=refusal):
+            Experiment(spec, resume=artifact_dir).run()

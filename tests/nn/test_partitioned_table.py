@@ -268,15 +268,9 @@ class TestExactRows:
         assert held.closed
         assert np.array_equal(table.exact_rows(np.array([lo])), fresh)
 
-    def test_rehome_attach_and_close_drop_every_map(self, table, tmp_path):
+    def test_attach_and_close_drop_every_map(self, table):
         everything = np.arange(N)
         expected = table.exact_rows(everything)
-        held = [mapping for mapping, _ in table._maps.values()]
-        assert len(held) == 4
-        table.rehome(str(tmp_path / "rehomed"))
-        assert table._maps == {} and all(m.closed for m in held)
-        assert np.array_equal(table.exact_rows(everything), expected)
-
         table.flush()
         table.write_manifest()
         other = PartitionedEmbedding(N, R, D, partitions=4, rng=0)
@@ -339,54 +333,6 @@ class TestStorageLifecycle:
         with pytest.raises(ValueError):
             other.attach_storage(table.directory)
         other.close()
-
-    def test_rehome_isolates_storage(self, table, tmp_path):
-        original_dir = table.directory
-        new_dir = table.rehome(str(tmp_path / "rehomed"))
-        assert new_dir != original_dir
-        table.write_rows(np.array([0]), np.full((1, D), 9.0))
-        table.flush()
-        # the original file is untouched by post-rehome writes
-        original = np.load(os.path.join(original_dir, bucket_filename(0)))
-        assert not np.array_equal(original[0], np.full(D, 9.0))
-
-    def test_rehome_isolates_in_place_evictions(self, table, tmp_path):
-        """Write-backs overwrite files in place; after ``rehome`` the files
-        they overwrite are the private copies, never the originals."""
-        original_dir = table.directory
-        before = {k: _file_bytes(os.path.join(original_dir, bucket_filename(k)))
-                  for k in range(4)}
-        table.rehome(str(tmp_path / "rehomed"))
-        for k in range(4):  # max_resident=2: every bucket is evicted dirty
-            table.bucket_parameters()[k].data[...] = float(k)
-        table.flush()
-        assert table.stats()["writebacks"] >= 4
-        for k in range(4):
-            assert _file_bytes(os.path.join(original_dir, bucket_filename(k))) == before[k]
-            assert np.all(np.load(os.path.join(table.directory, bucket_filename(k))) == k)
-
-    def test_forked_replica_write_backs_stay_private(self, table):
-        """What ``training.multiprocess`` does in each worker: fork, rehome,
-        train.  The child's in-place write-backs must not reach the parent's
-        bucket files."""
-        table._fault(0)
-        paths = [os.path.join(table.directory, bucket_filename(k)) for k in range(4)]
-        before = [_file_bytes(path) for path in paths]
-        pid = os.fork()
-        if pid == 0:  # child: never return into pytest
-            status = 1
-            try:
-                table.rehome()
-                for k in range(4):
-                    table.bucket_parameters()[k].data[...] = -1.0
-                table.flush()
-                table.close()  # removes the child's private directory only
-                status = 0
-            finally:
-                os._exit(status)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-        assert [_file_bytes(path) for path in paths] == before
 
     def test_renormalize_matches_stacked(self, table):
         stacked = StackedEmbedding(N, R, D, rng=42)

@@ -81,6 +81,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train"])
 
+    @pytest.mark.parametrize("command", [["run", "exp.json"], ["export-spec"]])
+    def test_training_commands_take_no_workers_flag(self, capsys, command):
+        # Training runs in one process: the flag is gone, not ignored.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*command, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_serve_keeps_its_pool_workers_flag(self):
+        args = build_parser().parse_args(["serve", "--checkpoint", "a",
+                                          "--workers", "3"])
+        assert args.workers == 3
+
     def test_evaluate_and_serve_take_no_data_flags(self):
         """The artifact's spec.json names its data; nothing is typed twice."""
         sub = next(action for action in build_parser()._actions
@@ -145,12 +158,12 @@ class TestExportThenRun:
                            "--formulation", "sparse", "--scale", "0.003",
                            "--epochs", "1")
 
-    def test_export_storage_and_workers_flags_reach_the_run(self, capsys, tmp_path):
+    def test_export_storage_flags_reach_the_run(self, capsys, tmp_path):
         _, summary = export_and_run(
             capsys, tmp_path, "--dataset", "WN18RR", "--scale", "0.003",
             "--model", "transe", "--epochs", "1", "--batch-size", "256",
             "--dim", "8", "--storage", "sqlite", "--storage-path",
-            str(tmp_path / "kg.sqlite"), "--workers", "2", "--sparse-grads")
+            str(tmp_path / "kg.sqlite"), "--sparse-grads")
         assert (tmp_path / "kg.sqlite").exists()
         assert np.isfinite(summary["metrics"]["final_loss"])
 
@@ -210,18 +223,18 @@ class TestRunCommand:
         assert code == 0
         assert "hits@10" in json.loads(out)
 
-    def test_run_storage_and_workers_overrides(self, capsys, tmp_path):
+    def test_run_storage_override(self, capsys, tmp_path):
         spec_path = str(tmp_path / "exp.json")
         run_cli(capsys, "export-spec", "--dataset", "WN18RR", "--scale", "0.003",
                 "--model", "transe", "--epochs", "1", "--batch-size", "256",
                 "--dim", "8", "--sparse-grads", "--output", spec_path)
         spec_payload = json.loads((tmp_path / "exp.json").read_text())
         assert spec_payload["data"]["storage"] == "memory"
-        assert spec_payload["training"]["num_workers"] == 1
+        assert "num_workers" not in spec_payload["training"]
 
         artifacts = str(tmp_path / "artifacts")
         code, out = run_cli(capsys, "run", spec_path, "--artifacts", artifacts,
-                            "--storage", "sqlite", "--workers", "2", "--quiet")
+                            "--storage", "sqlite", "--quiet")
         assert code == 0
         assert json.loads(out)["metrics"]["epochs_trained"] == 1
         assert (tmp_path / "artifacts" / "data.sqlite").exists()

@@ -248,26 +248,3 @@ class TestDenseLayout:
         assert np.array_equal(model.score_triples(triples),
                               lazy.score_triples(triples))
 
-
-class TestMultiprocessPartitioned:
-    def test_two_workers_match_single_worker(self, kg):
-        """Bucket-granular gradient exchange keeps replicas in lockstep."""
-        def run(workers):
-            data = DataSpec(dataset="FB15K", scale=0.003, seed=1,
-                            test_fraction=0.05, storage="sqlite")
-            spec = ExperimentSpec(
-                name=f"mp-{workers}", data=data,
-                model=ModelSpec(model="transe", formulation="sparse",
-                                n_entities=kg.n_entities,
-                                n_relations=kg.n_relations, embedding_dim=8,
-                                partitions=3),
-                training=TrainingConfig(epochs=1, batch_size=256,
-                                        sparse_grads=True, num_workers=workers),
-                eval=EvalSpec(protocols=()),
-            )
-            return Experiment(spec, dataset=kg).run()
-
-        single = run(1)
-        double = run(2)  # the trainer's digest sync check runs internally
-        assert np.allclose(single.model.entity_embedding_matrix(),
-                           double.model.entity_embedding_matrix(), atol=1e-12)

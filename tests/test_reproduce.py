@@ -20,6 +20,11 @@ from benchmarks.common import (  # noqa: E402
     make_batch,
     paired_models,
 )
+from benchmarks.timing_cases import (  # noqa: E402
+    TABLE9_WORKERS,
+    CommunicationModel,
+    _holds_table9,
+)
 
 VERDICTS = {"holds", "does_not_hold"}
 
@@ -135,6 +140,58 @@ class TestInterleavedRatio:
         b, a, clock = self._steps(0.010, 0.005)
         backward = interleaved_ratio(b, a, warmup=1, rounds=5, clock=clock)["ratio"]
         assert forward * backward == pytest.approx(1.0, rel=0.15)
+
+
+class TestCommunicationModel:
+    def test_single_worker_is_free(self):
+        assert CommunicationModel().allreduce_time(1, 10**9) == 0.0
+
+    def test_cost_increases_with_volume(self):
+        comm = CommunicationModel()
+        assert comm.allreduce_time(8, 10**9) > comm.allreduce_time(8, 10**6)
+
+    def test_cost_increases_with_workers_for_fixed_volume(self):
+        comm = CommunicationModel(latency_s=1e-3)
+        assert comm.allreduce_time(64, 10**6) > comm.allreduce_time(4, 10**6)
+
+    def test_ring_volume_term_saturates(self):
+        comm = CommunicationModel(latency_s=0.0)
+        t4 = comm.allreduce_time(4, 10**9)
+        t64 = comm.allreduce_time(64, 10**9)
+        # 2(W-1)/W approaches 2, so the bandwidth term grows by < 35% from 4 to 64.
+        assert t64 < 1.35 * t4
+
+
+class TestTable9:
+    """``table9`` is an α–β model of data parallelism; no worker count runs."""
+
+    @staticmethod
+    def rows(modeled_ms, comm_ms):
+        return [{"workers": w, "modeled_ms": m, "comm_ms": c, "allreduce_mb": 1.0}
+                for w, m, c in zip(TABLE9_WORKERS, modeled_ms, comm_ms)]
+
+    def test_rows_are_the_modeled_sweep_alone(self, toy):
+        case = next(case for case in toy["cases"] if case["name"] == "table9")
+        assert not {"measured_ms", "measured_comm_ms"} & set(case["columns"])
+        assert [row["workers"] for row in case["rows"]] == list(TABLE9_WORKERS)
+        assert "uncalibrated" in case["detail"]
+        assert "assumed, not fitted" in case["detail"]
+
+    def test_monotone_sublinear_sweep_with_cheap_comm_holds(self):
+        holds, _ = _holds_table9(self.rows([200, 120, 100, 60, 40, 30, 25],
+                                           [0, 1, 1, 1, 2, 2, 3]))
+        assert holds
+
+    def test_sweep_that_turns_upward_does_not_hold(self):
+        holds, detail = _holds_table9(self.rows([200, 120, 100, 60, 40, 45, 50],
+                                                [0, 1, 1, 1, 2, 2, 3]))
+        assert not holds
+        assert "NOT monotone" in detail
+
+    def test_communication_bound_sweep_does_not_hold(self):
+        holds, _ = _holds_table9(self.rows([200, 120, 100, 60, 40, 30, 25],
+                                           [0, 1, 1, 1, 2, 2, 13]))
+        assert not holds
 
 
 @pytest.mark.parametrize("model_name", list(MODEL_PAIRS))

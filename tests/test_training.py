@@ -1,8 +1,14 @@
 """Tests for the training loop and configuration."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
+import repro.training
 from repro.baselines import DenseTransE
 from repro.data import generate_synthetic_kg
 from repro.losses import MarginRankingLoss
@@ -28,6 +34,17 @@ class TestTrainingConfig:
         assert cfg.learning_rate == pytest.approx(4e-4)
         assert cfg.margin == pytest.approx(0.5)
         assert cfg.optimizer == "adam"
+
+    def test_worker_count_is_not_an_argument(self):
+        # Data-parallel training was removed; no shim keeps the keyword alive.
+        with pytest.raises(TypeError, match="num_workers"):
+            TrainingConfig(num_workers=1)
+
+    def test_payload_round_trips_without_a_worker_count(self):
+        cfg = TrainingConfig(epochs=3, sparse_grads=True, seed=None)
+        payload = cfg.to_dict()
+        assert "num_workers" not in payload
+        assert TrainingConfig.from_dict(payload) == cfg
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -200,3 +217,21 @@ class TestTrainingResult:
         np.testing.assert_array_equal(replayed.negatives, expected.negatives)
         fresh = next(iter(trainer().batches))
         assert not np.array_equal(fresh.negatives, expected.negatives)
+
+
+class TestPackageSurface:
+    def test_exports_one_trainer(self):
+        for name in ("MultiprocessTrainer", "MultiprocessResult",
+                     "CommunicationModel"):
+            assert name not in repro.training.__all__
+            assert not hasattr(repro.training, name)
+
+    def test_import_loads_no_multiprocessing(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.training; print('multiprocessing' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert probe.stdout.strip() == "False"
