@@ -24,9 +24,11 @@ registry-model      every concrete model carries @register_model
 registry-roundtrip  spec dataclass fields survive to_dict/from_dict
 ann-recall          every registered ANN index kind has a tests/ann/ test
 suppression-unused  every ``# repro: ignore`` still suppresses something
-unreachable-public  every public top-level name is named somewhere in
-                    src/, benchmarks/ or examples/ (tests, re-exports
-                    and __all__ lists do not count)
+unreachable-public  every public top-level name, and every public method
+                    of a public top-level class, is referred to by code
+                    in src/, benchmarks/ or examples/ (comments,
+                    docstrings, tests, re-exports and __all__ lists do
+                    not count)
 ==================  =====================================================
 
 Suppress per line with ``# repro: ignore[rule-id]`` or per file with

@@ -21,7 +21,7 @@ Layout of keys (strings, stable across builds):
 
 * module:      ``"serving/engine.py"`` (package-relative path)
 * function:    ``"serving/engine.py::top_k"``
-* method:      ``"serving/engine.py::InferenceEngine.reload"``
+* method:      ``"serving/engine.py::InferenceEngine.close"``
 * class:       ``"serving/engine.py::InferenceEngine"`` (in :attr:`classes`)
 """
 
@@ -161,7 +161,6 @@ class CallGraph:
 
     * :meth:`resolve` — callee key for a specific ``ast.Call`` node
     * :meth:`calls_in` — every call site inside one function
-    * :meth:`callers_of` — reverse edges
     * :meth:`resolve_method` — MRO walk over resolved base classes
     * :meth:`infer_type` — heuristic class of an expression in a context
     """
@@ -172,7 +171,6 @@ class CallGraph:
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         self._calls: Dict[str, List[CallSite]] = {}
-        self._callers: Dict[str, List[CallSite]] = {}
         self._by_node: Dict[int, CallSite] = {}
         self.unresolved: List[CallSite] = []
         self._build()
@@ -510,9 +508,7 @@ class CallGraph:
                         callee=callee, instantiates=instantiates)
         self._calls.setdefault(fn.key, []).append(site)
         self._by_node[id(node)] = site
-        if callee is not None:
-            self._callers.setdefault(callee, []).append(site)
-        elif instantiates is None:
+        if callee is None and instantiates is None:
             self.unresolved.append(site)
 
     def _resolve_call(self, relpath: str, fn: FunctionInfo, node: ast.Call,
@@ -572,14 +568,8 @@ class CallGraph:
     def calls_in(self, function_key: str) -> List[CallSite]:
         return self._calls.get(function_key, [])
 
-    def callers_of(self, function_key: str) -> List[CallSite]:
-        return self._callers.get(function_key, [])
-
     def function(self, key: str) -> Optional[FunctionInfo]:
         return self.functions.get(key)
-
-    def class_of(self, key: str) -> Optional[ClassInfo]:
-        return self.classes.get(key)
 
     def iter_functions(self, *prefixes: str) -> Iterator[FunctionInfo]:
         """Defined functions/methods (no module bodies), optionally by prefix."""

@@ -268,6 +268,3 @@ class ForwardAnalysis:
     def exit_state(self) -> Optional[Any]:
         """Joined state over every normal (non-raise) path out of the function."""
         return self._in.get(self.cfg.exit.index)
-
-    def raise_state(self) -> Optional[Any]:
-        return self._in.get(self.cfg.raise_exit.index)

@@ -7,7 +7,7 @@ candidates exactly from float64 posting lists, one positional read per probed
 cluster.  See :mod:`repro.ann.ivf` for the layout and guarantees.
 """
 
-from repro.ann.kmeans import assign_clusters, default_n_clusters, kmeans
+from repro.ann.kmeans import default_n_clusters, kmeans
 from repro.ann.ivf import (
     ARTIFACT_INDEX,
     INDEX_MANIFEST,
@@ -28,7 +28,6 @@ __all__ = [
     "INDEX_MANIFEST",
     "INDEX_MANIFEST_VERSION",
     "IVFIndex",
-    "assign_clusters",
     "assign_filename",
     "build_index_files",
     "centroids_filename",

@@ -409,29 +409,18 @@ class IVFIndex:
             spans.append((part, lo, hi - lo, perm[lo:hi] + self._range_start[part]))
         return spans
 
-    def candidate_ids(self, query: np.ndarray,
-                      nprobe: Optional[int] = None) -> np.ndarray:
-        """Global entity ids inside the ``nprobe`` nearest clusters, ascending.
-
-        Clusters partition the rows, so the concatenated candidate lists are
-        duplicate-free; sorting them ascending makes the full-probe candidate
-        set literally ``arange(n_entities)`` — the bit-identical-to-exact
-        guarantee.
-        """
-        q = np.asarray(query, dtype=np.float64).reshape(1, -1)
-        candidates = np.concatenate([ids for *_, ids in self._probed(q, nprobe)])
-        candidates.sort(kind="stable")
-        return candidates
-
     def probe(self, query: np.ndarray, nprobe: Optional[int] = None
               ) -> Tuple[np.ndarray, np.ndarray]:
         """Candidates of ``query`` with their exact L2 distances.
 
-        :meth:`candidate_ids` (ascending), rescored from their float64 rows
-        and stored norms; ``(ids, distances)`` are aligned, not ranked.  Each
-        probed cluster's span of its range's list file is read with one
-        ``os.preadv`` into one buffer; the rows are then put in ascending id
-        order, so the distance call is the one an id-sorted
+        The global entity ids inside the ``nprobe`` nearest clusters, in
+        ascending order, rescored from their float64 rows and stored norms.
+        Clusters partition the rows, so the candidates are duplicate-free and
+        the full-probe set is literally ``arange(n_entities)``, the
+        bit-identical-to-exact guarantee.  ``(ids, distances)`` are aligned,
+        not ranked.  Each probed cluster's span of its range's list file is
+        read with one ``os.preadv`` into one buffer; the rows are then put in
+        ascending id order, so the distance call is the one an id-sorted
         ``exact_rows`` read of the candidates would make.
         """
         q = np.asarray(query, dtype=np.float64).reshape(1, -1)

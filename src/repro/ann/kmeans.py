@@ -56,7 +56,13 @@ def _distance_dtype(rows: np.ndarray, centroids: np.ndarray) -> np.dtype:
 
 def _assign(rows: np.ndarray, rows_sq: np.ndarray, centroids: np.ndarray
             ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`assign_clusters` with the rows' squared norms supplied.
+    """Nearest-centroid assignment, tiled over rows, given ``rows_sq = ‖x‖²``.
+
+    Returns ``(assign, dist)``: per-row cluster id (int32) and the textbook
+    distance ``sqrt(max(‖x − c‖², 0) + 1e-12)`` to that centroid (the inputs'
+    promoted floating dtype).  Beyond its ``(n,)`` outputs the call holds one
+    ``(block, n_clusters)`` scratch tile of at most
+    :data:`ASSIGN_TILE_ELEMENTS` elements.
 
     ``‖x − c‖² = ‖x‖² + (‖c‖² − 2 x·c)``, and ``‖x‖²`` is constant per row,
     so the ``argmin`` needs only the bracket: per row tile one GEMM
@@ -86,20 +92,6 @@ def _assign(rows: np.ndarray, rows_sq: np.ndarray, centroids: np.ndarray
     np.add(best, 1e-12, out=best)
     np.sqrt(best, out=best)
     return assign, best
-
-
-def assign_clusters(rows: np.ndarray, centroids: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """Nearest-centroid assignment, tiled over rows.
-
-    Returns ``(assign, dist)``: per-row cluster id (int32) and the textbook
-    distance ``sqrt(max(‖x − c‖², 0) + 1e-12)`` to that centroid (the inputs'
-    promoted floating dtype).  Beyond its ``(n,)`` outputs and ``‖x‖²`` the
-    call holds one ``(block, n_clusters)`` scratch tile of at most
-    :data:`ASSIGN_TILE_ELEMENTS` elements.
-    """
-    return _assign(rows, squared_norms(rows, _distance_dtype(rows, centroids)),
-                   centroids)
 
 
 def _reseed_empty_clusters(assign: np.ndarray, dist: np.ndarray,

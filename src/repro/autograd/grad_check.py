@@ -56,6 +56,7 @@ def numerical_gradient(
     return grad
 
 
+# Tests check every op's backward against it: the oracle of a reached path.
 def gradcheck(  # repro: ignore[unreachable-public]
     fn: Callable[..., Tensor],
     inputs: Sequence[Tensor],

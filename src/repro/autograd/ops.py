@@ -19,7 +19,7 @@ interoperate with everything below.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -173,23 +173,6 @@ def cos(x: Tensor) -> Tensor:
             x.accumulate_grad(grad * -np.sin(x.data))
 
     return Tensor._make(out_data, (x,), backward, "cos")
-
-
-def frac(x: Tensor) -> Tensor:
-    """Fractional part ``x - floor(x)``.
-
-    The floor is piecewise constant, so the gradient passes straight through —
-    exactly the behaviour TorusE relies on when training on the torus.
-    """
-    x = _to_tensor(x)
-    out_data = x.data - np.floor(x.data)
-    count_flops("frac", 2 * x.size)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(grad)
-
-    return Tensor._make(out_data, (x,), backward, "frac")
 
 
 # --------------------------------------------------------------------------- #
@@ -371,10 +354,10 @@ def squared_l2(x: Tensor, axis: int = -1) -> Tensor:
 def torus_distance(x: Tensor, p: int = 2, axis: int = -1) -> Tensor:
     """Toroidal (wraparound) L1/L2 dissimilarity used by TorusE.
 
-    Each component is first wrapped to the unit torus with ``frac`` and the
-    per-component distance is ``min(y, 1 - y)``; components are then reduced
-    with an L1 sum (``p=1``) or a squared-L2 sum (``p=2``), matching the
-    ``l2_torus_dissimilarity`` kernel highlighted in the paper's Figure 2.
+    Each component is first wrapped to the unit torus, ``y = x − floor(x)``,
+    and the per-component distance is ``min(y, 1 - y)``; components are then
+    reduced with an L1 sum (``p=1``) or a squared-L2 sum (``p=2``), matching
+    the ``l2_torus_dissimilarity`` kernel highlighted in the paper's Figure 2.
     """
     x = _to_tensor(x)
     y = x.data - np.floor(x.data)
@@ -394,8 +377,8 @@ def torus_distance(x: Tensor, p: int = 2, axis: int = -1) -> Tensor:
         if not x.requires_grad:
             return
         g = np.expand_dims(grad, axis=axis)
-        # d/dy min(y, 1-y) is +1 below the fold and -1 above; frac passes
-        # the gradient through unchanged.
+        # d/dy min(y, 1-y) is +1 below the fold and -1 above; the floor is
+        # piecewise constant, so the wrap passes the gradient through.
         local = np.where(take_y, 1.0, -1.0)
         if p == 1:
             x.accumulate_grad(g * local)
@@ -413,23 +396,3 @@ def normalize_rows(x: Tensor, p: int = 2, axis: int = -1, eps: float = 1e-12) ->
     expand_shape = list(x.shape)
     expand_shape[axis] = 1
     return x * (norms.reshape(expand_shape) ** -1.0)
-
-
-def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator] = None,
-            training: bool = True) -> Tensor:
-    """Inverted dropout; identity when ``training`` is False or ``rate`` is 0."""
-    x = _to_tensor(x)
-    if not training or rate <= 0.0:
-        return x
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"rate must be in [0, 1), got {rate}")
-    rng = rng if rng is not None else np.random.default_rng()
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    out_data = x.data * mask
-    count_flops("dropout", x.size)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(grad * mask)
-
-    return Tensor._make(out_data, (x,), backward, "dropout")

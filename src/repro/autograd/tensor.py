@@ -162,13 +162,6 @@ class Tensor:
         """All-ones tensor of ``shape``."""
         return cls(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
 
-    @classmethod
-    def randn(cls, shape, rng: Optional[np.random.Generator] = None,
-              scale: float = 1.0, requires_grad: bool = False) -> "Tensor":
-        """Standard-normal tensor (optionally scaled) of ``shape``."""
-        rng = rng if rng is not None else np.random.default_rng()
-        return cls(rng.standard_normal(shape) * scale, requires_grad=requires_grad)
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -206,10 +199,6 @@ class Tensor:
 
     def _item_error(self):
         raise ValueError(f"item() requires a single-element tensor, got shape {self.shape}")
-
-    def detach(self) -> "Tensor":
-        """Return a new leaf tensor sharing the same data, cut off from the tape."""
-        return Tensor(self.data, requires_grad=False, name=self.name)
 
     def copy(self) -> "Tensor":
         """Return a leaf tensor with a copied payload."""

@@ -44,9 +44,6 @@ class DenseDistMult(KGEModel):
     def entity_embedding_matrix(self) -> np.ndarray:
         return self.entity_embeddings.weight.data.copy()
 
-    def relation_embedding_matrix(self) -> np.ndarray:
-        return self.relation_embeddings.weight.data.copy()
-
 
 @register_model("complex", "dense")
 class DenseComplEx(KGEModel):
@@ -81,9 +78,4 @@ class DenseComplEx(KGEModel):
     def entity_embedding_matrix(self) -> np.ndarray:
         return np.concatenate(
             [self.entity_real.weight.data, self.entity_imag.weight.data], axis=1
-        )
-
-    def relation_embedding_matrix(self) -> np.ndarray:
-        return np.concatenate(
-            [self.relation_real.weight.data, self.relation_imag.weight.data], axis=1
         )

@@ -63,9 +63,6 @@ class DenseTransD(TranslationalModel):
         t_perp = t + r_p * row_dot(t_p, t).reshape(-1, 1)
         return h_perp + r - t_perp
 
-    def relation_embedding_matrix(self) -> np.ndarray:
-        return self.relation_embeddings.weight.data.copy()
-
     def normalize_parameters(self) -> None:
         """Constrain entity and relation embeddings to the unit L2 ball."""
         self.entity_embeddings.renormalize_(max_norm=1.0, p=2)

@@ -52,9 +52,6 @@ class DenseTransE(TranslationalModel):
     def relation_translations(self, relations: np.ndarray) -> np.ndarray:
         return self.relation_embeddings.weight.data[relations]
 
-    def relation_embedding_matrix(self) -> np.ndarray:
-        return self.relation_embeddings.weight.data.copy()
-
     def normalize_parameters(self) -> None:
         """Project entity embeddings onto the unit L2 ball (TransE's constraint)."""
         self.entity_embeddings.renormalize_(max_norm=1.0, p=2)

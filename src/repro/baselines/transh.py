@@ -53,9 +53,6 @@ class DenseTransH(HyperplaneGeometry, TranslationalModel):
         t_perp = t - w_r * row_dot(w_r, t).reshape(-1, 1)
         return h_perp + d_r - t_perp
 
-    def relation_embedding_matrix(self) -> np.ndarray:
-        return self.translations.weight.data.copy()
-
     def normalize_parameters(self) -> None:
         """Constrain entity embeddings to the unit ball and normals to unit norm."""
         self.entity_embeddings.renormalize_(max_norm=1.0, p=2)

@@ -66,9 +66,6 @@ class DenseTransR(RelationSpaceGeometry, TranslationalModel):
         t_proj = bmm_vec(mats, t)
         return h_proj + r - t_proj
 
-    def relation_embedding_matrix(self) -> np.ndarray:
-        return self.relation_embeddings.weight.data.copy()
-
     def normalize_parameters(self) -> None:
         """Constrain entity and relation embeddings to the unit L2 ball."""
         self.entity_embeddings.renormalize_(max_norm=1.0, p=2)

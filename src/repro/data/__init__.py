@@ -26,11 +26,7 @@ from repro.data.negative_sampling import (
     make_negative_sampler,
 )
 from repro.data.batching import TripletBatch, BatchIterator
-from repro.data.streaming import (
-    InMemoryTripleStore,
-    StreamingBatchIterator,
-    TripleStore,
-)
+from repro.data.streaming import StreamingBatchIterator, TripleStore
 from repro.data.partition_schedule import PartitionedStreamingIterator
 
 __all__ = [
@@ -58,6 +54,5 @@ __all__ = [
     "BatchIterator",
     "StreamingBatchIterator",
     "PartitionedStreamingIterator",
-    "InMemoryTripleStore",
     "TripleStore",
 ]

@@ -219,25 +219,3 @@ class KGDataset:
             "max_degree": float(degrees.max()) if degrees.size else 0.0,
             "mean_relation_frequency": float(rel_freq.mean()) if rel_freq.size else 0.0,
         }
-
-    def subsample(self, n_triples: int, rng=None) -> "KGDataset":
-        """Return a dataset with at most ``n_triples`` training triples.
-
-        Used by the benchmark harness to scale the paper's datasets down to
-        CPU-friendly sizes while preserving the entity/relation vocabulary.
-        """
-        if n_triples <= 0:
-            raise ValueError(f"n_triples must be positive, got {n_triples}")
-        rng = new_rng(rng)
-        train = self.split.train
-        if n_triples >= train.shape[0]:
-            return self
-        keep = rng.choice(train.shape[0], size=n_triples, replace=False)
-        return KGDataset(
-            n_entities=self.n_entities,
-            n_relations=self.n_relations,
-            entity_vocab=self.entity_vocab,
-            relation_vocab=self.relation_vocab,
-            name=f"{self.name}-sub{n_triples}",
-            split=TripleSplit(train=train[keep], valid=self.split.valid, test=self.split.test),
-        )

@@ -73,13 +73,6 @@ class NegativeSampler:
             self._filter_known(corrupted, corrupt_head)
         return corrupted
 
-    def corrupt_many(self, triples: np.ndarray, num_negatives: int) -> np.ndarray:
-        """Return ``(M, K, 3)`` corrupted triples (K negatives per positive)."""
-        if num_negatives <= 0:
-            raise ValueError(f"num_negatives must be positive, got {num_negatives}")
-        stacks = [self.corrupt(triples) for _ in range(num_negatives)]
-        return np.stack(stacks, axis=1)
-
     # ------------------------------------------------------------------ #
     def _avoid_identity(self, corrupted: np.ndarray, originals: np.ndarray,
                         corrupt_head: np.ndarray) -> None:

@@ -98,12 +98,6 @@ class PartitionedStreamingIterator:
             self._pair_keys = sorted(self._runs)
         return self._runs
 
-    @property
-    def n_episodes(self) -> int:
-        """Number of populated bucket pairs (episodes per epoch)."""
-        self._pair_runs()
-        return len(self._pair_keys)
-
     def __len__(self) -> int:
         """Batches per epoch (episode-partial batches included)."""
         runs = self._pair_runs()
@@ -112,10 +106,6 @@ class PartitionedStreamingIterator:
             count = sum(hi - lo + 1 for lo, hi in pair_runs) * self.num_negatives
             total += -(-count // self.batch_size)
         return total
-
-    def set_epoch(self, epoch: int) -> None:
-        """Pin the epoch counter: the next pass draws that epoch's order."""
-        self.epoch = int(epoch)
 
     # ------------------------------------------------------------------ #
     def _iter_episode_positives(self, pair: Tuple[int, int],

@@ -3,9 +3,8 @@
 The paper's streaming dataloader converts large KG files into an SQLite
 database holding the entity/relation index mapping plus the triplets, then
 streams minibatches out of it.  This class provides that store: ingest a
-:class:`~repro.data.dataset.KGDataset` (or labelled triples), query counts,
-and iterate triples in fixed-size batches without materialising the whole
-table in memory.
+:class:`~repro.data.dataset.KGDataset`, query counts, and fetch triples by
+position range without materialising the whole table in memory.
 
 Each split's triples are a sequence of **chunks**: packed little-endian int64
 ``(rows, 3)`` blobs of :data:`CHUNK_ROWS` rows each (the split's last chunk
@@ -20,7 +19,6 @@ are refused with a request to re-spool.
 
 from __future__ import annotations
 
-import os
 import sqlite3
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -28,7 +26,6 @@ import numpy as np
 
 from repro.data.dataset import KGDataset
 from repro.data.streaming import block_bounds_of, pair_run_bounds, pair_runs_of
-from repro.data.vocab import Vocabulary
 
 #: Triples per chunk blob (96 KiB): a fetch reads at most one partial chunk
 #: beyond each end of its range, and clustering holds about two chunks.
@@ -80,7 +77,6 @@ class SQLiteKGStore:
     """
 
     def __init__(self, path: str = ":memory:") -> None:
-        self.path = path
         self._conn = sqlite3.connect(path)
         if self._conn.execute("SELECT 1 FROM sqlite_master WHERE type = 'table' "
                               "AND name = 'triples'").fetchone() is not None:
@@ -167,58 +163,6 @@ class SQLiteKGStore:
             self._conn.execute("DELETE FROM meta WHERE key = ?", (_CLUSTERED,))
         return written
 
-    def ingest_triple_batches(self, batches: Iterable[np.ndarray],
-                              split: str = "train") -> int:
-        """Stream ``(M, 3)`` integer arrays into the store; returns rows written.
-
-        The out-of-core ingestion path: a generator of triple blocks (e.g. a
-        chunked synthetic generator or a file reader) is appended block by
-        block so peak memory is one block, never the whole graph.  Entity and
-        relation tables are not touched — register vocabularies separately
-        with :meth:`register_vocab_sizes` or :meth:`ingest_dataset`.
-        """
-        with self._conn:
-            return self._append(split, batches)
-
-    def register_vocab_sizes(self, n_entities: int, n_relations: int) -> None:
-        """Create index-label rows for integer-only graphs (no label source)."""
-        with self._conn:
-            self._conn.executemany(
-                "INSERT OR IGNORE INTO entities (id, label) VALUES (?, ?)",
-                ((i, f"entity_{i}") for i in range(int(n_entities))),
-            )
-            self._conn.executemany(
-                "INSERT OR IGNORE INTO relations (id, label) VALUES (?, ?)",
-                ((i, f"relation_{i}") for i in range(int(n_relations))),
-            )
-
-    def ingest_labeled_triples(self, labeled: Iterable[Tuple[str, str, str]],
-                               split: str = "train") -> None:
-        """Insert labelled triples, growing the entity/relation tables as needed."""
-        def blocks() -> Iterator[np.ndarray]:
-            ids: List[Tuple[int, int, int]] = []
-            for head, relation, tail in labeled:
-                ids.append((self._get_or_create("entities", head),
-                            self._get_or_create("relations", relation),
-                            self._get_or_create("entities", tail)))
-                if len(ids) == CHUNK_ROWS:
-                    yield np.array(ids, dtype=np.int64)
-                    ids = []
-            yield np.array(ids, dtype=np.int64)
-
-        with self._conn:
-            self._append(split, blocks())
-
-    def _get_or_create(self, table: str, label: str) -> int:
-        row = self._conn.execute(
-            f"SELECT id FROM {table} WHERE label = ?", (label,)
-        ).fetchone()
-        if row is not None:
-            return int(row[0])
-        count = self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-        self._conn.execute(f"INSERT INTO {table} (id, label) VALUES (?, ?)", (count, label))
-        return int(count)
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
@@ -238,14 +182,6 @@ class SQLiteKGStore:
             "SELECT COALESCE(SUM(n_rows), 0) FROM chunks WHERE split = ?",
             (split,)).fetchone()[0])
 
-    def entity_vocabulary(self) -> Vocabulary:
-        rows = self._conn.execute("SELECT label FROM entities ORDER BY id").fetchall()
-        return Vocabulary(label for (label,) in rows)
-
-    def relation_vocabulary(self) -> Vocabulary:
-        rows = self._conn.execute("SELECT label FROM relations ORDER BY id").fetchall()
-        return Vocabulary(label for (label,) in rows)
-
     def _read_chunks(self, split: str, first: int, last: int) -> np.ndarray:
         """Rows of chunks ``first..last`` (inclusive) of ``split``, in order."""
         blobs = self._conn.execute(
@@ -259,13 +195,6 @@ class SQLiteKGStore:
             "SELECT COUNT(*) FROM chunks WHERE split = ?", (split,)).fetchone()[0]
         for idx in range(n_chunks):
             yield self._read_chunks(split, idx, idx)
-
-    def iter_batches(self, batch_size: int, split: str = "train") -> Iterator[np.ndarray]:
-        """Stream ``(batch, 3)`` triple arrays without loading the whole table."""
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        for lo, hi in self.block_bounds(batch_size, split):
-            yield self.fetch_block(lo, hi, split)
 
     def set_meta(self, key: str, value: str) -> None:
         """Store a small key/value annotation (dataset fingerprints etc.)."""
@@ -370,22 +299,6 @@ class SQLiteKGStore:
         rows = self._read_chunks(split, first, int(hi) // CHUNK_ROWS)
         start = int(lo) - first * CHUNK_ROWS
         return rows[start:start + max(int(hi) - int(lo) + 1, 0)]
-
-    def to_dataset(self, name: Optional[str] = None) -> KGDataset:
-        """Materialise the store back into an in-memory :class:`KGDataset`."""
-        from repro.data.dataset import TripleSplit
-
-        def fetch(split: str) -> np.ndarray:
-            return self._read_chunks(split, 0, self.n_triples(split) // CHUNK_ROWS)
-
-        return KGDataset(
-            n_entities=self.n_entities,
-            n_relations=self.n_relations,
-            entity_vocab=self.entity_vocabulary().freeze(),
-            relation_vocab=self.relation_vocabulary().freeze(),
-            name=name or (os.path.basename(self.path) if self.path != ":memory:" else "sqlite"),
-            split=TripleSplit(train=fetch("train"), valid=fetch("valid"), test=fetch("test")),
-        )
 
     def close(self) -> None:
         """Close the underlying connection."""

@@ -4,12 +4,12 @@ The paper's dataloader module streams minibatches out of an SQLite
 representation when the triple list is too large for memory.  This module
 provides that path end to end: a :class:`StreamingBatchIterator` pulls
 positive blocks from any object implementing the small :class:`TripleStore`
-protocol (the on-disk :class:`~repro.data.sqlite_store.SQLiteKGStore` or the
-in-memory :class:`InMemoryTripleStore` twin), shuffles them with a seeded
-per-epoch block shuffle, corrupts them on the fly with any negative sampler,
-and yields the same :class:`~repro.data.batching.TripletBatch` objects the
-in-memory :class:`~repro.data.batching.BatchIterator` produces — so the
-trainer does not care which side it is fed from.
+protocol (the on-disk :class:`~repro.data.sqlite_store.SQLiteKGStore`),
+shuffles them with a seeded per-epoch block shuffle, corrupts them on the
+fly with any negative sampler, and yields the same
+:class:`~repro.data.batching.TripletBatch` objects the in-memory
+:class:`~repro.data.batching.BatchIterator` produces — so the trainer does
+not care which side it is fed from.
 
 Shuffling works out of core: each epoch draws a fresh permutation of the
 fixed-size row *blocks* and a fresh permutation of the rows inside each
@@ -26,7 +26,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Tuple
 import numpy as np
 
 from repro.data.batching import TripletBatch
-from repro.data.dataset import KGDataset
 from repro.data.negative_sampling import NegativeSampler, UniformNegativeSampler
 from repro.utils.seeding import new_rng
 
@@ -93,63 +92,13 @@ class TripleStore(Protocol):
     def fetch_block(self, lo: int, hi: int, split: str = "train") -> np.ndarray: ...
 
 
-class InMemoryTripleStore:
-    """The in-memory twin of :class:`~repro.data.sqlite_store.SQLiteKGStore`.
-
-    Adapts a :class:`~repro.data.dataset.KGDataset` to the
-    :class:`TripleStore` protocol so the *same* streaming iterator — same
-    shuffle, same negative-sampling draw order — can run against RAM or
-    SQLite.  Storage-parity tests diff the two loss curves; they must be
-    identical floats because only the byte source differs.
-    """
-
-    def __init__(self, dataset: KGDataset) -> None:
-        self.dataset = dataset
-
-    @property
-    def n_entities(self) -> int:
-        return self.dataset.n_entities
-
-    @property
-    def n_relations(self) -> int:
-        return self.dataset.n_relations
-
-    def _split(self, split: str) -> np.ndarray:
-        try:
-            return getattr(self.dataset.split, split)
-        except AttributeError:
-            raise ValueError(f"unknown split {split!r}") from None
-
-    def n_triples(self, split: Optional[str] = "train") -> int:
-        if split is None:
-            return sum(self._split(s).shape[0] for s in ("train", "valid", "test"))
-        return int(self._split(split).shape[0])
-
-    def block_bounds(self, block_size: int, split: str = "train"
-                     ) -> List[Tuple[int, int]]:
-        return block_bounds_of(self.n_triples(split), block_size)
-
-    def fetch_block(self, lo: int, hi: int, split: str = "train") -> np.ndarray:
-        return self._split(split)[lo:hi + 1]
-
-    def pair_runs(self, bucket_size: int, split: str = "train"
-                  ) -> Dict[Tuple[int, int], List[Tuple[int, int]]]:
-        """Contiguous row runs per ``(head_bucket, tail_bucket)`` pair.
-
-        In-memory twin of :meth:`repro.data.sqlite_store.SQLiteKGStore.pair_runs`,
-        so the bucket-pair schedule can be exercised against RAM-backed data
-        too.
-        """
-        return pair_runs_of([self._split(split)], bucket_size)
-
-
 class StreamingBatchIterator:
     """Iterate positive/negative batches straight out of a triple store.
 
     Parameters
     ----------
     store:
-        Any :class:`TripleStore` (SQLite-backed or in-memory).
+        Any :class:`TripleStore`.
     batch_size:
         Positives per batch (the final batch of an epoch may be smaller).
     sampler:
@@ -220,10 +169,6 @@ class StreamingBatchIterator:
         if self.drop_last:
             return n // self.batch_size
         return int(np.ceil(n / self.batch_size))
-
-    def set_epoch(self, epoch: int) -> None:
-        """Pin the epoch counter: the next pass draws that epoch's order."""
-        self.epoch = int(epoch)
 
     def _block_bounds(self) -> List[Tuple[int, int]]:
         if self._bounds is None:

@@ -39,10 +39,6 @@ class LinkPredictionResult:
     tail_ranks: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.float64), repr=False)
 
-    def hits_at(self, k: int) -> float:
-        """Convenience accessor for ``hits[k]``."""
-        return self.hits[k]
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready record; every evaluation result dataclass carries one.
 

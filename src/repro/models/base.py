@@ -210,14 +210,6 @@ class KGEModel(Module):
         """Return the ``k`` most plausible tail entities for ``(head, relation, ?)``."""
         return self.top_k("tail", [head], [relation], k)[0][0]
 
-    def predict_heads(self, relation: int, tail: int, k: int = 10) -> np.ndarray:
-        """Return the ``k`` most plausible head entities for ``(?, relation, tail)``."""
-        return self.top_k("head", [tail], [relation], k)[0][0]
-
-    def classify_triples(self, triples: np.ndarray, threshold: float) -> np.ndarray:
-        """Binary triple classification: True when dissimilarity <= threshold."""
-        return self.score_triples(triples) <= float(threshold)
-
     def l2_query_vector(self, anchor: int, relation: int,
                         direction: str) -> Optional[np.ndarray]:
         """Embedding-space query vector when ranking reduces to an L2 kNN.
@@ -233,10 +225,6 @@ class KGEModel(Module):
     # ------------------------------------------------------------------ #
     def entity_embedding_matrix(self) -> np.ndarray:
         """Dense ``(n_entities, d)`` entity embedding snapshot."""
-        raise NotImplementedError
-
-    def relation_embedding_matrix(self) -> np.ndarray:
-        """Dense ``(n_relations, d_rel)`` relation embedding snapshot."""
         raise NotImplementedError
 
     def normalize_parameters(self) -> None:

@@ -51,10 +51,6 @@ class SpTransM(SpTransE):
         self.relation_weights = Parameter(np.full(n_relations, np.log(np.e - 1.0)),
                                           name="relation_weights")
 
-    def relation_weight_values(self) -> np.ndarray:
-        """Positive per-relation weights ``w_r`` (after the softplus)."""
-        return np.logaddexp(0.0, self.relation_weights.data)
-
     def scores(self, triples: np.ndarray) -> Tensor:
         triples = check_triples(triples, n_entities=self.n_entities,
                                 n_relations=self.n_relations)
@@ -97,11 +93,6 @@ class SpTransA(SpTransE):
                            name="metric_factors")
         init.identity_stack_(metric)
         self.metric_factors = metric
-
-    def metric_matrices(self) -> np.ndarray:
-        """The per-relation metrics ``W_r = M_r M_rᵀ`` (R, d, d)."""
-        factors = self.metric_factors.data
-        return np.einsum("rij,rkj->rik", factors, factors)
 
     def scores(self, triples: np.ndarray) -> Tensor:
         triples = check_triples(triples, n_entities=self.n_entities,

@@ -61,9 +61,6 @@ class SpDistMult(KGEModel):
     def entity_embedding_matrix(self) -> np.ndarray:
         return self.embeddings.entity_embeddings().copy()
 
-    def relation_embedding_matrix(self) -> np.ndarray:
-        return self.embeddings.relation_embeddings().copy()
-
 
 @register_model("complex", "sparse")
 class SpComplEx(KGEModel):
@@ -94,11 +91,6 @@ class SpComplEx(KGEModel):
     def entity_embedding_matrix(self) -> np.ndarray:
         return np.concatenate(
             [self.real.entity_embeddings(), self.imag.entity_embeddings()], axis=1
-        )
-
-    def relation_embedding_matrix(self) -> np.ndarray:
-        return np.concatenate(
-            [self.real.relation_embeddings(), self.imag.relation_embeddings()], axis=1
         )
 
 
@@ -156,6 +148,3 @@ class SpRotatE(KGEModel):
 
     def entity_embedding_matrix(self) -> np.ndarray:
         return np.concatenate([self.entity_real.data, self.entity_imag.data], axis=1)
-
-    def relation_embedding_matrix(self) -> np.ndarray:
-        return self.relation_phase.data.copy()

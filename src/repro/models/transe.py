@@ -86,9 +86,6 @@ class SpTransE(TranslationalModel):
     # ------------------------------------------------------------------ #
     # Introspection / maintenance
     # ------------------------------------------------------------------ #
-    def relation_embedding_matrix(self) -> np.ndarray:
-        return self.embeddings.relation_table().to_matrix()
-
     def normalize_parameters(self) -> None:
         """Project entity embeddings onto the unit L2 ball (TransE's constraint).
 

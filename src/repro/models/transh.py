@@ -48,11 +48,6 @@ class HyperplaneGeometry:
         w = w / np.sqrt(w @ w + 1e-12)
         return rows - np.outer(rows @ w, w)
 
-    def normal_vectors(self) -> np.ndarray:
-        """Unit-normalised hyperplane normals ``(R, d)``."""
-        w = self.normals.weight.data
-        return w / np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)
-
 
 @register_model("transh", "sparse")
 class SpTransH(HyperplaneGeometry, TranslationalModel):
@@ -102,9 +97,6 @@ class SpTransH(HyperplaneGeometry, TranslationalModel):
         projection = row_dot(w_r, ht)                                         # (B,)
         correction = w_r * projection.reshape(-1, 1)
         return ht + d_r - correction
-
-    def relation_embedding_matrix(self) -> np.ndarray:
-        return self.translations.weight.data.copy()
 
     def normalize_parameters(self) -> None:
         """Constrain entity embeddings to the unit ball and normals to unit norm."""

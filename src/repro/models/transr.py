@@ -46,10 +46,6 @@ class RelationSpaceGeometry:
     def project_entities(self, rows: np.ndarray, relation: int) -> np.ndarray:
         return rows @ self.projections.data[relation].T
 
-    def projection_matrices(self) -> np.ndarray:
-        """Snapshot of the per-relation projection stack ``(R, k, d)``."""
-        return self.projections.data.copy()
-
 
 @register_model("transr", "sparse")
 class SpTransR(RelationSpaceGeometry, TranslationalModel):
@@ -109,9 +105,6 @@ class SpTransR(RelationSpaceGeometry, TranslationalModel):
         projected = bmm_vec(mats, ht)                                          # (B, k)
         rel = self.relation_embeddings(rel_idx)                                # (B, k)
         return projected + rel
-
-    def relation_embedding_matrix(self) -> np.ndarray:
-        return self.relation_embeddings.weight.data.copy()
 
     def normalize_parameters(self) -> None:
         """Constrain entity and relation embeddings to the unit L2 ball."""

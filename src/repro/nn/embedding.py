@@ -175,21 +175,6 @@ class StackedEmbedding(Module):
         return spmm(A, self.weight, backend=backend, A_t=A_t,
                     sparse_grad=self.sparse_grad)
 
-    def gather_entities(self, indices: np.ndarray) -> Tensor:
-        """Differentiable gather from the entity block."""
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and idx.max() >= self.n_entities:
-            raise IndexError("entity index out of range")
-        return gather_rows(self.weight, idx, sparse_grad=self.sparse_grad)
-
-    def gather_relations(self, indices: np.ndarray) -> Tensor:
-        """Differentiable gather from the relation block."""
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and idx.max() >= self.n_relations:
-            raise IndexError("relation index out of range")
-        return gather_rows(self.weight, idx + self.n_entities,
-                           sparse_grad=self.sparse_grad)
-
     def entity_table(self) -> DenseSliceTable:
         """:class:`~repro.nn.table.EmbeddingTable` view of the entity block."""
         return DenseSliceTable(self.weight.data, 0, self.n_entities)

@@ -1,11 +1,9 @@
-"""Module base class: parameter registration, traversal, and (de)serialization."""
+"""Module base class: parameter registration and traversal."""
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, Tuple
-
-import numpy as np
+from typing import Iterator, Tuple
 
 from repro.nn.parameter import Parameter
 
@@ -15,14 +13,12 @@ class Module:
 
     Mirrors the small subset of ``torch.nn.Module`` the framework needs:
     attribute-based registration of :class:`Parameter` and sub-``Module``
-    objects, recursive parameter iteration, ``zero_grad``, train/eval mode,
-    and a plain-ndarray ``state_dict``.
+    objects, recursive parameter iteration and ``zero_grad``.
     """
 
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
-        object.__setattr__(self, "training", True)
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -39,12 +35,6 @@ class Module:
             self._parameters.pop(name, None)
             self._modules.pop(name, None)
         object.__setattr__(self, name, value)
-
-    def register_parameter(self, name: str, param: Parameter) -> None:
-        """Explicitly register ``param`` under ``name``."""
-        if not isinstance(param, Parameter):
-            raise TypeError(f"expected Parameter, got {type(param)!r}")
-        setattr(self, name, param)
 
     # ------------------------------------------------------------------ #
     # Traversal
@@ -67,57 +57,13 @@ class Module:
         for module in self._modules.values():
             yield from module.modules()
 
-    def num_parameters(self) -> int:
-        """Total number of learnable scalars."""
-        return sum(p.size for p in self.parameters())
-
-    def parameter_nbytes(self) -> int:
-        """Total parameter memory in bytes."""
-        return sum(p.nbytes for p in self.parameters())
-
     # ------------------------------------------------------------------ #
-    # Gradient / mode management
+    # Gradients
     # ------------------------------------------------------------------ #
     def zero_grad(self) -> None:
         """Clear gradients on every parameter."""
         for param in self.parameters():
             param.zero_grad()
-
-    def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (affects e.g. dropout)."""
-        for module in self.modules():
-            object.__setattr__(module, "training", bool(mode))
-        return self
-
-    def eval(self) -> "Module":
-        """Set evaluation mode recursively."""
-        return self.train(False)
-
-    # ------------------------------------------------------------------ #
-    # Serialization
-    # ------------------------------------------------------------------ #
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Return a flat ``{name: ndarray}`` snapshot of every parameter."""
-        return {name: param.data.copy() for name, param in self.named_parameters()}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
-        """Load parameter values from :meth:`state_dict` output."""
-        own = dict(self.named_parameters())
-        missing = set(own) - set(state)
-        unexpected = set(state) - set(own)
-        if strict and (missing or unexpected):
-            raise KeyError(
-                f"state_dict mismatch: missing={sorted(missing)}, unexpected={sorted(unexpected)}"
-            )
-        for name, param in own.items():
-            if name not in state:
-                continue
-            value = np.asarray(state[name], dtype=param.data.dtype)
-            if value.shape != param.data.shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: expected {param.data.shape}, got {value.shape}"
-                )
-            param.data[...] = value
 
     # ------------------------------------------------------------------ #
     # Call protocol

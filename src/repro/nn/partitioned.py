@@ -834,10 +834,6 @@ class PartitionedEmbedding(Module, EmbeddingTable):
         """The bucket parameters, in bucket order."""
         return tuple(self._buckets)
 
-    def resident_buckets(self) -> Tuple[int, ...]:
-        """Currently resident bucket ids (LRU order, oldest first)."""
-        return tuple(self._resident)
-
     def stats(self) -> Dict[str, float]:
         """Fault/eviction/write-back counters plus current residency."""
         out = dict(self.counters)

@@ -14,9 +14,8 @@ SLO admission control at the front door, and fans admitted work out over the
   mmap-shared weights, and deadline-aware batching.
 
 Because everything front-end-side runs on the one event-loop thread, there
-are no locks here at all; the only cross-thread entry points are
-:meth:`AsyncInferenceServer.close` and the test/CLI bootstrap helpers, which
-hand control to the loop via ``call_soon_threadsafe``.
+are no locks here at all; :meth:`AsyncInferenceServer.serve_forever` runs
+the loop on the calling thread.
 
 Every POST is parsed by :func:`repro.serving.validation.parse_request`, the
 request protocol the threaded tier uses too, so both tiers accept and reject
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -129,7 +127,6 @@ class AsyncInferenceServer:
         self._worker_alive: List[bool] = [True] * workers
         self._singleflight: Dict[Tuple[str, Any], "asyncio.Future"] = {}
         self._clients: Set["asyncio.Task"] = set()
-        self._thread: Optional[threading.Thread] = None
         self._port: Optional[int] = None
         # Forked last: nothing after it can fail and leave the workers running.
         self.pool = WorkerPool(engine_factory, workers=workers,
@@ -208,52 +205,10 @@ class AsyncInferenceServer:
 
         asyncio.run(_main())
 
-    def serve_background(self) -> str:
-        """Start loop + server on a daemon thread; returns the bound URL.
-
-        The test/benchmark entry point — the caller's thread stays free to
-        issue HTTP requests.  Pair with :meth:`close`.
-        """
-        started = threading.Event()
-        failure: List[BaseException] = []
-
-        def _runner() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            try:
-                loop.run_until_complete(self.start())
-            except BaseException as exc:  # noqa: BLE001 — surfaced to caller
-                failure.append(exc)
-                started.set()
-                loop.close()
-                return
-            started.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(self.stop())
-                loop.close()
-
-        self._thread = threading.Thread(target=_runner,
-                                        name="async-serving", daemon=True)
-        self._thread.start()
-        started.wait()
-        if failure:
-            raise failure[0]
-        return self.url
-
     def close(self) -> None:
-        """Stop a background server started with :meth:`serve_background`."""
-        thread = self._thread
-        if thread is None:
-            self.pool.close()
-            return
-        self._thread = None
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=30.0)
+        """Shut the worker pool down; idempotent, and safe before the loop
+        ever started (a failed start-up) or after :meth:`stop` ran."""
+        self.pool.close()
 
     # ------------------------------------------------------------------ #
     # Pool response plumbing (event-loop thread only)

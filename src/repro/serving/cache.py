@@ -6,9 +6,9 @@ queries: the same ``(head, relation)`` pairs recur heavily in real traffic
 absorbs a large fraction of requests before they reach the scoring kernel.
 
 ``functools.lru_cache`` is unsuitable here: it cannot be invalidated
-per-instance on model reload, offers no hit/miss counters, and binds the
-cache to a function rather than an engine.  This is a deliberately small
-``OrderedDict``-based implementation instead.
+per-instance when the known-triple set changes, offers no hit/miss
+counters, and binds the cache to a function rather than an engine.  This is
+a deliberately small ``OrderedDict``-based implementation instead.
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ class LRUCache:
                 self.evictions += 1
 
     def clear(self) -> None:
-        """Drop every entry (model reload / embedding refresh invalidation).
+        """Drop every entry (known-triple set or engine close invalidation).
 
-        Counters survive so long-running serving stats span reloads; use
+        Counters survive so long-running serving stats span clears; use
         :meth:`reset_stats` to also zero them.
         """
         with self._lock:

@@ -6,7 +6,7 @@ The engine is the programmatic serving surface the HTTP server and the
 * loads a model through the spec-driven registry
   (:func:`repro.training.checkpoint.load_model`), so the served model is
   backend- and hyperparameter-faithful to what was trained;
-* answers ``top_k_tails`` / ``top_k_heads`` through the model's table walk
+* answers tail and head top-k queries through the model's table walk
   with a running top-k sink (:class:`repro.ranking.TopK`), ordered by
   ``(score, id)``: no ``(B, n_entities)`` score block and no full sort;
 * supports the **filtered** protocol at serving time: known positives are
@@ -15,7 +15,7 @@ The engine is the programmatic serving surface the HTTP server and the
   (``model.top_k``, the batcher's fast path),
   deduplicating repeated ``(h, r, filtered)`` queries within a batch;
 * keeps an LRU cache keyed ``(direction, h, r, k, filtered)`` that is
-  invalidated atomically on :meth:`reload`;
+  invalidated atomically when the known-triple set is replaced;
 * releases what it holds open — the ANN index's list files, the table's
   bucket maps and the model's mapped weights — on :meth:`close` (or on
   leaving a ``with`` block).
@@ -111,22 +111,18 @@ class InferenceEngine:
             raise ValueError(f"nprobe must be >= 1, got {nprobe}")
         self.ann_index = ann_index
         self.ann_nprobe = int(nprobe) if nprobe is not None else None
-        #: How from_artifact selected the index ("auto"/kind/None); reload()
-        #: uses it to decide whether to re-attach an index from the new path.
-        self._ann_mode = "auto" if ann_index is not None else None
         # numpy scoring is read-only on the weights, but the autograd
         # ``no_grad`` switch used by the generic scoring fallbacks is process
         # global — serialise scoring so concurrent HTTP threads cannot race
-        # it.  Cache writes happen under the same lock: reload() and
-        # set_known_triples() also take it before clearing, so a thread that
-        # scored against the old model can never repopulate the cache after
-        # an invalidation.
+        # it.  Cache writes happen under the same lock: set_known_triples()
+        # also takes it before clearing, so a thread that scored against the
+        # old positive set can never repopulate the cache after an
+        # invalidation.
         self._score_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self.queries_served = 0
         self.scoring_calls = 0
         self.rows_scored = 0
-        self.reloads = 0
         self.ann_queries = 0
         self.fallback_queries = 0
         self.ann_candidates = 0
@@ -150,8 +146,8 @@ class InferenceEngine:
         re-materialised so the run's own triples back the filtered protocol —
         no side-channel dataset arguments needed.
 
-        The model comes from :func:`repro.training.checkpoint.load_model`, as
-        on :meth:`reload`: its tables are the artifact's ``weights/`` files,
+        The model comes from :func:`repro.training.checkpoint.load_model`:
+        its tables are the artifact's ``weights/`` files,
         mapped or faulted in on demand and never densified into RAM.
 
         ``ann`` selects ANN-indexed serving: ``"auto"`` (default) lazily
@@ -167,11 +163,8 @@ class InferenceEngine:
                  if filtered else None)
         model = artifact.load_model()
         ann_index = cls._load_artifact_index(path, ann, model)
-        engine = cls(model,
-                     known_triples=known, cache_size=cache_size,
-                     ann_index=ann_index, nprobe=nprobe)
-        engine._ann_mode = None if ann in (None, False, "off") else ann
-        return engine
+        return cls(model, known_triples=known, cache_size=cache_size,
+                   ann_index=ann_index, nprobe=nprobe)
 
     @staticmethod
     def _load_artifact_index(path: str, ann, model: KGEModel):
@@ -209,36 +202,6 @@ class InferenceEngine:
             self._known = known
             self.cache.clear()
 
-    def reload(self, path: str) -> None:
-        """Swap in a new checkpoint atomically and invalidate the result cache.
-
-        The new model comes from the loader :meth:`from_artifact` uses, so it
-        is served the same way: mapped weights.  Any attached ANN index is
-        dropped with the cache (its clusters describe the *old* weights) and
-        closed, which releases its list files; when this engine came from
-        ``from_artifact`` with ANN enabled and ``path`` is an artifact
-        directory carrying an ``index/``, the new artifact's index is
-        re-attached in the same swap.
-        """
-        import os
-
-        from repro.training.checkpoint import load_model
-
-        model = load_model(path)
-        new_index = (self._load_artifact_index(path, self._ann_mode, model)
-                     if self._ann_mode is not None and os.path.isdir(path)
-                     else None)
-        with self._score_lock:
-            dropped = self.ann_index
-            self.model = model
-            self.ann_index = new_index
-            if dropped is not None:
-                dropped.close()
-            self.cache.clear()
-            self._entity_snapshot = None
-            with self._stats_lock:
-                self.reloads += 1
-
     def close(self) -> None:
         """Release what the engine holds open; it answers nothing afterwards.
 
@@ -271,17 +234,9 @@ class InferenceEngine:
         """Spec of the currently served model."""
         return spec_from_model(self.model)
 
-    def entity_snapshot(self) -> np.ndarray:
-        """Dense entity-embedding snapshot, computed once per loaded model.
-
-        Extracting the matrix can itself be expensive (ComplEx concatenates
-        real/imaginary halves), so :meth:`nearest_entities` reads this cached
-        copy; :meth:`reload` drops it with the result cache.
-        """
-        with self._score_lock:
-            return self._entity_snapshot_locked()
-
     def _entity_snapshot_locked(self) -> np.ndarray:
+        """Dense entity-embedding snapshot, extracted once per engine (ComplEx
+        concatenates real/imaginary halves); caller holds the score lock."""
         if self._entity_snapshot is None:
             self._entity_snapshot = self.model.entity_embedding_matrix()
         return self._entity_snapshot
@@ -357,13 +312,6 @@ class InferenceEngine:
         return self.top_k_tails_batch(
             [TopKQuery(head, relation, k, filtered, ann, nprobe)])[0]
 
-    def top_k_heads(self, relation: int, tail: int, k: int = 10,
-                    filtered: bool = False, ann: Optional[bool] = None,
-                    nprobe: Optional[int] = None) -> TopKResult:
-        """The ``k`` most plausible heads for ``(?, relation, tail)``."""
-        return self.top_k_heads_batch(
-            [TopKQuery(tail, relation, k, filtered, ann, nprobe)])[0]
-
     def top_k_tails_batch(self, queries: Sequence[TopKQuery]) -> List[TopKResult]:
         """Answer many tail queries with (at most) one ``model.top_k`` walk."""
         return self._top_k_batch(queries, direction="tail")
@@ -385,8 +333,8 @@ class InferenceEngine:
 
         if miss_positions:
             # Result construction and cache.put stay inside the lock so an
-            # interleaved reload()/set_known_triples() cannot be followed by
-            # stale entries written from the pre-invalidation model.
+            # interleaved set_known_triples() cannot be followed by stale
+            # entries written from the pre-invalidation positive set.
             with self._score_lock:
                 # Single-flight guard: concurrent misses on the same key
                 # serialise on the score lock, so any key another thread
@@ -574,7 +522,6 @@ class InferenceEngine:
                 "queries_served": self.queries_served,
                 "scoring_calls": self.scoring_calls,
                 "rows_scored": self.rows_scored,
-                "reloads": self.reloads,
                 "ann_queries": self.ann_queries,
                 "fallback_queries": self.fallback_queries,
                 "probed_fraction": probed,

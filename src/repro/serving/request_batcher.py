@@ -8,15 +8,15 @@ batcher closes that gap: requests that queue up while the engine is busy
 are executed together as one ``top_k_tails_batch``/``top_k_heads_batch``
 call, Helmsman-style.
 
-Mechanics: callers block in :meth:`RequestBatcher.top_k_tails` /
-``top_k_heads`` while a single worker thread drains the shared queue.  The
-worker takes the first pending request plus whatever is already queued
-behind it, up to ``max_batch``, and answers that batch at once through
-:func:`~repro.serving.validation.top_k_groups` — one engine call per
-direction, the same execution the pool workers use.  It never holds a batch
-open: a lone request is dispatched at once, and requests arriving while a
-batch executes form the next one.  Per-request exceptions are propagated
-back to their caller without poisoning the rest of the batch.
+Mechanics: callers block in :meth:`RequestBatcher.submit` (or its
+:meth:`~RequestBatcher.top_k_tails` shorthand) while a single worker thread
+drains the shared queue.  The worker takes the first pending request plus
+whatever is already queued behind it, up to ``max_batch``, and answers that
+batch at once through :func:`~repro.serving.validation.top_k_groups` — one
+engine call per direction, the same execution the pool workers use.  It
+never holds a batch open: a lone request is dispatched at once, and requests
+arriving while a batch executes form the next one.  Per-request exceptions
+are propagated back to their caller without poisoning the rest of the batch.
 """
 
 from __future__ import annotations
@@ -86,12 +86,6 @@ class RequestBatcher:
                     filtered: bool = False) -> TopKResult:
         """Blocking tail query; executed inside the next coalesced batch."""
         return self.submit(Request("tail", TopKQuery(int(head), int(relation),
-                                                     int(k), bool(filtered))))
-
-    def top_k_heads(self, relation: int, tail: int, k: int = 10,
-                    filtered: bool = False) -> TopKResult:
-        """Blocking head query; executed inside the next coalesced batch."""
-        return self.submit(Request("head", TopKQuery(int(tail), int(relation),
                                                      int(k), bool(filtered))))
 
     def close(self, timeout: float = 30.0) -> None:

@@ -47,7 +47,9 @@ class ServingHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     # Plumbing
     # ------------------------------------------------------------------ #
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
+    # log_message, do_GET and do_POST are http.server's hooks: the stdlib
+    # calls them by name.
+    def log_message(self, format: str, *args) -> None:  # noqa: A002  # repro: ignore[unreachable-public]
         if self.server.verbose:
             super().log_message(format, *args)
 
@@ -67,7 +69,7 @@ class ServingHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     # Routes
     # ------------------------------------------------------------------ #
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
+    def do_GET(self) -> None:  # noqa: N802  # repro: ignore[unreachable-public]
         engine = self.server.engine
         if self.path == "/v1/health":
             self._send_json({"status": "ok",
@@ -84,7 +86,7 @@ class ServingHandler(BaseHTTPRequestHandler):
         else:
             self._send_json({"error": f"unknown path {self.path!r}"}, status=404)
 
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
+    def do_POST(self) -> None:  # noqa: N802  # repro: ignore[unreachable-public]
         try:
             # Read the body even for an unknown path, so a keep-alive
             # connection stays parseable.

@@ -73,23 +73,9 @@ class COOMatrix:
         """Memory footprint of the index and value arrays in bytes."""
         return self.rows.nbytes + self.cols.nbytes + self.values.nbytes
 
-    def nnz_per_row(self) -> np.ndarray:
-        """Histogram of non-zeros per row (length ``n_rows``)."""
-        return np.bincount(self.rows, minlength=self.shape[0])
-
     # ------------------------------------------------------------------ #
     # Constructors / conversions
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_dense(cls, dense: np.ndarray, tol: float = 0.0) -> "COOMatrix":
-        """Build from a dense array, dropping entries with ``|x| <= tol``."""
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim != 2:
-            raise ValueError(f"dense must be 2-D, got shape {dense.shape}")
-        mask = np.abs(dense) > tol
-        rows, cols = np.nonzero(mask)
-        return cls(rows, cols, dense[rows, cols], dense.shape)
-
     @classmethod
     def from_scipy(cls, mat: sp.spmatrix) -> "COOMatrix":
         """Build from any SciPy sparse matrix."""
@@ -139,38 +125,9 @@ class COOMatrix:
     # ------------------------------------------------------------------ #
     # Slicing / arithmetic helpers
     # ------------------------------------------------------------------ #
-    def select_rows(self, row_indices: np.ndarray) -> "COOMatrix":
-        """Return the submatrix containing only ``row_indices`` (renumbered 0..k-1).
-
-        Used to cut per-minibatch incidence matrices out of the full-epoch
-        incidence matrix without rebuilding it.
-        """
-        row_indices = np.asarray(row_indices, dtype=np.int64)
-        if row_indices.size and (row_indices.min() < 0 or row_indices.max() >= self.shape[0]):
-            raise IndexError("row index out of bounds")
-        remap = -np.ones(self.shape[0], dtype=np.int64)
-        remap[row_indices] = np.arange(row_indices.size, dtype=np.int64)
-        keep = remap[self.rows] >= 0
-        return COOMatrix(
-            remap[self.rows[keep]],
-            self.cols[keep],
-            self.values[keep],
-            (int(row_indices.size), self.shape[1]),
-        )
-
     def scale(self, factor: float) -> "COOMatrix":
         """Return a copy with every stored value multiplied by ``factor``."""
         return COOMatrix(self.rows.copy(), self.cols.copy(), self.values * factor, self.shape)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Sparse matrix-vector product ``A @ x`` (reference implementation)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] != self.shape[1]:
-            raise ValueError(f"dimension mismatch: {self.shape} @ {x.shape}")
-        out_shape = (self.shape[0],) + x.shape[1:]
-        out = np.zeros(out_shape, dtype=np.float64)
-        np.add.at(out, self.rows, self.values.reshape(-1, *([1] * (x.ndim - 1))) * x[self.cols])
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"COOMatrix(shape={self.shape}, nnz={self.nnz})"

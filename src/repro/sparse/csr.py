@@ -71,10 +71,6 @@ class CSRMatrix:
         """Memory footprint of the three CSR arrays in bytes."""
         return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
 
-    def nnz_per_row(self) -> np.ndarray:
-        """Number of stored entries in each row."""
-        return np.diff(self.indptr)
-
     # ------------------------------------------------------------------ #
     # Constructors / conversions
     # ------------------------------------------------------------------ #
@@ -83,13 +79,6 @@ class CSRMatrix:
         """Build from any SciPy sparse matrix."""
         csr = mat.tocsr()
         return cls(csr.indptr, csr.indices, csr.data, csr.shape)
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray, tol: float = 0.0) -> "CSRMatrix":
-        """Build from a dense array, dropping entries with ``|x| <= tol``."""
-        from repro.sparse.coo import COOMatrix
-
-        return COOMatrix.from_dense(dense, tol=tol).tocsr()
 
     def to_scipy(self) -> sp.csr_matrix:
         """Return the equivalent ``scipy.sparse.csr_matrix``."""
@@ -125,26 +114,6 @@ class CSRMatrix:
     # ------------------------------------------------------------------ #
     # Products
     # ------------------------------------------------------------------ #
-    def matmul_dense(self, X: np.ndarray) -> np.ndarray:
-        """SpMM ``A @ X`` using the compiled SciPy kernel."""
-        X = np.asarray(X)
-        if X.shape[0] != self.shape[1]:
-            raise ValueError(f"dimension mismatch: {self.shape} @ {X.shape}")
-        return np.asarray(self.to_scipy() @ X)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Sparse matrix-vector product ``A @ x``."""
-        return self.matmul_dense(np.asarray(x))
-
-    def row_slice(self, start: int, stop: int) -> "CSRMatrix":
-        """Return rows ``start:stop`` as a new CSR matrix (minibatch slicing)."""
-        if not (0 <= start <= stop <= self.shape[0]):
-            raise IndexError(f"invalid row slice [{start}:{stop}] for {self.shape[0]} rows")
-        lo, hi = self.indptr[start], self.indptr[stop]
-        indptr = self.indptr[start:stop + 1] - lo
-        return CSRMatrix(indptr, self.indices[lo:hi].copy(), self.data[lo:hi].copy(),
-                         (stop - start, self.shape[1]))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"
 

@@ -148,11 +148,6 @@ class IncidenceBuilder:
         self.n_relations = int(n_relations)
         self.fmt: Format = fmt
 
-    @property
-    def stacked_dim(self) -> int:
-        """Number of columns of the ``hrt`` incidence matrix (``N + R``)."""
-        return self.n_entities + self.n_relations
-
     def ht(self, triples: np.ndarray, with_transpose: bool = False):
         """Build the ``ht`` matrix (optionally with its transpose)."""
         A = build_ht_incidence(triples, self.n_entities, fmt=self.fmt)
@@ -166,22 +161,3 @@ class IncidenceBuilder:
         if not with_transpose:
             return A
         return A, A.T
-
-    def describe(self, triples: np.ndarray) -> dict:
-        """Return sparsity statistics for the ``hrt`` matrix of ``triples``.
-
-        Useful for the Appendix-B style report: the density depends only on
-        the batch size and vocabulary, never on graph structure.
-        """
-        triples = check_triples(triples, n_entities=self.n_entities,
-                                n_relations=self.n_relations)
-        m = triples.shape[0]
-        cols = self.stacked_dim
-        nnz = 3 * m
-        return {
-            "rows": m,
-            "cols": cols,
-            "nnz": nnz,
-            "nnz_per_row": 3,
-            "density": nnz / (m * cols) if m and cols else 0.0,
-        }

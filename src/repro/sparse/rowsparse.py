@@ -106,14 +106,6 @@ class RowSparseGrad:
         unique, packed = coalesce_rows(rows, np.asarray(values))
         return cls(unique, packed, shape)
 
-    @classmethod
-    def from_dense(cls, dense: np.ndarray, tol: float = 0.0) -> "RowSparseGrad":
-        """Build from a dense gradient, keeping rows with any ``|x| > tol``."""
-        dense = np.asarray(dense)
-        flat = np.abs(dense).reshape(dense.shape[0], -1) if dense.ndim > 1 else np.abs(dense)[:, None]
-        rows = np.flatnonzero(flat.max(axis=1) > tol)
-        return cls(rows, dense[rows].copy(), dense.shape)
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #

@@ -241,7 +241,6 @@ class Trainer:
         """
         epochs = epochs if epochs is not None else self.config.epochs
         result = TrainingResult()
-        self.model.train()
         for epoch in range(start_epoch, start_epoch + epochs):
             stats = self.train_epoch(epoch)
             result.epochs.append(stats)

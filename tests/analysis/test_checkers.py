@@ -404,8 +404,9 @@ class TestLockDisciplineChecker:
         })
         findings = run_checks(tmp_path)
         assert [(f.rule, f.line) for f in findings] == [
-            ("unreachable-public", 3), ("lock-state", 11)]
-        assert "Engine.bump.<locals>.cb()" in findings[1].message
+            ("unreachable-public", 3), ("unreachable-public", 8),
+            ("lock-state", 11)]
+        assert "Engine.bump.<locals>.cb()" in findings[2].message
 
     def test_callback_method_passed_as_a_value_is_a_root(self, tmp_path):
         # No call edge reaches _expire: the Timer thread runs it, with no
@@ -1297,7 +1298,7 @@ class TestUnreachablePublicChecker:
 
     def test_name_referenced_only_by_itself_flagged(self, tmp_path):
         # Recursion, a self-returning factory and a docstring mention all sit
-        # inside the definition's own span.
+        # inside the definition's own span; nothing calls ``clone``.
         findings = self.flagged(tmp_path, {
             "src/repro/utils/helpers.py": (
                 "class Node:\n"
@@ -1308,7 +1309,7 @@ class TestUnreachablePublicChecker:
                 "    return 0 if n == 0 else 1 + depth(n - 1)\n"
             ),
         })
-        assert findings == {"orphan", "Node", "depth"}
+        assert findings == {"orphan", "Node", "Node.clone", "depth"}
 
     def test_reexports_and_all_lists_are_not_references(self, tmp_path):
         assert self.flagged(tmp_path, {
@@ -1337,7 +1338,10 @@ class TestUnreachablePublicChecker:
                 "_DEFAULT = Internal\n"
             ),
             "benchmarks/bench.py": "from repro.utils.helpers import for_bench\n",
-            "examples/demo.py": "# calls for_example() on the way\n",
+            "examples/demo.py": (
+                "from repro.utils import helpers\n"
+                "helpers.for_example()\n"
+            ),
         }) == {"orphan"}
 
     def test_registered_names_pass(self, tmp_path):
@@ -1383,8 +1387,8 @@ class TestUnreachablePublicChecker:
             "src/repro/utils/user.py": "from repro.utils.helpers import used\n",
         }) == {"orphan", "fetch"}
 
-    def test_only_top_level_names_are_checked(self, tmp_path):
-        # Methods and nested helpers are reached through their owner.
+    def test_orphan_method_flagged_nested_helpers_are_not_checked(self, tmp_path):
+        # A nested helper is reached through its owner; a method is not.
         assert self.flagged(tmp_path, {
             "src/repro/utils/helpers.py": (
                 "class Owner:\n"
@@ -1392,9 +1396,75 @@ class TestUnreachablePublicChecker:
                 "        def inner():\n"
                 "            return 0\n"
                 "        return 1\n"
+                "    @property\n"
+                "    def size(self):\n"
+                "        return 0\n"
+                "    @size.setter\n"
+                "    def size(self, value):\n"
+                "        pass\n"
+                "    def called(self):\n"
+                "        return 2\n"
+                "    def _private(self):\n"
+                "        return 3\n"
             ),
-            "src/repro/utils/user.py": "import repro.utils.helpers as h\nh.Owner()\n",
+            "src/repro/utils/user.py": (
+                "import repro.utils.helpers as h\n"
+                "h.Owner().called()\n"
+            ),
+        }) == {"orphan", "Owner.never_called", "Owner.size"}
+
+    def test_methods_of_private_classes_are_not_checked(self, tmp_path):
+        assert self.flagged(tmp_path, {
+            "src/repro/utils/helpers.py": (
+                "class _Hidden:\n"
+                "    def never_called(self):\n"
+                "        return 1\n"
+            ),
         }) == {"orphan"}
+
+    def test_methods_of_registered_classes_are_checked(self, tmp_path):
+        # The registry reaches the class, not what nothing calls on it.
+        assert self.flagged(tmp_path, {
+            "src/repro/models/mine.py": (
+                "from repro.registry import register_model\n"
+                '@register_model("mine")\n'
+                "class MineModel:\n"
+                "    def score(self):\n"
+                "        return 0\n"
+                "    def never_called(self):\n"
+                "        return 1\n"
+            ),
+            "src/repro/utils/user.py": "def _run(model):\n    return model.score()\n",
+        }) == {"orphan", "MineModel.never_called"}
+
+    def test_method_called_only_from_benchmarks_passes(self, tmp_path):
+        assert self.flagged(tmp_path, {
+            "src/repro/utils/helpers.py": (
+                "class Owner:\n"
+                "    def for_bench(self):\n"
+                "        return 1\n"
+            ),
+            "benchmarks/bench.py": (
+                "from repro.utils.helpers import Owner\n"
+                "Owner().for_bench()\n"
+            ),
+        }) == {"orphan"}
+
+    def test_suppressed_stdlib_hook_passes(self, tmp_path):
+        assert self.flagged(tmp_path, {
+            "src/repro/utils/handler.py": (
+                "import http.server\n"
+                "class Handler(http.server.BaseHTTPRequestHandler):\n"
+                "    def do_GET(self):  # repro: ignore[unreachable-public] the stdlib calls it\n"
+                "        pass\n"
+                "    def do_PUT(self):\n"
+                "        pass\n"
+            ),
+            "src/repro/utils/user.py": (
+                "from repro.utils.handler import Handler\n"
+                "_H = Handler\n"
+            ),
+        }) == {"orphan", "Handler.do_PUT"}
 
     def test_match_is_on_whole_identifier_tokens(self, tmp_path):
         # ``helper_two`` and ``my_helper`` spell ``helper`` but do not name it.
@@ -1406,19 +1476,46 @@ class TestUnreachablePublicChecker:
             ),
         }) == {"orphan", "helper"}
 
-    def test_strings_and_comments_count_as_references(self, tmp_path):
-        # Conservative: a name some source line spells out is never reported.
+    def test_equal_string_constants_count_as_references(self, tmp_path):
+        # ``getattr(obj, "name")`` reaches ``name``; a longer string that
+        # merely contains it does not.
         assert self.flagged(tmp_path, {
             "src/repro/utils/helpers.py": (
                 "def by_name():\n    return 0\n"
-                "def in_comment():\n    return 1\n"
+                "class Param:\n"
+                "    def restore(self):\n"
+                "        return 1\n"
+                "def in_message():\n    return 2\n"
             ),
             "src/repro/utils/user.py": (
                 "import importlib\n"
+                "from repro.utils.helpers import Param\n"
                 "_FN = getattr(importlib.import_module('repro.utils.helpers'), 'by_name')\n"
-                "# see in_comment for the slow path\n"
+                "def _restore(param: Param):\n"
+                "    getattr(param, 'restore')()\n"
+                "    raise ValueError('call in_message first')\n"
             ),
-        }) == {"orphan"}
+        }) == {"orphan", "in_message"}
+
+    def test_comments_and_docstrings_are_not_references(self, tmp_path):
+        # Prose that names a definition does not reach it.
+        assert self.flagged(tmp_path, {
+            "src/repro/utils/helpers.py": (
+                "def in_comment():\n    return 0\n"
+                "def in_docstring():\n    return 1\n"
+                "def in_bare_string():\n    return 2\n"
+            ),
+            "src/repro/utils/user.py": (
+                '"""Module prose: in_docstring is the slow path."""\n'
+                "# see in_comment for the slow path\n"
+                "def run():\n"
+                '    """in_docstring"""\n'
+                "    'in_bare_string'\n"
+                "    return 0\n"
+            ),
+            "examples/demo.py": "# calls in_comment() on the way\n",
+        }) == {"orphan", "in_comment", "in_docstring", "in_bare_string", "run"}
+
 
     def test_own_decorator_lines_are_part_of_the_definition(self, tmp_path):
         assert self.flagged(tmp_path, {

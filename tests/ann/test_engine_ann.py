@@ -13,7 +13,7 @@ from repro.data.synthetic import make_dataset_like
 from repro.experiment import DataSpec, EvalSpec, Experiment, ExperimentSpec
 from repro.models.transe import SpTransE
 from repro.registry import ModelSpec
-from repro.serving import InferenceEngine
+from repro.serving import InferenceEngine, TopKQuery
 from repro.training.config import TrainingConfig
 
 
@@ -120,8 +120,8 @@ class TestQueryParity:
             assert a.scores == e.scores
             assert not any((h, r, t) in known for t in a.entities)
         for h, r in pairs[:2]:
-            a = ann.top_k_heads(r, h, k=8, filtered=True, nprobe=nprobe)
-            e = exact.top_k_heads(r, h, k=8, filtered=True)
+            a = ann.top_k_heads_batch([TopKQuery(h, r, k=8, filtered=True, nprobe=nprobe)])[0]
+            e = exact.top_k_heads_batch([TopKQuery(h, r, k=8, filtered=True)])[0]
             assert a.entities == e.entities
 
     def test_default_nprobe_recall_on_served_queries(self, engines, kg):
@@ -203,19 +203,39 @@ class TestStatsAndFallback:
             plain.model.embeddings.close()
 
 
-class TestReload:
-    def test_reload_invalidates_cache_and_keeps_index(self, ann_artifact, kg):
+
+class TestEngineLifecycle:
+    def test_repeated_query_is_a_cache_hit_with_the_same_answer(self, ann_artifact, kg):
         with InferenceEngine.from_artifact(ann_artifact) as engine:
+            assert engine.ann_index is not None
             h, r, _ = map(int, kg.split.train[3])
             first = engine.top_k_tails(h, r, k=5)
-            assert len(engine.cache) > 0
-            hits_before = engine.cache.hits
-            engine.top_k_tails(h, r, k=5)
-            assert engine.cache.hits == hits_before + 1
-
-            engine.reload(ann_artifact)
-            assert len(engine.cache) == 0  # stale answers dropped with the weights
-            assert engine.ann_index is not None  # re-attached from the new artifact
+            hits, queries = engine.cache.hits, engine.ann_queries
             again = engine.top_k_tails(h, r, k=5)
-            assert engine.cache.hits == hits_before + 1  # a miss, recomputed
+            assert engine.cache.hits == hits + 1
+            assert engine.ann_queries == queries  # answered without a probe
             assert again.entities == first.entities
+            assert again.scores == first.scores
+
+    def test_engines_over_one_artifact_answer_alike(self, ann_artifact, kg):
+        with InferenceEngine.from_artifact(ann_artifact) as one, \
+                InferenceEngine.from_artifact(ann_artifact) as other:
+            for h, r, _ in kg.split.train[:6].tolist():
+                a, b = one.top_k_tails(h, r, k=6), other.top_k_tails(h, r, k=6)
+                assert a.entities == b.entities and a.scores == b.scores
+                heads = [e.top_k_heads_batch([TopKQuery(h, r, k=6)])[0]
+                         for e in (one, other)]
+                assert heads[0].entities == heads[1].entities
+                assert one.nearest_entities(h, k=4).entities == \
+                    other.nearest_entities(h, k=4).entities
+
+    def test_close_releases_the_index_list_handles(self, ann_artifact, kg):
+        engine = InferenceEngine.from_artifact(ann_artifact)
+        lists = list(engine.ann_index._lists)
+        assert lists
+        h, r, _ = map(int, kg.split.train[0])
+        engine.top_k_tails(h, r, k=5)
+        engine.close()
+        assert all(handle.closed for handle, _ in lists)
+        assert engine.ann_index is None
+        engine.close()  # a second close does nothing

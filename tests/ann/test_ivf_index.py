@@ -153,7 +153,7 @@ class TestBuildAndLoad:
 class TestFullProbeParity:
     def test_full_probe_candidates_are_every_entity(self, index, full_table):
         q = full_table[7]
-        cand = index.candidate_ids(q, nprobe=index.n_clusters)
+        cand, _ = index.probe(q, nprobe=index.n_clusters)
         assert np.array_equal(cand, np.arange(index.n_entities, dtype=np.int64))
 
     def test_full_probe_matches_exact_bit_for_bit(self, index, full_table):
@@ -195,7 +195,8 @@ def _assert_probe_is_exact_rows_rescore(index, queries):
     for q in queries:
         for nprobe in range(1, index.n_clusters + 1):
             ids, dist = index.probe(q, nprobe)
-            expected = index.candidate_ids(q, nprobe)
+            spans = index._probed(q[None, :], nprobe)
+            expected = np.sort(np.concatenate([span[-1] for span in spans]))
             assert np.array_equal(ids, expected)
             oracle = ranking.l2_distance_matrix(
                 q[None, :], index.table.exact_rows(expected))[0]
@@ -249,29 +250,28 @@ class TestListHandles:
         with pytest.raises(ValueError, match="closed file"):
             index.probe(table.exact_rows(np.array([0]))[0], index.n_clusters)
 
-    def test_reloads_close_the_index_they_drop(self, indexed_artifact):
-        # The dropped indexes' list handles stay referenced here, as they
-        # would by a caller still holding an old index, so only the engine's
-        # close, not garbage collection, can release their descriptors.
+    def test_engines_opened_and_closed_in_turn_hold_no_more_descriptors(
+            self, indexed_artifact):
+        # Every index's list handles stay referenced here, as they would by a
+        # caller still holding them, so only the engine's close, not garbage
+        # collection, can release their descriptors.
         directory, _, _ = indexed_artifact
-        model = load_model(directory)
-        engine = InferenceEngine(model, ann_index=load_index(
-            os.path.join(directory, "index"), table=model.entity_table()))
-        del model
-        dropped = []
         before = None
-        with engine:
-            for step in range(21):
-                if step:
-                    dropped.append(list(engine.ann_index._lists))
-                    engine.reload(directory)
+        held = []
+        for step in range(8):
+            model = load_model(directory)
+            index = load_index(os.path.join(directory, "index"),
+                               table=model.entity_table())
+            held.append(list(index._lists))
+            with InferenceEngine(model, ann_index=index) as engine:
+                del model, index
                 engine.nearest_entities(step, k=5)
                 engine.top_k_tails(step, 1, k=5)
-                if before is None:
-                    before = _open_fds()
-            assert engine.ann_queries == 42  # both routes took the index
-            assert _open_fds() == before
-            assert all(handle.closed for lists in dropped for handle, _ in lists)
+                assert engine.ann_queries == 2  # both routes took the index
+            if before is None:
+                before = _open_fds()
+        assert _open_fds() == before
+        assert all(handle.closed for lists in held for handle, _ in lists)
 
 
 class TestExactTruth:

@@ -5,13 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ann import assign_clusters, default_n_clusters, kmeans
+from repro.ann import default_n_clusters, kmeans
 from repro.ann.kmeans import (
     ASSIGN_TILE_ELEMENTS,
+    _assign,
     _cluster_means,
+    _distance_dtype,
     _reseed_empty_clusters,
 )
 from repro.profiling import peak_traced_bytes
+from repro.ranking import squared_norms
+
+
+def assign_clusters(rows, centroids):
+    """``kmeans``' assignment step over ``rows``, norms included."""
+    return _assign(rows, squared_norms(rows, _distance_dtype(rows, centroids)),
+                   centroids)
 
 
 class TestKMeansDeterminism:

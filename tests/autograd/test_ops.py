@@ -45,10 +45,6 @@ class TestElementwiseForward:
         np.testing.assert_allclose(ops.sin(x).data, [0.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(ops.cos(x).data, [1.0, 0.0], atol=1e-12)
 
-    def test_frac(self):
-        np.testing.assert_allclose(ops.frac(Tensor([1.25, -0.75, 2.0])).data,
-                                   [0.25, 0.25, 0.0])
-
 
 class TestElementwiseGradients:
     @pytest.mark.parametrize("fn", [
@@ -68,8 +64,8 @@ class TestElementwiseGradients:
         ok, err = gradcheck(lambda t: ops.sqrt(t), [x])
         assert ok, err
 
-    @pytest.mark.parametrize("fn", [ops.absolute, ops.relu, ops.frac],
-                             ids=["absolute", "relu", "frac"])
+    @pytest.mark.parametrize("fn", [ops.absolute, ops.relu],
+                             ids=["absolute", "relu"])
     def test_piecewise_ops_gradcheck_away_from_kinks(self, fn):
         x = Tensor([[-1.3, -0.4, 0.35, 1.7], [2.6, -2.2, 0.8, -0.65]],
                    requires_grad=True)
@@ -106,24 +102,6 @@ class TestElementwiseGradients:
         ops.maximum(a, b).sum().backward()
         np.testing.assert_allclose(a.grad, [0.0, 1.0])
         np.testing.assert_allclose(b.grad, [1.0, 0.0])
-
-    def test_frac_gradient_passthrough(self):
-        x = Tensor([1.25, -0.75], requires_grad=True)
-        ops.frac(x).sum().backward()
-        np.testing.assert_allclose(x.grad, [1.0, 1.0])
-
-    def test_dropout_train_and_eval(self):
-        x = Tensor(np.ones((100,)), requires_grad=True)
-        rng = np.random.default_rng(0)
-        out = ops.dropout(x, 0.5, rng=rng, training=True)
-        # Inverted dropout keeps the expectation roughly constant.
-        assert 0.5 < out.data.mean() < 1.5
-        identical = ops.dropout(x, 0.5, training=False)
-        np.testing.assert_allclose(identical.data, x.data)
-
-    def test_dropout_invalid_rate(self):
-        with pytest.raises(ValueError):
-            ops.dropout(Tensor([1.0]), 1.0)
 
 
 class TestGatherRows:

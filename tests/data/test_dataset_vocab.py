@@ -133,15 +133,3 @@ class TestKGDataset:
         kg = KGDataset(triples=triples)
         np.testing.assert_array_equal(kg.relation_frequencies(), [2, 1])
         np.testing.assert_array_equal(kg.entity_degrees(), [2, 2, 2])
-
-    def test_subsample(self):
-        triples = np.column_stack([
-            np.arange(50) % 10, np.zeros(50, dtype=int), (np.arange(50) + 3) % 10
-        ])
-        kg = KGDataset(triples=triples, n_entities=10, n_relations=1)
-        sub = kg.subsample(20, rng=0)
-        assert sub.n_triples == 20
-        assert sub.n_entities == 10
-        assert kg.subsample(500, rng=0) is kg
-        with pytest.raises(ValueError):
-            kg.subsample(0)

@@ -132,67 +132,6 @@ class TestSQLiteStore:
             assert store.n_triples(None) == (kg.split.n_train + kg.split.n_valid
                                              + kg.split.n_test)
 
-    def test_round_trip_to_dataset(self):
-        kg = generate_synthetic_kg(20, 3, 60, rng=1, valid_fraction=0.1)
-        with SQLiteKGStore() as store:
-            store.ingest_dataset(kg)
-            back = store.to_dataset()
-            np.testing.assert_array_equal(
-                np.sort(back.split.train, axis=0), np.sort(kg.split.train, axis=0)
-            )
-            assert back.n_entities == kg.n_entities
-
-    def test_iter_batches_streams_everything(self):
-        kg = generate_synthetic_kg(20, 3, 55, rng=2)
-        with SQLiteKGStore() as store:
-            store.ingest_dataset(kg)
-            batches = list(store.iter_batches(batch_size=16))
-            assert sum(b.shape[0] for b in batches) == 55
-            assert all(b.shape[1] == 3 for b in batches)
-            assert batches[0].shape[0] == 16
-
-    def test_iter_batches_validation(self):
-        with SQLiteKGStore() as store:
-            with pytest.raises(ValueError):
-                list(store.iter_batches(batch_size=0))
-
-    def test_ingest_labeled_triples_grows_vocab(self):
-        with SQLiteKGStore() as store:
-            store.ingest_labeled_triples([("a", "r", "b"), ("b", "r", "c")])
-            assert store.n_entities == 3
-            assert store.n_relations == 1
-            assert store.n_triples("train") == 2
-            vocab = store.entity_vocabulary()
-            assert vocab.index("a") == 0
-
-    def test_ingest_triple_batches_streams_blocks_in(self):
-        """The out-of-core ingestion path: integer blocks + registered vocab
-        sizes reproduce ingest_dataset without ever holding the full graph."""
-        kg = generate_synthetic_kg(25, 3, 90, rng=4)
-        train = kg.split.train
-
-        def blocks():
-            for start in range(0, train.shape[0], 16):
-                yield train[start:start + 16]
-
-        with SQLiteKGStore() as store:
-            store.register_vocab_sizes(kg.n_entities, kg.n_relations)
-            written = store.ingest_triple_batches(blocks())
-            assert written == train.shape[0]
-            assert store.n_entities == kg.n_entities
-            assert store.n_relations == kg.n_relations
-            assert store.n_triples("train") == train.shape[0]
-            streamed = np.concatenate(list(store.iter_batches(32)), axis=0)
-            np.testing.assert_array_equal(streamed, train)
-
-    def test_ingest_triple_batches_skips_empty_blocks(self):
-        with SQLiteKGStore() as store:
-            written = store.ingest_triple_batches(
-                [np.empty((0, 3), dtype=np.int64),
-                 np.array([[0, 0, 1], [1, 0, 2]])])
-            assert written == 2
-            assert store.n_triples("train") == 2
-
     def test_block_bounds_and_fetch_block_cover_a_split(self):
         kg = generate_synthetic_kg(20, 3, 70, rng=5, valid_fraction=0.2)
         with SQLiteKGStore() as store:
@@ -216,3 +155,55 @@ class TestSQLiteStore:
         reopened = SQLiteKGStore(path)
         assert reopened.n_triples("train") == 20
         reopened.close()
+
+    @pytest.mark.parametrize("split", ["train", "valid", "test"])
+    def test_fetch_block_returns_each_split_in_order(self, split):
+        kg = generate_synthetic_kg(25, 3, 90, rng=7, valid_fraction=0.2,
+                                   test_fraction=0.2)
+        with SQLiteKGStore() as store:
+            store.ingest_dataset(kg)
+            expected = getattr(kg.split, split)
+            assert store.n_triples(split) == expected.shape[0]
+            fetched = store.fetch_block(0, store.n_triples(split) - 1, split=split)
+            np.testing.assert_array_equal(fetched, expected)
+            assert fetched.dtype == np.int64
+
+    def test_second_ingest_appends_rows_and_keeps_the_vocabularies(self):
+        kg = generate_synthetic_kg(15, 2, 40, rng=2)
+        with SQLiteKGStore() as store:
+            store.ingest_dataset(kg)
+            store.ingest_dataset(kg)
+            assert store.n_entities == kg.n_entities
+            assert store.n_relations == kg.n_relations
+            stored = store.fetch_block(0, store.n_triples("train") - 1)
+            np.testing.assert_array_equal(
+                stored, np.concatenate([kg.split.train, kg.split.train]))
+
+    def test_fetch_block_of_an_empty_range_is_empty(self):
+        kg = generate_synthetic_kg(10, 2, 20, rng=4)
+        with SQLiteKGStore() as store:
+            store.ingest_dataset(kg)
+            assert store.fetch_block(5, 4).shape == (0, 3)
+            assert store.fetch_block(0, -1, split="valid").shape == (0, 3)
+
+    def test_meta_round_trips_and_overwrites(self):
+        with SQLiteKGStore() as store:
+            assert store.get_meta("fingerprint") is None
+            store.set_meta("fingerprint", "abc")
+            assert store.get_meta("fingerprint") == "abc"
+            store.set_meta("fingerprint", 12)
+            assert store.get_meta("fingerprint") == "12"
+
+    def test_meta_survives_reopening(self, tmp_path):
+        path = str(tmp_path / "kg.db")
+        with SQLiteKGStore(path) as store:
+            store.set_meta("spec", "{}")
+        with SQLiteKGStore(path) as reopened:
+            assert reopened.get_meta("spec") == "{}"
+
+    def test_block_bounds_of_an_empty_split(self):
+        kg = generate_synthetic_kg(10, 2, 20, rng=4)
+        with SQLiteKGStore() as store:
+            store.ingest_dataset(kg)
+            assert store.n_triples("valid") == 0
+            assert store.block_bounds(8, split="valid") == []

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    InMemoryTripleStore,
     PartitionedStreamingIterator,
     SQLiteKGStore,
     generate_synthetic_kg,
 )
+from repro.data.streaming import pair_runs_of
 from repro.partition import EntityPartition
 
 
@@ -38,9 +38,10 @@ class TestPairRuns:
         total = sum(hi - lo + 1 for pair in runs.values() for lo, hi in pair)
         assert total == kg.split.train.shape[0]
 
-    def test_runs_agree_with_in_memory_twin(self, sqlite_store, kg):
-        """Same pair keys and the same number of rows per pair on both stores."""
-        memory_runs = InMemoryTripleStore(kg).pair_runs(bucket_size=15)
+    def test_runs_agree_with_the_array_runs(self, sqlite_store, kg):
+        """Same pair keys and the same number of rows per pair as the runs of
+        the dataset's own array."""
+        memory_runs = pair_runs_of([kg.split.train], bucket_size=15)
         sqlite_runs = sqlite_store.pair_runs(bucket_size=15)
         assert set(memory_runs) == set(sqlite_runs)
         for pair in memory_runs:
@@ -55,7 +56,8 @@ class TestPairRuns:
         # clustered: exactly one contiguous run per populated pair
         assert all(len(runs) == 1 for runs in after.values())
         # content preserved
-        assert sorted(map(tuple, sqlite_store.to_dataset().split.train.tolist())) \
+        stored = sqlite_store.fetch_block(0, sqlite_store.n_triples("train") - 1)
+        assert sorted(map(tuple, stored.tolist())) \
             == sorted(map(tuple, kg.split.train.tolist()))
 
     def test_cluster_is_idempotent(self, sqlite_store):
@@ -137,23 +139,11 @@ class TestPartitionedStreamingIterator:
         second = [b.positives.copy() for b in iterator]
         assert any(not np.array_equal(a, b) for a, b in zip(first, second))
 
-    def test_set_epoch_replays(self, sqlite_store, kg):
-        iterator, _ = self._iterator(sqlite_store, kg)
-        first = [b.positives.copy() for b in iterator]
-        iterator.set_epoch(0)
-        replay = [b.positives.copy() for b in iterator]
-        assert all(np.array_equal(a, b) for a, b in zip(first, replay))
-
     def test_num_negatives_tiles_positives(self, sqlite_store, kg):
         iterator, _ = self._iterator(sqlite_store, kg, num_negatives=3)
         total = sum(b.positives.shape[0] for b in iterator)
         assert total == 3 * kg.split.train.shape[0]
         assert len(iterator) == sum(1 for _ in iterator) + 0  # second epoch count matches too
-
-    def test_works_against_in_memory_store(self, kg):
-        iterator, partition = self._iterator(InMemoryTripleStore(kg), kg)
-        positives = [b.positives for b in iterator]
-        assert _multiset(positives) == sorted(map(tuple, kg.split.train.tolist()))
 
     def test_trains_a_partitioned_model(self, sqlite_store, kg):
         """End to end: the schedule drives a partitioned model whose resident

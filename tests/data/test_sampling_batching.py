@@ -69,13 +69,6 @@ class TestUniformSampler:
         with pytest.raises(ValueError):
             UniformNegativeSampler(1)
 
-    def test_corrupt_many_shape(self, kg):
-        sampler = UniformNegativeSampler(kg.n_entities, rng=5)
-        out = sampler.corrupt_many(kg.split.train[:10], num_negatives=4)
-        assert out.shape == (10, 4, 3)
-        with pytest.raises(ValueError):
-            sampler.corrupt_many(kg.split.train[:10], num_negatives=0)
-
 
 class TestBernoulliSampler:
     def test_probabilities_in_unit_interval(self, kg):

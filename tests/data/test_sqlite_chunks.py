@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    InMemoryTripleStore,
     KGDataset,
     PartitionedStreamingIterator,
     SQLiteKGStore,
@@ -16,6 +15,7 @@ from repro.data import (
 )
 from repro.data import sqlite_store
 from repro.data.dataset import TripleSplit
+from repro.data.streaming import block_bounds_of, pair_runs_of
 from repro.partition import EntityPartition
 
 SPLITS = ("train", "valid", "test")
@@ -69,26 +69,23 @@ def ranges(n: int, chunk: int):
 
 
 @pytest.mark.parametrize("clustered", [False, True], ids=["unclustered", "clustered"])
-def test_fetch_block_and_block_bounds_match_in_memory_twin(kg, chunk_rows, clustered):
+def test_fetch_block_and_block_bounds_match_the_split_arrays(kg, chunk_rows, clustered):
     with SQLiteKGStore() as store:
         store.ingest_dataset(kg)
         expected = kg
         if clustered:
             store.cluster_by_partition(BUCKET)
             expected = clustered_twin(kg, BUCKET)
-        memory = InMemoryTripleStore(expected)
         for split in SPLITS:
-            n = memory.n_triples(split)
+            triples = getattr(expected.split, split)
+            n = triples.shape[0]
             assert store.n_triples(split) == n
             for block_size in (5, chunk_rows, chunk_rows + 3):
                 bounds = store.block_bounds(block_size, split=split)
-                assert bounds == memory.block_bounds(block_size, split=split)
+                assert bounds == block_bounds_of(n, block_size)
             for lo, hi in ranges(n, chunk_rows):
                 np.testing.assert_array_equal(
-                    store.fetch_block(lo, hi, split=split),
-                    memory.fetch_block(lo, hi, split=split))
-            np.testing.assert_array_equal(getattr(store.to_dataset().split, split),
-                                          getattr(expected.split, split))
+                    store.fetch_block(lo, hi, split=split), triples[lo:hi + 1])
 
 
 @pytest.mark.parametrize("clustered", [False, True], ids=["unclustered", "clustered"])
@@ -99,11 +96,11 @@ def test_pair_runs_agree_between_stores(kg, chunk_rows, clustered):
         if clustered:
             store.cluster_by_partition(BUCKET)
             expected = clustered_twin(kg, BUCKET)
-        memory = InMemoryTripleStore(expected)
         for split in SPLITS:
-            reference = reference_pair_runs(getattr(expected.split, split), BUCKET)
+            triples = getattr(expected.split, split)
+            reference = reference_pair_runs(triples, BUCKET)
             assert store.pair_runs(BUCKET, split=split) == reference
-            assert memory.pair_runs(BUCKET, split=split) == reference
+            assert pair_runs_of([triples], BUCKET) == reference
 
 
 def test_ingest_appends_across_a_partial_chunk(chunk_rows):
@@ -111,13 +108,14 @@ def test_ingest_appends_across_a_partial_chunk(chunk_rows):
               for i, m in enumerate((5, chunk_rows - 2, 1, 2 * chunk_rows + 1))]
     with SQLiteKGStore() as store:
         for block in blocks:
-            store.ingest_triple_batches([block])
+            store.ingest_dataset(KGDataset(block))
         expected = np.concatenate(blocks)
         assert store.n_triples("train") == expected.shape[0]
         np.testing.assert_array_equal(
             store.fetch_block(0, expected.shape[0] - 1), expected)
         np.testing.assert_array_equal(
-            np.concatenate(list(store.iter_batches(7))), expected)
+            np.concatenate([store.fetch_block(lo, hi)
+                            for lo, hi in store.block_bounds(7)]), expected)
         lengths = [n for (n,) in store._conn.execute(
             "SELECT n_rows FROM chunks ORDER BY idx")]
         assert lengths[:-1] == [chunk_rows] * (len(lengths) - 1)
@@ -132,7 +130,8 @@ def test_later_ingest_is_reclustered(chunk_rows):
     with SQLiteKGStore() as store:
         store.ingest_dataset(first)
         store.cluster_by_partition(partition.bucket_size)
-        store.ingest_triple_batches([second[:150], second[150:]])
+        store.ingest_dataset(KGDataset(second[:150], n_entities=60, n_relations=6))
+        store.ingest_dataset(KGDataset(second[150:], n_entities=60, n_relations=6))
         assert store.get_meta("clustered_bucket_size") is None
         store.cluster_by_partition(partition.bucket_size)
         runs = store.pair_runs(partition.bucket_size)
@@ -142,17 +141,6 @@ def test_later_ingest_is_reclustered(chunk_rows):
         seen = np.concatenate([batch.positives for batch in iterator])
         everything = np.concatenate([first.split.train, second])
         assert sorted(map(tuple, seen.tolist())) == sorted(map(tuple, everything.tolist()))
-
-
-def test_labeled_ingest_clears_the_clustering_record():
-    with SQLiteKGStore() as store:
-        store.ingest_labeled_triples([("a", "r", "b"), ("b", "r", "c")])
-        store.cluster_by_partition(2)
-        assert store.get_meta("clustered_bucket_size") == "2"
-        store.ingest_labeled_triples([("c", "r", "a")])
-        assert store.get_meta("clustered_bucket_size") is None
-        assert store.pair_runs(2) == {(0, 0): [(0, 0)], (0, 1): [(1, 1)],
-                                      (1, 0): [(2, 2)]}
 
 
 def test_old_row_layout_is_refused(tmp_path):

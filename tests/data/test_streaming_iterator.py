@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    InMemoryTripleStore,
     SQLiteKGStore,
     StreamingBatchIterator,
     UniformNegativeSampler,
@@ -70,8 +69,7 @@ class TestStreamingBatchIterator:
     def test_epochs_are_shuffled_and_distinct(self, store):
         """Each epoch sees a fresh order — not SQLite insert order replayed."""
         iterator = StreamingBatchIterator(store, batch_size=64, rng=0, seed=7)
-        insert_order = np.concatenate(
-            [b for b in store.iter_batches(64)], axis=0)
+        insert_order = store.fetch_block(0, store.n_triples("train") - 1)
         epoch1 = np.concatenate([b.positives for b in iterator], axis=0)
         epoch2 = np.concatenate([b.positives for b in iterator], axis=0)
         assert not np.array_equal(epoch1, insert_order)
@@ -91,20 +89,11 @@ class TestStreamingBatchIterator:
                                                    rng=0, seed=3)))
         assert not np.array_equal(first_a.positives, next(iter(c)).positives)
 
-    def test_set_epoch_aligns_replicas(self, store):
-        one = StreamingBatchIterator(store, batch_size=64, rng=0, seed=9)
-        for _ in one:  # consume epoch 0
-            pass
-        other = StreamingBatchIterator(store, batch_size=64, rng=0, seed=9)
-        other.set_epoch(1)
-        for batch_a, batch_b in zip(one, other):
-            np.testing.assert_array_equal(batch_a.positives, batch_b.positives)
-
     def test_shuffle_disabled_replays_insert_order(self, store):
         iterator = StreamingBatchIterator(store, batch_size=64, rng=0,
                                           shuffle=False)
         streamed = np.concatenate([b.positives for b in iterator], axis=0)
-        insert_order = np.concatenate([b for b in store.iter_batches(64)], axis=0)
+        insert_order = store.fetch_block(0, store.n_triples("train") - 1)
         np.testing.assert_array_equal(streamed, insert_order)
 
     def test_num_negatives_tiles_the_epoch_not_the_batch(self, store):
@@ -119,32 +108,6 @@ class TestStreamingBatchIterator:
         assert batches[0].size == 32
         _, counts = np.unique(positives, axis=0, return_counts=True)
         assert (counts % 3 == 0).all()  # every distinct triple tiled 3x
-
-
-class TestInMemoryTripleStore:
-    def test_protocol_parity_with_sqlite(self, kg, store):
-        """Same algorithm + same seeds over RAM vs SQLite → identical batches."""
-        memory = InMemoryTripleStore(kg)
-        assert memory.n_entities == store.n_entities
-        assert memory.n_triples("train") == store.n_triples("train")
-        sqlite_it = StreamingBatchIterator(store, batch_size=32, rng=1, seed=5)
-        memory_it = StreamingBatchIterator(memory, batch_size=32, rng=1, seed=5)
-        pairs = list(zip(sqlite_it, memory_it))
-        assert len(pairs) == len(memory_it) == len(sqlite_it)
-        for sqlite_batch, memory_batch in pairs:
-            np.testing.assert_array_equal(sqlite_batch.positives,
-                                          memory_batch.positives)
-            np.testing.assert_array_equal(sqlite_batch.negatives,
-                                          memory_batch.negatives)
-
-    def test_block_bounds_cover_split(self, kg):
-        memory = InMemoryTripleStore(kg)
-        bounds = memory.block_bounds(64, split="train")
-        total = sum(hi - lo + 1 for lo, hi in bounds)
-        assert total == memory.n_triples("train")
-        fetched = np.concatenate(
-            [memory.fetch_block(lo, hi) for lo, hi in bounds], axis=0)
-        np.testing.assert_array_equal(fetched, kg.split.train)
 
     def test_streaming_training_loop_reduces_loss(self, store):
         """The streaming iterator plugs into a manual training loop unchanged."""

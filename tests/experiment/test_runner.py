@@ -41,6 +41,11 @@ def tiny_spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**base)
 
 
+def _params(model) -> dict:
+    """``{qualified name: values}`` of every parameter of ``model``."""
+    return {name: param.data for name, param in model.named_parameters()}
+
+
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):
     """One artifact-producing run shared by the read-only assertions."""
@@ -92,8 +97,8 @@ class TestRun:
         _, artifact_dir, result = finished_run
         reloaded = load_model(artifact_dir)
         assert type(reloaded) is type(result.model)
-        for name, value in result.model.state_dict().items():
-            np.testing.assert_array_equal(reloaded.state_dict()[name], value)
+        for name, value in _params(result.model).items():
+            np.testing.assert_array_equal(_params(reloaded)[name], value)
 
     def test_reloaded_model_reproduces_metrics_json(self, finished_run):
         """The acceptance criterion: artifact → reload → same eval metrics."""
@@ -130,15 +135,15 @@ class TestRunnerBehaviour:
         a = run_experiment(spec)
         b = run_experiment(spec)
         assert a.training.losses == b.training.losses
-        for name, value in a.model.state_dict().items():
-            np.testing.assert_array_equal(b.model.state_dict()[name], value)
+        for name, value in _params(a.model).items():
+            np.testing.assert_array_equal(_params(b.model)[name], value)
 
     def test_different_seed_changes_model(self):
         base = tiny_spec(eval=EvalSpec(protocols=()))
         a = run_experiment(base)
         b = run_experiment(base.replace(seed=1))
-        assert any(not np.array_equal(a.model.state_dict()[k], b.model.state_dict()[k])
-                   for k in a.model.state_dict())
+        assert any(not np.array_equal(_params(a.model)[k], _params(b.model)[k])
+                   for k in _params(a.model))
 
     def test_infeasible_eval_fails_before_training(self):
         data = DataSpec(dataset="WN18RR", scale=0.001, valid_fraction=0.0,

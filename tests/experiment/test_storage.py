@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    InMemoryTripleStore,
     SQLiteKGStore,
     StreamingBatchIterator,
     UniformNegativeSampler,
     generate_synthetic_kg,
 )
+from repro.data.streaming import block_bounds_of
 from repro.experiment import (
     DataSpec,
     EvalSpec,
@@ -44,6 +44,24 @@ def make_spec(storage="memory", epochs=2, **data_overrides):
     )
 
 
+class _ArrayStore:
+    """The triple-store protocol over a dataset's arrays: the RAM oracle the
+    SQLite byte source is compared against."""
+
+    def __init__(self, kg):
+        self.n_entities = kg.n_entities
+        self._train = kg.split.train
+
+    def n_triples(self, split="train"):
+        return self._train.shape[0]
+
+    def block_bounds(self, block_size, split="train"):
+        return block_bounds_of(self._train.shape[0], block_size)
+
+    def fetch_block(self, lo, hi, split="train"):
+        return self._train[lo:hi + 1]
+
+
 class TestStorageParity:
     def test_sqlite_and_memory_streams_produce_identical_loss_curves(self):
         """The same streaming pipeline over SQLite vs RAM differs only in the
@@ -63,7 +81,7 @@ class TestStorageParity:
         sqlite_store = SQLiteKGStore()
         sqlite_store.ingest_dataset(kg)
         sqlite_result, sqlite_model = run(sqlite_store)
-        memory_result, memory_model = run(InMemoryTripleStore(kg))
+        memory_result, memory_model = run(_ArrayStore(kg))
         assert sqlite_result.losses == memory_result.losses
         np.testing.assert_array_equal(sqlite_model.embeddings.weight.data,
                                       memory_model.embeddings.weight.data)

@@ -106,7 +106,6 @@ class TestDenseTransR:
         model = DenseTransR(small_kg.n_entities, small_kg.n_relations, DIM,
                             relation_dim=6, rng=0)
         assert model.projections.shape == (small_kg.n_relations, 6, DIM)
-        assert model.projection_matrices().shape == (small_kg.n_relations, 6, DIM)
 
     def test_relation_dim_validation(self, small_kg):
         with pytest.raises(ValueError):
@@ -114,12 +113,6 @@ class TestDenseTransR:
 
 
 class TestDenseTransH:
-    def test_normal_vectors_unit_norm(self, small_kg):
-        model = make(DenseTransH, small_kg)
-        np.testing.assert_allclose(
-            np.linalg.norm(model.normal_vectors(), axis=1), 1.0, rtol=1e-10
-        )
-
     def test_projection_is_idempotent(self, small_kg):
         """Projecting an already-projected entity changes nothing: the residual of
         (h, r, h) with d_r = 0 is exactly zero."""
@@ -127,6 +120,16 @@ class TestDenseTransH:
         model.translations.weight.data[...] = 0.0
         score = model.score_triples(np.array([[3, 1, 3]]))
         assert score[0] < 1e-5
+
+    def test_residuals_use_unit_normals(self, small_kg, random_triples):
+        """Only a normal's direction matters: rescaling the stored normals leaves
+        every residual unchanged."""
+        model = make(DenseTransH, small_kg)
+        before = model.residuals(random_triples).data.copy()
+        scales = np.arange(1, small_kg.n_relations + 1, dtype=np.float64)[:, None]
+        model.normals.weight.data[...] *= 7.5 * scales
+        np.testing.assert_allclose(model.residuals(random_triples).data, before,
+                                   rtol=1e-10, atol=1e-12)
 
 
 class TestDenseBilinear:

@@ -91,4 +91,4 @@ class TestRandomizedEquivalence:
         E = rng.standard_normal((n_entities + n_relations, dim))
         A = build_hrt_incidence(triples, n_entities, n_relations)
         expected = (E[triples[:, 0]] + E[n_entities + triples[:, 1]] - E[triples[:, 2]])
-        np.testing.assert_allclose(A.matmul_dense(E), expected, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(A.to_scipy() @ E, expected, rtol=1e-10, atol=1e-12)

@@ -80,10 +80,15 @@ class TestSpTransM:
         assert model.relation_weights.grad is not None
         assert np.any(model.relation_weights.grad != 0)
 
-    def test_weight_values_positive(self, small_kg):
+    def test_negative_raw_weights_keep_scores_a_positive_multiple(
+            self, small_kg, random_triples):
+        """The softplus keeps every relation weight positive: raw weights far
+        below zero still scale the TransE distance by a positive factor."""
         model = make(SpTransM, small_kg)
         model.relation_weights.data[...] = -10.0
-        assert np.all(model.relation_weight_values() > 0)
+        base = SpTransE(small_kg.n_entities, small_kg.n_relations, DIM, rng=0)
+        ratio = model.scores(random_triples).data / base.scores(random_triples).data
+        np.testing.assert_allclose(ratio, np.log1p(np.exp(-10.0)), rtol=1e-10)
 
 
 class TestSpTransC:
@@ -109,16 +114,22 @@ class TestSpTransA:
             rtol=1e-6,
         )
 
-    def test_metric_matrices_are_symmetric_psd(self, small_kg, small_batch):
+    def test_perturbed_metric_is_a_quadratic_form_of_a_psd_matrix(
+            self, small_kg, random_triples):
+        """Scores read |res|ᵀ W_r |res| with W_r = M_r M_rᵀ symmetric PSD, so
+        they stay non-negative after the factors move away from the identity."""
         model = make(SpTransA, small_kg)
-        # Perturb the factors, then check W_r = M_r M_r^T stays symmetric PSD.
         model.metric_factors.data += 0.1 * np.random.default_rng(0).standard_normal(
             model.metric_factors.shape
         )
-        metrics = model.metric_matrices()
-        np.testing.assert_allclose(metrics, np.swapaxes(metrics, 1, 2), atol=1e-12)
-        eigenvalues = np.linalg.eigvalsh(metrics)
-        assert eigenvalues.min() >= -1e-9
+        res = np.abs(model.residuals(random_triples).data)
+        factors = model.metric_factors.data[random_triples[:, 1]]
+        metrics = factors.transpose(0, 2, 1) @ factors
+        assert np.linalg.eigvalsh(metrics).min() >= -1e-9
+        np.testing.assert_allclose(
+            model.scores(random_triples).data,
+            np.einsum("bi,bij,bj->b", res, metrics, res), rtol=1e-10)
+        assert np.all(model.scores(random_triples).data >= 0.0)
 
     def test_metric_gradients_flow(self, small_kg, small_batch):
         model = make(SpTransA, small_kg)

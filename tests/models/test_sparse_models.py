@@ -86,10 +86,9 @@ class TestCommonBehaviour:
             model.scores(bad)
 
     @pytest.mark.parametrize("cls", TRANSLATIONAL)
-    def test_embedding_matrices_have_expected_shapes(self, cls, small_kg):
+    def test_entity_embedding_matrix_has_expected_shape(self, cls, small_kg):
         model = make(cls, small_kg)
         assert model.entity_embedding_matrix().shape == (small_kg.n_entities, DIM)
-        assert model.relation_embedding_matrix().shape[0] == small_kg.n_relations
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -247,13 +246,19 @@ class TestSpTransR:
         assert np.all(np.linalg.norm(model.relation_embeddings.weight.data, axis=1) <= 1 + 1e-9)
 
 
+def _unit_normals(model):
+    """TransH's hyperplane normals ``(R, d)``, unit-normalised."""
+    w = model.normals.weight.data
+    return w / np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1e-12)
+
+
 class TestSpTransH:
     def test_projection_removes_normal_component(self, small_kg, random_triples):
         model = make(SpTransH, small_kg)
         residual = model.residuals(random_triples).data
         # Manual recomputation of the paper's rearranged expression.
         ent = model.entity_embeddings.weight.data
-        w = model.normal_vectors()[random_triples[:, 1]]
+        w = _unit_normals(model)[random_triples[:, 1]]
         d = model.translations.weight.data[random_triples[:, 1]]
         ht = ent[random_triples[:, 0]] - ent[random_triples[:, 2]]
         expected = ht + d - (np.sum(w * ht, axis=1, keepdims=True)) * w
@@ -262,19 +267,24 @@ class TestSpTransH:
     def test_residual_orthogonal_to_normal_when_translation_on_hyperplane(self, small_kg):
         model = make(SpTransH, small_kg)
         # Force translations onto their hyperplanes: d_r <- d_r - (w·d_r) w.
-        w = model.normal_vectors()
+        w = _unit_normals(model)
         d = model.translations.weight.data
         model.translations.weight.data[...] = d - (np.sum(w * d, axis=1, keepdims=True)) * w
         triples = small_kg.split.train[:16]
         residual = model.residuals(triples).data
-        w_batch = model.normal_vectors()[triples[:, 1]]
+        w_batch = _unit_normals(model)[triples[:, 1]]
         dots = np.abs(np.sum(residual * w_batch, axis=1))
         assert np.all(dots < 1e-8)
 
-    def test_normal_vectors_unit_norm(self, small_kg):
+    def test_residuals_use_unit_normals(self, small_kg, random_triples):
+        """Only a normal's direction matters: rescaling the stored normals leaves
+        every residual unchanged."""
         model = make(SpTransH, small_kg)
-        norms = np.linalg.norm(model.normal_vectors(), axis=1)
-        np.testing.assert_allclose(norms, np.ones_like(norms), rtol=1e-10)
+        before = model.residuals(random_triples).data.copy()
+        scales = np.arange(1, small_kg.n_relations + 1, dtype=np.float64)[:, None]
+        model.normals.weight.data[...] *= 7.5 * scales
+        np.testing.assert_allclose(model.residuals(random_triples).data, before,
+                                   rtol=1e-10, atol=1e-12)
 
     def test_normalize_parameters(self, small_kg):
         model = make(SpTransH, small_kg)

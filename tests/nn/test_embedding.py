@@ -64,19 +64,22 @@ class TestStackedEmbedding:
             emb.weight.data,
         )
 
-    def test_gather_entities_and_relations(self):
+    def test_tables_read_their_own_block(self):
         emb = StackedEmbedding(6, 3, 4, rng=1)
-        ents = emb.gather_entities(np.array([0, 5]))
-        rels = emb.gather_relations(np.array([0, 2]))
-        np.testing.assert_allclose(ents.data, emb.weight.data[[0, 5]])
-        np.testing.assert_allclose(rels.data, emb.weight.data[[6, 8]])
+        ents = emb.entity_table().read_rows(np.array([0, 5]))
+        rels = emb.relation_table().read_rows(np.array([0, 2]))
+        np.testing.assert_array_equal(ents, emb.weight.data[[0, 5]])
+        np.testing.assert_array_equal(rels, emb.weight.data[[6, 8]])
+        ents[...] = 0.0  # a read is a copy
+        assert emb.weight.data[[0, 5]].any()
 
-    def test_gather_bounds(self):
+    def test_relation_table_writes_through_to_the_stacked_weight(self):
         emb = StackedEmbedding(6, 3, 4, rng=1)
-        with pytest.raises(IndexError):
-            emb.gather_entities(np.array([6]))
-        with pytest.raises(IndexError):
-            emb.gather_relations(np.array([3]))
+        before = emb.weight.data.copy()
+        emb.relation_table().write_rows(np.array([1]), np.full((1, 4), 3.0))
+        np.testing.assert_array_equal(emb.weight.data[7], np.full(4, 3.0))
+        np.testing.assert_array_equal(np.delete(emb.weight.data, 7, axis=0),
+                                      np.delete(before, 7, axis=0))
 
     def test_renormalize_entities_leaves_relations(self):
         emb = StackedEmbedding(6, 3, 4, rng=2)

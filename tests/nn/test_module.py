@@ -57,50 +57,42 @@ class TestRegistration:
         leaf.weight = "not a parameter"
         assert set(dict(leaf.named_parameters())) == {"bias"}
 
-    def test_register_parameter_type_check(self):
-        leaf = Leaf()
-        with pytest.raises(TypeError):
-            leaf.register_parameter("x", Tensor(np.zeros(2)))
-
     def test_modules_iteration(self):
         comp = Composite()
         assert len(list(comp.modules())) == 3
 
-    def test_num_parameters_and_bytes(self):
+    def test_prefix_qualifies_every_name(self):
+        names = [name for name, _ in Composite().named_parameters(prefix="model.")]
+        assert names == ["model.scale", "model.first.weight", "model.first.bias",
+                         "model.second.weight", "model.second.bias"]
+
+    def test_parameters_follow_named_order(self):
+        comp = Composite()
+        assert [id(p) for p in comp.parameters()] == \
+            [id(p) for _, p in comp.named_parameters()]
+
+    def test_reassigning_a_submodule_replaces_its_parameters(self):
+        comp = Composite()
+        old, new = comp.first, Leaf()
+        comp.first = new
+        params = dict(comp.named_parameters())
+        assert params["first.weight"] is new.weight
+        assert all(p is not old.weight and p is not old.bias
+                   for p in params.values())
+
+    def test_assigning_a_plain_value_over_a_submodule_unregisters_it(self):
+        comp = Composite()
+        comp.second = None
+        assert set(dict(comp.named_parameters())) == {
+            "scale", "first.weight", "first.bias"}
+        assert len(list(comp.modules())) == 2
+
+    def test_registered_parameter_keeps_an_existing_name(self):
+        shared = Parameter(np.zeros(2), name="shared")
         leaf = Leaf()
-        assert leaf.num_parameters() == 9
-        assert leaf.parameter_nbytes() == 9 * 8
-
-
-class TestStateDict:
-    def test_round_trip(self):
-        a, b = Composite(), Composite()
-        for p in a.parameters():
-            p.data += 1.0
-        b.load_state_dict(a.state_dict())
-        for (_, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
-            np.testing.assert_allclose(pa.data, pb.data)
-
-    def test_state_dict_is_a_copy(self):
-        leaf = Leaf()
-        state = leaf.state_dict()
-        state["weight"][...] = 99.0
-        assert not np.any(leaf.weight.data == 99.0)
-
-    def test_strict_missing_key(self):
-        leaf = Leaf()
-        with pytest.raises(KeyError):
-            leaf.load_state_dict({"weight": np.ones((2, 3))})
-
-    def test_non_strict_partial_load(self):
-        leaf = Leaf()
-        leaf.load_state_dict({"weight": np.full((2, 3), 7.0)}, strict=False)
-        np.testing.assert_allclose(leaf.weight.data, 7.0)
-
-    def test_shape_mismatch(self):
-        leaf = Leaf()
-        with pytest.raises(ValueError):
-            leaf.load_state_dict({"weight": np.ones((3, 3)), "bias": np.zeros(3)})
+        leaf.extra = shared
+        assert shared.name == "shared"
+        assert dict(leaf.named_parameters())["extra"] is shared
 
 
 class TestModes:
@@ -111,12 +103,18 @@ class TestModes:
         leaf.zero_grad()
         assert leaf.weight.grad is None
 
-    def test_train_eval_recursive(self):
+    def test_zero_grad_reaches_nested_modules(self):
         comp = Composite()
-        comp.eval()
-        assert not comp.first.training
-        comp.train()
-        assert comp.second.training
+        x = Tensor(np.ones((4, 2)))
+        (comp.first(x).sum() + comp.second(x).sum() * comp.scale).sum().backward()
+        assert all(p.grad is not None for p in comp.parameters())
+        comp.zero_grad()
+        assert all(p.grad is None for p in comp.parameters())
+
+    def test_call_dispatches_to_forward(self):
+        leaf = Leaf()
+        x = Tensor(np.ones((4, 2)))
+        np.testing.assert_array_equal(leaf(x).data, leaf.forward(x).data)
 
     def test_forward_not_implemented(self):
         with pytest.raises(NotImplementedError):

@@ -108,7 +108,7 @@ class TestResidency:
     def test_lru_bound_holds(self, table):
         for k in (0, 1, 2, 3, 0, 2):
             table._fault(k)
-            assert len(table.resident_buckets()) <= 2
+            assert len(table._resident) <= 2
         assert table.stats()["peak_resident"] <= 2
 
     def test_read_rows_across_buckets(self, table):
@@ -171,7 +171,7 @@ class TestExactRows:
         after = table.stats()
         assert after["faults"] == before["faults"]
         assert after["evictions"] == before["evictions"]
-        assert table.resident_buckets() == (2, 0)  # LRU order untouched
+        assert tuple(table._resident) == (2, 0)  # LRU order untouched
         assert after["exact_row_reads"] == before["exact_row_reads"] + ids.size
 
     def test_dense_tables_read_their_rows(self):
@@ -215,7 +215,7 @@ class TestExactRows:
         assert _open_fds() == before
 
     @linux_only
-    def test_reloads_hold_no_more_descriptors(self, tmp_path):
+    def test_repeated_queries_hold_no_more_descriptors(self, tmp_path):
         from repro.ann import build_index_files, load_index
         from repro.models.transe import SpTransE
         from repro.serving import InferenceEngine
@@ -232,8 +232,6 @@ class TestExactRows:
         before = None
         with engine:
             for step in range(21):
-                if step:
-                    engine.reload(directory)
                 engine.nearest_entities(step, k=5)  # maps every probed bucket
                 engine.top_k_tails(step, 1, k=5)
                 if before is None:
@@ -250,7 +248,7 @@ class TestExactRows:
         table.write_rows(np.array([lo, lo + 1]), fresh)
         table._fault(0)
         table._fault(2)  # evicts dirty bucket 1: in-place write-back
-        assert 1 not in table.resident_buckets()
+        assert 1 not in table._resident
         assert np.array_equal(table.exact_rows(np.array([lo + 1, lo])),
                               fresh[::-1])
         assert mapped == []  # read through the map it already held
@@ -420,7 +418,7 @@ class TestInPlacePageOut:
         for round_ in range(2):  # second round overwrites in place
             for bucket in range(4):
                 self._train_bucket(table, optimizer, bucket, 1.0 + round_)
-        resident = table.resident_buckets()
+        resident = tuple(table._resident)
         assert len(resident) == 2
         slabs = {k: table.bucket_parameters()[k]._slab.copy() for k in resident}
         states = {k: {name: np.copy(value) for name, value in

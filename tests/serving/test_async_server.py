@@ -25,11 +25,10 @@ def make_engine():
 
 
 @pytest.fixture(scope="module")
-def server():
+def server(pool_serving):
     server = AsyncInferenceServer(make_engine, workers=2, deadline_ms=5_000.0)
-    server.serve_background()
-    yield server
-    server.close()
+    with pool_serving(server):
+        yield server
 
 
 def get(server, path):
@@ -176,14 +175,13 @@ class TestKeepAlive:
 
 
 class TestAdmissionAndCoalescing:
-    def test_impossible_deadline_is_shed_with_retry_after(self):
+    def test_impossible_deadline_is_shed_with_retry_after(self, pool_serving):
         # A cold controller estimates 100 ms service; a 1 ms budget can never
         # fit, so the very first request is shed before touching a worker.
         server = AsyncInferenceServer(make_engine, workers=1,
                                       deadline_ms=5_000.0,
                                       default_service_ms=100.0)
-        server.serve_background()
-        try:
+        with pool_serving(server):
             err = post_error(server, "/v1/top_k_tails",
                              {"head": 1, "relation": 0, "deadline_ms": 1.0})
             assert err.code == 503
@@ -194,18 +192,15 @@ class TestAdmissionAndCoalescing:
             stats = get(server, "/v1/stats")
             assert stats["routes"]["/v1/top_k_tails"]["shed"] == 1
             assert stats["admission"]["shed"] == 1
-        finally:
-            server.close()
 
-    def test_concurrent_burst_batches_and_coalesces(self):
+    def test_concurrent_burst_batches_and_coalesces(self, pool_serving):
         # One worker, slow cold estimate, generous deadlines: a concurrent
         # burst must (a) form multi-query batches worker-side and (b) coalesce
         # identical queries front-end-side.  Admission is off so nothing sheds.
         server = AsyncInferenceServer(make_engine, workers=1,
                                       deadline_ms=2_000.0, max_batch=32,
                                       default_service_ms=20.0, admission=False)
-        server.serve_background()
-        try:
+        with pool_serving(server):
             results = []
             errors = []
 
@@ -230,5 +225,3 @@ class TestAdmissionAndCoalescing:
             assert stats["batching"]["multi_query_batches"] >= 1
             assert stats["routes"]["/v1/top_k_tails"]["coalesced"] >= 1
             assert stats["admission"] is None
-        finally:
-            server.close()

@@ -13,8 +13,9 @@ import types
 import pytest
 
 from repro.registry import ModelSpec, build_model
-from repro.serving import EngineClosed, InferenceEngine, RequestBatcher
+from repro.serving import EngineClosed, InferenceEngine, RequestBatcher, TopKQuery
 from repro.serving import request_batcher
+from repro.serving.validation import Request
 
 
 def make_engine(n_entities=40, cache_size=0):
@@ -144,7 +145,7 @@ class TestBatcher:
             out["tail", i] = batcher.top_k_tails(i, 1, k=3)
 
         def heads(i):
-            out["head", i] = batcher.top_k_heads(2, i, k=3)
+            out["head", i] = batcher.submit(Request("head", TopKQuery(i, 2, 3)))
 
         with RequestBatcher(gated, max_batch=8) as batcher:
             threads = [start(tails, 0)]
@@ -161,7 +162,7 @@ class TestBatcher:
         assert sorted(gated.calls[1:]) == [("head", 3), ("tail", 3)]
         for (direction, i), result in out.items():
             expected = (engine.model.predict_tails(i, 1, k=3) if direction == "tail"
-                        else engine.model.predict_heads(2, i, k=3))
+                        else engine.model.top_k("head", [i], [2], 3)[0][0])
             assert list(result.entities) == [int(x) for x in expected]
 
     def test_error_propagates_to_caller(self):
@@ -265,7 +266,7 @@ class TestShutdownSemantics:
         batcher.close()
         batcher.close()
         with pytest.raises(EngineClosed):
-            batcher.top_k_heads(0, 0, k=1)
+            batcher.top_k_tails(0, 0, k=1)
 
     def test_close_races_with_concurrent_submissions(self):
         """close() fired with no synchronisation against a wave of submitters:

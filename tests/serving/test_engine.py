@@ -52,7 +52,7 @@ class TestTopKCorrectness:
         assert list(served.entities) == [int(i) for i in direct]
 
     def test_heads_direction(self, engine):
-        result = engine.top_k_heads(relation=2, tail=7, k=5)
+        result = engine.top_k_heads_batch([TopKQuery(7, 2, k=5)])[0]
         scores = engine.model.score_all_heads(np.array([2]), np.array([7]))[0]
         expected = np.argsort(scores, kind="stable")[:5]
         assert list(result.entities) == [int(i) for i in expected]
@@ -82,7 +82,7 @@ class TestFilteredMasks:
 
     def test_known_heads_excluded(self):
         engine = InferenceEngine(make_model(), known_triples=[(6, 2, 7)])
-        filtered = engine.top_k_heads(relation=2, tail=7, k=100, filtered=True)
+        filtered = engine.top_k_heads_batch([TopKQuery(7, 2, k=100, filtered=True)])[0]
         assert 6 not in filtered.entities
 
     def test_filtered_without_known_triples_is_raw(self, engine):
@@ -148,9 +148,9 @@ class TestFilteredAnswersUseTheIndex:
                     want = reference.top_k_tails(h, r, k=k, filtered=True)
                     for candidate in (engine, from_set):
                         assert candidate.top_k_tails(h, r, k=k, filtered=True) == want
-                    want = reference.top_k_heads(r, t, k=k, filtered=True)
+                    want = reference.top_k_heads_batch([TopKQuery(t, r, k=k, filtered=True)])[0]
                     for candidate in (engine, from_set):
-                        assert candidate.top_k_heads(r, t, k=k, filtered=True) == want
+                        assert candidate.top_k_heads_batch([TopKQuery(t, r, k=k, filtered=True)])[0] == want
                 full = engine.top_k_tails(h, r, k=self.N_ENTITIES, filtered=True, ann=False)
                 assert not any((h, r, e) in known for e in full.entities)
                 excluded += self.N_ENTITIES - len(full.entities)
@@ -165,7 +165,7 @@ class TestFilteredAnswersUseTheIndex:
         engine = InferenceEngine(model, known_triples=known, cache_size=64)
         h, r, _ = map(int, kg.split.train[0])
         first = engine.top_k_tails(h, r, k=5, filtered=True)
-        engine.top_k_heads(r, h, k=5, filtered=True)
+        engine.top_k_heads_batch([TopKQuery(h, r, k=5, filtered=True)])[0]
         assert len(engine.cache) == 2
         assert engine.top_k_tails(h, r, k=5, filtered=True) is first  # served from cache
         engine.set_known_triples(KnownTriples([(h, r, first.entities[0])]))
@@ -232,21 +232,6 @@ class TestCacheBehaviour:
         engine.top_k_tails(2, 2, k=6)
         assert engine.stats()["scoring_calls"] == calls_before + 1
 
-    def test_reload_invalidates_cache_and_swaps_weights(self, tmp_path):
-        model_a = make_model(rng=0)
-        model_b = make_model(rng=99)
-        path = str(tmp_path / "b.npz")
-        save_checkpoint(path, model_b)
-
-        engine = InferenceEngine(model_a, cache_size=64)
-        before = engine.top_k_tails(0, 1, k=5)
-        engine.reload(path)
-        assert len(engine.cache) == 0
-        after = engine.top_k_tails(0, 1, k=5)
-        assert engine.stats()["reloads"] == 1
-        # Different weights must change the scores (entities may coincide).
-        assert before.scores != after.scores
-
     def test_set_known_triples_invalidates_cache(self, engine):
         engine.top_k_tails(0, 1, k=5, filtered=True)
         engine.set_known_triples([(0, 1, int(engine.top_k_tails(0, 1, k=1).entities[0]))])
@@ -254,46 +239,20 @@ class TestCacheBehaviour:
         best_raw = engine.top_k_tails(0, 1, k=1).entities[0]
         assert best_raw not in top.entities
 
-    def test_snapshot_cached_and_dropped_on_reload(self, tmp_path):
-        engine = InferenceEngine(make_model(rng=0), cache_size=4)
-        snap1 = engine.entity_snapshot()
-        assert snap1 is engine.entity_snapshot()
-        path = str(tmp_path / "c.npz")
-        save_checkpoint(path, make_model(rng=5))
-        engine.reload(path)
-        assert not np.array_equal(snap1, engine.entity_snapshot())
-
-    def test_reloaded_engine_answers_like_a_fresh_one(self, tmp_path):
-        # Nothing derived from the old weights — cached results, the entity
-        # snapshot — may survive a reload and leak into served distances.
-        path = str(tmp_path / "d.npz")
-        save_checkpoint(path, make_model(rng=7))
-        engine = InferenceEngine(make_model(rng=0), cache_size=16)
-        engine.nearest_entities(3, k=5)  # builds the snapshot
-        engine.top_k_tails(3, 1, k=5)
-        engine.reload(path)
-        assert engine._entity_snapshot is None
-        fresh = InferenceEngine(load_model(path), cache_size=0)
-        for entity in (3, 11, 39):
-            assert engine.nearest_entities(entity, k=6) == fresh.nearest_entities(entity, k=6)
-            assert engine.top_k_tails(entity, 2, k=6) == fresh.top_k_tails(entity, 2, k=6)
-            assert engine.top_k_heads(2, entity, k=6) == fresh.top_k_heads(2, entity, k=6)
-
 
     @staticmethod
     def _artifact(path, model):
         """A servable artifact directory: spec, metrics and checkpoint."""
-        ExperimentSpec(model=spec_from_model(model), name="reload").to_file(
+        ExperimentSpec(model=spec_from_model(model), name="served").to_file(
             os.path.join(path, "spec.json"))
         with open(os.path.join(path, "metrics.json"), "w") as handle:
             handle.write("{}\n")
         save_checkpoint(os.path.join(path, "checkpoint.npz"), model)
         return path
 
-    def test_reload_of_a_dense_artifact_stays_memory_mapped(self, tmp_path):
+    def test_dense_artifact_is_served_memory_mapped(self, tmp_path):
         path = self._artifact(str(tmp_path), make_model(rng=3))
         engine = InferenceEngine.from_artifact(path)
-        engine.reload(path)
         for name, param in engine.model.named_parameters():
             assert isinstance(param.data, np.memmap), name
 
@@ -363,8 +322,8 @@ class TestLeftoverPrecisionEntry:
             for anchor, relation in [(0, 0), (17, 2), (119, 4)]:
                 assert (engine.top_k_tails(anchor, relation, k=10)
                         == reference.top_k_tails(anchor, relation, k=10))
-                assert (engine.top_k_heads(relation, anchor, k=10)
-                        == reference.top_k_heads(relation, anchor, k=10))
+                assert (engine.top_k_heads_batch([TopKQuery(anchor, relation, k=10)])[0]
+                        == reference.top_k_heads_batch([TopKQuery(anchor, relation, k=10)])[0])
                 assert (engine.nearest_entities(anchor, k=10)
                         == reference.nearest_entities(anchor, k=10))
 
@@ -409,16 +368,11 @@ class TestNearestEntities:
         assert list(result.entities) == [int(i) for i in expected]
         np.testing.assert_allclose(result.scores, distances[expected], atol=1e-9)
 
-    def test_cached_and_invalidated_on_reload(self, tmp_path):
+    def test_cached(self):
         engine = InferenceEngine(make_model(rng=0), cache_size=16)
         first = engine.nearest_entities(3, k=4)
         assert engine.nearest_entities(3, k=4) == first
         assert engine.cache.stats()["hits"] >= 1
-        path = str(tmp_path / "n.npz")
-        save_checkpoint(path, make_model(rng=42))
-        engine.reload(path)
-        after = engine.nearest_entities(3, k=4)
-        assert first.scores != after.scores
 
     @pytest.mark.parametrize("name", ["transe", "distmult"])
     def test_overflowing_row_is_no_neighbour(self, name):

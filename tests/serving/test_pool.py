@@ -37,7 +37,7 @@ class TestRoundTrips:
 
     def test_head_matches_direct_engine(self, pool):
         out = pool.call(1, Request("head", TopKQuery(7, 2, k=4)))
-        expected = make_engine().top_k_heads(relation=2, tail=7, k=4)
+        expected = make_engine().top_k_heads_batch([TopKQuery(7, 2, k=4)])[0]
         assert out["entities"] == list(expected.entities)
 
     def test_filtered_flag_respected(self, pool):

@@ -86,7 +86,7 @@ class TestEndpoints:
     def test_top_k_heads(self, served):
         server, model = served
         out = post(server, "/v1/top_k_heads", {"tail": 5, "relation": 2, "k": 4})
-        expected = model.predict_heads(2, 5, k=4)
+        expected = model.top_k("head", [5], [2], 4)[0][0]
         assert out["entities"] == [int(i) for i in expected]
 
     def test_filtered_excludes_known_positive(self, served):

@@ -78,18 +78,17 @@ CASES = [
 
 
 @pytest.fixture(scope="module")
-def tiers():
+def tiers(pool_serving):
     threaded = make_server(make_engine(), port=0)
     thread = threading.Thread(target=threaded.serve_forever, daemon=True)
     thread.start()
     pool = AsyncInferenceServer(make_engine, workers=1, deadline_ms=5_000.0)
-    pool.serve_background()
-    conns = {name: http.client.HTTPConnection("127.0.0.1", port, timeout=10)
-             for name, port in (("threaded", threaded.port), ("pool", pool.port))}
-    yield conns
-    for conn in conns.values():
-        conn.close()
-    pool.close()
+    with pool_serving(pool):
+        conns = {name: http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+                 for name, port in (("threaded", threaded.port), ("pool", pool.port))}
+        yield conns
+        for conn in conns.values():
+            conn.close()
     threaded.shutdown()
     threaded.close()
     thread.join(timeout=5.0)

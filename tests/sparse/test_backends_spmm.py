@@ -24,7 +24,7 @@ def sparse_and_dense():
     dense = rng.standard_normal((7, 5))
     dense[rng.random((7, 5)) < 0.5] = 0.0
     X = rng.standard_normal((5, 4))
-    return COOMatrix.from_dense(dense), dense, X
+    return COOMatrix.from_scipy(sp.coo_matrix(dense)), dense, X
 
 
 class TestBackendRegistry:

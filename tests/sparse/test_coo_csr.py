@@ -16,16 +16,12 @@ def dense():
 
 
 class TestCOOConstruction:
-    def test_from_dense_roundtrip(self, dense):
-        coo = COOMatrix.from_dense(dense)
-        np.testing.assert_allclose(coo.to_dense(), dense)
-
     def test_from_scipy_roundtrip(self, dense):
         coo = COOMatrix.from_scipy(sp.coo_matrix(dense))
         np.testing.assert_allclose(coo.to_dense(), dense)
 
     def test_to_scipy(self, dense):
-        coo = COOMatrix.from_dense(dense)
+        coo = COOMatrix.from_scipy(sp.coo_matrix(dense))
         np.testing.assert_allclose(coo.to_scipy().toarray(), dense)
 
     def test_mismatched_lengths_rejected(self):
@@ -53,70 +49,43 @@ class TestCOOConstruction:
         np.testing.assert_allclose(coo.to_dense(), [[0.0, 5.0]])
 
     def test_properties(self, dense):
-        coo = COOMatrix.from_dense(dense)
+        coo = COOMatrix.from_scipy(sp.coo_matrix(dense))
         assert coo.nnz == np.count_nonzero(dense)
         assert coo.density == pytest.approx(np.count_nonzero(dense) / dense.size)
         assert coo.nbytes > 0
-        assert coo.nnz_per_row().sum() == coo.nnz
 
     def test_unhashable(self, dense):
         with pytest.raises(TypeError):
-            hash(COOMatrix.from_dense(dense))
+            hash(COOMatrix.from_scipy(sp.coo_matrix(dense)))
 
 
 class TestCOOOperations:
     def test_transpose(self, dense):
-        coo = COOMatrix.from_dense(dense)
+        coo = COOMatrix.from_scipy(sp.coo_matrix(dense))
         np.testing.assert_allclose(coo.T.to_dense(), dense.T)
 
     def test_copy_is_deep(self, dense):
-        coo = COOMatrix.from_dense(dense)
+        coo = COOMatrix.from_scipy(sp.coo_matrix(dense))
         other = coo.copy()
         other.values[:] = 0.0
         assert coo.values.any()
 
     def test_scale(self, dense):
-        coo = COOMatrix.from_dense(dense)
+        coo = COOMatrix.from_scipy(sp.coo_matrix(dense))
         np.testing.assert_allclose(coo.scale(2.0).to_dense(), 2.0 * dense)
 
-    def test_select_rows(self, dense):
-        coo = COOMatrix.from_dense(dense)
-        sub = coo.select_rows(np.array([1, 3, 5]))
-        np.testing.assert_allclose(sub.to_dense(), dense[[1, 3, 5]])
-
-    def test_select_rows_out_of_bounds(self, dense):
-        with pytest.raises(IndexError):
-            COOMatrix.from_dense(dense).select_rows(np.array([10]))
-
-    def test_matvec(self, dense):
-        coo = COOMatrix.from_dense(dense)
-        x = np.arange(dense.shape[1], dtype=float)
-        np.testing.assert_allclose(coo.matvec(x), dense @ x)
-
-    def test_matvec_matrix_argument(self, dense):
-        coo = COOMatrix.from_dense(dense)
-        X = np.random.default_rng(1).standard_normal((dense.shape[1], 3))
-        np.testing.assert_allclose(coo.matvec(X), dense @ X)
-
-    def test_matvec_dimension_mismatch(self, dense):
-        with pytest.raises(ValueError):
-            COOMatrix.from_dense(dense).matvec(np.ones(dense.shape[1] + 1))
-
     def test_equality(self, dense):
-        a = COOMatrix.from_dense(dense)
-        b = COOMatrix.from_dense(dense)
+        a = COOMatrix.from_scipy(sp.coo_matrix(dense))
+        b = COOMatrix.from_scipy(sp.coo_matrix(dense))
         assert a == b
 
 
 class TestCSR:
     def test_coo_csr_roundtrip(self, dense):
-        coo = COOMatrix.from_dense(dense)
+        coo = COOMatrix.from_scipy(sp.coo_matrix(dense))
         csr = coo.tocsr()
         np.testing.assert_allclose(csr.to_dense(), dense)
         np.testing.assert_allclose(csr.tocoo().to_dense(), dense)
-
-    def test_from_dense(self, dense):
-        np.testing.assert_allclose(CSRMatrix.from_dense(dense).to_dense(), dense)
 
     def test_from_scipy(self, dense):
         csr = CSRMatrix.from_scipy(sp.csr_matrix(dense))
@@ -139,40 +108,12 @@ class TestCSR:
         with pytest.raises(ValueError):
             CSRMatrix([0, 1, 2], [0, 7], [1.0, 2.0], (2, 2))
 
-    def test_matmul_dense(self, dense):
-        csr = CSRMatrix.from_dense(dense)
-        X = np.random.default_rng(2).standard_normal((dense.shape[1], 4))
-        np.testing.assert_allclose(csr.matmul_dense(X), dense @ X)
-
-    def test_matmul_dimension_mismatch(self, dense):
-        csr = CSRMatrix.from_dense(dense)
-        with pytest.raises(ValueError):
-            csr.matmul_dense(np.ones((dense.shape[1] + 1, 2)))
-
-    def test_matvec(self, dense):
-        csr = CSRMatrix.from_dense(dense)
-        x = np.arange(dense.shape[1], dtype=float)
-        np.testing.assert_allclose(csr.matvec(x), dense @ x)
-
     def test_transpose(self, dense):
-        csr = CSRMatrix.from_dense(dense)
+        csr = COOMatrix.from_scipy(sp.coo_matrix(dense)).tocsr()
         np.testing.assert_allclose(csr.T.to_dense(), dense.T)
 
-    def test_row_slice(self, dense):
-        csr = CSRMatrix.from_dense(dense)
-        np.testing.assert_allclose(csr.row_slice(2, 5).to_dense(), dense[2:5])
-
-    def test_row_slice_bounds(self, dense):
-        csr = CSRMatrix.from_dense(dense)
-        with pytest.raises(IndexError):
-            csr.row_slice(0, dense.shape[0] + 1)
-
-    def test_nnz_per_row(self, dense):
-        csr = CSRMatrix.from_dense(dense)
-        np.testing.assert_array_equal(csr.nnz_per_row(), (dense != 0).sum(axis=1))
-
     def test_equality_and_copy(self, dense):
-        a = CSRMatrix.from_dense(dense)
+        a = COOMatrix.from_scipy(sp.coo_matrix(dense)).tocsr()
         b = a.copy()
         assert a == b
         b.data[:] = 0.0
@@ -180,4 +121,53 @@ class TestCSR:
 
     def test_unhashable(self, dense):
         with pytest.raises(TypeError):
-            hash(CSRMatrix.from_dense(dense))
+            hash(COOMatrix.from_scipy(sp.coo_matrix(dense)).tocsr())
+
+
+#: Edge-case structures: ``(rows, cols, values, shape)``.
+STRUCTURES = {
+    "empty": ([], [], [], (3, 4)),
+    "no-rows": ([], [], [], (0, 5)),
+    "empty-rows": ([1, 1, 2, 4], [3, 0, 2, 1], [1.0, 2.0, 3.0, 4.0], (6, 4)),
+    "duplicates": ([2, 0, 2, 2], [1, 3, 1, 0], [1.5, -1.0, 2.5, 7.0], (3, 4)),
+    "single": ([0], [0], [9.0], (1, 1)),
+}
+
+
+@pytest.fixture(params=list(STRUCTURES))
+def structured(request):
+    rows, cols, values, shape = STRUCTURES[request.param]
+    return COOMatrix(rows, cols, values, shape)
+
+
+class TestEdgeStructures:
+    def test_tocsr_orders_rows_then_columns(self, structured):
+        csr = structured.tocsr()
+        np.testing.assert_array_equal(
+            np.diff(csr.indptr), np.bincount(structured.rows,
+                                             minlength=structured.shape[0]))
+        for i in range(csr.shape[0]):
+            row = csr.indices[csr.indptr[i]:csr.indptr[i + 1]]
+            assert np.all(np.diff(row) >= 0)
+        np.testing.assert_allclose(csr.to_dense(), structured.to_dense())
+
+    def test_tocsr_keeps_every_entry(self, structured):
+        back = structured.tocsr().tocoo()
+        assert back.nnz == structured.nnz
+        assert sorted(zip(back.rows.tolist(), back.cols.tolist(),
+                          back.values.tolist())) == \
+            sorted(zip(structured.rows.tolist(), structured.cols.tolist(),
+                       structured.values.tolist()))
+
+    @pytest.mark.parametrize("fmt", ["coo", "csr"])
+    def test_double_transpose_is_identity(self, structured, fmt):
+        mat = structured if fmt == "coo" else structured.tocsr()
+        twice = mat.T.T
+        assert twice.shape == mat.shape
+        np.testing.assert_allclose(twice.to_dense(), mat.to_dense())
+
+    def test_density_and_nbytes_agree_across_formats(self, structured):
+        csr = structured.tocsr()
+        assert csr.density == structured.density
+        assert structured.nbytes == 8 * 3 * structured.nnz
+        assert csr.nbytes == 8 * (2 * structured.nnz + structured.shape[0] + 1)

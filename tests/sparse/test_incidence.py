@@ -43,7 +43,7 @@ class TestHtIncidence:
         E = rng.standard_normal((N_ENT, 6))
         A = build_ht_incidence(triples, N_ENT)
         expected = E[triples[:, 0]] - E[triples[:, 2]]
-        np.testing.assert_allclose(A.matmul_dense(E), expected, rtol=1e-12)
+        np.testing.assert_allclose(A.to_scipy() @ E, expected, rtol=1e-12)
 
     def test_self_loop_cancels(self):
         A = build_ht_incidence(np.array([[2, 0, 2]]), N_ENT)
@@ -81,7 +81,7 @@ class TestHrtIncidence:
         E = rng.standard_normal((N_ENT + N_REL, 6))
         A = build_hrt_incidence(triples, N_ENT, N_REL)
         expected = E[triples[:, 0]] + E[N_ENT + triples[:, 1]] - E[triples[:, 2]]
-        np.testing.assert_allclose(A.matmul_dense(E), expected, rtol=1e-12)
+        np.testing.assert_allclose(A.to_scipy() @ E, expected, rtol=1e-12)
 
     def test_relation_bound_validation(self, triples):
         with pytest.raises(ValueError):
@@ -89,7 +89,7 @@ class TestHrtIncidence:
 
     def test_rows_have_exactly_three_nonzeros(self, triples):
         A = build_hrt_incidence(triples, N_ENT, N_REL)
-        np.testing.assert_array_equal(A.nnz_per_row(), np.full(len(triples), 3))
+        np.testing.assert_array_equal(np.diff(A.indptr), np.full(len(triples), 3))
 
 
 class TestIncidenceBuilder:
@@ -111,15 +111,22 @@ class TestIncidenceBuilder:
         A, At = builder.hrt(triples, with_transpose=True)
         np.testing.assert_allclose(At.to_dense(), A.to_dense().T)
 
-    def test_stacked_dim(self):
-        assert IncidenceBuilder(10, 4).stacked_dim == 14
+    @pytest.mark.parametrize("fmt", ["csr", "coo"])
+    @pytest.mark.parametrize("kind", ["ht", "hrt"])
+    def test_builds_what_the_functions_build(self, triples, fmt, kind):
+        builder = IncidenceBuilder(N_ENT, N_REL, fmt=fmt)
+        A = getattr(builder, kind)(triples)
+        expected = (build_ht_incidence(triples, N_ENT, fmt=fmt) if kind == "ht"
+                    else build_hrt_incidence(triples, N_ENT, N_REL, fmt=fmt))
+        assert type(A) is (CSRMatrix if fmt == "csr" else COOMatrix)
+        np.testing.assert_array_equal(A.to_dense(), expected.to_dense())
 
-    def test_describe_density_independent_of_structure(self, triples):
-        builder = IncidenceBuilder(N_ENT, N_REL)
-        stats = builder.describe(triples)
-        assert stats["nnz_per_row"] == 3
-        assert stats["nnz"] == 3 * len(triples)
-        assert stats["density"] == pytest.approx(3 / (N_ENT + N_REL))
+    @pytest.mark.parametrize("fmt", ["csr", "coo"])
+    def test_hrt_columns_stack_entities_then_relations(self, triples, fmt):
+        A, At = IncidenceBuilder(N_ENT, N_REL, fmt=fmt).hrt(
+            triples, with_transpose=True)
+        assert A.shape == (triples.shape[0], N_ENT + N_REL)
+        assert At.shape == (N_ENT + N_REL, triples.shape[0])
 
 
 class TestIncidenceProperties:
@@ -143,7 +150,7 @@ class TestIncidenceProperties:
         E = rng.standard_normal((n_entities + n_relations, dim))
         A = build_hrt_incidence(triples, n_entities, n_relations)
         expected = E[triples[:, 0]] + E[n_entities + triples[:, 1]] - E[triples[:, 2]]
-        np.testing.assert_allclose(A.matmul_dense(E), expected, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(A.to_scipy() @ E, expected, rtol=1e-10, atol=1e-12)
 
     @given(
         n_entities=st.integers(min_value=2, max_value=20),
@@ -160,7 +167,7 @@ class TestIncidenceProperties:
             rng.integers(0, n_entities, n_triples),
         ])
         A = build_ht_incidence(triples, n_entities)
-        np.testing.assert_allclose(A.matvec(np.ones(n_entities)), np.zeros(n_triples),
+        np.testing.assert_allclose(A.to_scipy() @ np.ones(n_entities), np.zeros(n_triples),
                                    atol=1e-12)
 
 

@@ -58,8 +58,7 @@ class TestRowSparseGrad:
         dense = np.zeros((5, 3))
         dense[1] = [1.0, 2.0, 3.0]
         dense[4] = [-1.0, 0.5, 0.0]
-        rsg = RowSparseGrad.from_dense(dense)
-        np.testing.assert_array_equal(rsg.indices, [1, 4])
+        rsg = RowSparseGrad(np.array([1, 4]), dense[[1, 4]], dense.shape)
         np.testing.assert_allclose(rsg.to_dense(), dense)
 
     def test_merge(self):

@@ -466,7 +466,7 @@ def trajectory(optimizer: str, sparse_grads: bool, partitions: int, steps: int =
         for batch in batches:
             trainer.train_step(batch)
     digest = hashlib.sha256()
-    for matrix in (model.entity_embedding_matrix(), model.relation_embedding_matrix()):
+    for matrix in (model.entity_embedding_matrix(), model.embeddings.relation_table().to_matrix()):
         digest.update(np.ascontiguousarray(matrix).tobytes())
     for key in sorted(trainer.optimizer.state):
         for name, value in sorted(trainer.optimizer.state[key].items()):

@@ -9,7 +9,7 @@ from repro.baselines import DenseTransE
 from repro.data import generate_synthetic_kg
 from repro.models import SpTransE, SpTransR
 from repro.optim import Adam
-from repro.serving import InferenceEngine
+from repro.serving import InferenceEngine, TopKQuery
 from repro.training import (
     Trainer,
     TrainingConfig,
@@ -179,8 +179,8 @@ class TestOneCopyOfEachParameter:
         for head, relation in [(0, 0), (5, 1), (17, 3)]:
             assert (served.top_k_tails(head, relation, k=10)
                     == trained.top_k_tails(head, relation, k=10))
-            assert (served.top_k_heads(relation, head, k=10)
-                    == trained.top_k_heads(relation, head, k=10))
+            assert (served.top_k_heads_batch([TopKQuery(head, relation, k=10)])[0]
+                    == trained.top_k_heads_batch([TopKQuery(head, relation, k=10)])[0])
         if kind != "partitioned":
             assert all(isinstance(p.data, np.memmap) for p in loaded.parameters())
 
@@ -228,8 +228,8 @@ class TestOneCopyOfEachParameter:
         restore_into(load_checkpoint(path), fresh)
         np.testing.assert_array_equal(fresh.entity_embedding_matrix(),
                                       model.entity_embedding_matrix())
-        np.testing.assert_array_equal(fresh.relation_embedding_matrix(),
-                                      model.relation_embedding_matrix())
+        np.testing.assert_array_equal(fresh.embeddings.relation_table().to_matrix(),
+                                      model.embeddings.relation_table().to_matrix())
         assert not fresh.embeddings.read_only
         fresh.embeddings.renormalize_()  # writes go to its own storage
         np.testing.assert_array_equal(load_model(path).entity_embedding_matrix(),

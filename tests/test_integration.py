@@ -66,7 +66,8 @@ class TestFilePipeline:
         losses = []
         for _ in range(3):
             epoch_losses = []
-            for positives in store.iter_batches(batch_size=64):
+            for lo, hi in store.block_bounds(64):
+                positives = store.fetch_block(lo, hi)
                 batch = TripletBatch(positives=positives,
                                      negatives=sampler.corrupt(positives))
                 model.zero_grad()

@@ -21,7 +21,7 @@ from repro.models.transe import SpTransE
 from repro.models.transh import SpTransH
 from repro.models.transr import SpTransR
 from repro.nn.partitioned import partitioned_tables
-from repro.serving import InferenceEngine
+from repro.serving import InferenceEngine, TopKQuery
 from repro.training.config import TrainingConfig
 from repro.training.trainer import Trainer
 
@@ -51,7 +51,7 @@ def _train(kg, partitions, optimizer_name, epochs=3):
 
 def _model_digest(model) -> str:
     return _digest([model.entity_embedding_matrix(),
-                    model.relation_embedding_matrix()])
+                    model.embeddings.relation_table().to_matrix()])
 
 
 def _row_state(model, optimizer):
@@ -130,8 +130,8 @@ class TestServingParity:
             b = part_engine.top_k_tails(head, relation, k=10)
             assert a.entities == b.entities
             assert np.allclose(a.scores, b.scores, atol=1e-9)
-            a = dense_engine.top_k_heads(relation, head, k=10)
-            b = part_engine.top_k_heads(relation, head, k=10)
+            a = dense_engine.top_k_heads_batch([TopKQuery(head, relation, k=10)])[0]
+            b = part_engine.top_k_heads_batch([TopKQuery(head, relation, k=10)])[0]
             assert a.entities == b.entities
         nearest_dense = dense_engine.nearest_entities(7, k=5)
         nearest_part = part_engine.nearest_entities(7, k=5)

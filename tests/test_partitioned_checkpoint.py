@@ -16,7 +16,7 @@ from repro.models.transh import SpTransH
 from repro.models.transr import SpTransR
 from repro.nn.partitioned import PARTITION_MANIFEST, partitioned_tables
 from repro.registry import ModelSpec, build_model, spec_from_model
-from repro.serving import InferenceEngine
+from repro.serving import InferenceEngine, TopKQuery
 from repro.training.checkpoint import (
     load_checkpoint,
     load_model,
@@ -170,11 +170,10 @@ class TestHtModelArtifacts:
         assert loaded.entity_embeddings.read_only
         engine, direct = InferenceEngine(loaded), InferenceEngine(model)
         for anchor, relation in ((1, 0), (5, 2), (9, 1)):
-            for query in ("top_k_tails", "top_k_heads"):
-                args = ((anchor, relation) if query == "top_k_tails"
-                        else (relation, anchor))
-                a = getattr(engine, query)(*args, k=10)
-                b = getattr(direct, query)(*args, k=10)
+            for query in ("top_k_tails_batch", "top_k_heads_batch"):
+                batch = [TopKQuery(anchor, relation, 10)]
+                a = getattr(engine, query)(batch)[0]
+                b = getattr(direct, query)(batch)[0]
                 assert a.entities == b.entities
                 assert np.array_equal(a.scores, b.scores)
         known = kg.known_triples()

@@ -77,7 +77,7 @@ class TestTopK:
             model.predict_tails(4, 1, k=5),
             ranking.top_k(model.score_all_tails([4], [1])[0], 5))
         np.testing.assert_array_equal(
-            model.predict_heads(2, 7, k=5),
+            model.top_k("head", [7], [2], 5)[0][0],
             ranking.top_k(model.score_all_heads([2], [7])[0], 5))
 
 
@@ -583,7 +583,7 @@ def _spy_on_row_norms(monkeypatch):
 def _oracle_chunk_ranks(model, triples, known, batch_size):
     """Per-chunk recompute: textbook scores, then the rank counter."""
     ent = model.entity_embedding_matrix()
-    rel = model.relation_embedding_matrix()
+    rel = model.embeddings.relation_table().to_matrix()
     tail_ranks, head_ranks = [], []
     for start in range(0, triples.shape[0], batch_size):
         h, r, t = triples[start:start + batch_size].T

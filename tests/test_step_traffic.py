@@ -56,7 +56,7 @@ def _trajectory(optimizer: str, sparse_grads: bool, partitions: int) -> str:
     for batch in itertools.islice(_endless(trainer.batches), 100):
         trainer.train_step(batch)
     digest = hashlib.sha256()
-    for matrix in (model.entity_embedding_matrix(), model.relation_embedding_matrix()):
+    for matrix in (model.entity_embedding_matrix(), model.embeddings.relation_table().to_matrix()):
         digest.update(np.ascontiguousarray(matrix).tobytes())
     if partitions > 1:
         model.embeddings.close()
